@@ -12,8 +12,8 @@
 //!    an output port's FIFO when the egress link is free and the
 //!    `(port, VC)` credit ledger covers the PDU's cells; the final
 //!    arrival at the destination host returns those credits (see
-//!    `on_arrive`). A credit-stalled head blocks its whole port, which
-//!    preserves per-VC FIFO order across the hop.
+//!    `on_arrive`) and wake the port. A credit-stalled head blocks its
+//!    whole port, which preserves per-VC FIFO order across the hop.
 //!
 //! Contention is therefore visible in two places: fan-in queueing in
 //! the output-port FIFOs (depth counters) and credit stalls on the
@@ -75,16 +75,16 @@ impl World {
         );
         sw.note_ingress(dsts.len() - 1);
         // Fan-out replicates the wire image at ingress; the original
-        // moves into the last copy. Drain kicks are deferred past the
-        // switch borrow; unicast (the fast path) needs no allocation.
-        let mut first_drain: Option<u16> = None;
-        let mut more_drains: Vec<u16> = Vec::new();
+        // moves into the last copy.
         for (i, &dst) in dsts.iter().enumerate() {
             let payload = if i + 1 == dsts.len() {
                 pdu.take()
             } else {
                 pdu.as_ref()
                     .map(|p| WirePdu::new(vc.0, p.payload().to_vec()))
+            };
+            let FabricState::Switched(sw) = &mut self.fabric else {
+                unreachable!();
             };
             let depth = sw.enqueue(
                 dst,
@@ -103,21 +103,11 @@ impl World {
             );
             if depth == 1 {
                 // The port was idle: start draining. A non-empty port
-                // already has a drain pending (a stall retry or a
-                // credit-return wake), so one event per busy spell is
-                // enough.
-                if first_drain.is_none() {
-                    first_drain = Some(dst);
-                } else {
-                    more_drains.push(dst);
-                }
+                // is either draining already or blocked with a
+                // credit-return wake on the way, so one kick per busy
+                // spell is enough.
+                self.push_ev(time, Event::PortDrain { port: dst });
             }
-        }
-        if let Some(port) = first_drain {
-            self.push_ev(time, Event::PortDrain { port });
-        }
-        for port in more_drains {
-            self.push_ev(time, Event::PortDrain { port });
         }
     }
 
@@ -134,20 +124,17 @@ impl World {
                 return;
             };
             let (vc, cells, total) = (head.vc, head.cells, head.total);
+            let credit = sw.port_credit();
             assert!(
-                cells as u32 <= sw.port_credit(),
-                "PDU of {} cells can never clear port {}'s credit \
-                 allotment of {} — the port would stall forever",
-                cells,
-                port,
-                sw.port_credit()
+                cells as u32 <= credit,
+                "PDU of {cells} cells can never clear port {port}'s credit \
+                 allotment of {credit} — the port would be stranded"
             );
             if !sw.try_consume_credits(port, vc, cells as u32, time) {
-                // Head-of-line stall: the whole port waits (which is
-                // what keeps per-VC order intact across the hop).
-                // Credit returns wake the port directly; this retry
-                // covers starvation episodes with no returns coming.
-                self.push_ev(time + SimTime::from_us(50.0), Event::PortDrain { port });
+                // Head-of-line stall (which keeps per-VC order intact
+                // across the hop). The head fits the allotment, so a
+                // dispatched PDU holds some of its VC's credits; that
+                // PDU's arrival returns them and wakes this port.
                 return;
             }
             let pdu = sw.pop(port, time).expect("head just inspected");

@@ -504,7 +504,7 @@ impl World {
             host.charge_overlapped(Op::CellRx, cells * CELL_PAYLOAD, cells);
         }
         // The damaged cells still drained the receiver's buffers, so
-        // the last hop's credits return as usual.
+        // the last hop's credits return and wake as in `on_arrive`.
         match &mut self.fabric {
             crate::world::FabricState::Passthrough => {
                 let sender = HostId(to.0 ^ 1);

@@ -283,9 +283,9 @@ impl World {
             host.charge_latency(Op::OsFixedRecv, 0, 0);
             host.charge_overlapped(Op::CellRx, total, cells);
         }
-        // Return the last hop's credits for the drained cells and wake
-        // whoever was stalled on them: the peer's transmit queue in a
-        // passthrough world, the switch's egress port otherwise.
+        // Return the last hop's credits now and, one wire latency on,
+        // wake whoever was stalled on them: the peer's transmit queue in
+        // a passthrough world, else the switch port (its only wake).
         match &mut self.fabric {
             crate::world::FabricState::Passthrough => {
                 let sender = HostId(to.0 ^ 1);

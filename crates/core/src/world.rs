@@ -881,6 +881,13 @@ impl World {
                 crate::shard::run_sharded(self, n);
             }
         }
+        // Liveness: only credit-return wakes restart a blocked port.
+        if let FabricState::Switched(sw) = &self.fabric {
+            debug_assert!(
+                (0..sw.ports()).all(|port| sw.queue_len(port) == 0),
+                "run quiesced with PDUs stranded in a switch output FIFO"
+            );
+        }
     }
 
     /// The legacy serial loop: insertion-ordered ties, no keys.

@@ -141,7 +141,9 @@ pub enum PortSampleKind {
     Depth,
     /// Egress credits available on the head VC after a reservation.
     CreditOccupancy,
-    /// A head-of-line credit stall (value = cells the head needed).
+    /// A drain (ingress kick or credit-return wake) that found the
+    /// head VC out of credit (value = cells the head needed). The port
+    /// is not re-polled, so each point is one wake, not one tick.
     HolStall,
 }
 
@@ -203,7 +205,9 @@ struct Port {
     credits: HashMap<u32, CreditState>,
     /// PDUs dispatched onto the egress link.
     dispatched: u64,
-    /// Dispatch attempts that found the head VC out of credit.
+    /// Drains that found the head VC out of credit. A blocked port
+    /// sleeps until a credit-return wake, so this counts wakes (and
+    /// ingress kicks) that found the head still blocked, never polls.
     credit_stalls: u64,
     /// Deepest FIFO occupancy observed.
     max_depth: u64,

@@ -30,6 +30,9 @@ GENIE_CQ_PROP_SEEDS=50 cargo test --release --test cq_properties -q
 echo "== parallel_fs example smoke (queue-pair API, self-checking) =="
 cargo run --release --example parallel_fs >/dev/null
 
+echo "== perfbench correctness smoke (four workloads, 2 s each) =="
+./scripts/perfbench_smoke.sh
+
 echo "== report determinism (serial vs 4 threads) =="
 tmp_serial=$(mktemp) && tmp_par=$(mktemp)
 tmp_metrics=$(mktemp) && tmp_trace=$(mktemp)

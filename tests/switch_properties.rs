@@ -17,12 +17,14 @@
 //!   output port.
 //! - **Credit bounds.** `(port, VC)` egress credits never exceed the
 //!   configured allotment, and every consumed credit is returned by
-//!   quiesce.
+//!   quiesce. A blocked port waits for credit-return wakes instead of
+//!   polling, so its stall count is bounded by enqueues plus dispatches.
 
 use genie::{Allocation, HostId, InputRequest, OutputRequest, Semantics, World, WorldConfig};
 use genie_fault::XorShift64;
 use genie_machine::MachineSpec;
-use genie_net::{SwitchConfig, Vc};
+use genie_mem::Fnv64;
+use genie_net::{SwitchConfig, SwitchStats, Vc};
 
 fn seed_count() -> u64 {
     std::env::var("GENIE_SWITCH_PROP_SEEDS")
@@ -58,6 +60,21 @@ fn random_topology(hosts: u16, rng: &mut XorShift64) -> (SwitchConfig, Vec<(u16,
         routes.push((src, vc, dsts));
     }
     (cfg, routes)
+}
+
+/// A stall is one `PortDrain` that found the head blocked, and drains
+/// come only from ingress kicks (at most one per PDU or multicast
+/// replica enqueued) and credit-return wakes (at most one per
+/// dispatched PDU's arrival). A blocked port is never polled, so the
+/// stall count cannot exceed them.
+fn assert_stalls_bounded_by_wakes(stats: &SwitchStats, ctx: &str) {
+    let kicks = stats.pdus_ingress + stats.pdus_replicated;
+    assert!(
+        stats.credit_stalls <= kicks + stats.pdus_dispatched,
+        "{ctx}: {} credit stalls exceed {kicks} ingress kicks + {} credit-return wakes",
+        stats.credit_stalls,
+        stats.pdus_dispatched
+    );
 }
 
 struct RunOutcome {
@@ -187,6 +204,7 @@ fn run_one(seed: u64) -> RunOutcome {
     );
     assert_eq!(stats.pdus_ingress as usize, plan.len(), "seed {seed}");
     assert_eq!(stats.pdus_dispatched as usize, fanout_total, "seed {seed}");
+    assert_stalls_bounded_by_wakes(&stats, &format!("seed {seed}"));
     for port in 0..hosts {
         assert_eq!(
             sw.queue_len(port),
@@ -287,6 +305,76 @@ fn head_of_line_stall_preserves_port_order() {
         "4 x ~44 cells against 64 credits must stall at least once"
     );
     assert_eq!(stats.pdus_dispatched, 8);
+    assert_stalls_bounded_by_wakes(&stats, "head-of-line fan-in");
+    // Egress timing under heavy stalling is pinned: the credit-return
+    // wakes alone must reproduce the latencies the port had when it
+    // was also polled every 50 us while blocked.
+    let mut fp = Fnv64::new();
+    for c in &done {
+        fp.write_u64(c.latency.0);
+    }
+    assert_eq!(
+        fp.finish(),
+        0x2ebe_925e_772b_ff7d,
+        "head-of-line completion latencies moved"
+    );
+}
+
+#[test]
+fn starved_single_vc_port_dispatches_on_the_credit_return_wake() {
+    // Six 2 KB datagrams (~44 cells each) down one VC of a 2-host
+    // chain with 64 cells of egress credit: every PDU after the first
+    // waits for its predecessor's credits. The ledger is credited at
+    // arrival, but the port acts only when the credit-return message
+    // has crossed the wire, one fixed latency later. The sixth PDU
+    // used to leave up to that latency early, at 916.729 us, because a
+    // 50 us stall poll could land between the credit return and its
+    // wake; it now waits for the wake.
+    const LEN: usize = 2048;
+    let mut w = World::new(WorldConfig::switched(
+        MachineSpec::micron_p166(),
+        2,
+        SwitchConfig::chain(2, 300, 64),
+    ));
+    let s0 = w.create_process(HostId(0));
+    let s1 = w.create_process(HostId(1));
+    for _ in 0..6 {
+        w.input(
+            HostId(1),
+            InputRequest::system(Semantics::Move, Vc(300), s1, LEN),
+        )
+        .expect("input");
+    }
+    for k in 0..6u8 {
+        let (_r, vaddr) = w.host_mut(HostId(0)).alloc_io_buffer(s0, LEN).expect("io");
+        w.app_write(HostId(0), s0, vaddr, &[k; LEN]).expect("fill");
+        w.output(
+            HostId(0),
+            OutputRequest::new(Semantics::Move, Vc(300), s0, vaddr, LEN),
+        )
+        .expect("output");
+    }
+    w.run();
+    let latencies: Vec<u64> = w
+        .take_completed_inputs()
+        .iter()
+        .map(|c| c.latency.0)
+        .collect();
+    assert_eq!(
+        latencies,
+        [
+            516_975_481,
+            598_253_340,
+            679_531_199,
+            760_809_058,
+            842_086_917,
+            923_364_776
+        ],
+        "single-VC egress latencies (ps) moved"
+    );
+    let stats = w.switch_stats().expect("switched");
+    assert!(stats.credit_stalls > 0, "the port never blocked");
+    assert_stalls_bounded_by_wakes(&stats, "single-VC chain");
 }
 
 #[test]
