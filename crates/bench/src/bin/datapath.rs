@@ -11,11 +11,15 @@
 //! iterations (CI smoke); the default iteration counts give stable
 //! means on an idle machine.
 
+use std::collections::VecDeque;
+
 use genie::{measure_latency, ExperimentSetup, Semantics, SeriesContext};
 use genie_bench::timing::{time_named, Timing};
 use genie_machine::{MachineSpec, SimTime};
+use genie_mem::PhysMem;
 use genie_net::aal5;
 use genie_net::event::EventQueue;
+use genie_vm::{Access, RegionHandle, RegionMark, Vm};
 
 const PDU_60K: usize = 61_440;
 
@@ -142,6 +146,39 @@ fn main() {
                 assert!(q.pop().is_none(), "arbitration rounds must drain");
             },
         ));
+    }
+
+    {
+        // Region-table churn: one address space holding ~1k live
+        // one-page regions. Each operation allocates a region,
+        // write-faults its page in (a covering-region lookup plus a
+        // zero fill), resolves it by address, and frees the oldest
+        // region — the create/fault/remove cycle every datagram's
+        // buffer bookkeeping runs.
+        const LIVE: usize = 1_000;
+        let mut vm = Vm::new(PhysMem::new(4096, 2 * LIVE));
+        let space = vm.create_space();
+        let mut live = VecDeque::with_capacity(LIVE + 1);
+        let cycle = |vm: &mut Vm, live: &mut VecDeque<RegionHandle>| {
+            let h = vm
+                .alloc_region(space, 1, RegionMark::Unmovable)
+                .expect("alloc region");
+            vm.handle_fault(space, h.start_vpn, Access::Write)
+                .expect("first-touch fault");
+            std::hint::black_box(vm.region_at(space, h.start_vpn * 4096).expect("lookup"));
+            live.push_back(h);
+        };
+        for _ in 0..LIVE {
+            cycle(&mut vm, &mut live);
+        }
+        results.push(time_named("datapath/region_churn", iters(200), || {
+            // 1000 alloc/fault/lookup/free cycles per timed call.
+            for _ in 0..1000 {
+                cycle(&mut vm, &mut live);
+                let oldest = live.pop_front().expect("live region");
+                vm.remove_region(oldest).expect("free region");
+            }
+        }));
     }
 
     // One full simulated 60 KB exchange, host wall-clock, world built

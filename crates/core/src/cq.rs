@@ -653,12 +653,9 @@ pub fn harvest(w: &mut World, qps: &mut [QueuePair]) -> usize {
     let mut worst: Vec<u64> = vec![0; qps.len()];
     let mut observed_at: Vec<SimTime> = vec![SimTime::ZERO; qps.len()];
     for c in recvs {
-        let qi = qps
-            .iter()
-            .position(|qp| qp.inflight_recvs.contains_key(&c.token))
+        let (qi, op) = take_inflight(qps, c.host, c.token, |qp| &mut qp.inflight_recvs)
             .unwrap_or_else(|| panic!("recv completion for unknown token {}", c.token));
         let qp = &mut qps[qi];
-        let op = qp.inflight_recvs.remove(&c.token).expect("checked");
         // The per-VC in-order delivery invariant: stream keys on one
         // circuit must be strictly increasing in completion order.
         let vc = op.vc;
@@ -695,12 +692,9 @@ pub fn harvest(w: &mut World, qps: &mut [QueuePair]) -> usize {
         routed += 1;
     }
     for c in sends {
-        let qi = qps
-            .iter()
-            .position(|qp| qp.inflight_sends.contains_key(&c.token))
+        let (qi, op) = take_inflight(qps, c.host, c.token, |qp| &mut qp.inflight_sends)
             .unwrap_or_else(|| panic!("send completion for unknown token {}", c.token));
         let qp = &mut qps[qi];
-        let op = qp.inflight_sends.remove(&c.token).expect("checked");
         let latency = c.completed_at.saturating_sub(op.issued_at);
         qp.push_cqe(
             c.len,
@@ -737,6 +731,23 @@ pub fn harvest(w: &mut World, qps: &mut [QueuePair]) -> usize {
         w.note_cq_sample(qp.host, depth, window);
     }
     routed
+}
+
+/// Removes `token` from the in-flight table `table` selects on the
+/// queue pair that issued it, returning that pair's index and the
+/// operation. A completion always lands on the host its operation was
+/// issued from, so only pairs on `host` are probed: one hash lookup
+/// when each host has one queue pair.
+fn take_inflight(
+    qps: &mut [QueuePair],
+    host: HostId,
+    token: u64,
+    table: fn(&mut QueuePair) -> &mut HashMap<u64, InflightOp>,
+) -> Option<(usize, InflightOp)> {
+    qps.iter_mut()
+        .enumerate()
+        .filter(|(_, qp)| qp.host == host)
+        .find_map(|(qi, qp)| table(qp).remove(&token).map(|op| (qi, op)))
 }
 
 /// Drives the world until queue pair `which` has `n` completions (or

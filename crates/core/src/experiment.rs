@@ -125,42 +125,39 @@ fn payload(len: usize, seed: u8) -> Vec<u8> {
 }
 
 thread_local! {
-    /// Reused payload pattern buffers, tagged with the `(len, seed)`
-    /// they hold: a sweep measures thousands of points, regenerating
-    /// the same one or two patterns per size over and over, and both
-    /// the fresh `Vec` and the per-byte pattern fill were visible
-    /// slices of host wall-clock. A tagged buffer is reused as-is on a
-    /// `(len, seed)` hit, so steady-state measurement rounds touch no
-    /// payload bytes at all.
-    static PAYLOAD_POOL: std::cell::RefCell<Vec<(usize, u8, Vec<u8>)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    /// The seed-0 payload pattern, grown on demand to the longest
+    /// length asked for plus one 256-byte period. A sweep measures
+    /// thousands of points at dozens of sizes, so regenerating the
+    /// pattern byte by byte per call was a visible slice of host
+    /// wall-clock; at steady state every call is a slice of this one
+    /// buffer.
+    static PATTERN: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` over the deterministic payload pattern in a pooled buffer
-/// (same bytes as [`payload`], no per-call allocation — and on repeat
-/// calls no per-byte generation — at steady state).
+/// The inverse of 31 modulo 256. Byte `i` of seed `s`'s pattern is
+/// `31*i + s = 31*(i + s*INV31)` (mod 256), so every seed's pattern is
+/// the seed-0 pattern read from offset `s*INV31 mod 256`.
+const INV31: usize = 223;
+
+/// Runs `f` over the deterministic payload pattern (same bytes as
+/// [`payload`]), sliced from a shared buffer: no allocation and no
+/// per-byte generation at steady state.
 fn with_payload<R>(len: usize, seed: u8, f: impl FnOnce(&[u8]) -> R) -> R {
-    let (mut buf, hit) = PAYLOAD_POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        if let Some(i) = pool.iter().position(|&(l, s, _)| l == len && s == seed) {
-            (pool.swap_remove(i).2, true)
-        } else if pool.len() >= 8 {
-            // Pool full: recycle the storage of the oldest pattern.
-            (pool.remove(0).2, false)
-        } else {
-            (Vec::new(), false)
-        }
-    });
-    if !hit {
-        buf.clear();
-        buf.extend((0..len).map(|i| (i as u64).wrapping_mul(31).wrapping_add(seed as u64) as u8));
+    // Taken out (not borrowed) for the call, so `f` may call
+    // `with_payload` itself.
+    let mut buf = PATTERN.take();
+    let need = len + 255;
+    if buf.len() < need {
+        let have = buf.len();
+        buf.extend((have..need).map(|i| (i as u64).wrapping_mul(31) as u8));
     }
-    debug_assert_eq!(buf, payload(len, seed));
-    let r = f(&buf);
-    PAYLOAD_POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        if pool.len() < 8 {
-            pool.push((len, seed, buf));
+    let off = usize::from(seed) * INV31 % 256;
+    let data = &buf[off..off + len];
+    debug_assert_eq!(data, payload(len, seed));
+    let r = f(data);
+    PATTERN.with_borrow_mut(|p| {
+        if p.len() < buf.len() {
+            *p = buf;
         }
     });
     r
@@ -727,5 +724,17 @@ mod tests {
         // 61440 bytes in 3932 us ~ 125 Mbps.
         let t = throughput_mbps(61_440, SimTime::from_us(3932.0));
         assert!((t - 125.0).abs() < 1.0, "{t}");
+    }
+
+    /// Every seed's window into the shared pattern buffer holds exactly
+    /// that seed's bytes, at lengths below, at and across the 256-byte
+    /// period, asked for in growing and shrinking order.
+    #[test]
+    fn shared_pattern_matches_payload_for_every_seed() {
+        for len in [0, 1, 255, 256, 257, 4097, 300, 2] {
+            for seed in 0..=255u8 {
+                with_payload(len, seed, |data| assert_eq!(data, payload(len, seed)));
+            }
+        }
     }
 }

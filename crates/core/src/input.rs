@@ -68,6 +68,8 @@ impl InputRequest {
 pub struct RecvCompletion {
     /// Correlation token returned by [`World::input`].
     pub token: u64,
+    /// Receiving host.
+    pub host: HostId,
     /// Semantics used.
     pub semantics: Semantics,
     /// Receiving process.
@@ -710,6 +712,7 @@ impl World {
         }
         self.push_done_recv(RecvCompletion {
             token: p.token,
+            host: to,
             semantics: p.semantics,
             space: p.space,
             vaddr,

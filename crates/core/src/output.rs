@@ -50,6 +50,8 @@ impl OutputRequest {
 pub struct SendCompletion {
     /// Correlation token returned by [`World::output`].
     pub token: u64,
+    /// Sending host.
+    pub host: HostId,
     /// Semantics requested by the application.
     pub requested: Semantics,
     /// Semantics actually used (thresholds may convert to copy).
@@ -639,6 +641,7 @@ impl World {
         }
         self.push_done_send(SendCompletion {
             token,
+            host: from,
             requested: send.requested,
             effective: send.effective,
             completed_at: self.host(from).clock,

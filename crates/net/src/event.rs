@@ -1,91 +1,52 @@
 //! Deterministic discrete-event queue.
 //!
-//! A bucketed **calendar queue** keyed by [`SimTime`], with FIFO
-//! ordering among events scheduled for the same instant (a strict
-//! requirement for reproducible experiments).
+//! A binary min-heap of small `(time, tie-break, slot)` keys over a
+//! slab of event payloads. Ordering is by `(time, seq)` where `seq` is
+//! a monotonic push counter, so events pushed for the same instant pop
+//! in push order (a strict requirement for reproducible experiments);
+//! [`EventQueue::push_keyed`] substitutes a caller-supplied key for the
+//! counter and pops by `(time, key)`.
 //!
-//! Layout: `nbuckets` (a power of two) buckets, each a flat `Vec` of
-//! entries; an event at tick `t` lives in bucket
-//! `(t >> width_bits) & (nbuckets - 1)`, i.e. bucket width is a power
-//! of two in SimTime ticks. Ordering is by `(time, seq)` where `seq`
-//! is a monotonic push counter, so events pushed for the same instant
-//! pop in push order — exactly the order the previous binary-heap
-//! implementation produced.
-//!
-//! Pop walks at most one calendar "year" (one lap over the buckets)
-//! from a maintained lower-bound bucket hint; if the whole year is
-//! empty it falls back to a direct scan for the global minimum and
-//! jumps the hint there (the standard calendar-queue sparse-event
-//! escape). The queue resizes lazily: when occupancy leaves the
-//! `[nbuckets/4, 2*nbuckets]` band the bucket array doubles or halves
-//! and the bucket width is re-derived from the span of pending times,
-//! keeping the expected cost of push and pop O(1).
+//! Heap sifts move only the 24-byte keys: payloads stay put in the
+//! slab, whose vacated slots are reused through a free list, so a
+//! steady-state queue allocates nothing. Push and pop are O(log n)
+//! whatever the schedule's shape — a burst of same-instant events costs
+//! the same per event as scattered ones.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use genie_machine::SimTime;
-
-/// Initial bucket count (power of two).
-const MIN_BUCKETS: usize = 4;
-/// Initial log2 of the bucket width in ticks (1 µs = 2^20 ticks ≈ us).
-const INITIAL_WIDTH_BITS: u32 = 20;
 
 /// A deterministic event queue.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    buckets: Vec<Vec<Entry<E>>>,
-    /// log2 of the bucket width in ticks.
-    width_bits: u32,
-    /// Total pending events.
-    len: usize,
+    /// Min-heap of `(time, seq or key, slab slot)`.
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Event payloads, indexed by the heap key's slot.
+    slab: Vec<Option<E>>,
+    /// Vacant slab slots.
+    free: Vec<u32>,
     /// Monotonic push counter breaking same-instant ties FIFO.
     seq: u64,
-    /// Lower bound on the virtual bucket index of every pending event.
-    floor_vidx: u64,
-}
-
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width_bits: INITIAL_WIDTH_BITS,
-            len: 0,
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             seq: 0,
-            floor_vidx: 0,
         }
-    }
-
-    #[inline]
-    fn mask(&self) -> u64 {
-        self.buckets.len() as u64 - 1
-    }
-
-    /// Virtual bucket index of a tick value.
-    #[inline]
-    fn vidx(&self, time: SimTime) -> u64 {
-        time.0 >> self.width_bits
     }
 
     /// Schedules `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        if self.len + 1 > self.buckets.len() * 2 {
-            self.resize(self.buckets.len() * 2);
-        }
-        let v = self.vidx(time);
-        if self.len == 0 || v < self.floor_vidx {
-            self.floor_vidx = v;
-        }
-        let idx = (v & self.mask()) as usize;
-        self.buckets[idx].push(Entry { time, seq, event });
-        self.len += 1;
+        self.push_keyed(time, seq, event);
     }
 
     /// Schedules `event` at `time` with a caller-supplied tie-break
@@ -98,32 +59,22 @@ impl<E> EventQueue<E> {
     /// at equal times; the sharded engine uses `push_keyed`
     /// exclusively.
     pub fn push_keyed(&mut self, time: SimTime, key: u64, event: E) {
-        if self.len + 1 > self.buckets.len() * 2 {
-            self.resize(self.buckets.len() * 2);
-        }
-        let v = self.vidx(time);
-        if self.len == 0 || v < self.floor_vidx {
-            self.floor_vidx = v;
-        }
-        let idx = (v & self.mask()) as usize;
-        self.buckets[idx].push(Entry {
-            time,
-            seq: key,
-            event,
-        });
-        self.len += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                u32::try_from(self.slab.len() - 1).expect("event slab overflow")
+            }
+        };
+        self.heap.push(Reverse((time, key, slot)));
     }
 
     /// Pops the earliest event (FIFO among ties).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (bucket, pos, vmin) = self.locate_min()?;
-        self.floor_vidx = vmin;
-        let e = self.buckets[bucket].swap_remove(pos);
-        self.len -= 1;
-        if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-            self.resize(self.buckets.len() / 2);
-        }
-        Some((e.time, e.event))
+        self.pop_entry().map(|(time, _, event)| (time, event))
     }
 
     /// Pops the earliest event together with its tie-break key
@@ -132,110 +83,27 @@ impl<E> EventQueue<E> {
     /// completions produced while handling the event can be merged
     /// back into the serial processing order.
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        let (bucket, pos, vmin) = self.locate_min()?;
-        self.floor_vidx = vmin;
-        let e = self.buckets[bucket].swap_remove(pos);
-        self.len -= 1;
-        if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-            self.resize(self.buckets.len() / 2);
-        }
-        Some((e.time, e.seq, e.event))
+        let Reverse((time, key, slot)) = self.heap.pop()?;
+        let event = self.slab[slot as usize]
+            .take()
+            .expect("heap key names a live slot");
+        self.free.push(slot);
+        Some((time, key, event))
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.locate_min()
-            .map(|(bucket, pos, _)| self.buckets[bucket][pos].time)
+        self.heap.peek().map(|Reverse((time, _, _))| *time)
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Finds the minimum `(time, seq)` entry: `(bucket index, position
-    /// in bucket, virtual bucket index)`. Walks one calendar year from
-    /// the floor hint; on a fully empty year, falls back to a direct
-    /// scan of every bucket.
-    fn locate_min(&self) -> Option<(usize, usize, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        let n = self.buckets.len() as u64;
-        let mask = self.mask();
-        // One lap: the first virtual bucket (in calendar order from the
-        // floor) that owns an entry contains the global minimum,
-        // because the floor is a true lower bound.
-        for i in 0..n {
-            let Some(v) = self.floor_vidx.checked_add(i) else {
-                break; // virtual index overflow: use the direct scan
-            };
-            let bucket = (v & mask) as usize;
-            let mut best: Option<usize> = None;
-            for (pos, e) in self.buckets[bucket].iter().enumerate() {
-                if self.vidx(e.time) == v
-                    && best.is_none_or(|b| {
-                        let cur = &self.buckets[bucket][b];
-                        (e.time, e.seq) < (cur.time, cur.seq)
-                    })
-                {
-                    best = Some(pos);
-                }
-            }
-            if let Some(pos) = best {
-                return Some((bucket, pos, v));
-            }
-        }
-        // Sparse year: direct search for the global minimum.
-        let mut best: Option<(usize, usize)> = None;
-        for (bucket, entries) in self.buckets.iter().enumerate() {
-            for (pos, e) in entries.iter().enumerate() {
-                if best.is_none_or(|(bb, bp)| {
-                    let cur = &self.buckets[bb][bp];
-                    (e.time, e.seq) < (cur.time, cur.seq)
-                }) {
-                    best = Some((bucket, pos));
-                }
-            }
-        }
-        best.map(|(bucket, pos)| {
-            let v = self.vidx(self.buckets[bucket][pos].time);
-            (bucket, pos, v)
-        })
-    }
-
-    /// Rebuilds the bucket array at `new_n` buckets (a power of two),
-    /// re-deriving the bucket width from the span of pending times so
-    /// one calendar year roughly covers the pending set.
-    fn resize(&mut self, new_n: usize) {
-        let new_n = new_n.max(MIN_BUCKETS);
-        let old = std::mem::take(&mut self.buckets);
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for e in old.iter().flatten() {
-            lo = lo.min(e.time.0);
-            hi = hi.max(e.time.0);
-        }
-        if lo <= hi {
-            // Width = pow2 ceiling of span / new_n, clamped so the
-            // shift stays meaningful.
-            let span = (hi - lo).max(1);
-            let per_bucket = (span / new_n as u64).max(1);
-            self.width_bits = (64 - per_bucket.leading_zeros()).min(40);
-        }
-        self.buckets = (0..new_n).map(|_| Vec::new()).collect();
-        let mask = self.mask();
-        let mut floor = u64::MAX;
-        for e in old.into_iter().flatten() {
-            let v = self.vidx(e.time);
-            floor = floor.min(v);
-            self.buckets[(v & mask) as usize].push(e);
-        }
-        self.floor_vidx = if floor == u64::MAX { 0 } else { floor };
+        self.heap.len()
     }
 }
 
@@ -282,8 +150,9 @@ mod tests {
         assert!(!q.is_empty());
     }
 
-    /// The binary-heap queue this calendar queue replaced, kept as the
-    /// ordering oracle for the equivalence test below.
+    /// A queue with the same ordering contract built the obvious way —
+    /// a heap of whole entries ordered by `(time, key)` — kept as the
+    /// ordering oracle for the equivalence tests below.
     mod reference {
         use super::SimTime;
         use std::cmp::Reverse;
@@ -327,10 +196,22 @@ mod tests {
             pub fn push(&mut self, time: SimTime, event: E) {
                 let seq = self.seq;
                 self.seq += 1;
+                self.push_keyed(time, seq, event);
+            }
+            pub fn push_keyed(&mut self, time: SimTime, seq: u64, event: E) {
                 self.heap.push(Reverse(Entry { time, seq, event }));
             }
             pub fn pop(&mut self) -> Option<(SimTime, E)> {
-                self.heap.pop().map(|Reverse(e)| (e.time, e.event))
+                self.pop_entry().map(|(t, _, e)| (t, e))
+            }
+            pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
+                self.heap.pop().map(|Reverse(e)| (e.time, e.seq, e.event))
+            }
+            pub fn peek_time(&self) -> Option<SimTime> {
+                self.heap.peek().map(|Reverse(e)| e.time)
+            }
+            pub fn len(&self) -> usize {
+                self.heap.len()
             }
         }
     }
@@ -344,30 +225,35 @@ mod tests {
         x
     }
 
-    /// Drives the old binary heap and the calendar queue with an
-    /// identical schedule — bursts of same-instant events, scattered
-    /// far-future times, interleaved pops — and demands identical pop
-    /// order throughout (including the drain).
+    /// A pseudo-random time: near-zero, microsecond-scale, or far
+    /// future.
+    fn scattered_time(r: u64) -> SimTime {
+        match r % 3 {
+            0 => SimTime(r % 1_000),
+            1 => SimTime(r % 100_000_000),
+            _ => SimTime(r % 10_000_000_000_000),
+        }
+    }
+
+    /// Drives the reference heap and the queue with an identical
+    /// schedule — bursts of same-instant events, scattered far-future
+    /// times, interleaved pops — and demands identical pop order
+    /// throughout (including the drain).
     #[test]
     fn equivalent_to_binary_heap_on_identical_schedules() {
         for seed in 1..=8u64 {
             let mut rng = seed.wrapping_mul(0x9e3779b97f4a7c15);
             let mut heap = reference::HeapQueue::new();
-            let mut cal = EventQueue::new();
+            let mut q = EventQueue::new();
             let mut id = 0u32;
             for step in 0..4000 {
                 let r = xorshift64(&mut rng);
                 match r % 5 {
-                    // Single push at a pseudo-random time (mix of
-                    // near-zero, microsecond-scale, and far-future).
+                    // Single push at a pseudo-random time.
                     0 | 1 => {
-                        let t = match r % 3 {
-                            0 => SimTime(r % 1_000),
-                            1 => SimTime(r % 100_000_000),
-                            _ => SimTime(r % 10_000_000_000_000),
-                        };
+                        let t = scattered_time(r);
                         heap.push(t, id);
-                        cal.push(t, id);
+                        q.push(t, id);
                         id += 1;
                     }
                     // Same-instant burst: FIFO among ties must hold.
@@ -375,23 +261,79 @@ mod tests {
                         let t = SimTime(r % 50_000_000);
                         for _ in 0..(r % 7 + 2) {
                             heap.push(t, id);
-                            cal.push(t, id);
+                            q.push(t, id);
                             id += 1;
                         }
                     }
                     // Pop from both, demand identical results.
                     _ => {
-                        assert_eq!(heap.pop(), cal.pop(), "seed {seed} step {step}");
+                        assert_eq!(heap.pop(), q.pop(), "seed {seed} step {step}");
                     }
                 }
             }
             loop {
-                let (h, c) = (heap.pop(), cal.pop());
+                let (h, c) = (heap.pop(), q.pop());
                 assert_eq!(h, c, "seed {seed} drain");
                 if h.is_none() {
                     break;
                 }
             }
+        }
+    }
+
+    /// The sharded engine's access pattern against the reference heap:
+    /// keyed pushes arriving out of key order (shard mailboxes),
+    /// same-instant key groups, `pop_entry` to recover the key, and
+    /// `peek_time` epoch checks, all interleaved. Keys never repeat,
+    /// as the engine's per-lane counters guarantee.
+    #[test]
+    fn keyed_schedules_match_reference_with_peeks() {
+        for seed in 1..=8u64 {
+            let mut rng = seed.wrapping_mul(0xd1b5_4a32_d192_ed03);
+            let mut heap = reference::HeapQueue::new();
+            let mut q = EventQueue::new();
+            let mut lane_seq = [0u64; 8];
+            // Lane in the high bits, that lane's counter below, as the
+            // keyed engine stamps them: push order and key order
+            // disagree whenever lanes interleave.
+            let mut fresh_key = |r: u64| {
+                let lane = (r % 8) as usize;
+                lane_seq[lane] += 1;
+                ((lane as u64) << 40) | lane_seq[lane]
+            };
+            for step in 0..4000u32 {
+                let r = xorshift64(&mut rng);
+                match r % 6 {
+                    0 => {
+                        let (t, k) = (scattered_time(r), fresh_key(r >> 8));
+                        heap.push_keyed(t, k, step);
+                        q.push_keyed(t, k, step);
+                    }
+                    1 => {
+                        let t = SimTime(r % 50_000_000);
+                        for i in 0..(r % 5 + 2) {
+                            let k = fresh_key((r >> 8) + i);
+                            heap.push_keyed(t, k, step);
+                            q.push_keyed(t, k, step);
+                        }
+                    }
+                    2 | 3 => {
+                        assert_eq!(heap.pop_entry(), q.pop_entry(), "seed {seed} step {step}");
+                    }
+                    _ => {
+                        assert_eq!(heap.peek_time(), q.peek_time(), "seed {seed} step {step}");
+                        assert_eq!(heap.len(), q.len(), "seed {seed} step {step}");
+                    }
+                }
+            }
+            loop {
+                let (h, c) = (heap.pop_entry(), q.pop_entry());
+                assert_eq!(h, c, "seed {seed} drain");
+                if h.is_none() {
+                    break;
+                }
+            }
+            assert!(q.is_empty());
         }
     }
 
@@ -415,8 +357,6 @@ mod tests {
         assert_eq!(order[0].1, 99);
     }
 
-    /// Pushing earlier than an already-popped instant must still pop
-    /// correctly (the floor hint has to move backwards).
     #[test]
     fn push_earlier_than_last_pop() {
         let mut q = EventQueue::new();
@@ -428,10 +368,25 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "later");
     }
 
-    /// Exercise growth well past several resize thresholds and verify
-    /// a fully sorted drain.
+    /// Slab slots are recycled: churn at a fixed pending count never
+    /// grows the slab past that count.
     #[test]
-    fn resize_churn_preserves_order() {
+    fn churn_reuses_slab_slots() {
+        let mut q = EventQueue::new();
+        let mut rng = 42u64;
+        for i in 0..64u64 {
+            q.push(SimTime(xorshift64(&mut rng) % 1_000_000), i);
+        }
+        for _ in 0..10_000 {
+            let (t, e) = q.pop().unwrap();
+            q.push(SimTime(t.0 + xorshift64(&mut rng) % 1_000 + 1), e);
+        }
+        assert_eq!(q.len(), 64);
+        assert_eq!(q.slab.len(), 64);
+    }
+
+    #[test]
+    fn bulk_fill_drains_sorted() {
         let mut q = EventQueue::new();
         let mut rng = 42u64;
         let mut times = Vec::new();

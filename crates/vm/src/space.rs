@@ -1,6 +1,6 @@
 //! Address spaces: region maps, page tables, and region caches.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use genie_mem::{DenseMap, FrameId};
 
@@ -35,8 +35,16 @@ pub struct RegionHandle {
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
     id: SpaceId,
-    /// Regions keyed by starting virtual page number.
-    regions: BTreeMap<u64, Region>,
+    /// Live regions in a compact arena: removing a region vacates its
+    /// slot and the next insert reuses it.
+    regions: Vec<Option<Region>>,
+    /// Vacant `regions` slots.
+    free_slots: Vec<u32>,
+    /// Region table: for every vpn, the arena slot + 1 of the region
+    /// covering it, 0 where no region does. Grows to the highest
+    /// region end vpn (4 bytes per reserved vpn), so every region
+    /// lookup is one or two array loads.
+    by_vpn: Vec<u32>,
     /// Page-table entries, flat-indexed by virtual page number. Vpns
     /// are handed out by a bump allocator from 1, so the table is
     /// dense over the space's lifetime.
@@ -55,7 +63,9 @@ impl AddressSpace {
     pub fn new(id: SpaceId) -> Self {
         AddressSpace {
             id,
-            regions: BTreeMap::new(),
+            regions: Vec::new(),
+            free_slots: Vec::new(),
+            by_vpn: Vec::new(),
             ptes: DenseMap::new(),
             moved_out_q: VecDeque::new(),
             weak_out_q: VecDeque::new(),
@@ -83,59 +93,84 @@ impl AddressSpace {
         if end <= start {
             return Err(VmError::BadRange);
         }
-        // Previous region must end at or before `start`.
-        if let Some((_, prev)) = self.regions.range(..=start).next_back() {
-            if prev.end_vpn() > start {
-                return Err(VmError::BadRange);
-            }
+        let pages = start as usize..usize::try_from(end).expect("vpn overflows usize");
+        // Pages past the table's end are unmapped.
+        let known = self
+            .by_vpn
+            .get(pages.start..pages.end.min(self.by_vpn.len()));
+        if known.is_some_and(|entries| entries.iter().any(|&e| e != 0)) {
+            return Err(VmError::BadRange);
         }
-        // Next region must start at or after `end`.
-        if let Some((&next_start, _)) = self.regions.range(start..).next() {
-            if next_start < end {
-                return Err(VmError::BadRange);
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.regions[slot as usize] = Some(region);
+                slot
             }
+            None => {
+                self.regions.push(Some(region));
+                u32::try_from(self.regions.len() - 1).expect("region arena overflow")
+            }
+        };
+        if self.by_vpn.len() < pages.end {
+            self.by_vpn.resize(pages.end, 0);
         }
+        self.by_vpn[pages].fill(slot + 1);
         self.next_vpn = self.next_vpn.max(end + 1);
-        self.regions.insert(start, region);
         Ok(())
+    }
+
+    /// Arena slot of the region covering `vpn`.
+    #[inline]
+    fn slot_covering(&self, vpn: u64) -> Option<usize> {
+        let entry = *self.by_vpn.get(vpn as usize)?;
+        entry.checked_sub(1).map(|slot| slot as usize)
+    }
+
+    /// Arena slot of the region starting exactly at `start_vpn`.
+    #[inline]
+    fn slot_starting(&self, start_vpn: u64) -> Option<usize> {
+        let slot = self.slot_covering(start_vpn)?;
+        let r = self.regions[slot].as_ref()?;
+        (r.start_vpn == start_vpn).then_some(slot)
     }
 
     /// Removes and returns the region starting at `start_vpn`.
     pub fn remove_region(&mut self, start_vpn: u64) -> Option<Region> {
-        self.regions.remove(&start_vpn)
+        let slot = self.slot_starting(start_vpn)?;
+        let region = self.regions[slot].take()?;
+        self.by_vpn[region.start_vpn as usize..region.end_vpn() as usize].fill(0);
+        self.free_slots.push(slot as u32);
+        Some(region)
     }
 
     /// The region starting exactly at `start_vpn`.
     pub fn region(&self, start_vpn: u64) -> Option<&Region> {
-        self.regions.get(&start_vpn)
+        self.regions[self.slot_starting(start_vpn)?].as_ref()
     }
 
     /// Mutable access to the region starting exactly at `start_vpn`.
     pub fn region_mut(&mut self, start_vpn: u64) -> Option<&mut Region> {
-        self.regions.get_mut(&start_vpn)
+        let slot = self.slot_starting(start_vpn)?;
+        self.regions[slot].as_mut()
     }
 
     /// The region covering virtual page `vpn`, if any.
     pub fn region_covering(&self, vpn: u64) -> Option<&Region> {
-        self.regions
-            .range(..=vpn)
-            .next_back()
-            .map(|(_, r)| r)
-            .filter(|r| r.contains(vpn))
+        self.regions[self.slot_covering(vpn)?].as_ref()
     }
 
     /// Mutable access to the region covering `vpn`.
     pub fn region_covering_mut(&mut self, vpn: u64) -> Option<&mut Region> {
-        self.regions
-            .range_mut(..=vpn)
-            .next_back()
-            .map(|(_, r)| r)
-            .filter(|r| r.contains(vpn))
+        let slot = self.slot_covering(vpn)?;
+        self.regions[slot].as_mut()
     }
 
-    /// Iterates over all regions.
+    /// Iterates over all regions in ascending start-vpn order.
     pub fn regions(&self) -> impl Iterator<Item = &Region> {
-        self.regions.values()
+        self.by_vpn.iter().enumerate().filter_map(|(vpn, &entry)| {
+            let r = self.regions[entry.checked_sub(1)? as usize].as_ref()?;
+            (r.start_vpn == vpn as u64).then_some(r)
+        })
     }
 
     /// The PTE for `vpn`, if mapped.
@@ -180,16 +215,19 @@ impl AddressSpace {
     /// caching).
     pub fn uncache_region(&mut self, npages: u64, mark: RegionMark) -> Option<u64> {
         let q = match mark {
-            RegionMark::MovedOut => &mut self.moved_out_q,
-            RegionMark::WeaklyMovedOut => &mut self.weak_out_q,
+            RegionMark::MovedOut => &self.moved_out_q,
+            RegionMark::WeaklyMovedOut => &self.weak_out_q,
             _ => return None,
         };
         let pos = q.iter().position(|&start| {
-            self.regions
-                .get(&start)
+            self.region(start)
                 .is_some_and(|r| r.npages == npages && r.mark == mark)
         })?;
-        q.remove(pos)
+        if mark == RegionMark::MovedOut {
+            self.moved_out_q.remove(pos)
+        } else {
+            self.weak_out_q.remove(pos)
+        }
     }
 
     /// Drops a region from the cache queues (used when an application
@@ -310,5 +348,142 @@ mod tests {
         s.cache_region(10, RegionMark::MovedOut);
         s.uncache_specific(10);
         assert_eq!(s.cached_region_count(), 0);
+    }
+
+    /// The `BTreeMap` region map the vpn-indexed table replaced, kept as
+    /// the reference for the randomized equivalence test below.
+    #[derive(Default)]
+    struct ReferenceRegions(std::collections::BTreeMap<u64, Region>);
+
+    impl ReferenceRegions {
+        fn insert(&mut self, region: Region) -> Result<(), VmError> {
+            let (start, end) = (region.start_vpn, region.end_vpn());
+            if end <= start {
+                return Err(VmError::BadRange);
+            }
+            if let Some((_, prev)) = self.0.range(..=start).next_back() {
+                if prev.end_vpn() > start {
+                    return Err(VmError::BadRange);
+                }
+            }
+            if let Some((&next_start, _)) = self.0.range(start..).next() {
+                if next_start < end {
+                    return Err(VmError::BadRange);
+                }
+            }
+            self.0.insert(start, region);
+            Ok(())
+        }
+
+        fn covering(&self, vpn: u64) -> Option<&Region> {
+            self.0
+                .range(..=vpn)
+                .next_back()
+                .map(|(_, r)| r)
+                .filter(|r| r.contains(vpn))
+        }
+    }
+
+    /// The fields a lookup must reproduce.
+    fn key(r: &Region) -> (u64, u64, ObjectId, u32) {
+        (r.start_vpn, r.npages, r.object, r.wire_count)
+    }
+
+    fn xorshift64(state: &mut u64) -> u64 {
+        let mut x = *state;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *state = x;
+        x
+    }
+
+    /// Random insert / remove / mutate sequences over a small vpn range
+    /// (so overlaps, exact adjacency, and slot reuse are frequent) must
+    /// give the same answer as the reference map at every step: insert
+    /// results (`BadRange` included), removals, `region` and
+    /// `region_covering` at every vpn, and `regions()` in ascending
+    /// start order. The arena must never outgrow the peak live count.
+    #[test]
+    fn region_table_matches_btreemap_reference() {
+        const SPAN: u64 = 300;
+        for seed in 1..=8u64 {
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut s = space();
+            let mut reference = ReferenceRegions::default();
+            let mut peak_live = 0;
+            for step in 0..1500u32 {
+                let r = xorshift64(&mut rng);
+                let ctx = format!("seed {seed} step {step}");
+                let live: Vec<u64> = reference.0.keys().copied().collect();
+                let pick = |i: u64| live[(i % live.len() as u64) as usize];
+                match r % 8 {
+                    // Anywhere, zero to six pages.
+                    0..=2 => {
+                        let reg = Region::new(
+                            1 + (r >> 8) % SPAN,
+                            (r >> 24) % 7,
+                            ObjectId(step),
+                            RegionMark::Unmovable,
+                        );
+                        assert_eq!(s.insert_region(reg.clone()), reference.insert(reg), "{ctx}");
+                    }
+                    // Flush against a live region's end (fits unless
+                    // the next region starts there), or one page into
+                    // it (always overlaps).
+                    3 if !live.is_empty() => {
+                        let near = &reference.0[&pick(r >> 8)];
+                        let start = near.end_vpn() - (r >> 40) % 2;
+                        let reg = Region::new(
+                            start,
+                            1 + (r >> 24) % 3,
+                            ObjectId(step),
+                            RegionMark::Unmovable,
+                        );
+                        assert_eq!(s.insert_region(reg.clone()), reference.insert(reg), "{ctx}");
+                    }
+                    // Remove a live region by its start vpn, or try an
+                    // arbitrary vpn (a non-start vpn removes nothing).
+                    4 | 5 => {
+                        let vpn = if live.is_empty() || r & (1 << 40) != 0 {
+                            (r >> 8) % (SPAN + 8)
+                        } else {
+                            pick(r >> 8)
+                        };
+                        let got = s.remove_region(vpn);
+                        let want = reference.0.remove(&vpn);
+                        assert_eq!(got.as_ref().map(key), want.as_ref().map(key), "{ctx}");
+                    }
+                    // Mutate through both mutable accessors.
+                    _ if !live.is_empty() => {
+                        let start = pick(r >> 8);
+                        let inner = start + (r >> 32) % reference.0[&start].npages;
+                        s.region_mut(start).expect("live").wire_count += 1;
+                        s.region_covering_mut(inner).expect("live").wire_count += 2;
+                        reference.0.get_mut(&start).expect("live").wire_count += 3;
+                    }
+                    _ => {}
+                }
+                peak_live = peak_live.max(reference.0.len());
+                assert_eq!(s.regions.len(), peak_live, "{ctx}: arena must reuse slots");
+                for vpn in 0..SPAN + 10 {
+                    assert_eq!(
+                        s.region(vpn).map(key),
+                        reference.0.get(&vpn).map(key),
+                        "{ctx} region({vpn})"
+                    );
+                    assert_eq!(
+                        s.region_covering(vpn).map(key),
+                        reference.covering(vpn).map(key),
+                        "{ctx} region_covering({vpn})"
+                    );
+                }
+                assert!(
+                    s.regions().map(key).eq(reference.0.values().map(key)),
+                    "{ctx}: regions() order"
+                );
+            }
+            assert!(peak_live > 20, "seed {seed}: too few live regions to test");
+        }
     }
 }
