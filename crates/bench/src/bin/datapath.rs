@@ -13,12 +13,15 @@
 
 use std::collections::VecDeque;
 
-use genie::{measure_latency, ExperimentSetup, Semantics, SeriesContext};
+use genie::{
+    measure_latency, ExperimentSetup, HostId, Semantics, SeriesContext, World, WorldConfig,
+};
 use genie_bench::timing::{time_named, Timing};
 use genie_machine::{MachineSpec, SimTime};
 use genie_mem::PhysMem;
 use genie_net::aal5;
 use genie_net::event::EventQueue;
+use genie_net::SwitchConfig;
 use genie_vm::{Access, RegionHandle, RegionMark, Vm};
 
 const PDU_60K: usize = 61_440;
@@ -195,13 +198,30 @@ fn main() {
             .expect("exchange");
     }));
 
-    // The same exchange including world construction (frame zeroing),
-    // which dominates one-shot measurements.
+    // The same exchange including world construction and teardown,
+    // which one-shot measurements pay every time.
     results.push(time_named(
         "datapath/exchange_60k_fresh_world",
         iters(40),
         || {
             measure_latency(&setup, Semantics::Copy, PDU_60K).expect("exchange");
+        },
+    ));
+
+    // World build and teardown at fabric scale: a default 64-host
+    // star (6144 frames and a 64-frame overlay pool per host), one
+    // process per host, then drop. Guards the cost a world pays for
+    // simulated memory it never touches.
+    results.push(time_named(
+        "datapath/world_build_star64",
+        iters(100),
+        || {
+            let sw = SwitchConfig::star(64, 0, 1, 256);
+            let mut w = World::new(WorldConfig::switched(MachineSpec::micron_p166(), 64, sw));
+            for h in 0..64 {
+                std::hint::black_box(w.create_process(HostId(h)));
+            }
+            drop(std::hint::black_box(w));
         },
     ));
 

@@ -97,9 +97,10 @@ impl ExperimentSetup {
             link: self.link.clone(),
             rx_buffering: self.rx_buffering,
             genie: self.genie,
-            // Experiments build a fresh world per point; a small
-            // physical memory keeps that cheap while leaving ample
-            // headroom over the 15-page maximum datagram.
+            // Ample headroom over the 15-page maximum datagram. The
+            // budget costs nothing up front (frames are built as they
+            // are first allocated), but it is the limit `free_per_mille`
+            // divides by and the point a leak runs out of frames.
             frames_per_host: 768,
             ..WorldConfig::default()
         }
@@ -166,9 +167,10 @@ fn with_payload<R>(len: usize, seed: u8, f: impl FnOnce(&[u8]) -> R) -> R {
 /// A reusable measurement context: one `World` (with its sender and
 /// receiver processes) shared by consecutive measurements of a series.
 ///
-/// Building a `World` zero-fills every physical frame of both hosts,
-/// which dominated sweep wall-clock time when each point rebuilt it.
-/// Reuse is measurement-neutral: every exchange quiesces the world
+/// Reuse skips rebuilding both hosts (VM, adapter, overlay pool and
+/// cost ledger) for every point of a series, and keeps the pages the
+/// first measurement wrote backed for the next. Reuse is
+/// measurement-neutral: every exchange quiesces the world
 /// first, each size allocates fresh buffers, and each measurement runs
 /// its own warm-up round — so a reused world reports the same latency
 /// as a fresh one (the determinism tests and the committed report

@@ -221,6 +221,23 @@ mod tests {
     }
 
     #[test]
+    fn early_demux_host_backs_no_overlay_page() {
+        // The overlay pool is allocated up front but only written by a
+        // pooled receive, which early demultiplexing never does.
+        let h = Host::new(
+            MachineSpec::micron_p166(),
+            6144,
+            InputBuffering::EarlyDemux,
+            2048,
+            64,
+        );
+        assert_eq!(h.adapter.pool_len(), 64);
+        assert_eq!(h.vm.phys.peak_in_use(), 64);
+        assert_eq!(h.vm.phys.touched_frames(), 64);
+        assert_eq!(h.vm.phys.backed_frames(), 0);
+    }
+
+    #[test]
     fn overlay_pool_replenishes_to_target() {
         let mut h = host();
         assert_eq!(h.adapter.pool_len(), 16);

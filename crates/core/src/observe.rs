@@ -219,6 +219,12 @@ impl World {
                 m.peak_in_use() as u64,
             );
             r.set_counter(&format!("{prefix}.mem.free_frames"), m.free_frames() as u64);
+            // Frames holding page storage: what the host's simulated
+            // memory actually keeps resident.
+            r.set_counter(
+                &format!("{prefix}.mem.backed_frames"),
+                m.backed_frames() as u64,
+            );
         }
         for (name, v) in self.fault_stats().fields() {
             r.set_counter(&format!("fault.{name}"), v);
@@ -575,5 +581,22 @@ mod tests {
         // the thread with no resident page storage at all.
         genie_mem::trim_page_storage(0);
         assert_eq!(genie_mem::pooled_page_storage(), 0);
+    }
+
+    /// The backed-frames gauge counts written frames only: a fresh
+    /// world's allocated-but-unwritten overlay pool holds no pages.
+    #[test]
+    fn backed_frames_gauge_counts_only_written_frames() {
+        let mut w = World::new(WorldConfig::default());
+        let tx = w.create_process(HostId::A);
+        let m = w.metrics();
+        assert!(m.counter("host_a.mem.peak_frames_in_use") > 0);
+        assert_eq!(m.counter("host_a.mem.backed_frames"), 0);
+        let (_r, buf) = w
+            .host_mut(HostId::A)
+            .alloc_io_buffer(tx, 6000)
+            .expect("alloc");
+        w.app_write(HostId::A, tx, buf, &[7u8; 10]).expect("write");
+        assert_eq!(w.metrics().counter("host_a.mem.backed_frames"), 1);
     }
 }

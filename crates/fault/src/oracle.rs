@@ -105,9 +105,11 @@ impl Oracle {
     }
 
     /// Sweeps physical memory: I/O-deferred deallocation invariants.
+    /// Only touched frames are visited: a frame never handed out is
+    /// free with no I/O references, so it can violate neither rule.
     pub fn check_frames(&mut self, site: &str, phys: &PhysMem) {
         self.checks += 1;
-        for i in 0..phys.total_frames() {
+        for i in 0..phys.touched_frames() {
             let id = FrameId(i as u32);
             let Ok(f) = phys.frame(id) else { continue };
             if f.state() == FrameState::Free && f.io_pending() {
@@ -137,7 +139,7 @@ impl Oracle {
         // A frame with pending *input* is a DMA target: its owner must
         // still be live, or it must be kernel-owned (owner None). A
         // dead owner means pageout/COW handed the page away mid-DMA.
-        for i in 0..vm.phys.total_frames() {
+        for i in 0..vm.phys.touched_frames() {
             let id = FrameId(i as u32);
             let Ok(f) = vm.phys.frame(id) else { continue };
             if f.in_count() > 0 && f.state() == FrameState::Allocated {

@@ -2,6 +2,13 @@
 
 use core::fmt;
 
+/// Largest supported page size: the length of [`ZERO_PAGE`].
+pub(crate) const MAX_PAGE_SIZE: usize = 64 * 1024;
+
+/// What a frame with no page storage reads as. One shared page of
+/// zeros stands in for every never-written frame of every world.
+static ZERO_PAGE: [u8; MAX_PAGE_SIZE] = [0; MAX_PAGE_SIZE];
+
 /// Index of a physical page frame.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FrameId(pub u32);
@@ -36,11 +43,15 @@ pub enum FrameState {
 /// One physical page frame: real bytes plus I/O reference counts.
 #[derive(Clone, Debug)]
 pub struct Frame {
+    /// Page storage, or empty until the first write: an unbacked frame
+    /// reads as [`ZERO_PAGE`].
     data: Box<[u8]>,
+    /// log2 of the page size, so an unbacked frame knows how much of
+    /// the zero page it reads as and how much storage to attach.
+    page_shift: u8,
     /// True once anything may have written the page since it was last
     /// known to be all-zero. Clean pages skip the scrub on recycling
-    /// and on `alloc_zeroed` — most frames of a world are never
-    /// touched, and zero-filling them dominated sweep wall-clock.
+    /// and on `alloc_zeroed`.
     dirty: bool,
     in_count: u16,
     out_count: u16,
@@ -56,6 +67,7 @@ impl Frame {
     pub fn new(page_size: usize) -> Self {
         Frame {
             data: crate::pool::take_zeroed(page_size),
+            page_shift: page_size.trailing_zeros() as u8,
             dirty: false,
             in_count: 0,
             out_count: 0,
@@ -64,14 +76,14 @@ impl Frame {
         }
     }
 
-    /// Creates a free frame with no page storage attached yet.
-    /// `PhysMem` builds its frame array out of these and attaches
-    /// storage on first allocation, so a world only pays for the
-    /// frames it actually touches — most of a world's frame budget is
-    /// headroom that stays on the free list for its whole life.
-    pub(crate) fn unbacked() -> Self {
+    /// Creates a free frame of `page_size` bytes with no page storage.
+    /// `PhysMem` appends one of these the first time it hands out an
+    /// id; storage is attached by the first [`Frame::data_mut`], so a
+    /// frame that is allocated but never written costs no page.
+    pub(crate) fn unbacked(page_size: usize) -> Self {
         Frame {
             data: Box::default(),
+            page_shift: page_size.trailing_zeros() as u8,
             dirty: false,
             in_count: 0,
             out_count: 0,
@@ -80,11 +92,9 @@ impl Frame {
         }
     }
 
-    /// Attaches zeroed page storage if the frame has none yet.
-    pub(crate) fn ensure_backed(&mut self, page_size: usize) {
-        if self.data.is_empty() {
-            self.data = crate::pool::take_zeroed(page_size);
-        }
+    /// True if the frame holds page storage (has been written).
+    pub(crate) fn is_backed(&self) -> bool {
+        !self.data.is_empty()
     }
 
     /// Detaches the page storage (leaving an empty slice behind) and
@@ -97,7 +107,7 @@ impl Frame {
     }
 
     /// Zero-fills the page, skipping the write when it is already
-    /// known to be all-zero.
+    /// known to be all-zero (always the case for an unbacked frame).
     pub(crate) fn zero(&mut self) {
         if self.dirty {
             self.data.fill(0);
@@ -105,13 +115,21 @@ impl Frame {
         }
     }
 
-    /// Frame contents.
+    /// Frame contents (the shared zero page until the first write).
     pub fn data(&self) -> &[u8] {
-        &self.data
+        if self.data.is_empty() {
+            &ZERO_PAGE[..1 << self.page_shift]
+        } else {
+            &self.data
+        }
     }
 
     /// Mutable frame contents (conservatively marks the page dirty).
+    /// The first call attaches a zeroed page from the recycling pool.
     pub fn data_mut(&mut self) -> &mut [u8] {
+        if self.data.is_empty() {
+            self.data = crate::pool::take_zeroed(1 << self.page_shift);
+        }
         self.dirty = true;
         &mut self.data
     }

@@ -1,9 +1,15 @@
 //! The physical memory array and frame allocator.
 
 use crate::error::MemError;
-use crate::frame::{Frame, FrameId, FrameState, IoDir};
+use crate::frame::{Frame, FrameId, FrameState, IoDir, MAX_PAGE_SIZE};
 
-/// Simulated physical memory: a frame array plus a LIFO free list.
+/// Simulated physical memory: a frame table plus a LIFO free list.
+///
+/// The table grows on allocation: it holds only frames that have been
+/// handed out at least once, and `free` holds only returned ids. An
+/// allocation pops the most recently returned frame, else appends the
+/// lowest id never used — exactly the order of a free list prefilled
+/// with every id, highest at the bottom.
 ///
 /// Deallocation is **I/O-deferred** (paper Section 3.1): a frame with
 /// nonzero input or output reference count is never placed on the free
@@ -12,6 +18,8 @@ use crate::frame::{Frame, FrameId, FrameState, IoDir};
 #[derive(Clone, Debug)]
 pub struct PhysMem {
     page_size: usize,
+    /// The configured number of frames: ids run `0..total`.
+    total: usize,
     frames: Vec<Frame>,
     free: Vec<FrameId>,
     deferred_frees: u64,
@@ -21,9 +29,10 @@ pub struct PhysMem {
 }
 
 impl Drop for PhysMem {
-    /// Returns every frame's page storage to the thread-local
-    /// recycling pool, so the next `PhysMem` on this thread (the next
-    /// experiment cell's world) reuses it instead of re-allocating.
+    /// Returns the page storage of every written frame to the
+    /// thread-local recycling pool, so the next `PhysMem` on this
+    /// thread (the next experiment cell's world) reuses it instead of
+    /// re-allocating.
     fn drop(&mut self) {
         for f in &mut self.frames {
             let (page, dirty) = f.take_storage();
@@ -33,20 +42,22 @@ impl Drop for PhysMem {
 }
 
 impl PhysMem {
-    /// Creates `frames` frames of `page_size` bytes each. Page
-    /// storage is attached lazily on first allocation of each frame,
-    /// so the (generous) frame budget of a world costs nothing until
-    /// used.
+    /// Creates a physical memory of `frames` frames of `page_size`
+    /// bytes each. Nothing is built up front: frame table entries
+    /// appear as ids are first handed out and page storage on a
+    /// frame's first write, so a world pays only for what it touches.
     pub fn new(page_size: usize, frames: usize) -> Self {
         assert!(page_size.is_power_of_two(), "page size must be 2^n");
-        let frames_vec: Vec<Frame> = (0..frames).map(|_| Frame::unbacked()).collect();
-        // LIFO pop order: highest id first, matching a freshly built
-        // free list.
-        let free = (0..frames as u32).rev().map(FrameId).collect();
+        assert!(
+            page_size <= MAX_PAGE_SIZE,
+            "page size exceeds the {MAX_PAGE_SIZE}-byte zero page"
+        );
+        assert!(frames <= u32::MAX as usize, "frame ids are u32");
         PhysMem {
             page_size,
-            frames: frames_vec,
-            free,
+            total: frames,
+            frames: Vec::new(),
+            free: Vec::new(),
             deferred_frees: 0,
             allocs: 0,
             deallocs: 0,
@@ -61,12 +72,24 @@ impl PhysMem {
 
     /// Total number of frames.
     pub fn total_frames(&self) -> usize {
+        self.total
+    }
+
+    /// Number of frames not in use: returned frames plus those never
+    /// handed out.
+    pub fn free_frames(&self) -> usize {
+        self.free.len() + (self.total - self.frames.len())
+    }
+
+    /// Number of frame ids handed out at least once: every id at or
+    /// above this is free, has no I/O references and was never written.
+    pub fn touched_frames(&self) -> usize {
         self.frames.len()
     }
 
-    /// Number of frames currently on the free list.
-    pub fn free_frames(&self) -> usize {
-        self.free.len()
+    /// Number of frames holding page storage (written at least once).
+    pub fn backed_frames(&self) -> usize {
+        self.frames.iter().filter(|f| f.is_backed()).count()
     }
 
     /// Number of deallocations that had to be deferred because I/O was
@@ -96,22 +119,28 @@ impl PhysMem {
     /// callers that throttle on memory pressure (the CQ adaptive window)
     /// compare against a per-mille threshold instead of a float.
     pub fn free_per_mille(&self) -> u32 {
-        if self.frames.is_empty() {
+        if self.total == 0 {
             return 0;
         }
-        (self.free.len() * 1000 / self.frames.len()) as u32
+        (self.free_frames() * 1000 / self.total) as u32
     }
 
     /// Allocates a frame (contents undefined — whatever the previous
     /// owner left there, exactly the hazard the paper's zeroing and
-    /// deferred deallocation guard against).
+    /// deferred deallocation guard against). Returned frames come back
+    /// LIFO; with none returned, the lowest id never used.
     pub fn alloc(&mut self, owner: Option<u64>) -> Result<FrameId, MemError> {
-        let id = self.free.pop().ok_or(MemError::OutOfFrames)?;
-        let page_size = self.page_size;
+        let id = match self.free.pop() {
+            Some(id) => id,
+            None if self.frames.len() < self.total => {
+                self.frames.push(Frame::unbacked(self.page_size));
+                FrameId(self.frames.len() as u32 - 1)
+            }
+            None => return Err(MemError::OutOfFrames),
+        };
         let f = &mut self.frames[id.0 as usize];
         debug_assert_eq!(f.state(), FrameState::Free);
         debug_assert!(!f.io_pending(), "free frame with pending I/O");
-        f.ensure_backed(page_size);
         f.set_state(FrameState::Allocated);
         f.set_owner(owner);
         self.allocs += 1;
@@ -121,7 +150,7 @@ impl PhysMem {
     }
 
     /// Allocates a frame and zero-fills it (a no-op write when the
-    /// frame was never dirtied).
+    /// frame was never dirtied, including one with no storage yet).
     pub fn alloc_zeroed(&mut self, owner: Option<u64>) -> Result<FrameId, MemError> {
         let id = self.alloc(owner)?;
         self.frames[id.0 as usize].zero();
@@ -185,7 +214,8 @@ impl PhysMem {
         Ok(())
     }
 
-    /// Shared access to a frame.
+    /// Shared access to a frame. Ids never handed out are
+    /// [`MemError::BadFrame`].
     pub fn frame(&self, id: FrameId) -> Result<&Frame, MemError> {
         self.frames.get(id.0 as usize).ok_or(MemError::BadFrame(id))
     }
@@ -420,5 +450,67 @@ mod tests {
         m.dealloc(a).unwrap();
         let b = m.alloc(None).unwrap();
         assert_eq!(m.read(b, 0, 6).unwrap(), b"secret");
+    }
+
+    #[test]
+    fn unwritten_allocation_reads_zero_without_storage() {
+        let mut m = mem();
+        let a = m.alloc(None).unwrap();
+        let z = m.alloc_zeroed(None).unwrap();
+        for id in [a, z] {
+            let f = m.frame(id).unwrap();
+            assert!(!f.is_backed(), "{id:?} backed before any write");
+            assert_eq!(f.data().len(), 4096);
+            assert!(f.data().iter().all(|&b| b == 0));
+        }
+        assert_eq!(m.backed_frames(), 0);
+        m.write(a, 4095, &[9]).unwrap();
+        assert!(m.frame(a).unwrap().is_backed());
+        assert_eq!(m.read(a, 4094, 2).unwrap(), &[0, 9]);
+        assert_eq!(m.backed_frames(), 1);
+        // A copy from an unbacked frame backs only the destination.
+        m.copy(z, 0, a, 0, 16).unwrap();
+        assert!(!m.frame(z).unwrap().is_backed());
+        assert_eq!(m.backed_frames(), 1);
+    }
+
+    #[test]
+    fn table_grows_only_as_ids_are_handed_out() {
+        let mut m = mem();
+        assert_eq!((m.total_frames(), m.touched_frames()), (32, 0));
+        assert_eq!((m.free_frames(), m.free_per_mille()), (32, 1000));
+        assert!(matches!(m.frame(FrameId(0)), Err(MemError::BadFrame(_))));
+        let ids: Vec<_> = (0..3).map(|_| m.alloc(None).unwrap()).collect();
+        assert_eq!(ids, [FrameId(0), FrameId(1), FrameId(2)]);
+        m.dealloc(ids[0]).unwrap();
+        m.dealloc(ids[2]).unwrap();
+        // Returned frames first (LIFO), then the lowest id never used.
+        assert_eq!(m.alloc(None).unwrap(), FrameId(2));
+        assert_eq!(m.alloc(None).unwrap(), FrameId(0));
+        assert_eq!(m.alloc(None).unwrap(), FrameId(3));
+        assert_eq!(m.touched_frames(), 4);
+        assert_eq!(m.free_frames(), 28);
+        assert_eq!(m.free_per_mille(), 875);
+        assert_eq!(m.peak_in_use(), 4);
+    }
+
+    #[test]
+    fn drop_recycles_only_written_pages_as_zero_pages() {
+        const PAGE: usize = 2048;
+        crate::pool::trim(0);
+        {
+            let mut m = PhysMem::new(PAGE, 16);
+            let ids: Vec<_> = (0..8).map(|_| m.alloc(None).unwrap()).collect();
+            for &id in &ids[..3] {
+                m.write(id, 100, b"dirty").unwrap();
+            }
+            assert_eq!(m.backed_frames(), 3);
+        }
+        assert_eq!(crate::pool::pooled_pages(), 3);
+        for _ in 0..3 {
+            let page = crate::pool::take_zeroed(PAGE);
+            assert!(page.iter().all(|&b| b == 0), "pooled page not scrubbed");
+        }
+        assert_eq!(crate::pool::pooled_pages(), 0);
     }
 }

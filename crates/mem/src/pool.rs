@@ -1,13 +1,15 @@
 //! Thread-local recycling pool for frame page storage.
 //!
-//! Every `PhysMem` owns one heap allocation per frame; experiment
-//! sweeps build and drop hundreds of two-host worlds, so without
-//! recycling each world re-allocates (and the OS re-zeroes) tens of
-//! megabytes of page storage. Dropping a `PhysMem` instead returns its
-//! page boxes here, and the next frame backed on the same thread
-//! reuses one — `fill(0)` on warm memory is much cheaper than faulting
-//! in fresh pages. The pool is thread-local, so parallel sweep workers
-//! never contend, and it is keyed by page size (machines differ).
+//! A frame gets page storage on its first write (unwritten frames read
+//! as one shared zero page), and dropping a `PhysMem` returns every
+//! written page here. Experiment sweeps build and drop hundreds of
+//! worlds, so the next world on the same thread reuses those pages
+//! instead of asking the allocator (and the OS) for fresh ones.
+//!
+//! Invariant: every pooled page is all-zero. [`recycle`] scrubs dirty
+//! pages on the way in, so [`take_zeroed`] hands pages out with no
+//! fill. The pool is thread-local, so parallel sweep workers never
+//! contend, and it is keyed by page size (machines differ).
 
 use std::cell::RefCell;
 
@@ -29,8 +31,7 @@ thread_local! {
 /// storage when available.
 ///
 /// Pool invariant: every stored page is all-zero ([`recycle`] scrubs
-/// dirty pages on the way in), so no fill is needed here. Most frames
-/// of a world are never written, which makes recycling them free.
+/// dirty pages on the way in), so no fill is needed here.
 pub(crate) fn take_zeroed(page_size: usize) -> Box<[u8]> {
     POOL.with(|p| {
         let mut pool = p.borrow_mut();
