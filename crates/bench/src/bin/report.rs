@@ -22,9 +22,11 @@
 //! `report` — so the paper exhibits' golden output is unaffected.
 //! `report fabric --scale` runs the scale tier instead: a 64-host
 //! star pushing `GENIE_SCALE_DATAGRAMS` (default 125 000) datagrams
-//! per semantics — one million total — through the sharded event
-//! loop. `--shards N` (or `GENIE_SHARDS`) picks the worker-shard
-//! count; every simulated number is byte-identical at any count.
+//! per semantics — one million total. `report fabric --cq` runs the
+//! CQ saturation sweep.
+//!
+//! Any other argument (an unknown flag or exhibit name) is an error:
+//! `report` names it on stderr and exits 2.
 //!
 //! Selected exhibits are computed in parallel on the genie-runner
 //! worker pool (thread count from `--threads`, else `GENIE_THREADS`,
@@ -234,20 +236,6 @@ fn main() {
         trace_path = Some(args[i + 1].clone());
         args.drain(i..=i + 1);
     }
-    let mut shards_flag: Option<usize> = None;
-    if let Some(i) = args.iter().position(|a| a == "--shards") {
-        if i + 1 >= args.len() {
-            eprintln!("--shards requires a count");
-            std::process::exit(2);
-        }
-        let n: usize = args[i + 1].parse().unwrap_or_else(|_| {
-            eprintln!("--shards: invalid count {:?}", args[i + 1]);
-            std::process::exit(2);
-        });
-        genie_runner::set_shards(n);
-        shards_flag = Some(n);
-        args.drain(i..=i + 1);
-    }
     let mut want_scale = false;
     if let Some(i) = args.iter().position(|a| a == "--scale") {
         args.remove(i);
@@ -313,14 +301,13 @@ fn main() {
         ("waterfall", Box::new(move || gen::breakdown_waterfall(m()))),
     ];
 
-    let selected: Vec<&Exhibit> = if inspect_only {
-        Vec::new()
-    } else {
-        exhibits.iter().filter(|(name, _)| want(name)).collect()
-    };
-    if selected.is_empty() && !inspect_only {
+    // Every flag was consumed above; what is left must name exhibits.
+    if let Some(bad) = args
+        .iter()
+        .find(|a| *a != "all" && !exhibits.iter().any(|(n, _)| n == a))
+    {
         eprintln!(
-            "unknown exhibit; available: {}",
+            "unknown argument {bad:?}; exhibits: {}",
             exhibits
                 .iter()
                 .map(|(n, _)| *n)
@@ -329,6 +316,11 @@ fn main() {
         );
         std::process::exit(2);
     }
+    let selected: Vec<&Exhibit> = if inspect_only {
+        Vec::new()
+    } else {
+        exhibits.iter().filter(|(name, _)| want(name)).collect()
+    };
 
     // Compute in parallel, print in canonical order.
     if profile {
@@ -351,12 +343,7 @@ fn main() {
     // `report fabric --metrics` is the flight-recorder view: rollup
     // tables instead of the distribution exhibit. Plain `report
     // --metrics` (the canonical two-host inspection) is untouched.
-    let scale_report = want_scale.then(|| {
-        let shards = shards_flag
-            .unwrap_or_else(genie_runner::configured_shards)
-            .max(1);
-        gen::fabric_scale_run(shards)
-    });
+    let scale_report = want_scale.then(gen::fabric_scale_run);
     let cq_report = want_cq.then(gen::fabric_cq_run);
     if want_fabric {
         if let Some(r) = &scale_report {
@@ -440,7 +427,7 @@ fn main() {
             flat(&mut out, "host_rollup", &host);
             if let Some(r) = &scale_report {
                 // `report --json fabric --scale`: the scale tier's
-                // wall clocks and speedup, gated by perf_gate.py.
+                // wall clocks, gated by perf_gate.py.
                 flat(&mut out, "scale", &gen::fabric_scale_json_section(r));
             }
             if let Some(points) = &cq_report {

@@ -26,7 +26,8 @@ pub struct ReportSummary {
     /// Aggregate-over-hosts rollup rows (`report --json fabric`).
     pub host_rollup: Vec<(String, f64)>,
     /// Scale-tier rows (`report --json fabric --scale`): simulated
-    /// distribution plus wall clocks, shard count and speedup.
+    /// distribution plus wall clocks (snapshots from before the
+    /// sharded engine's removal also carry shard and speedup rows).
     pub scale: Vec<(String, f64)>,
 }
 
@@ -187,7 +188,7 @@ pub fn render_comparison(
     );
     flat_section(
         &mut out,
-        "scale tier (64-host star; *_us/sim_* rows are behavioral, wall/speedup are host time)",
+        "scale tier (64-host star; *_us/sim_* rows are behavioral, wall rows are host time)",
         "row",
         &a.scale,
         &b.scale,

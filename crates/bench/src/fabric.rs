@@ -151,21 +151,14 @@ pub fn fabric_metrics_report() -> String {
 }
 
 /// One scale-tier sweep: every semantics pushed through the 64-host
-/// star at `shards` worker shards, plus — when `shards > 1` — a
-/// serial re-run of the first semantics to measure parallel speedup.
+/// star.
 pub struct ScaleReport {
     /// One point per semantics, in `ALL_SEMANTICS` order.
     pub points: Vec<genie::suites::ScalePoint>,
-    /// Worker shards the sweep ran with (>= 1, already resolved).
-    pub shards: usize,
-    /// Cores visible to this process (speedups are only meaningful —
-    /// and only perf-gated — when this is >= the shard count).
+    /// Cores visible to this process (recorded with the wall clocks).
     pub cores: usize,
     /// Datagrams per semantics (`GENIE_SCALE_DATAGRAMS`).
     pub per_semantics: usize,
-    /// `(serial_wall_s, sharded_wall_s)` for the speedup probe; None
-    /// when the sweep itself ran serial.
-    pub probe: Option<(f64, f64)>,
 }
 
 /// Scale-tier hosts and payload: a 64-host star of 2 KB datagrams,
@@ -177,30 +170,24 @@ const SCALE_BYTES: usize = 2048;
 /// Runs the scale tier. Sequential over semantics on purpose: each
 /// run owns the machine so `wall_s` measures the event loop, not
 /// scheduler contention between exhibits.
-pub fn fabric_scale_run(shards: usize) -> ScaleReport {
-    let shards = shards.max(1);
+pub fn fabric_scale_run() -> ScaleReport {
     let per = genie::suites::scale_datagrams();
     let points: Vec<_> = ALL_SEMANTICS
         .iter()
-        .map(|&s| genie::suites::fabric_scale(s, SCALE_HOSTS, per, SCALE_BYTES, shards))
+        .map(|&s| genie::suites::fabric_scale(s, SCALE_HOSTS, per, SCALE_BYTES))
         .collect();
-    let probe = (shards > 1).then(|| {
-        let serial =
-            genie::suites::fabric_scale(points[0].semantics, SCALE_HOSTS, per, SCALE_BYTES, 1);
-        (serial.wall_s, points[0].wall_s)
-    });
     ScaleReport {
         points,
-        shards,
         cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         per_semantics: per,
-        probe,
     }
 }
 
 /// Renders `report fabric --scale` stdout. Simulated numbers only —
-/// the rendered text is byte-identical at every shard count and on
-/// every machine; wall-clock and speedup live in `BENCH_report.json`.
+/// the rendered text is byte-identical on every machine; wall-clock
+/// throughput lives in `BENCH_report.json`. The header wording
+/// predates the removal of the sharded engine and is kept so the
+/// exhibit stays byte-identical to earlier snapshots.
 pub fn fabric_scale_exhibit(report: &ScaleReport) -> String {
     let mut out = format!(
         "# Fabric scale tier: {}-host star fan-in, {} x {} B datagrams per semantics\n\
@@ -231,11 +218,9 @@ pub fn fabric_scale_exhibit(report: &ScaleReport) -> String {
 
 /// Flat `"scale"` section for `report --json fabric --scale`: the
 /// per-semantics simulated distribution plus the host-side wall
-/// clocks, core count and (at `shards > 1`) speedup-vs-serial — the
-/// numbers `scripts/perf_gate.py` gates.
+/// clocks and core count — the numbers `scripts/perf_gate.py` gates.
 pub fn fabric_scale_json_section(report: &ScaleReport) -> FlatRows {
     let mut rows: FlatRows = vec![
-        ("shards".into(), report.shards as f64),
         ("cores".into(), report.cores as f64),
         (
             "datagrams_total".into(),
@@ -257,11 +242,6 @@ pub fn fabric_scale_json_section(report: &ScaleReport) -> FlatRows {
         wall_total += p.wall_s;
     }
     rows.push(("wall_total_s".into(), wall_total));
-    if let Some((serial, sharded)) = report.probe {
-        rows.push(("probe_serial_wall_s".into(), serial));
-        rows.push(("probe_sharded_wall_s".into(), sharded));
-        rows.push(("speedup_vs_serial".into(), serial / sharded.max(1e-9)));
-    }
     rows
 }
 
@@ -312,7 +292,7 @@ pub fn fabric_json_sections() -> (FlatRows, FlatRows) {
 /// client queue pair. Fault-free by default; `GENIE_CQ_FAULT_SEED=<n>`
 /// runs the masked fault plan instead, so the determinism smoke in
 /// `scripts/verify.sh` can byte-compare the faulted table across
-/// thread and shard counts too.
+/// thread counts too.
 pub fn fabric_cq_run() -> Vec<genie::CqSaturationPoint> {
     let mut cfg = genie::CqSuiteConfig::default();
     if let Some(seed) = std::env::var("GENIE_CQ_FAULT_SEED")
@@ -327,7 +307,7 @@ pub fn fabric_cq_run() -> Vec<genie::CqSaturationPoint> {
 /// Renders `report fabric --cq`: the per-semantics saturation table
 /// (knee depth plus p50/p99 at the knee) and the goodput-by-depth
 /// matrix. Simulated numbers only, so the text is byte-identical at
-/// any thread or shard count.
+/// any thread count.
 pub fn fabric_cq_exhibit(points: &[genie::CqSaturationPoint]) -> String {
     let cfg = genie::CqSuiteConfig::default();
     let mut out = format!(

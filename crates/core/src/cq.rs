@@ -23,7 +23,7 @@
 //! the completions the application just observed, since work issued
 //! after a harvest cannot predate it. Synchronous paths never pass
 //! through here, so existing goldens are unchanged, and every queue
-//! run is byte-identical at any thread or shard count.
+//! run is byte-identical at any thread count.
 //!
 //! # Backpressure
 //!
@@ -625,7 +625,7 @@ impl World {
     /// `host`. Tracing-gated like the per-VC latency series, so plain
     /// measurement runs carry no observability state.
     pub(crate) fn note_cq_sample(&mut self, host: HostId, depth: u64, window: u64) {
-        if !self.tracing {
+        if !self.tracing_enabled() {
             return;
         }
         self.cq_depth.entry(host.0).or_default().record(depth);

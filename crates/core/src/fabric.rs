@@ -45,22 +45,16 @@ impl World {
     ) {
         // The switch has buffered the cells, so the uplink credits go
         // back to the sender; the credit-return message crosses the
-        // wire back before it can wake a stalled transmit queue. In
-        // keyed mode the sender lane handles its own `CreditReturn`
-        // event (scheduled alongside this ingress) instead — this
-        // handler runs on the *destination's* lane and must not touch
-        // sender state.
-        if !self.keyed() {
-            self.hosts[from.idx()]
-                .adapter
-                .return_credits(vc, cells as u32);
-            if let Some(&front) = self.txq[from.idx()]
-                .get(u64::from(vc.0))
-                .and_then(VecDeque::front)
-            {
-                let wake = time + self.link.fixed_latency;
-                self.push_ev(wake, Event::Transmit { token: front });
-            }
+        // wire back before it can wake a stalled transmit queue.
+        self.hosts[from.idx()]
+            .adapter
+            .return_credits(vc, cells as u32);
+        if let Some(&front) = self.txq[from.idx()]
+            .get(u64::from(vc.0))
+            .and_then(VecDeque::front)
+        {
+            let wake = time + self.link.fixed_latency;
+            self.events.push(wake, Event::Transmit { token: front });
         }
 
         let FabricState::Switched(sw) = &mut self.fabric else {
@@ -89,7 +83,6 @@ impl World {
             let depth = sw.enqueue(
                 dst,
                 SwitchedPdu {
-                    src: from.0,
                     vc: vc.0,
                     payload,
                     cells,
@@ -106,7 +99,7 @@ impl World {
                 // is either draining already or blocked with a
                 // credit-return wake on the way, so one kick per busy
                 // spell is enough.
-                self.push_ev(time, Event::PortDrain { port: dst });
+                self.events.push(time, Event::PortDrain { port: dst });
             }
         }
     }
@@ -171,9 +164,8 @@ impl World {
                 tracer.clear_flow();
             }
             let arrival = wire_done + self.link.fixed_latency + dev_rx;
-            let src = HostId(pdu.src);
             match pdu.payload {
-                Some(wire) => self.push_ev(
+                Some(wire) => self.events.push(
                     arrival,
                     Event::Arrive {
                         to,
@@ -181,17 +173,15 @@ impl World {
                         pdu: wire,
                         sent_at: pdu.sent_at,
                         token: pdu.token,
-                        from: src,
                     },
                 ),
-                None => self.push_ev(
+                None => self.events.push(
                     arrival,
                     Event::ArriveDamaged {
                         to,
                         vc: Vc(vc),
                         token: pdu.token,
                         cells,
-                        from: src,
                     },
                 ),
             }

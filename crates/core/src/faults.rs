@@ -68,9 +68,6 @@ pub(crate) struct HeldPdu {
     pub pdu: WirePdu,
     pub sent_at: SimTime,
     pub tries: u32,
-    /// The sending host, so recovery messages (acks, retransmit
-    /// requests) can be addressed back to its lane in keyed mode.
-    pub from: HostId,
 }
 
 /// One (host, VC)'s reorder hold queue: held PDUs sorted by sequence
@@ -125,12 +122,6 @@ pub(crate) struct FaultState {
     /// Distribution of hold-queue depths observed as PDUs were held
     /// (empty in fault-free worlds, where nothing is ever held).
     pub hold_depth: genie_trace::metrics::Histogram,
-    /// Per-lane fault plans for keyed execution: every handler-phase
-    /// draw comes from the event's lane, so the draw streams are a
-    /// pure function of per-lane event sequences and shard-count-
-    /// invariant. Created lazily at the first keyed run (the streams
-    /// then persist across runs); empty in legacy worlds.
-    pub lane_plans: Vec<FaultPlan>,
     /// Depth cap per (host, VC) reorder hold queue; arrivals past it
     /// spill (counted in `FaultStats::hold_spills`).
     pub hold_cap: usize,
@@ -153,7 +144,6 @@ impl FaultState {
                 })
                 .collect(),
             hold_depth: genie_trace::metrics::Histogram::new(),
-            lane_plans: Vec::new(),
             hold_cap: DEFAULT_HOLD_CAP,
         }
     }
@@ -181,48 +171,7 @@ fn backoff(attempts: u32) -> SimTime {
     SimTime::from_us(150.0 * f64::from(1u32 << attempts.min(6)))
 }
 
-/// SplitMix64 finalizer, used to derive well-separated per-lane fault
-/// seeds from the plan's single seed.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl World {
-    /// Creates the per-lane fault plans on first keyed use. Each lane
-    /// gets its own PRNG stream (seed mixed from the plan seed and the
-    /// lane index), so handler-phase draws depend only on the lane's
-    /// own event sequence.
-    pub(crate) fn ensure_lane_plans(&mut self) {
-        if !self.fault.lane_plans.is_empty() {
-            return;
-        }
-        let cfg = *self.fault.plan.config();
-        self.fault.lane_plans = (0..self.hosts.len())
-            .map(|i| {
-                let mut c = cfg;
-                c.seed = splitmix64(cfg.seed ^ ((i as u64) << 32));
-                FaultPlan::new(c)
-            })
-            .collect();
-    }
-
-    /// The plan a handler-phase draw on `lane` must use: the lane's
-    /// private plan in keyed mode, the global plan otherwise. Driver-
-    /// phase draws (semantics degradation at `output`) always use the
-    /// global plan — the driver sequence is serial and identical at
-    /// every shard count.
-    pub(crate) fn fault_plan_for(&mut self, lane: usize) -> &mut FaultPlan {
-        if self.keyed() {
-            &mut self.fault.lane_plans[lane]
-        } else {
-            &mut self.fault.plan
-        }
-    }
-
     /// Caps each (host, VC) reorder hold queue at `cap` held PDUs;
     /// arrivals past the cap are spilled (discarded and re-requested
     /// from the sender), bounding receiver reorder memory.
@@ -304,7 +253,7 @@ impl World {
     /// Transient credit starvation: steal credits from the sender's VC
     /// and schedule their restoration.
     pub(crate) fn maybe_starve_credits(&mut self, time: SimTime, from: HostId, vc: Vc) {
-        let Some(starve) = self.fault_plan_for(from.idx()).credit_starve() else {
+        let Some(starve) = self.fault.plan.credit_starve() else {
             return;
         };
         let adapter = &mut self.hosts[from.idx()].adapter;
@@ -320,7 +269,7 @@ impl World {
                     steal as usize,
                 );
             }
-            self.push_ev(
+            self.events.push(
                 time + starve.hold,
                 Event::RestoreCredits {
                     host: from,
@@ -339,7 +288,7 @@ impl World {
             .get(u64::from(vc.0))
             .and_then(std::collections::VecDeque::front)
         {
-            self.push_ev(time, Event::Transmit { token: front });
+            self.events.push(time, Event::Transmit { token: front });
         }
     }
 
@@ -358,7 +307,7 @@ impl World {
             return;
         }
         let at = time + backoff(inf.attempts);
-        self.push_ev(at, Event::Retransmit { token });
+        self.events.push(at, Event::Retransmit { token });
     }
 
     /// Retransmit event: resend the stored wire image on its VC. The
@@ -380,7 +329,8 @@ impl World {
             .try_send_credits(vc, cells as u32)
         {
             self.restore_inflight(token, inf);
-            self.push_ev(time + SimTime::from_us(50.0), Event::Retransmit { token });
+            self.events
+                .push(time + SimTime::from_us(50.0), Event::Retransmit { token });
             return;
         }
         self.fault.stats.retransmits += 1;
@@ -403,7 +353,7 @@ impl World {
         self.link_busy_until[from.idx()] = wire_done;
         let mut arrival = wire_done + self.link.fixed_latency + dev_rx;
 
-        let verdict = self.fault_plan_for(from.idx()).wire(cells);
+        let verdict = self.fault.plan.wire(cells);
         if let Some(extra) = verdict.extra_delay {
             self.fault.stats.pdus_delayed += 1;
             arrival += extra;
@@ -437,10 +387,9 @@ impl World {
                     pdu,
                     sent_at,
                     token,
-                    from,
                 }
             };
-            self.push_ev(arrival, ev);
+            self.events.push(arrival, ev);
         } else {
             self.fault.stats.pdus_damaged += 1;
             let ev = if switched {
@@ -460,23 +409,9 @@ impl World {
                     vc,
                     token,
                     cells,
-                    from,
                 }
             };
-            self.push_ev(arrival, ev);
-        }
-        if self.keyed() && switched {
-            // Keyed mode skips the inline hop-1 credit return at switch
-            // ingress; the sender schedules its own credit-return event
-            // for the ingress instant instead (lane-local on both ends).
-            self.push_ev(
-                arrival,
-                Event::CreditReturn {
-                    host: from,
-                    vc,
-                    cells: cells as u32,
-                },
-            );
+            self.events.push(arrival, ev);
         }
         self.restore_inflight(token, inf);
     }
@@ -491,7 +426,6 @@ impl World {
         vc: Vc,
         token: u64,
         cells: usize,
-        from: HostId,
     ) {
         self.fault.stats.crc_drops += 1;
         {
@@ -516,25 +450,18 @@ impl World {
                     .and_then(std::collections::VecDeque::front)
                 {
                     let wake = time + self.link.fixed_latency;
-                    self.push_ev(wake, Event::Transmit { token: front });
+                    self.events.push(wake, Event::Transmit { token: front });
                 }
             }
             crate::world::FabricState::Switched(sw) => {
                 sw.return_credits(to.0, vc.0, cells as u32);
                 if sw.queue_len(to.0) > 0 {
                     let wake = time + self.link.fixed_latency;
-                    self.push_ev(wake, Event::PortDrain { port: to.0 });
+                    self.events.push(wake, Event::PortDrain { port: to.0 });
                 }
             }
         }
-        if self.keyed() {
-            // The retransmit decision belongs to the sender's lane: ask
-            // for it one hop-latency away (the epoch lookahead).
-            let at = time + self.link.fixed_latency;
-            self.push_ev(at, Event::RequestRetransmit { token, from });
-        } else {
-            self.schedule_retransmit(time, token);
-        }
+        self.schedule_retransmit(time, token);
     }
 
     /// Releases every frame a pressure episode hoarded on `host`.
@@ -549,16 +476,9 @@ impl World {
     /// memory-pressure episode (pageout storm plus a transient frame
     /// hoard) on one host.
     pub(crate) fn inject_pressure(&mut self, time: SimTime) {
-        let keyed = self.keyed();
-        let lane = self.current_lane;
-        let Some(mut p) = self.fault_plan_for(lane).pressure() else {
+        let Some(p) = self.fault.plan.pressure() else {
             return;
         };
-        if keyed {
-            // Pressure lands on the lane whose event drew it, so the
-            // episode's state changes stay shard-local.
-            p.host = lane;
-        }
         self.fault.stats.pressure_events += 1;
         let hid = HostId(p.host as u16);
         {
@@ -591,26 +511,19 @@ impl World {
         }
         if take > 0 {
             self.fault.stats.frames_hoarded += take as u64;
-            self.push_ev(time + p.hold, Event::ReleaseHoard { host: hid });
+            self.events
+                .push(time + p.hold, Event::ReleaseHoard { host: hid });
         }
     }
 
-    /// Structural oracle sweep (runs after every event when the oracle
-    /// is enabled): over every host in legacy mode, over the current
-    /// event's lane only in keyed mode — a shard can't see other
-    /// shards' hosts, and sweeping per lane keeps the check schedule
-    /// shard-count-invariant.
+    /// Structural oracle sweep over every host (runs after every event
+    /// when the oracle is enabled).
     pub(crate) fn oracle_sweep(&mut self) {
         let Some(mut o) = self.fault.oracle.take() else {
             return;
         };
-        if self.keyed() {
-            let i = self.current_lane;
-            o.check_vm(&self.fault.site_names[i], &self.hosts[i].vm);
-        } else {
-            for (i, h) in self.hosts.iter().enumerate() {
-                o.check_vm(&self.fault.site_names[i], &h.vm);
-            }
+        for (i, h) in self.hosts.iter().enumerate() {
+            o.check_vm(&self.fault.site_names[i], &h.vm);
         }
         self.fault.oracle = Some(o);
     }
@@ -631,19 +544,7 @@ impl World {
             let consumed = self.deliver_pdu(to, vc, held.pdu.payload(), held.sent_at);
             if consumed {
                 self.fault.rx_next_seq[to.idx()].insert(u64::from(vc.0), next + 1);
-                if self.keyed() {
-                    // The retransmit buffer lives on the sender's lane:
-                    // acknowledge one hop-latency away instead of
-                    // clearing it from here.
-                    let at = time + self.link.fixed_latency;
-                    self.push_ev(
-                        at,
-                        Event::AckDelivered {
-                            token: held.token,
-                            from: held.from,
-                        },
-                    );
-                } else if let Some(inf) = self.clear_inflight(held.token) {
+                if let Some(inf) = self.clear_inflight(held.token) {
                     self.recycle_payload(inf.bytes);
                 }
                 self.recycle_pdu(held.pdu);
@@ -655,17 +556,12 @@ impl World {
             held.tries += 1;
             if held.tries > MAX_REDELIVER_TRIES {
                 let token = held.token;
-                let from = held.from;
                 self.recycle_pdu(held.pdu);
-                if self.keyed() {
-                    let at = time + self.link.fixed_latency;
-                    self.push_ev(at, Event::RequestRetransmit { token, from });
-                } else {
-                    self.schedule_retransmit(time, token);
-                }
+                self.schedule_retransmit(time, token);
             } else {
                 self.fault.hold_queue_mut(to.idx(), vc).insert(next, held);
-                self.push_ev(time + SimTime::from_us(100.0), Event::Redeliver { to, vc });
+                self.events
+                    .push(time + SimTime::from_us(100.0), Event::Redeliver { to, vc });
             }
             return;
         }

@@ -137,10 +137,6 @@ impl World {
             return Err(GenieError::BufferMismatch(req.semantics));
         }
         let token = self.take_token();
-        // Driver-phase pushes (if any) stamp their ordering key from
-        // the receiver's lane; the driver runs serially in the parent
-        // world, so the stamps are identical at every shard count.
-        self.current_lane = to.idx();
         let prepare_start = self.host(to).clock;
         let pending = self.prepare_input(to, &req)?;
         debug_assert_eq!(pending.token, 0, "token assigned below");
@@ -266,7 +262,6 @@ impl World {
     /// delivery — direct in a fault-free world, gated by per-VC
     /// sequence order when a fault plan is active (so retransmissions
     /// slot back in order).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_arrive(
         &mut self,
         time: SimTime,
@@ -275,7 +270,6 @@ impl World {
         pdu: genie_net::WirePdu,
         sent_at: SimTime,
         token: u64,
-        from: HostId,
     ) {
         let total = pdu.len();
         let cells = pdu.n_cells();
@@ -300,14 +294,16 @@ impl World {
                 {
                     // A credit-return message crosses the wire back.
                     let wake = time + self.link.fixed_latency;
-                    self.push_ev(wake, crate::world::Event::Transmit { token: front });
+                    self.events
+                        .push(wake, crate::world::Event::Transmit { token: front });
                 }
             }
             crate::world::FabricState::Switched(sw) => {
                 sw.return_credits(to.0, vc.0, cells as u32);
                 if sw.queue_len(to.0) > 0 {
                     let wake = time + self.link.fixed_latency;
-                    self.push_ev(wake, crate::world::Event::PortDrain { port: to.0 });
+                    self.events
+                        .push(wake, crate::world::Event::PortDrain { port: to.0 });
                 }
             }
         }
@@ -329,13 +325,7 @@ impl World {
             .is_some_and(|q| q.contains(seq));
         if seq < next || already_held {
             self.fault.stats.duplicates_discarded += 1;
-            if self.keyed() {
-                // The retransmit buffer lives on the sender's lane:
-                // acknowledge one hop-latency away instead of clearing
-                // it from here.
-                let at = time + self.link.fixed_latency;
-                self.push_ev(at, crate::world::Event::AckDelivered { token, from });
-            } else if let Some(inf) = self.clear_inflight(token) {
+            if let Some(inf) = self.clear_inflight(token) {
                 self.recycle_payload(inf.bytes);
             }
             self.recycle_pdu(pdu);
@@ -353,12 +343,7 @@ impl World {
             if full {
                 self.fault.stats.hold_spills += 1;
                 self.recycle_pdu(pdu);
-                if self.keyed() {
-                    let at = time + self.link.fixed_latency;
-                    self.push_ev(at, crate::world::Event::RequestRetransmit { token, from });
-                } else {
-                    self.schedule_retransmit(time, token);
-                }
+                self.schedule_retransmit(time, token);
                 return;
             }
             self.fault.stats.held_for_reorder += 1;
@@ -382,7 +367,6 @@ impl World {
                 pdu,
                 sent_at,
                 tries: 0,
-                from,
             },
         );
         let depth = q.len();
@@ -702,15 +686,14 @@ impl World {
             }
         }
         // Per-VC latency rollup (tracing-gated so the untraced fast
-        // path never touches the map; the flag rather than the shared
-        // wire tracer, which does not travel with keyed shards).
-        if self.tracing {
+        // path never touches the map).
+        if self.tracing_enabled() {
             self.vc_latency
                 .entry(u32::from(header.src_port))
                 .or_default()
                 .record(completed_at.saturating_sub(sent_at).0 / 1_000);
         }
-        self.push_done_recv(RecvCompletion {
+        self.done_recvs.push(RecvCompletion {
             token: p.token,
             host: to,
             semantics: p.semantics,

@@ -64,7 +64,6 @@ pub mod observe;
 pub mod oplists;
 pub mod output;
 pub mod semantics;
-pub(crate) mod shard;
 pub mod suites;
 pub mod world;
 

@@ -75,7 +75,6 @@ impl World {
             h.tracer.set_enabled(on);
         }
         self.wire_tracer.set_enabled(on);
-        self.tracing = on;
         if let FabricState::Switched(sw) = &mut self.fabric {
             sw.set_observe(on);
         }
@@ -201,8 +200,7 @@ impl World {
                 &format!("{prefix}.vm.region_reinstates"),
                 v.region_reinstates,
             );
-            // Overlay pool residency: the adapter pool travels with the
-            // host, so this gauge is identical at every shard count.
+            // Overlay pool residency.
             r.set_counter(
                 &format!("{prefix}.adapter.pool_frames"),
                 h.adapter.pool_len() as u64,

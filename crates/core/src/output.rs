@@ -91,10 +91,6 @@ impl World {
             return Err(GenieError::TooLong(req.len));
         }
         let invoked_at = self.host(from).clock;
-        // Driver-phase pushes stamp their ordering key from the
-        // sender's lane (the driver runs serially in the parent world,
-        // so the stamps are identical at every shard count).
-        self.current_lane = from.idx();
         let effective = self.effective_output_semantics(req.semantics, req.len);
         let seq = self.next_seq(req.vc);
         // Flow identity for the sampling layer: every span recorded on
@@ -186,7 +182,7 @@ impl World {
         self.txq[from.idx()]
             .get_or_insert_with(u64::from(req.vc.0), Default::default)
             .push_back(token);
-        self.push_ev(t, Event::Transmit { token });
+        self.events.push(t, Event::Transmit { token });
         Ok(token)
     }
 
@@ -356,7 +352,7 @@ impl World {
                 tracer.instant(genie_trace::Track::Events, "credit.stall", time, cells);
             }
             let retry = time + SimTime::from_us(50.0);
-            self.push_ev(retry, Event::Transmit { token });
+            self.events.push(retry, Event::Transmit { token });
             self.hosts[from.idx()].tracer.clear_flow();
             return false;
         }
@@ -394,24 +390,7 @@ impl World {
         let wire_start = ready.max(self.link_busy_until[from.idx()]);
         let wire_done = wire_start + self.link.wire_time(total);
         self.link_busy_until[from.idx()] = wire_done;
-        if self.keyed() {
-            // The shared wire tracer does not travel with keyed shards,
-            // so the uplink span lands on the sender's own tracer (and
-            // the trace merge keys it back into one wire track).
-            let tracer = &mut self.hosts[from.idx()].tracer;
-            if tracer.enabled() {
-                tracer.set_flow(vc.0, seq);
-                tracer.span(
-                    genie_trace::Track::Wire,
-                    "wire host\u{2192}switch",
-                    wire_start,
-                    wire_done.saturating_sub(wire_start),
-                    total,
-                    cells,
-                );
-                tracer.clear_flow();
-            }
-        } else if self.wire_tracer.enabled() {
+        if self.wire_tracer.enabled() {
             let name = if switched {
                 "wire host\u{2192}switch"
             } else if from == HostId::A {
@@ -462,12 +441,12 @@ impl World {
                     },
                 );
             }
-            let verdict = self.fault_plan_for(from.idx()).wire(cells);
+            let verdict = self.fault.plan.wire(cells);
             if let Some(extra) = verdict.extra_delay {
                 self.fault.stats.pdus_delayed += 1;
                 arrival += extra;
             }
-            if let Some(d) = self.fault_plan_for(from.idx()).completion_delay() {
+            if let Some(d) = self.fault.plan.completion_delay() {
                 self.fault.stats.completion_delays += 1;
                 txdone += d;
             }
@@ -492,21 +471,10 @@ impl World {
                             vc,
                             token,
                             cells,
-                            from,
                         }
                     };
-                    self.push_ev(arrival, ev);
-                    if self.keyed() && switched {
-                        self.push_ev(
-                            arrival,
-                            Event::CreditReturn {
-                                host: from,
-                                vc,
-                                cells: cells as u32,
-                            },
-                        );
-                    }
-                    self.push_ev(txdone, Event::TxDone { token });
+                    self.events.push(arrival, ev);
+                    self.events.push(txdone, Event::TxDone { token });
                     self.hosts[from.idx()].tracer.clear_flow();
                     return true;
                 }
@@ -531,24 +499,10 @@ impl World {
                 pdu,
                 sent_at,
                 token,
-                from,
             }
         };
-        self.push_ev(arrival, ev);
-        if self.keyed() && switched {
-            // Keyed mode skips the inline hop-1 credit return at switch
-            // ingress; the sender schedules its own credit-return event
-            // for the ingress instant instead (lane-local on both ends).
-            self.push_ev(
-                arrival,
-                Event::CreditReturn {
-                    host: from,
-                    vc,
-                    cells: cells as u32,
-                },
-            );
-        }
-        self.push_ev(txdone, Event::TxDone { token });
+        self.events.push(arrival, ev);
+        self.events.push(txdone, Event::TxDone { token });
         self.hosts[from.idx()].tracer.clear_flow();
         true
     }
@@ -639,7 +593,7 @@ impl World {
                 host.tracer.clear_flow();
             }
         }
-        self.push_done_send(SendCompletion {
+        self.done_sends.push(SendCompletion {
             token,
             host: from,
             requested: send.requested,

@@ -20,7 +20,7 @@
 //! (p50/p99) plus the switch's own counters.
 //!
 //! Worlds are single-threaded by construction; a sweep over semantics
-//! shards the independent worlds (disjoint host groups) across
+//! spreads the independent worlds (disjoint host groups) across
 //! genie-runner workers, so `sweep` output is byte-identical at any
 //! thread count.
 
@@ -59,7 +59,7 @@ pub const ALL_SEMANTICS: &[Semantics] = &[
     Semantics::EmulatedWeakMove,
 ];
 
-/// Runs `f` once per semantics, sharding the independent worlds across
+/// Runs `f` once per semantics, spreading the independent worlds across
 /// genie-runner workers (each world is one isolated host group, so the
 /// sweep is deterministic at any thread count).
 pub fn sweep<F>(semantics: &[Semantics], f: F) -> Vec<SuitePoint>
@@ -290,8 +290,8 @@ fn rpc_fanin_world(
 }
 
 /// One scale-tier run's result: the simulated distribution (byte-
-/// identical at every shard count) plus the host-side wall clock of
-/// the event-loop phases (which is what sharding buys).
+/// identical at every thread count) plus the host-side wall clock of
+/// the event-loop phases.
 #[derive(Clone, Copy, Debug)]
 pub struct ScalePoint {
     /// Data-passing semantics under test.
@@ -302,11 +302,10 @@ pub struct ScalePoint {
     pub datagrams: usize,
     /// Simulated completion time of the last delivery, in µs.
     pub sim_us: f64,
-    /// Wall-clock seconds spent inside `World::run` (the parallel
-    /// part; driver-phase setup is excluded so shard speedups are
-    /// visible rather than diluted).
+    /// Wall-clock seconds spent inside `World::run` (driver-phase
+    /// setup excluded).
     pub wall_s: f64,
-    /// High-water mark of resident event-loop state across waves.
+    /// High-water mark of queued events across waves.
     pub peak_resident: usize,
 }
 
@@ -325,21 +324,13 @@ pub fn scale_datagrams() -> usize {
 /// `hosts - 1` spokes of a star into its hub, issued in bounded waves
 /// (posts, sends, one `run()` to quiesce, free the buffers) so
 /// resident state stays flat no matter how many datagrams flow.
-/// `shards > 0` pins the worker-shard count; 0 leaves the world on
-/// its environment-configured default.
 ///
 /// Integrity is spot-checked on a deterministic subsample (every
 /// 101st datagram — a full check of a million 2 KB payloads would
 /// dominate the wall clock this tier exists to measure); conservation
-/// and quiesce are asserted every wave. All simulated numbers are
-/// shard-count-invariant; only `wall_s` depends on the machine.
-pub fn fabric_scale(
-    semantics: Semantics,
-    hosts: u16,
-    total: usize,
-    bytes: usize,
-    shards: usize,
-) -> ScalePoint {
+/// and quiesce are asserted every wave. Only `wall_s` depends on the
+/// machine.
+pub fn fabric_scale(semantics: Semantics, hosts: u16, total: usize, bytes: usize) -> ScalePoint {
     const VC_BASE: u32 = 500;
     /// Datagrams per spoke per wave: deep enough to pipeline inside a
     /// wave, shallow enough that a 64-host wave holds only a few
@@ -352,16 +343,12 @@ pub fn fabric_scale(
         usize::from(hosts),
         sw,
     ));
-    if shards > 0 {
-        w.set_shards(shards);
-    }
     let hub = w.create_process(HostId(0));
     let procs: Vec<SpaceId> = (1..hosts).map(|i| w.create_process(HostId(i))).collect();
 
     let mut latencies = Vec::with_capacity(total);
     let mut sim_end = SimTime::ZERO;
     let mut wall = std::time::Duration::ZERO;
-    let mut peak_resident = 0usize;
     let mut issued = 0usize;
     let mut wave = 0usize;
     while issued < total {
@@ -403,7 +390,6 @@ pub fn fabric_scale(
         let t0 = std::time::Instant::now();
         w.run();
         wall += t0.elapsed();
-        peak_resident = peak_resident.max(w.peak_resident_events());
 
         let done = w.take_completed_inputs();
         assert_eq!(
@@ -436,12 +422,11 @@ pub fn fabric_scale(
         wave += 1;
     }
     assert_eq!(latencies.len(), total);
-    // The documented memory bound of the scale tier: resident
-    // event-loop state (queued events plus buffered cross-shard mail)
-    // is a function of the *wave* size, never of `total` — a handful
-    // of events per live datagram (measured ~4.5 at 64 hosts, serial
-    // and sharded). A leak in the mailbox exchange or the wave
-    // drain/free cycle blows this bound long before it blows RSS.
+    let peak_resident = w.peak_resident_events();
+    // The documented memory bound of the scale tier: queued events
+    // are a function of the *wave* size, never of `total` — a handful
+    // of events per live datagram. A leak in the wave drain/free
+    // cycle blows this bound long before it blows RSS.
     let resident_cap = PER_WAVE * usize::from(hosts - 1) * 8;
     assert!(
         peak_resident <= resident_cap,
@@ -605,10 +590,8 @@ pub struct CqSuiteConfig {
     pub depths: Vec<usize>,
     /// Fault-injection plan (the sweep's simulated numbers must be
     /// identical with faults on or off only in *shape*, not value —
-    /// but each plan's numbers are thread- and shard-invariant).
+    /// but each plan's numbers are thread-invariant).
     pub fault: genie_fault::FaultConfig,
-    /// Worker-shard count to pin (0 = environment default).
-    pub shards: usize,
     /// One-way fixed wire latency in microseconds. The default OC-3c
     /// figure (12 us) models the paper's lab bench, where seven
     /// clients at queue depth 1 already cover the round trip and the
@@ -632,7 +615,6 @@ impl Default for CqSuiteConfig {
             bytes: 256,
             depths: vec![1, 2, 4, 8, 16],
             fault: genie_fault::FaultConfig::NONE,
-            shards: 0,
             link_latency_us: 800.0,
         }
     }
@@ -709,8 +691,8 @@ fn cq_rsp_stream(i: u16) -> u32 {
 /// observed, so a shallow window leaves the client idle for a full
 /// round trip between waves while a deep one keeps the fabric fed —
 /// goodput climbs with depth until the path saturates. All data is
-/// integrity-spot-checked; the simulated numbers are thread- and
-/// shard-count-invariant.
+/// integrity-spot-checked; the simulated numbers are thread-count-
+/// invariant.
 fn cq_fanin_world(
     semantics: Semantics,
     depth: usize,
@@ -730,18 +712,6 @@ fn cq_fanin_world(
     wc.fault = cfg.fault;
     wc.link.fixed_latency = SimTime::from_us(cfg.link_latency_us);
     let mut w = World::new(wc);
-    // Always the keyed engine, never the legacy insertion-ordered
-    // loop: keyed results are byte-identical at every shard count
-    // (serial-of-one included), which is what lets `report fabric
-    // --cq` promise one table across threads and shards with faults
-    // on or off. The legacy loop agrees fault-free but draws fault
-    // randomness in event order, which differs from the keyed loop.
-    let shards = if cfg.shards > 0 {
-        cfg.shards
-    } else {
-        genie_runner::configured_shards().max(1)
-    };
-    w.set_shards(shards);
     if let Some(sample) = observe {
         w.enable_tracing(true);
         w.set_sampling(sample);
@@ -953,7 +923,7 @@ pub fn cq_saturation(semantics: Semantics, cfg: &CqSuiteConfig) -> CqSaturationP
     }
 }
 
-/// [`cq_saturation`] over every semantics, independent worlds sharded
+/// [`cq_saturation`] over every semantics, independent worlds spread
 /// across genie-runner workers (byte-identical at any thread count).
 pub fn cq_sweep(cfg: &CqSuiteConfig) -> Vec<CqSaturationPoint> {
     genie_runner::map(ALL_SEMANTICS, |&s| cq_saturation(s, cfg))
@@ -1010,21 +980,33 @@ mod tests {
     }
 
     #[test]
-    fn fabric_scale_smoke_is_shard_invariant() {
+    fn fabric_scale_smoke_is_thread_invariant() {
         // Small slice of the scale tier: enough waves to cycle buffer
-        // reuse, asserted identical at 1 and 4 shards.
-        let run = |shards| fabric_scale(Semantics::Move, 8, 200, 1024, shards);
-        let a = run(1);
-        let b = run(4);
-        assert_eq!(a.datagrams, 200);
-        assert_eq!(a.dist.count, 200);
-        assert_eq!(
-            (a.dist.p50, a.dist.p99, a.dist.max, a.sim_us.to_bits()),
-            (b.dist.p50, b.dist.p99, b.dist.max, b.sim_us.to_bits()),
-            "scale tier simulated results must not depend on shard count"
-        );
-        assert!(a.sim_us > 0.0 && a.wall_s > 0.0);
-        assert!(a.peak_resident > 0 && a.peak_resident < 10_000);
+        // reuse, swept over semantics at 1 and 4 runner threads.
+        let semantics = [
+            Semantics::Copy,
+            Semantics::Move,
+            Semantics::EmulatedWeakMove,
+        ];
+        let run = |threads| {
+            genie_runner::with_threads(threads, || {
+                genie_runner::map(&semantics, |&s| fabric_scale(s, 8, 200, 1024))
+            })
+        };
+        let (serial, parallel) = (run(1), run(4));
+        for (a, b) in serial.iter().zip(&parallel) {
+            assert_eq!(a.datagrams, 200);
+            assert_eq!(a.dist.count, 200);
+            assert_eq!(
+                (a.dist.p50, a.dist.p99, a.dist.max, a.sim_us.to_bits()),
+                (b.dist.p50, b.dist.p99, b.dist.max, b.sim_us.to_bits()),
+                "{:?}: scale tier simulated results must not depend on thread count",
+                a.semantics
+            );
+            assert_eq!(a.peak_resident, b.peak_resident);
+            assert!(a.sim_us > 0.0 && a.wall_s > 0.0);
+            assert!(a.peak_resident > 0 && a.peak_resident < 10_000);
+        }
     }
 
     #[test]
@@ -1047,38 +1029,45 @@ mod tests {
     }
 
     #[test]
-    fn cq_saturation_is_shard_invariant_with_and_without_faults() {
+    fn cq_saturation_is_thread_invariant_with_and_without_faults() {
         for fault in [
             genie_fault::FaultConfig::NONE,
             genie_fault::FaultConfig::masked(11),
         ] {
-            let run = |shards| {
-                let cfg = CqSuiteConfig {
-                    clients: 3,
-                    requests: 4,
-                    bytes: 1024,
-                    depths: vec![2, 8],
-                    fault,
-                    shards,
-                    link_latency_us: 800.0,
-                };
-                cq_saturation(Semantics::Move, &cfg)
+            let cfg = CqSuiteConfig {
+                clients: 3,
+                requests: 4,
+                bytes: 1024,
+                depths: vec![2, 8],
+                fault,
+                link_latency_us: 800.0,
             };
-            let a = run(1);
-            let b = run(4);
-            let sig = |p: &CqSaturationPoint| {
-                (
-                    p.knee,
-                    p.points
-                        .iter()
-                        .map(|d| (d.dist.p50, d.dist.p99, d.sim_us.to_bits(), d.mbps.to_bits()))
-                        .collect::<Vec<_>>(),
-                )
+            let run = |threads| {
+                genie_runner::with_threads(threads, || {
+                    genie_runner::map(&[Semantics::Move, Semantics::EmulatedCopy], |&s| {
+                        cq_saturation(s, &cfg)
+                    })
+                })
+            };
+            let sig = |ps: &[CqSaturationPoint]| {
+                ps.iter()
+                    .map(|p| {
+                        (
+                            p.knee,
+                            p.points
+                                .iter()
+                                .map(|d| {
+                                    (d.dist.p50, d.dist.p99, d.sim_us.to_bits(), d.mbps.to_bits())
+                                })
+                                .collect::<Vec<_>>(),
+                        )
+                    })
+                    .collect::<Vec<_>>()
             };
             assert_eq!(
-                sig(&a),
-                sig(&b),
-                "cq saturation results must not depend on shard count (faults: {})",
+                sig(&run(1)),
+                sig(&run(4)),
+                "cq saturation results must not depend on thread count (faults: {})",
                 fault.active()
             );
         }

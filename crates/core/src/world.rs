@@ -11,7 +11,7 @@
 //! dispose-time operations at the sender overlap network latency; and
 //! ready/dispose operations at the receiver run at arrival.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use genie_machine::{LinkSpec, MachineSpec, Op, SimTime};
 use genie_mem::{DenseMap, SlotMap};
@@ -153,9 +153,6 @@ pub(crate) enum Event {
         pdu: WirePdu,
         sent_at: SimTime,
         token: u64,
-        /// The sending host — recovery events (acks, retransmit
-        /// requests) are addressed back to it.
-        from: HostId,
     },
     /// A damaged PDU reached the receiving adapter (AAL5 reassembly
     /// failed there); only raised by an active fault plan.
@@ -164,7 +161,6 @@ pub(crate) enum Event {
         vc: Vc,
         token: u64,
         cells: usize,
-        from: HostId,
     },
     /// Resend a PDU from the sender's retransmit buffer.
     Retransmit { token: u64 },
@@ -191,19 +187,6 @@ pub(crate) enum Event {
     /// Dispatch the head of a switch output port's FIFO (port index ==
     /// destination host index); only raised by switched fabrics.
     PortDrain { port: u16 },
-    /// Per-hop credits covering a PDU return to the sending host one
-    /// hop-latency after the switch accepted it. Only raised in keyed
-    /// mode, where the sender and the switch ingress may live on
-    /// different shards; the legacy loop returns the credits inline.
-    CreditReturn { host: HostId, vc: Vc, cells: u32 },
-    /// The receiver delivered (or duplicate-discarded) the PDU for
-    /// `token`: the sender may drop its retransmit buffer. Only raised
-    /// in keyed mode; the legacy loop clears the buffer inline.
-    AckDelivered { token: u64, from: HostId },
-    /// The receiver wants `token` resent (damaged arrival or exhausted
-    /// redelivery buffering). Only raised in keyed mode; the legacy
-    /// loop schedules the retransmit inline.
-    RequestRetransmit { token: u64, from: HostId },
 }
 
 /// A PDU that arrived before any matching input was posted
@@ -251,10 +234,8 @@ pub struct World {
     pub(crate) dma: DmaModel,
     pub(crate) cfg: GenieConfig,
     pub(crate) rx_mode: InputBuffering,
-    /// Pending events, each tagged with the lane (host index) whose
-    /// state its handler touches. The legacy loop ignores the tag; the
-    /// keyed loop uses it to route events to shards.
-    pub(crate) events: EventQueue<(u16, Event)>,
+    /// Pending events; same-instant ties pop in push order.
+    pub(crate) events: EventQueue<Event>,
     /// In-flight output operations; tokens are the arena's
     /// generational keys (all `>= 1 << 32`, disjoint from the small
     /// counter tokens input operations use).
@@ -306,43 +287,7 @@ pub struct World {
     /// Whether a crash dump was already written for this world (one
     /// dump per run: the first violation is the interesting one).
     pub(crate) crash_dumped: bool,
-    /// Whether tracing is enabled (mirrors the tracer switches; keyed
-    /// shards consult this flag because the shared `wire_tracer` does
-    /// not travel with them).
-    pub(crate) tracing: bool,
-    /// Requested shard count for keyed execution: 0 = legacy loop
-    /// (the default), >= 1 = epoch-synchronized keyed loop. Only
-    /// honored on switched fabrics.
-    pub(crate) shards: usize,
-    /// `Some((shard_id, n_shards))` while this world is a shard
-    /// sub-world inside an epoch-parallel run.
-    pub(crate) shard: Option<(usize, usize)>,
-    /// Lane whose event handler is currently executing (or, in the
-    /// driver phase, the lane of the API call in progress). Keyed
-    /// pushes stamp their ordering key from this lane's counter.
-    pub(crate) current_lane: usize,
-    /// `(time, key)` of the event currently being handled — keyed mode
-    /// stamps completions with it so shard completion streams merge in
-    /// event order.
-    pub(crate) current_ev: (SimTime, u64),
-    /// Per-lane monotone push counters: the low bits of keyed event
-    /// ordering keys. Deterministic per lane regardless of how lanes
-    /// interleave, so keys are shard-count-invariant.
-    pub(crate) lane_seq: Vec<u64>,
-    /// In a shard sub-world, the shard's slice of `ops`, keyed by
-    /// token. `None` outside shard execution (the arena is
-    /// authoritative).
-    pub(crate) shard_ops: Option<HashMap<u64, OpSlot>>,
-    /// `(time, key)` stamps parallel to `done_sends` / `done_recvs`,
-    /// recorded only in shard sub-worlds so the parent can merge
-    /// completion streams into event order.
-    pub(crate) done_send_keys: Vec<(SimTime, u64)>,
-    pub(crate) done_recv_keys: Vec<(SimTime, u64)>,
-    /// In a shard sub-world, cross-shard events awaiting the epoch
-    /// barrier, one buffer per destination shard.
-    pub(crate) outbox: Vec<Vec<(SimTime, u64, u16, Event)>>,
-    /// High-water mark of resident event-loop state (queued events plus
-    /// buffered cross-shard mail), sampled each epoch in keyed runs.
+    /// High-water mark of queued events, sampled at every pop.
     pub(crate) peak_resident: usize,
 }
 
@@ -410,58 +355,16 @@ impl World {
             cq_depth: std::collections::BTreeMap::new(),
             cq_window: std::collections::BTreeMap::new(),
             crash_dumped: false,
-            tracing: false,
-            shards: if matches!(cfg.fabric, Fabric::Switched(_)) {
-                genie_runner::configured_shards()
-            } else {
-                0
-            },
-            shard: None,
-            current_lane: 0,
-            current_ev: (SimTime::ZERO, 0),
-            lane_seq: vec![0; n],
-            shard_ops: None,
-            done_send_keys: Vec::new(),
-            done_recv_keys: Vec::new(),
-            outbox: Vec::new(),
             peak_resident: 0,
         }
     }
 
-    /// Requests keyed epoch-synchronized execution with `n` shards
-    /// (`0` restores the legacy serial loop). Only honored on switched
-    /// fabrics; the shard count is clamped to the host count, and
-    /// multicast worlds run keyed-serial regardless of `n`. Simulated
-    /// results of a keyed run are byte-identical at every shard count.
-    pub fn set_shards(&mut self, n: usize) {
-        self.shards = n;
-    }
-
-    /// The shard count a keyed run will actually use: 0 means the
-    /// legacy loop (not a switched fabric, or sharding not requested).
+    /// The intra-world shard count: always 0, the serial event loop.
+    /// Sharding was removed (it ran slower than the serial loop); the
+    /// constant remains so run stamps keep their `effective_shards`
+    /// field.
     pub fn effective_shards(&self) -> usize {
-        if !self.is_switched() || self.shards == 0 {
-            return 0;
-        }
-        let n = self.shards.min(self.n_hosts()).max(1);
-        let multicast = match &self.fabric {
-            FabricState::Switched(sw) => sw.has_multicast(),
-            FabricState::Passthrough => false,
-        };
-        // The keyed loop shards the switch by output port, which
-        // assumes unicast fan-out; multicast worlds run keyed-serial.
-        if multicast {
-            1
-        } else {
-            n
-        }
-    }
-
-    /// True when events must carry deterministic ordering keys (any
-    /// configured shard count, including keyed-serial).
-    #[inline]
-    pub(crate) fn keyed(&self) -> bool {
-        self.shards != 0 && matches!(self.fabric, FabricState::Switched(_))
+        0
     }
 
     /// Number of hosts in this world.
@@ -660,69 +563,41 @@ impl World {
         t
     }
 
-    /// The op slot for a token. In a shard sub-world the shard's
-    /// `HashMap` slice is authoritative; otherwise the arena is.
-    fn op_slot(&self, token: u64) -> Option<&OpSlot> {
-        match &self.shard_ops {
-            Some(m) => m.get(&token),
-            None => self.ops.get(token),
-        }
-    }
-
-    fn op_slot_mut(&mut self, token: u64) -> Option<&mut OpSlot> {
-        match &mut self.shard_ops {
-            Some(m) => m.get_mut(&token),
-            None => self.ops.get_mut(token),
-        }
-    }
-
-    /// Frees an op slot whose halves are both gone.
-    fn op_remove(&mut self, token: u64) {
-        match &mut self.shard_ops {
-            Some(m) => {
-                m.remove(&token);
-            }
-            None => {
-                self.ops.remove(token);
-            }
-        }
-    }
-
     /// The pending send for an output token, if it has not yet been
     /// disposed (stale tokens resolve to `None`).
     pub(crate) fn send(&self, token: u64) -> Option<&PendingSend> {
-        self.op_slot(token)?.send.as_ref()
+        self.ops.get(token)?.send.as_ref()
     }
 
     /// Mutable access to the pending send for an output token.
     pub(crate) fn send_mut(&mut self, token: u64) -> Option<&mut PendingSend> {
-        self.op_slot_mut(token)?.send.as_mut()
+        self.ops.get_mut(token)?.send.as_mut()
     }
 
     /// Removes the pending send at dispose time, freeing the slot
     /// unless a retransmit buffer is still holding it open.
     pub(crate) fn take_send(&mut self, token: u64) -> Option<PendingSend> {
-        let slot = self.op_slot_mut(token)?;
+        let slot = self.ops.get_mut(token)?;
         let send = slot.send.take();
         if slot.inflight.is_none() {
-            self.op_remove(token);
+            self.ops.remove(token);
         }
         send
     }
 
     /// Whether an output token has a retransmit buffer attached.
     pub(crate) fn has_inflight(&self, token: u64) -> bool {
-        self.op_slot(token).is_some_and(|s| s.inflight.is_some())
+        self.ops.get(token).is_some_and(|s| s.inflight.is_some())
     }
 
     /// Mutable access to the retransmit buffer for an output token.
     pub(crate) fn inflight_mut(&mut self, token: u64) -> Option<&mut Inflight> {
-        self.op_slot_mut(token)?.inflight.as_mut()
+        self.ops.get_mut(token)?.inflight.as_mut()
     }
 
     /// Attaches a retransmit buffer to a live output token.
     pub(crate) fn set_inflight(&mut self, token: u64, inf: Inflight) {
-        let slot = self.op_slot_mut(token).expect("live output token");
+        let slot = self.ops.get_mut(token).expect("live output token");
         debug_assert!(slot.inflight.is_none());
         slot.inflight = Some(inf);
     }
@@ -731,12 +606,12 @@ impl World {
     /// caller must put it back with [`World::restore_inflight`]. Used
     /// where the buffer's bytes are borrowed across `&mut self` calls.
     pub(crate) fn borrow_inflight(&mut self, token: u64) -> Option<Inflight> {
-        self.op_slot_mut(token)?.inflight.take()
+        self.ops.get_mut(token)?.inflight.take()
     }
 
     /// Puts back a buffer taken with [`World::borrow_inflight`].
     pub(crate) fn restore_inflight(&mut self, token: u64, inf: Inflight) {
-        let slot = self.op_slot_mut(token).expect("borrowed slot stays live");
+        let slot = self.ops.get_mut(token).expect("borrowed slot stays live");
         slot.inflight = Some(inf);
     }
 
@@ -744,81 +619,12 @@ impl World {
     /// freeing the slot if the send half is already disposed. Returns
     /// the buffer so the caller can recycle its storage.
     pub(crate) fn clear_inflight(&mut self, token: u64) -> Option<Inflight> {
-        let slot = self.op_slot_mut(token)?;
+        let slot = self.ops.get_mut(token)?;
         let inf = slot.inflight.take();
         if inf.is_some() && slot.send.is_none() {
-            self.op_remove(token);
+            self.ops.remove(token);
         }
         inf
-    }
-
-    /// The lane (host index) owning an output token: the sending host.
-    /// Falls back to lane 0 for tokens whose slot is already gone (the
-    /// handler will resolve the stale token to a no-op on any lane).
-    pub(crate) fn op_owner(&self, token: u64) -> usize {
-        let Some(slot) = self.op_slot(token) else {
-            return 0;
-        };
-        if let Some(s) = &slot.send {
-            return s.from.idx();
-        }
-        if let Some(i) = &slot.inflight {
-            return i.from.idx();
-        }
-        0
-    }
-
-    /// The lane (host index) whose state an event's handler touches.
-    /// Keyed pushes route on this; every cross-lane event is delayed by
-    /// at least the link's fixed latency, which is the epoch lookahead.
-    pub(crate) fn event_lane(&self, ev: &Event) -> usize {
-        match ev {
-            Event::Transmit { token } | Event::TxDone { token } | Event::Retransmit { token } => {
-                self.op_owner(*token)
-            }
-            Event::Arrive { to, .. }
-            | Event::ArriveDamaged { to, .. }
-            | Event::Redeliver { to, .. } => to.idx(),
-            Event::RestoreCredits { host, .. }
-            | Event::ReleaseHoard { host }
-            | Event::CreditReturn { host, .. } => host.idx(),
-            Event::AckDelivered { from, .. } | Event::RequestRetransmit { from, .. } => from.idx(),
-            Event::SwitchIngress { from, vc, .. } => self.route_dst(*from, *vc).idx(),
-            Event::PortDrain { port } => usize::from(*port),
-        }
-    }
-
-    /// Pushes an event, stamping the lane tag (and, in keyed mode, a
-    /// deterministic ordering key). In a shard sub-world an event bound
-    /// for another shard's lane is buffered in the outbox for the next
-    /// epoch barrier instead of entering the local queue.
-    pub(crate) fn push_ev(&mut self, time: SimTime, ev: Event) {
-        if !self.keyed() {
-            self.events.push(time, (0, ev));
-            return;
-        }
-        let lane = self.event_lane(&ev) as u16;
-        let src = self.current_lane;
-        let ctr = self.lane_seq[src];
-        self.lane_seq[src] = ctr + 1;
-        debug_assert!(ctr < 1 << 40, "lane push counter overflow");
-        let key = ((src as u64) << 40) | ctr;
-        if let Some((sid, n)) = self.shard {
-            let dst_sid = crate::shard::lane_shard(usize::from(lane), n);
-            if dst_sid != sid {
-                // Conservative-lookahead invariant: every cross-shard
-                // event is at least one wire latency in the future, so
-                // the epoch horizon (global min + fixed latency) never
-                // misses mail from a peer still inside the epoch.
-                debug_assert!(
-                    time >= self.current_ev.0 + self.link.fixed_latency,
-                    "cross-shard event violates lookahead"
-                );
-                self.outbox[dst_sid].push((time, key, lane, ev));
-                return;
-            }
-        }
-        self.events.push_keyed(time, key, (lane, ev));
     }
 
     /// Dispatches one popped event to its handler.
@@ -832,15 +638,13 @@ impl World {
                 pdu,
                 sent_at,
                 token,
-                from,
-            } => self.on_arrive(time, to, vc, pdu, sent_at, token, from),
+            } => self.on_arrive(time, to, vc, pdu, sent_at, token),
             Event::ArriveDamaged {
                 to,
                 vc,
                 token,
                 cells,
-                from,
-            } => self.on_arrive_damaged(time, to, vc, token, cells, from),
+            } => self.on_arrive_damaged(time, to, vc, token, cells),
             Event::Retransmit { token } => self.on_retransmit(time, token),
             Event::RestoreCredits { host, vc, cells } => {
                 self.on_restore_credits(time, host, vc, cells);
@@ -858,27 +662,21 @@ impl World {
                 seq,
             } => self.on_switch_ingress(time, from, vc, pdu, cells, total, sent_at, token, seq),
             Event::PortDrain { port } => self.on_port_drain(time, port),
-            Event::CreditReturn { host, vc, cells } => self.on_credit_return(time, host, vc, cells),
-            Event::AckDelivered { token, .. } => self.on_ack_delivered(token),
-            Event::RequestRetransmit { token, .. } => self.schedule_retransmit(time, token),
         }
     }
 
-    /// Runs the event loop to quiescence. With sharding configured
-    /// (see [`World::set_shards`]) the keyed loop runs instead — its
-    /// simulated results are byte-identical at every shard count,
-    /// including the serial count of one.
+    /// Runs the event loop to quiescence: events pop in time order,
+    /// same-instant ties in push order.
     pub fn run(&mut self) {
-        match self.effective_shards() {
-            0 => self.run_legacy(),
-            1 => {
-                self.ensure_lane_plans();
-                self.run_keyed_serial();
-                self.finish_keyed();
+        while let Some((time, ev)) = self.events.pop() {
+            self.peak_resident = self.peak_resident.max(self.events.len() + 1);
+            self.dispatch_event(time, ev);
+            if self.fault.plan.active() {
+                self.inject_pressure(time);
             }
-            n => {
-                self.ensure_lane_plans();
-                crate::shard::run_sharded(self, n);
+            if self.fault.oracle.is_some() {
+                self.oracle_sweep();
+                self.maybe_crash_dump(time);
             }
         }
         // Liveness: only credit-return wakes restart a blocked port.
@@ -890,99 +688,8 @@ impl World {
         }
     }
 
-    /// The legacy serial loop: insertion-ordered ties, no keys.
-    fn run_legacy(&mut self) {
-        while let Some((time, (_, ev))) = self.events.pop() {
-            self.dispatch_event(time, ev);
-            if self.fault.plan.active() {
-                self.inject_pressure(time);
-            }
-            if self.fault.oracle.is_some() {
-                self.oracle_sweep();
-                self.maybe_crash_dump(time);
-            }
-        }
-    }
-
-    /// Drains the keyed queue serially, in `(time, key)` order — the
-    /// order every sharded run reproduces exactly.
-    pub(crate) fn run_keyed_serial(&mut self) {
-        while let Some((time, key, (lane, ev))) = self.events.pop_entry() {
-            let resident = self.events.len() + 1;
-            self.peak_resident = self.peak_resident.max(resident);
-            self.step_keyed(time, key, lane, ev);
-        }
-    }
-
-    /// Handles one keyed event: pins the lane context, dispatches, and
-    /// runs the per-event fault hooks on the event's lane only (so the
-    /// hook schedule is shard-count-invariant).
-    pub(crate) fn step_keyed(&mut self, time: SimTime, key: u64, lane: u16, ev: Event) {
-        self.current_lane = usize::from(lane);
-        self.current_ev = (time, key);
-        self.dispatch_event(time, ev);
-        if self.fault.plan.active() {
-            self.inject_pressure(time);
-        }
-        if self.fault.oracle.is_some() {
-            self.oracle_sweep();
-        }
-    }
-
-    /// Keyed-run epilogue: canonicalizes the op arena's free list (so
-    /// the tokens a *future* exchange receives are shard-count-
-    /// invariant) and writes the crash dump deferred from the loop.
-    pub(crate) fn finish_keyed(&mut self) {
-        self.ops.canonicalize_free();
-        if self.fault.oracle.is_some() {
-            let now = self.now();
-            self.maybe_crash_dump(now);
-        }
-    }
-
-    /// Records a completed output, stamping its merge key in shard
-    /// sub-worlds so the parent can interleave shard completion
-    /// streams into event order.
-    pub(crate) fn push_done_send(&mut self, c: SendCompletion) {
-        if self.shard.is_some() {
-            self.done_send_keys.push(self.current_ev);
-        }
-        self.done_sends.push(c);
-    }
-
-    /// Records a completed input (see [`World::push_done_send`]).
-    pub(crate) fn push_done_recv(&mut self, c: RecvCompletion) {
-        if self.shard.is_some() {
-            self.done_recv_keys.push(self.current_ev);
-        }
-        self.done_recvs.push(c);
-    }
-
-    /// Hop-1 credits came back from the switch (keyed mode): replenish
-    /// the sender's uplink VC and wake its transmit queue, exactly as
-    /// the legacy ingress handler does inline.
-    fn on_credit_return(&mut self, time: SimTime, host: HostId, vc: Vc, cells: u32) {
-        self.hosts[host.idx()].adapter.return_credits(vc, cells);
-        if let Some(&front) = self.txq[host.idx()]
-            .get(u64::from(vc.0))
-            .and_then(VecDeque::front)
-        {
-            let wake = time + self.link.fixed_latency;
-            self.push_ev(wake, Event::Transmit { token: front });
-        }
-    }
-
-    /// The receiver acknowledged in-order delivery (keyed mode): drop
-    /// the sender's retransmit buffer and recycle its storage.
-    fn on_ack_delivered(&mut self, token: u64) {
-        if let Some(inf) = self.clear_inflight(token) {
-            self.recycle_payload(inf.bytes);
-        }
-    }
-
-    /// High-water mark of resident event-loop state (queued events
-    /// plus buffered cross-shard mail) from the last keyed run; 0 for
-    /// legacy runs.
+    /// High-water mark of queued events (the one being handled
+    /// included) over this world's runs so far.
     pub fn peak_resident_events(&self) -> usize {
         self.peak_resident
     }

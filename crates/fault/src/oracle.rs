@@ -171,42 +171,6 @@ impl Oracle {
     pub fn checks_run(&self) -> u64 {
         self.checks
     }
-
-    /// Splits this oracle into `n` per-shard oracles for epoch-
-    /// synchronized sharded execution. `vc_shard` maps a VC to the
-    /// shard that owns its *destination* host (deliveries — the only
-    /// consumers of `promised` — run on the destination's lane);
-    /// `host_shard` maps a host index to its owning shard. Promised
-    /// fingerprints and per-(host, VC) sequence cursors move to the
-    /// shard that will consult them; violations and the check counter
-    /// stay behind and are re-joined by [`Oracle::absorb`].
-    pub fn split(
-        &mut self,
-        n: usize,
-        vc_shard: impl Fn(u32) -> usize,
-        host_shard: impl Fn(usize) -> usize,
-    ) -> Vec<Oracle> {
-        let mut shards: Vec<Oracle> = (0..n).map(|_| Oracle::new()).collect();
-        for ((vc, seq), hash) in std::mem::take(&mut self.promised) {
-            shards[vc_shard(vc)].promised.insert((vc, seq), hash);
-        }
-        for ((host, vc), next) in std::mem::take(&mut self.seq_next) {
-            shards[host_shard(host)].seq_next.insert((host, vc), next);
-        }
-        shards
-    }
-
-    /// Folds a shard oracle produced by [`Oracle::split`] back in.
-    /// Entries merge disjointly (each shard only touched its own
-    /// hosts/VCs); violations concatenate in shard order — the *set*
-    /// of violations and `ok()` are shard-count-invariant even though
-    /// the concatenation order may differ from a serial run.
-    pub fn absorb(&mut self, shard: Oracle) {
-        self.promised.extend(shard.promised);
-        self.seq_next.extend(shard.seq_next);
-        self.violations.extend(shard.violations);
-        self.checks += shard.checks;
-    }
 }
 
 #[cfg(test)]

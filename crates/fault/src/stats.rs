@@ -76,29 +76,6 @@ impl FaultStats {
             ("hold_spills", self.hold_spills),
         ]
     }
-
-    /// Adds every counter of `other` into `self`. Sharded runs keep
-    /// per-shard stats (each shard only sees faults drawn on its own
-    /// lanes) and fold them into the parent world's stats at absorb;
-    /// counters are order-free so the sum is shard-count-invariant.
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.pdus_damaged += other.pdus_damaged;
-        self.pdus_delayed += other.pdus_delayed;
-        self.crc_drops += other.crc_drops;
-        self.buffer_drops += other.buffer_drops;
-        self.retransmits += other.retransmits;
-        self.retransmits_abandoned += other.retransmits_abandoned;
-        self.duplicates_discarded += other.duplicates_discarded;
-        self.held_for_reorder += other.held_for_reorder;
-        self.credit_starvations += other.credit_starvations;
-        self.completion_delays += other.completion_delays;
-        self.pressure_events += other.pressure_events;
-        self.frames_hoarded += other.frames_hoarded;
-        self.pages_stormed_out += other.pages_stormed_out;
-        self.pageout_skipped_input += other.pageout_skipped_input;
-        self.degraded_outputs += other.degraded_outputs;
-        self.hold_spills += other.hold_spills;
-    }
 }
 
 #[cfg(test)]

@@ -141,16 +141,6 @@ impl<T> SlotMap<T> {
             .enumerate()
             .filter_map(|(i, s)| s.value.as_ref().map(|v| (slot_key(s.gen, i as u32), v)))
     }
-
-    /// Sorts the free list so future slot reuse happens in ascending
-    /// slot order, regardless of the order removals happened in. Two
-    /// runs that removed the same *set* of keys (possibly in different
-    /// orders — e.g. a sharded event loop vs. its serial equivalent)
-    /// end with identical arena state, so the keys they hand out next
-    /// match too.
-    pub fn canonicalize_free(&mut self) {
-        self.free.sort_unstable_by(|a, b| b.cmp(a));
-    }
 }
 
 /// A map from small non-negative integer keys to values, stored flat.

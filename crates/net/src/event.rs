@@ -3,9 +3,7 @@
 //! A binary min-heap of small `(time, tie-break, slot)` keys over a
 //! slab of event payloads. Ordering is by `(time, seq)` where `seq` is
 //! a monotonic push counter, so events pushed for the same instant pop
-//! in push order (a strict requirement for reproducible experiments);
-//! [`EventQueue::push_keyed`] substitutes a caller-supplied key for the
-//! counter and pops by `(time, key)`.
+//! in push order (a strict requirement for reproducible experiments).
 //!
 //! Heap sifts move only the 24-byte keys: payloads stay put in the
 //! slab, whose vacated slots are reused through a free list, so a
@@ -21,7 +19,7 @@ use genie_machine::SimTime;
 /// A deterministic event queue.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Min-heap of `(time, seq or key, slab slot)`.
+    /// Min-heap of `(time, seq, slab slot)`.
     heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     /// Event payloads, indexed by the heap key's slot.
     slab: Vec<Option<E>>,
@@ -46,19 +44,6 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.push_keyed(time, seq, event);
-    }
-
-    /// Schedules `event` at `time` with a caller-supplied tie-break
-    /// key instead of the internal push counter. Sharded execution
-    /// uses this: the key is derived from the pushing lane's own
-    /// counter, so the pop order is a pure function of `(time, key)`
-    /// and identical no matter which shard (or thread) performed the
-    /// push. Mixing `push` and `push_keyed` on one queue is allowed
-    /// only if the caller guarantees the two key spaces never collide
-    /// at equal times; the sharded engine uses `push_keyed`
-    /// exclusively.
-    pub fn push_keyed(&mut self, time: SimTime, key: u64, event: E) {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = Some(event);
@@ -69,26 +54,17 @@ impl<E> EventQueue<E> {
                 u32::try_from(self.slab.len() - 1).expect("event slab overflow")
             }
         };
-        self.heap.push(Reverse((time, key, slot)));
+        self.heap.push(Reverse((time, seq, slot)));
     }
 
     /// Pops the earliest event (FIFO among ties).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry().map(|(time, _, event)| (time, event))
-    }
-
-    /// Pops the earliest event together with its tie-break key
-    /// (the push counter for `push`, the caller's key for
-    /// `push_keyed`). The sharded engine threads this key through so
-    /// completions produced while handling the event can be merged
-    /// back into the serial processing order.
-    pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        let Reverse((time, key, slot)) = self.heap.pop()?;
+        let Reverse((time, _, slot)) = self.heap.pop()?;
         let event = self.slab[slot as usize]
             .take()
             .expect("heap key names a live slot");
         self.free.push(slot);
-        Some((time, key, event))
+        Some((time, event))
     }
 
     /// Time of the earliest pending event.
@@ -151,7 +127,7 @@ mod tests {
     }
 
     /// A queue with the same ordering contract built the obvious way —
-    /// a heap of whole entries ordered by `(time, key)` — kept as the
+    /// a heap of whole entries ordered by `(time, seq)` — kept as the
     /// ordering oracle for the equivalence tests below.
     mod reference {
         use super::SimTime;
@@ -196,22 +172,13 @@ mod tests {
             pub fn push(&mut self, time: SimTime, event: E) {
                 let seq = self.seq;
                 self.seq += 1;
-                self.push_keyed(time, seq, event);
-            }
-            pub fn push_keyed(&mut self, time: SimTime, seq: u64, event: E) {
                 self.heap.push(Reverse(Entry { time, seq, event }));
             }
             pub fn pop(&mut self) -> Option<(SimTime, E)> {
-                self.pop_entry().map(|(t, _, e)| (t, e))
-            }
-            pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-                self.heap.pop().map(|Reverse(e)| (e.time, e.seq, e.event))
+                self.heap.pop().map(|Reverse(e)| (e.time, e.event))
             }
             pub fn peek_time(&self) -> Option<SimTime> {
                 self.heap.peek().map(|Reverse(e)| e.time)
-            }
-            pub fn len(&self) -> usize {
-                self.heap.len()
             }
         }
     }
@@ -267,6 +234,7 @@ mod tests {
                     }
                     // Pop from both, demand identical results.
                     _ => {
+                        assert_eq!(heap.peek_time(), q.peek_time(), "seed {seed} step {step}");
                         assert_eq!(heap.pop(), q.pop(), "seed {seed} step {step}");
                     }
                 }
@@ -279,82 +247,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The sharded engine's access pattern against the reference heap:
-    /// keyed pushes arriving out of key order (shard mailboxes),
-    /// same-instant key groups, `pop_entry` to recover the key, and
-    /// `peek_time` epoch checks, all interleaved. Keys never repeat,
-    /// as the engine's per-lane counters guarantee.
-    #[test]
-    fn keyed_schedules_match_reference_with_peeks() {
-        for seed in 1..=8u64 {
-            let mut rng = seed.wrapping_mul(0xd1b5_4a32_d192_ed03);
-            let mut heap = reference::HeapQueue::new();
-            let mut q = EventQueue::new();
-            let mut lane_seq = [0u64; 8];
-            // Lane in the high bits, that lane's counter below, as the
-            // keyed engine stamps them: push order and key order
-            // disagree whenever lanes interleave.
-            let mut fresh_key = |r: u64| {
-                let lane = (r % 8) as usize;
-                lane_seq[lane] += 1;
-                ((lane as u64) << 40) | lane_seq[lane]
-            };
-            for step in 0..4000u32 {
-                let r = xorshift64(&mut rng);
-                match r % 6 {
-                    0 => {
-                        let (t, k) = (scattered_time(r), fresh_key(r >> 8));
-                        heap.push_keyed(t, k, step);
-                        q.push_keyed(t, k, step);
-                    }
-                    1 => {
-                        let t = SimTime(r % 50_000_000);
-                        for i in 0..(r % 5 + 2) {
-                            let k = fresh_key((r >> 8) + i);
-                            heap.push_keyed(t, k, step);
-                            q.push_keyed(t, k, step);
-                        }
-                    }
-                    2 | 3 => {
-                        assert_eq!(heap.pop_entry(), q.pop_entry(), "seed {seed} step {step}");
-                    }
-                    _ => {
-                        assert_eq!(heap.peek_time(), q.peek_time(), "seed {seed} step {step}");
-                        assert_eq!(heap.len(), q.len(), "seed {seed} step {step}");
-                    }
-                }
-            }
-            loop {
-                let (h, c) = (heap.pop_entry(), q.pop_entry());
-                assert_eq!(h, c, "seed {seed} drain");
-                if h.is_none() {
-                    break;
-                }
-            }
-            assert!(q.is_empty());
-        }
-    }
-
-    /// Keyed pushes pop by `(time, key)` regardless of push order —
-    /// the property the sharded mailbox exchange relies on (shards
-    /// deliver cross-shard events in arbitrary arrival order and the
-    /// queue re-establishes the canonical order).
-    #[test]
-    fn keyed_pushes_pop_by_key_not_push_order() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_us(9.0);
-        q.push_keyed(t, 30, "c");
-        q.push_keyed(t, 10, "a");
-        q.push_keyed(SimTime::from_us(1.0), 99, "first");
-        q.push_keyed(t, 20, "b");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop_entry()).collect();
-        assert_eq!(
-            order.iter().map(|e| e.2).collect::<Vec<_>>(),
-            ["first", "a", "b", "c"]
-        );
-        assert_eq!(order[0].1, 99);
     }
 
     #[test]

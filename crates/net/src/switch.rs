@@ -111,8 +111,6 @@ impl SwitchConfig {
 /// final arrival event needs.
 #[derive(Debug)]
 pub struct SwitchedPdu {
-    /// Ingress port.
-    pub src: u16,
     /// Virtual circuit.
     pub vc: u32,
     /// The intact wire image, or `None` for a damaged-PDU marker
@@ -302,17 +300,6 @@ impl Switch {
         self.routes.get(&(src, vc)).map_or(&[], Vec::as_slice)
     }
 
-    /// Whether any route fans out to more than one destination.
-    pub fn has_multicast(&self) -> bool {
-        self.routes.values().any(|d| d.len() > 1)
-    }
-
-    /// Iterates the routing table as `((src, vc), dsts)` entries, in
-    /// no particular order.
-    pub fn route_entries(&self) -> impl Iterator<Item = ((u16, u32), &[u16])> + '_ {
-        self.routes.iter().map(|(k, v)| (*k, v.as_slice()))
-    }
-
     /// Records an ingress PDU (`replicas` extra multicast copies).
     pub fn note_ingress(&mut self, replicas: usize) {
         self.pdus_ingress += 1;
@@ -435,49 +422,6 @@ impl Switch {
         self.ports[port as usize].max_depth
     }
 
-    /// Splits off a per-shard view of this switch for epoch-
-    /// synchronized sharded execution. Port `p`'s state (FIFO, busy
-    /// time, credits, counters, series) *moves* to the shard for which
-    /// `owner(p)` is true; every other port is left as a fresh dummy
-    /// in the returned switch. The routing table is shared read-only
-    /// (cloned — it is immutable after construction), so any shard can
-    /// resolve a route even for ports it does not own. Ingress
-    /// counters start at zero in the shard and are summed back by
-    /// [`Switch::absorb`].
-    pub fn split_ports(&mut self, owner: impl Fn(u16) -> bool) -> Switch {
-        let ports = (0..self.ports.len() as u16)
-            .map(|p| {
-                if owner(p) {
-                    std::mem::take(&mut self.ports[p as usize])
-                } else {
-                    Port::default()
-                }
-            })
-            .collect();
-        Switch {
-            routes: self.routes.clone(),
-            ports,
-            port_credit: self.port_credit,
-            pdus_ingress: 0,
-            pdus_replicated: 0,
-            observe: self.observe,
-        }
-    }
-
-    /// Re-absorbs a shard switch produced by [`Switch::split_ports`]:
-    /// ports the shard owned move back (their FIFOs must be drained —
-    /// sharded runs only re-join at quiescence), and ingress counters
-    /// are summed. `owner` must be the same predicate used at split.
-    pub fn absorb(&mut self, mut shard: Switch, owner: impl Fn(u16) -> bool) {
-        for p in 0..self.ports.len() as u16 {
-            if owner(p) {
-                self.ports[p as usize] = std::mem::take(&mut shard.ports[p as usize]);
-            }
-        }
-        self.pdus_ingress += shard.pdus_ingress;
-        self.pdus_replicated += shard.pdus_replicated;
-    }
-
     /// Aggregate counters.
     pub fn stats(&self) -> SwitchStats {
         let mut s = SwitchStats {
@@ -498,9 +442,8 @@ impl Switch {
 mod tests {
     use super::*;
 
-    fn pdu(src: u16, vc: u32, token: u64) -> SwitchedPdu {
+    fn pdu(vc: u32, token: u64) -> SwitchedPdu {
         SwitchedPdu {
-            src,
             vc,
             payload: None,
             cells: 2,
@@ -533,8 +476,8 @@ mod tests {
     #[test]
     fn port_fifo_preserves_order_and_tracks_depth() {
         let mut sw = Switch::new(&SwitchConfig::new(2, 64).route(0, 1, &[1]));
-        sw.enqueue(1, pdu(0, 1, 10), SimTime::ZERO);
-        sw.enqueue(1, pdu(0, 1, 11), SimTime::ZERO);
+        sw.enqueue(1, pdu(1, 10), SimTime::ZERO);
+        sw.enqueue(1, pdu(1, 11), SimTime::ZERO);
         assert_eq!(sw.queue_len(1), 2);
         assert_eq!(sw.pop(1, SimTime::ZERO).unwrap().token, 10);
         assert_eq!(sw.pop(1, SimTime::ZERO).unwrap().token, 11);
@@ -571,8 +514,8 @@ mod tests {
     fn stats_aggregate_across_ports() {
         let mut sw = Switch::new(&SwitchConfig::new(3, 1).route(0, 1, &[1, 2]));
         sw.note_ingress(1);
-        sw.enqueue(1, pdu(0, 1, 10), SimTime::ZERO);
-        sw.enqueue(2, pdu(0, 1, 10), SimTime::ZERO);
+        sw.enqueue(1, pdu(1, 10), SimTime::ZERO);
+        sw.enqueue(2, pdu(1, 10), SimTime::ZERO);
         assert!(sw.try_consume_credits(1, 1, 1, SimTime::ZERO));
         assert!(!sw.try_consume_credits(1, 1, 2, SimTime::ZERO));
         sw.pop(1, SimTime::ZERO);
@@ -589,8 +532,8 @@ mod tests {
         let mk = |observe: bool| {
             let mut sw = Switch::new(&SwitchConfig::new(2, 2).route(0, 1, &[1]));
             sw.set_observe(observe);
-            sw.enqueue(1, pdu(0, 1, 10), SimTime::from_us(1.0));
-            sw.enqueue(1, pdu(0, 1, 11), SimTime::from_us(2.0));
+            sw.enqueue(1, pdu(1, 10), SimTime::from_us(1.0));
+            sw.enqueue(1, pdu(1, 11), SimTime::from_us(2.0));
             assert!(sw.try_consume_credits(1, 1, 2, SimTime::from_us(3.0)));
             assert!(!sw.try_consume_credits(1, 1, 2, SimTime::from_us(4.0)));
             sw.pop(1, SimTime::from_us(5.0));
@@ -623,7 +566,7 @@ mod tests {
         let mut sw = Switch::new(&SwitchConfig::new(2, 64).route(0, 1, &[1]));
         sw.set_observe(true);
         for i in 0..(PORT_SERIES_CAP as u64 + 50) {
-            sw.enqueue(1, pdu(0, 1, i), SimTime::from_ps(i));
+            sw.enqueue(1, pdu(1, i), SimTime::from_ps(i));
             sw.pop(1, SimTime::from_ps(i));
         }
         let series = sw.port_series(1);

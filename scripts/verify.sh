@@ -42,20 +42,17 @@ trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace"' EXIT
 cmp "$tmp_serial" "$tmp_par"
 cmp "$tmp_serial" report_output.txt
 
-echo "== cq saturation determinism (threads x shards, faults on and off) =="
+echo "== cq saturation determinism (threads x faults) =="
 # The CQ sweep reports simulated numbers only, so the rendered table
-# must be byte-identical however the run is parallelized — across
-# sweep threads, across intra-world shards, and with the masked fault
-# plan active.
+# must be byte-identical however many sweep threads run it, with the
+# masked fault plan off and on.
 tmp_cq=$(mktemp) && tmp_cq2=$(mktemp)
 trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2"' EXIT
 ./target/release/report fabric --cq --threads 1 >"$tmp_cq" 2>/dev/null
 ./target/release/report fabric --cq --threads 4 >"$tmp_cq2" 2>/dev/null
 cmp "$tmp_cq" "$tmp_cq2"
-./target/release/report fabric --cq --shards 4 >"$tmp_cq2" 2>/dev/null
-cmp "$tmp_cq" "$tmp_cq2"
-GENIE_CQ_FAULT_SEED=7 ./target/release/report fabric --cq --shards 1 >"$tmp_cq" 2>/dev/null
-GENIE_CQ_FAULT_SEED=7 ./target/release/report fabric --cq --shards 8 >"$tmp_cq2" 2>/dev/null
+GENIE_CQ_FAULT_SEED=7 ./target/release/report fabric --cq --threads 1 >"$tmp_cq" 2>/dev/null
+GENIE_CQ_FAULT_SEED=7 ./target/release/report fabric --cq --threads 4 >"$tmp_cq2" 2>/dev/null
 cmp "$tmp_cq" "$tmp_cq2"
 
 echo "== metrics and trace smoke =="

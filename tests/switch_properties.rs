@@ -3,7 +3,8 @@
 //! a fabric bug — this file drives `World` directly).
 //!
 //! Three invariants, each over randomized topologies and 100+ seeds
-//! (`GENIE_SWITCH_PROP_SEEDS` overrides the count):
+//! (`GENIE_SWITCH_PROP_SEEDS` overrides the count), plus a bound on
+//! the event loop's resident queue on a fixed star:
 //!
 //! - **Conservation.** Every PDU injected at switch ingress is
 //!   dispatched to exactly its fan-out's worth of destinations and
@@ -401,4 +402,63 @@ fn star_and_chain_builders_route_every_host() {
     // Unrelated worlds stay quiet: no events pending before any I/O.
     w.run();
     wc.run();
+}
+
+/// Resident event memory stays bounded: the event loop's high-water
+/// mark of queued events is pinned against the traffic volume, so a
+/// leak in event scheduling shows up as a blown bound rather than
+/// silent RSS growth.
+#[test]
+fn resident_event_memory_is_bounded() {
+    const HOSTS: u16 = 8;
+    const VC_BASE: u32 = 700;
+    let mut rng = XorShift64::new(0xDE7E_2215u64.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+    // Spokes fan into the hub; the hub answers every spoke.
+    let mut traffic = Vec::new();
+    for spoke in 1..HOSTS {
+        for _ in 0..4 {
+            let len = 1 + rng.below(2600) as usize;
+            traffic.push((spoke, 0, VC_BASE + u32::from(spoke), len));
+        }
+        for _ in 0..3 {
+            let len = 1 + rng.below(2600) as usize;
+            traffic.push((0, spoke, VC_BASE + u32::from(HOSTS + spoke), len));
+        }
+    }
+    let sw = SwitchConfig::star(HOSTS, 0, VC_BASE, 256);
+    let mut w = World::new(WorldConfig {
+        frames_per_host: 1024,
+        ..WorldConfig::switched(MachineSpec::micron_p166(), usize::from(HOSTS), sw)
+    });
+    let sem = Semantics::Copy;
+    let spaces: Vec<_> = (0..HOSTS).map(|h| w.create_process(HostId(h))).collect();
+    for &(_src, dst, vc, len) in &traffic {
+        let space = spaces[usize::from(dst)];
+        let buf = w.alloc_buffer(HostId(dst), space, len, 0).expect("dst buf");
+        w.input(HostId(dst), InputRequest::app(sem, Vc(vc), space, buf, len))
+            .expect("post input");
+    }
+    for (i, &(src, _dst, vc, len)) in traffic.iter().enumerate() {
+        let space = spaces[usize::from(src)];
+        let src_buf = w.alloc_buffer(HostId(src), space, len, 0).expect("src buf");
+        w.app_write(HostId(src), space, src_buf, &vec![i as u8; len])
+            .expect("fill");
+        w.output(
+            HostId(src),
+            OutputRequest::new(sem, Vc(vc), space, src_buf, len),
+        )
+        .expect("output");
+    }
+    w.run();
+    assert_eq!(w.take_completed_inputs().len(), traffic.len());
+    let peak = w.peak_resident_events();
+    assert!(peak > 0, "the event loop must track residency");
+    // Each datagram contributes a handful of events (transmit,
+    // ingress, drain, arrival, completion); a factor of 8 over the
+    // datagram count is already generous.
+    assert!(
+        peak <= traffic.len() * 8,
+        "peak resident {peak} for {} datagrams",
+        traffic.len()
+    );
 }
