@@ -55,6 +55,22 @@ GENIE_CQ_FAULT_SEED=7 ./target/release/report fabric --cq --threads 1 >"$tmp_cq"
 GENIE_CQ_FAULT_SEED=7 ./target/release/report fabric --cq --threads 4 >"$tmp_cq2" 2>/dev/null
 cmp "$tmp_cq" "$tmp_cq2"
 
+echo "== fabric golden (report fabric, --cq, faulted --cq, 20k --scale) =="
+# Every fabric exhibit is simulated output, so the four runs together
+# must match the committed golden byte for byte.
+tmp_fabric=$(mktemp)
+trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_fabric"' EXIT
+{
+  ./target/release/report fabric --threads 1
+  ./target/release/report fabric --cq --threads 1
+  GENIE_CQ_FAULT_SEED=7 ./target/release/report fabric --cq --threads 1
+  GENIE_SCALE_DATAGRAMS=20000 ./target/release/report fabric --scale
+} >"$tmp_fabric" 2>/dev/null
+cmp "$tmp_fabric" scripts/golden_fabric.txt || {
+  echo "verify: fabric output drifted from scripts/golden_fabric.txt" >&2
+  exit 1
+}
+
 echo "== metrics and trace smoke =="
 ./target/release/report --metrics >"$tmp_metrics" 2>/dev/null
 grep -q '"host_a.busy_us"' "$tmp_metrics"
@@ -65,7 +81,7 @@ grep -q '"process_name"' "$tmp_trace"
 
 echo "== datapath microbench smoke =="
 tmp_bench=$(mktemp)
-trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_bench"' EXIT
+trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_fabric" "$tmp_bench"' EXIT
 ./target/release/datapath --quick --out "$tmp_bench" >/dev/null
 grep -q '"datapath_ns"' "$tmp_bench"
 grep -q '"crc32_60k"' "$tmp_bench"
@@ -77,7 +93,7 @@ echo "== simulated-latency golden guard (report --json vs committed golden) =="
 # they vary by machine, which is why BENCH_report.json itself is not
 # committed).
 tmp_json_dir=$(mktemp -d)
-trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_bench"; rm -rf "$tmp_json_dir"' EXIT
+trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_fabric" "$tmp_bench"; rm -rf "$tmp_json_dir"' EXIT
 (cd "$tmp_json_dir" && "$OLDPWD/target/release/report" --json all --threads 1 >/dev/null 2>&1)
 for section in fault_stats simulated_latency_60kb_us; do
   sed -n "/\"$section\"/,/}/p" "$tmp_json_dir/BENCH_report.json" >"$tmp_json_dir/got"
@@ -99,7 +115,7 @@ if [ "${GENIE_BENCH_TOL:-25}" = "skip" ]; then
   echo "perf gate skipped (GENIE_BENCH_TOL=skip)"
 else
   perf_dir=$(mktemp -d)
-  trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_bench"; rm -rf "$tmp_json_dir" "$perf_dir"' EXIT
+  trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_fabric" "$tmp_bench"; rm -rf "$tmp_json_dir" "$perf_dir"' EXIT
   for i in 1 2 3; do
     (cd "$perf_dir" && "$OLDPWD/target/release/report" --json all --threads 1 >/dev/null 2>&1)
     cp "$perf_dir/BENCH_report.json" "$perf_dir/run$i.json"
@@ -126,7 +142,7 @@ echo "== sampled-tracing overhead smoke (budgeted flight recorder vs untraced) =
 # untraced runs. Wall time, so the minimum of two runs absorbs load
 # spikes the same way the perf gate does.
 smoke_dir=$(mktemp -d)
-trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_bench"; rm -rf "$tmp_json_dir" "$smoke_dir"' EXIT
+trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_fabric" "$tmp_bench"; rm -rf "$tmp_json_dir" "$smoke_dir"' EXIT
 run_ms() { # run_ms OUT_FILE CMD... -> wall ms on stdout
   local out=$1 t0 t1
   shift
