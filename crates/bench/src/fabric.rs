@@ -185,14 +185,12 @@ pub fn fabric_scale_run() -> ScaleReport {
 
 /// Renders `report fabric --scale` stdout. Simulated numbers only —
 /// the rendered text is byte-identical on every machine; wall-clock
-/// throughput lives in `BENCH_report.json`. The header wording
-/// predates the removal of the sharded engine and is kept so the
-/// exhibit stays byte-identical to earlier snapshots.
+/// throughput lives in `BENCH_report.json`.
 pub fn fabric_scale_exhibit(report: &ScaleReport) -> String {
     let mut out = format!(
         "# Fabric scale tier: {}-host star fan-in, {} x {} B datagrams per semantics\n\
-         All numbers below are simulated and shard-count invariant;\n\
-         wall-clock throughput and parallel speedup are recorded via\n\
+         All numbers below are simulated and thread-count invariant;\n\
+         wall-clock throughput is recorded via\n\
          `report --json fabric --scale` only.\n\n",
         SCALE_HOSTS, report.per_semantics, SCALE_BYTES,
     );
