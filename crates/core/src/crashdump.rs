@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 
 use genie_trace::{EventKind, TraceEvent};
 
-use crate::world::{FabricState, World};
+use crate::world::World;
 use genie_machine::SimTime;
 
 /// How many trailing trace events each owner contributes to a dump.
@@ -193,7 +193,7 @@ impl World {
         // port (only meaningful when the switch was observing).
         s.push_str("  \"switch_ports\": [");
         let mut first_port = true;
-        if let FabricState::Switched(sw) = &self.fabric {
+        if let Some(sw) = &self.switch {
             if sw.observing() {
                 for p in 0..sw.ports() {
                     let series = sw.port_series(p);

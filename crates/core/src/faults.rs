@@ -284,12 +284,7 @@ impl World {
     /// VC's transmit queue in case a PDU stalled on them.
     pub(crate) fn on_restore_credits(&mut self, time: SimTime, host: HostId, vc: Vc, cells: u32) {
         self.hosts[host.idx()].adapter.return_credits(vc, cells);
-        if let Some(&front) = self.txq[host.idx()]
-            .get(u64::from(vc.0))
-            .and_then(std::collections::VecDeque::front)
-        {
-            self.events.push(time, Event::Transmit { token: front });
-        }
+        self.wake_txq(host, vc, time);
     }
 
     /// Schedules a retransmission of `token` with exponential backoff,
@@ -329,8 +324,10 @@ impl World {
             .try_send_credits(vc, cells as u32)
         {
             self.restore_inflight(token, inf);
-            self.events
-                .push(time + SimTime::from_us(50.0), Event::Retransmit { token });
+            self.events.push(
+                time + crate::fabric::UPLINK_STALL_RETRY,
+                Event::Retransmit { token },
+            );
             return;
         }
         self.fault.stats.retransmits += 1;
@@ -340,18 +337,8 @@ impl World {
                 tracer.instant(genie_trace::Track::Events, "retransmit", time, cells);
             }
         }
-        let switched = self.is_switched();
         self.hosts[from.idx()].charge_overlapped(Op::CellTx, total, cells);
-        let dev_rx = if switched {
-            SimTime::ZERO // charged on the switch's egress hop
-        } else {
-            let dst = self.route_dst(from, vc);
-            self.hosts[dst.idx()].charge_overlapped(Op::DeviceFixedRecv, 0, 0)
-        };
-        let wire_start = time.max(self.link_busy_until[from.idx()]);
-        let wire_done = wire_start + self.link.wire_time(total);
-        self.link_busy_until[from.idx()] = wire_done;
-        let mut arrival = wire_done + self.link.fixed_latency + dev_rx;
+        let (_, mut arrival) = self.uplink_hop(from, vc, seq, time, total, cells);
 
         let verdict = self.fault.plan.wire(cells);
         if let Some(extra) = verdict.extra_delay {
@@ -362,57 +349,20 @@ impl World {
             Some(damage) => self.apply_wire_damage(vc, &inf.bytes, damage),
             None => true,
         };
-        if intact {
+        let pdu = if intact {
             let mut payload = self.take_payload_buf();
             payload.extend_from_slice(&inf.bytes);
             let mut pdu = WirePdu::new(vc.0, payload);
             if self.force_cells {
                 pdu = self.roundtrip_through_cells(pdu);
             }
-            let ev = if switched {
-                Event::SwitchIngress {
-                    from,
-                    vc,
-                    pdu: Some(pdu),
-                    cells,
-                    total,
-                    sent_at,
-                    token,
-                    seq,
-                }
-            } else {
-                Event::Arrive {
-                    to: self.route_dst(from, vc),
-                    vc,
-                    pdu,
-                    sent_at,
-                    token,
-                }
-            };
-            self.events.push(arrival, ev);
+            Some(pdu)
         } else {
             self.fault.stats.pdus_damaged += 1;
-            let ev = if switched {
-                Event::SwitchIngress {
-                    from,
-                    vc,
-                    pdu: None,
-                    cells,
-                    total,
-                    sent_at,
-                    token,
-                    seq,
-                }
-            } else {
-                Event::ArriveDamaged {
-                    to: self.route_dst(from, vc),
-                    vc,
-                    token,
-                    cells,
-                }
-            };
-            self.events.push(arrival, ev);
-        }
+            None
+        };
+        let ev = self.uplink_event(from, vc, pdu, cells, total, sent_at, token, seq);
+        self.events.push(arrival, ev);
         self.restore_inflight(token, inf);
     }
 
@@ -439,28 +389,7 @@ impl World {
         }
         // The damaged cells still drained the receiver's buffers, so
         // the last hop's credits return and wake as in `on_arrive`.
-        match &mut self.fabric {
-            crate::world::FabricState::Passthrough => {
-                let sender = HostId(to.0 ^ 1);
-                self.hosts[sender.idx()]
-                    .adapter
-                    .return_credits(vc, cells as u32);
-                if let Some(&front) = self.txq[sender.idx()]
-                    .get(u64::from(vc.0))
-                    .and_then(std::collections::VecDeque::front)
-                {
-                    let wake = time + self.link.fixed_latency;
-                    self.events.push(wake, Event::Transmit { token: front });
-                }
-            }
-            crate::world::FabricState::Switched(sw) => {
-                sw.return_credits(to.0, vc.0, cells as u32);
-                if sw.queue_len(to.0) > 0 {
-                    let wake = time + self.link.fixed_latency;
-                    self.events.push(wake, Event::PortDrain { port: to.0 });
-                }
-            }
-        }
+        self.return_hop_credits(time, to, vc, cells);
         self.schedule_retransmit(time, token);
     }
 

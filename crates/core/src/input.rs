@@ -279,34 +279,7 @@ impl World {
             host.charge_latency(Op::OsFixedRecv, 0, 0);
             host.charge_overlapped(Op::CellRx, total, cells);
         }
-        // Return the last hop's credits now and, one wire latency on,
-        // wake whoever was stalled on them: the peer's transmit queue in
-        // a passthrough world, else the switch port (its only wake).
-        match &mut self.fabric {
-            crate::world::FabricState::Passthrough => {
-                let sender = HostId(to.0 ^ 1);
-                self.hosts[sender.idx()]
-                    .adapter
-                    .return_credits(vc, cells as u32);
-                if let Some(&front) = self.txq[sender.idx()]
-                    .get(u64::from(vc.0))
-                    .and_then(VecDeque::front)
-                {
-                    // A credit-return message crosses the wire back.
-                    let wake = time + self.link.fixed_latency;
-                    self.events
-                        .push(wake, crate::world::Event::Transmit { token: front });
-                }
-            }
-            crate::world::FabricState::Switched(sw) => {
-                sw.return_credits(to.0, vc.0, cells as u32);
-                if sw.queue_len(to.0) > 0 {
-                    let wake = time + self.link.fixed_latency;
-                    self.events
-                        .push(wake, crate::world::Event::PortDrain { port: to.0 });
-                }
-            }
-        }
+        self.return_hop_credits(time, to, vc, cells);
 
         if !self.fault.plan.active() {
             self.deliver_pdu(to, vc, pdu.payload(), sent_at);

@@ -14,7 +14,7 @@ use genie_trace::metrics::{Histogram, MetricsRegistry};
 use genie_trace::{SampleConfig, TraceSet};
 use genie_vm::{PagePeek, RegionMark, SpaceId};
 
-use crate::world::{FabricState, HostId, World};
+use crate::world::{HostId, World};
 
 /// Owner id the wire tracer uses in the flow-selection hash (disjoint
 /// from any host index).
@@ -75,7 +75,7 @@ impl World {
             h.tracer.set_enabled(on);
         }
         self.wire_tracer.set_enabled(on);
-        if let FabricState::Switched(sw) = &mut self.fabric {
+        if let Some(sw) = &mut self.switch {
             sw.set_observe(on);
         }
     }

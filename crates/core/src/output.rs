@@ -351,7 +351,7 @@ impl World {
             if tracer.enabled() {
                 tracer.instant(genie_trace::Track::Events, "credit.stall", time, cells);
             }
-            let retry = time + SimTime::from_us(50.0);
+            let retry = time + crate::fabric::UPLINK_STALL_RETRY;
             self.events.push(retry, Event::Transmit { token });
             self.hosts[from.idx()].tracer.clear_flow();
             return false;
@@ -372,46 +372,12 @@ impl World {
         // transmission (contributes to Figure 4, not to latency).
         self.hosts[from.idx()].charge_overlapped(Op::CellTx, total, cells);
 
-        let switched = self.is_switched();
         let dma_setup = self.hosts[from.idx()].charge_overlapped(Op::DmaSetup, 0, 0);
         let dev_tx = self.hosts[from.idx()].charge_overlapped(Op::DeviceFixedSend, 0, 0);
-        // The receiving device's fixed cost belongs to whoever faces
-        // the destination host: the sender's hop in a passthrough
-        // world, the switch's egress hop otherwise.
-        let dev_rx = if switched {
-            SimTime::ZERO
-        } else {
-            let dst = self.route_dst(from, vc);
-            self.hosts[dst.idx()].charge_overlapped(Op::DeviceFixedRecv, 0, 0)
-        };
         // The wire serializes transmissions in each direction:
         // pipelined datagrams queue behind the previous PDU's cells.
         let ready = time + dma_setup + dev_tx;
-        let wire_start = ready.max(self.link_busy_until[from.idx()]);
-        let wire_done = wire_start + self.link.wire_time(total);
-        self.link_busy_until[from.idx()] = wire_done;
-        if self.wire_tracer.enabled() {
-            let name = if switched {
-                "wire host\u{2192}switch"
-            } else if from == HostId::A {
-                "wire A\u{2192}B"
-            } else {
-                "wire B\u{2192}A"
-            };
-            self.wire_tracer.set_flow(vc.0, seq);
-            self.wire_tracer.span(
-                genie_trace::Track::Wire,
-                name,
-                wire_start,
-                wire_done.saturating_sub(wire_start),
-                total,
-                cells,
-            );
-            self.wire_tracer.clear_flow();
-        }
-        // In a passthrough world this is the arrival at the peer; in a
-        // switched world, the arrival at the switch's ingress.
-        let mut arrival = wire_done + self.link.fixed_latency + dev_rx;
+        let (wire_start, mut arrival) = self.uplink_hop(from, vc, seq, ready, total, cells);
         let mut txdone = wire_start.max(time) + self.dma.transfer_time(total);
 
         // The wire image: one contiguous pooled buffer plus cell
@@ -423,6 +389,7 @@ impl World {
             pdu = self.roundtrip_through_cells(pdu);
         }
 
+        let mut intact = true;
         if self.fault.plan.active() {
             // The adapter keeps the wire image for retransmission until
             // the peer delivers this PDU in order.
@@ -451,56 +418,18 @@ impl World {
                 txdone += d;
             }
             if let Some(damage) = verdict.damage {
-                if !self.apply_wire_damage(vc, pdu.payload(), damage) {
-                    self.fault.stats.pdus_damaged += 1;
-                    self.recycle_pdu(pdu);
-                    let ev = if switched {
-                        Event::SwitchIngress {
-                            from,
-                            vc,
-                            pdu: None,
-                            cells,
-                            total,
-                            sent_at,
-                            token,
-                            seq,
-                        }
-                    } else {
-                        Event::ArriveDamaged {
-                            to: self.route_dst(from, vc),
-                            vc,
-                            token,
-                            cells,
-                        }
-                    };
-                    self.events.push(arrival, ev);
-                    self.events.push(txdone, Event::TxDone { token });
-                    self.hosts[from.idx()].tracer.clear_flow();
-                    return true;
-                }
+                intact = self.apply_wire_damage(vc, pdu.payload(), damage);
             }
         }
-
-        let ev = if switched {
-            Event::SwitchIngress {
-                from,
-                vc,
-                pdu: Some(pdu),
-                cells,
-                total,
-                sent_at,
-                token,
-                seq,
-            }
+        let pdu = if intact {
+            Some(pdu)
         } else {
-            Event::Arrive {
-                to: self.route_dst(from, vc),
-                vc,
-                pdu,
-                sent_at,
-                token,
-            }
+            self.fault.stats.pdus_damaged += 1;
+            self.recycle_pdu(pdu);
+            None
         };
+
+        let ev = self.uplink_event(from, vc, pdu, cells, total, sent_at, token, seq);
         self.events.push(arrival, ev);
         self.events.push(txdone, Event::TxDone { token });
         self.hosts[from.idx()].tracer.clear_flow();

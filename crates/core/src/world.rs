@@ -40,9 +40,9 @@ impl HostId {
         usize::from(self.0)
     }
 
-    /// The other host of a two-host world. Only meaningful with the
-    /// passthrough fabric, where exactly two hosts exist; datapath
-    /// code routes via the fabric instead (see `World::route_dst`).
+    /// The other host of a two-host world: the passthrough fabric's
+    /// route, where exactly two hosts exist (switched worlds route
+    /// through the switch instead; see `World::route_dst`).
     pub fn peer(self) -> HostId {
         HostId(self.0 ^ 1)
     }
@@ -143,24 +143,20 @@ pub(crate) enum Event {
     Transmit { token: u64 },
     /// Transmit-side DMA finished: run the sender's dispose stage.
     TxDone { token: u64 },
-    /// The PDU reached the receiving adapter intact. The PDU travels
-    /// the wire as one contiguous [`WirePdu`] — cell count and AAL5
+    /// A PDU reached the receiving adapter. An intact PDU travels the
+    /// wire as one contiguous [`WirePdu`] — cell count and AAL5
     /// trailer are metadata; 48-byte cells are never materialized on
     /// this fast path.
     Arrive {
         to: HostId,
         vc: Vc,
-        pdu: WirePdu,
+        /// The intact wire image, or `None` for a damaged PDU (AAL5
+        /// reassembly fails at the adapter; only raised by an active
+        /// fault plan).
+        pdu: Option<WirePdu>,
+        cells: usize,
         sent_at: SimTime,
         token: u64,
-    },
-    /// A damaged PDU reached the receiving adapter (AAL5 reassembly
-    /// failed there); only raised by an active fault plan.
-    ArriveDamaged {
-        to: HostId,
-        vc: Vc,
-        token: u64,
-        cells: usize,
     },
     /// Resend a PDU from the sender's retransmit buffer.
     Retransmit { token: u64 },
@@ -216,20 +212,13 @@ pub(crate) struct OpSlot {
 /// the tables stay compact).
 pub(crate) type VcQueues<T> = Vec<DenseMap<VecDeque<T>>>;
 
-/// Runtime fabric state (built from [`Fabric`]).
-#[derive(Debug)]
-pub(crate) enum FabricState {
-    /// Two hosts back to back; routing is the identity `0 <-> 1`.
-    Passthrough,
-    /// The switch's queues, credits and routing table.
-    Switched(Switch),
-}
-
 /// The simulation world.
 #[derive(Debug)]
 pub struct World {
     pub(crate) hosts: Vec<Host>,
-    pub(crate) fabric: FabricState,
+    /// The switch's queues, credits and routing table; `None` wires
+    /// two hosts back to back, routed by [`HostId::peer`].
+    pub(crate) switch: Option<Switch>,
     pub(crate) link: LinkSpec,
     pub(crate) dma: DmaModel,
     pub(crate) cfg: GenieConfig,
@@ -310,10 +299,10 @@ impl World {
         for m in &cfg.extra_machines {
             hosts.push(mk(m.clone()));
         }
-        let fabric = match &cfg.fabric {
+        let switch = match &cfg.fabric {
             Fabric::Passthrough => {
                 assert_eq!(n, 2, "the passthrough fabric wires exactly two hosts");
-                FabricState::Passthrough
+                None
             }
             Fabric::Switched(sc) => {
                 assert_eq!(
@@ -326,12 +315,12 @@ impl World {
                     !(sc.has_multicast() && cfg.fault.active()),
                     "multicast routes require a fault-free world"
                 );
-                FabricState::Switched(Switch::new(sc))
+                Some(Switch::new(sc))
             }
         };
         World {
             hosts,
-            fabric,
+            switch,
             link: cfg.link.clone(),
             dma: DmaModel::pci32(),
             cfg: cfg.genie,
@@ -374,38 +363,30 @@ impl World {
 
     /// Whether this world runs a switched fabric.
     pub fn is_switched(&self) -> bool {
-        matches!(self.fabric, FabricState::Switched(_))
+        self.switch.is_some()
     }
 
     /// The switch's aggregate counters (`None` in passthrough worlds).
     pub fn switch_stats(&self) -> Option<genie_net::SwitchStats> {
-        match &self.fabric {
-            FabricState::Passthrough => None,
-            FabricState::Switched(sw) => Some(sw.stats()),
-        }
+        self.switch.as_ref().map(Switch::stats)
     }
 
     /// Shared access to the switch (`None` in passthrough worlds);
     /// property tests inspect queues and credit ledgers through this.
     pub fn switch(&self) -> Option<&Switch> {
-        match &self.fabric {
-            FabricState::Passthrough => None,
-            FabricState::Switched(sw) => Some(sw),
-        }
+        self.switch.as_ref()
     }
 
     /// The unicast destination of traffic from `from` on `vc`. In the
     /// passthrough fabric the route is the wire itself (`0 <-> 1`); in
     /// a switched fabric it is the first routing-table entry.
     pub fn route_dst(&self, from: HostId, vc: Vc) -> HostId {
-        match &self.fabric {
-            FabricState::Passthrough => HostId(from.0 ^ 1),
-            FabricState::Switched(sw) => {
-                let dsts = sw.route(from.0, vc.0);
-                assert!(!dsts.is_empty(), "no route from host {} on {vc:?}", from.0);
-                HostId(dsts[0])
-            }
-        }
+        let Some(sw) = &self.switch else {
+            return from.peer();
+        };
+        let dsts = sw.route(from.0, vc.0);
+        assert!(!dsts.is_empty(), "no route from host {} on {vc:?}", from.0);
+        HostId(dsts[0])
     }
 
     /// Takes a cleared payload buffer from the spare pool (or
@@ -636,15 +617,13 @@ impl World {
                 to,
                 vc,
                 pdu,
+                cells,
                 sent_at,
                 token,
-            } => self.on_arrive(time, to, vc, pdu, sent_at, token),
-            Event::ArriveDamaged {
-                to,
-                vc,
-                token,
-                cells,
-            } => self.on_arrive_damaged(time, to, vc, token, cells),
+            } => match pdu {
+                Some(pdu) => self.on_arrive(time, to, vc, pdu, sent_at, token),
+                None => self.on_arrive_damaged(time, to, vc, token, cells),
+            },
             Event::Retransmit { token } => self.on_retransmit(time, token),
             Event::RestoreCredits { host, vc, cells } => {
                 self.on_restore_credits(time, host, vc, cells);
@@ -680,7 +659,7 @@ impl World {
             }
         }
         // Liveness: only credit-return wakes restart a blocked port.
-        if let FabricState::Switched(sw) = &self.fabric {
+        if let Some(sw) = &self.switch {
             debug_assert!(
                 (0..sw.ports()).all(|port| sw.queue_len(port) == 0),
                 "run quiesced with PDUs stranded in a switch output FIFO"
@@ -843,6 +822,15 @@ mod tests {
         let mut cfg = WorldConfig::switched(MachineSpec::micron_p166(), 3, sw);
         cfg.fault = genie_fault::FaultConfig::swarm(1);
         let _ = World::new(cfg);
+    }
+
+    #[test]
+    fn events_stay_small() {
+        // Every queued event pays for the largest variant. A damaged
+        // PDU rides in the niche of `Option<WirePdu>`, so it costs no
+        // variant of its own.
+        let size = std::mem::size_of::<Event>();
+        assert!(size <= 96, "Event grew to {size} bytes");
     }
 
     #[test]
