@@ -1,7 +1,7 @@
 //! CQ-level differential: the submission/completion-queue front-end
 //! versus a naive reference queue.
 //!
-//! [`run_cq_scenario`] drives the *same* seeded op sequence through
+//! [`CqScenario::run`] drives the *same* seeded op sequence through
 //! two independent worlds: the real one behind [`genie::QueuePair`]
 //! (bounded rings, in-flight window, FIFO-strict submission) and a
 //! [`ModelQueue`] that issues every staged operation immediately and
@@ -23,16 +23,14 @@
 //!   sweep over every tracked buffer demands byte-equal (or
 //!   equal-inaccessible) state across the two worlds.
 //!
-//! On divergence the scenario shrinks to a locally-minimal op list and
-//! is emitted as a replayable `.ops` file (directory
-//! `GENIE_MODEL_CE_DIR`, default `target/model-counterexamples`), next
-//! to a flight-recorder crash dump of the real run. Corpus anchors
+//! On divergence the kernel ([`crate::kernel`]) shrinks the scenario
+//! and emits it as a replayable `.ops` file, next to the real run's
+//! crash dump and Chrome trace. Corpus anchors
 //! live in `tests/corpus_cq/` — a separate directory from the
 //! synchronous differential's `tests/corpus/`, because the two
 //! formats share the extension but not the verbs.
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
 
 use genie::cq::{self, AdaptiveConfig, CqConfig, CqResult, Landing, QueuePair, Sqe, SqeOp};
 use genie::{Allocation, HostId, InputRequest, OutputRequest, Semantics, World, WorldConfig};
@@ -41,6 +39,7 @@ use genie_net::{InputBuffering, Vc};
 use genie_vm::SpaceId;
 
 use crate::harness::seed_is_faulted;
+use crate::kernel::{index_of, parse_ops, Differential, Divergence};
 use crate::ops::payload;
 
 /// One step of a CQ differential scenario.
@@ -86,9 +85,10 @@ pub struct CqScenario {
 /// Deliberate defects for the teeth tests: each must make the
 /// differential fail (and shrink), proving the checker would catch
 /// the corresponding real bug.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CqBug {
     /// No defect.
+    #[default]
     None,
     /// The real side's completion ring returns each polled batch with
     /// adjacent entries swapped — a reordered ring.
@@ -96,19 +96,6 @@ pub enum CqBug {
     /// The real side silently drops every third polled completion — a
     /// leaked tag.
     DroppedCqe,
-}
-
-/// Model and queue pair disagreed.
-#[derive(Clone, Debug)]
-pub struct CqDivergence {
-    /// Index of the op after which the states differ.
-    pub step: usize,
-    /// The op, rendered.
-    pub op: String,
-    /// What disagreed.
-    pub detail: String,
-    /// Flight-recorder crash dump of the real run.
-    pub dump_json: Option<String>,
 }
 
 /// Deterministic summary of one passing CQ scenario.
@@ -344,32 +331,24 @@ fn world_config(sc: &CqScenario) -> WorldConfig {
 
 /// Runs one CQ scenario differentially. `Ok` carries the run summary;
 /// `Err` carries the first divergence.
-pub fn run_cq_scenario(sc: &CqScenario, bug: CqBug) -> Result<CqRunStats, CqDivergence> {
+fn run_cq_scenario(sc: &CqScenario, bug: CqBug, traced: bool) -> Result<CqRunStats, Divergence> {
     let faulted = seed_is_faulted(sc.seed);
     // Real side: one world, a send queue pair on A and a receive queue
     // pair on B, window-gated and ring-bounded per the scenario.
     let mut w = World::new(world_config(sc));
+    if traced {
+        w.enable_tracing(true);
+    }
     let tx = w.create_process(HostId::A);
     let rx = w.create_process(HostId::B);
+    let cfg = CqConfig {
+        sq_depth: sc.sq_depth,
+        cq_depth: sc.cq_depth,
+        window: AdaptiveConfig::fixed(sc.window),
+    };
     let mut qps = vec![
-        QueuePair::new(
-            HostId::A,
-            sc.semantics,
-            CqConfig {
-                sq_depth: sc.sq_depth,
-                cq_depth: sc.cq_depth,
-                window: AdaptiveConfig::fixed(sc.window),
-            },
-        ),
-        QueuePair::new(
-            HostId::B,
-            sc.semantics,
-            CqConfig {
-                sq_depth: sc.sq_depth,
-                cq_depth: sc.cq_depth,
-                window: AdaptiveConfig::fixed(sc.window),
-            },
-        ),
+        QueuePair::new(HostId::A, sc.semantics, cfg),
+        QueuePair::new(HostId::B, sc.semantics, cfg),
     ];
     let mut m = ModelQueue::new(sc);
 
@@ -381,29 +360,11 @@ pub fn run_cq_scenario(sc: &CqScenario, bug: CqBug) -> Result<CqRunStats, CqDive
     // Real-side bindings for the final sweep, by ordinal.
     let mut real_sources: Vec<(SpaceId, u64, usize)> = Vec::new();
     let mut real_landings: Vec<(SpaceId, u64, usize)> = Vec::new();
-    let mut send_lens: Vec<usize> = Vec::new();
     let mut sends_posted = 0u64;
     let mut recvs_posted = 0u64;
-    let mut stats = CqRunStats {
-        recv_completions: 0,
-        send_completions: 0,
-        sq_rejects: 0,
-        ring_overflows: 0,
-        probes_checked: 0,
-    };
 
-    let fail = |w: &mut World, step: usize, op: CqOp, detail: String| -> CqDivergence {
-        let dump_json =
-            Some(w.crash_dump_json(&format!("cq divergence at step {step}: {detail}"), w.now()));
-        CqDivergence {
-            step,
-            op: format!("{op:?}"),
-            detail,
-            dump_json,
-        }
-    };
-
-    for (step, &op) in sc.ops.iter().enumerate() {
+    // One op against both sides; `Err` says what disagreed.
+    let mut apply = |w: &mut World, op: CqOp| -> Result<(), String> {
         match op {
             CqOp::Send { len } => {
                 // Check acceptance before allocating, so the two
@@ -424,7 +385,7 @@ pub fn run_cq_scenario(sc: &CqScenario, bug: CqBug) -> Result<CqRunStats, CqDive
                         },
                     });
                     debug_assert!(r.is_err());
-                    continue;
+                    return Ok(());
                 }
                 let k = sends_posted;
                 sends_posted += 1;
@@ -444,7 +405,6 @@ pub fn run_cq_scenario(sc: &CqScenario, bug: CqBug) -> Result<CqRunStats, CqDive
                 w.app_write(HostId::A, tx, vaddr, &data)
                     .expect("real source write");
                 real_sources.push((tx, vaddr, len));
-                send_lens.push(len);
                 qps[0]
                     .post(Sqe {
                         user_data: SEND_TAG | k,
@@ -461,13 +421,8 @@ pub fn run_cq_scenario(sc: &CqScenario, bug: CqBug) -> Result<CqRunStats, CqDive
                 let accepted_real = qps[1].staged_len() < sc.sq_depth;
                 let accepted_model = m.post(CqOp::PostRecv, sc.seed, None).is_ok();
                 if accepted_real != accepted_model {
-                    return Err(fail(
-                        &mut w,
-                        step,
-                        op,
-                        format!(
-                            "sq accept disagrees: real {accepted_real}, model {accepted_model}"
-                        ),
+                    return Err(format!(
+                        "sq accept disagrees: real {accepted_real}, model {accepted_model}"
                     ));
                 }
                 if !accepted_real {
@@ -481,7 +436,7 @@ pub fn run_cq_scenario(sc: &CqScenario, bug: CqBug) -> Result<CqRunStats, CqDive
                         },
                     });
                     debug_assert!(r.is_err());
-                    continue;
+                    return Ok(());
                 }
                 let k = recvs_posted;
                 recvs_posted += 1;
@@ -512,19 +467,19 @@ pub fn run_cq_scenario(sc: &CqScenario, bug: CqBug) -> Result<CqRunStats, CqDive
                 // Receives first so every arrival is solicited, then
                 // sends — mirroring the model's single FIFO, which the
                 // generator also orders recv-before-send.
-                qps[1].submit(&mut w);
-                qps[0].submit(&mut w);
+                qps[1].submit(w);
+                qps[0].submit(w);
                 m.submit(sc.seed);
             }
             CqOp::Poll { n } => {
-                qps[1].submit(&mut w);
-                qps[0].submit(&mut w);
+                qps[1].submit(w);
+                qps[0].submit(w);
                 w.run();
-                cq::harvest(&mut w, &mut qps);
+                cq::harvest(w, &mut qps);
                 m.submit(sc.seed);
                 m.round();
                 pop_and_check(
-                    &mut w,
+                    w,
                     &mut qps,
                     &mut m,
                     bug,
@@ -534,18 +489,17 @@ pub fn run_cq_scenario(sc: &CqScenario, bug: CqBug) -> Result<CqRunStats, CqDive
                     &mut real_send,
                     &mut model_send,
                     &mut real_landings,
-                )
-                .map_err(|d| fail(&mut w, step, op, d))?;
+                )?;
             }
             CqOp::Wait { n } => {
-                qps[1].submit(&mut w);
-                qps[0].submit(&mut w);
+                qps[1].submit(w);
+                qps[0].submit(w);
                 let mut spins = 0usize;
                 while qps[1].completions_queued() < n {
-                    qps[1].submit(&mut w);
-                    qps[0].submit(&mut w);
+                    qps[1].submit(w);
+                    qps[0].submit(w);
                     w.run();
-                    if cq::harvest(&mut w, &mut qps) == 0 {
+                    if cq::harvest(w, &mut qps) == 0 {
                         spins += 1;
                         if spins > 2 {
                             break; // quiescent: nothing more will come
@@ -566,7 +520,7 @@ pub fn run_cq_scenario(sc: &CqScenario, bug: CqBug) -> Result<CqRunStats, CqDive
                     }
                 }
                 pop_and_check(
-                    &mut w,
+                    w,
                     &mut qps,
                     &mut m,
                     bug,
@@ -576,8 +530,7 @@ pub fn run_cq_scenario(sc: &CqScenario, bug: CqBug) -> Result<CqRunStats, CqDive
                     &mut real_send,
                     &mut model_send,
                     &mut real_landings,
-                )
-                .map_err(|d| fail(&mut w, step, op, d))?;
+                )?;
             }
         }
 
@@ -585,11 +538,9 @@ pub fn run_cq_scenario(sc: &CqScenario, bug: CqBug) -> Result<CqRunStats, CqDive
         // after every op.
         let real_rejects = qps[0].sq_rejects() + qps[1].sq_rejects();
         if real_rejects != m.sq_rejects {
-            return Err(fail(
-                &mut w,
-                step,
-                op,
-                format!("sq_rejects: real {real_rejects}, model {}", m.sq_rejects),
+            return Err(format!(
+                "sq_rejects: real {real_rejects}, model {}",
+                m.sq_rejects
             ));
         }
 
@@ -598,33 +549,34 @@ pub fn run_cq_scenario(sc: &CqScenario, bug: CqBug) -> Result<CqRunStats, CqDive
         // so faulted seeds defer the send-stream check to the final
         // multiset comparison.
         if real_recv.len() > model_recv.len() || real_recv[..] != model_recv[..real_recv.len()] {
-            return Err(fail(
-                &mut w,
-                step,
-                op,
-                format!(
-                    "recv stream diverged: real {:?}, model {:?}",
-                    &real_recv[real_recv.len().saturating_sub(4)..],
-                    &model_recv[..model_recv.len().min(real_recv.len() + 2)]
-                ),
+            return Err(format!(
+                "recv stream diverged: real {:?}, model {:?}",
+                &real_recv[real_recv.len().saturating_sub(4)..],
+                &model_recv[..model_recv.len().min(real_recv.len() + 2)]
             ));
         }
         if !faulted
             && (real_send.len() > model_send.len()
                 || real_send[..] != model_send[..real_send.len()])
         {
-            return Err(fail(
-                &mut w,
-                step,
-                op,
-                format!(
-                    "send stream diverged: real {:?}, model {:?}",
-                    &real_send[real_send.len().saturating_sub(4)..],
-                    &model_send[..model_send.len().min(real_send.len() + 2)]
-                ),
+            return Err(format!(
+                "send stream diverged: real {:?}, model {:?}",
+                &real_send[real_send.len().saturating_sub(4)..],
+                &model_send[..model_send.len().min(real_send.len() + 2)]
             ));
         }
+        Ok(())
+    };
+    for (step, &op) in sc.ops.iter().enumerate() {
+        apply(&mut w, op).map_err(|d| Divergence::capture(&mut w, sc, traced, step, d))?;
     }
+    let mut stats = CqRunStats {
+        recv_completions: real_recv.len(),
+        send_completions: real_send.len(),
+        sq_rejects: qps[0].sq_rejects() + qps[1].sq_rejects(),
+        ring_overflows: qps[0].ring_overflows() + qps[1].ring_overflows(),
+        probes_checked: 0,
+    };
 
     // Generated op lists end with a trailing drain, but shrinking
     // deletes ops freely — a candidate may legitimately end with
@@ -639,107 +591,78 @@ pub fn run_cq_scenario(sc: &CqScenario, bug: CqBug) -> Result<CqRunStats, CqDive
             q.staged_len() == 0 && q.in_flight_sends() == 0 && q.completions_queued() == 0
         });
     if !drained {
-        stats.recv_completions = real_recv.len();
-        stats.send_completions = real_send.len();
-        stats.sq_rejects = qps[0].sq_rejects() + qps[1].sq_rejects();
-        stats.ring_overflows = qps[0].ring_overflows() + qps[1].ring_overflows();
         return Ok(stats);
     }
-    if real_recv != model_recv {
-        return Err(fail(
-            &mut w,
-            sc.ops.len(),
-            CqOp::Wait { n: 0 },
-            format!(
+    // The closing checks, past the last op; `Err` says what disagreed.
+    let mut close = || -> Result<(), String> {
+        if real_recv != model_recv {
+            return Err(format!(
                 "final recv streams differ: real {} entries, model {}",
                 real_recv.len(),
                 model_recv.len()
-            ),
-        ));
-    }
-    let (mut a, mut b) = (real_send.clone(), model_send.clone());
-    a.sort_unstable();
-    b.sort_unstable();
-    if a != b {
-        return Err(fail(
-            &mut w,
-            sc.ops.len(),
-            CqOp::Wait { n: 0 },
-            format!(
+            ));
+        }
+        let (mut a, mut b) = (real_send.clone(), model_send.clone());
+        a.sort_unstable();
+        b.sort_unstable();
+        if a != b {
+            return Err(format!(
                 "final send multisets differ: real {} entries, model {}",
                 real_send.len(),
                 model_send.len()
-            ),
-        ));
-    }
+            ));
+        }
 
-    // Final probe sweep: every delivered landing and every source, in
-    // both worlds, byte-for-byte (or equally inaccessible).
-    if m.recv_landings.len() < real_landings.len() || m.send_sources.len() != real_sources.len() {
-        return Err(fail(
-            &mut w,
-            sc.ops.len(),
-            CqOp::Wait { n: 0 },
-            format!(
+        // Final probe sweep: every delivered landing and every source,
+        // in both worlds, byte-for-byte (or equally inaccessible).
+        if m.recv_landings.len() < real_landings.len() || m.send_sources.len() != real_sources.len()
+        {
+            return Err(format!(
                 "drained binding counts differ: real {}/{} landings/sources, model {}/{}",
                 real_landings.len(),
                 real_sources.len(),
                 m.recv_landings.len(),
                 m.send_sources.len()
-            ),
-        ));
-    }
-    for (i, &(space, vaddr, len)) in real_landings.iter().enumerate() {
-        let (mspace, mvaddr, mlen) = m.recv_landings[i];
-        let expect = payload(sc.seed, i as u64, len);
-        let got_r = w.peek_app(HostId::B, space, vaddr, len);
-        let got_m = m.w.peek_app(HostId::B, mspace, mvaddr, mlen);
-        stats.probes_checked += 2;
-        if got_r.as_deref() != Some(&expect[..]) {
-            return Err(fail(
-                &mut w,
-                sc.ops.len(),
-                CqOp::Wait { n: 0 },
-                format!("real delivery {i} bytes differ from expected payload"),
             ));
         }
-        if got_m.as_deref() != Some(&expect[..]) {
-            return Err(fail(
-                &mut w,
-                sc.ops.len(),
-                CqOp::Wait { n: 0 },
-                format!("model delivery {i} bytes differ from expected payload"),
-            ));
+        for (i, &(space, vaddr, len)) in real_landings.iter().enumerate() {
+            let (mspace, mvaddr, mlen) = m.recv_landings[i];
+            let expect = payload(sc.seed, i as u64, len);
+            let got_r = w.peek_app(HostId::B, space, vaddr, len);
+            let got_m = m.w.peek_app(HostId::B, mspace, mvaddr, mlen);
+            stats.probes_checked += 2;
+            if got_r.as_deref() != Some(&expect[..]) {
+                return Err(format!(
+                    "real delivery {i} bytes differ from expected payload"
+                ));
+            }
+            if got_m.as_deref() != Some(&expect[..]) {
+                return Err(format!(
+                    "model delivery {i} bytes differ from expected payload"
+                ));
+            }
         }
-    }
-    for (i, &(space, vaddr, len)) in real_sources.iter().enumerate() {
-        let (mspace, mvaddr, mlen) = m.send_sources[i];
-        let got_r = w.peek_app(HostId::A, space, vaddr, len);
-        let got_m = m.w.peek_app(HostId::A, mspace, mvaddr, mlen);
-        stats.probes_checked += 2;
-        let agree = match (&got_r, &got_m) {
-            (Some(x), Some(y)) => x == y && len == mlen,
-            (None, None) => true,
-            _ => false,
-        };
-        if !agree {
-            return Err(fail(
-                &mut w,
-                sc.ops.len(),
-                CqOp::Wait { n: 0 },
-                format!(
+        for (i, &(space, vaddr, len)) in real_sources.iter().enumerate() {
+            let (mspace, mvaddr, mlen) = m.send_sources[i];
+            let got_r = w.peek_app(HostId::A, space, vaddr, len);
+            let got_m = m.w.peek_app(HostId::A, mspace, mvaddr, mlen);
+            stats.probes_checked += 2;
+            let agree = match (&got_r, &got_m) {
+                (Some(x), Some(y)) => x == y && len == mlen,
+                (None, None) => true,
+                _ => false,
+            };
+            if !agree {
+                return Err(format!(
                     "source {i} visibility differs: real {}, model {}",
                     got_r.is_some(),
                     got_m.is_some()
-                ),
-            ));
+                ));
+            }
         }
-    }
-
-    stats.recv_completions = real_recv.len();
-    stats.send_completions = real_send.len();
-    stats.sq_rejects = qps[0].sq_rejects() + qps[1].sq_rejects();
-    stats.ring_overflows = qps[0].ring_overflows() + qps[1].ring_overflows();
+        Ok(())
+    };
+    close().map_err(|d| Divergence::capture(&mut w, sc, traced, sc.ops.len(), d))?;
     Ok(stats)
 }
 
@@ -824,8 +747,7 @@ impl CqScenario {
     /// submit-and-wait drains everything so the final streams close.
     pub fn generate(semantics: Semantics, arch: InputBuffering, seed: u64) -> CqScenario {
         let mut rng = XorShift64::new(
-            seed.wrapping_mul(0xd1b5_4a32_d192_ed03)
-                ^ (Semantics::ALL.iter().position(|&x| x == semantics).unwrap() as u64) << 8,
+            seed.wrapping_mul(0xd1b5_4a32_d192_ed03) ^ index_of(&Semantics::ALL, semantics) << 8,
         );
         let max_len = 1 + rng.below(4096) as usize;
         let sq_depth = 4 + rng.below(12) as usize;
@@ -882,231 +804,92 @@ impl CqScenario {
             ops,
         }
     }
+}
 
-    /// Serializes to the `.ops` text format (header lines plus one
-    /// line per op; `#` starts a comment).
-    pub fn to_ops_string(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!("semantics={:?}\n", self.semantics));
-        s.push_str(&format!("arch={:?}\n", self.arch));
-        s.push_str(&format!("seed={}\n", self.seed));
-        s.push_str(&format!("sq_depth={}\n", self.sq_depth));
-        s.push_str(&format!("cq_depth={}\n", self.cq_depth));
-        s.push_str(&format!("window={}\n", self.window));
-        s.push_str(&format!("max_len={}\n", self.max_len));
-        for op in &self.ops {
-            match *op {
-                CqOp::Send { len } => s.push_str(&format!("send len={len}\n")),
-                CqOp::PostRecv => s.push_str("postrecv\n"),
-                CqOp::Submit => s.push_str("submit\n"),
-                CqOp::Poll { n } => s.push_str(&format!("poll n={n}\n")),
-                CqOp::Wait { n } => s.push_str(&format!("wait n={n}\n")),
-            }
-        }
-        s
+impl Differential for CqScenario {
+    type Op = CqOp;
+    type Bug = CqBug;
+    type Stats = CqRunStats;
+    const KIND: &'static str = "cq";
+
+    fn ops(&self) -> &[CqOp] {
+        &self.ops
     }
 
-    /// Parses the `.ops` text format. Errors carry the offending line.
-    pub fn parse(text: &str) -> Result<CqScenario, String> {
-        let mut semantics = None;
-        let mut arch = None;
-        let mut seed = None;
-        let mut sq_depth = None;
-        let mut cq_depth = None;
-        let mut window = None;
-        let mut max_len = None;
-        let mut ops = Vec::new();
-        for raw in text.lines() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let header = |v: &str| -> Result<usize, String> {
-                v.parse::<usize>().map_err(|_| format!("bad line: {raw}"))
-            };
-            if let Some(v) = line.strip_prefix("semantics=") {
-                semantics = Some(
-                    Semantics::ALL
-                        .iter()
-                        .copied()
-                        .find(|x| format!("{x:?}") == v)
-                        .ok_or_else(|| format!("bad line: {raw}"))?,
-                );
-            } else if let Some(v) = line.strip_prefix("arch=") {
-                arch = Some(match v {
-                    "EarlyDemux" => InputBuffering::EarlyDemux,
-                    "Pooled" => InputBuffering::Pooled,
-                    "Outboard" => InputBuffering::Outboard,
-                    _ => return Err(format!("bad line: {raw}")),
-                });
-            } else if let Some(v) = line.strip_prefix("seed=") {
-                seed = Some(v.parse::<u64>().map_err(|_| format!("bad line: {raw}"))?);
-            } else if let Some(v) = line.strip_prefix("sq_depth=") {
-                sq_depth = Some(header(v)?);
-            } else if let Some(v) = line.strip_prefix("cq_depth=") {
-                cq_depth = Some(header(v)?);
-            } else if let Some(v) = line.strip_prefix("window=") {
-                window = Some(header(v)?);
-            } else if let Some(v) = line.strip_prefix("max_len=") {
-                max_len = Some(header(v)?);
-            } else {
-                let mut words = line.split_whitespace();
-                let op = match words.next().ok_or_else(|| format!("bad line: {raw}"))? {
-                    "send" => CqOp::Send {
-                        len: kv(words.next(), "len").ok_or_else(|| format!("bad line: {raw}"))?,
-                    },
-                    "postrecv" => CqOp::PostRecv,
-                    "submit" => CqOp::Submit,
-                    "poll" => CqOp::Poll {
-                        n: kv(words.next(), "n").ok_or_else(|| format!("bad line: {raw}"))?,
-                    },
-                    "wait" => CqOp::Wait {
-                        n: kv(words.next(), "n").ok_or_else(|| format!("bad line: {raw}"))?,
-                    },
-                    _ => return Err(format!("bad line: {raw}")),
-                };
-                ops.push(op);
-            }
+    fn ops_mut(&mut self) -> &mut Vec<CqOp> {
+        &mut self.ops
+    }
+
+    fn header(&self) -> String {
+        format!(
+            "semantics={:?}\narch={:?}\nseed={}\nsq_depth={}\ncq_depth={}\nwindow={}\nmax_len={}\n",
+            self.semantics,
+            self.arch,
+            self.seed,
+            self.sq_depth,
+            self.cq_depth,
+            self.window,
+            self.max_len
+        )
+    }
+
+    fn op_line(op: &CqOp) -> String {
+        match *op {
+            CqOp::Send { len } => format!("send len={len}"),
+            CqOp::PostRecv => "postrecv".into(),
+            CqOp::Submit => "submit".into(),
+            CqOp::Poll { n } => format!("poll n={n}"),
+            CqOp::Wait { n } => format!("wait n={n}"),
         }
+    }
+
+    fn parse(text: &str) -> Result<CqScenario, String> {
+        let mut ops = Vec::new();
+        let keys = [
+            "semantics",
+            "arch",
+            "seed",
+            "sq_depth",
+            "cq_depth",
+            "window",
+            "max_len",
+        ];
+        let h = parse_ops(text, &keys, |verb, a| {
+            ops.push(match verb {
+                "send" => CqOp::Send { len: a.kv("len")? },
+                "postrecv" => CqOp::PostRecv,
+                "submit" => CqOp::Submit,
+                "poll" => CqOp::Poll { n: a.kv("n")? },
+                "wait" => CqOp::Wait { n: a.kv("n")? },
+                _ => return None,
+            });
+            Some(())
+        })?;
         Ok(CqScenario {
-            semantics: semantics.ok_or("missing semantics= header")?,
-            arch: arch.ok_or("missing arch= header")?,
-            seed: seed.ok_or("missing seed= header")?,
-            sq_depth: sq_depth.ok_or("missing sq_depth= header")?,
-            cq_depth: cq_depth.ok_or("missing cq_depth= header")?,
-            window: window.ok_or("missing window= header")?,
-            max_len: max_len.ok_or("missing max_len= header")?,
+            semantics: h.get("semantics")?,
+            arch: h.get("arch")?,
+            seed: h.get("seed")?,
+            sq_depth: h.get("sq_depth")?,
+            cq_depth: h.get("cq_depth")?,
+            window: h.get("window")?,
+            max_len: h.get("max_len")?,
             ops,
         })
     }
-}
 
-fn kv<T: std::str::FromStr>(word: Option<&str>, key: &str) -> Option<T> {
-    word?.strip_prefix(key)?.strip_prefix('=')?.parse().ok()
-}
-
-/// Shrinks a diverging CQ scenario to a locally-minimal op list, same
-/// strategy as the synchronous harness: truncate past the diverging
-/// step, then greedily delete single ops to a fixpoint.
-pub fn shrink_cq(sc: &CqScenario, bug: CqBug) -> (CqScenario, CqDivergence) {
-    let mut cur = sc.clone();
-    let mut div = match run_cq_scenario(&cur, bug) {
-        Err(d) => d,
-        Ok(_) => panic!("shrink_cq called on a passing scenario"),
-    };
-    cur.ops
-        .truncate(div.step.min(cur.ops.len().saturating_sub(1)) + 1);
-    loop {
-        let mut progressed = false;
-        let mut i = 0;
-        while i < cur.ops.len() {
-            let mut cand = cur.clone();
-            cand.ops.remove(i);
-            match run_cq_scenario(&cand, bug) {
-                Err(d) => {
-                    let keep = d.step.min(cand.ops.len().saturating_sub(1)) + 1;
-                    cur = cand;
-                    cur.ops.truncate(keep);
-                    div = d;
-                    progressed = true;
-                }
-                Ok(_) => i += 1,
-            }
-        }
-        if !progressed {
-            return (cur, div);
-        }
+    fn run(&self, bug: CqBug, traced: bool) -> Result<CqRunStats, Divergence> {
+        run_cq_scenario(self, bug, traced)
     }
-}
 
-/// A fully-processed CQ differential failure.
-#[derive(Clone, Debug)]
-pub struct CqFailureReport {
-    /// The generated scenario that first diverged.
-    pub scenario: CqScenario,
-    /// The shrunk, locally-minimal scenario.
-    pub minimal: CqScenario,
-    /// The minimal scenario's divergence.
-    pub divergence: CqDivergence,
-    /// Counterexample file, if it could be written.
-    pub path: Option<PathBuf>,
-}
+    fn stem(&self) -> String {
+        format!("cq_ce_{:?}_{:?}_{}", self.semantics, self.arch, self.seed)
+    }
 
-impl std::fmt::Display for CqFailureReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "cq divergence: sem={:?} arch={:?} seed={}",
-            self.scenario.semantics, self.scenario.arch, self.scenario.seed
-        )?;
-        writeln!(
-            f,
-            "  step {} ({}): {}",
-            self.divergence.step, self.divergence.op, self.divergence.detail
-        )?;
-        writeln!(
-            f,
-            "  minimal counterexample: {} op(s){}",
-            self.minimal.ops.len(),
-            match &self.path {
-                Some(p) => format!(", written to {}", p.display()),
-                None => String::new(),
-            }
-        )?;
-        write!(
-            f,
-            "  reproduce: GENIE_CQ_MODEL_SEED={} cargo test --test cq_differential",
-            self.scenario.seed
+    fn reproduce(&self) -> String {
+        format!(
+            "GENIE_MODEL_SEED={} cargo test --test cq_differential",
+            self.seed
         )
-    }
-}
-
-/// Writes the shrunk CQ counterexample as a replayable `.ops` file
-/// plus its crash dump. Directory: `GENIE_MODEL_CE_DIR`, default
-/// `target/model-counterexamples`.
-pub fn emit_cq_counterexample(minimal: &CqScenario, div: &CqDivergence) -> Option<PathBuf> {
-    let dir = std::env::var("GENIE_MODEL_CE_DIR")
-        .unwrap_or_else(|_| "target/model-counterexamples".into());
-    std::fs::create_dir_all(&dir).ok()?;
-    let stem = format!(
-        "cq_ce_{:?}_{:?}_{}",
-        minimal.semantics, minimal.arch, minimal.seed
-    );
-    let path = PathBuf::from(&dir).join(format!("{stem}.ops"));
-    let body = format!(
-        "# cq-differential counterexample\n# step {} ({}): {}\n{}",
-        div.step,
-        div.op,
-        div.detail,
-        minimal.to_ops_string()
-    );
-    std::fs::write(&path, body).ok()?;
-    if let Some(json) = &div.dump_json {
-        let _ = std::fs::write(PathBuf::from(&dir).join(format!("{stem}.dump.json")), json);
-    }
-    Some(path)
-}
-
-/// The one-call sweep entry point: generate, run, and on divergence
-/// shrink + emit. The error is ready to print.
-pub fn check_cq(
-    semantics: Semantics,
-    arch: InputBuffering,
-    seed: u64,
-) -> Result<CqRunStats, Box<CqFailureReport>> {
-    let sc = CqScenario::generate(semantics, arch, seed);
-    match run_cq_scenario(&sc, CqBug::None) {
-        Ok(stats) => Ok(stats),
-        Err(_) => {
-            let (minimal, divergence) = shrink_cq(&sc, CqBug::None);
-            let path = emit_cq_counterexample(&minimal, &divergence);
-            Err(Box::new(CqFailureReport {
-                scenario: sc,
-                minimal,
-                divergence,
-                path,
-            }))
-        }
     }
 }
 
@@ -1149,7 +932,7 @@ mod tests {
     #[test]
     fn a_small_scenario_passes_differentially() {
         let sc = CqScenario::generate(Semantics::Copy, InputBuffering::Pooled, 1);
-        let stats = run_cq_scenario(&sc, CqBug::None).expect("clean run");
+        let stats = run_cq_scenario(&sc, CqBug::None, false).expect("clean run");
         assert_eq!(stats.sq_rejects, 0);
     }
 }

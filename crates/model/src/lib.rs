@@ -16,31 +16,28 @@
 //! The [`harness`] then generates seeded, arbitrary interleavings of
 //! application-level operations ([`ModelOp`]), runs each through both
 //! the model and the real [`genie::World`], and demands byte-equal
-//! observable state after every step. On divergence it shrinks the
-//! scenario to a minimal counterexample and emits a replayable `.ops`
-//! file — see `TESTING.md` at the workspace root.
+//! observable state after every step. The [`switch`] and [`cq`]
+//! harnesses do the same for the N-host switch and the queue-pair
+//! front-end. All three implement [`Differential`]; the [`kernel`]
+//! shrinks any divergence to a minimal counterexample and emits a
+//! replayable `.ops` file — see `TESTING.md` at the workspace root.
 
 pub mod cq;
 pub mod harness;
+pub mod kernel;
 pub mod model;
 pub mod ops;
 pub mod switch;
 
-pub use cq::{
-    check_cq, emit_cq_counterexample, run_cq_scenario, shrink_cq, CqBug, CqDivergence,
-    CqFailureReport, CqOp, CqRunStats, CqScenario,
-};
-
-pub use harness::{
-    check, emit_counterexample, run_scenario, seed_is_faulted, shrink, Divergence, FailureReport,
-    RunStats,
+pub use cq::{CqBug, CqOp, CqRunStats, CqScenario};
+pub use harness::{seed_is_faulted, RunStats};
+pub use kernel::{
+    check, corpus_files, emit_counterexample, replay_corpus, seeds, shrink, Differential,
+    Divergence, FailureReport, ARCHITECTURES,
 };
 pub use model::{
     EntityKind, EntityState, ModelBug, ModelEntity, ModelEvents, ModelParams, ModelRecv,
     ModelSendDone, ModelWorld, PostOutcome, RecvDst, ReleaseOutcome, TouchOutcome,
 };
 pub use ops::{payload, ModelOp, Scenario};
-pub use switch::{
-    emit_switch_counterexample, run_switch_scenario, shrink_switch, ModelSwitch, SwitchBug,
-    SwitchDivergence, SwitchOp, SwitchRunStats, SwitchScenario,
-};
+pub use switch::{ModelSwitch, SwitchBug, SwitchOp, SwitchRunStats, SwitchScenario};

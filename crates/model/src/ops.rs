@@ -9,6 +9,10 @@ use genie::Semantics;
 use genie_fault::XorShift64;
 use genie_net::InputBuffering;
 
+use crate::harness::{run_scenario, RunStats};
+use crate::kernel::{index_of, parse_ops, Differential, Divergence, ARCHITECTURES};
+use crate::model::ModelBug;
+
 /// One application-level step of a differential scenario.
 ///
 /// Targets are raw indices resolved *modulo the model's entity lists*
@@ -54,18 +58,6 @@ pub struct Scenario {
     pub ops: Vec<ModelOp>,
 }
 
-fn sem_index(s: Semantics) -> u64 {
-    Semantics::ALL.iter().position(|&x| x == s).unwrap() as u64
-}
-
-fn arch_index(a: InputBuffering) -> u64 {
-    match a {
-        InputBuffering::EarlyDemux => 0,
-        InputBuffering::Pooled => 1,
-        InputBuffering::Outboard => 2,
-    }
-}
-
 impl Scenario {
     /// Generates the scenario for one (semantics, architecture, seed)
     /// grid point. Pure function of its arguments.
@@ -78,7 +70,9 @@ impl Scenario {
     /// end fully delivered.
     pub fn generate(semantics: Semantics, arch: InputBuffering, seed: u64) -> Scenario {
         let mut rng = XorShift64::new(
-            seed.wrapping_mul(0x9e37_79b9) ^ (sem_index(semantics) << 8) ^ (arch_index(arch) << 16),
+            seed.wrapping_mul(0x9e37_79b9)
+                ^ (index_of(&Semantics::ALL, semantics) << 8)
+                ^ (index_of(&ARCHITECTURES, arch) << 16),
         );
         let max_len = 1 + rng.below(8192) as usize;
         let n = 6 + rng.below(10) as usize;
@@ -151,115 +145,97 @@ impl Scenario {
             ops,
         }
     }
+}
 
-    /// Serializes to the `.ops` text format (one header line per
-    /// coordinate, one line per op; `#` starts a comment).
-    pub fn to_ops_string(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!("semantics={:?}\n", self.semantics));
-        s.push_str(&format!("arch={:?}\n", self.arch));
-        s.push_str(&format!("seed={}\n", self.seed));
-        s.push_str(&format!("max_len={}\n", self.max_len));
-        for op in &self.ops {
-            match *op {
-                ModelOp::Send { len, scribble } => match scribble {
-                    Some(p) => s.push_str(&format!("send len={len} scribble={p}\n")),
-                    None => s.push_str(&format!("send len={len} scribble=-\n")),
-                },
-                ModelOp::PostRecv => s.push_str("postrecv\n"),
-                ModelOp::Run => s.push_str("run\n"),
-                ModelOp::Touch { target, pattern } => {
-                    s.push_str(&format!("touch target={target} pattern={pattern}\n"))
-                }
-                ModelOp::Release { target } => s.push_str(&format!("release target={target}\n")),
-                ModelOp::Pageout { host } => s.push_str(&format!("pageout host={host}\n")),
-                ModelOp::TogglePath => s.push_str("togglepath\n"),
-            }
-        }
-        s
+impl Differential for Scenario {
+    type Op = ModelOp;
+    type Bug = ModelBug;
+    type Stats = RunStats;
+    const KIND: &'static str = "model";
+
+    fn ops(&self) -> &[ModelOp] {
+        &self.ops
     }
 
-    /// Parses the `.ops` text format. Errors carry the offending line.
-    pub fn parse(text: &str) -> Result<Scenario, String> {
-        let mut semantics = None;
-        let mut arch = None;
-        let mut seed = None;
-        let mut max_len = None;
-        let mut ops = Vec::new();
-        for raw in text.lines() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+    fn ops_mut(&mut self) -> &mut Vec<ModelOp> {
+        &mut self.ops
+    }
+
+    fn header(&self) -> String {
+        format!(
+            "semantics={:?}\narch={:?}\nseed={}\nmax_len={}\n",
+            self.semantics, self.arch, self.seed, self.max_len
+        )
+    }
+
+    fn op_line(op: &ModelOp) -> String {
+        match *op {
+            ModelOp::Send { len, scribble } => match scribble {
+                Some(p) => format!("send len={len} scribble={p}"),
+                None => format!("send len={len} scribble=-"),
+            },
+            ModelOp::PostRecv => "postrecv".into(),
+            ModelOp::Run => "run".into(),
+            ModelOp::Touch { target, pattern } => {
+                format!("touch target={target} pattern={pattern}")
             }
-            if let Some(v) = line.strip_prefix("semantics=") {
-                semantics = Some(parse_semantics(v).ok_or_else(|| format!("bad line: {raw}"))?);
-            } else if let Some(v) = line.strip_prefix("arch=") {
-                arch = Some(parse_arch(v).ok_or_else(|| format!("bad line: {raw}"))?);
-            } else if let Some(v) = line.strip_prefix("seed=") {
-                seed = Some(v.parse::<u64>().map_err(|_| format!("bad line: {raw}"))?);
-            } else if let Some(v) = line.strip_prefix("max_len=") {
-                max_len = Some(v.parse::<usize>().map_err(|_| format!("bad line: {raw}"))?);
-            } else {
-                ops.push(parse_op(line).ok_or_else(|| format!("bad line: {raw}"))?);
-            }
+            ModelOp::Release { target } => format!("release target={target}"),
+            ModelOp::Pageout { host } => format!("pageout host={host}"),
+            ModelOp::TogglePath => "togglepath".into(),
         }
+    }
+
+    fn parse(text: &str) -> Result<Scenario, String> {
+        let mut ops = Vec::new();
+        let h = parse_ops(
+            text,
+            &["semantics", "arch", "seed", "max_len"],
+            |verb, a| {
+                ops.push(match verb {
+                    "send" => ModelOp::Send {
+                        len: a.kv("len")?,
+                        scribble: a.kv("scribble")?,
+                    },
+                    "postrecv" => ModelOp::PostRecv,
+                    "run" => ModelOp::Run,
+                    "touch" => ModelOp::Touch {
+                        target: a.kv("target")?,
+                        pattern: a.kv("pattern")?,
+                    },
+                    "release" => ModelOp::Release {
+                        target: a.kv("target")?,
+                    },
+                    "pageout" => ModelOp::Pageout {
+                        host: a.kv("host")?,
+                    },
+                    "togglepath" => ModelOp::TogglePath,
+                    _ => return None,
+                });
+                Some(())
+            },
+        )?;
         Ok(Scenario {
-            semantics: semantics.ok_or("missing semantics= header")?,
-            arch: arch.ok_or("missing arch= header")?,
-            seed: seed.ok_or("missing seed= header")?,
-            max_len: max_len.ok_or("missing max_len= header")?,
+            semantics: h.get("semantics")?,
+            arch: h.get("arch")?,
+            seed: h.get("seed")?,
+            max_len: h.get("max_len")?,
             ops,
         })
     }
-}
 
-fn parse_semantics(s: &str) -> Option<Semantics> {
-    Semantics::ALL
-        .iter()
-        .copied()
-        .find(|x| format!("{x:?}") == s)
-}
-
-fn parse_arch(s: &str) -> Option<InputBuffering> {
-    match s {
-        "EarlyDemux" => Some(InputBuffering::EarlyDemux),
-        "Pooled" => Some(InputBuffering::Pooled),
-        "Outboard" => Some(InputBuffering::Outboard),
-        _ => None,
+    fn run(&self, bug: ModelBug, traced: bool) -> Result<RunStats, Divergence> {
+        run_scenario(self, bug, traced)
     }
-}
 
-fn field<T: std::str::FromStr>(word: &str, key: &str) -> Option<T> {
-    word.strip_prefix(key)?.strip_prefix('=')?.parse().ok()
-}
+    fn stem(&self) -> String {
+        format!("ce_{:?}_{:?}_{}", self.semantics, self.arch, self.seed)
+    }
 
-fn parse_op(line: &str) -> Option<ModelOp> {
-    let mut words = line.split_whitespace();
-    match words.next()? {
-        "send" => {
-            let len = field(words.next()?, "len")?;
-            let sw = words.next()?;
-            let scribble = if sw == "scribble=-" {
-                None
-            } else {
-                Some(field(sw, "scribble")?)
-            };
-            Some(ModelOp::Send { len, scribble })
-        }
-        "postrecv" => Some(ModelOp::PostRecv),
-        "run" => Some(ModelOp::Run),
-        "touch" => Some(ModelOp::Touch {
-            target: field(words.next()?, "target")?,
-            pattern: field(words.next()?, "pattern")?,
-        }),
-        "release" => Some(ModelOp::Release {
-            target: field(words.next()?, "target")?,
-        }),
-        "pageout" => Some(ModelOp::Pageout {
-            host: field(words.next()?, "host")?,
-        }),
-        "togglepath" => Some(ModelOp::TogglePath),
-        _ => None,
+    fn reproduce(&self) -> String {
+        format!(
+            "GENIE_MODEL_SEED={} cargo test --test model_differential",
+            self.seed
+        )
     }
 }
 

@@ -10,7 +10,7 @@
 //! model predicts observably: which payloads reach which hosts, and
 //! in what per-VC order.
 //!
-//! [`run_switch_scenario`] drives a seeded op interleaving through
+//! [`SwitchScenario::run`] drives a seeded op interleaving through
 //! both the model and a real switched [`genie::World`] on a random
 //! topology (unicast and multicast routes), comparing at every
 //! barrier:
@@ -22,9 +22,9 @@
 //! - at the end, the real switch's ingress/replica/dispatch counters
 //!   against the model's.
 //!
-//! On divergence [`shrink_switch`] deletes ops to a minimal scenario
-//! and [`emit_switch_counterexample`] writes a replayable `.ops` file,
-//! exactly like the two-host harness.
+//! On divergence the kernel ([`crate::kernel`]) shrinks the scenario
+//! and writes a replayable `.ops` file, exactly like the two-host
+//! harness.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -33,6 +33,7 @@ use genie_fault::XorShift64;
 use genie_machine::MachineSpec;
 use genie_net::{SwitchConfig, Vc};
 
+use crate::kernel::{parse_ops, Differential, Divergence};
 use crate::ops::payload;
 
 /// One route of a switched scenario: `(source host, VC, destinations)`.
@@ -75,9 +76,10 @@ pub struct SwitchScenario {
 /// Deliberate model bugs, used to prove the harness catches
 /// divergences (and that shrinking works) — mirror of
 /// [`crate::ModelBug`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SwitchBug {
     /// The faithful model.
+    #[default]
     None,
     /// Fan-out routes deliver only to their first destination.
     ForgetReplicas,
@@ -127,23 +129,6 @@ impl ModelSwitch {
             out.reverse();
         }
         out
-    }
-}
-
-/// Where and how a switched differential run diverged.
-#[derive(Clone, Debug)]
-pub struct SwitchDivergence {
-    /// Index of the op at which the divergence was detected.
-    pub step: usize,
-    /// Human-readable op description.
-    pub op: String,
-    /// What differed.
-    pub detail: String,
-}
-
-impl std::fmt::Display for SwitchDivergence {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "step {} ({}): {}", self.step, self.op, self.detail)
     }
 }
 
@@ -223,101 +208,92 @@ impl SwitchScenario {
             ops,
         }
     }
+}
 
-    /// Serializes to the `.ops` text format.
-    pub fn to_ops_string(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!("hosts={}\n", self.hosts));
-        s.push_str(&format!("seed={}\n", self.seed));
-        s.push_str(&format!("semantics={:?}\n", self.semantics));
-        s.push_str(&format!("port_credit={}\n", self.port_credit));
-        s.push_str(&format!("max_len={}\n", self.max_len));
+impl Differential for SwitchScenario {
+    type Op = SwitchOp;
+    type Bug = SwitchBug;
+    type Stats = SwitchRunStats;
+    const KIND: &'static str = "switch";
+
+    fn ops(&self) -> &[SwitchOp] {
+        &self.ops
+    }
+
+    fn ops_mut(&mut self) -> &mut Vec<SwitchOp> {
+        &mut self.ops
+    }
+
+    fn header(&self) -> String {
+        let mut s = format!(
+            "hosts={}\nseed={}\nsemantics={:?}\nport_credit={}\nmax_len={}\n",
+            self.hosts, self.seed, self.semantics, self.port_credit, self.max_len
+        );
         for (src, vc, dsts) in &self.routes {
             let d: Vec<String> = dsts.iter().map(u16::to_string).collect();
             s.push_str(&format!("route src={src} vc={vc} dsts={}\n", d.join(",")));
         }
-        for op in &self.ops {
-            match *op {
-                SwitchOp::Send { route, len } => {
-                    s.push_str(&format!("send route={route} len={len}\n"))
-                }
-                SwitchOp::Barrier => s.push_str("barrier\n"),
-            }
-        }
         s
     }
 
-    /// Parses the `.ops` text format. Errors carry the offending line.
-    pub fn parse(text: &str) -> Result<SwitchScenario, String> {
-        let (mut hosts, mut seed, mut semantics) = (None, None, None);
-        let (mut port_credit, mut max_len) = (None, None);
+    fn op_line(op: &SwitchOp) -> String {
+        match *op {
+            SwitchOp::Send { route, len } => format!("send route={route} len={len}"),
+            SwitchOp::Barrier => "barrier".into(),
+        }
+    }
+
+    fn parse(text: &str) -> Result<SwitchScenario, String> {
         let mut routes = Vec::new();
         let mut ops = Vec::new();
-        for raw in text.lines() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+        let keys = ["hosts", "seed", "semantics", "port_credit", "max_len"];
+        let h = parse_ops(text, &keys, |verb, a| {
+            match verb {
+                "route" => routes.push((a.kv("src")?, a.kv("vc")?, a.kv("dsts")?)),
+                "send" => ops.push(SwitchOp::Send {
+                    route: a.kv("route")?,
+                    len: a.kv("len")?,
+                }),
+                "barrier" => ops.push(SwitchOp::Barrier),
+                _ => return None,
             }
-            if let Some(v) = line.strip_prefix("hosts=") {
-                hosts = Some(v.parse().map_err(|_| format!("bad line: {raw}"))?);
-            } else if let Some(v) = line.strip_prefix("seed=") {
-                seed = Some(v.parse().map_err(|_| format!("bad line: {raw}"))?);
-            } else if let Some(v) = line.strip_prefix("semantics=") {
-                semantics = Some(
-                    Semantics::ALL
-                        .iter()
-                        .copied()
-                        .find(|x| format!("{x:?}") == v)
-                        .ok_or_else(|| format!("bad line: {raw}"))?,
-                );
-            } else if let Some(v) = line.strip_prefix("port_credit=") {
-                port_credit = Some(v.parse().map_err(|_| format!("bad line: {raw}"))?);
-            } else if let Some(v) = line.strip_prefix("max_len=") {
-                max_len = Some(v.parse().map_err(|_| format!("bad line: {raw}"))?);
-            } else if let Some(rest) = line.strip_prefix("route ") {
-                let mut words = rest.split_whitespace();
-                let src = kv(words.next(), "src").ok_or_else(|| format!("bad line: {raw}"))?;
-                let vc = kv(words.next(), "vc").ok_or_else(|| format!("bad line: {raw}"))?;
-                let dsts_s: String =
-                    kv(words.next(), "dsts").ok_or_else(|| format!("bad line: {raw}"))?;
-                let dsts = dsts_s
-                    .split(',')
-                    .map(|d| d.parse::<u16>().map_err(|_| format!("bad line: {raw}")))
-                    .collect::<Result<Vec<_>, _>>()?;
-                routes.push((src, vc, dsts));
-            } else if let Some(rest) = line.strip_prefix("send ") {
-                let mut words = rest.split_whitespace();
-                let route = kv(words.next(), "route").ok_or_else(|| format!("bad line: {raw}"))?;
-                let len = kv(words.next(), "len").ok_or_else(|| format!("bad line: {raw}"))?;
-                ops.push(SwitchOp::Send { route, len });
-            } else if line == "barrier" {
-                ops.push(SwitchOp::Barrier);
-            } else {
-                return Err(format!("bad line: {raw}"));
-            }
-        }
+            Some(())
+        })?;
         Ok(SwitchScenario {
-            hosts: hosts.ok_or("missing hosts= header")?,
-            seed: seed.ok_or("missing seed= header")?,
-            semantics: semantics.ok_or("missing semantics= header")?,
-            port_credit: port_credit.ok_or("missing port_credit= header")?,
-            max_len: max_len.ok_or("missing max_len= header")?,
+            hosts: h.get("hosts")?,
+            seed: h.get("seed")?,
+            semantics: h.get("semantics")?,
+            port_credit: h.get("port_credit")?,
+            max_len: h.get("max_len")?,
             routes,
             ops,
         })
     }
-}
 
-fn kv<T: std::str::FromStr>(word: Option<&str>, key: &str) -> Option<T> {
-    word?.strip_prefix(key)?.strip_prefix('=')?.parse().ok()
+    fn run(&self, bug: SwitchBug, traced: bool) -> Result<SwitchRunStats, Divergence> {
+        run_switch_scenario(self, bug, traced)
+    }
+
+    fn stem(&self) -> String {
+        format!("switch_ce_h{}_{}", self.hosts, self.seed)
+    }
+
+    fn reproduce(&self) -> String {
+        format!(
+            "GENIE_MODEL_HOSTS={} GENIE_MODEL_SEED={} cargo test --test model_differential \
+             switched_differential",
+            self.hosts, self.seed
+        )
+    }
 }
 
 /// Runs one scenario through the real switched world and the
 /// reference [`ModelSwitch`], comparing deliveries at every barrier.
-pub fn run_switch_scenario(
+fn run_switch_scenario(
     sc: &SwitchScenario,
     bug: SwitchBug,
-) -> Result<SwitchRunStats, SwitchDivergence> {
+    traced: bool,
+) -> Result<SwitchRunStats, Divergence> {
     let mut cfg = SwitchConfig::new(sc.hosts, sc.port_credit);
     for (src, vc, dsts) in &sc.routes {
         cfg = cfg.route(*src, *vc, dsts);
@@ -327,6 +303,9 @@ pub fn run_switch_scenario(
         usize::from(sc.hosts),
         cfg,
     ));
+    if traced {
+        w.enable_tracing(true);
+    }
     let spaces: Vec<_> = (0..sc.hosts).map(|h| w.create_process(HostId(h))).collect();
     let mut model = ModelSwitch::new(sc.hosts);
 
@@ -368,36 +347,28 @@ pub fn run_switch_scenario(
                 stats.sends += 1;
             }
             SwitchOp::Barrier => {
-                barrier_check(sc, &mut w, &spaces, &mut model, bug, step, &mut stats)?;
+                barrier_check(sc, &mut w, &spaces, &mut model, bug, &mut stats)
+                    .map_err(|d| Divergence::capture(&mut w, sc, traced, step, d))?;
                 inflight.clear();
             }
         }
     }
     // Scenario end is an implicit barrier: drain whatever a shrunk op
     // list left in flight before judging conservation.
-    barrier_check(
-        sc,
-        &mut w,
-        &spaces,
-        &mut model,
-        bug,
-        sc.ops.len(),
-        &mut stats,
-    )?;
+    let end = sc.ops.len();
+    barrier_check(sc, &mut w, &spaces, &mut model, bug, &mut stats)
+        .map_err(|d| Divergence::capture(&mut w, sc, traced, end, d))?;
     drop(inflight);
 
     // Conservation, cross-checked against the real switch's counters.
     let real = w.switch_stats().expect("switched world");
     stats.replicas = real.pdus_replicated;
     if real.pdus_ingress != model.injected || real.pdus_dispatched != model.enqueued {
-        return Err(SwitchDivergence {
-            step: sc.ops.len().saturating_sub(1),
-            op: "end".into(),
-            detail: format!(
-                "conservation: real ingress/dispatched = {}/{}, model = {}/{}",
-                real.pdus_ingress, real.pdus_dispatched, model.injected, model.enqueued
-            ),
-        });
+        let detail = format!(
+            "conservation: real ingress/dispatched = {}/{}, model = {}/{}",
+            real.pdus_ingress, real.pdus_dispatched, model.injected, model.enqueued
+        );
+        return Err(Divergence::capture(&mut w, sc, traced, end, detail));
     }
     Ok(stats)
 }
@@ -410,9 +381,8 @@ fn barrier_check(
     spaces: &[genie_vm::SpaceId],
     model: &mut ModelSwitch,
     bug: SwitchBug,
-    step: usize,
     stats: &mut SwitchRunStats,
-) -> Result<(), SwitchDivergence> {
+) -> Result<(), String> {
     // The model's prediction: per (destination, VC) payload queues,
     // in port-FIFO order.
     let mut want: BTreeMap<(u16, u32), VecDeque<Vec<u8>>> = BTreeMap::new();
@@ -445,27 +415,19 @@ fn barrier_check(
     w.run();
     let done = w.take_completed_inputs();
     if done.len() != total {
-        return Err(SwitchDivergence {
-            step,
-            op: "barrier".into(),
-            detail: format!(
-                "model predicts {total} deliveries, real world completed {}",
-                done.len()
-            ),
-        });
+        return Err(format!(
+            "model predicts {total} deliveries, real world completed {}",
+            done.len()
+        ));
     }
     for c in &done {
         let &(host, vc) = tokens.get(&c.token).expect("known token");
         let expect = match want.get_mut(&(host, vc)).and_then(VecDeque::pop_front) {
             Some(e) => e,
             None => {
-                return Err(SwitchDivergence {
-                    step,
-                    op: "barrier".into(),
-                    detail: format!(
-                        "host {host} vc {vc}: more deliveries than the model predicted"
-                    ),
-                })
+                return Err(format!(
+                    "host {host} vc {vc}: more deliveries than the model predicted"
+                ))
             }
         };
         if c.len != expect.len()
@@ -473,69 +435,15 @@ fn barrier_check(
                 .app_matches(HostId(host), spaces[usize::from(host)], c.vaddr, &expect)
                 .expect("readable delivery")
         {
-            return Err(SwitchDivergence {
-                step,
-                op: "barrier".into(),
-                detail: format!(
-                    "host {host} vc {vc}: delivery #{} differs from the model \
-                                 (per-VC FIFO or payload bytes)",
-                    stats.deliveries
-                ),
-            });
+            return Err(format!(
+                "host {host} vc {vc}: delivery #{} differs from the model \
+                 (per-VC FIFO or payload bytes)",
+                stats.deliveries
+            ));
         }
         stats.deliveries += 1;
     }
     Ok(())
-}
-
-/// Shrinks a diverging scenario by deleting ops while the divergence
-/// persists. Same fixpoint loop as [`crate::shrink`].
-pub fn shrink_switch(sc: &SwitchScenario, bug: SwitchBug) -> (SwitchScenario, SwitchDivergence) {
-    let mut cur = sc.clone();
-    let mut div = match run_switch_scenario(&cur, bug) {
-        Err(d) => d,
-        Ok(_) => panic!("shrink_switch called on a passing scenario"),
-    };
-    cur.ops.truncate(div.step + 1);
-    loop {
-        let mut progressed = false;
-        let mut i = 0;
-        while i < cur.ops.len() {
-            let mut cand = cur.clone();
-            cand.ops.remove(i);
-            match run_switch_scenario(&cand, bug) {
-                Err(d) => {
-                    cur = cand;
-                    cur.ops.truncate(d.step + 1);
-                    div = d;
-                    progressed = true;
-                }
-                Ok(_) => i += 1,
-            }
-        }
-        if !progressed {
-            return (cur, div);
-        }
-    }
-}
-
-/// Writes a minimal counterexample under `GENIE_MODEL_CE_DIR` (default
-/// `target/model-counterexamples`). Returns the path on success.
-pub fn emit_switch_counterexample(
-    minimal: &SwitchScenario,
-    div: &SwitchDivergence,
-) -> Option<std::path::PathBuf> {
-    let dir = std::env::var("GENIE_MODEL_CE_DIR")
-        .unwrap_or_else(|_| "target/model-counterexamples".into());
-    std::fs::create_dir_all(&dir).ok()?;
-    let path = std::path::PathBuf::from(&dir)
-        .join(format!("switch_ce_h{}_{}.ops", minimal.hosts, minimal.seed));
-    let body = format!(
-        "# switch-differential counterexample\n# {div}\n{}",
-        minimal.to_ops_string()
-    );
-    std::fs::write(&path, body).ok()?;
-    Some(path)
 }
 
 #[cfg(test)]
@@ -567,7 +475,7 @@ mod tests {
     fn faithful_model_agrees_on_a_seed_spread() {
         for seed in 0..10 {
             let sc = SwitchScenario::generate(4, seed);
-            let stats = run_switch_scenario(&sc, SwitchBug::None)
+            let stats = run_switch_scenario(&sc, SwitchBug::None, false)
                 .unwrap_or_else(|d| panic!("seed {seed} diverged: {d}"));
             assert_eq!(stats.sends > 0, stats.deliveries > 0, "seed {seed}");
         }

@@ -24,7 +24,7 @@ echo "== model-differential smoke (50 seeds, full semantics x architecture grid)
 GENIE_MODEL_SEEDS=50 cargo test --release --test model_differential -q
 
 echo "== cq-differential and cq-property smoke (50 seeds each) =="
-GENIE_CQ_MODEL_SEEDS=50 cargo test --release --test cq_differential -q
+GENIE_MODEL_SEEDS=50 cargo test --release --test cq_differential -q
 GENIE_CQ_PROP_SEEDS=50 cargo test --release --test cq_properties -q
 
 echo "== parallel_fs example smoke (queue-pair API, self-checking) =="

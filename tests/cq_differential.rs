@@ -7,40 +7,26 @@
 //!
 //! Every scenario is a pure function of `(semantics, arch, seed)`.
 //! On divergence the harness shrinks to a minimal counterexample and
-//! writes a replayable `.ops` file under `target/model-counterexamples`
-//! (override with `GENIE_MODEL_CE_DIR`). `GENIE_CQ_MODEL_SEED=<seed>`
-//! replays one seed across the whole 8 × 3 grid;
-//! `GENIE_CQ_MODEL_SEEDS=<n>` overrides the seed count (default 120)
-//! — CI's cq-differential job runs 500.
+//! writes a replayable `.ops` file, crash dump and Chrome trace under
+//! `target/model-counterexamples` (override with `GENIE_MODEL_CE_DIR`).
+//! `GENIE_MODEL_SEED=<seed>` replays one seed across the whole 8 × 3
+//! grid; `GENIE_MODEL_SEEDS=<n>` overrides the seed count (default
+//! 120) — `scripts/verify.sh` runs 50, CI's cq-differential job 500.
+
+use std::path::Path;
 
 use genie::Semantics;
-use genie_model::{run_cq_scenario, shrink_cq, CqBug, CqOp, CqScenario};
+use genie_model::{
+    check, replay_corpus, seeds, shrink, CqBug, CqOp, CqScenario, Differential, ARCHITECTURES,
+};
 use genie_net::InputBuffering;
 
-const ARCHITECTURES: [InputBuffering; 3] = [
-    InputBuffering::EarlyDemux,
-    InputBuffering::Pooled,
-    InputBuffering::Outboard,
-];
-
-fn seed_list() -> Vec<u64> {
-    if let Ok(s) = std::env::var("GENIE_CQ_MODEL_SEED") {
-        let seed = s
-            .trim()
-            .parse::<u64>()
-            .expect("GENIE_CQ_MODEL_SEED is a u64");
-        return vec![seed];
-    }
-    let n = std::env::var("GENIE_CQ_MODEL_SEEDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(120);
-    (0..n as u64).collect()
-}
+/// Seeds per sweep unless `GENIE_MODEL_SEEDS` says otherwise.
+const DEFAULT_SEEDS: usize = 120;
 
 #[test]
 fn cq_differential_sweep_every_semantics_architecture_and_seed() {
-    let seeds = seed_list();
+    let seeds = seeds(DEFAULT_SEEDS);
     // One runner cell per seed; each cell sweeps the 8 × 3 grid
     // serially and stays a pure function of its seed.
     let per_seed: Vec<(Vec<String>, usize, u64, u64, u64)> = genie_runner::map(&seeds, |&seed| {
@@ -48,7 +34,7 @@ fn cq_differential_sweep_every_semantics_architecture_and_seed() {
         let (mut recvs, mut rejects, mut overflows, mut probes) = (0usize, 0u64, 0u64, 0u64);
         for sem in Semantics::ALL {
             for arch in ARCHITECTURES {
-                match genie_model::check_cq(sem, arch, seed) {
+                match check(CqScenario::generate(sem, arch, seed)) {
                     Ok(stats) => {
                         recvs += stats.recv_completions;
                         rejects += stats.sq_rejects;
@@ -102,8 +88,8 @@ fn cq_scenarios_replay_to_identical_results() {
     for seed in [2, 4, 9] {
         for sem in [Semantics::Copy, Semantics::Move, Semantics::EmulatedShare] {
             let sc = CqScenario::generate(sem, InputBuffering::Pooled, seed);
-            let a = run_cq_scenario(&sc, CqBug::None).expect("scenario passes");
-            let b = run_cq_scenario(&sc, CqBug::None).expect("scenario passes");
+            let a = sc.run(CqBug::None, false).expect("scenario passes");
+            let b = sc.run(CqBug::None, false).expect("scenario passes");
             assert_eq!(a, b, "sem={sem} seed={seed}");
         }
     }
@@ -114,31 +100,12 @@ fn cq_corpus_scenarios_replay_clean() {
     // Committed anchors, replayed verbatim from their `.ops` files —
     // a separate directory from the synchronous differential corpus
     // because the verbs differ.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus_cq");
-    let mut paths: Vec<_> = std::fs::read_dir(&dir)
-        .expect("tests/corpus_cq exists")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "ops"))
-        .collect();
-    paths.sort();
-    assert!(
-        paths.len() >= 4,
-        "expected at least 4 cq corpus files, found {}",
-        paths.len()
-    );
-    for path in paths {
-        let text = std::fs::read_to_string(&path).expect("corpus file reads");
-        let sc = CqScenario::parse(&text)
-            .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
-        run_cq_scenario(&sc, CqBug::None).unwrap_or_else(|d| {
-            panic!(
-                "{} diverged at step {}: {}",
-                path.display(),
-                d.step,
-                d.detail
-            )
-        });
-    }
+    let n = replay_corpus::<CqScenario>(&corpus_dir());
+    assert!(n >= 4, "expected at least 4 cq corpus files, found {n}");
+}
+
+fn corpus_dir() -> std::path::PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus_cq")
 }
 
 /// Regenerates the cq corpus from the generator. Run manually after an
@@ -147,7 +114,7 @@ fn cq_corpus_scenarios_replay_clean() {
 #[test]
 #[ignore = "writes tests/corpus_cq; run manually after generator changes"]
 fn regenerate_cq_corpus() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus_cq");
+    let dir = corpus_dir();
     std::fs::create_dir_all(&dir).unwrap();
     // A spread over semantics and architectures, including a faulted
     // seed (every fourth seed runs the masked fault plan).
@@ -159,7 +126,8 @@ fn regenerate_cq_corpus() {
     ];
     for (sem, arch, seed) in picks {
         let sc = CqScenario::generate(sem, arch, seed);
-        run_cq_scenario(&sc, CqBug::None).expect("corpus scenario passes on main");
+        sc.run(CqBug::None, false)
+            .expect("corpus scenario passes on main");
         let name = format!("{sem:?}_{arch:?}_{seed}.ops").to_lowercase();
         let body = format!(
             "# cq-differential seed corpus — replayed verbatim by cq_corpus_scenarios_replay_clean\n\
@@ -179,14 +147,14 @@ fn reordered_ring_is_caught_and_shrinks_small() {
     'search: for seed in 0..100u64 {
         for arch in ARCHITECTURES {
             let sc = CqScenario::generate(Semantics::Copy, arch, seed);
-            if run_cq_scenario(&sc, CqBug::ReorderedRing).is_err() {
+            if sc.run(CqBug::ReorderedRing, false).is_err() {
                 caught = Some(sc);
                 break 'search;
             }
         }
     }
     let sc = caught.expect("the reordered ring must diverge within 100 seeds");
-    let (minimal, div) = shrink_cq(&sc, CqBug::ReorderedRing);
+    let (minimal, div) = shrink(&sc, CqBug::ReorderedRing);
     assert!(
         minimal.ops.len() <= 8,
         "minimal cq counterexample has {} ops: {:?}",
@@ -203,7 +171,9 @@ fn reordered_ring_is_caught_and_shrinks_small() {
     assert!(sends >= 2, "a reorder counterexample needs two sends");
     // The shrunk scenario is the checker's bug to catch, not the
     // queue pair's: the honest run passes it.
-    run_cq_scenario(&minimal, CqBug::None).expect("honest ring passes the counterexample");
+    minimal
+        .run(CqBug::None, false)
+        .expect("honest ring passes the counterexample");
 }
 
 #[test]
@@ -212,7 +182,7 @@ fn dropped_cqe_is_caught() {
     // also diverge: conservation of tags is part of the contract.
     let caught = (0..100u64).any(|seed| {
         let sc = CqScenario::generate(Semantics::EmulatedCopy, InputBuffering::Pooled, seed);
-        run_cq_scenario(&sc, CqBug::DroppedCqe).is_err()
+        sc.run(CqBug::DroppedCqe, false).is_err()
     });
     assert!(caught, "a dropped completion must diverge within 100 seeds");
 }

@@ -5,41 +5,29 @@
 //!
 //! Every scenario is a pure function of `(semantics, arch, seed)`.
 //! On divergence the harness shrinks to a minimal counterexample and
-//! writes a replayable `.ops` file under `target/model-counterexamples`
-//! (override with `GENIE_MODEL_CE_DIR`); the failure message embeds a
-//! one-line reproducer. `GENIE_MODEL_SEED=<seed>` replays one seed
-//! across the whole 8 × 3 grid; `GENIE_MODEL_SEEDS=<n>` overrides the
-//! seed count (default 200) — `scripts/verify.sh` runs a 50-seed
-//! smoke, CI's nightly job a 500-seed sweep. See `TESTING.md`.
+//! writes a replayable `.ops` file, crash dump and Chrome trace under
+//! `target/model-counterexamples` (override with `GENIE_MODEL_CE_DIR`);
+//! the failure message embeds a one-line reproducer.
+//! `GENIE_MODEL_SEED=<seed>` replays one seed across the whole 8 × 3
+//! grid; `GENIE_MODEL_SEEDS=<n>` overrides the seed count (default
+//! 200) — `scripts/verify.sh` runs a 50-seed smoke, CI's nightly job a
+//! 500-seed sweep. See `TESTING.md`.
+
+use std::path::Path;
 
 use genie::Semantics;
 use genie_model::{
-    check, emit_switch_counterexample, run_scenario, run_switch_scenario, seed_is_faulted, shrink,
-    shrink_switch, ModelBug, Scenario, SwitchBug, SwitchScenario,
+    check, replay_corpus, seed_is_faulted, seeds, shrink, Differential, ModelBug, Scenario,
+    SwitchBug, SwitchScenario, ARCHITECTURES,
 };
 use genie_net::InputBuffering;
 
-const ARCHITECTURES: [InputBuffering; 3] = [
-    InputBuffering::EarlyDemux,
-    InputBuffering::Pooled,
-    InputBuffering::Outboard,
-];
-
-fn seed_list() -> Vec<u64> {
-    if let Ok(s) = std::env::var("GENIE_MODEL_SEED") {
-        let seed = s.trim().parse::<u64>().expect("GENIE_MODEL_SEED is a u64");
-        return vec![seed];
-    }
-    let n = std::env::var("GENIE_MODEL_SEEDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(200);
-    (0..n as u64).collect()
-}
+/// Seeds per sweep unless `GENIE_MODEL_SEEDS` says otherwise.
+const DEFAULT_SEEDS: usize = 200;
 
 #[test]
 fn differential_sweep_every_semantics_architecture_and_seed() {
-    let seeds = seed_list();
+    let seeds = seeds(DEFAULT_SEEDS);
     // One runner cell per seed: each cell sweeps the full 8 × 3 grid
     // serially (a cell is still a pure function of its seed).
     let per_seed: Vec<(Vec<String>, usize, u64, u64)> = genie_runner::map(&seeds, |&seed| {
@@ -47,7 +35,7 @@ fn differential_sweep_every_semantics_architecture_and_seed() {
         let (mut recvs, mut probes, mut faults) = (0usize, 0u64, 0u64);
         for sem in Semantics::ALL {
             for arch in ARCHITECTURES {
-                match check(sem, arch, seed) {
+                match check(Scenario::generate(sem, arch, seed)) {
                     Ok(stats) => {
                         recvs += stats.recv_completions;
                         probes += stats.probes_checked;
@@ -108,24 +96,11 @@ fn switched_differential_sweep_over_n_hosts() {
     // barrier. Same env knobs: GENIE_MODEL_SEEDS, GENIE_MODEL_SEED,
     // GENIE_MODEL_HOSTS, GENIE_MODEL_CE_DIR.
     let hosts = host_count();
-    let seeds = seed_list();
+    let seeds = seeds(DEFAULT_SEEDS);
     let per_seed: Vec<(Option<String>, usize, usize)> = genie_runner::map(&seeds, |&seed| {
-        let sc = SwitchScenario::generate(hosts, seed);
-        match run_switch_scenario(&sc, SwitchBug::None) {
+        match check(SwitchScenario::generate(hosts, seed)) {
             Ok(stats) => (None, stats.sends, stats.deliveries),
-            Err(_) => {
-                let (minimal, div) = shrink_switch(&sc, SwitchBug::None);
-                let path = emit_switch_counterexample(&minimal, &div);
-                let msg = format!(
-                    "hosts={hosts} seed={seed}: {div}\n  minimal ({} ops){}\n  \
-                     replay: GENIE_MODEL_HOSTS={hosts} GENIE_MODEL_SEED={seed} \
-                     cargo test --test model_differential switched_differential",
-                    minimal.ops.len(),
-                    path.map(|p| format!(" written to {}", p.display()))
-                        .unwrap_or_default()
-                );
-                (Some(msg), 0, 0)
-            }
+            Err(report) => (Some(report.to_string()), 0, 0),
         }
     });
     let sends: usize = per_seed.iter().map(|r| r.1).sum();
@@ -158,13 +133,13 @@ fn seeded_switch_model_bug_is_caught_and_shrinks_small() {
     let mut caught = None;
     for seed in 0..100u64 {
         let sc = SwitchScenario::generate(4, seed);
-        if run_switch_scenario(&sc, SwitchBug::ForgetReplicas).is_err() {
+        if sc.run(SwitchBug::ForgetReplicas, false).is_err() {
             caught = Some(sc);
             break;
         }
     }
     let sc = caught.expect("the seeded switch bug must diverge within 100 seeds");
-    let (minimal, div) = shrink_switch(&sc, SwitchBug::ForgetReplicas);
+    let (minimal, div) = shrink(&sc, SwitchBug::ForgetReplicas);
     assert!(
         minimal.ops.len() <= 4,
         "minimal switch counterexample has {} ops: {:?}",
@@ -174,13 +149,17 @@ fn seeded_switch_model_bug_is_caught_and_shrinks_small() {
     assert!(!div.detail.is_empty());
     // The faithful model passes the shrunk scenario — it is a genuine
     // model bug, not a fabric one.
-    run_switch_scenario(&minimal, SwitchBug::None).expect("faithful model passes");
+    minimal
+        .run(SwitchBug::None, false)
+        .expect("faithful model passes");
 
     // A per-VC order bug (LIFO ports) is also caught somewhere in the
     // seed range: scenarios with two sends on one route between
     // barriers exist.
     let lifo_caught = (0..100u64).any(|seed| {
-        run_switch_scenario(&SwitchScenario::generate(4, seed), SwitchBug::LifoPorts).is_err()
+        SwitchScenario::generate(4, seed)
+            .run(SwitchBug::LifoPorts, false)
+            .is_err()
     });
     assert!(lifo_caught, "LIFO port order must diverge within 100 seeds");
 }
@@ -197,8 +176,8 @@ fn any_seed_replays_to_identical_stats() {
         ] {
             for arch in ARCHITECTURES {
                 let sc = Scenario::generate(sem, arch, seed);
-                let a = run_scenario(&sc, ModelBug::None).expect("scenario passes");
-                let b = run_scenario(&sc, ModelBug::None).expect("scenario passes");
+                let a = sc.run(ModelBug::None, false).expect("scenario passes");
+                let b = sc.run(ModelBug::None, false).expect("scenario passes");
                 assert_eq!(a, b, "sem={sem} arch={arch:?} seed={seed}");
             }
         }
@@ -209,31 +188,22 @@ fn any_seed_replays_to_identical_stats() {
 fn corpus_scenarios_replay_clean() {
     // The committed seed corpus: regression anchors that replay
     // verbatim from their `.ops` files, independent of the generator.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
-    let mut paths: Vec<_> = std::fs::read_dir(&dir)
-        .expect("tests/corpus exists")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "ops"))
-        .collect();
-    paths.sort();
-    assert!(
-        paths.len() >= 5,
-        "expected at least 5 corpus files, found {}",
-        paths.len()
-    );
-    for path in paths {
-        let text = std::fs::read_to_string(&path).expect("corpus file reads");
-        let sc = Scenario::parse(&text)
-            .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
-        run_scenario(&sc, ModelBug::None).unwrap_or_else(|d| {
-            panic!(
-                "{} diverged at step {}: {}",
-                path.display(),
-                d.step,
-                d.detail
-            )
-        });
-    }
+    let n = replay_corpus::<Scenario>(&corpus_dir("corpus"));
+    assert!(n >= 5, "expected at least 5 corpus files, found {n}");
+}
+
+#[test]
+fn switch_corpus_scenarios_replay_clean() {
+    // Switched anchors (4 and 6 hosts, unicast and multicast routes) —
+    // their own directory, because the verbs differ.
+    let n = replay_corpus::<SwitchScenario>(&corpus_dir("corpus_switch"));
+    assert!(n >= 4, "expected at least 4 switch corpus files, found {n}");
+}
+
+fn corpus_dir(name: &str) -> std::path::PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join(name)
 }
 
 /// Regenerates the corpus from the generator. Run manually after an
@@ -242,7 +212,7 @@ fn corpus_scenarios_replay_clean() {
 #[test]
 #[ignore = "writes tests/corpus; run manually after generator changes"]
 fn regenerate_corpus() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let dir = corpus_dir("corpus");
     std::fs::create_dir_all(&dir).unwrap();
     // A spread over semantics and architectures, including two
     // faulted seeds (every fourth seed runs the masked fault plan).
@@ -258,7 +228,8 @@ fn regenerate_corpus() {
     ];
     for (sem, arch, seed) in picks {
         let sc = Scenario::generate(sem, arch, seed);
-        run_scenario(&sc, ModelBug::None).expect("corpus scenario passes on main");
+        sc.run(ModelBug::None, false)
+            .expect("corpus scenario passes on main");
         let name = format!("{sem:?}_{arch:?}_{seed}.ops").to_lowercase();
         let body = format!(
             "# model-differential seed corpus — replayed verbatim by corpus_scenarios_replay_clean\n\
@@ -266,6 +237,28 @@ fn regenerate_corpus() {
             sc.to_ops_string()
         );
         std::fs::write(dir.join(name), body).unwrap();
+    }
+}
+
+/// Regenerates the switch corpus from the generator. Run manually
+/// after an intentional generator/format change:
+/// `cargo test --test model_differential regenerate_switch_corpus -- --ignored`
+#[test]
+#[ignore = "writes tests/corpus_switch; run manually after generator changes"]
+fn regenerate_switch_corpus() {
+    let dir = corpus_dir("corpus_switch");
+    std::fs::create_dir_all(&dir).unwrap();
+    // Two host counts, each pick with at least one multicast route.
+    for (hosts, seed) in [(4u16, 1u64), (4, 2), (6, 3), (6, 5)] {
+        let sc = SwitchScenario::generate(hosts, seed);
+        sc.run(SwitchBug::None, false)
+            .expect("corpus scenario passes on main");
+        let body = format!(
+            "# switch-differential seed corpus — replayed verbatim by switch_corpus_scenarios_replay_clean\n\
+             # regenerate: cargo test --test model_differential regenerate_switch_corpus -- --ignored\n{}",
+            sc.to_ops_string()
+        );
+        std::fs::write(dir.join(format!("h{hosts}_{seed}.ops")), body).unwrap();
     }
 }
 
@@ -278,7 +271,7 @@ fn seeded_model_bug_is_caught_and_shrinks_small() {
     'search: for seed in 0..100u64 {
         for arch in ARCHITECTURES {
             let sc = Scenario::generate(Semantics::Share, arch, seed);
-            if run_scenario(&sc, ModelBug::ShareIsStrong).is_err() {
+            if sc.run(ModelBug::ShareIsStrong, false).is_err() {
                 caught = Some(sc);
                 break 'search;
             }
@@ -298,5 +291,7 @@ fn seeded_model_bug_is_caught_and_shrinks_small() {
     );
     // The shrunk scenario is a genuine model bug, not a real one: the
     // correct model passes it.
-    run_scenario(&minimal, ModelBug::None).expect("correct model passes the counterexample");
+    minimal
+        .run(ModelBug::None, false)
+        .expect("correct model passes the counterexample");
 }
