@@ -41,7 +41,7 @@ fn vm_faults() {
         let s = v.create_space();
         let va = v.alloc_app_buffer(s, 4096).expect("buffer");
         v.write_app(s, va, b"x").expect("touch");
-        let (_d, _) = v
+        let _d = v
             .reference_pages(s, va, 4096, IoDir::Output)
             .expect("reference");
         v.write_protect(s, va, 4096);

@@ -1,8 +1,9 @@
 //! Host-side microbenchmarks for the wire datapath.
 //!
 //! Times the pieces the zero-copy PR optimizes — CRC-32 over a 60 KB
-//! PDU, the cell codec (segment/reassemble into reused buffers), and a
-//! full 60 KB simulated exchange — and records the results as a
+//! PDU, the cell codec (segment/reassemble into reused buffers), a
+//! full 60 KB simulated exchange and a warm 252-datagram star fan-in
+//! wave — and records the results as a
 //! `datapath_ns` section in `BENCH_report.json` so the perf trajectory
 //! is tracked across PRs. These are *host wall-clock* numbers; the
 //! simulated latencies the paper cares about are unaffected by them.
@@ -14,14 +15,15 @@
 use std::collections::VecDeque;
 
 use genie::{
-    measure_latency, ExperimentSetup, HostId, Semantics, SeriesContext, World, WorldConfig,
+    measure_latency, Allocation, ExperimentSetup, HostId, InputRequest, OutputRequest, Semantics,
+    SeriesContext, World, WorldConfig, ALL_SEMANTICS,
 };
 use genie_bench::timing::{time_named, Timing};
 use genie_machine::{MachineSpec, SimTime};
 use genie_mem::PhysMem;
 use genie_net::aal5;
 use genie_net::event::EventQueue;
-use genie_net::SwitchConfig;
+use genie_net::{SwitchConfig, Vc};
 use genie_vm::{Access, RegionHandle, RegionMark, Vm};
 
 const PDU_60K: usize = 61_440;
@@ -224,6 +226,83 @@ fn main() {
             drop(std::hint::black_box(w));
         },
     ));
+
+    // One warm fan-in wave on a 64-host star: every spoke sends 4 x
+    // 2 KB datagrams into the hub, spoke `i` under semantics `i mod 8`,
+    // then the hub verifies and frees each delivery and the spokes free
+    // their sources. The world is built once, so the timed waves run
+    // the recycled per-datagram path: wire buffers, fault lists,
+    // descriptor and frame lists and object page tables all come from
+    // the previous wave.
+    {
+        const HOSTS: u16 = 64;
+        const BYTES: usize = 2048;
+        const VC_BASE: u32 = 500;
+        const HUB: HostId = HostId(0);
+        let sw = SwitchConfig::star(HOSTS, 0, VC_BASE, 256);
+        let mut w = World::new(WorldConfig::switched(
+            MachineSpec::micron_p166(),
+            HOSTS.into(),
+            sw,
+        ));
+        let hub = w.create_process(HUB);
+        let spokes: Vec<_> = (1..HOSTS).map(|i| w.create_process(HostId(i))).collect();
+        let mut srcs = Vec::new();
+        let data = &payload[..BYTES];
+        results.push(time_named("datapath/star_wave_64", iters(200), || {
+            for _ in 0..4 {
+                for i in 1..HOSTS {
+                    let sem = ALL_SEMANTICS[usize::from(i) % ALL_SEMANTICS.len()];
+                    let vc = Vc(VC_BASE + u32::from(i));
+                    let req = match sem.allocation() {
+                        Allocation::Application => {
+                            let (off, _) = w.preferred_alignment(HUB, vc);
+                            let dst = w.alloc_buffer(HUB, hub, BYTES, off).expect("hub buffer");
+                            InputRequest::app(sem, vc, hub, dst, BYTES)
+                        }
+                        Allocation::System => InputRequest::system(sem, vc, hub, BYTES),
+                    };
+                    w.input(HUB, req).expect("input");
+                }
+            }
+            for _ in 0..4 {
+                for i in 1..HOSTS {
+                    let sem = ALL_SEMANTICS[usize::from(i) % ALL_SEMANTICS.len()];
+                    let (host, space) = (HostId(i), spokes[usize::from(i) - 1]);
+                    let src = match sem.allocation() {
+                        Allocation::Application => w.alloc_buffer(host, space, BYTES, 0),
+                        Allocation::System => w
+                            .host_mut(host)
+                            .alloc_io_buffer(space, BYTES)
+                            .map(|(_, va)| va),
+                    }
+                    .expect("source buffer");
+                    w.app_write(host, space, src, data).expect("fill");
+                    let vc = Vc(VC_BASE + u32::from(i));
+                    w.output(host, OutputRequest::new(sem, vc, space, src, BYTES))
+                        .expect("output");
+                    // Move output removes its region; the spoke unmaps
+                    // every other source after the wave.
+                    if sem != Semantics::Move {
+                        srcs.push((i, src));
+                    }
+                }
+            }
+            w.run();
+            let done = w.take_completed_inputs();
+            assert_eq!(w.take_completed_outputs().len(), done.len());
+            assert_eq!(done.len(), 252, "every datagram delivered");
+            for c in &done {
+                assert!(w.app_matches(HUB, hub, c.vaddr, data).expect("readable"));
+                w.host_mut(HUB).free_buffer(hub, c.vaddr).expect("free");
+            }
+            for (i, src) in srcs.drain(..) {
+                w.host_mut(HostId(i))
+                    .free_buffer(spokes[usize::from(i) - 1], src)
+                    .expect("free source");
+            }
+        }));
+    }
 
     // Flight-recorder overhead: one 8-host star fan-in with the full
     // observation stack on (tracing, switch port series, per-VC

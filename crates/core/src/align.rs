@@ -42,7 +42,9 @@ pub struct PagePlan {
     pub action: PageAction,
 }
 
-/// Computes the reverse-copyout plan for an aligned input buffer.
+/// Computes the reverse-copyout plan for an aligned input buffer, one
+/// [`PagePlan`] per page in page order. The plan is computed lazily:
+/// the input path executes it without materializing a list.
 ///
 /// `page_off` is the buffer's offset within its first page (the
 /// preferred alignment, e.g. the unstripped header length), `len` the
@@ -53,17 +55,42 @@ pub fn plan_aligned_input(
     page_off: usize,
     len: usize,
     threshold: usize,
-) -> Vec<PagePlan> {
+) -> AlignedPlan {
     assert!(page_off < page_size, "offset must be within a page");
-    let mut plans = Vec::new();
-    let mut remaining = len;
-    let mut page = 0usize;
-    let mut start = page_off;
-    while remaining > 0 {
-        let data_len = remaining.min(page_size - start);
+    AlignedPlan {
+        page_size,
+        threshold,
+        remaining: len,
+        page: 0,
+        start: page_off,
+    }
+}
+
+/// The page-by-page plan returned by [`plan_aligned_input`].
+#[derive(Clone, Debug)]
+pub struct AlignedPlan {
+    page_size: usize,
+    threshold: usize,
+    /// Data bytes not yet planned.
+    remaining: usize,
+    /// Index of the next page.
+    page: usize,
+    /// Data offset within the next page.
+    start: usize,
+}
+
+impl Iterator for AlignedPlan {
+    type Item = PagePlan;
+
+    fn next(&mut self) -> Option<PagePlan> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let (page_size, start) = (self.page_size, self.start);
+        let data_len = self.remaining.min(page_size - start);
         let action = if start == 0 && data_len == page_size {
             PageAction::SwapWhole
-        } else if data_len <= threshold {
+        } else if data_len <= self.threshold {
             PageAction::CopyOut
         } else {
             PageAction::FillAndSwap {
@@ -71,22 +98,22 @@ pub fn plan_aligned_input(
                 fill_suffix: page_size - start - data_len,
             }
         };
-        plans.push(PagePlan {
-            page,
+        let plan = PagePlan {
+            page: self.page,
             data_start: start,
             data_len,
             action,
-        });
-        remaining -= data_len;
-        start = 0;
-        page += 1;
+        };
+        self.remaining -= data_len;
+        self.start = 0;
+        self.page += 1;
+        Some(plan)
     }
-    plans
 }
 
 /// Aggregate cost-relevant totals of a plan: (bytes copied out or used
 /// as fill, pages swapped, bytes carried by swapped pages).
-pub fn plan_totals(plans: &[PagePlan]) -> (usize, usize, usize) {
+pub fn plan_totals(plans: impl IntoIterator<Item = PagePlan>) -> (usize, usize, usize) {
     let mut copied = 0usize;
     let mut swapped_pages = 0usize;
     let mut swapped_bytes = 0usize;
@@ -117,25 +144,29 @@ mod tests {
     const PAGE: usize = 4096;
     const T: usize = 2178;
 
+    fn plan(page_off: usize, len: usize) -> Vec<PagePlan> {
+        plan_aligned_input(PAGE, page_off, len, T).collect()
+    }
+
     #[test]
     fn page_aligned_multiple_swaps_everything() {
-        let plans = plan_aligned_input(PAGE, 0, 3 * PAGE, T);
+        let plans = plan(0, 3 * PAGE);
         assert_eq!(plans.len(), 3);
         assert!(plans.iter().all(|p| p.action == PageAction::SwapWhole));
-        let (copied, swapped, bytes) = plan_totals(&plans);
+        let (copied, swapped, bytes) = plan_totals(plans.iter().copied());
         assert_eq!((copied, swapped, bytes), (0, 3, 3 * PAGE));
     }
 
     #[test]
     fn short_data_is_copied_out() {
-        let plans = plan_aligned_input(PAGE, 0, T, T);
+        let plans = plan(0, T);
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].action, PageAction::CopyOut);
     }
 
     #[test]
     fn long_partial_page_is_filled_and_swapped() {
-        let plans = plan_aligned_input(PAGE, 0, T + 1, T);
+        let plans = plan(0, T + 1);
         assert_eq!(plans.len(), 1);
         assert_eq!(
             plans[0].action,
@@ -153,7 +184,7 @@ mod tests {
         // 4 filled and swapped).
         let off = 16;
         let len = 3 * PAGE;
-        let plans = plan_aligned_input(PAGE, off, len, T);
+        let plans = plan(off, len);
         assert_eq!(plans.len(), 4);
         // First page holds PAGE-16 bytes > threshold: fill prefix 16.
         assert_eq!(
@@ -174,10 +205,10 @@ mod tests {
     #[test]
     fn totals_account_every_data_byte_exactly_once() {
         for (off, len) in [(0usize, 1usize), (100, 5000), (4000, 10_000), (16, 61_440)] {
-            let plans = plan_aligned_input(PAGE, off, len, T);
+            let plans = plan(off, len);
             let data_total: usize = plans.iter().map(|p| p.data_len).sum();
             assert_eq!(data_total, len, "off={off} len={len}");
-            let (_, _, swapped_bytes) = plan_totals(&plans);
+            let (_, _, swapped_bytes) = plan_totals(plans.iter().copied());
             let copied_data: usize = plans
                 .iter()
                 .filter(|p| p.action == PageAction::CopyOut)
@@ -193,8 +224,8 @@ mod tests {
         // than ~half a page (either data <= 2178 copied, or fill
         // <= PAGE - 2179 copied).
         for data_len in 1..=PAGE {
-            let plans = plan_aligned_input(PAGE, 0, data_len, T);
-            let (copied, _, _) = plan_totals(&plans);
+            let plans = plan(0, data_len);
+            let (copied, _, _) = plan_totals(plans.iter().copied());
             assert!(copied <= T, "data_len={data_len} copied={copied}");
         }
     }

@@ -205,7 +205,9 @@ impl World {
             .switch
             .as_mut()
             .expect("switch ingress event in a switched world");
-        let dsts = sw.route(from.0, vc.0).to_vec();
+        let mut dsts = std::mem::take(&mut self.scratch_dsts);
+        dsts.clear();
+        dsts.extend_from_slice(sw.route(from.0, vc.0));
         assert!(
             !dsts.is_empty(),
             "no route from host {} on vc {}",
@@ -213,15 +215,19 @@ impl World {
             vc.0
         );
         sw.note_ingress(dsts.len() - 1);
-        // Fan-out replicates the wire image at ingress; the original
-        // moves into the last copy.
+        // Fan-out replicates the wire image at ingress (into pooled
+        // buffers); the original moves into the last copy.
         for (i, &dst) in dsts.iter().enumerate() {
             let payload = if i + 1 == dsts.len() {
                 pdu.take()
             } else {
-                pdu.as_ref()
-                    .map(|p| WirePdu::new(vc.0, p.payload().to_vec()))
+                pdu.as_ref().map(|p| {
+                    let mut copy = self.take_payload_buf();
+                    copy.extend_from_slice(p.payload());
+                    WirePdu::new(vc.0, copy)
+                })
             };
+            let sw = self.switch.as_mut().expect("switched world");
             let depth = sw.enqueue(
                 dst,
                 SwitchedPdu {
@@ -244,6 +250,7 @@ impl World {
                 self.events.push(time, Event::PortDrain { port: dst });
             }
         }
+        self.scratch_dsts = dsts;
     }
 
     /// Dispatch PDUs from an output port's FIFO onto its egress link

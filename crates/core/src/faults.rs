@@ -464,30 +464,38 @@ impl World {
     pub(crate) fn drain_in_order(&mut self, time: SimTime, to: HostId, vc: Vc) {
         loop {
             let next = self.fault.next_seq(to.idx(), vc);
-            let Some(mut held) = self.fault.rx_held[to.idx()]
+            let Some(HeldPdu {
+                token,
+                pdu,
+                sent_at,
+                tries,
+            }) = self.fault.rx_held[to.idx()]
                 .get_mut(u64::from(vc.0))
                 .and_then(|q| q.remove(next))
             else {
                 return;
             };
-            let consumed = self.deliver_pdu(to, vc, held.pdu.payload(), held.sent_at);
-            if consumed {
+            let Err(pdu) = self.deliver_pdu(to, vc, pdu, sent_at) else {
                 self.fault.rx_next_seq[to.idx()].insert(u64::from(vc.0), next + 1);
-                if let Some(inf) = self.clear_inflight(held.token) {
+                if let Some(inf) = self.clear_inflight(token) {
                     self.recycle_payload(inf.bytes);
                 }
-                self.recycle_pdu(held.pdu);
                 continue;
-            }
+            };
             // Out of buffering: the sequence window stays put so later
             // PDUs keep waiting behind this one.
             self.fault.stats.buffer_drops += 1;
-            held.tries += 1;
-            if held.tries > MAX_REDELIVER_TRIES {
-                let token = held.token;
-                self.recycle_pdu(held.pdu);
+            let tries = tries + 1;
+            if tries > MAX_REDELIVER_TRIES {
+                self.recycle_pdu(pdu);
                 self.schedule_retransmit(time, token);
             } else {
+                let held = HeldPdu {
+                    token,
+                    pdu,
+                    sent_at,
+                    tries,
+                };
                 self.fault.hold_queue_mut(to.idx(), vc).insert(next, held);
                 self.events
                     .push(time + SimTime::from_us(100.0), Event::Redeliver { to, vc });

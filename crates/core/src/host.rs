@@ -26,6 +26,11 @@ pub struct Host {
     pub tracer: Tracer,
     /// Target overlay pool size in pages.
     pool_target: usize,
+    /// Emptied frame lists of finished kernel buffers (system, aligned
+    /// and overlay placements), reused by the next placement. Only
+    /// lists that placements once held come back, so the pool never
+    /// outgrows the most kernel buffers ever pending at once.
+    pub(crate) spare_frame_lists: Vec<Vec<FrameId>>,
 }
 
 impl Host {
@@ -55,6 +60,7 @@ impl Host {
             clock: SimTime::ZERO,
             tracer: Tracer::new(),
             pool_target: pool_pages,
+            spare_frame_lists: Vec::new(),
         }
     }
 
@@ -137,18 +143,56 @@ impl Host {
         Ok((h, h.start_vpn * page))
     }
 
-    /// Allocates `n` kernel frames (system/aligned buffers).
+    /// Allocates `n` kernel frames (system/aligned buffers), listed in
+    /// a recycled frame list. If memory runs out part-way, the frames
+    /// already taken stay allocated, as they always have.
     pub fn alloc_kernel_frames(&mut self, n: usize) -> Result<Vec<FrameId>, GenieError> {
-        (0..n)
-            .map(|_| self.vm.phys.alloc(None).map_err(GenieError::from))
-            .collect()
+        let mut frames = self.take_frame_list();
+        for _ in 0..n {
+            match self.vm.phys.alloc(None) {
+                Ok(f) => frames.push(f),
+                Err(e) => {
+                    self.recycle_frame_list(frames);
+                    return Err(e.into());
+                }
+            }
+        }
+        Ok(frames)
     }
 
-    /// Frees kernel frames.
-    pub fn free_kernel_frames(&mut self, frames: impl IntoIterator<Item = FrameId>) {
-        for f in frames {
+    /// Frees kernel frames and keeps their list for the next placement.
+    pub fn free_kernel_frames(&mut self, frames: Vec<FrameId>) {
+        for &f in &frames {
             let _ = self.vm.phys.dealloc(f);
         }
+        self.recycle_frame_list(frames);
+    }
+
+    /// An empty frame list, recycled when one is spare.
+    pub(crate) fn take_frame_list(&mut self) -> Vec<FrameId> {
+        self.spare_frame_lists.pop().unwrap_or_default()
+    }
+
+    /// Empties a frame list whose frames were freed or handed on, and
+    /// keeps it for reuse.
+    pub(crate) fn recycle_frame_list(&mut self, mut frames: Vec<FrameId>) {
+        if frames.capacity() > 0 {
+            frames.clear();
+            self.spare_frame_lists.push(frames);
+        }
+    }
+
+    /// Releases recycled storage beyond `keep` spare allocations per
+    /// pool, here and in the VM; returns how many allocations were
+    /// released.
+    pub(crate) fn trim_pools(&mut self, keep: usize) -> usize {
+        let mut freed = self.vm.trim_pools(keep);
+        if self.spare_frame_lists.len() > keep {
+            freed += self.spare_frame_lists.len() - keep;
+            self.spare_frame_lists.truncate(keep);
+            self.spare_frame_lists.shrink_to_fit();
+        }
+        freed
     }
 
     /// Returns overlay frames to the adapter pool and replenishes it
@@ -244,10 +288,12 @@ mod tests {
         // Lose 2 pool frames to a pooled receive whose frames are never
         // returned (as page swaps do), then replenish.
         let payload = vec![1u8; 8000];
+        let mut frames = Vec::new();
         let c = h
             .adapter
-            .receive(&mut h.vm.phys, genie_net::Vc(0), &payload)
+            .receive(&mut h.vm.phys, genie_net::Vc(0), &payload, &mut frames)
             .unwrap();
+        assert_eq!(frames.len(), 2);
         assert!(matches!(c, genie_net::RxCompletion::Overlay { .. }));
         assert_eq!(h.adapter.pool_len(), 14);
         h.return_overlay([]);

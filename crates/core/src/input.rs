@@ -12,11 +12,11 @@
 use std::collections::VecDeque;
 
 use genie_machine::{Op, SimTime};
-use genie_mem::{FrameId, IoDir};
-use genie_net::{checksum16, Adapter, DatagramHeader, RxCompletion, Vc, HEADER_LEN};
-use genie_vm::{Access, IoDescriptor, IoVec, RegionHandle, RegionMark, SpaceId};
+use genie_mem::{FrameId, IoDir, PhysMem};
+use genie_net::{checksum16, Adapter, DatagramHeader, RxCompletion, Vc, WirePdu, HEADER_LEN};
+use genie_vm::{Access, IoDescriptor, RegionHandle, RegionMark, SpaceId};
 
-use crate::align::{plan_aligned_input, PageAction, PagePlan};
+use crate::align::{plan_aligned_input, plan_totals, AlignedPlan, PageAction};
 use crate::config::ChecksumMode;
 use crate::error::GenieError;
 use crate::semantics::Semantics;
@@ -115,8 +115,8 @@ pub(crate) enum PlacedPayload {
     /// application buffer's page offset).
     Aligned(Vec<FrameId>),
     /// Pooled overlay frames holding the raw PDU (header at offset 0,
-    /// payload at [`HEADER_LEN`]).
-    Overlay(Vec<(FrameId, usize)>),
+    /// payload at [`HEADER_LEN`]); every frame is full but the last.
+    Overlay(Vec<FrameId>),
     /// Outboard adapter memory holding the raw PDU.
     Outboard(usize),
 }
@@ -194,9 +194,9 @@ impl World {
                     .machine()
                     .pages_spanned((vaddr % page as u64) as usize, len);
                 host.charge_latency(Op::Reference, len, pages);
-                let (desc, _faults) =
-                    host.vm
-                        .reference_pages(req.space, vaddr, len, IoDir::Input)?;
+                let desc = host
+                    .vm
+                    .reference_pages(req.space, vaddr, len, IoDir::Input)?;
                 if req.semantics == Semantics::Share {
                     let region = host.vm.region_at(req.space, vaddr)?;
                     host.charge_latency(Op::Wire, len, pages);
@@ -243,7 +243,7 @@ impl World {
                 host.vm.mark_region(region, RegionMark::MovingIn)?;
                 let pages = npages as usize;
                 host.charge_latency(Op::Reference, len, pages);
-                let (desc, _faults) = host.vm.reference_region_pages(
+                let desc = host.vm.reference_region_pages(
                     region,
                     0,
                     span.min(pages * page),
@@ -282,8 +282,9 @@ impl World {
         self.return_hop_credits(time, to, vc, cells);
 
         if !self.fault.plan.active() {
-            self.deliver_pdu(to, vc, pdu.payload(), sent_at);
-            self.recycle_pdu(pdu);
+            if let Err(pdu) = self.deliver_pdu(to, vc, pdu, sent_at) {
+                self.recycle_pdu(pdu);
+            }
             return;
         }
 
@@ -347,17 +348,20 @@ impl World {
         self.drain_in_order(time, to, vc);
     }
 
-    /// Ready-stage buffering and dispose for one intact PDU; returns
-    /// false if the PDU had to be dropped for lack of buffering (the
-    /// pending input, if any, is reposted for the next PDU).
+    /// Ready-stage buffering and dispose for one intact PDU, which is
+    /// consumed: its storage is recycled once the bytes are placed, or
+    /// kept whole by an outboard adapter. A PDU that had to be dropped
+    /// for lack of buffering comes back as the error (the pending
+    /// input, if any, is reposted for the next PDU).
     pub(crate) fn deliver_pdu(
         &mut self,
         to: HostId,
         vc: Vc,
-        payload: &[u8],
+        pdu: WirePdu,
         sent_at: SimTime,
-    ) -> bool {
-        let header = DatagramHeader::decode(payload).expect("header fits");
+    ) -> Result<(), WirePdu> {
+        let header = DatagramHeader::decode(pdu.payload()).expect("header fits");
+        let total = pdu.len();
         // Flow identity for the sampling layer: the whole ready +
         // dispose pipeline of this PDU is kept or sampled as one unit.
         if self.hosts[to.idx()].tracer.enabled() {
@@ -369,35 +373,31 @@ impl World {
         let ready_start = self.host(to).clock;
 
         let delivered = match pending {
-            Some(p) => match self.place_for_pending(to, &p, payload) {
-                Some(placed) => {
-                    self.trace_ready_span(to, ready_start, payload.len());
+            Some(p) => match self.place_for_pending(to, &p, pdu) {
+                Ok(placed) => {
+                    self.trace_ready_span(to, ready_start, total);
                     self.dispose_input(to, p, placed, header, sent_at);
-                    true
+                    Ok(())
                 }
-                None => {
+                Err(pdu) => {
                     // Dropped for lack of buffering: repost the
                     // pending input for the next PDU.
                     self.recvs[to.idx()]
                         .get_mut(u64::from(vc.0))
                         .expect("entry")
                         .push_front(p);
-                    false
+                    Err(pdu)
                 }
             },
             None => {
                 // Unsolicited: buffer via the pool (or outboard) and
                 // backlog.
-                match self.place_unsolicited(to, vc, payload) {
-                    Some(placed) => {
-                        self.trace_ready_span(to, ready_start, payload.len());
-                        self.backlog[to.idx()]
-                            .get_or_insert_with(u64::from(vc.0), VecDeque::new)
-                            .push_back(BackloggedPdu { placed, sent_at });
-                        true
-                    }
-                    None => false,
-                }
+                self.place_unsolicited(to, pdu).map(|placed| {
+                    self.trace_ready_span(to, ready_start, total);
+                    self.backlog[to.idx()]
+                        .get_or_insert_with(u64::from(vc.0), VecDeque::new)
+                        .push_back(BackloggedPdu { placed, sent_at });
+                })
             }
         };
         self.hosts[to.idx()].tracer.clear_flow();
@@ -423,30 +423,42 @@ impl World {
 
     /// Ready-stage placement when a matching input is pending.
     ///
-    /// Returns `None` if the PDU had to be dropped.
+    /// Gives the PDU back if it had to be dropped.
     fn place_for_pending(
         &mut self,
         to: HostId,
         p: &PendingRecv,
-        payload: &[u8],
-    ) -> Option<PlacedPayload> {
+        pdu: WirePdu,
+    ) -> Result<PlacedPayload, WirePdu> {
         use genie_net::InputBuffering as Ib;
-        let mode = self.rx_mode;
-        match mode {
-            Ib::EarlyDemux => self.place_early(to, p, &payload[HEADER_LEN..]),
-            Ib::Pooled => self.place_pooled(to, payload),
-            Ib::Outboard => {
-                let host = self.host_mut(to);
-                match host
-                    .adapter
-                    .receive(&mut host.vm.phys, Vc(0), payload)
-                    .expect("outboard store")
-                {
-                    RxCompletion::Outboard { buf, .. } => Some(PlacedPayload::Outboard(buf)),
-                    _ => unreachable!("outboard adapter"),
-                }
+        let placed = match self.rx_mode {
+            Ib::EarlyDemux => self.place_early(to, p, &pdu.payload()[HEADER_LEN..]),
+            Ib::Pooled => self.place_pooled(to, pdu.payload()),
+            Ib::Outboard => return Ok(self.place_outboard(to, pdu)),
+        };
+        self.settle_pdu(placed, pdu)
+    }
+
+    /// Finishes a host-memory placement: the PDU's bytes now live in
+    /// host frames, so its storage is recycled; a dropped PDU is handed
+    /// back instead.
+    fn settle_pdu(
+        &mut self,
+        placed: Option<PlacedPayload>,
+        pdu: WirePdu,
+    ) -> Result<PlacedPayload, WirePdu> {
+        match placed {
+            Some(placed) => {
+                self.recycle_pdu(pdu);
+                Ok(placed)
             }
+            None => Err(pdu),
         }
+    }
+
+    /// Outboard placement: the adapter keeps the arriving wire image.
+    fn place_outboard(&mut self, to: HostId, pdu: WirePdu) -> PlacedPayload {
+        PlacedPayload::Outboard(self.host_mut(to).adapter.store_outboard(pdu))
     }
 
     /// Early-demultiplexed placement: data goes straight where it
@@ -469,17 +481,7 @@ impl World {
                 host.charge_latency(Op::SysBufAllocate, 0, 0);
                 let npages = data.len().div_ceil(page).max(1);
                 let frames = host.alloc_kernel_frames(npages).ok()?;
-                let vecs: Vec<IoVec> = frames
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &f)| IoVec {
-                        frame: f,
-                        offset: 0,
-                        len: (data.len() - i * page).min(page),
-                        object: None,
-                    })
-                    .collect();
-                Adapter::dma_scatter(&mut host.vm.phys, &vecs, data).expect("scatter");
+                scatter_from(&mut host.vm.phys, &frames, 0, data);
                 Some(PlacedPayload::SysFrames(frames))
             }
             Semantics::EmulatedCopy => {
@@ -490,8 +492,7 @@ impl World {
                 host.charge_latency(Op::AlignedBufAllocate, 0, 0);
                 let npages = host.machine().pages_spanned(off, data.len().max(1));
                 let frames = host.alloc_kernel_frames(npages).ok()?;
-                let vecs = aligned_vecs(&frames, page, off, data.len());
-                Adapter::dma_scatter(&mut host.vm.phys, &vecs, data).expect("scatter");
+                scatter_from(&mut host.vm.phys, &frames, off, data);
                 Some(PlacedPayload::Aligned(frames))
             }
         }
@@ -503,33 +504,31 @@ impl World {
         let host = self.host_mut(to);
         host.charge_latency(Op::OverlayAllocate, 0, 0);
         host.charge_latency(Op::Overlay, 0, 0);
+        let mut frames = host.take_frame_list();
         match host
             .adapter
-            .receive(&mut host.vm.phys, Vc(0), payload)
+            .receive(&mut host.vm.phys, Vc(0), payload, &mut frames)
             .expect("pooled receive")
         {
-            RxCompletion::Overlay { frames, .. } => Some(PlacedPayload::Overlay(frames)),
-            RxCompletion::Dropped => None,
-            _ => unreachable!("pooled adapter"),
+            RxCompletion::Overlay { .. } => Some(PlacedPayload::Overlay(frames)),
+            RxCompletion::Dropped => {
+                host.recycle_frame_list(frames);
+                None
+            }
+            RxCompletion::Direct { .. } => unreachable!("pooled adapter"),
         }
     }
 
-    /// Placement for unsolicited PDUs (no pending input).
-    fn place_unsolicited(&mut self, to: HostId, vc: Vc, payload: &[u8]) -> Option<PlacedPayload> {
+    /// Placement for unsolicited PDUs (no pending input); gives the
+    /// PDU back if it had to be dropped.
+    fn place_unsolicited(&mut self, to: HostId, pdu: WirePdu) -> Result<PlacedPayload, WirePdu> {
         use genie_net::InputBuffering as Ib;
         match self.rx_mode {
-            Ib::EarlyDemux | Ib::Pooled => self.place_pooled(to, payload),
-            Ib::Outboard => {
-                let host = self.host_mut(to);
-                match host
-                    .adapter
-                    .receive(&mut host.vm.phys, vc, payload)
-                    .expect("outboard store")
-                {
-                    RxCompletion::Outboard { buf, .. } => Some(PlacedPayload::Outboard(buf)),
-                    _ => unreachable!("outboard adapter"),
-                }
+            Ib::EarlyDemux | Ib::Pooled => {
+                let placed = self.place_pooled(to, pdu.payload());
+                self.settle_pdu(placed, pdu)
             }
+            Ib::Outboard => Ok(self.place_outboard(to, pdu)),
         }
     }
 
@@ -539,12 +538,11 @@ impl World {
         let mut header_bytes = [0u8; HEADER_LEN];
         match &pdu.placed {
             PlacedPayload::Overlay(frames) => {
-                let (f, _) = frames[0];
                 header_bytes.copy_from_slice(
                     self.host(to)
                         .vm
                         .phys
-                        .read(f, 0, HEADER_LEN)
+                        .read(frames[0], 0, HEADER_LEN)
                         .expect("header in first overlay page"),
                 );
             }
@@ -566,27 +564,29 @@ impl World {
     fn overlay_copyout(
         &mut self,
         to: HostId,
-        frames: &[(FrameId, usize)],
+        frames: &[FrameId],
         space: genie_vm::SpaceId,
         vaddr: u64,
         data_len: usize,
     ) {
-        let mut skip = HEADER_LEN;
-        let mut remaining = data_len;
-        let mut srcs = Vec::with_capacity(frames.len());
-        for &(f, n) in frames {
-            let o = skip.min(n);
-            let take = (n - o).min(remaining);
-            if take > 0 {
-                srcs.push((f, o, take));
-                remaining -= take;
-            }
-            skip -= o;
-        }
-        debug_assert_eq!(remaining, 0, "overlay frames shorter than the PDU");
+        let page = self.host(to).page_size();
+        // Overlay page `i` holds PDU bytes `[i * page, (i + 1) * page)`;
+        // copy out its share of `[HEADER_LEN, HEADER_LEN + data_len)`.
+        let data_end = HEADER_LEN + data_len;
+        let srcs = frames.iter().enumerate().filter_map(move |(i, &f)| {
+            let start = i * page;
+            let lo = start.max(HEADER_LEN);
+            let hi = (start + page).min(data_end);
+            (hi > lo).then_some((f, lo - start, hi - lo))
+        });
+        debug_assert_eq!(
+            srcs.clone().map(|(_, _, n)| n).sum::<usize>(),
+            data_len,
+            "overlay frames shorter than the PDU"
+        );
         self.host_mut(to)
             .vm
-            .copy_iovecs_into_app(space, vaddr, &srcs)
+            .copy_iovecs_into_app(space, vaddr, srcs)
             .expect("copyout");
     }
 
@@ -595,7 +595,7 @@ impl World {
     pub(crate) fn dispose_input(
         &mut self,
         to: HostId,
-        p: PendingRecv,
+        mut p: PendingRecv,
         placed: PlacedPayload,
         header: DatagramHeader,
         sent_at: SimTime,
@@ -603,15 +603,11 @@ impl World {
         let data_len = header.len as usize;
         let dispose_start = self.host(to).clock;
         let (vaddr, region) = match placed {
-            PlacedPayload::Direct => self.dispose_direct(to, &p, data_len),
+            PlacedPayload::Direct => self.dispose_direct(to, &mut p, data_len),
             PlacedPayload::SysFrames(frames) => self.dispose_sys_frames(to, &p, frames, data_len),
             PlacedPayload::Aligned(frames) => self.dispose_aligned(to, &p, frames, data_len),
-            PlacedPayload::Overlay(frames) => self.dispose_overlay(to, &p, frames, data_len),
-            PlacedPayload::Outboard(buf) => {
-                let (vaddr, region) = self.dispose_outboard(to, &p, buf, data_len);
-                self.host_mut(to).adapter.outboard_release(buf);
-                (vaddr, region)
-            }
+            PlacedPayload::Overlay(frames) => self.dispose_overlay(to, &mut p, frames, data_len),
+            PlacedPayload::Outboard(buf) => self.dispose_outboard(to, &mut p, buf, data_len),
         };
 
         // Checksum handling (Section 9 ablation).
@@ -621,7 +617,7 @@ impl World {
             if separate {
                 host.charge_latency(Op::ChecksumRead, data_len, 0);
             }
-            let (got, _) = host
+            let got = host
                 .vm
                 .read_app(p.space, vaddr, data_len)
                 .expect("delivered data readable");
@@ -633,7 +629,7 @@ impl World {
         // Oracle: the delivered bytes and sequence number, checked
         // against the sender's promise and the gapless-ordering rule.
         if self.fault.oracle.is_some() {
-            let (got, _) = self
+            let got = self
                 .host_mut(to)
                 .vm
                 .read_app(p.space, vaddr, data_len)
@@ -685,10 +681,11 @@ impl World {
     fn dispose_direct(
         &mut self,
         to: HostId,
-        p: &PendingRecv,
+        p: &mut PendingRecv,
         _data_len: usize,
     ) -> (u64, Option<RegionHandle>) {
         let page = self.host(to).page_size();
+        let desc = p.desc.take().expect("descriptor");
         let host = self.host_mut(to);
         match p.semantics {
             Semantics::Share | Semantics::EmulatedShare => {
@@ -702,18 +699,15 @@ impl World {
                     let _ = host.vm.unwire_region(region);
                 }
                 host.charge_latency(Op::Unreference, len, pages);
-                host.vm
-                    .unreference(p.desc.as_ref().expect("descriptor"))
-                    .expect("unreference");
+                host.vm.unreference(desc).expect("unreference");
                 (vaddr, None)
             }
             Semantics::EmulatedMove => {
                 let region = p.region.expect("prepared region");
-                let desc = p.desc.as_ref().expect("descriptor");
                 let npages = host.vm.region(region).map(|r| r.npages).unwrap_or(0);
                 let len = desc.len();
                 host.charge_latency(Op::RegionCheckUnrefReinstateMarkIn, len, npages as usize);
-                let region = self.ensure_region_intact(to, region, desc, npages);
+                let region = self.ensure_region_intact(to, region, &desc, npages);
                 let host = self.host_mut(to);
                 host.vm.unreference(desc).expect("unreference");
                 host.vm.reinstate_region(region).expect("reinstate");
@@ -724,7 +718,6 @@ impl World {
             }
             Semantics::WeakMove | Semantics::EmulatedWeakMove => {
                 let region = p.region.expect("prepared region");
-                let desc = p.desc.as_ref().expect("descriptor");
                 let npages = host.vm.region(region).map(|r| r.npages).unwrap_or(0);
                 let len = desc.len();
                 if p.semantics == Semantics::WeakMove {
@@ -735,7 +728,7 @@ impl World {
                 } else {
                     host.charge_latency(Op::RegionCheckUnrefMarkIn, len, npages as usize);
                 }
-                let region = self.ensure_region_intact(to, region, desc, npages);
+                let region = self.ensure_region_intact(to, region, &desc, npages);
                 let host = self.host_mut(to);
                 if p.semantics == Semantics::WeakMove {
                     let _ = host.vm.unwire_region(region);
@@ -759,28 +752,26 @@ impl World {
         data_len: usize,
     ) -> (u64, Option<RegionHandle>) {
         let page = self.host(to).page_size();
+        let host = self.host_mut(to);
         match p.semantics {
             Semantics::Copy => {
                 let (vaddr, _len) = p.app.expect("app buffer");
-                let host = self.host_mut(to);
                 let pages = host
                     .machine()
                     .pages_spanned((vaddr % page as u64) as usize, data_len);
                 host.charge_latency(Op::Copyout, data_len, pages);
-                let srcs: Vec<(FrameId, usize, usize)> = frames
+                let srcs = frames
                     .iter()
                     .enumerate()
-                    .map(|(i, &f)| (f, 0, (data_len - i * page).min(page)))
-                    .collect();
+                    .map(|(i, &f)| (f, 0, (data_len - i * page).min(page)));
                 host.vm
-                    .copy_iovecs_into_app(p.space, vaddr, &srcs)
+                    .copy_iovecs_into_app(p.space, vaddr, srcs)
                     .expect("copyout");
                 host.charge_latency(Op::SysBufDeallocate, 0, 0);
                 host.free_kernel_frames(frames);
                 (vaddr, None)
             }
             Semantics::Move => {
-                let host = self.host_mut(to);
                 // Create region; zero-complete system pages; fill; map;
                 // mark moved in.
                 let npages = frames.len() as u64;
@@ -797,7 +788,12 @@ impl World {
                     host.vm.phys.frame_mut(last).expect("frame").data_mut()[start..].fill(0);
                 }
                 host.charge_latency(Op::RegionFill, data_len, npages as usize);
-                host.vm.fill_region(region, &frames).expect("fill");
+                host.vm
+                    .fill_region(region, frames.iter().copied())
+                    .expect("fill");
+                // The frames are the region's pages now; only the list
+                // is left over.
+                host.recycle_frame_list(frames);
                 host.charge_latency(Op::RegionMap, data_len, npages as usize);
                 host.vm.map_region(region).expect("map");
                 host.charge_latency(Op::RegionMarkIn, 0, 0);
@@ -823,28 +819,23 @@ impl World {
         let page = self.host(to).page_size();
         let off = (vaddr % page as u64) as usize;
         let threshold = self.cfg.reverse_copyout_threshold_for(page);
-        let plans = plan_aligned_input(page, off, data_len, threshold);
-        self.execute_swap_plan(to, p.space, vaddr, &frames, &plans, 0);
+        let plan = plan_aligned_input(page, off, data_len, threshold);
+        self.execute_swap_plan(to, p.space, vaddr, &frames, plan.clone());
         let host = self.host_mut(to);
         host.charge_latency(Op::AlignedBufDeallocate, 0, 0);
         // Frames that were swapped now belong to the application; the
         // rest go back to the kernel.
-        let swapped: Vec<bool> = plans
-            .iter()
-            .map(|pl| pl.action != PageAction::CopyOut)
-            .collect();
-        let leftover = frames
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !swapped.get(*i).copied().unwrap_or(false))
-            .map(|(_, &f)| f);
-        host.free_kernel_frames(leftover.collect::<Vec<_>>());
+        for (&f, swapped) in frames.iter().zip(swapped_pages(plan)) {
+            if !swapped {
+                let _ = host.vm.phys.dealloc(f);
+            }
+        }
+        host.recycle_frame_list(frames);
         (vaddr, None)
     }
 
     /// Executes a reverse-copyout plan: `sys_frames[i]` holds the data
-    /// for plan page `i`, with `pdu_off` bytes of adapter header before
-    /// the application data in the overlay case.
+    /// for plan page `i`.
     ///
     /// Charges one aggregate `Copyout` for all copied bytes and one
     /// aggregate `Swap` for all swapped pages, matching how the paper
@@ -855,35 +846,25 @@ impl World {
         space: SpaceId,
         vaddr: u64,
         sys_frames: &[FrameId],
-        plans: &[PagePlan],
-        _pdu_off: usize,
+        plan: AlignedPlan,
     ) {
         let page = self.host(to).page_size();
         let first_vpn = vaddr / page as u64;
-        let mut copied_bytes = 0usize;
-        let mut swapped_pages = 0usize;
-        let mut swapped_bytes = 0usize;
-        for plan in plans {
-            let vpn = first_vpn + plan.page as u64;
-            let sys_frame = sys_frames[plan.page];
-            match plan.action {
+        let host = self.host_mut(to);
+        for pl in plan.clone() {
+            let vpn = first_vpn + pl.page as u64;
+            let sys_frame = sys_frames[pl.page];
+            match pl.action {
                 PageAction::CopyOut => {
-                    let host = self.host_mut(to);
-                    let dst = vpn * page as u64 + plan.data_start as u64;
+                    let dst = vpn * page as u64 + pl.data_start as u64;
                     host.vm
-                        .copy_iovecs_into_app(
-                            space,
-                            dst,
-                            &[(sys_frame, plan.data_start, plan.data_len)],
-                        )
+                        .copy_iovecs_into_app(space, dst, [(sys_frame, pl.data_start, pl.data_len)])
                         .expect("copy out");
-                    copied_bytes += plan.data_len;
                 }
                 PageAction::FillAndSwap {
                     fill_prefix,
                     fill_suffix,
                 } => {
-                    let host = self.host_mut(to);
                     // Fault the app page in (it must exist to donate
                     // its surrounding bytes), then fill + swap.
                     if host.vm.space(space).pte(vpn).is_none() {
@@ -899,19 +880,15 @@ impl World {
                             .expect("fill prefix");
                     }
                     if fill_suffix > 0 {
-                        let at = plan.data_start + plan.data_len;
+                        let at = pl.data_start + pl.data_len;
                         host.vm
                             .phys
                             .copy(app_frame, at, sys_frame, at, fill_suffix)
                             .expect("fill suffix");
                     }
                     host.vm.swap_page(space, vpn, sys_frame).expect("swap");
-                    copied_bytes += fill_prefix + fill_suffix;
-                    swapped_pages += 1;
-                    swapped_bytes += plan.data_len;
                 }
                 PageAction::SwapWhole => {
-                    let host = self.host_mut(to);
                     // Ensure the page exists in the object so swap has
                     // something to displace.
                     if host.vm.space(space).pte(vpn).is_none() {
@@ -920,14 +897,13 @@ impl World {
                             .expect("app page");
                     }
                     host.vm.swap_page(space, vpn, sys_frame).expect("swap");
-                    swapped_pages += 1;
-                    swapped_bytes += plan.data_len;
                 }
             }
         }
-        let host = self.host_mut(to);
+        let pages = plan.clone().count();
+        let (copied_bytes, swapped_pages, swapped_bytes) = plan_totals(plan);
         if copied_bytes > 0 {
-            host.charge_latency(Op::Copyout, copied_bytes, plans.len());
+            host.charge_latency(Op::Copyout, copied_bytes, pages);
         }
         if swapped_pages > 0 {
             host.charge_latency(Op::Swap, swapped_bytes, swapped_pages);
@@ -938,14 +914,13 @@ impl World {
     fn dispose_overlay(
         &mut self,
         to: HostId,
-        p: &PendingRecv,
-        frames: Vec<(FrameId, usize)>,
+        p: &mut PendingRecv,
+        frames: Vec<FrameId>,
         data_len: usize,
     ) -> (u64, Option<RegionHandle>) {
         let page = self.host(to).page_size();
         let total = data_len + HEADER_LEN;
-        let overlay_frames: Vec<FrameId> = frames.iter().map(|&(f, _)| f).collect();
-        let overlay_pages = overlay_frames.len();
+        let overlay_pages = frames.len();
 
         let result = match p.semantics {
             Semantics::Copy => {
@@ -956,7 +931,7 @@ impl World {
                     .pages_spanned((vaddr % page as u64) as usize, data_len);
                 host.charge_latency(Op::Copyout, data_len, pages);
                 self.overlay_copyout(to, &frames, p.space, vaddr, data_len);
-                self.return_overlay_frames(to, overlay_frames, total, overlay_pages);
+                self.host_mut(to).return_overlay(frames.iter().copied());
                 (vaddr, None)
             }
             Semantics::EmulatedCopy | Semantics::Share | Semantics::EmulatedShare => {
@@ -973,7 +948,7 @@ impl World {
                 if p.semantics != Semantics::EmulatedCopy {
                     host.charge_latency(Op::Unreference, data_len, pages);
                     host.vm
-                        .unreference(p.desc.as_ref().expect("descriptor"))
+                        .unreference(p.desc.take().expect("descriptor"))
                         .expect("unreference");
                 }
                 // Aligned if the app buffer sits at the PDU data offset
@@ -981,31 +956,22 @@ impl World {
                 let aligned = (vaddr % page as u64) as usize == HEADER_LEN % page;
                 if aligned {
                     let threshold = self.cfg.reverse_copyout_threshold_for(page);
-                    let plans = plan_aligned_input(page, HEADER_LEN, data_len, threshold);
+                    let plan = plan_aligned_input(page, HEADER_LEN, data_len, threshold);
                     self.execute_swap_plan(
                         to,
                         p.space,
                         vaddr - HEADER_LEN as u64,
-                        &overlay_frames,
-                        &plans,
-                        HEADER_LEN,
+                        &frames,
+                        plan.clone(),
                     );
-                    let swapped: Vec<bool> = plans
-                        .iter()
-                        .map(|pl| pl.action != PageAction::CopyOut)
-                        .collect();
-                    let leftover: Vec<FrameId> = overlay_frames
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| !swapped.get(*i).copied().unwrap_or(false))
-                        .map(|(_, &f)| f)
-                        .collect();
-                    self.return_overlay_frames(to, leftover, total, overlay_pages);
+                    let leftover = frames.iter().zip(swapped_pages(plan));
+                    self.host_mut(to)
+                        .return_overlay(leftover.filter(|&(_, s)| !s).map(|(&f, _)| f));
                 } else {
                     self.host_mut(to)
                         .charge_latency(Op::Copyout, data_len, pages);
                     self.overlay_copyout(to, &frames, p.space, vaddr, data_len);
-                    self.return_overlay_frames(to, overlay_frames, total, overlay_pages);
+                    self.host_mut(to).return_overlay(frames.iter().copied());
                 }
                 (vaddr, None)
             }
@@ -1022,15 +988,17 @@ impl World {
                 let zero_bytes = npages as usize * page - data_len;
                 if zero_bytes > 0 {
                     host.charge_latency(Op::ZeroFill, zero_bytes, overlay_pages);
-                    let first = overlay_frames[0];
+                    let first = frames[0];
                     host.vm.phys.frame_mut(first).expect("frame").data_mut()[..HEADER_LEN].fill(0);
-                    let last = *overlay_frames.last().expect("frame");
+                    let last = *frames.last().expect("frame");
                     let valid_in_last = total - (overlay_pages - 1) * page;
                     host.vm.phys.frame_mut(last).expect("frame").data_mut()[valid_in_last..]
                         .fill(0);
                 }
                 host.charge_latency(Op::RegionFillOverlayRefill, data_len, overlay_pages);
-                host.vm.fill_region(region, &overlay_frames).expect("fill");
+                host.vm
+                    .fill_region(region, frames.iter().copied())
+                    .expect("fill");
                 host.charge_latency(Op::RegionMap, data_len, overlay_pages);
                 host.vm.map_region(region).expect("map");
                 host.charge_latency(Op::RegionMarkIn, 0, 0);
@@ -1039,7 +1007,7 @@ impl World {
                     .expect("mark");
                 // The overlay frames became region pages: refill the
                 // pool with fresh frames.
-                self.host_mut(to).return_overlay([]);
+                host.return_overlay([]);
                 (
                     region.start_vpn * page as u64 + HEADER_LEN as u64,
                     Some(region),
@@ -1047,7 +1015,7 @@ impl World {
             }
             Semantics::EmulatedMove | Semantics::WeakMove | Semantics::EmulatedWeakMove => {
                 let region = p.region.expect("prepared region");
-                let desc = p.desc.as_ref().expect("descriptor");
+                let desc = p.desc.take().expect("descriptor");
                 let host = self.host_mut(to);
                 let npages = host.vm.region(region).map(|r| r.npages).unwrap_or(0);
                 host.charge_latency(Op::RegionCheck, 0, 0);
@@ -1055,7 +1023,7 @@ impl World {
                     host.charge_latency(Op::Unwire, data_len, npages as usize);
                 }
                 host.charge_latency(Op::Unreference, data_len, npages as usize);
-                let region = self.ensure_region_intact(to, region, desc, npages);
+                let region = self.ensure_region_intact(to, region, &desc, npages);
                 let host = self.host_mut(to);
                 if p.semantics == Semantics::WeakMove {
                     let _ = host.vm.unwire_region(region);
@@ -1064,7 +1032,7 @@ impl World {
                 // Swap overlay pages into the region.
                 let usable = overlay_pages.min(npages as usize);
                 host.charge_latency(Op::Swap, total.min(usable * page), usable);
-                for (i, &f) in overlay_frames.iter().take(usable).enumerate() {
+                for (i, &f) in frames.iter().take(usable).enumerate() {
                     host.vm
                         .swap_page(region.space, region.start_vpn + i as u64, f)
                         .expect("swap overlay into region");
@@ -1076,13 +1044,7 @@ impl World {
                 host.vm
                     .mark_region(region, RegionMark::MovedIn)
                     .expect("mark");
-                self.host_mut(to).return_overlay(
-                    overlay_frames
-                        .iter()
-                        .skip(usable)
-                        .copied()
-                        .collect::<Vec<_>>(),
-                );
+                host.return_overlay(frames.iter().skip(usable).copied());
                 (
                     region.start_vpn * page as u64 + HEADER_LEN as u64,
                     Some(region),
@@ -1091,44 +1053,32 @@ impl World {
         };
         let host = self.host_mut(to);
         host.charge_latency(Op::OverlayDeallocate, total, overlay_pages);
+        host.recycle_frame_list(frames);
         result
     }
 
-    /// Returns overlay frames to the pool (charging is the caller's
-    /// business — `OverlayDeallocate` is charged once per dispose).
-    fn return_overlay_frames(
-        &mut self,
-        to: HostId,
-        frames: Vec<FrameId>,
-        _total: usize,
-        _pages: usize,
-    ) {
-        self.host_mut(to).return_overlay(frames);
-    }
-
-    /// Dispose for outboard placements (Section 6.2.3).
+    /// Dispose for outboard placements (Section 6.2.3): the stored wire
+    /// image leaves the adapter and its storage is recycled once the
+    /// data is in host memory.
     fn dispose_outboard(
         &mut self,
         to: HostId,
-        p: &PendingRecv,
+        p: &mut PendingRecv,
         buf: usize,
         data_len: usize,
     ) -> (u64, Option<RegionHandle>) {
         let total = data_len + HEADER_LEN;
-        // Copy the stored wire PDU into a pooled buffer so the borrow
-        // of the adapter's outboard slot ends before the host mutates.
-        let mut pdu = self.take_payload_buf();
-        pdu.extend_from_slice(
-            self.host(to)
-                .adapter
-                .outboard_data(buf)
-                .expect("outboard buffer"),
-        );
+        let pdu = self
+            .host_mut(to)
+            .adapter
+            .outboard_free(buf)
+            .expect("outboard buffer");
+        let data = &pdu.payload()[HEADER_LEN..total];
         // Store-and-forward: the host-side DMA happens now, adding its
         // full transfer time to the critical path.
         let dma_time = self.dma.transfer_time(total);
 
-        if p.semantics == Semantics::EmulatedCopy {
+        let result = if p.semantics == Semantics::EmulatedCopy {
             // Section 6.2.3: reference the application pages, DMA from
             // the outboard buffer straight into them, unreference.
             let (vaddr, _len) = p.app.expect("app buffer");
@@ -1138,36 +1088,34 @@ impl World {
                 .machine()
                 .pages_spanned((vaddr % page as u64) as usize, data_len);
             host.charge_latency(Op::Reference, data_len, pages);
-            let (desc, _faults) = host
+            let desc = host
                 .vm
                 .reference_pages(p.space, vaddr, data_len, IoDir::Input)
                 .expect("reference app buffer");
             host.clock += dma_time;
-            Adapter::dma_scatter(
-                &mut host.vm.phys,
-                &desc.vecs,
-                &pdu[HEADER_LEN..HEADER_LEN + data_len],
-            )
-            .expect("outboard dma");
+            Adapter::dma_scatter(&mut host.vm.phys, &desc.vecs, data).expect("outboard dma");
             host.charge_latency(Op::Unreference, data_len, pages);
-            host.vm.unreference(&desc).expect("unreference");
-            self.recycle_payload(pdu);
-            return (vaddr, None);
-        }
-
-        // All other semantics: run the early-demux placement against
-        // the outboard data, after the store-and-forward DMA.
-        self.host_mut(to).clock += dma_time;
-        let placed = self
-            .place_early(to, p, &pdu[HEADER_LEN..HEADER_LEN + data_len])
-            .expect("early placement from outboard");
-        self.recycle_payload(pdu);
-        match placed {
-            PlacedPayload::Direct => self.dispose_direct(to, p, data_len),
-            PlacedPayload::SysFrames(frames) => self.dispose_sys_frames(to, p, frames, data_len),
-            PlacedPayload::Aligned(frames) => self.dispose_aligned(to, p, frames, data_len),
-            _ => unreachable!("early placement"),
-        }
+            host.vm.unreference(desc).expect("unreference");
+            (vaddr, None)
+        } else {
+            // All other semantics: run the early-demux placement
+            // against the outboard data, after the store-and-forward
+            // DMA.
+            self.host_mut(to).clock += dma_time;
+            match self
+                .place_early(to, &*p, data)
+                .expect("early placement from outboard")
+            {
+                PlacedPayload::Direct => self.dispose_direct(to, p, data_len),
+                PlacedPayload::SysFrames(frames) => {
+                    self.dispose_sys_frames(to, p, frames, data_len)
+                }
+                PlacedPayload::Aligned(frames) => self.dispose_aligned(to, p, frames, data_len),
+                _ => unreachable!("early placement"),
+            }
+        };
+        self.recycle_pdu(pdu);
+        result
     }
 
     /// Releases a system-allocated input buffer back to the system —
@@ -1219,44 +1167,46 @@ impl World {
             return region;
         }
         // Region gone: revive the (zombie) frames into a new region.
-        let frames: Vec<FrameId> = desc.vecs.iter().map(|v| v.frame).collect();
-        let n = frames.len() as u64;
+        let frames = desc.vecs.iter().map(|v| v.frame);
+        let n = desc.vecs.len() as u64;
         let new = host
             .vm
             .alloc_region(region.space, n.max(1), RegionMark::MovingIn)
             .expect("replacement region");
         let obj = host.vm.region(new).expect("new region").object;
-        for &f in &frames {
+        for f in frames.clone() {
             host.vm
                 .phys
                 .adopt(f, Some(u64::from(obj.0)))
                 .expect("adopt");
         }
-        host.vm.fill_region(new, &frames).expect("fill");
+        host.vm.fill_region(new, frames).expect("fill");
         host.vm.map_region(new).expect("map");
         new
     }
 }
 
-/// Builds the aligned-buffer scatter list: payload starts `off` bytes
-/// into the first frame.
-fn aligned_vecs(frames: &[FrameId], page: usize, off: usize, len: usize) -> Vec<IoVec> {
-    let mut vecs = Vec::with_capacity(frames.len());
-    let mut remaining = len;
+/// Which pages of an aligned buffer a plan swaps into the application
+/// (in page order); the rest stay with the system.
+fn swapped_pages(plan: AlignedPlan) -> impl Iterator<Item = bool> {
+    plan.map(|pl| pl.action != PageAction::CopyOut)
+        .chain(std::iter::repeat(false))
+}
+
+/// Receive-side DMA of `data` into consecutive kernel frames, starting
+/// `off` bytes into the first (the layout of system and aligned
+/// buffers).
+fn scatter_from(phys: &mut PhysMem, frames: &[FrameId], off: usize, data: &[u8]) {
+    let page = phys.page_size();
     let mut start = off;
+    let mut rest = data;
     for &f in frames {
-        if remaining == 0 {
+        if rest.is_empty() {
             break;
         }
-        let n = remaining.min(page - start);
-        vecs.push(IoVec {
-            frame: f,
-            offset: start,
-            len: n,
-            object: None,
-        });
-        remaining -= n;
+        let n = rest.len().min(page - start);
+        phys.write(f, start, &rest[..n]).expect("scatter");
+        rest = &rest[n..];
         start = 0;
     }
-    vecs
 }

@@ -67,7 +67,7 @@ pub mod semantics;
 pub mod suites;
 pub mod world;
 
-pub use align::{plan_aligned_input, PageAction, PagePlan};
+pub use align::{plan_aligned_input, AlignedPlan, PageAction, PagePlan};
 pub use config::{ChecksumMode, GenieConfig};
 pub use cq::{
     harvest, wait_n, AdaptiveConfig, AdaptiveWindow, CqConfig, CqResult, Cqe, Landing, QueuePair,

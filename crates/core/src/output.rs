@@ -224,35 +224,31 @@ impl World {
                 host.charge_latency(Op::SysBufAllocate, 0, 0);
                 let npages = req.len.div_ceil(page);
                 let frames = host.alloc_kernel_frames(npages)?;
-                let integrated = false; // handled by caller for checksum
-                let _ = integrated;
                 host.charge_latency(Op::Copyin, req.len, pages);
                 host.vm
                     .copy_app_into_frames(req.space, req.vaddr, req.len, &frames)?;
-                let mut triples = Vec::with_capacity(npages);
-                for (i, f) in frames.iter().enumerate() {
-                    let off = i * page;
-                    let n = (req.len - off).min(page);
-                    triples.push((*f, 0usize, n));
-                }
-                let desc = host.vm.reference_frames(&triples, IoDir::Output)?;
+                let triples = frames
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &f)| (f, 0, (req.len - i * page).min(page)));
+                let desc = host.vm.reference_frames(triples, IoDir::Output)?;
                 Ok((desc, frames, None))
             }
             Semantics::EmulatedCopy => {
                 // Reference application pages; read-only them (TCOW).
                 host.charge_latency(Op::Reference, req.len, pages);
-                let (desc, _faults) =
-                    host.vm
-                        .reference_pages(req.space, req.vaddr, req.len, IoDir::Output)?;
+                let desc = host
+                    .vm
+                    .reference_pages(req.space, req.vaddr, req.len, IoDir::Output)?;
                 host.charge_latency(Op::ReadOnly, req.len, pages);
                 host.vm.write_protect(req.space, req.vaddr, req.len);
                 Ok((desc, Vec::new(), None))
             }
             Semantics::Share => {
                 host.charge_latency(Op::Reference, req.len, pages);
-                let (desc, _faults) =
-                    host.vm
-                        .reference_pages(req.space, req.vaddr, req.len, IoDir::Output)?;
+                let desc = host
+                    .vm
+                    .reference_pages(req.space, req.vaddr, req.len, IoDir::Output)?;
                 let region = host.vm.region_at(req.space, req.vaddr)?;
                 host.charge_latency(Op::Wire, req.len, pages);
                 host.vm.wire_region(region)?;
@@ -260,9 +256,9 @@ impl World {
             }
             Semantics::EmulatedShare => {
                 host.charge_latency(Op::Reference, req.len, pages);
-                let (desc, _faults) =
-                    host.vm
-                        .reference_pages(req.space, req.vaddr, req.len, IoDir::Output)?;
+                let desc = host
+                    .vm
+                    .reference_pages(req.space, req.vaddr, req.len, IoDir::Output)?;
                 Ok((desc, Vec::new(), None))
             }
             Semantics::Move
@@ -282,9 +278,9 @@ impl World {
                     }
                 }
                 host.charge_latency(Op::Reference, req.len, pages);
-                let (desc, _faults) =
-                    host.vm
-                        .reference_region_pages(region, 0, req.len, IoDir::Output)?;
+                let desc = host
+                    .vm
+                    .reference_region_pages(region, 0, req.len, IoDir::Output)?;
                 if matches!(effective, Semantics::Move | Semantics::WeakMove) {
                     host.charge_latency(Op::Wire, req.len, pages);
                     host.vm.wire_region(region)?;
@@ -455,33 +451,33 @@ impl World {
         match send.effective {
             Semantics::Copy => {
                 host.charge_latency(Op::SysBufDeallocate, 0, 0);
-                host.vm.unreference(&send.desc).expect("unreference");
-                host.free_kernel_frames(send.sys_frames.iter().copied());
+                host.vm.unreference(send.desc).expect("unreference");
+                host.free_kernel_frames(send.sys_frames);
             }
             Semantics::EmulatedCopy | Semantics::EmulatedShare => {
                 host.charge_latency(Op::Unreference, send.len, pages);
-                host.vm.unreference(&send.desc).expect("unreference");
+                host.vm.unreference(send.desc).expect("unreference");
             }
             Semantics::Share => {
                 host.charge_latency(Op::Unwire, send.len, pages);
                 let region = send.region.expect("share region");
                 let _ = host.vm.unwire_region(region);
                 host.charge_latency(Op::Unreference, send.len, pages);
-                host.vm.unreference(&send.desc).expect("unreference");
+                host.vm.unreference(send.desc).expect("unreference");
             }
             Semantics::Move => {
                 let region = send.region.expect("move region");
                 host.charge_latency(Op::Unwire, send.len, pages);
                 let _ = host.vm.unwire_region(region);
                 host.charge_latency(Op::Unreference, send.len, pages);
-                host.vm.unreference(&send.desc).expect("unreference");
+                host.vm.unreference(send.desc).expect("unreference");
                 host.charge_latency(Op::RegionRemove, 0, 0);
                 host.vm.remove_region(region).expect("remove region");
             }
             Semantics::EmulatedMove => {
                 let region = send.region.expect("region");
                 host.charge_latency(Op::Unreference, send.len, pages);
-                host.vm.unreference(&send.desc).expect("unreference");
+                host.vm.unreference(send.desc).expect("unreference");
                 host.charge_latency(Op::RegionMarkOut, 0, 0);
                 host.vm
                     .mark_region(region, RegionMark::MovedOut)
@@ -497,7 +493,7 @@ impl World {
                     let _ = host.vm.unwire_region(region);
                 }
                 host.charge_latency(Op::Unreference, send.len, pages);
-                host.vm.unreference(&send.desc).expect("unreference");
+                host.vm.unreference(send.desc).expect("unreference");
                 host.charge_latency(Op::RegionMarkOut, 0, 0);
                 host.vm
                     .mark_region(region, RegionMark::WeaklyMovedOut)

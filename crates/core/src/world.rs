@@ -251,6 +251,9 @@ pub struct World {
     /// Scratch cell storage for the slow path (fault damage and the
     /// forced cell path), reused across PDUs.
     pub(crate) scratch_cells: Vec<genie_net::Cell>,
+    /// Scratch copy of the route a switch-ingress PDU fans out to,
+    /// reused across PDUs.
+    pub(crate) scratch_dsts: Vec<u16>,
     /// When set, every transmitted PDU is round-tripped through the
     /// materialized cell codec (segment + reassemble) before arrival.
     /// Pure byte shuffling — no charges — so it must be observationally
@@ -337,6 +340,7 @@ impl World {
             txq: (0..n).map(|_| DenseMap::new()).collect(),
             spare_payloads: Vec::new(),
             scratch_cells: Vec::new(),
+            scratch_dsts: Vec::new(),
             force_cells: false,
             fault: crate::faults::FaultState::new(cfg.fault, n),
             wire_tracer: genie_trace::Tracer::new(),
@@ -397,11 +401,14 @@ impl World {
         buf
     }
 
-    /// Returns a payload buffer to the spare pool. The cap only
-    /// matters to pipelined experiments with many PDUs in flight; the
-    /// latency ping-pongs keep one or two buffers circulating.
+    /// Returns a payload buffer to the spare pool. Every buffer in
+    /// circulation came from [`World::take_payload_buf`], so the pool
+    /// never holds more than the most PDUs (plus retransmit copies)
+    /// ever in flight at once: one or two for a latency ping-pong, a
+    /// whole wave for a fan-in, whose next wave then reuses them all.
+    /// [`World::trim_pools`] gives the high-water mark back.
     pub(crate) fn recycle_payload(&mut self, buf: Vec<u8>) {
-        if self.spare_payloads.len() < 32 && buf.capacity() > 0 {
+        if buf.capacity() > 0 {
             self.spare_payloads.push(buf);
         }
     }
@@ -472,24 +479,27 @@ impl World {
     }
 
     /// Simulates an application write, charging fault-resolution costs
-    /// (TCOW copies etc.) to the host.
+    /// (TCOW copies etc.) to the host. Returns how many faults the
+    /// write took.
     pub fn app_write(
         &mut self,
         host: HostId,
         space: SpaceId,
         vaddr: u64,
         data: &[u8],
-    ) -> Result<Vec<genie_vm::FaultOutcome>, GenieError> {
+    ) -> Result<usize, GenieError> {
         let page = self.host(host).page_size();
         let h = self.host_mut(host);
-        let faults = h.vm.write_app(space, vaddr, data)?;
-        for f in &faults {
+        h.vm.write_app(space, vaddr, data)?;
+        let n = h.vm.last_faults().len();
+        for i in 0..n {
+            let copied = h.vm.last_faults()[i].copied();
             h.charge_latency(Op::Fault, 0, 0);
-            if f.copied() {
+            if copied {
                 h.charge_latency(Op::PageCopy, page, 1);
             }
         }
-        Ok(faults)
+        Ok(n)
     }
 
     /// Simulates an application read.
@@ -501,8 +511,8 @@ impl World {
         len: usize,
     ) -> Result<Vec<u8>, GenieError> {
         let h = self.host_mut(host);
-        let (data, faults) = h.vm.read_app(space, vaddr, len)?;
-        for _ in &faults {
+        let data = h.vm.read_app(space, vaddr, len)?;
+        for _ in 0..h.vm.last_faults().len() {
             h.charge_latency(Op::Fault, 0, 0);
         }
         Ok(data)
@@ -520,8 +530,8 @@ impl World {
         expected: &[u8],
     ) -> Result<bool, GenieError> {
         let h = self.host_mut(host);
-        let (ok, faults) = h.vm.app_matches(space, vaddr, expected)?;
-        for _ in &faults {
+        let ok = h.vm.app_matches(space, vaddr, expected)?;
+        for _ in 0..h.vm.last_faults().len() {
             h.charge_latency(Op::Fault, 0, 0);
         }
         Ok(ok)
@@ -674,11 +684,13 @@ impl World {
     }
 
     /// Releases process-level scratch memory accumulated by large
-    /// runs: payload buffers beyond `keep`, the cell scratch vector,
-    /// and this thread's recycled page storage beyond `keep` pages per
-    /// size class. Simulated state (host overlay pools, frames,
-    /// queues) is untouched — trimming only changes the process's
-    /// resident footprint, never a simulated number. Returns how many
+    /// runs: payload buffers beyond `keep`, the cell and route scratch
+    /// vectors, every host's recycled frame lists beyond `keep`, its
+    /// VM's pools (see [`genie_vm::Vm::trim_pools`]), and this
+    /// thread's recycled page storage beyond `keep` pages per size
+    /// class. Simulated state (host overlay pools, frames, queues) is
+    /// untouched — trimming only changes the process's resident
+    /// footprint, never a simulated number. Returns how many
     /// allocations were released.
     pub fn trim_pools(&mut self, keep: usize) -> usize {
         let mut freed = 0;
@@ -691,17 +703,29 @@ impl World {
             freed += 1;
             self.scratch_cells = Vec::new();
         }
+        if self.scratch_dsts.capacity() > 0 {
+            freed += 1;
+            self.scratch_dsts = Vec::new();
+        }
+        for h in &mut self.hosts {
+            freed += h.trim_pools(keep);
+        }
         freed + genie_mem::trim_page_storage(keep)
     }
 
-    /// Drains completed input operations.
+    /// Drains completed input operations. The next batch starts with
+    /// room for as many as this one, so a steady wave allocates its
+    /// completion list once instead of growing it.
     pub fn take_completed_inputs(&mut self) -> Vec<RecvCompletion> {
-        std::mem::take(&mut self.done_recvs)
+        let room = Vec::with_capacity(self.done_recvs.len());
+        std::mem::replace(&mut self.done_recvs, room)
     }
 
-    /// Drains completed output operations.
+    /// Drains completed output operations (sized like
+    /// [`World::take_completed_inputs`]).
     pub fn take_completed_outputs(&mut self) -> Vec<SendCompletion> {
-        std::mem::take(&mut self.done_sends)
+        let room = Vec::with_capacity(self.done_sends.len());
+        std::mem::replace(&mut self.done_sends, room)
     }
 
     /// The preferred alignment and length granularity for application
@@ -848,6 +872,75 @@ mod tests {
         let before = w.host(HostId::A).clock;
         w.app_write(HostId::A, s, va, b"x").unwrap();
         assert!(w.host(HostId::A).clock > before);
+    }
+
+    #[test]
+    fn trim_pools_empties_every_pool() {
+        use crate::{InputRequest, OutputRequest, Semantics};
+        let mut w = World::new(WorldConfig::default());
+        let tx = w.create_process(HostId::A);
+        let rx = w.create_process(HostId::B);
+        let data = [5u8; 5000];
+        let exchange = |w: &mut World, sem: Semantics| {
+            let vc = Vc(1);
+            let (src, dst) = match sem.allocation() {
+                crate::Allocation::Application => {
+                    let dst = w.alloc_buffer(HostId::B, rx, data.len(), 0).unwrap();
+                    w.input(HostId::B, InputRequest::app(sem, vc, rx, dst, data.len()))
+                        .unwrap();
+                    (
+                        w.alloc_buffer(HostId::A, tx, data.len(), 0).unwrap(),
+                        Some(dst),
+                    )
+                }
+                crate::Allocation::System => {
+                    w.input(HostId::B, InputRequest::system(sem, vc, rx, data.len()))
+                        .unwrap();
+                    let (_, src) = w
+                        .host_mut(HostId::A)
+                        .alloc_io_buffer(tx, data.len())
+                        .unwrap();
+                    (src, None)
+                }
+            };
+            w.app_write(HostId::A, tx, src, &data).unwrap();
+            w.output(HostId::A, OutputRequest::new(sem, vc, tx, src, data.len()))
+                .unwrap();
+            w.run();
+            let c = w.take_completed_inputs()[0];
+            assert!(w.app_matches(HostId::B, rx, c.vaddr, &data).unwrap());
+            w.host_mut(HostId::B).free_buffer(rx, c.vaddr).unwrap();
+            assert!(dst.is_none_or(|dst| dst == c.vaddr));
+            // Move output removed its source region; free the rest.
+            if sem != Semantics::Move {
+                w.host_mut(HostId::A).free_buffer(tx, src).unwrap();
+            }
+        };
+        for sem in Semantics::ALL {
+            exchange(&mut w, sem);
+        }
+        // Every pool the datapath recycles through holds something.
+        assert!(!w.spare_payloads.is_empty());
+        for id in [HostId::A, HostId::B] {
+            let h = w.host(id);
+            assert!(!h.spare_frame_lists.is_empty(), "{id:?} frame lists");
+            let p = h.vm.pools();
+            assert!(p.fault_list_capacity > 0, "{id:?} {p:?}");
+            assert!(p.descriptor_lists > 0, "{id:?} {p:?}");
+            assert!(p.page_tables > 0, "{id:?} {p:?}");
+        }
+        assert!(w.trim_pools(0) > 0);
+        assert!(w.spare_payloads.is_empty());
+        assert_eq!(w.scratch_cells.capacity(), 0);
+        assert_eq!(w.scratch_dsts.capacity(), 0);
+        for id in [HostId::A, HostId::B] {
+            let h = w.host(id);
+            assert!(h.spare_frame_lists.is_empty(), "{id:?} frame lists");
+            assert_eq!(h.vm.pools(), genie_vm::VmPools::default(), "{id:?}");
+        }
+        assert_eq!(w.trim_pools(0), 0, "nothing left to release");
+        // Trimming only costs reallocation: the next exchange runs.
+        exchange(&mut w, Semantics::Copy);
     }
 
     #[test]

@@ -44,14 +44,14 @@ impl SimTime {
     ///
     /// Negative inputs saturate to zero: costs are never negative.
     pub fn from_ns(ns: f64) -> Self {
-        SimTime((ns * 1e3).max(0.0).round() as u64)
+        SimTime(round_ps(ns * 1e3))
     }
 
     /// Creates a time from (possibly fractional) microseconds.
     ///
     /// Negative inputs saturate to zero: costs are never negative.
     pub fn from_us(us: f64) -> Self {
-        SimTime((us * 1e6).max(0.0).round() as u64)
+        SimTime(round_ps(us * 1e6))
     }
 
     /// Creates a time from whole milliseconds.
@@ -178,9 +178,59 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// `ps.max(0.0).round() as u64`, computed inline: `f64::round` is a
+/// libm call on baseline x86-64, and every charged operation converts
+/// its cost through here. Below 2^63 the signed conversions are single
+/// instructions and `ps - whole` is exact, so rounding half away from
+/// zero on it gives bit-identical results; larger values (never a
+/// simulated cost) take the libm path.
+#[inline]
+fn round_ps(ps: f64) -> u64 {
+    let ps = ps.max(0.0);
+    if ps < 9_223_372_036_854_775_808.0 {
+        let whole = ps as i64;
+        let up = ps - whole as f64 >= 0.5;
+        (whole + i64::from(up)) as u64
+    } else {
+        ps.round() as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn inline_rounding_matches_f64_round() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut values = vec![
+            -3.5,
+            -0.0,
+            0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            4503599627370495.5,
+            9007199254740993.0,
+            1.8e19,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Costs in ps span a few orders of magnitude; include exact
+            // halves.
+            let v = (x >> 11) as f64 / (1u64 << 20) as f64;
+            values.extend([v, v.floor() + 0.5]);
+        }
+        for v in values {
+            assert_eq!(round_ps(v), v.max(0.0).round() as u64, "{v:e}");
+        }
+    }
 
     #[test]
     fn conversions_round_trip() {

@@ -229,6 +229,13 @@ impl<T> DenseMap<T> {
         v
     }
 
+    /// Empties the map, keeping its table's storage so a recycled map
+    /// refills without allocating.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.len = 0;
+    }
+
     /// Iterates over occupied `(key, &value)` pairs in ascending key
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
@@ -293,6 +300,10 @@ mod tests {
         assert_eq!(m.remove(1), Some("a"));
         assert_eq!(m.remove(1), None);
         assert_eq!(m.len(), 1);
+        m.clear();
+        assert!(m.is_empty());
+        assert_eq!(m.get(3), None);
+        assert_eq!(m.iter().count(), 0);
     }
 
     #[test]

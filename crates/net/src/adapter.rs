@@ -9,7 +9,8 @@
 //!   to the request or connection.
 //! - **Outboard**: the adapter buffers incoming PDUs in its own
 //!   memory; the host later DMAs the data to its final destination
-//!   (a store-and-forward architecture).
+//!   (a store-and-forward architecture). The arriving wire image is
+//!   kept as is, so storing it copies nothing.
 //!
 //! The transmit side gathers real bytes from host frames by simulated
 //! DMA — which, like real DMA, is **not** subject to page-table
@@ -61,18 +62,9 @@ pub enum RxCompletion {
         /// Bytes delivered.
         len: usize,
     },
-    /// Pooled: the payload sits in overlay frames; each entry is a
-    /// frame plus the number of valid bytes in it.
+    /// Pooled: the payload sits in overlay frames, appended in order
+    /// to the caller's frame list. Every frame is full but the last.
     Overlay {
-        /// Overlay frames in order, with valid byte counts.
-        frames: Vec<(FrameId, usize)>,
-        /// Total bytes delivered.
-        len: usize,
-    },
-    /// Outboard: the payload sits in adapter memory slot `buf`.
-    Outboard {
-        /// Outboard buffer index.
-        buf: usize,
         /// Total bytes delivered.
         len: usize,
     },
@@ -111,9 +103,6 @@ pub struct Adapter {
     /// Outboard adapter memory: each slot holds a stored wire PDU
     /// (contiguous payload plus cell metadata), not loose bytes.
     outboard: Vec<Option<WirePdu>>,
-    /// Recycled outboard storage, so steady-state store/free cycles
-    /// reuse one allocation per slot instead of allocating per PDU.
-    spare_outboard: Vec<Vec<u8>>,
     /// Per-VC credit state, flat-indexed by VC number.
     credits: DenseMap<CreditState>,
     credit_limit: u32,
@@ -130,7 +119,6 @@ impl Adapter {
             posted: DenseMap::new(),
             pool: VecDeque::new(),
             outboard: Vec::new(),
-            spare_outboard: Vec::new(),
             credits: DenseMap::new(),
             credit_limit,
             drops: 0,
@@ -249,14 +237,22 @@ impl Adapter {
         Ok(src)
     }
 
-    /// Delivers a received PDU according to the input-buffering
-    /// architecture. Early demultiplexing falls back to the pool when
-    /// nothing is posted on the VC (paper Section 6.2.2).
+    /// Delivers a received PDU into host memory according to the
+    /// input-buffering architecture. Early demultiplexing falls back to
+    /// the pool when nothing is posted on the VC (paper Section 6.2.2);
+    /// pooled delivery appends the overlay frames it filled to
+    /// `overlay`.
+    ///
+    /// # Panics
+    ///
+    /// On an outboard adapter, which keeps the wire image instead (see
+    /// [`Adapter::store_outboard`]).
     pub fn receive(
         &mut self,
         phys: &mut PhysMem,
         vc: Vc,
         payload: &[u8],
+        overlay: &mut Vec<FrameId>,
     ) -> Result<RxCompletion, MemError> {
         self.stats.pdus_received += 1;
         match self.mode {
@@ -275,28 +271,12 @@ impl Adapter {
                     })
                 } else {
                     self.stats.pooled_fallbacks += 1;
-                    self.receive_pooled(phys, payload)
+                    self.receive_pooled(phys, payload, overlay)
                 }
             }
-            InputBuffering::Pooled => self.receive_pooled(phys, payload),
+            InputBuffering::Pooled => self.receive_pooled(phys, payload, overlay),
             InputBuffering::Outboard => {
-                let len = payload.len();
-                let mut data = self.spare_outboard.pop().unwrap_or_default();
-                data.clear();
-                data.extend_from_slice(payload);
-                let pdu = WirePdu::new(vc.0, data);
-                let idx = match self.outboard.iter().position(Option::is_none) {
-                    Some(i) => {
-                        self.outboard[i] = Some(pdu);
-                        i
-                    }
-                    None => {
-                        self.outboard.push(Some(pdu));
-                        self.outboard.len() - 1
-                    }
-                };
-                self.stats.outboard_stores += 1;
-                Ok(RxCompletion::Outboard { buf: idx, len })
+                unreachable!("an outboard adapter keeps the wire image: use store_outboard")
             }
         }
     }
@@ -305,6 +285,7 @@ impl Adapter {
         &mut self,
         phys: &mut PhysMem,
         payload: &[u8],
+        frames: &mut Vec<FrameId>,
     ) -> Result<RxCompletion, MemError> {
         let page = phys.page_size();
         let need = payload.len().div_ceil(page).max(1);
@@ -314,22 +295,36 @@ impl Adapter {
             return Ok(RxCompletion::Dropped);
         }
         self.stats.pool_takes += need as u64;
-        let mut frames = Vec::with_capacity(need);
         let mut src = 0usize;
         for _ in 0..need {
             let f = self.pool.pop_front().expect("pool size checked");
             let n = (payload.len() - src).min(page);
             phys.write(f, 0, &payload[src..src + n])?;
             src += n;
-            frames.push((f, n));
+            frames.push(f);
         }
-        Ok(RxCompletion::Overlay {
-            frames,
-            len: payload.len(),
-        })
+        Ok(RxCompletion::Overlay { len: payload.len() })
     }
 
     // ----- outboard memory -----------------------------------------------------
+
+    /// Stores an arriving PDU in outboard adapter memory and returns
+    /// its slot. The wire image itself is kept (taken over, not
+    /// copied); [`Adapter::outboard_free`] hands it back.
+    pub fn store_outboard(&mut self, pdu: WirePdu) -> usize {
+        self.stats.pdus_received += 1;
+        self.stats.outboard_stores += 1;
+        match self.outboard.iter().position(Option::is_none) {
+            Some(i) => {
+                self.outboard[i] = Some(pdu);
+                i
+            }
+            None => {
+                self.outboard.push(Some(pdu));
+                self.outboard.len() - 1
+            }
+        }
+    }
 
     /// Reads an outboard buffer's payload bytes.
     pub fn outboard_data(&self, buf: usize) -> Option<&[u8]> {
@@ -344,17 +339,6 @@ impl Adapter {
     /// Frees an outboard buffer, handing its PDU to the caller.
     pub fn outboard_free(&mut self, buf: usize) -> Option<WirePdu> {
         self.outboard.get_mut(buf)?.take()
-    }
-
-    /// Frees an outboard buffer and recycles its storage in place, for
-    /// callers that don't need the bytes. Steady-state outboard
-    /// traffic then allocates nothing per PDU.
-    pub fn outboard_release(&mut self, buf: usize) {
-        if let Some(pdu) = self.outboard.get_mut(buf).and_then(Option::take) {
-            if self.spare_outboard.len() < 32 {
-                self.spare_outboard.push(pdu.into_payload());
-            }
-        }
     }
 
     /// Outboard buffers currently held.
@@ -413,7 +397,7 @@ mod tests {
             },
         );
         let payload = vec![0x5au8; 5000];
-        let c = a.receive(&mut p, Vc(1), &payload).unwrap();
+        let c = a.receive(&mut p, Vc(1), &payload, &mut Vec::new()).unwrap();
         assert_eq!(
             c,
             RxCompletion::Direct {
@@ -432,12 +416,13 @@ mod tests {
         let pool: Vec<FrameId> = (0..4).map(|_| p.alloc(None).unwrap()).collect();
         a.fill_pool(pool);
         let payload = vec![0x11u8; 6000];
-        match a.receive(&mut p, Vc(2), &payload).unwrap() {
-            RxCompletion::Overlay { frames, len } => {
+        let mut frames = Vec::new();
+        match a.receive(&mut p, Vc(2), &payload, &mut frames).unwrap() {
+            RxCompletion::Overlay { len } => {
                 assert_eq!(len, 6000);
                 assert_eq!(frames.len(), 2);
-                assert_eq!(frames[0].1, 4096);
-                assert_eq!(frames[1].1, 6000 - 4096);
+                assert_eq!(p.read(frames[0], 0, 4096).unwrap(), &payload[..4096]);
+                assert_eq!(p.read(frames[1], 0, 6000 - 4096).unwrap(), &payload[4096..]);
             }
             other => panic!("expected overlay, got {other:?}"),
         }
@@ -450,23 +435,23 @@ mod tests {
         let mut a = Adapter::new(InputBuffering::Pooled, 256);
         let f = p.alloc(None).unwrap();
         a.fill_pool([f]);
-        let c = a.receive(&mut p, Vc(0), &vec![1u8; 8000]).unwrap();
+        let mut frames = Vec::new();
+        let c = a
+            .receive(&mut p, Vc(0), &vec![1u8; 8000], &mut frames)
+            .unwrap();
         assert_eq!(c, RxCompletion::Dropped);
         assert_eq!(a.drops(), 1);
+        assert!(frames.is_empty());
         // The single-frame PDU still goes through.
-        let c = a.receive(&mut p, Vc(0), &[2u8; 100]).unwrap();
-        assert!(matches!(c, RxCompletion::Overlay { .. }));
+        let c = a.receive(&mut p, Vc(0), &[2u8; 100], &mut frames).unwrap();
+        assert!(matches!(c, RxCompletion::Overlay { len: 100 }));
+        assert_eq!(frames, [f]);
     }
 
     #[test]
     fn outboard_stores_and_frees() {
-        let mut p = phys();
         let mut a = Adapter::new(InputBuffering::Outboard, 256);
-        let c = a.receive(&mut p, Vc(0), b"outboard payload").unwrap();
-        let RxCompletion::Outboard { buf, len } = c else {
-            panic!("expected outboard");
-        };
-        assert_eq!(len, 16);
+        let buf = a.store_outboard(WirePdu::new(0, b"outboard payload".to_vec()));
         assert_eq!(a.outboard_data(buf).unwrap(), b"outboard payload");
         assert_eq!(a.outboard_in_use(), 1);
         let pdu = a.outboard_free(buf).unwrap();
@@ -474,31 +459,23 @@ mod tests {
         assert_eq!(pdu.n_cells(), 1);
         assert_eq!(a.outboard_in_use(), 0);
         // Slot is reused.
-        let c2 = a.receive(&mut p, Vc(0), b"again").unwrap();
-        assert_eq!(c2, RxCompletion::Outboard { buf, len: 5 });
+        assert_eq!(a.store_outboard(WirePdu::new(0, b"again".to_vec())), buf);
+        let s = a.stats();
+        assert_eq!((s.pdus_received, s.outboard_stores), (2, 2));
     }
 
     #[test]
-    fn outboard_release_recycles_storage() {
-        let mut p = phys();
+    fn outboard_takes_over_the_wire_image() {
         let mut a = Adapter::new(InputBuffering::Outboard, 256);
-        let RxCompletion::Outboard { buf, .. } = a.receive(&mut p, Vc(3), b"first").unwrap() else {
-            panic!("expected outboard");
-        };
-        a.outboard_release(buf);
-        assert_eq!(a.outboard_in_use(), 0);
-        // The slot and its storage are both reused; the new PDU keeps
-        // its own vc and cell metadata.
-        let RxCompletion::Outboard { buf: buf2, len } =
-            a.receive(&mut p, Vc(4), b"second payload").unwrap()
-        else {
-            panic!("expected outboard");
-        };
-        assert_eq!(buf2, buf);
-        assert_eq!(len, 14);
-        let pdu = a.outboard_pdu(buf2).unwrap();
-        assert_eq!(pdu.vc(), 4);
-        assert_eq!(pdu.payload(), b"second payload");
+        let pdu = WirePdu::new(4, b"second payload".to_vec());
+        let at = pdu.payload().as_ptr();
+        let buf = a.store_outboard(pdu);
+        // The stored PDU is the arriving one: same storage, same vc
+        // and cell metadata, no copy.
+        let stored = a.outboard_pdu(buf).unwrap();
+        assert_eq!(stored.payload().as_ptr(), at);
+        assert_eq!(stored.vc(), 4);
+        assert_eq!(a.outboard_free(buf).unwrap().payload().as_ptr(), at);
     }
 
     #[test]
@@ -541,9 +518,10 @@ mod tests {
                 token: 1,
             },
         );
-        a.receive(&mut p, Vc(1), &[7u8; 5000]).unwrap();
+        let mut frames = Vec::new();
+        a.receive(&mut p, Vc(1), &[7u8; 5000], &mut frames).unwrap();
         // Nothing posted on Vc(2) and no pool: fallback drops.
-        a.receive(&mut p, Vc(2), &[7u8; 100]).unwrap();
+        a.receive(&mut p, Vc(2), &[7u8; 100], &mut frames).unwrap();
         let s = a.stats();
         assert_eq!(s.pdus_received, 2);
         assert_eq!(s.posted_hits, 1);
@@ -564,7 +542,9 @@ mod tests {
                 token: 1,
             },
         );
-        let c = a.receive(&mut p, Vc(1), &[9u8; 200]).unwrap();
+        let c = a
+            .receive(&mut p, Vc(1), &[9u8; 200], &mut Vec::new())
+            .unwrap();
         assert_eq!(c, RxCompletion::Direct { token: 1, len: 100 });
         assert_eq!(a.drops(), 1);
     }

@@ -5,22 +5,28 @@
 //! a monotonic push counter, so events pushed for the same instant pop
 //! in push order (a strict requirement for reproducible experiments).
 //!
-//! Heap sifts move only the 24-byte keys: payloads stay put in the
-//! slab, whose vacated slots are reused through a free list, so a
-//! steady-state queue allocates nothing. Push and pop are O(log n)
-//! whatever the schedule's shape — a burst of same-instant events costs
-//! the same per event as scattered ones.
+//! Heap sifts move only the keys, each packed into one `u128` (time in
+//! the high 64 bits, then a 40-bit `seq`, then a 24-bit slot) so one
+//! integer comparison orders them: `seq` is unique, so the slot bits
+//! never decide. Payloads stay put in the slab, whose vacated slots are
+//! reused through a free list, so a steady-state queue allocates
+//! nothing. Push and pop are O(log n) whatever the schedule's shape — a
+//! burst of same-instant events costs the same per event as scattered
+//! ones.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use genie_machine::SimTime;
 
+/// Bits of a heap key below `seq`, holding the slab slot.
+const SLOT_BITS: u32 = 24;
+
 /// A deterministic event queue.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Min-heap of `(time, seq, slab slot)`.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Min-heap of packed `time << 64 | seq << SLOT_BITS | slot` keys.
+    heap: BinaryHeap<Reverse<u128>>,
     /// Event payloads, indexed by the heap key's slot.
     slab: Vec<Option<E>>,
     /// Vacant slab slots.
@@ -44,6 +50,7 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
+        assert!(seq < 1 << (64 - SLOT_BITS), "event sequence overflow");
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = Some(event);
@@ -51,25 +58,32 @@ impl<E> EventQueue<E> {
             }
             None => {
                 self.slab.push(Some(event));
-                u32::try_from(self.slab.len() - 1).expect("event slab overflow")
+                let slot = self.slab.len() - 1;
+                assert!(slot < 1 << SLOT_BITS, "event slab overflow");
+                slot as u32
             }
         };
-        self.heap.push(Reverse((time, seq, slot)));
+        let tie = seq << SLOT_BITS | u64::from(slot);
+        self.heap
+            .push(Reverse(u128::from(time.0) << 64 | u128::from(tie)));
     }
 
     /// Pops the earliest event (FIFO among ties).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse((time, _, slot)) = self.heap.pop()?;
+        let Reverse(key) = self.heap.pop()?;
+        let slot = (key as u32) & ((1 << SLOT_BITS) - 1);
         let event = self.slab[slot as usize]
             .take()
             .expect("heap key names a live slot");
         self.free.push(slot);
-        Some((time, event))
+        Some((SimTime((key >> 64) as u64), event))
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((time, _, _))| *time)
+        self.heap
+            .peek()
+            .map(|Reverse(key)| SimTime((key >> 64) as u64))
     }
 
     /// True if no events are pending.

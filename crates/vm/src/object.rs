@@ -37,14 +37,27 @@ pub struct MemoryObject {
 impl MemoryObject {
     /// Creates an empty object.
     pub fn new(id: ObjectId) -> Self {
+        Self::with_page_table(id, DenseMap::new())
+    }
+
+    /// Creates an empty object whose resident-page table reuses the
+    /// storage of `pages`, an emptied table of a destroyed object.
+    pub(crate) fn with_page_table(id: ObjectId, pages: DenseMap<FrameId>) -> Self {
+        debug_assert!(pages.is_empty(), "recycled page table not emptied");
         MemoryObject {
             id,
-            pages: DenseMap::new(),
+            pages,
             paged: DenseMap::new(),
             shadow: None,
             input_refs: 0,
             refs: 1,
         }
+    }
+
+    /// Consumes the object, returning its resident-page table (still
+    /// filled) so its storage can serve a later object.
+    pub(crate) fn into_page_table(self) -> DenseMap<FrameId> {
+        self.pages
     }
 
     /// This object's id.

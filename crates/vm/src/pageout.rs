@@ -154,7 +154,8 @@ mod tests {
         assert_eq!(stats.paged_out, 2);
         assert_eq!(v.phys.free_frames(), free_before + 2);
         // Touching the data pages it back in.
-        let (got, faults) = v.read_app(s, va, 17).unwrap();
+        let got = v.read_app(s, va, 17).unwrap();
+        let faults = v.last_faults();
         assert_eq!(&got, b"will be paged out");
         assert!(faults.contains(&crate::fault::FaultOutcome::PagedIn));
     }
@@ -164,11 +165,11 @@ mod tests {
         let (mut v, s) = vm();
         let va = v.alloc_app_buffer(s, 4096).unwrap();
         v.write_app(s, va, b"x").unwrap();
-        let (desc, _) = v.reference_pages(s, va, 4096, IoDir::Input).unwrap();
+        let desc = v.reference_pages(s, va, 4096, IoDir::Input).unwrap();
         let stats = v.pageout_scan(64, PageoutPolicy::InputDisabled).unwrap();
         assert_eq!(stats.paged_out, 0);
         assert_eq!(stats.skipped_input_referenced, 1);
-        v.unreference(&desc).unwrap();
+        v.unreference(desc).unwrap();
         let stats = v.pageout_scan(64, PageoutPolicy::InputDisabled).unwrap();
         assert_eq!(stats.paged_out, 1);
     }
@@ -180,7 +181,7 @@ mod tests {
         let (mut v, s) = vm();
         let va = v.alloc_app_buffer(s, 4096).unwrap();
         v.write_app(s, va, b"outbound").unwrap();
-        let (desc, _) = v.reference_pages(s, va, 4096, IoDir::Output).unwrap();
+        let desc = v.reference_pages(s, va, 4096, IoDir::Output).unwrap();
         let frame = desc.vecs[0].frame;
         let stats = v.pageout_scan(64, PageoutPolicy::InputDisabled).unwrap();
         assert_eq!(stats.paged_out, 1);
@@ -190,13 +191,13 @@ mod tests {
             v.phys.frame(frame).unwrap().state(),
             genie_mem::FrameState::Zombie
         );
-        v.unreference(&desc).unwrap();
+        v.unreference(desc).unwrap();
         assert_eq!(
             v.phys.frame(frame).unwrap().state(),
             genie_mem::FrameState::Free
         );
         // And the application can still read its buffer (page-in).
-        let (got, _) = v.read_app(s, va, 8).unwrap();
+        let got = v.read_app(s, va, 8).unwrap();
         assert_eq!(&got, b"outbound");
     }
 
@@ -220,16 +221,16 @@ mod tests {
         let (mut v, s) = vm();
         let va = v.alloc_app_buffer(s, 4096).unwrap();
         v.write_app(s, va, b"stale....").unwrap();
-        let (desc, _) = v.reference_pages(s, va, 4096, IoDir::Input).unwrap();
+        let desc = v.reference_pages(s, va, 4096, IoDir::Input).unwrap();
         let frame = desc.vecs[0].frame;
         let stats = v.pageout_scan(64, PageoutPolicy::WiringOnly).unwrap();
         assert_eq!(stats.paged_out, 1);
         // DMA lands in the (zombie) frame after pageout.
         v.phys.write(frame, 0, b"dma data!").unwrap();
-        v.unreference(&desc).unwrap();
+        v.unreference(desc).unwrap();
         // The application reads back the paged-out STALE data: weak
         // semantics where copy semantics was promised.
-        let (got, _) = v.read_app(s, va, 9).unwrap();
+        let got = v.read_app(s, va, 9).unwrap();
         assert_eq!(&got, b"stale....");
     }
 

@@ -1,7 +1,7 @@
 //! The VM subsystem: fault handling, page referencing, page swapping,
 //! wiring, COW, and the region operations behind move emulation.
 
-use genie_mem::{FrameId, IoDir, PhysMem};
+use genie_mem::{DenseMap, FrameId, IoDir, PhysMem};
 
 use crate::error::VmError;
 use crate::fault::{Access, FaultOutcome};
@@ -81,6 +81,19 @@ pub struct VmStats {
     pub region_reinstates: u64,
 }
 
+/// Host-side storage a [`Vm`] keeps for reuse instead of returning it
+/// to the allocator. Purely observational, like [`VmStats`]: it shows
+/// what [`Vm::trim_pools`] would release.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VmPools {
+    /// Capacity of the fault-list scratch, in outcomes.
+    pub fault_list_capacity: usize,
+    /// Spare scatter/gather lists of released I/O descriptors.
+    pub descriptor_lists: usize,
+    /// Spare resident-page tables of destroyed memory objects.
+    pub page_tables: usize,
+}
+
 /// The simulated VM subsystem of one host.
 #[derive(Clone, Debug)]
 pub struct Vm {
@@ -89,6 +102,19 @@ pub struct Vm {
     objects: Vec<Option<MemoryObject>>,
     spaces: Vec<AddressSpace>,
     stats: VmStats,
+    /// Faults taken by the latest fault-taking access or page
+    /// reference, in order (see [`Vm::last_faults`]). One list reused
+    /// by every call.
+    faults: Vec<FaultOutcome>,
+    /// Emptied scatter/gather lists of released descriptors; page
+    /// referencing takes one instead of allocating. Only lists that
+    /// descriptors once held come back, so the pool never outgrows the
+    /// most descriptors ever live at once.
+    spare_vecs: Vec<Vec<IoVec>>,
+    /// Emptied resident-page tables of destroyed objects; object
+    /// creation takes one. Bounded, like `spare_vecs`, by the most
+    /// objects ever live at once.
+    spare_page_tables: Vec<DenseMap<FrameId>>,
 }
 
 impl Vm {
@@ -99,7 +125,57 @@ impl Vm {
             objects: Vec::new(),
             spaces: Vec::new(),
             stats: VmStats::default(),
+            faults: Vec::new(),
+            spare_vecs: Vec::new(),
+            spare_page_tables: Vec::new(),
         }
+    }
+
+    /// The faults taken by the most recent [`Vm::read_app`],
+    /// [`Vm::write_app`], [`Vm::app_matches`], `copy_*` or
+    /// `reference_*` call, in the order they were taken (a call that
+    /// failed part-way leaves those taken before the failure). The list
+    /// is scratch storage that the next such call overwrites, so the
+    /// policy layer reads it right after the call to charge each fault.
+    pub fn last_faults(&self) -> &[FaultOutcome] {
+        &self.faults
+    }
+
+    /// The recycled storage this VM holds.
+    pub fn pools(&self) -> VmPools {
+        VmPools {
+            fault_list_capacity: self.faults.capacity(),
+            descriptor_lists: self.spare_vecs.len(),
+            page_tables: self.spare_page_tables.len(),
+        }
+    }
+
+    /// Releases recycled storage beyond `keep` spare allocations per
+    /// pool (the fault-list scratch counts as one allocation). Returns
+    /// how many allocations were released. Simulated state is never
+    /// touched, only the process's footprint.
+    pub fn trim_pools(&mut self, keep: usize) -> usize {
+        let mut freed = 0;
+        if keep == 0 && self.faults.capacity() > 0 {
+            self.faults = Vec::new();
+            freed += 1;
+        }
+        if self.spare_vecs.len() > keep {
+            freed += self.spare_vecs.len() - keep;
+            self.spare_vecs.truncate(keep);
+            self.spare_vecs.shrink_to_fit();
+        }
+        if self.spare_page_tables.len() > keep {
+            freed += self.spare_page_tables.len() - keep;
+            self.spare_page_tables.truncate(keep);
+            self.spare_page_tables.shrink_to_fit();
+        }
+        freed
+    }
+
+    /// An empty scatter/gather list, recycled when one is spare.
+    fn take_vecs(&mut self) -> Vec<IoVec> {
+        self.spare_vecs.pop().unwrap_or_default()
     }
 
     /// Structural counters accumulated since creation.
@@ -138,7 +214,9 @@ impl Vm {
     /// Creates a new, empty memory object.
     pub fn create_object(&mut self) -> ObjectId {
         let id = ObjectId(self.objects.len() as u32);
-        self.objects.push(Some(MemoryObject::new(id)));
+        let pages = self.spare_page_tables.pop().unwrap_or_default();
+        self.objects
+            .push(Some(MemoryObject::with_page_table(id, pages)));
         id
     }
 
@@ -180,7 +258,11 @@ impl Vm {
             // Deallocation is I/O-deferred inside PhysMem.
             let _ = self.phys.dealloc(frame);
         }
-        if let Some(shadow) = obj.shadow() {
+        let shadow = obj.shadow();
+        let mut pages = obj.into_page_table();
+        pages.clear();
+        self.spare_page_tables.push(pages);
+        if let Some(shadow) = shadow {
             self.release_object(shadow);
         }
     }
@@ -506,14 +588,9 @@ impl Vm {
 
     /// Simulates the application reading `len` bytes at `vaddr`,
     /// faulting pages in as hardware would.
-    pub fn read_app(
-        &mut self,
-        space: SpaceId,
-        vaddr: u64,
-        len: usize,
-    ) -> Result<(Vec<u8>, Vec<FaultOutcome>), VmError> {
+    pub fn read_app(&mut self, space: SpaceId, vaddr: u64, len: usize) -> Result<Vec<u8>, VmError> {
         let mut out = Vec::with_capacity(len);
-        let mut faults = Vec::new();
+        self.faults.clear();
         let page = self.page_size() as u64;
         let mut addr = vaddr;
         let end = vaddr + len as u64;
@@ -526,7 +603,8 @@ impl Vm {
                 None => true,
             };
             if needs_fault {
-                faults.push(self.handle_fault(space, vpn, Access::Read)?);
+                let f = self.handle_fault(space, vpn, Access::Read)?;
+                self.faults.push(f);
             }
             let frame = self
                 .space(space)
@@ -536,18 +614,13 @@ impl Vm {
             out.extend_from_slice(self.phys.read(frame, off, chunk)?);
             addr += chunk as u64;
         }
-        Ok((out, faults))
+        Ok(out)
     }
 
     /// Simulates the application writing `data` at `vaddr`, faulting
     /// pages (and resolving TCOW/COW) as hardware would.
-    pub fn write_app(
-        &mut self,
-        space: SpaceId,
-        vaddr: u64,
-        data: &[u8],
-    ) -> Result<Vec<FaultOutcome>, VmError> {
-        let mut faults = Vec::new();
+    pub fn write_app(&mut self, space: SpaceId, vaddr: u64, data: &[u8]) -> Result<(), VmError> {
+        self.faults.clear();
         let page = self.page_size() as u64;
         let mut addr = vaddr;
         let end = vaddr + data.len() as u64;
@@ -562,7 +635,8 @@ impl Vm {
             };
             if needs_fault {
                 let full = off == 0 && chunk == page as usize;
-                faults.push(self.handle_fault_opts(space, vpn, Access::Write, full)?);
+                let f = self.handle_fault_opts(space, vpn, Access::Write, full)?;
+                self.faults.push(f);
             }
             let frame = self
                 .space(space)
@@ -573,7 +647,7 @@ impl Vm {
             addr += chunk as u64;
             src += chunk;
         }
-        Ok(faults)
+        Ok(())
     }
 
     /// Copies `len` application bytes at `vaddr` straight into the
@@ -589,8 +663,8 @@ impl Vm {
         vaddr: u64,
         len: usize,
         frames: &[FrameId],
-    ) -> Result<Vec<FaultOutcome>, VmError> {
-        let mut faults = Vec::new();
+    ) -> Result<(), VmError> {
+        self.faults.clear();
         let page = self.page_size();
         let mut addr = vaddr;
         let end = vaddr + len as u64;
@@ -604,7 +678,8 @@ impl Vm {
                 None => true,
             };
             if needs_fault {
-                faults.push(self.handle_fault(space, vpn, Access::Read)?);
+                let f = self.handle_fault(space, vpn, Access::Read)?;
+                self.faults.push(f);
             }
             let frame = self
                 .space(space)
@@ -622,26 +697,31 @@ impl Vm {
                 chunk -= n;
             }
         }
-        Ok(faults)
+        Ok(())
     }
 
     /// Copies scattered physical source ranges (`(frame, offset, len)`
     /// triples, in order) into the application range at `vaddr`,
     /// faulting destination pages exactly as [`Vm::write_app`] would.
     /// The fused mirror of [`Vm::copy_app_into_frames`] for the
-    /// receive-side copyout: no intermediate contiguous buffer.
-    pub fn copy_iovecs_into_app(
+    /// receive-side copyout: no intermediate contiguous buffer, and the
+    /// source list may be computed on the fly.
+    pub fn copy_iovecs_into_app<I>(
         &mut self,
         space: SpaceId,
         vaddr: u64,
-        srcs: &[(FrameId, usize, usize)],
-    ) -> Result<Vec<FaultOutcome>, VmError> {
-        let len: usize = srcs.iter().map(|&(_, _, n)| n).sum();
-        let mut faults = Vec::new();
+        srcs: I,
+    ) -> Result<(), VmError>
+    where
+        I: IntoIterator<Item = (FrameId, usize, usize)>,
+        I::IntoIter: Clone,
+    {
+        let mut it = srcs.into_iter();
+        let len: usize = it.clone().map(|(_, _, n)| n).sum();
+        self.faults.clear();
         let page = self.page_size();
         let mut addr = vaddr;
         let end = vaddr + len as u64;
-        let mut it = srcs.iter().copied();
         let (mut sf, mut soff, mut srem) = (FrameId(0), 0usize, 0usize);
         while addr < end {
             let vpn = addr / page as u64;
@@ -653,7 +733,8 @@ impl Vm {
             };
             if needs_fault {
                 let full = off == 0 && chunk == page;
-                faults.push(self.handle_fault_opts(space, vpn, Access::Write, full)?);
+                let f = self.handle_fault_opts(space, vpn, Access::Write, full)?;
+                self.faults.push(f);
             }
             let frame = self
                 .space(space)
@@ -677,7 +758,7 @@ impl Vm {
                 chunk -= n;
             }
         }
-        Ok(faults)
+        Ok(())
     }
 
     /// Compares `expected` against the application bytes at `vaddr`
@@ -689,8 +770,8 @@ impl Vm {
         space: SpaceId,
         vaddr: u64,
         expected: &[u8],
-    ) -> Result<(bool, Vec<FaultOutcome>), VmError> {
-        let mut faults = Vec::new();
+    ) -> Result<bool, VmError> {
+        self.faults.clear();
         let page = self.page_size() as u64;
         let mut addr = vaddr;
         let end = vaddr + expected.len() as u64;
@@ -704,7 +785,8 @@ impl Vm {
                 None => true,
             };
             if needs_fault {
-                faults.push(self.handle_fault(space, vpn, Access::Read)?);
+                let f = self.handle_fault(space, vpn, Access::Read)?;
+                self.faults.push(f);
             }
             let frame = self
                 .space(space)
@@ -712,12 +794,12 @@ impl Vm {
                 .expect("mapped after fault")
                 .frame;
             if self.phys.read(frame, off, chunk)? != &expected[pos..pos + chunk] {
-                return Ok((false, faults));
+                return Ok(false);
             }
             addr += chunk as u64;
             pos += chunk;
         }
-        Ok((true, faults))
+        Ok(true)
     }
 
     // ----- side-effect-free observation ------------------------------------------
@@ -797,7 +879,7 @@ impl Vm {
     /// read for output), verifies access rights, and bumps per-frame —
     /// and, for input, per-object — reference counts.
     ///
-    /// Returns the descriptor plus the faults taken (so the policy
+    /// The faults taken are left in [`Vm::last_faults`] (so the policy
     /// layer can charge for COW copies forced by input referencing,
     /// paper Section 3.3).
     pub fn reference_pages(
@@ -806,9 +888,9 @@ impl Vm {
         vaddr: u64,
         len: usize,
         dir: IoDir,
-    ) -> Result<(IoDescriptor, Vec<FaultOutcome>), VmError> {
-        let mut vecs = Vec::new();
-        let mut faults = Vec::new();
+    ) -> Result<IoDescriptor, VmError> {
+        let mut vecs = self.take_vecs();
+        self.faults.clear();
         let page = self.page_size() as u64;
         let mut addr = vaddr;
         let end = vaddr + len as u64;
@@ -828,7 +910,8 @@ impl Vm {
                 None => true,
             };
             if needs_fault {
-                faults.push(self.handle_fault(space, vpn, access)?);
+                let f = self.handle_fault(space, vpn, access)?;
+                self.faults.push(f);
             }
             let frame = self
                 .space(space)
@@ -850,7 +933,7 @@ impl Vm {
             });
             addr += chunk as u64;
         }
-        Ok((IoDescriptor { vecs, dir }, faults))
+        Ok(IoDescriptor { vecs, dir })
     }
 
     /// Ensures object page `idx` of `top` is resident and safe for the
@@ -923,7 +1006,7 @@ impl Vm {
         offset: usize,
         len: usize,
         dir: IoDir,
-    ) -> Result<(IoDescriptor, Vec<FaultOutcome>), VmError> {
+    ) -> Result<IoDescriptor, VmError> {
         let region = self.region(handle)?;
         let (start_vpn, npages, top, obj_off) = (
             region.start_vpn,
@@ -935,8 +1018,8 @@ impl Vm {
         if offset + len > npages as usize * page {
             return Err(VmError::BadRange);
         }
-        let mut vecs = Vec::new();
-        let mut faults = Vec::new();
+        let mut vecs = self.take_vecs();
+        self.faults.clear();
         let mut pos = offset;
         let end = offset + len;
         while pos < end {
@@ -946,7 +1029,7 @@ impl Vm {
             let (frame, outcome) =
                 self.ensure_object_page(top, obj_off + i, dir == IoDir::Input)?;
             if outcome.faulted() {
-                faults.push(outcome);
+                self.faults.push(outcome);
             }
             if let Some(p) = self.space(handle.space).pte(start_vpn + i) {
                 if p.frame != frame {
@@ -966,17 +1049,18 @@ impl Vm {
             });
             pos += chunk;
         }
-        Ok((IoDescriptor { vecs, dir }, faults))
+        Ok(IoDescriptor { vecs, dir })
     }
 
-    /// References kernel-owned frames (system/overlay buffers) for I/O.
+    /// References kernel-owned frames (system/overlay buffers) for I/O;
+    /// `frames` yields `(frame, offset, len)` triples in buffer order.
     pub fn reference_frames(
         &mut self,
-        frames: &[(FrameId, usize, usize)],
+        frames: impl IntoIterator<Item = (FrameId, usize, usize)>,
         dir: IoDir,
     ) -> Result<IoDescriptor, VmError> {
-        let mut vecs = Vec::new();
-        for &(frame, offset, len) in frames {
+        let mut vecs = self.take_vecs();
+        for (frame, offset, len) in frames {
             self.phys.ref_io(frame, dir)?;
             vecs.push(IoVec {
                 frame,
@@ -989,11 +1073,13 @@ impl Vm {
     }
 
     /// Releases an I/O descriptor: drops frame counts (freeing zombie
-    /// frames) and per-object input counts.
-    pub fn unreference(&mut self, desc: &IoDescriptor) -> Result<(), VmError> {
-        for v in &desc.vecs {
-            self.phys.unref_io(v.frame, desc.dir)?;
-            if desc.dir == IoDir::Input {
+    /// frames) and per-object input counts. The descriptor's list is
+    /// kept for the next page reference.
+    pub fn unreference(&mut self, desc: IoDescriptor) -> Result<(), VmError> {
+        let IoDescriptor { mut vecs, dir } = desc;
+        for v in &vecs {
+            self.phys.unref_io(v.frame, dir)?;
+            if dir == IoDir::Input {
                 if let Some(oid) = v.object {
                     // The object may have died mid-I/O (region removed
                     // by the application); that is fine — the frame
@@ -1004,6 +1090,8 @@ impl Vm {
                 }
             }
         }
+        vecs.clear();
+        self.spare_vecs.push(vecs);
         Ok(())
     }
 
@@ -1143,13 +1231,17 @@ impl Vm {
 
     // ----- region filling / mapping (move semantics) -------------------------------
 
-    /// Installs `frames` as the object pages of `handle`'s region
-    /// (move-semantics input: "fill region").
-    pub fn fill_region(&mut self, handle: RegionHandle, frames: &[FrameId]) -> Result<(), VmError> {
+    /// Installs `frames`, in page order, as the object pages of
+    /// `handle`'s region (move-semantics input: "fill region").
+    pub fn fill_region(
+        &mut self,
+        handle: RegionHandle,
+        frames: impl IntoIterator<Item = FrameId>,
+    ) -> Result<(), VmError> {
         let region = self.region(handle)?;
-        let (object, offset) = (region.object, region.object_offset);
-        debug_assert!(frames.len() as u64 <= region.npages);
-        for (i, &f) in frames.iter().enumerate() {
+        let (object, offset, npages) = (region.object, region.object_offset, region.npages);
+        for (i, f) in frames.into_iter().enumerate() {
+            debug_assert!((i as u64) < npages, "more frames than region pages");
             self.phys.frame_mut(f)?.set_owner(Some(u64::from(object.0)));
             if let Some(old) = self.object_mut(object).set_page(offset + i as u64, f) {
                 let _ = self.phys.dealloc(old);
@@ -1362,7 +1454,8 @@ mod tests {
     fn zero_fill_on_first_touch() {
         let (mut v, s) = vm();
         let va = v.alloc_app_buffer(s, 8192).unwrap();
-        let (data, faults) = v.read_app(s, va, 8192).unwrap();
+        let data = v.read_app(s, va, 8192).unwrap();
+        let faults = v.last_faults();
         assert!(data.iter().all(|&b| b == 0));
         assert_eq!(faults, vec![FaultOutcome::ZeroFilled; 2]);
     }
@@ -1373,7 +1466,7 @@ mod tests {
         let va = v.alloc_app_buffer(s, 10_000).unwrap();
         let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
         v.write_app(s, va + 100, &payload[..5000]).unwrap();
-        let (got, _) = v.read_app(s, va + 100, 5000).unwrap();
+        let got = v.read_app(s, va + 100, 5000).unwrap();
         assert_eq!(got, &payload[..5000]);
     }
 
@@ -1412,7 +1505,8 @@ mod tests {
         v.invalidate_region(h).unwrap();
         v.mark_region(h, RegionMark::MovedIn).unwrap();
         v.reinstate_region(h).unwrap();
-        let (got, faults) = v.read_app(s, va, 10).unwrap();
+        let got = v.read_app(s, va, 10).unwrap();
+        let faults = v.last_faults();
         assert_eq!(&got, b"persistent");
         assert!(faults.is_empty(), "reinstated PTEs must not refault");
     }
@@ -1423,20 +1517,21 @@ mod tests {
         let va = v.alloc_app_buffer(s, 4096).unwrap();
         v.write_app(s, va, b"original").unwrap();
         // Arm TCOW: reference for output + write-protect.
-        let (desc, _) = v.reference_pages(s, va, 4096, IoDir::Output).unwrap();
+        let desc = v.reference_pages(s, va, 4096, IoDir::Output).unwrap();
         v.write_protect(s, va, 4096);
         let out_frame = desc.vecs[0].frame;
         // Application overwrites during output.
-        let faults = v.write_app(s, va, b"modified").unwrap();
+        v.write_app(s, va, b"modified").unwrap();
+        let faults = v.last_faults();
         assert_eq!(faults, vec![FaultOutcome::TcowCopied]);
         // The in-flight frame still holds the original data.
         assert_eq!(v.phys.read(out_frame, 0, 8).unwrap(), b"original");
         // The application sees its own write.
-        let (got, _) = v.read_app(s, va, 8).unwrap();
+        let got = v.read_app(s, va, 8).unwrap();
         assert_eq!(&got, b"modified");
         // Output completes: old frame (displaced, zombie) is freed.
         let free_before = v.phys.free_frames();
-        v.unreference(&desc).unwrap();
+        v.unreference(desc).unwrap();
         assert_eq!(v.phys.free_frames(), free_before + 1);
     }
 
@@ -1445,13 +1540,14 @@ mod tests {
         let (mut v, s) = vm();
         let va = v.alloc_app_buffer(s, 4096).unwrap();
         v.write_app(s, va, b"original").unwrap();
-        let (desc, _) = v.reference_pages(s, va, 4096, IoDir::Output).unwrap();
+        let desc = v.reference_pages(s, va, 4096, IoDir::Output).unwrap();
         v.write_protect(s, va, 4096);
         // Output completes before the application writes.
-        v.unreference(&desc).unwrap();
-        let faults = v.write_app(s, va, b"modified").unwrap();
+        v.unreference(desc).unwrap();
+        v.write_app(s, va, b"modified").unwrap();
+        let faults = v.last_faults();
         assert_eq!(faults, vec![FaultOutcome::WriteEnabled]);
-        let (got, _) = v.read_app(s, va, 8).unwrap();
+        let got = v.read_app(s, va, 8).unwrap();
         assert_eq!(&got, b"modified");
     }
 
@@ -1466,14 +1562,15 @@ mod tests {
         assert!(!physical, "no pending input: conventional COW expected");
         let va2 = h2.start_vpn * 4096;
         // Reader in s2 sees the shared contents without copying.
-        let (got, _) = v.read_app(s2, va2, 20).unwrap();
+        let got = v.read_app(s2, va2, 20).unwrap();
         assert_eq!(&got, b"shared page contents");
         // Writer in s1 triggers a COW copy; s2 still sees old data.
-        let faults = v.write_app(s1, va, b"CHANGED").unwrap();
+        v.write_app(s1, va, b"CHANGED").unwrap();
+        let faults = v.last_faults();
         assert!(faults.contains(&FaultOutcome::CowCopied), "{faults:?}");
-        let (got2, _) = v.read_app(s2, va2, 20).unwrap();
+        let got2 = v.read_app(s2, va2, 20).unwrap();
         assert_eq!(&got2, b"shared page contents");
-        let (got1, _) = v.read_app(s1, va, 7).unwrap();
+        let got1 = v.read_app(s1, va, 7).unwrap();
         assert_eq!(&got1, b"CHANGED");
     }
 
@@ -1484,18 +1581,18 @@ mod tests {
         let va = v.alloc_app_buffer(s1, 4096).unwrap();
         v.write_app(s1, va, b"before dma").unwrap();
         // Pending DMA input into the source region.
-        let (desc, _) = v.reference_pages(s1, va, 4096, IoDir::Input).unwrap();
+        let desc = v.reference_pages(s1, va, 4096, IoDir::Input).unwrap();
         let h1 = v.region_at(s1, va).unwrap();
         let (h2, physical) = v.clone_region_cow(h1, s2).unwrap();
         assert!(physical, "pending input must force a physical copy");
         // Simulated DMA lands after the clone.
         v.phys.write(desc.vecs[0].frame, 0, b"after dma!").unwrap();
-        v.unreference(&desc).unwrap();
+        v.unreference(desc).unwrap();
         // The clone must NOT observe the DMA (copy semantics).
-        let (got, _) = v.read_app(s2, h2.start_vpn * 4096, 10).unwrap();
+        let got = v.read_app(s2, h2.start_vpn * 4096, 10).unwrap();
         assert_eq!(&got, b"before dma");
         // The original does observe it.
-        let (got1, _) = v.read_app(s1, va, 10).unwrap();
+        let got1 = v.read_app(s1, va, 10).unwrap();
         assert_eq!(&got1, b"after dma!");
     }
 
@@ -1511,14 +1608,15 @@ mod tests {
         let h1 = v.region_at(s1, va).unwrap();
         let (h2, _) = v.clone_region_cow(h1, s2).unwrap();
         // Input into the COW source region.
-        let (desc, faults) = v.reference_pages(s1, va, 4096, IoDir::Input).unwrap();
+        let desc = v.reference_pages(s1, va, 4096, IoDir::Input).unwrap();
+        let faults = v.last_faults();
         assert!(faults.contains(&FaultOutcome::CowCopied), "{faults:?}");
         v.phys.write(desc.vecs[0].frame, 0, b"dma data").unwrap();
-        v.unreference(&desc).unwrap();
+        v.unreference(desc).unwrap();
         // The clone still sees the original data.
-        let (got, _) = v.read_app(s2, h2.start_vpn * 4096, 8).unwrap();
+        let got = v.read_app(s2, h2.start_vpn * 4096, 8).unwrap();
         assert_eq!(&got, b"original");
-        let (got1, _) = v.read_app(s1, va, 8).unwrap();
+        let got1 = v.read_app(s1, va, 8).unwrap();
         assert_eq!(&got1, b"dma data");
     }
 
@@ -1532,7 +1630,8 @@ mod tests {
         let free_before = v.phys.free_frames();
         let old = v.swap_page(s, va / 4096, sys).unwrap().expect("displaced");
         assert_eq!(v.phys.free_frames(), free_before + 1);
-        let (got, faults) = v.read_app(s, va, 12).unwrap();
+        let got = v.read_app(s, va, 12).unwrap();
+        let faults = v.last_faults();
         assert_eq!(&got, b"system page!");
         assert!(faults.is_empty(), "swap must leave a valid mapping");
         assert_eq!(
@@ -1546,7 +1645,7 @@ mod tests {
         let (mut v, s) = vm();
         let va = v.alloc_app_buffer(s, 4096).unwrap();
         v.write_app(s, va, b"in flight").unwrap();
-        let (desc, _) = v.reference_pages(s, va, 4096, IoDir::Output).unwrap();
+        let desc = v.reference_pages(s, va, 4096, IoDir::Output).unwrap();
         let frame = desc.vecs[0].frame;
         let h = v.region_at(s, va).unwrap();
         // Malicious/unlucky app frees the buffer mid-I/O.
@@ -1557,7 +1656,7 @@ mod tests {
         );
         // Data still intact for the device.
         assert_eq!(v.phys.read(frame, 0, 9).unwrap(), b"in flight");
-        v.unreference(&desc).unwrap();
+        v.unreference(desc).unwrap();
         assert_eq!(
             v.phys.frame(frame).unwrap().state(),
             genie_mem::FrameState::Free
@@ -1583,13 +1682,14 @@ mod tests {
         let f2 = v.phys.alloc(None).unwrap();
         v.phys.write(f1, 0, b"page one").unwrap();
         v.phys.write(f2, 0, b"page two").unwrap();
-        v.fill_region(h, &[f1, f2]).unwrap();
+        v.fill_region(h, [f1, f2]).unwrap();
         assert_eq!(v.map_region(h).unwrap(), 2);
         v.mark_region(h, RegionMark::MovedIn).unwrap();
-        let (got, faults) = v.read_app(s, h.start_vpn * 4096, 8).unwrap();
+        let got = v.read_app(s, h.start_vpn * 4096, 8).unwrap();
+        let faults = v.last_faults();
         assert_eq!(&got, b"page one");
         assert!(faults.is_empty());
-        let (got2, _) = v.read_app(s, (h.start_vpn + 1) * 4096, 8).unwrap();
+        let got2 = v.read_app(s, (h.start_vpn + 1) * 4096, 8).unwrap();
         assert_eq!(&got2, b"page two");
     }
 
@@ -1611,5 +1711,71 @@ mod tests {
         v.region_mut(h).unwrap().writable = false;
         let err = v.write_app(s, va, b"nope").unwrap_err();
         assert_eq!(err, VmError::ProtectionViolation(va));
+    }
+
+    #[test]
+    fn last_faults_lists_only_the_latest_call() {
+        let (mut v, s) = vm();
+        let va = v.alloc_app_buffer(s, 3 * 4096).unwrap();
+        v.write_app(s, va + 4000, &[1; 200]).unwrap();
+        assert_eq!(v.last_faults(), [FaultOutcome::ZeroFilled; 2]);
+        // A fault-free call empties the list instead of appending.
+        assert!(v.app_matches(s, va + 4000, &[1; 200]).unwrap());
+        assert!(v.last_faults().is_empty());
+        let desc = v.reference_pages(s, va, 3 * 4096, IoDir::Input).unwrap();
+        assert_eq!(v.last_faults(), [FaultOutcome::ZeroFilled]);
+        v.unreference(desc).unwrap();
+    }
+
+    #[test]
+    fn released_descriptors_and_objects_feed_their_pools() {
+        let (mut v, s) = vm();
+        let va = v.alloc_app_buffer(s, 2 * 4096).unwrap();
+        v.write_app(s, va, &[7; 2 * 4096]).unwrap();
+        let desc = v.reference_pages(s, va, 2 * 4096, IoDir::Output).unwrap();
+        assert_eq!(v.pools().descriptor_lists, 0);
+        v.unreference(desc).unwrap();
+        assert_eq!(v.pools().descriptor_lists, 1);
+        // The next reference reuses the list.
+        let desc = v.reference_pages(s, va, 4096, IoDir::Output).unwrap();
+        assert_eq!(v.pools().descriptor_lists, 0);
+        assert!(desc.vecs.capacity() >= 2, "recycled list keeps its storage");
+        v.unreference(desc).unwrap();
+
+        let h = v.region_at(s, va).unwrap();
+        v.remove_region(h).unwrap();
+        assert_eq!(v.pools().page_tables, 1);
+        let fresh = v.alloc_app_buffer(s, 4096).unwrap();
+        assert_eq!(v.pools().page_tables, 0, "object creation reuses the table");
+        // The recycled table starts empty: the new buffer zero-fills.
+        assert_eq!(v.read_app(s, fresh, 4).unwrap(), [0; 4]);
+        assert_eq!(v.last_faults(), [FaultOutcome::ZeroFilled]);
+        assert!(v.validate().is_empty(), "{:?}", v.validate());
+    }
+
+    #[test]
+    fn trim_pools_releases_every_pool() {
+        let (mut v, s) = vm();
+        for _ in 0..3 {
+            let va = v.alloc_app_buffer(s, 4096).unwrap();
+            v.write_app(s, va, b"x").unwrap();
+            let desc = v.reference_pages(s, va, 4096, IoDir::Output).unwrap();
+            v.unreference(desc).unwrap();
+        }
+        for va in [4096, 3 * 4096, 5 * 4096] {
+            let h = v.region_at(s, va).unwrap();
+            v.remove_region(h).unwrap();
+        }
+        let full = v.pools();
+        assert!(full.fault_list_capacity > 0, "{full:?}");
+        assert_eq!(
+            (full.descriptor_lists, full.page_tables),
+            (1, 3),
+            "{full:?}"
+        );
+        assert_eq!(v.trim_pools(1), 2, "two spare page tables beyond one");
+        assert_eq!(v.trim_pools(0), 3, "fault list, descriptor list, table");
+        assert_eq!(v.pools(), VmPools::default());
+        assert_eq!(v.trim_pools(0), 0);
     }
 }

@@ -155,19 +155,19 @@ fn run_case(case: usize, ops: Vec<VmOp>) {
                 let b = &bufs[buf];
                 let off = off.min(b.len - 1);
                 let len = len.min(b.len - off);
-                let (got, _) = vm.read_app(space, b.vaddr + off as u64, len).expect("read");
+                let got = vm.read_app(space, b.vaddr + off as u64, len).expect("read");
                 assert_eq!(&got[..], &b.contents[off..off + len], "case {case}");
             }
             VmOp::RefOutput { buf } => {
                 let b = &bufs[buf];
-                let (d, _) = vm
+                let d = vm
                     .reference_pages(space, b.vaddr, b.len, IoDir::Output)
                     .expect("reference");
                 pending.push(d);
             }
             VmOp::RefInput { buf } => {
                 let b = &bufs[buf];
-                let (d, _) = vm
+                let d = vm
                     .reference_pages(space, b.vaddr, b.len, IoDir::Input)
                     .expect("reference");
                 pending.push(d);
@@ -175,7 +175,7 @@ fn run_case(case: usize, ops: Vec<VmOp>) {
             VmOp::UnrefOldest => {
                 if !pending.is_empty() {
                     let d = pending.remove(0);
-                    vm.unreference(&d).expect("unreference");
+                    vm.unreference(d).expect("unreference");
                 }
             }
             VmOp::WriteProtect { buf } => {
@@ -191,7 +191,7 @@ fn run_case(case: usize, ops: Vec<VmOp>) {
                 let h = vm.region_at(space, b.vaddr).expect("region");
                 let (clone, _physical) = vm.clone_region_cow(h, clone_space).expect("clone");
                 // The clone must read identical contents.
-                let (got, _) = vm
+                let got = vm
                     .read_app(clone_space, clone.start_vpn * 4096, b.len)
                     .expect("clone read");
                 assert_eq!(&got[..], &b.contents[..], "case {case}");
@@ -206,10 +206,10 @@ fn run_case(case: usize, ops: Vec<VmOp>) {
 
     // Drain pending I/O and verify all data once more.
     for d in pending.drain(..) {
-        vm.unreference(&d).expect("unreference");
+        vm.unreference(d).expect("unreference");
     }
     for b in &bufs {
-        let (got, _) = vm.read_app(space, b.vaddr, b.len).expect("final read");
+        let got = vm.read_app(space, b.vaddr, b.len).expect("final read");
         assert_eq!(&got[..], &b.contents[..], "case {case}");
     }
     let problems = vm.validate();
@@ -250,8 +250,8 @@ fn cow_isolation_under_memory_pressure() {
             let problems = vm.validate();
             assert!(problems.is_empty(), "case {case}: {problems:?}");
         }
-        let (got1, _) = vm.read_app(s1, va, 8192).expect("s1");
-        let (got2, _) = vm.read_app(s2, clone_va, 8192).expect("s2");
+        let got1 = vm.read_app(s1, va, 8192).expect("s1");
+        let got2 = vm.read_app(s2, clone_va, 8192).expect("s2");
         assert_eq!(got1, s1_model, "case {case}");
         assert_eq!(got2, original, "case {case}");
     }

@@ -43,7 +43,8 @@ fn region_hiding_controls_observable_visibility() {
     // Reinstatement (emulated-move dispose) is fault-free.
     v.mark_region(h, RegionMark::MovedIn).unwrap();
     v.reinstate_region(h).unwrap();
-    let (got, faults) = v.read_app(s, va, 7).unwrap();
+    let got = v.read_app(s, va, 7).unwrap();
+    let faults = v.last_faults();
     assert_eq!(&got, b"hide me");
     assert!(faults.is_empty(), "reinstated PTEs must not refault");
 }
@@ -139,32 +140,34 @@ fn tcow_output_displacement_while_input_dma_pends() {
     // Output buffer, TCOW armed.
     let out_va = v.alloc_app_buffer(s, PAGE).unwrap();
     v.write_app(s, out_va, b"original").unwrap();
-    let (out_desc, _) = v.reference_pages(s, out_va, PAGE, IoDir::Output).unwrap();
+    let out_desc = v.reference_pages(s, out_va, PAGE, IoDir::Output).unwrap();
     v.write_protect(s, out_va, PAGE);
     let out_frame = out_desc.vecs[0].frame;
 
     // Concurrent pending input DMA on a second buffer.
     let in_va = v.alloc_app_buffer(s, PAGE).unwrap();
-    let (in_desc, _) = v.reference_pages(s, in_va, PAGE, IoDir::Input).unwrap();
+    let in_desc = v.reference_pages(s, in_va, PAGE, IoDir::Input).unwrap();
     let in_frame = in_desc.vecs[0].frame;
 
     // Overwrite during output: displaced, original preserved in flight.
-    let faults = v.write_app(s, out_va, b"modified").unwrap();
+    v.write_app(s, out_va, b"modified").unwrap();
+    let faults = v.last_faults();
     assert_eq!(faults, vec![genie_vm::FaultOutcome::TcowCopied]);
     assert_eq!(v.phys.read(out_frame, 0, 8).unwrap(), b"original");
     assert_eq!(v.peek(s, out_va, 8).as_deref(), Some(&b"modified"[..]));
 
     // Write racing the pending input: no fault, no copy — it lands in
     // the frame the DMA engine targets.
-    let faults = v.write_app(s, in_va, b"race").unwrap();
+    v.write_app(s, in_va, b"race").unwrap();
+    let faults = v.last_faults();
     assert!(faults.is_empty(), "{faults:?}");
     assert_eq!(v.phys.read(in_frame, 0, 4).unwrap(), b"race");
 
     // Completion frees exactly the displaced zombie frame, and the
     // whole structure stays invariant-clean.
     let free_before = v.phys.free_frames();
-    v.unreference(&out_desc).unwrap();
-    v.unreference(&in_desc).unwrap();
+    v.unreference(out_desc).unwrap();
+    v.unreference(in_desc).unwrap();
     assert_eq!(v.phys.free_frames(), free_before + 1);
     assert!(v.validate().is_empty(), "{:?}", v.validate());
 }

@@ -123,7 +123,7 @@ fn swap_plan_invariants() {
         let len = rng.range(1, 65_000);
         let threshold = rng.range(0, 4097);
 
-        let plans = plan_aligned_input(4096, page_off, len, threshold);
+        let plans: Vec<_> = plan_aligned_input(4096, page_off, len, threshold).collect();
         let covered: usize = plans.iter().map(|p| p.data_len).sum();
         assert_eq!(covered, len, "case {case}");
         assert_eq!(plans.len(), (page_off + len).div_ceil(4096), "case {case}");
