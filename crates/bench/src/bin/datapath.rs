@@ -24,6 +24,7 @@ use genie_mem::PhysMem;
 use genie_net::aal5;
 use genie_net::event::EventQueue;
 use genie_net::{SwitchConfig, Vc};
+use genie_trace::json::{self, Json, Layout, Writer};
 use genie_vm::{Access, RegionHandle, RegionMark, Vm};
 
 const PDU_60K: usize = 61_440;
@@ -322,102 +323,31 @@ fn main() {
         println!("{}", t.line());
     }
 
-    let section = render_section(&results);
-    let merged = match std::fs::read_to_string(&out_path) {
-        Ok(existing) => splice_section(&existing, &section),
-        Err(_) => format!("{{\n{section}\n}}\n"),
+    // Rewrite the report at `out_path` with a fresh `datapath_ns`
+    // section in place of any older one, or start a new document if
+    // there is no file or it does not hold a JSON object. Each
+    // benchmark reports its mean and its min: the min is what the
+    // perf-regression gate compares, because on a shared machine the
+    // mean absorbs unrelated load spikes while the min tracks the code.
+    let existing = std::fs::read_to_string(&out_path).ok();
+    let members = match existing.as_deref().map(json::parse) {
+        Some(Ok(Json::Obj(members))) => members,
+        _ => Vec::new(),
     };
-    std::fs::write(&out_path, merged).expect("write BENCH_report.json");
+    let mut w = Writer::new(2);
+    w.object(Layout::Pretty);
+    for (k, v) in members.iter().filter(|(k, _)| k != "datapath_ns") {
+        w.key(k).value(v, Layout::Pretty);
+    }
+    w.key("datapath_ns").object(Layout::Pretty);
+    for t in &results {
+        w.key(t.name.trim_start_matches("datapath/"));
+        w.object(Layout::Line);
+        w.key("mean").num(format_args!("{:.1}", t.mean_ms * 1e6));
+        w.key("min").num(format_args!("{:.1}", t.min_ms * 1e6));
+        w.end();
+    }
+    w.end().end();
+    std::fs::write(&out_path, w.finish()).expect("write BENCH_report.json");
     println!("datapath_ns section written to {out_path}");
-}
-
-/// Renders the `datapath_ns` JSON section (no trailing comma/newline).
-/// Each benchmark reports its mean and its min: the min is what the
-/// perf-regression gate compares, because on a shared machine the mean
-/// absorbs unrelated load spikes while the min tracks the code.
-fn render_section(results: &[Timing]) -> String {
-    let mut s = String::from("  \"datapath_ns\": {\n");
-    for (i, t) in results.iter().enumerate() {
-        let name = t.name.trim_start_matches("datapath/");
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    \"{}\": {{\"mean\": {:.1}, \"min\": {:.1}}}{}\n",
-            name,
-            t.mean_ms * 1e6,
-            t.min_ms * 1e6,
-            comma
-        ));
-    }
-    s.push_str("  }");
-    s
-}
-
-/// Splices `section` into an existing top-level JSON object, replacing
-/// any previous `datapath_ns` section. Text-based on purpose: the
-/// report's JSON writer is hand-rolled (no JSON dependency) and emits a
-/// known shape.
-fn splice_section(existing: &str, section: &str) -> String {
-    let body = strip_section(existing, "\"datapath_ns\"");
-    let trimmed = body.trim_end();
-    let Some(stripped) = trimmed.strip_suffix('}') else {
-        // Not a JSON object we recognize; start fresh rather than
-        // corrupting the file further.
-        return format!("{{\n{section}\n}}\n");
-    };
-    let inner = stripped.trim_end();
-    if inner.ends_with('{') {
-        // Empty object.
-        format!("{{\n{section}\n}}\n")
-    } else {
-        format!("{inner},\n{section}\n}}\n")
-    }
-}
-
-/// Removes a `"key": { ... }` member (and the comma that precedes or
-/// follows it) from a JSON object rendered one member per line.
-fn strip_section(json: &str, key: &str) -> String {
-    let Some(start) = json.find(key) else {
-        return json.to_string();
-    };
-    let open = match json[start..].find('{') {
-        Some(off) => start + off,
-        None => return json.to_string(),
-    };
-    let mut depth = 0usize;
-    let mut close = None;
-    for (i, c) in json[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    close = Some(open + i);
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let Some(mut end) = close else {
-        return json.to_string();
-    };
-    end += 1;
-    // Drop the member's leading whitespace and the separator comma
-    // (before it, or after it if it was the first member).
-    let mut begin = start;
-    while begin > 0 && json.as_bytes()[begin - 1].is_ascii_whitespace() {
-        begin -= 1;
-    }
-    if begin > 0 && json.as_bytes()[begin - 1] == b',' {
-        begin -= 1;
-    } else {
-        let bytes = json.as_bytes();
-        while end < bytes.len() && bytes[end].is_ascii_whitespace() {
-            end += 1;
-        }
-        if end < bytes.len() && bytes[end] == b',' {
-            end += 1;
-        }
-    }
-    format!("{}{}", &json[..begin], &json[end..])
 }

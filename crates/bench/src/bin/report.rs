@@ -37,6 +37,7 @@ use std::time::Instant;
 
 use genie_bench as gen;
 use genie_machine::MachineSpec;
+use genie_trace::json::{Layout, Writer};
 
 fn figure2_walkthrough() -> String {
     use genie::{plan_aligned_input, PageAction};
@@ -61,21 +62,6 @@ fn figure2_walkthrough() -> String {
             p.data_start + p.data_len,
             action
         ));
-    }
-    out
-}
-
-/// Escapes a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }
@@ -200,14 +186,17 @@ fn main() {
             std::process::exit(2);
         }
         let (pa, pb) = (args[i + 1].clone(), args[i + 2].clone());
-        let read = |p: &str| {
-            std::fs::read_to_string(p).unwrap_or_else(|e| {
+        let load = |p: &str| {
+            let text = std::fs::read_to_string(p).unwrap_or_else(|e| {
                 eprintln!("--compare: cannot read {p}: {e}");
+                std::process::exit(2);
+            });
+            gen::compare::parse_summary(&text).unwrap_or_else(|e| {
+                eprintln!("--compare: cannot parse {p}: {e}");
                 std::process::exit(2);
             })
         };
-        let a = gen::compare::parse_summary(&read(&pa));
-        let b = gen::compare::parse_summary(&read(&pb));
+        let (a, b) = (load(&pa), load(&pb));
         print!("{}", gen::compare::render_comparison(&pa, &a, &pb, &b));
         return;
     }
@@ -370,79 +359,51 @@ fn main() {
     }
 
     if json {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"threads\": {},\n  \"total_wall_ms\": {:.3},\n",
-            genie_runner::configured_threads(),
-            total_ms
-        ));
-        out.push_str("  \"exhibits\": [\n");
-        for (i, (name, _text, ms)) in rendered.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"wall_ms\": {:.3}}}{}\n",
-                json_escape(name),
-                ms,
-                if i + 1 < rendered.len() { "," } else { "" }
-            ));
+        let mut w = Writer::new(2);
+        w.object(Layout::Pretty);
+        w.key("threads").num(genie_runner::configured_threads());
+        w.key("total_wall_ms").num(format_args!("{total_ms:.3}"));
+        w.key("exhibits").array(Layout::Pretty);
+        for (name, _text, ms) in &rendered {
+            w.object(Layout::Line).key("name").str(name);
+            w.key("wall_ms").num(format_args!("{ms:.3}")).end();
         }
+        w.end();
         let seed = fault_seed();
-        out.push_str(&format!(
-            "  ],\n  \"fault_stats\": {{\n    \"seed\": {seed},\n"
-        ));
-        let stats = faulted_stats(seed);
-        for (i, (name, v)) in stats.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\": {}{}\n",
-                json_escape(name),
-                v,
-                if i + 1 < stats.len() { "," } else { "" }
-            ));
+        w.key("fault_stats").object(Layout::Pretty);
+        w.key("seed").num(seed);
+        for (name, v) in faulted_stats(seed) {
+            w.key(name).num(v);
         }
-        out.push_str("  },\n  \"simulated_latency_60kb_us\": {\n");
-        let sims = simulated_summary();
-        for (i, (label, us)) in sims.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\": {:.3}{}\n",
-                json_escape(label),
-                us,
-                if i + 1 < sims.len() { "," } else { "" }
-            ));
-        }
+        w.end();
+        let mut flat = |name: &str, rows: &[(String, f64)]| {
+            w.key(name).object(Layout::Pretty);
+            for (label, v) in rows {
+                w.key(label).num(format_args!("{v:.3}"));
+            }
+            w.end();
+        };
+        flat("simulated_latency_60kb_us", &simulated_summary());
         if want_fabric {
             // `report --json fabric` appends the fabric fan-in and
             // host-rollup sections `--compare` diffs.
             let (fabric, host) = gen::fabric_json_sections();
-            let flat = |out: &mut String, name: &str, rows: &[(String, f64)]| {
-                out.push_str(&format!("  }},\n  \"{name}\": {{\n"));
-                for (i, (label, v)) in rows.iter().enumerate() {
-                    out.push_str(&format!(
-                        "    \"{}\": {:.3}{}\n",
-                        json_escape(label),
-                        v,
-                        if i + 1 < rows.len() { "," } else { "" }
-                    ));
-                }
-            };
-            flat(&mut out, "fabric", &fabric);
-            flat(&mut out, "host_rollup", &host);
+            flat("fabric", &fabric);
+            flat("host_rollup", &host);
             if let Some(r) = &scale_report {
                 // `report --json fabric --scale`: the scale tier's
                 // wall clocks, gated by perf_gate.py.
-                flat(&mut out, "scale", &gen::fabric_scale_json_section(r));
+                flat("scale", &gen::fabric_scale_json_section(r));
             }
             if let Some(points) = &cq_report {
                 // `report --json fabric --cq`: knee depth and knee
                 // stats per semantics, reported informationally by
                 // perf_gate.py.
-                flat(
-                    &mut out,
-                    "cq_saturation",
-                    &gen::fabric_cq_json_section(points),
-                );
+                flat("cq_saturation", &gen::fabric_cq_json_section(points));
             }
         }
-        out.push_str("  }\n}\n");
-        std::fs::write("BENCH_report.json", &out).expect("write BENCH_report.json");
+        w.end();
+        std::fs::write("BENCH_report.json", w.finish()).expect("write BENCH_report.json");
         eprintln!("wrote BENCH_report.json ({} exhibits)", rendered.len());
     }
 }

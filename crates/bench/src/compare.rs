@@ -2,14 +2,14 @@
 //!
 //! `report --compare A.json B.json` reads two `BENCH_report.json`
 //! files (typically one committed from an earlier revision and one
-//! freshly generated) and prints, side by side, the per-semantics
-//! simulated 60 KB latencies and the wall-clock timings, with
-//! absolute and relative deltas. Simulated deltas flag behavioral
-//! drift; wall deltas show what a perf change actually bought.
-//!
-//! The parser is line-oriented and matches the known shape emitted by
-//! the report binary's hand-rolled JSON writer (this workspace takes
-//! no JSON dependency).
+//! freshly generated) and prints, side by side, every numeric section
+//! — simulated 60 KB latencies, fault counters, fabric, host rollup,
+//! scale tier, CQ saturation and datapath microbenchmarks — and the
+//! wall-clock timings, with absolute and relative deltas. Simulated
+//! deltas flag behavioral drift; wall deltas show what a perf change
+//! actually bought.
+
+use genie_trace::json::{self, Json, JsonError};
 
 /// The comparable slice of one `report --json` snapshot.
 #[derive(Debug, Default, PartialEq)]
@@ -18,194 +18,146 @@ pub struct ReportSummary {
     pub total_wall_ms: Option<f64>,
     /// Per-exhibit wall clock, in file order.
     pub exhibits: Vec<(String, f64)>,
-    /// Per-semantics simulated 60 KB latency (µs), in file order.
-    pub simulated_us: Vec<(String, f64)>,
-    /// Fabric fan-in suite rows (`report --json fabric`), in file
-    /// order: per-semantics p50/p99/stalls.
-    pub fabric: Vec<(String, f64)>,
-    /// Aggregate-over-hosts rollup rows (`report --json fabric`).
-    pub host_rollup: Vec<(String, f64)>,
-    /// Scale-tier rows (`report --json fabric --scale`): simulated
-    /// distribution plus wall clocks (snapshots from before the
-    /// sharded engine's removal also carry shard and speedup rows).
-    pub scale: Vec<(String, f64)>,
+    /// Every top-level object of numbers, in file order, with one
+    /// level of nesting flattened to `name.field` rows (so
+    /// `datapath_ns` yields `crc32_60k.mean`, `crc32_60k.min`, ...).
+    pub sections: Vec<(String, Vec<(String, f64)>)>,
 }
 
-/// Extracts the string value of a `"key": "value"` fragment on `line`.
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(&line[start..start + end])
-}
-
-/// Extracts the numeric value of a `"key": 1.23` fragment on `line`.
-fn num_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Which flat `"label": number` section the parser is inside.
-#[derive(Clone, Copy, PartialEq)]
-enum Section {
-    None,
-    Simulated,
-    Fabric,
-    HostRollup,
-    Scale,
+impl ReportSummary {
+    /// The rows of the section named `name`, if the snapshot has one.
+    pub fn section(&self, name: &str) -> Option<&[(String, f64)]> {
+        self.sections
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, rows)| rows.as_slice())
+    }
 }
 
 /// Parses the comparable fields out of a `report --json` document.
-pub fn parse_summary(json: &str) -> ReportSummary {
+/// Anything that is not a JSON object is an error.
+pub fn parse_summary(text: &str) -> Result<ReportSummary, JsonError> {
+    let Json::Obj(members) = json::parse(text)? else {
+        return Err(JsonError {
+            offset: 0,
+            what: "expected a JSON object",
+        });
+    };
     let mut out = ReportSummary::default();
-    let mut section = Section::None;
-    for line in json.lines() {
-        if let Some(v) = num_field(line, "total_wall_ms") {
-            out.total_wall_ms = Some(v);
-        }
-        if let (Some(name), Some(ms)) = (str_field(line, "name"), num_field(line, "wall_ms")) {
-            out.exhibits.push((name.to_string(), ms));
-        }
-        if line.contains("\"simulated_latency_60kb_us\"") {
-            section = Section::Simulated;
-            continue;
-        }
-        if line.contains("\"fabric\":") {
-            section = Section::Fabric;
-            continue;
-        }
-        if line.contains("\"host_rollup\":") {
-            section = Section::HostRollup;
-            continue;
-        }
-        if line.contains("\"scale\":") {
-            section = Section::Scale;
-            continue;
-        }
-        if section != Section::None {
-            let t = line.trim();
-            if t.starts_with('}') {
-                section = Section::None;
-                continue;
+    for (key, v) in members {
+        match (key.as_str(), v) {
+            ("total_wall_ms", v) => out.total_wall_ms = v.as_f64(),
+            ("exhibits", Json::Arr(items)) => {
+                out.exhibits = items
+                    .iter()
+                    .filter_map(|e| {
+                        let name = e.get("name")?.as_str()?;
+                        Some((name.to_string(), e.get("wall_ms")?.as_f64()?))
+                    })
+                    .collect();
             }
-            // `"label": 123.456,` — label first, value after the colon.
-            if let Some(rest) = t.strip_prefix('"') {
-                if let Some((label, tail)) = rest.split_once("\": ") {
-                    if let Ok(v) = tail.trim_end_matches(',').parse::<f64>() {
-                        let dst = match section {
-                            Section::Simulated => &mut out.simulated_us,
-                            Section::Fabric => &mut out.fabric,
-                            Section::HostRollup => &mut out.host_rollup,
-                            Section::Scale => &mut out.scale,
-                            Section::None => unreachable!(),
-                        };
-                        dst.push((label.to_string(), v));
+            (_, Json::Obj(fields)) => {
+                let mut rows = Vec::new();
+                for (name, v) in fields {
+                    match v {
+                        Json::Obj(inner) => rows.extend(
+                            inner
+                                .iter()
+                                .filter_map(|(k, v)| Some((format!("{name}.{k}"), v.as_f64()?))),
+                        ),
+                        v => rows.extend(v.as_f64().map(|x| (name, x))),
                     }
                 }
+                if !rows.is_empty() {
+                    out.sections.push((key, rows));
+                }
             }
+            _ => {}
         }
     }
-    out
+    Ok(out)
 }
 
-/// One comparison row: label, old, new.
-fn row(label: &str, a: f64, b: f64) -> String {
-    let delta = b - a;
-    let pct = if a != 0.0 { delta / a * 100.0 } else { 0.0 };
-    format!("  {label:<22} {a:>12.3} {b:>12.3} {delta:>+12.3} {pct:>+8.1}%\n")
+/// The heading a section renders under.
+fn title(key: &str) -> &str {
+    match key {
+        "simulated_latency_60kb_us" => {
+            "simulated 60 KB latency (us) — nonzero deltas are behavioral drift"
+        }
+        "fault_stats" => "fault counters (seeded faulted exchanges) — drift is behavioral",
+        "fabric" => "fabric fan-in (simulated, `report --json fabric`) — drift is behavioral",
+        "host_rollup" => "host rollup (aggregate over hosts, copy fan-in)",
+        "scale" => {
+            "scale tier (64-host star; *_us/sim_* rows are behavioral, wall rows are host time)"
+        }
+        "cq_saturation" => "CQ saturation (`report --json fabric --cq`) — knee drift is behavioral",
+        "datapath_ns" => "datapath microbenchmarks (ns) — host time, noisy on shared machines",
+        other => other,
+    }
 }
 
-/// Renders the comparison of two parsed snapshots.
+/// Renders one table: every row of `a` then the rows only `b` has,
+/// with deltas where both have the row.
+fn table(out: &mut String, title: &str, col: &str, a: &[(String, f64)], b: &[(String, f64)]) {
+    out.push_str(&format!("\n{title}\n"));
+    out.push_str(&format!(
+        "  {col:<28} {:>12} {:>12} {:>12} {:>9}\n",
+        "A", "B", "delta", "%"
+    ));
+    let find = |rows: &[(String, f64)], label: &str| {
+        rows.iter().find(|(l, _)| l == label).map(|(_, v)| *v)
+    };
+    let b_only = b.iter().filter(|(l, _)| find(a, l).is_none());
+    for (label, _) in a.iter().chain(b_only) {
+        match (find(a, label), find(b, label)) {
+            (Some(x), Some(y)) => {
+                let delta = y - x;
+                let pct = if x != 0.0 { delta / x * 100.0 } else { 0.0 };
+                out.push_str(&format!(
+                    "  {label:<28} {x:>12.3} {y:>12.3} {delta:>+12.3} {pct:>+8.1}%\n"
+                ));
+            }
+            (Some(x), None) => out.push_str(&format!("  {label:<28} {x:>12.3} {:>12}\n", "absent")),
+            (None, Some(y)) => out.push_str(&format!("  {label:<28} {:>12} {y:>12.3}\n", "absent")),
+            (None, None) => {}
+        }
+    }
+}
+
+/// Renders the comparison of two parsed snapshots: every section
+/// either has (A's order first), then the wall clocks.
 pub fn render_comparison(
     a_name: &str,
     a: &ReportSummary,
     b_name: &str,
     b: &ReportSummary,
 ) -> String {
-    let mut out = format!("# Report comparison: A = {a_name}, B = {b_name}\n\n");
-    out.push_str("simulated 60 KB latency (us) — nonzero deltas are behavioral drift\n");
-    out.push_str(&format!(
-        "  {:<22} {:>12} {:>12} {:>12} {:>9}\n",
-        "semantics", "A", "B", "delta", "%"
-    ));
-    for (label, av) in &a.simulated_us {
-        match b.simulated_us.iter().find(|(l, _)| l == label) {
-            Some((_, bv)) => out.push_str(&row(label, *av, *bv)),
-            None => out.push_str(&format!("  {label:<22} {av:>12.3} {:>12}\n", "absent")),
-        }
+    let mut out = format!("# Report comparison: A = {a_name}, B = {b_name}\n");
+    let b_only = b.sections.iter().filter(|(k, _)| a.section(k).is_none());
+    for (key, _) in a.sections.iter().chain(b_only) {
+        let (av, bv) = (a.section(key), b.section(key));
+        table(
+            &mut out,
+            title(key),
+            "row",
+            av.unwrap_or(&[]),
+            bv.unwrap_or(&[]),
+        );
     }
-    for (label, bv) in &b.simulated_us {
-        if !a.simulated_us.iter().any(|(l, _)| l == label) {
-            out.push_str(&format!("  {label:<22} {:>12} {bv:>12.3}\n", "absent"));
-        }
-    }
-    let flat_section =
-        |out: &mut String, title: &str, col: &str, av: &[(String, f64)], bv: &[(String, f64)]| {
-            if av.is_empty() && bv.is_empty() {
-                return;
-            }
-            out.push_str(&format!("\n{title}\n"));
-            out.push_str(&format!(
-                "  {:<28} {:>12} {:>12} {:>12} {:>9}\n",
-                col, "A", "B", "delta", "%"
-            ));
-            for (label, a) in av {
-                match bv.iter().find(|(l, _)| l == label) {
-                    Some((_, b)) => {
-                        let delta = b - a;
-                        let pct = if *a != 0.0 { delta / a * 100.0 } else { 0.0 };
-                        out.push_str(&format!(
-                            "  {label:<28} {a:>12.3} {b:>12.3} {delta:>+12.3} {pct:>+8.1}%\n"
-                        ));
-                    }
-                    None => out.push_str(&format!("  {label:<28} {a:>12.3} {:>12}\n", "absent")),
-                }
-            }
-            for (label, b) in bv {
-                if !av.iter().any(|(l, _)| l == label) {
-                    out.push_str(&format!("  {label:<28} {:>12} {b:>12.3}\n", "absent"));
-                }
-            }
-        };
-    flat_section(
+    let wall = |s: &ReportSummary| {
+        let total = s.total_wall_ms.map(|t| ("total".to_string(), t));
+        total
+            .into_iter()
+            .chain(s.exhibits.iter().cloned())
+            .collect::<Vec<_>>()
+    };
+    table(
         &mut out,
-        "fabric fan-in (simulated, `report --json fabric`) — drift is behavioral",
-        "row",
-        &a.fabric,
-        &b.fabric,
+        "wall clock (ms) — host time, noisy on shared machines",
+        "exhibit",
+        &wall(a),
+        &wall(b),
     );
-    flat_section(
-        &mut out,
-        "host rollup (aggregate over hosts, copy fan-in)",
-        "metric",
-        &a.host_rollup,
-        &b.host_rollup,
-    );
-    flat_section(
-        &mut out,
-        "scale tier (64-host star; *_us/sim_* rows are behavioral, wall rows are host time)",
-        "row",
-        &a.scale,
-        &b.scale,
-    );
-    out.push_str("\nwall clock (ms) — host time, noisy on shared machines\n");
-    out.push_str(&format!(
-        "  {:<22} {:>12} {:>12} {:>12} {:>9}\n",
-        "exhibit", "A", "B", "delta", "%"
-    ));
-    if let (Some(at), Some(bt)) = (a.total_wall_ms, b.total_wall_ms) {
-        out.push_str(&row("total", at, bt));
-    }
-    for (label, av) in &a.exhibits {
-        if let Some((_, bv)) = b.exhibits.iter().find(|(l, _)| l == label) {
-            out.push_str(&row(label, *av, *bv));
-        }
-    }
     out
 }
 
@@ -247,25 +199,28 @@ mod tests {
 
     #[test]
     fn parses_the_report_json_shape() {
-        let s = parse_summary(SAMPLE_A);
+        let s = parse_summary(SAMPLE_A).unwrap();
         assert_eq!(s.total_wall_ms, Some(90.0));
         assert_eq!(
             s.exhibits,
             vec![("fig3".to_string(), 8.0), ("table8".to_string(), 30.0)]
         );
         assert_eq!(
-            s.simulated_us,
-            vec![
+            s.section("simulated_latency_60kb_us").unwrap(),
+            [
                 ("copy".to_string(), 3932.044),
                 ("weak move".to_string(), 1317.401)
             ]
         );
+        // Every numeric section, in file order; `threads` is a scalar.
+        let keys: Vec<_> = s.sections.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["fault_stats", "simulated_latency_60kb_us"]);
     }
 
     #[test]
     fn comparison_shows_simulated_and_wall_deltas() {
-        let a = parse_summary(SAMPLE_A);
-        let b = parse_summary(SAMPLE_B);
+        let a = parse_summary(SAMPLE_A).unwrap();
+        let b = parse_summary(SAMPLE_B).unwrap();
         let text = render_comparison("old.json", &a, "new.json", &b);
         // Identical simulated latency: zero delta.
         assert!(text.contains("copy"), "{text}");
@@ -292,13 +247,14 @@ mod tests {
 
     #[test]
     fn compares_fabric_and_host_rollup_sections() {
-        let a = parse_summary(FIXTURE_A);
-        let b = parse_summary(FIXTURE_B);
-        assert_eq!(a.fabric.len(), 6);
-        assert_eq!(a.fabric[0], ("rpc_fanin.copy.p50_us".to_string(), 118.25));
-        assert_eq!(a.host_rollup.len(), 3);
+        let a = parse_summary(FIXTURE_A).unwrap();
+        let b = parse_summary(FIXTURE_B).unwrap();
+        let fabric = a.section("fabric").unwrap();
+        assert_eq!(fabric.len(), 6);
+        assert_eq!(fabric[0], ("rpc_fanin.copy.p50_us".to_string(), 118.25));
+        assert_eq!(a.section("host_rollup").unwrap().len(), 3);
         // The fabric section must not bleed into the simulated one.
-        assert_eq!(a.simulated_us.len(), 2);
+        assert_eq!(a.section("simulated_latency_60kb_us").unwrap().len(), 2);
 
         let text = render_comparison("a.json", &a, "b.json", &b);
         // p99 drifted down by 6.75 µs between the fixtures.
@@ -324,16 +280,17 @@ mod tests {
 
     #[test]
     fn compares_the_scale_tier_section() {
-        let a = parse_summary(FIXTURE_A);
-        let b = parse_summary(FIXTURE_B);
+        let a = parse_summary(FIXTURE_A).unwrap();
+        let b = parse_summary(FIXTURE_B).unwrap();
         // Scale rows parse into their own section (fixture A has no
         // speedup probe — it ran serial).
-        assert_eq!(a.scale.len(), 9);
-        assert_eq!(b.scale.len(), 12);
-        assert_eq!(a.scale[0], ("shards".to_string(), 1.0));
+        let scale = a.section("scale").unwrap();
+        assert_eq!(scale.len(), 9);
+        assert_eq!(b.section("scale").unwrap().len(), 12);
+        assert_eq!(scale[0], ("shards".to_string(), 1.0));
         // ...and do not bleed into the fabric/host_rollup sections.
-        assert_eq!(a.fabric.len(), 6);
-        assert_eq!(a.host_rollup.len(), 3);
+        assert_eq!(a.section("fabric").unwrap().len(), 6);
+        assert_eq!(a.section("host_rollup").unwrap().len(), 3);
 
         let text = render_comparison("a.json", &a, "b.json", &b);
         assert!(text.contains("scale tier"), "{text}");
@@ -359,9 +316,70 @@ mod tests {
 
     #[test]
     fn missing_sections_do_not_panic() {
-        let empty = parse_summary("{}");
+        let empty = parse_summary("{}").unwrap();
         assert_eq!(empty, ReportSummary::default());
         let text = render_comparison("a", &empty, "b", &empty);
         assert!(text.contains("Report comparison"));
+    }
+
+    // `report --json fabric --cq` snapshots with a `datapath` run
+    // spliced in: the fault_stats, cq_saturation and datapath_ns
+    // sections the line-oriented parser used to skip.
+    const SECTIONS_A: &str = include_str!("../testdata/compare_sections_a.json");
+    const SECTIONS_B: &str = include_str!("../testdata/compare_sections_b.json");
+
+    #[test]
+    fn compares_fault_cq_and_datapath_sections() {
+        let a = parse_summary(SECTIONS_A).unwrap();
+        let b = parse_summary(SECTIONS_B).unwrap();
+        let keys: Vec<_> = a.sections.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "fault_stats",
+                "simulated_latency_60kb_us",
+                "fabric",
+                "host_rollup",
+                "cq_saturation",
+                "datapath_ns"
+            ]
+        );
+        // One level of nesting flattens to `name.field`.
+        let dp = a.section("datapath_ns").unwrap();
+        assert_eq!(dp[0], ("crc32_60k.mean".to_string(), 48825.2));
+        assert_eq!(dp[1], ("crc32_60k.min".to_string(), 48674.0));
+
+        let text = render_comparison("a.json", &a, "b.json", &b);
+        let line = |label: &str| {
+            text.lines()
+                .find(|l| l.trim().starts_with(label))
+                .unwrap_or_else(|| panic!("no {label} row:\n{text}"))
+        };
+        assert!(line("copy.knee_depth").contains("+0.000"), "{text}");
+        assert!(line("weak move.knee_depth").contains("+4.000"), "{text}");
+        assert!(line("crc_drops").contains("+1.000"), "{text}");
+        assert!(line("crc32_60k.min").contains("-674.000"), "{text}");
+        assert!(text.contains("CQ saturation"), "{text}");
+        assert!(text.contains("datapath microbenchmarks"), "{text}");
+        // A section only B has renders with A absent.
+        assert!(line("star_wave_64.min").contains("absent"), "{text}");
+    }
+
+    #[test]
+    fn rejects_documents_that_are_not_json_objects() {
+        let e = parse_summary("not json at all").unwrap_err();
+        assert_eq!(e.offset, 0);
+        let e = parse_summary("{\"a\": 1,\n").unwrap_err();
+        assert_eq!(e.offset, 9);
+        assert!(parse_summary("[1, 2]").is_err());
+    }
+
+    #[test]
+    fn one_line_documents_keep_their_values() {
+        let s = parse_summary(r#"{"simulated_latency_60kb_us": {"copy": 1.0}}"#).unwrap();
+        assert_eq!(
+            s.section("simulated_latency_60kb_us").unwrap(),
+            [("copy".to_string(), 1.0)]
+        );
     }
 }

@@ -13,6 +13,7 @@
 
 use genie::{ChromeTrace, ExperimentSetup, MetricsRegistry, Semantics, TraceSet};
 use genie_machine::MachineSpec;
+use genie_trace::json::{Layout, Writer};
 
 /// The headline datagram size (60 KB, the paper's largest point).
 pub const INSPECT_BYTES: usize = 61_440;
@@ -60,20 +61,18 @@ pub fn trace_json() -> String {
 /// Renders the canonical runs' metrics as one JSON object keyed by
 /// semantics label.
 pub fn metrics_json() -> String {
-    let runs = inspect_all();
-    let mut out = String::from("{\n");
-    for (i, run) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "  \"{}\": {{\n    \"latency_us\": {:.6},\n    \"metrics\": ",
-            run.label, run.latency_us
-        ));
-        let body = run.metrics.to_json(4);
-        out.push_str(body.trim_end());
-        out.push_str("\n  }");
-        out.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
+    let mut w = Writer::new(2);
+    w.object(Layout::Pretty);
+    for run in inspect_all() {
+        w.key(run.label).object(Layout::Pretty);
+        w.key("latency_us")
+            .num(format_args!("{:.6}", run.latency_us));
+        w.key("metrics");
+        run.metrics.write_json(&mut w);
+        w.end();
     }
-    out.push_str("}\n");
-    out
+    w.end();
+    w.finish()
 }
 
 #[cfg(test)]

@@ -52,3 +52,59 @@ fn known_arguments_still_render() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("Figure 1"));
 }
+
+/// Writes `body` to a fresh file under the temp dir and returns its path.
+fn temp_file(name: &str, body: &str) -> String {
+    let path =
+        std::env::temp_dir().join(format!("genie_report_args_{}_{name}", std::process::id()));
+    std::fs::write(&path, body).expect("write temp file");
+    path.to_string_lossy().into_owned()
+}
+
+#[test]
+fn compare_rejects_a_file_that_is_not_json() {
+    let bad = temp_file("bad.json", "not json at all");
+    let good = temp_file(
+        "good.json",
+        r#"{"simulated_latency_60kb_us": {"copy": 1.0}}"#,
+    );
+    let out = report(&["--compare", &bad, &good]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains(&bad),
+        "stderr does not name {bad}: {stderr}"
+    );
+    assert!(stderr.contains("at byte 0"), "no byte offset: {stderr}");
+    assert!(out.stdout.is_empty(), "rendered despite the error");
+
+    // A truncated document names the offset where it stops parsing.
+    let cut = temp_file("cut.json", "{\n  \"threads\": 1,\n");
+    let out = report(&["--compare", &good, &cut]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains(&cut) && stderr.contains("at byte 18"),
+        "{stderr}"
+    );
+    for p in [bad, good, cut] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn compare_reads_one_line_documents() {
+    let one = temp_file(
+        "one.json",
+        r#"{"simulated_latency_60kb_us": {"copy": 1.0}}"#,
+    );
+    let out = report(&["--compare", &one, &one]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let copy = stdout
+        .lines()
+        .find(|l| l.trim().starts_with("copy"))
+        .unwrap_or_else(|| panic!("the header-line value was dropped:\n{stdout}"));
+    assert!(copy.contains("1.000") && copy.contains("+0.000"), "{copy}");
+    let _ = std::fs::remove_file(one);
+}

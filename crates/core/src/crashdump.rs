@@ -6,10 +6,11 @@
 //! failure can be inspected (or replayed from the recorded reproduce
 //! line) without re-running the whole swarm.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use genie_trace::{EventKind, TraceEvent};
+use genie_net::switch::PortSampleKind;
+use genie_trace::json::{Layout, Writer};
+use genie_trace::EventKind;
 
 use crate::world::World;
 use genie_machine::SimTime;
@@ -18,42 +19,6 @@ use genie_machine::SimTime;
 /// The rings can hold far more; the dump wants the moments just
 /// before the violation, not the whole run.
 pub const DUMP_EVENTS_PER_OWNER: usize = 64;
-
-/// Minimal JSON string escaping (the dump is hand-rolled JSON like
-/// every other exporter in the workspace).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn event_json(ev: &TraceEvent) -> String {
-    format!(
-        "{{\"track\":\"{}\",\"name\":\"{}\",\"kind\":\"{}\",\"start_ps\":{},\"dur_ps\":{},\"bytes\":{},\"units\":{}}}",
-        esc(ev.track.name()),
-        esc(ev.name),
-        match ev.kind {
-            EventKind::Span => "span",
-            EventKind::Instant => "instant",
-        },
-        ev.start.0,
-        ev.dur.0,
-        ev.bytes,
-        ev.units,
-    )
-}
 
 impl World {
     /// Writes one crash dump the first time the oracle reports a
@@ -108,143 +73,90 @@ impl World {
     /// per-port switch series and the full metrics registry.
     pub fn crash_dump_json(&self, reason: &str, now: SimTime) -> String {
         let cfg = self.fault_config();
-        let reproduce = format!("GENIE_FAULT_SEED={}; fault config: {:?}", cfg.seed, cfg);
-        let mut s = String::with_capacity(16 * 1024);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"reason\": \"{}\",", esc(reason));
-        let _ = writeln!(s, "  \"reproduce\": \"{}\",", esc(&reproduce));
-        let _ = writeln!(s, "  \"sim_time_ps\": {},", now.0);
-
-        let (checks, violations): (u64, Vec<String>) = match self.fault.oracle.as_ref() {
-            Some(o) => (
-                o.checks_run(),
-                o.violations().iter().map(|v| v.what.clone()).collect(),
-            ),
-            None => (0, Vec::new()),
-        };
-        let _ = writeln!(s, "  \"oracle_checks_run\": {checks},");
-        s.push_str("  \"violations\": [");
-        for (i, v) in violations.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\n    \"{}\"", esc(v));
+        let oracle = self.fault.oracle.as_ref();
+        let mut w = Writer::new(2);
+        w.object(Layout::Pretty).key("reason").str(reason);
+        w.key("reproduce").str(&format!(
+            "GENIE_FAULT_SEED={}; fault config: {:?}",
+            cfg.seed, cfg
+        ));
+        w.key("sim_time_ps").num(now.0);
+        w.key("oracle_checks_run")
+            .num(oracle.map_or(0, |o| o.checks_run()));
+        w.key("violations").array(Layout::Pretty);
+        for v in oracle.map_or(&[][..], |o| o.violations()) {
+            w.str(&v.what);
         }
-        if violations.is_empty() {
-            s.push_str("],\n");
-        } else {
-            s.push_str("\n  ],\n");
-        }
+        w.end();
 
         // Flight recorder: trailing window per owner, plus the
         // sampling ledger so a sparse window is explainable.
-        s.push_str("  \"flight_recorder\": {");
-        let mut first_owner = true;
-        let mut owners: Vec<(String, Vec<TraceEvent>, u64)> =
-            Vec::with_capacity(self.hosts.len() + 1);
-        for (i, h) in self.hosts.iter().enumerate() {
-            owners.push((
-                self.fault.site_names[i].clone(),
-                h.tracer.snapshot(),
-                h.tracer.dropped_spans_total(),
-            ));
-        }
-        owners.push((
-            "link".to_string(),
-            self.wire_tracer.snapshot(),
-            self.wire_tracer.dropped_spans_total(),
-        ));
-        for (name, events, dropped) in &owners {
-            if events.is_empty() && *dropped == 0 {
+        w.key("flight_recorder").object(Layout::Pretty);
+        let tracers = self.hosts.iter().map(|h| &h.tracer);
+        let names = self.fault.site_names.iter().map(String::as_str);
+        let owners = names
+            .zip(tracers)
+            .chain(std::iter::once(("link", &self.wire_tracer)));
+        for (name, tracer) in owners {
+            let events = tracer.snapshot();
+            let dropped = tracer.dropped_spans_total();
+            if events.is_empty() && dropped == 0 {
                 continue;
             }
-            if !first_owner {
-                s.push(',');
-            }
-            first_owner = false;
             let tail = events.len().saturating_sub(DUMP_EVENTS_PER_OWNER);
-            let _ = write!(
-                s,
-                "\n    \"{}\": {{\"events_held\": {}, \"events_elided\": {}, \"dropped_spans\": {}, \"last_events\": [",
-                esc(name),
-                events.len(),
-                tail,
-                dropped,
-            );
-            for (i, ev) in events[tail..].iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "\n      {}", event_json(ev));
+            w.key(name).object(Layout::Line);
+            w.key("events_held").num(events.len());
+            w.key("events_elided").num(tail);
+            w.key("dropped_spans").num(dropped);
+            w.key("last_events").array(Layout::Pretty);
+            for ev in &events[tail..] {
+                let kind = match ev.kind {
+                    EventKind::Span => "span",
+                    EventKind::Instant => "instant",
+                };
+                w.object(Layout::Line).key("track").str(ev.track.name());
+                w.key("name").str(ev.name).key("kind").str(kind);
+                w.key("start_ps")
+                    .num(ev.start.0)
+                    .key("dur_ps")
+                    .num(ev.dur.0);
+                w.key("bytes").num(ev.bytes).key("units").num(ev.units);
+                w.end();
             }
-            if events.len() > tail {
-                s.push_str("\n    ]}");
-            } else {
-                s.push_str("]}");
-            }
+            w.end().end();
         }
-        if first_owner {
-            s.push_str("},\n");
-        } else {
-            s.push_str("\n  },\n");
-        }
+        w.end();
 
         // Switch port series: the bounded recent window per output
         // port (only meaningful when the switch was observing).
-        s.push_str("  \"switch_ports\": [");
-        let mut first_port = true;
-        if let Some(sw) = &self.switch {
-            if sw.observing() {
-                for p in 0..sw.ports() {
-                    let series = sw.port_series(p);
-                    if series.recent.is_empty() && series.points_dropped == 0 {
-                        continue;
-                    }
-                    if !first_port {
-                        s.push(',');
-                    }
-                    first_port = false;
-                    let _ = write!(
-                        s,
-                        "\n    {{\"port\": {}, \"points_dropped\": {}, \"recent\": [",
-                        p, series.points_dropped
-                    );
-                    for (i, pt) in series.recent.iter().enumerate() {
-                        if i > 0 {
-                            s.push(',');
-                        }
-                        let kind = match pt.kind {
-                            genie_net::switch::PortSampleKind::Depth => "depth",
-                            genie_net::switch::PortSampleKind::CreditOccupancy => {
-                                "credit_occupancy"
-                            }
-                            genie_net::switch::PortSampleKind::HolStall => "hol_stall",
-                        };
-                        let _ = write!(
-                            s,
-                            "\n      {{\"at_ps\": {}, \"kind\": \"{}\", \"value\": {}}}",
-                            pt.at.0, kind, pt.value
-                        );
-                    }
-                    if series.recent.is_empty() {
-                        s.push_str("]}");
-                    } else {
-                        s.push_str("\n    ]}");
-                    }
+        w.key("switch_ports").array(Layout::Pretty);
+        if let Some(sw) = self.switch.as_ref().filter(|sw| sw.observing()) {
+            for p in 0..sw.ports() {
+                let series = sw.port_series(p);
+                if series.recent.is_empty() && series.points_dropped == 0 {
+                    continue;
                 }
+                w.object(Layout::Line).key("port").num(p);
+                w.key("points_dropped").num(series.points_dropped);
+                w.key("recent").array(Layout::Pretty);
+                for pt in &series.recent {
+                    let kind = match pt.kind {
+                        PortSampleKind::Depth => "depth",
+                        PortSampleKind::CreditOccupancy => "credit_occupancy",
+                        PortSampleKind::HolStall => "hol_stall",
+                    };
+                    w.object(Layout::Line).key("at_ps").num(pt.at.0);
+                    w.key("kind").str(kind).key("value").num(pt.value);
+                    w.end();
+                }
+                w.end().end();
             }
         }
-        if first_port {
-            s.push_str("],\n");
-        } else {
-            s.push_str("\n  ],\n");
-        }
+        w.end();
 
-        // Full metrics snapshot (already deterministic JSON).
-        s.push_str("  \"metrics\": ");
-        let metrics = self.metrics().to_json(2);
-        s.push_str(&metrics);
-        s.push_str("\n}\n");
-        s
+        w.key("metrics");
+        self.metrics().write_json(&mut w);
+        w.end();
+        w.finish()
     }
 }

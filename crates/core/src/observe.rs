@@ -509,7 +509,7 @@ mod tests {
         let r = w.metrics();
         assert_eq!(r.counter("host_a.ops.Copyin.count"), 1);
         assert_eq!(r.counter("host_a.ops.Copyin.bytes"), 100);
-        let j = r.to_json(0);
+        let j = r.to_json();
         assert!(
             j.contains(&format!("\"host_a.busy_us\": {:.6}", c.as_us())),
             "{j}"

@@ -13,6 +13,7 @@
 //! track/process metadata is emitted in a fixed order. `cmp` on two
 //! exports is therefore a valid regression test.
 
+use crate::json::{Layout, Writer};
 use crate::{EventKind, TraceSet, Track};
 use genie_machine::SimTime;
 
@@ -56,100 +57,73 @@ impl ChromeTrace {
         n
     }
 
-    /// Renders the JSON document.
+    /// Renders the JSON document: one event object per line.
     pub fn to_json(&self) -> String {
-        let mut lines: Vec<String> = Vec::new();
+        let mut w = Writer::new(0);
+        w.array(Layout::Pretty);
         for (pid, (label, set)) in self.processes.iter().enumerate() {
-            lines.push(format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(label)
-            ));
+            // Every event opens with the same keys; `tid` is omitted
+            // for process-wide metadata.
+            let head = |w: &mut Writer, ph: &str, tid: Option<u32>, name: &str| {
+                w.object(Layout::Line).key("ph").str(ph).key("pid").num(pid);
+                if let Some(tid) = tid {
+                    w.key("tid").num(tid);
+                }
+                w.key("name").str(name);
+            };
+            head(&mut w, "M", None, "process_name");
+            w.key("args").object(Layout::Line).key("name").str(label);
+            w.end().end();
             for (owner_idx, (owner, events)) in set.owners.iter().enumerate() {
                 for track in Track::ALL {
                     if !events.iter().any(|e| e.track == *track) {
                         continue;
                     }
                     let tid = tid(owner_idx, *track);
-                    lines.push(format!(
-                        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                         \"name\":\"thread_name\",\
-                         \"args\":{{\"name\":\"{} {}\"}}}}",
-                        escape(owner),
-                        track.name()
-                    ));
-                    lines.push(format!(
-                        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                         \"name\":\"thread_sort_index\",\
-                         \"args\":{{\"sort_index\":{tid}}}}}"
-                    ));
+                    head(&mut w, "M", Some(tid), "thread_name");
+                    w.key("args").object(Layout::Line);
+                    w.key("name").str(&format!("{owner} {}", track.name()));
+                    w.end().end();
+                    head(&mut w, "M", Some(tid), "thread_sort_index");
+                    w.key("args").object(Layout::Line);
+                    w.key("sort_index").num(tid).end().end();
                 }
                 for e in events {
-                    let tid = tid(owner_idx, e.track);
-                    let args = format!("{{\"bytes\":{},\"units\":{}}}", e.bytes, e.units);
+                    let tid = Some(tid(owner_idx, e.track));
                     match e.kind {
-                        EventKind::Span => lines.push(format!(
-                            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\
-                             \"name\":\"{}\",\"ts\":{},\"dur\":{},\
-                             \"args\":{args}}}",
-                            escape(e.name),
-                            us(e.start),
-                            us(e.dur)
-                        )),
-                        EventKind::Instant => lines.push(format!(
-                            "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\
-                             \"name\":\"{}\",\"ts\":{},\"s\":\"t\",\
-                             \"args\":{args}}}",
-                            escape(e.name),
-                            us(e.start)
-                        )),
+                        EventKind::Span => {
+                            head(&mut w, "X", tid, e.name);
+                            w.key("ts").num(us(e.start)).key("dur").num(us(e.dur));
+                        }
+                        EventKind::Instant => {
+                            head(&mut w, "i", tid, e.name);
+                            w.key("ts").num(us(e.start)).key("s").str("t");
+                        }
                     }
+                    w.key("args").object(Layout::Line);
+                    w.key("bytes").num(e.bytes).key("units").num(e.units);
+                    w.end().end();
                 }
             }
             // Surface the sampling ledger (only when something was
             // sampled out, so unsampled exports are byte-unchanged).
             for (owner, n) in &set.dropped_spans {
                 if *n > 0 {
-                    lines.push(format!(
-                        "{{\"ph\":\"M\",\"pid\":{pid},\
-                         \"name\":\"dropped_spans\",\
-                         \"args\":{{\"owner\":\"{}\",\"count\":{n}}}}}",
-                        escape(owner)
-                    ));
+                    head(&mut w, "M", None, "dropped_spans");
+                    w.key("args").object(Layout::Line);
+                    w.key("owner").str(owner).key("count").num(n);
+                    w.end().end();
                 }
             }
         }
-        let mut out = String::from("[\n");
-        for (i, l) in lines.iter().enumerate() {
-            out.push_str(l);
-            if i + 1 < lines.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]\n");
-        out
+        w.end();
+        w.finish()
     }
 }
 
 /// Stable thread id for an `(owner, track)` timeline.
 fn tid(owner_idx: usize, track: Track) -> u32 {
     owner_idx as u32 * 16 + track.id() + 1
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -15,12 +15,15 @@
 //! - [`chrome`]: export to Chrome trace-event JSON, loadable in
 //!   `ui.perfetto.dev` as a flame-style timeline with one track per
 //!   host and per subsystem.
+//! - [`json`]: the workspace's one JSON codec (escaper, streaming
+//!   writer, reader) behind every export and `report --compare`.
 //! - [`metrics`]: a registry of named counters, gauges and histograms
 //!   unifying the simulator's scattered statistics (ledger op stats,
 //!   fault counters, adapter/VM/memory counters) behind one
 //!   deterministic JSON dump.
 
 pub mod chrome;
+pub mod json;
 pub mod metrics;
 
 use genie_machine::{Op, SimTime};

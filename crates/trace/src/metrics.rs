@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::chrome::escape;
+use crate::json::{Layout, Writer};
 
 /// A power-of-two-bucketed histogram of `u64` samples.
 ///
@@ -121,26 +121,20 @@ impl Histogram {
         self.max
     }
 
-    fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"type\":\"histogram\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":{{",
-            self.count, self.sum, self.min, self.max
-        );
-        let mut first = true;
+    fn write_json(&self, w: &mut Writer) {
+        w.object(Layout::Line).key("type").str("histogram");
+        w.key("count").num(self.count).key("sum").num(self.sum);
+        w.key("min").num(self.min).key("max").num(self.max);
+        w.key("buckets").object(Layout::Line);
         for (i, &n) in self.buckets.iter().enumerate() {
             if n == 0 {
                 continue;
             }
-            if !first {
-                s.push(',');
-            }
-            first = false;
             // Keyed by the bucket's exclusive upper bound.
             let upper = if i >= 63 { u64::MAX } else { 1u64 << (i + 1) };
-            s.push_str(&format!("\"{upper}\":{n}"));
+            w.key(&upper.to_string()).num(n);
         }
-        s.push_str("}}");
-        s
+        w.end().end();
     }
 }
 
@@ -287,29 +281,32 @@ impl MetricsRegistry {
         n
     }
 
-    /// Renders the registry as a JSON object, keys sorted, with
-    /// `indent` leading spaces per line.
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let mut out = String::from("{\n");
-        for (i, (name, m)) in self.entries.iter().enumerate() {
-            let val = match m {
-                Metric::Counter(c) => c.to_string(),
+    /// Writes the registry as one pretty JSON object, keys sorted.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.object(Layout::Pretty);
+        for (name, m) in &self.entries {
+            w.key(name);
+            match m {
+                Metric::Counter(c) => {
+                    w.num(c);
+                }
                 // Gauges carry simulated microseconds and ratios; six
                 // fractional digits is exact for the former and ample
                 // for the latter, and keeps the format deterministic.
-                Metric::Gauge(g) => format!("{g:.6}"),
-                Metric::Histogram(h) => h.to_json(),
-            };
-            out.push_str(&format!(
-                "{pad}  \"{}\": {}{}\n",
-                escape(name),
-                val,
-                if i + 1 < self.entries.len() { "," } else { "" }
-            ));
+                Metric::Gauge(g) => {
+                    w.num(format_args!("{g:.6}"));
+                }
+                Metric::Histogram(h) => h.write_json(w),
+            }
         }
-        out.push_str(&format!("{pad}}}"));
-        out
+        w.end();
+    }
+
+    /// The registry as a standalone JSON document.
+    pub fn to_json(&self) -> String {
+        let mut w = Writer::new(2);
+        self.write_json(&mut w);
+        w.finish()
     }
 }
 
@@ -334,12 +331,12 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.set_gauge("z.ratio", 0.5);
         r.add("a.count", 1);
-        let j = r.to_json(0);
+        let j = r.to_json();
         let a = j.find("a.count").unwrap();
         let z = j.find("z.ratio").unwrap();
         assert!(a < z, "{j}");
         assert!(j.contains("\"z.ratio\": 0.500000"));
-        assert_eq!(j, r.clone().to_json(0));
+        assert_eq!(j, r.clone().to_json());
     }
 
     #[test]
@@ -351,7 +348,9 @@ mod tests {
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 1010);
         assert_eq!(h.max(), 1000);
-        let j = h.to_json();
+        let mut w = Writer::new(0);
+        h.write_json(&mut w);
+        let j = w.finish();
         // 0 and 1 land in the first bucket (upper bound 2); 2 and 3 in
         // the next (4); 4 in (8); 1000 in (1024).
         assert!(j.contains("\"2\":2"), "{j}");
@@ -414,7 +413,7 @@ mod tests {
         h.record(5);
         let mut r = MetricsRegistry::new();
         r.set_histogram("depth", h);
-        let j = r.to_json(2);
+        let j = r.to_json();
         assert!(j.contains("\"depth\": {\"type\":\"histogram\""), "{j}");
     }
 }

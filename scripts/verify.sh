@@ -104,6 +104,26 @@ for section in fault_stats simulated_latency_60kb_us; do
   }
 done
 
+echo "== report --compare smoke (cq snapshot against itself, non-JSON input) =="
+# One `report --json fabric --cq` snapshot, reused by the perf gate
+# below. Compared against itself, every cq_saturation row must show a
+# zero delta; a file that is not JSON must make --compare exit 2.
+cmp_dir=$(mktemp -d)
+trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_fabric" "$tmp_bench"; rm -rf "$tmp_json_dir" "$cmp_dir"' EXIT
+(cd "$cmp_dir" && "$OLDPWD/target/release/report" --json fabric --cq --threads 1 >/dev/null 2>&1)
+./target/release/report --compare "$cmp_dir/BENCH_report.json" "$cmp_dir/BENCH_report.json" >"$cmp_dir/cmp.txt"
+grep -Eq '^  copy\.knee_depth +[0-9.]+ +[0-9.]+ +\+0\.000 ' "$cmp_dir/cmp.txt" || {
+  echo "verify: report --compare printed no zero-delta copy.knee_depth row" >&2
+  exit 1
+}
+echo 'not json at all' >"$cmp_dir/bad.json"
+rc=0
+./target/release/report --compare "$cmp_dir/bad.json" "$cmp_dir/BENCH_report.json" >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || {
+  echo "verify: report --compare on a non-JSON file exited $rc, not 2" >&2
+  exit 1
+}
+
 echo "== perf regression gate (fresh minimums vs BENCH_baseline.json) =="
 # Regenerates the datapath microbench and three serial report runs and
 # compares their minimums against the committed baseline. Minimums, not
@@ -115,7 +135,7 @@ if [ "${GENIE_BENCH_TOL:-25}" = "skip" ]; then
   echo "perf gate skipped (GENIE_BENCH_TOL=skip)"
 else
   perf_dir=$(mktemp -d)
-  trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_fabric" "$tmp_bench"; rm -rf "$tmp_json_dir" "$perf_dir"' EXIT
+  trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_fabric" "$tmp_bench"; rm -rf "$tmp_json_dir" "$cmp_dir" "$perf_dir"' EXIT
   for i in 1 2 3; do
     (cd "$perf_dir" && "$OLDPWD/target/release/report" --json all --threads 1 >/dev/null 2>&1)
     cp "$perf_dir/BENCH_report.json" "$perf_dir/run$i.json"
@@ -124,10 +144,9 @@ else
   # load spike during one run cannot fake a regression.
   ./target/release/datapath --out "$perf_dir/dp1.json" >/dev/null
   ./target/release/datapath --out "$perf_dir/dp2.json" >/dev/null
-  # One CQ saturation snapshot rides along informationally: the gate
+  # The CQ saturation snapshot rides along informationally: the gate
   # prints knee drift against the baseline but never fails on it.
-  (cd "$perf_dir" && "$OLDPWD/target/release/report" --json fabric --cq --threads 1 >/dev/null 2>&1)
-  cp "$perf_dir/BENCH_report.json" "$perf_dir/cq.json"
+  cp "$cmp_dir/BENCH_report.json" "$perf_dir/cq.json"
   python3 scripts/perf_gate.py --baseline BENCH_baseline.json \
     --fresh "$perf_dir"/dp?.json --reports "$perf_dir"/run?.json \
     --cq "$perf_dir/cq.json" \
@@ -142,7 +161,7 @@ echo "== sampled-tracing overhead smoke (budgeted flight recorder vs untraced) =
 # untraced runs. Wall time, so the minimum of two runs absorbs load
 # spikes the same way the perf gate does.
 smoke_dir=$(mktemp -d)
-trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_fabric" "$tmp_bench"; rm -rf "$tmp_json_dir" "$smoke_dir"' EXIT
+trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_fabric" "$tmp_bench"; rm -rf "$tmp_json_dir" "$cmp_dir" "$smoke_dir"' EXIT
 run_ms() { # run_ms OUT_FILE CMD... -> wall ms on stdout
   local out=$1 t0 t1
   shift

@@ -12,6 +12,7 @@ use genie_model::{
     corpus_files, emit_counterexample, shrink, CqBug, CqScenario, Differential, ModelBug, Scenario,
     SwitchBug, SwitchOp, SwitchScenario, ARCHITECTURES,
 };
+use genie_trace::json::{self, Json};
 
 /// Parses every `.ops` file under `dir` and demands that the file,
 /// minus its comment lines, is exactly what the scenario serializes
@@ -79,9 +80,22 @@ fn assert_shrink_is_idempotent<D: Differential>(
     let path = emit_counterexample(&minimal, bug, &div).expect("counterexample written");
     let text = std::fs::read_to_string(&path).expect("counterexample reads");
     assert_eq!(D::parse(&text).expect("counterexample parses"), minimal);
-    let read = |ext| std::fs::read_to_string(path.with_extension(ext)).expect("sidecar reads");
-    assert!(read("dump.json").contains(&format!("divergence at step {}", div.step)));
-    assert!(read("trace.json").contains("\"model.divergence\""));
+    let read = |ext| {
+        let text = std::fs::read_to_string(path.with_extension(ext)).expect("sidecar reads");
+        json::parse(&text).unwrap_or_else(|e| panic!("{ext} is not JSON ({e}):\n{text}"))
+    };
+    let reason = read("dump.json");
+    let reason = reason
+        .get("reason")
+        .and_then(Json::as_str)
+        .expect("dump reason");
+    assert!(reason.contains(&format!("divergence at step {}", div.step)));
+    let Json::Arr(events) = read("trace.json") else {
+        panic!("trace.json is not an event array")
+    };
+    assert!(events
+        .iter()
+        .any(|e| e.get("name").and_then(Json::as_str) == Some("model.divergence")));
 }
 
 #[test]

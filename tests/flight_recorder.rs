@@ -7,6 +7,7 @@ use genie::{
     HostId, InputRequest, Metric, OutputRequest, SampleConfig, Semantics, World, WorldConfig,
 };
 use genie_net::Vc;
+use genie_trace::json::{self, Json};
 
 const BUDGET: usize = 256;
 
@@ -238,21 +239,34 @@ fn forced_invariant_failure_emits_replayable_crash_dump() {
         .filter(|p| p.to_string_lossy().ends_with(".dump.json"))
         .collect();
     assert_eq!(dumps.len(), 1, "expected one dump, got {dumps:?}");
-    let dump = std::fs::read_to_string(&dumps[0]).expect("readable dump");
-    for key in [
-        "\"reason\": \"invariant oracle violation\"",
-        "\"reproduce\":",
-        "\"violations\":",
-        "\"flight_recorder\":",
-        "\"metrics\":",
-        "dropped_spans",
-    ] {
-        assert!(dump.contains(key), "dump missing {key}:\n{dump}");
-    }
+    let text = std::fs::read_to_string(&dumps[0]).expect("readable dump");
+    let dump = json::parse(&text).unwrap_or_else(|e| panic!("dump is not JSON ({e}):\n{text}"));
+    assert_eq!(
+        dump.get("reason").and_then(Json::as_str),
+        Some("invariant oracle violation")
+    );
+    assert!(dump.get("reproduce").and_then(Json::as_str).is_some());
     // The dump records the violation the oracle flagged.
+    let Some(Json::Arr(dumped)) = dump.get("violations") else {
+        panic!("dump has no violations array:\n{text}")
+    };
     assert!(
-        dump.contains("strong-integrity payload"),
+        dumped
+            .iter()
+            .filter_map(Json::as_str)
+            .any(|v| v.contains("strong-integrity payload")),
         "dump lost the violation detail"
+    );
+    let Some(Json::Obj(owners)) = dump.get("flight_recorder") else {
+        panic!("flight_recorder is not an object:\n{text}")
+    };
+    assert!(
+        !owners.is_empty() && owners.iter().all(|(_, o)| o.get("dropped_spans").is_some()),
+        "an owner lacks its dropped_spans ledger"
+    );
+    assert!(
+        matches!(dump.get("metrics"), Some(Json::Obj(_))),
+        "metrics is not an object"
     );
 
     // Replayable: the same deterministic scenario reproduces the

@@ -45,7 +45,7 @@ fn fabric_sweep_render(cfg: &genie::SampleConfig) -> String {
         let mut ct = genie::ChromeTrace::new();
         ct.add_process(format!("fanin {sem}"), o.trace);
         out.push_str(&ct.to_json());
-        out.push_str(&o.metrics.to_json(2));
+        out.push_str(&o.metrics.to_json());
     }
     out
 }
