@@ -1,9 +1,11 @@
 //! Host-side microbenchmarks for the wire datapath.
 //!
-//! Times the pieces the zero-copy PR optimizes — CRC-32 over a 60 KB
-//! PDU, the cell codec (segment/reassemble into reused buffers), a
-//! full 60 KB simulated exchange and a warm 252-datagram star fan-in
-//! wave — and records the results as a
+//! Times the host primitives the simulator spends its wall clock in —
+//! CRC-32 and the 16-bit datagram checksum over a 60 KB PDU, the cell
+//! codec (segment/reassemble into reused buffers), event-queue churn,
+//! region churn, a warm TCOW write fault, a full 60 KB simulated
+//! exchange and a warm 252-datagram star fan-in wave — and records the
+//! results as a
 //! `datapath_ns` section in `BENCH_report.json` so the perf trajectory
 //! is tracked across PRs. These are *host wall-clock* numbers; the
 //! simulated latencies the paper cares about are unaffected by them.
@@ -20,10 +22,10 @@ use genie::{
 };
 use genie_bench::timing::{time_named, Timing};
 use genie_machine::{MachineSpec, SimTime};
-use genie_mem::PhysMem;
+use genie_mem::{IoDir, PhysMem};
 use genie_net::aal5;
 use genie_net::event::EventQueue;
-use genie_net::{SwitchConfig, Vc};
+use genie_net::{checksum16, SwitchConfig, Vc};
 use genie_trace::json::{self, Json, Layout, Writer};
 use genie_vm::{Access, RegionHandle, RegionMark, Vm};
 
@@ -59,6 +61,10 @@ fn main() {
 
     results.push(time_named("datapath/crc32_60k", iters(300), || {
         std::hint::black_box(aal5::crc32(std::hint::black_box(&payload)));
+    }));
+
+    results.push(time_named("datapath/checksum16_60k", iters(300), || {
+        std::hint::black_box(checksum16(std::hint::black_box(&payload)));
     }));
 
     let mut cells = Vec::new();
@@ -185,6 +191,38 @@ fn main() {
                 vm.remove_region(oldest).expect("free region");
             }
         }));
+    }
+
+    {
+        // Warm TCOW cycle on one resident page: reference it for
+        // output, write-protect it (arming TCOW), then overwrite it
+        // while the output is in flight, which copies the page up;
+        // completing the output frees the displaced frame. The VM is
+        // built once, so every cycle reuses its descriptor list and
+        // the frame the previous cycle freed.
+        let mut vm = Vm::new(PhysMem::new(4096, 8));
+        let space = vm.create_space();
+        let va = vm.alloc_app_buffer(space, 4096).expect("buffer");
+        vm.write_app(space, va, &[1]).expect("touch");
+        let before = vm.stats().tcow_copies;
+        let mut cycles = 0u64;
+        results.push(time_named("datapath/tcow_write_fault", iters(200), || {
+            // 1000 arm/overwrite/complete cycles per timed call.
+            for _ in 0..1000 {
+                let desc = vm
+                    .reference_pages(space, va, 4096, IoDir::Output)
+                    .expect("reference");
+                vm.write_protect(space, va, 4096);
+                vm.write_app(space, va, &[2]).expect("overwrite");
+                vm.unreference(desc).expect("complete output");
+            }
+            cycles += 1000;
+        }));
+        assert_eq!(
+            vm.stats().tcow_copies - before,
+            cycles,
+            "every overwrite must copy the page up"
+        );
     }
 
     // One full simulated 60 KB exchange, host wall-clock, world built

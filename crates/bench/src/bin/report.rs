@@ -7,7 +7,7 @@
 //!   report --json all         # also write BENCH_report.json
 //!   report --metrics          # dump the canonical runs' metrics JSON
 //!   report --trace out.json   # write a Perfetto-loadable trace
-//!   report --profile all      # per-exhibit wall-clock summary
+//!   report --profile all      # per-exhibit host wall clock
 //!   report --compare A.json B.json  # diff two --json snapshots
 //!
 //! `GENIE_TRACE=<path>` is equivalent to `--trace <path>`. With only
@@ -29,9 +29,14 @@
 //! `report` names it on stderr and exits 2.
 //!
 //! Selected exhibits are computed in parallel on the genie-runner
-//! worker pool (thread count from `--threads`, else `GENIE_THREADS`,
-//! else the machine's parallelism) and printed in their canonical
-//! order, so the output is byte-identical to a serial run.
+//! worker pool (thread count from `--threads`, else the machine's
+//! parallelism) and printed in their canonical order, so the output is
+//! byte-identical to a serial run.
+//!
+//! Each exhibit's host wall clock is timed once, around its render;
+//! `--profile` prints those times and `--json` records them as
+//! `exhibits[].wall_ms`. Host timing of the datapath primitives lives
+//! in the `datapath` binary.
 
 use std::time::Instant;
 
@@ -155,24 +160,18 @@ fn faulted_stats(seed: u64) -> Vec<(&'static str, u64)> {
     sums
 }
 
-/// Prints the `--profile` per-exhibit wall-clock table.
-fn print_profile(names: &[&str], samples: &[genie_runner::CellSample]) {
+/// Prints the `--profile` table: one row per rendered exhibit, then
+/// the summed exhibit time beside the wall clock of the whole render.
+fn print_profile(rendered: &[(&str, String, f64)], total_ms: f64) {
     println!("# Profile: per-exhibit wall clock");
-    println!("  {:<12} {:>6} {:>10}", "exhibit", "worker", "wall_ms");
-    for s in samples {
-        let name = names.get(s.cell).copied().unwrap_or("?");
-        println!(
-            "  {:<12} {:>6} {:>10.3}",
-            name,
-            s.worker,
-            s.wall.as_secs_f64() * 1e3
-        );
+    println!("  {:<12} {:>10}", "exhibit", "wall_ms");
+    for (name, _, ms) in rendered {
+        println!("  {name:<12} {ms:>10.3}");
     }
-    let total: f64 = samples.iter().map(|s| s.wall.as_secs_f64() * 1e3).sum();
+    let summed: f64 = rendered.iter().map(|(_, _, ms)| ms).sum();
     println!(
-        "  {} cells, {:.3} ms total cell time, {} worker threads",
-        samples.len(),
-        total,
+        "  {} exhibits, {summed:.3} ms summed, {total_ms:.3} ms wall, {} worker threads",
+        rendered.len(),
         genie_runner::configured_threads()
     );
     println!();
@@ -312,10 +311,6 @@ fn main() {
     };
 
     // Compute in parallel, print in canonical order.
-    if profile {
-        genie_runner::set_profiling(true);
-        let _ = genie_runner::take_profile();
-    }
     let t0 = Instant::now();
     let rendered = genie_runner::map(&selected, |(name, f)| {
         let t = Instant::now();
@@ -323,9 +318,6 @@ fn main() {
         (*name, text, t.elapsed().as_secs_f64() * 1e3)
     });
     let total_ms = t0.elapsed().as_secs_f64() * 1e3;
-    if profile {
-        genie_runner::set_profiling(false);
-    }
     for (_name, text, _ms) in &rendered {
         println!("{text}\n");
     }
@@ -346,8 +338,7 @@ fn main() {
         }
     }
     if profile {
-        let names: Vec<&str> = selected.iter().map(|(n, _)| *n).collect();
-        print_profile(&names, &genie_runner::take_profile());
+        print_profile(&rendered, total_ms);
     }
     if want_metrics && !want_fabric {
         print!("{}", gen::inspect::metrics_json());

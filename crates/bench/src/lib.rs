@@ -1,5 +1,5 @@
 //! Experiment generators: one function per table and figure of the
-//! paper, shared by the `report` binary and the wall-clock benches.
+//! paper, rendered by the `report` binary.
 //!
 //! Every generator returns plain text formatted like the paper's
 //! corresponding exhibit, produced by actually running the simulator

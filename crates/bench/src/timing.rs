@@ -1,11 +1,12 @@
-//! Minimal wall-clock timing harness (std-only).
+//! Minimal wall-clock timing harness (std-only) behind the `datapath`
+//! binary.
 //!
-//! The benches and the `report --json` path both need host wall-clock
-//! numbers for the simulator itself (distinct from the *simulated*
-//! latencies, which are the paper's subject). `std::time::Instant` is
-//! plenty for the millisecond-scale runs here; the harness does one
-//! warm-up pass and then a fixed number of timed iterations so results
-//! are comparable across runs.
+//! It times the simulator's host primitives (distinct from the
+//! *simulated* latencies, which are the paper's subject).
+//! `std::time::Instant` is plenty for the microsecond-to-millisecond
+//! runs here; the harness does one warm-up pass and then a fixed number
+//! of timed iterations so results are comparable across runs. The
+//! `report` binary times whole exhibits on its own, once each.
 
 use std::time::Instant;
 
@@ -25,7 +26,7 @@ pub struct Timing {
 }
 
 impl Timing {
-    /// One-line rendering used by the bench binaries.
+    /// One-line rendering `datapath` prints per benchmark.
     pub fn line(&self) -> String {
         format!(
             "{:<44} {:>9.3} ms/iter  (min {:.3}, max {:.3}, {} iters)",
@@ -55,11 +56,6 @@ pub fn time_named<F: FnMut()>(name: &str, iters: u32, mut f: F) -> Timing {
         min_ms: min,
         max_ms: max,
     }
-}
-
-/// Times `f` and prints the result line to stdout (bench binaries).
-pub fn bench<F: FnMut()>(name: &str, iters: u32, f: F) {
-    println!("{}", time_named(name, iters, f).line());
 }
 
 #[cfg(test)]

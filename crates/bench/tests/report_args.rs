@@ -108,3 +108,44 @@ fn compare_reads_one_line_documents() {
     assert!(copy.contains("1.000") && copy.contains("+0.000"), "{copy}");
     let _ = std::fs::remove_file(one);
 }
+
+#[test]
+fn profile_prints_one_row_per_exhibit_at_any_thread_count() {
+    // The exhibit list, in canonical order, as `report` itself names it.
+    let rejected = report(&["nosuch"]);
+    let stderr = String::from_utf8_lossy(&rejected.stderr);
+    let exhibits: Vec<&str> = stderr
+        .split_once("exhibits: ")
+        .map(|(_, list)| list.split_whitespace().collect())
+        .unwrap_or_else(|| panic!("no exhibit list: {stderr}"));
+    assert_eq!(exhibits.len(), 19, "{exhibits:?}");
+    for threads in ["1", "4"] {
+        let out = report(&["--threads", threads, "--profile", "all"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "threads {threads}: {stdout}");
+        let table: Vec<&str> = stdout
+            .lines()
+            .skip_while(|l| *l != "# Profile: per-exhibit wall clock")
+            .skip(2) // the title and the column header
+            .take_while(|l| !l.is_empty())
+            .collect();
+        let (summary, rows) = table
+            .split_last()
+            .unwrap_or_else(|| panic!("threads {threads}: no profile table:\n{stdout}"));
+        let names: Vec<&str> = rows
+            .iter()
+            .map(|row| row.split_whitespace().next().unwrap_or(""))
+            .collect();
+        assert_eq!(names, exhibits, "threads {threads}");
+        for row in rows {
+            let fields: Vec<&str> = row.split_whitespace().collect();
+            assert_eq!(fields.len(), 2, "threads {threads}: row {row:?}");
+            let ms: f64 = fields[1].parse().expect("wall_ms is a number");
+            assert!(ms >= 0.0, "threads {threads}: row {row:?}");
+        }
+        assert!(
+            summary.trim_start().starts_with("19 exhibits,"),
+            "threads {threads}: summary {summary:?}"
+        );
+    }
+}

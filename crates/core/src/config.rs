@@ -63,8 +63,8 @@ impl GenieConfig {
         }
     }
 
-    /// Disables all copy-conversion thresholds (used by benches that
-    /// want the pure semantics at every size).
+    /// Disables all copy-conversion thresholds (used by exhibits and
+    /// tests that want the pure semantics at every size).
     pub fn without_thresholds(mut self) -> Self {
         self.emulated_copy_output_threshold = 0;
         self.emulated_share_output_threshold = 0;

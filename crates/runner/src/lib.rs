@@ -14,8 +14,7 @@
 //! Thread count resolution, in priority order:
 //! 1. a programmatic override via [`set_threads`] (used by `--threads`
 //!    and by the determinism tests),
-//! 2. the `GENIE_THREADS` environment variable,
-//! 3. `std::thread::available_parallelism()`.
+//! 2. `std::thread::available_parallelism()`.
 //!
 //! `threads == 1` takes a strict serial fast path (no threads spawned),
 //! which is also the fallback when a sweep is already running inside a
@@ -26,63 +25,9 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
-use std::time::Duration;
 
 /// Programmatic thread-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Whether per-cell wall-clock profiling is recording.
-static PROFILING: AtomicBool = AtomicBool::new(false);
-
-/// Profile samples accumulated while [`set_profiling`] is on.
-static PROFILE: Mutex<Vec<CellSample>> = Mutex::new(Vec::new());
-
-/// One profiled sweep cell: which worker ran it and for how long
-/// (wall clock, host time — *not* simulated time).
-#[derive(Clone, Copy, Debug)]
-pub struct CellSample {
-    /// Cell index within its sweep.
-    pub cell: usize,
-    /// Worker thread index (0 for the serial path).
-    pub worker: usize,
-    /// Wall-clock time the cell took.
-    pub wall: Duration,
-}
-
-/// Turns per-cell wall-clock profiling on or off. Profiling records
-/// into a process-global buffer drained by [`take_profile`]; nested
-/// (inline) sweep cells are not re-measured inside their outer cell.
-pub fn set_profiling(on: bool) {
-    PROFILING.store(on, Ordering::SeqCst);
-}
-
-/// Drains every profile sample recorded so far, sorted by sweep order
-/// (samples from consecutive sweeps simply concatenate).
-pub fn take_profile() -> Vec<CellSample> {
-    let mut out = std::mem::take(&mut *PROFILE.lock().expect("profile buffer poisoned"));
-    out.sort_by_key(|s| s.cell);
-    out
-}
-
-/// Runs one cell, recording a profile sample when profiling is on.
-#[inline]
-fn run_cell<R, F: Fn(usize) -> R>(f: &F, i: usize, worker: usize, nested: bool) -> R {
-    if nested || !PROFILING.load(Ordering::Relaxed) {
-        return f(i);
-    }
-    let t0 = std::time::Instant::now();
-    let r = f(i);
-    let wall = t0.elapsed();
-    PROFILE
-        .lock()
-        .expect("profile buffer poisoned")
-        .push(CellSample {
-            cell: i,
-            worker,
-            wall,
-        });
-    r
-}
 
 thread_local! {
     /// True while the current thread is a sweep worker; nested sweeps
@@ -92,8 +37,8 @@ thread_local! {
 
 /// Overrides the worker-thread count for all subsequent sweeps.
 ///
-/// `0` clears the override (falling back to `GENIE_THREADS`, then to
-/// the machine's available parallelism). `1` forces the serial path.
+/// `0` clears the override (falling back to the machine's available
+/// parallelism). `1` forces the serial path.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
@@ -118,13 +63,6 @@ pub fn configured_threads() -> usize {
     let o = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if o > 0 {
         return o;
-    }
-    if let Ok(v) = std::env::var("GENIE_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
     }
     thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -158,9 +96,8 @@ where
 {
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-    let nested = IN_WORKER.with(Cell::get);
-    if threads <= 1 || n <= 1 || nested {
-        return (0..n).map(|i| run_cell(&f, i, 0, nested)).collect();
+    if threads <= 1 || n <= 1 || IN_WORKER.with(Cell::get) {
+        return (0..n).map(f).collect();
     }
 
     // Work-stealing by atomic index; each result lands in its own slot
@@ -175,7 +112,7 @@ where
     let slots: Vec<Mutex<Option<CellResult<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     thread::scope(|s| {
         let (f, next, abort, slots) = (&f, &next, &abort, &slots);
-        for worker in 0..threads.min(n) {
+        for _ in 0..threads.min(n) {
             s.spawn(move || {
                 IN_WORKER.with(|w| w.set(true));
                 loop {
@@ -186,7 +123,7 @@ where
                     if i >= n {
                         break;
                     }
-                    let r = catch_unwind(AssertUnwindSafe(|| run_cell(f, i, worker, false)));
+                    let r = catch_unwind(AssertUnwindSafe(|| f(i)));
                     if r.is_err() {
                         abort.store(true, Ordering::SeqCst);
                     }
@@ -223,20 +160,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
-
-    /// Serializes the tests that run cells. Profiling is a process-wide
-    /// switch over one shared buffer, so a sweep running in another test
-    /// thread while profiling is on would push its cells into the
-    /// profiling test's samples.
-    fn cells_lock() -> MutexGuard<'static, ()> {
-        static CELLS: Mutex<()> = Mutex::new(());
-        CELLS.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn results_come_back_in_index_order() {
-        let _cells = cells_lock();
         for threads in [1, 2, 4, 8] {
             let got = run_threads(threads, 100, |i| i * i);
             let want: Vec<usize> = (0..100).map(|i| i * i).collect();
@@ -246,7 +172,6 @@ mod tests {
 
     #[test]
     fn map_preserves_item_order() {
-        let _cells = cells_lock();
         let items: Vec<String> = (0..40).map(|i| format!("cell-{i}")).collect();
         let got = map(&items, |s| format!("{s}!"));
         for (i, s) in got.iter().enumerate() {
@@ -264,7 +189,6 @@ mod tests {
 
     #[test]
     fn nested_sweeps_run_inline_without_deadlock() {
-        let _cells = cells_lock();
         let got = run_threads(4, 8, |i| {
             let inner = run_threads(4, 4, move |j| i * 10 + j);
             inner.iter().sum::<usize>()
@@ -275,14 +199,12 @@ mod tests {
 
     #[test]
     fn empty_and_single_inputs() {
-        let _cells = cells_lock();
         assert_eq!(run_threads(4, 0, |i| i), Vec::<usize>::new());
         assert_eq!(run_threads(4, 1, |i| i + 7), vec![7]);
     }
 
     #[test]
     fn panics_propagate_to_caller_with_payload_at_any_thread_count() {
-        let _cells = cells_lock();
         for threads in [1, 2, 4] {
             let r = std::panic::catch_unwind(|| {
                 run_threads(threads, 8, |i| {
@@ -304,7 +226,6 @@ mod tests {
 
     #[test]
     fn error_results_are_values_and_no_cell_is_dropped() {
-        let _cells = cells_lock();
         // Fallible cells are ordinary values: every cell's outcome
         // comes back, errors included, at every thread count.
         for threads in [1, 2, 4] {
@@ -329,30 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn profiling_records_every_cell_and_drains() {
-        // Profiling shares one global buffer: hold the cells lock so no
-        // other test's sweep records into it meanwhile.
-        let _cells = cells_lock();
-        set_profiling(true);
-        let _ = take_profile(); // start from a clean buffer
-        for threads in [1, 2, 4] {
-            let got = run_threads(threads, 12, |i| i * 3);
-            assert_eq!(got, (0..12).map(|i| i * 3).collect::<Vec<_>>());
-            let samples = take_profile();
-            assert_eq!(samples.len(), 12, "threads = {threads}");
-            for (i, s) in samples.iter().enumerate() {
-                assert_eq!(s.cell, i, "threads = {threads}");
-                assert!(s.worker < threads, "threads = {threads}");
-            }
-        }
-        set_profiling(false);
-        run_threads(2, 6, |i| i);
-        assert!(take_profile().is_empty(), "off means no samples");
-    }
-
-    #[test]
     fn sweeps_work_after_a_panicked_sweep() {
-        let _cells = cells_lock();
         for threads in [2, 4] {
             let r = std::panic::catch_unwind(|| {
                 run_threads(threads, 16, |i| {

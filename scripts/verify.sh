@@ -85,6 +85,8 @@ trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp
 ./target/release/datapath --quick --out "$tmp_bench" >/dev/null
 grep -q '"datapath_ns"' "$tmp_bench"
 grep -q '"crc32_60k"' "$tmp_bench"
+grep -q '"checksum16_60k"' "$tmp_bench"
+grep -q '"tcow_write_fault"' "$tmp_bench"
 
 echo "== simulated-latency golden guard (report --json vs committed golden) =="
 # Host-performance work must never move a simulated number: the

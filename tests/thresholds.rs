@@ -1,9 +1,16 @@
 //! Threshold behaviour (paper Sections 5.2, 6 and Figure 5): automatic
 //! conversion to copy semantics for short output, and reverse copyout
-//! around the half-page point.
+//! around the half-page point. Also the design trade-offs the
+//! `ablations` exhibit sweeps: TCOW's overwrite cost (Section 5.1), the
+//! reverse-copyout threshold (Section 5.2) and checksum integration
+//! (Section 9).
 
-use genie::{measure_latency, ExperimentSetup, Semantics};
+use genie::{
+    measure_latency, ChecksumMode, ExperimentSetup, GenieConfig, HostId, OutputRequest, Semantics,
+    World, WorldConfig,
+};
 use genie_machine::MachineSpec;
+use genie_net::Vc;
 
 fn early() -> ExperimentSetup {
     ExperimentSetup::early_demux(MachineSpec::micron_p166())
@@ -135,4 +142,85 @@ fn copy_has_the_most_rapidly_rising_latency() {
             "copy's incremental cost must exceed {sem}'s"
         );
     }
+}
+
+#[test]
+fn tcow_overwrite_during_output_costs_over_three_times_one_after() {
+    // Section 5.1: overwriting a page whose output is still in flight
+    // copies the page; once output completes the write fault merely
+    // re-enables writing.
+    let overwrite_us = |during_output: bool| {
+        let mut w = World::new(WorldConfig::default());
+        let p = w.create_process(HostId::A);
+        let va = w.alloc_buffer(HostId::A, p, 4096, 0).expect("buffer");
+        w.app_write(HostId::A, p, va, &[1u8; 4096]).expect("fill");
+        w.output(
+            HostId::A,
+            OutputRequest::new(Semantics::EmulatedCopy, Vc(1), p, va, 4096),
+        )
+        .expect("output");
+        if !during_output {
+            w.run();
+        }
+        let before = w.host(HostId::A).clock;
+        w.app_write(HostId::A, p, va, &[2u8; 4096])
+            .expect("overwrite");
+        (w.host(HostId::A).clock - before).as_us()
+    };
+    let (during, after) = (overwrite_us(true), overwrite_us(false));
+    assert!(
+        during > 3.0 * after,
+        "overwrite during output {during:.1} us vs after {after:.1} us"
+    );
+}
+
+#[test]
+fn paper_reverse_copyout_threshold_beats_always_swap_and_always_copy() {
+    // Section 5.2: swapping always (threshold 0) completes nearly a
+    // whole page around tiny data; copying always (threshold 4095)
+    // copies up to a whole page. The just-above-half-page setting
+    // avoids both.
+    let emulated_copy_us = |threshold: usize, bytes: usize| {
+        let mut setup = early();
+        setup.genie = GenieConfig {
+            reverse_copyout_threshold: threshold,
+            ..GenieConfig::default()
+        };
+        measure_latency(&setup, Semantics::EmulatedCopy, bytes)
+            .expect("measure")
+            .as_us()
+    };
+    let (paper, swap) = (emulated_copy_us(2178, 256), emulated_copy_us(0, 256));
+    assert!(
+        paper < swap,
+        "256 B: threshold 2178 {paper:.0} us vs 0 {swap:.0} us"
+    );
+    let (paper, copy) = (emulated_copy_us(2178, 3584), emulated_copy_us(4095, 3584));
+    assert!(
+        paper <= copy,
+        "3584 B: threshold 2178 {paper:.0} us vs 4095 {copy:.0} us"
+    );
+}
+
+#[test]
+fn separate_vm_pass_and_checksum_read_beat_fused_copy_checksum_at_60kb() {
+    // Section 9: for long data, passing by VM manipulation and then
+    // reading the data for the checksum costs less than one fused
+    // copy-and-checksum pass.
+    let checksummed_us = |mode: ChecksumMode, sem: Semantics| {
+        let mut setup = early();
+        setup.genie = GenieConfig {
+            checksum: mode,
+            ..GenieConfig::default()
+        };
+        measure_latency(&setup, sem, 61_440)
+            .expect("measure")
+            .as_us()
+    };
+    let vm_then_read = checksummed_us(ChecksumMode::Separate, Semantics::EmulatedCopy);
+    let fused_copy = checksummed_us(ChecksumMode::Integrated, Semantics::Copy);
+    assert!(
+        vm_then_read < fused_copy,
+        "VM pass + checksum read {vm_then_read:.0} us vs fused copy {fused_copy:.0} us"
+    );
 }
