@@ -4,7 +4,8 @@
 //! CRC-32 and the 16-bit datagram checksum over a 60 KB PDU, the cell
 //! codec (segment/reassemble into reused buffers), event-queue churn,
 //! region churn, a warm TCOW write fault, a full 60 KB simulated
-//! exchange and a warm 252-datagram star fan-in wave — and records the
+//! exchange, a warm context re-measuring a whole emulated-move sweep
+//! and a warm 252-datagram star fan-in wave — and records the
 //! results as a
 //! `datapath_ns` section in `BENCH_report.json` so the perf trajectory
 //! is tracked across PRs. These are *host wall-clock* numbers; the
@@ -246,6 +247,29 @@ fn main() {
         iters(40),
         || {
             measure_latency(&setup, Semantics::Copy, PDU_60K).expect("exchange");
+        },
+    ));
+
+    // One warm context measures a whole sweep (`pair_sweep`'s 25
+    // sizes, 64 B to 60 KB) twice per call under emulated move, whose
+    // moved-out regions enter the region caches. The context's frame
+    // budget covers one point, so it can only go on measuring because
+    // each cache keeps no more regions than its space asks back for.
+    const SWEEP: [usize; 25] = [
+        64, 256, 512, 1024, 1536, 2048, 2560, 3072, 3584, 4096, 6144, 8192, 12288, 16384, 20480,
+        24576, 28672, 32768, 36864, 40960, 45056, 49152, 53248, 57344, 61440,
+    ];
+    let mut ctx = SeriesContext::new(&setup, &SWEEP);
+    results.push(time_named(
+        "datapath/series_reuse_emulated_move",
+        iters(40),
+        || {
+            for _ in 0..2 {
+                for &bytes in &SWEEP {
+                    ctx.measure_latency(Semantics::EmulatedMove, bytes)
+                        .expect("exchange");
+                }
+            }
         },
     ));
 

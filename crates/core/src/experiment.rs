@@ -186,11 +186,12 @@ impl SeriesContext {
     /// Builds a context sized to measure any one of `sizes` at a time.
     /// Each measurement frees its application buffers when it
     /// completes (and the system-allocated semantics recycle regions
-    /// through the region cache), so the frame budget only has to
-    /// cover the largest single point — with generous headroom — not
-    /// the whole series. Small worlds matter twice over: building one
-    /// touches less memory, and a compact live frame set keeps the
-    /// per-exchange data copies cache-warm.
+    /// through region caches that keep no more than each space asks
+    /// back for), so the frame budget only has to cover the largest
+    /// single point — with generous headroom — not the whole series,
+    /// however often it is measured. Small worlds matter twice over:
+    /// building one touches less memory, and a compact live frame set
+    /// keeps the per-exchange data copies cache-warm.
     pub fn new(setup: &ExperimentSetup, sizes: &[usize]) -> Self {
         let mut cfg = setup.world_config();
         cfg.frames_per_host += sizes

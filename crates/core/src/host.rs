@@ -123,9 +123,19 @@ impl Host {
     /// system. Host-side bookkeeping only: no simulated time is
     /// charged, so experiment drivers can release measured buffers
     /// between points without perturbing the measurement.
+    ///
+    /// Freeing a moved-out buffer the region cache already reclaimed
+    /// succeeds: its pages are free already.
     pub fn free_buffer(&mut self, space: SpaceId, vaddr: u64) -> Result<(), GenieError> {
-        let handle = self.vm.region_at(space, vaddr)?;
-        self.vm.remove_region(handle)?;
+        match self.vm.region_at(space, vaddr) {
+            Ok(handle) => self.vm.remove_region(handle)?,
+            Err(e) => {
+                let vpn = vaddr / self.page_size() as u64;
+                if !self.vm.space_mut(space).free_reclaimed(vpn) {
+                    return Err(e.into());
+                }
+            }
+        }
         Ok(())
     }
 
@@ -144,12 +154,13 @@ impl Host {
     }
 
     /// Allocates `n` kernel frames (system/aligned buffers), listed in
-    /// a recycled frame list. If memory runs out part-way, the frames
-    /// already taken stay allocated, as they always have.
+    /// a recycled frame list, reclaiming cached regions if memory runs
+    /// short ([`Vm::alloc_frame`]). If memory runs out part-way, the
+    /// frames already taken stay allocated, as they always have.
     pub fn alloc_kernel_frames(&mut self, n: usize) -> Result<Vec<FrameId>, GenieError> {
         let mut frames = self.take_frame_list();
         for _ in 0..n {
-            match self.vm.phys.alloc(None) {
+            match self.vm.alloc_frame(None, false) {
                 Ok(f) => frames.push(f),
                 Err(e) => {
                     self.recycle_frame_list(frames);

@@ -1137,15 +1137,13 @@ impl World {
             }
             Semantics::EmulatedMove => {
                 h.vm.invalidate_region(region)?;
-                h.vm.mark_region(region, RegionMark::MovedOut)?;
-                h.vm.space_mut(region.space)
-                    .cache_region(region.start_vpn, RegionMark::MovedOut);
+                h.vm.space_mut(region.space).input_region_released();
+                h.vm.cache_region(region, RegionMark::MovedOut)?;
                 Ok(())
             }
             Semantics::WeakMove | Semantics::EmulatedWeakMove => {
-                h.vm.mark_region(region, RegionMark::WeaklyMovedOut)?;
-                h.vm.space_mut(region.space)
-                    .cache_region(region.start_vpn, RegionMark::WeaklyMovedOut);
+                h.vm.space_mut(region.space).input_region_released();
+                h.vm.cache_region(region, RegionMark::WeaklyMovedOut)?;
                 Ok(())
             }
             other => Err(GenieError::BufferMismatch(other)),

@@ -200,6 +200,14 @@ impl World {
                 &format!("{prefix}.vm.region_reinstates"),
                 v.region_reinstates,
             );
+            r.set_counter(
+                &format!("{prefix}.vm.cached_regions_peak"),
+                v.cached_regions_peak,
+            );
+            r.set_counter(
+                &format!("{prefix}.vm.regions_reclaimed"),
+                v.regions_reclaimed,
+            );
             // Overlay pool residency.
             r.set_counter(
                 &format!("{prefix}.adapter.pool_frames"),

@@ -480,11 +480,8 @@ impl World {
                 host.vm.unreference(send.desc).expect("unreference");
                 host.charge_latency(Op::RegionMarkOut, 0, 0);
                 host.vm
-                    .mark_region(region, RegionMark::MovedOut)
-                    .expect("mark");
-                host.vm
-                    .space_mut(region.space)
-                    .cache_region(region.start_vpn, RegionMark::MovedOut);
+                    .cache_region(region, RegionMark::MovedOut)
+                    .expect("cache");
             }
             Semantics::WeakMove | Semantics::EmulatedWeakMove => {
                 let region = send.region.expect("region");
@@ -496,11 +493,8 @@ impl World {
                 host.vm.unreference(send.desc).expect("unreference");
                 host.charge_latency(Op::RegionMarkOut, 0, 0);
                 host.vm
-                    .mark_region(region, RegionMark::WeaklyMovedOut)
-                    .expect("mark");
-                host.vm
-                    .space_mut(region.space)
-                    .cache_region(region.start_vpn, RegionMark::WeaklyMovedOut);
+                    .cache_region(region, RegionMark::WeaklyMovedOut)
+                    .expect("cache");
             }
         }
         {

@@ -103,6 +103,8 @@ pub(crate) fn run_scenario(
     let mut bind: Vec<Binding> = Vec::new();
     let mut stats = RunStats::default();
     let mut send_counter = 0u64;
+    // Output token -> source entity, to report completions to the model.
+    let mut sources = std::collections::HashMap::new();
     let mut force_cells = false;
 
     let rank = |s: Semantics| index_of(&Semantics::ALL, s);
@@ -131,8 +133,10 @@ pub(crate) fn run_scenario(
                     vaddr,
                     region: None,
                 });
-                w.output(HostId::A, OutputRequest::new(sem, vc, tx, vaddr, len))
+                let token = w
+                    .output(HostId::A, OutputRequest::new(sem, vc, tx, vaddr, len))
                     .map_err(|e| format!("output refused: {e:?}"))?;
+                sources.insert(token, id);
                 if m.send(id, len, scribble) {
                     let p = scribble.expect("scribble applies only when present");
                     w.app_write(HostId::A, tx, vaddr, &vec![p; len])
@@ -300,14 +304,23 @@ pub(crate) fn run_scenario(
                 ));
             }
         }
-        let mut got_sends: Vec<(usize, u64, u64)> = ws
+        let mut got_sends = ws
             .iter()
-            .map(|s| (s.len, rank(s.requested), rank(s.effective)))
-            .collect();
-        let mut exp_sends: Vec<(usize, u64, u64)> = expected
+            .map(|s| {
+                let src = sources
+                    .remove(&s.token)
+                    .ok_or("completion of an unknown send")?;
+                Ok((src, s.len, rank(s.requested), rank(s.effective)))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        // The sender's region cache fills in completion order.
+        for &(src, ..) in &got_sends {
+            m.disposed(src);
+        }
+        let mut exp_sends: Vec<(usize, usize, u64, u64)> = expected
             .sends
             .iter()
-            .map(|s| (s.len, rank(s.requested), rank(s.effective)))
+            .map(|s| (s.src, s.len, rank(s.requested), rank(s.effective)))
             .collect();
         if faulted {
             // Masked completion-delay faults reorder send completions

@@ -7,10 +7,11 @@
 //! (strong = bytes at the output call, weak = bytes at transmission),
 //! when move-family sources disappear from the address space, what
 //! weakly-moved-out regions let the application keep doing, how the
-//! region cache recycles released regions, and what a pageout storm
-//! may evict. There is no cost model, no pooling, no scatter/gather:
-//! if the simulator and this model disagree about any
-//! application-visible byte, one of them is wrong.
+//! region cache recycles released regions and reclaims those beyond
+//! its bound, and what a pageout storm may evict. There is no cost
+//! model, no pooling, no scatter/gather: if the simulator and this
+//! model disagree about any application-visible byte, one of them is
+//! wrong.
 
 use std::collections::VecDeque;
 
@@ -68,10 +69,11 @@ pub enum EntityState {
     /// Readable and writable; contents are `bytes`.
     Visible,
     /// Weakly moved out: still readable and writable (the weak
-    /// semantics' defining leniency) until a pageout storm evicts it.
+    /// semantics' defining leniency) until a pageout storm evicts it
+    /// or the region cache reclaims it.
     WeaklyOut,
-    /// Unrecoverably gone: moved out, invalidated, or paged out.
-    /// Any access faults.
+    /// Unrecoverably gone: moved out, invalidated, paged out, or
+    /// reclaimed by the region cache. Any access faults.
     Hidden,
 }
 
@@ -156,6 +158,8 @@ pub struct ModelRecv {
 /// One predicted send completion.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModelSendDone {
+    /// Source entity of the send.
+    pub src: usize,
     /// Payload length.
     pub len: usize,
     /// Semantics the application asked for.
@@ -226,6 +230,15 @@ pub struct ModelWorld {
     posted: VecDeque<Posted>,
     /// Receiver-side region cache: (entity, npages), oldest first.
     cache: VecDeque<(usize, u64)>,
+    /// Receives that took a region from the cache (hit or miss) and
+    /// have not released it yet.
+    inputs_out: usize,
+    /// High-water mark of `inputs_out`: the receiver's cache keeps at
+    /// most this many regions (and at least one).
+    inputs_hwm: usize,
+    /// Sender-side region cache: disposed move-family sources, oldest
+    /// first. The sender never takes a region back, so it keeps one.
+    sent_cache: VecDeque<usize>,
     next_seq: u32,
 }
 
@@ -240,6 +253,9 @@ impl ModelWorld {
             backlog: VecDeque::new(),
             posted: VecDeque::new(),
             cache: VecDeque::new(),
+            inputs_out: 0,
+            inputs_hwm: 0,
+            sent_cache: VecDeque::new(),
             next_seq: 0,
         }
     }
@@ -353,18 +369,24 @@ impl ModelWorld {
         (span as u64).div_ceil(self.params.page_size as u64)
     }
 
+    /// True for the semantics whose moved-out regions enter a region
+    /// cache.
+    fn caches_regions(&self) -> bool {
+        matches!(
+            self.params.semantics,
+            Semantics::EmulatedMove | Semantics::WeakMove | Semantics::EmulatedWeakMove
+        )
+    }
+
     /// Posts one receive. `dst` is the destination entity for
     /// application-allocated semantics (`None` for system-allocated,
     /// which may recycle the oldest cached region of matching span —
     /// retiring that entity). Completes immediately if a datagram is
     /// already backlogged.
     pub fn post_recv(&mut self, dst: Option<usize>) -> PostOutcome {
-        if dst.is_none()
-            && matches!(
-                self.params.semantics,
-                Semantics::EmulatedMove | Semantics::WeakMove | Semantics::EmulatedWeakMove
-            )
-        {
+        if dst.is_none() && self.caches_regions() {
+            self.inputs_out += 1;
+            self.inputs_hwm = self.inputs_hwm.max(self.inputs_out);
             let want = self.recv_npages();
             if let Some(&(id, np)) = self.cache.front() {
                 if np == want {
@@ -422,7 +444,8 @@ impl ModelWorld {
     /// their output-time snapshot, weak sends deliver the source's
     /// *current* bytes; weak-move sources become weakly moved out at
     /// dispose. Each datagram fills the oldest posted receive or joins
-    /// the backlog.
+    /// the backlog. The sources enter the sender's region cache only
+    /// through [`ModelWorld::disposed`], in completion order.
     pub fn run(&mut self) -> ModelEvents {
         let mut ev = ModelEvents::default();
         while let Some(s) = self.inflight.pop_front() {
@@ -450,6 +473,7 @@ impl ModelWorld {
                 });
             }
             ev.sends.push(ModelSendDone {
+                src: s.src,
                 len: s.len,
                 requested: s.requested,
                 effective: s.effective,
@@ -511,7 +535,7 @@ impl ModelWorld {
             Semantics::Move => e.state = EntityState::Hidden,
             Semantics::EmulatedMove => {
                 e.state = EntityState::Hidden;
-                self.cache.push_back((idx, np));
+                self.recache(idx, np);
             }
             Semantics::WeakMove | Semantics::EmulatedWeakMove => {
                 // A weakly-moved-out range is unrecoverable; it stays
@@ -523,13 +547,42 @@ impl ModelWorld {
                 } else {
                     EntityState::Hidden
                 };
-                self.cache.push_back((idx, np));
+                self.recache(idx, np);
             }
             // Application-allocated semantics never deliver regions,
             // so `ids` was empty above.
             _ => unreachable!("no releasable regions under {:?}", self.params.semantics),
         }
         ReleaseOutcome::Apply { idx }
+    }
+
+    /// Returns a released region to the receiver's cache, which keeps
+    /// at most `max(1, inputs_hwm)` regions: the oldest beyond that
+    /// are reclaimed, hiding them for good.
+    fn recache(&mut self, idx: usize, npages: u64) {
+        self.inputs_out = self.inputs_out.saturating_sub(1);
+        self.cache.push_back((idx, npages));
+        while self.cache.len() > self.inputs_hwm.max(1) {
+            let (old, _) = self.cache.pop_front().expect("over bound");
+            self.entities[old].state = EntityState::Hidden;
+        }
+    }
+
+    /// A send from source `src` completed: under the move-family
+    /// semantics its region enters the sender's cache, which keeps one
+    /// region (the sender never asks for one back), so the previously
+    /// cached source is reclaimed and hidden. Completion order is a
+    /// timing matter the model does not simulate; the harness reports
+    /// each send as the world completes it.
+    pub fn disposed(&mut self, src: usize) {
+        if !self.caches_regions() {
+            return;
+        }
+        self.sent_cache.push_back(src);
+        if self.sent_cache.len() > 1 {
+            let old = self.sent_cache.pop_front().expect("over bound");
+            self.entities[old].state = EntityState::Hidden;
+        }
     }
 
     /// A pageout storm on host 0 (sender) or 1 (receiver). Only
@@ -679,6 +732,24 @@ mod tests {
         m.post_recv(None);
         assert!(m.entities()[region].retired);
         assert!(m.probes().iter().all(|&(i, _, _)| i != region));
+    }
+
+    #[test]
+    fn the_sender_cache_keeps_only_the_latest_disposed_source() {
+        let mut m = ModelWorld::new(params(Semantics::WeakMove), ModelBug::None);
+        let (a, b) = (m.add_source(vec![1; 64]), m.add_source(vec![2; 64]));
+        m.send(a, 64, None);
+        m.send(b, 64, None);
+        m.post_recv(None);
+        m.post_recv(None);
+        let ev = m.run();
+        assert_eq!(m.entities()[a].state, EntityState::WeaklyOut);
+        // Completion order decides which source the cache keeps.
+        for s in ev.sends.iter().rev() {
+            m.disposed(s.src);
+        }
+        assert_eq!(m.entities()[a].state, EntityState::WeaklyOut);
+        assert_eq!(m.entities()[b].state, EntityState::Hidden);
     }
 
     #[test]

@@ -38,6 +38,12 @@ impl RegionMark {
     pub fn recoverable(self) -> bool {
         matches!(self, RegionMark::Unmovable | RegionMark::MovedIn)
     }
+
+    /// True for the two moved-out marks, whose regions wait in the
+    /// region cache for reuse (paper Section 2.2).
+    pub fn cached(self) -> bool {
+        matches!(self, RegionMark::MovedOut | RegionMark::WeaklyMovedOut)
+    }
 }
 
 /// A contiguous virtual region mapping part of a memory object.

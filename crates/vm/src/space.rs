@@ -31,6 +31,26 @@ pub struct RegionHandle {
     pub start_vpn: u64,
 }
 
+/// One region-cache queue entry.
+#[derive(Clone, Copy, Debug)]
+struct Cached {
+    start_vpn: u64,
+    /// Host-wide queueing order (lower is older), stamped by
+    /// [`crate::Vm::cache_region`]; 0 for regions queued directly.
+    stamp: u64,
+}
+
+/// The region-cache queue of regions marked `mark`: moved-out regions
+/// (emulated move) and weakly-moved-out ones (weak move family) queue
+/// apart. `None` for marks that are never cached.
+fn cache_slot(mark: RegionMark) -> Option<usize> {
+    match mark {
+        RegionMark::MovedOut => Some(0),
+        RegionMark::WeaklyMovedOut => Some(1),
+        _ => None,
+    }
+}
+
 /// One simulated address space.
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
@@ -49,10 +69,19 @@ pub struct AddressSpace {
     /// are handed out by a bump allocator from 1, so the table is
     /// dense over the space's lifetime.
     ptes: DenseMap<Pte>,
-    /// Region cache for moved-out regions (emulated move).
-    moved_out_q: VecDeque<u64>,
-    /// Region cache for weakly-moved-out regions (weak move family).
-    weak_out_q: VecDeque<u64>,
+    /// Region cache, one queue per cached mark (see [`cache_slot`]),
+    /// oldest first.
+    cache: [VecDeque<Cached>; 2],
+    /// Regions handed to system-allocated inputs (one per
+    /// [`AddressSpace::uncache_region`] call, hit or miss) and not yet
+    /// given back.
+    inputs_out: u64,
+    /// High-water mark of `inputs_out`: the space's own input demand,
+    /// which sizes its region cache.
+    inputs_hwm: u64,
+    /// Pages of regions the region cache reclaimed that the
+    /// application has not freed yet, one bit per vpn.
+    reclaimed: Vec<u64>,
     /// Bump pointer for fresh region placement.
     next_vpn: u64,
 }
@@ -67,8 +96,10 @@ impl AddressSpace {
             free_slots: Vec::new(),
             by_vpn: Vec::new(),
             ptes: DenseMap::new(),
-            moved_out_q: VecDeque::new(),
-            weak_out_q: VecDeque::new(),
+            cache: [VecDeque::new(), VecDeque::new()],
+            inputs_out: 0,
+            inputs_hwm: 0,
+            reclaimed: Vec::new(),
             next_vpn: 1,
         }
     }
@@ -201,45 +232,130 @@ impl AddressSpace {
         self.ptes.iter().map(|(v, &p)| (v, p))
     }
 
-    /// Enqueues a region on the appropriate cache queue for its mark.
+    /// Enqueues a region on the appropriate cache queue for its mark,
+    /// with no bound ([`crate::Vm::cache_region`] is the bounded path).
     pub fn cache_region(&mut self, start_vpn: u64, mark: RegionMark) {
-        match mark {
-            RegionMark::MovedOut => self.moved_out_q.push_back(start_vpn),
-            RegionMark::WeaklyMovedOut => self.weak_out_q.push_back(start_vpn),
-            _ => unreachable!("only moved-out regions are cached"),
-        }
+        self.enqueue(start_vpn, mark, 0);
+    }
+
+    pub(crate) fn enqueue(&mut self, start_vpn: u64, mark: RegionMark, stamp: u64) {
+        let slot = cache_slot(mark).expect("only moved-out regions are cached");
+        self.cache[slot].push_back(Cached { start_vpn, stamp });
     }
 
     /// Dequeues a cached region of exactly `npages` pages with mark
     /// `mark`, scanning the queue first-fit (paper Section 2.2, region
-    /// caching).
+    /// caching). Every call, hit or miss, hands one region to a
+    /// system-allocated input and so counts towards the space's input
+    /// demand ([`AddressSpace::cache_bound`]).
     pub fn uncache_region(&mut self, npages: u64, mark: RegionMark) -> Option<u64> {
-        let q = match mark {
-            RegionMark::MovedOut => &self.moved_out_q,
-            RegionMark::WeaklyMovedOut => &self.weak_out_q,
-            _ => return None,
-        };
-        let pos = q.iter().position(|&start| {
-            self.region(start)
+        self.inputs_out += 1;
+        self.inputs_hwm = self.inputs_hwm.max(self.inputs_out);
+        let slot = cache_slot(mark)?;
+        let pos = self.cache[slot].iter().position(|c| {
+            self.region(c.start_vpn)
                 .is_some_and(|r| r.npages == npages && r.mark == mark)
         })?;
-        if mark == RegionMark::MovedOut {
-            self.moved_out_q.remove(pos)
+        self.cache[slot].remove(pos).map(|c| c.start_vpn)
+    }
+
+    /// Records that the application gave back one region handed out by
+    /// [`AddressSpace::uncache_region`].
+    pub fn input_region_released(&mut self) {
+        self.inputs_out = self.inputs_out.saturating_sub(1);
+    }
+
+    /// The most regions the cache keeps per mark: the high-water mark
+    /// of regions this space's system-allocated inputs held at once,
+    /// and at least one. A space that never asks for a region back
+    /// (a pure sender) keeps only its latest.
+    pub fn cache_bound(&self) -> usize {
+        self.inputs_hwm.max(1) as usize
+    }
+
+    /// Dequeues the oldest region of `mark`'s queue if the queue holds
+    /// more than [`AddressSpace::cache_bound`] regions.
+    pub(crate) fn pop_over_bound(&mut self, mark: RegionMark) -> Option<u64> {
+        let bound = self.cache_bound();
+        let q = &mut self.cache[cache_slot(mark)?];
+        if q.len() > bound {
+            q.pop_front().map(|c| c.start_vpn)
         } else {
-            self.weak_out_q.remove(pos)
+            None
         }
+    }
+
+    /// The queue holding the oldest cached region, and its stamp.
+    fn oldest(&self) -> Option<(u64, usize)> {
+        (0..self.cache.len())
+            .filter_map(|slot| Some((self.cache[slot].front()?.stamp, slot)))
+            .min()
+    }
+
+    /// Stamp of the oldest cached region in either queue.
+    pub(crate) fn oldest_stamp(&self) -> Option<u64> {
+        self.oldest().map(|(stamp, _)| stamp)
+    }
+
+    /// Dequeues the oldest cached region of either queue.
+    pub(crate) fn pop_oldest(&mut self) -> Option<u64> {
+        let (_, slot) = self.oldest()?;
+        self.cache[slot].pop_front().map(|c| c.start_vpn)
     }
 
     /// Drops a region from the cache queues (used when an application
     /// removes a cached region out from under the system).
     pub fn uncache_specific(&mut self, start_vpn: u64) {
-        self.moved_out_q.retain(|&s| s != start_vpn);
-        self.weak_out_q.retain(|&s| s != start_vpn);
+        for q in &mut self.cache {
+            if let Some(pos) = q.iter().position(|c| c.start_vpn == start_vpn) {
+                q.remove(pos);
+                return;
+            }
+        }
     }
 
     /// Number of cached regions (both queues).
     pub fn cached_region_count(&self) -> usize {
-        self.moved_out_q.len() + self.weak_out_q.len()
+        self.cache.iter().map(VecDeque::len).sum()
+    }
+
+    /// Records the pages `vpns` of a region the cache reclaimed: the
+    /// range is unmapped, but the application may still free it.
+    pub(crate) fn mark_reclaimed(&mut self, vpns: std::ops::Range<u64>) {
+        let words = vpns.end.div_ceil(64) as usize;
+        if self.reclaimed.len() < words {
+            self.reclaimed.resize(words, 0);
+        }
+        for vpn in vpns {
+            self.reclaimed[(vpn / 64) as usize] |= 1 << (vpn % 64);
+        }
+    }
+
+    fn is_reclaimed(&self, vpn: u64) -> bool {
+        self.reclaimed
+            .get((vpn / 64) as usize)
+            .is_some_and(|w| w & (1 << (vpn % 64)) != 0)
+    }
+
+    /// Frees a reclaimed range given any vpn inside it: the application
+    /// freeing a buffer the region cache already took back. Returns
+    /// false if `vpn` is not in a reclaimed range.
+    pub fn free_reclaimed(&mut self, vpn: u64) -> bool {
+        if !self.is_reclaimed(vpn) {
+            return false;
+        }
+        // Guard gaps separate reserved regions, so the contiguous run
+        // of reclaimed pages around `vpn` is exactly its region.
+        let mut first = vpn;
+        while first > 0 && self.is_reclaimed(first - 1) {
+            first -= 1;
+        }
+        let mut v = first;
+        while self.is_reclaimed(v) {
+            self.reclaimed[(v / 64) as usize] &= !(1 << (v % 64));
+            v += 1;
+        }
+        true
     }
 }
 

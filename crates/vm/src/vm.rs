@@ -1,7 +1,7 @@
 //! The VM subsystem: fault handling, page referencing, page swapping,
 //! wiring, COW, and the region operations behind move emulation.
 
-use genie_mem::{DenseMap, FrameId, IoDir, PhysMem};
+use genie_mem::{DenseMap, FrameId, IoDir, MemError, PhysMem};
 
 use crate::error::VmError;
 use crate::fault::{Access, FaultOutcome};
@@ -79,6 +79,11 @@ pub struct VmStats {
     pub region_invalidations: u64,
     /// Region reinstatements.
     pub region_reinstates: u64,
+    /// Cached regions evicted by the region cache, over its bound or
+    /// to free frames for an allocation.
+    pub regions_reclaimed: u64,
+    /// Most regions cached at once, summed over the host's spaces.
+    pub cached_regions_peak: u64,
 }
 
 /// Host-side storage a [`Vm`] keeps for reuse instead of returning it
@@ -115,6 +120,9 @@ pub struct Vm {
     /// creation takes one. Bounded, like `spare_vecs`, by the most
     /// objects ever live at once.
     spare_page_tables: Vec<DenseMap<FrameId>>,
+    /// Stamp of the next region queued on a region cache, so reclaim
+    /// can find the host-wide oldest.
+    cache_clock: u64,
 }
 
 impl Vm {
@@ -128,6 +136,7 @@ impl Vm {
             faults: Vec::new(),
             spare_vecs: Vec::new(),
             spare_page_tables: Vec::new(),
+            cache_clock: 1,
         }
     }
 
@@ -294,9 +303,21 @@ impl Vm {
     }
 
     /// Removes a region (application- or system-initiated), clearing
-    /// its PTEs and releasing its object. Frames with pending I/O are
-    /// protected by I/O-deferred deallocation.
+    /// its PTEs, releasing its object and dropping it from its region
+    /// cache if it is cached. Frames with pending I/O are protected by
+    /// I/O-deferred deallocation.
     pub fn remove_region(&mut self, handle: RegionHandle) -> Result<(), VmError> {
+        let region = self.unmap_region(handle)?;
+        if region.mark.cached() {
+            self.space_mut(handle.space)
+                .uncache_specific(handle.start_vpn);
+        }
+        Ok(())
+    }
+
+    /// Removes a region from its space, clears its PTEs and releases
+    /// its object; returns the removed region.
+    fn unmap_region(&mut self, handle: RegionHandle) -> Result<Region, VmError> {
         let space = self.space_mut(handle.space);
         let region = space
             .remove_region(handle.start_vpn)
@@ -304,9 +325,99 @@ impl Vm {
         for vpn in region.start_vpn..region.end_vpn() {
             space.clear_pte(vpn);
         }
-        space.uncache_specific(handle.start_vpn);
         self.release_object(region.object);
+        Ok(region)
+    }
+
+    // ----- region cache ---------------------------------------------------------
+
+    /// Marks a region moved out (`mark` is [`RegionMark::MovedOut`] or
+    /// [`RegionMark::WeaklyMovedOut`]) and queues it on its space's
+    /// region cache for reuse by a later system-allocated input (paper
+    /// Section 2.2). Regions enter a cache only through here, so one
+    /// that already carries a moved-out mark is queued already and
+    /// stays queued once.
+    ///
+    /// The cache is bounded per mark by its space's own input demand
+    /// ([`AddressSpace::cache_bound`]): the oldest regions beyond it
+    /// are reclaimed — unmapped, their object released and their frames
+    /// freed (I/O-deferred). Reclaim is host bookkeeping and charges no
+    /// simulated time; the application can still free a reclaimed
+    /// buffer, and touching it faults unrecoverably, as touching a
+    /// hidden region does.
+    pub fn cache_region(&mut self, handle: RegionHandle, mark: RegionMark) -> Result<(), VmError> {
+        debug_assert!(mark.cached(), "only moved-out regions are cached");
+        let region = self.region_mut(handle)?;
+        let queued = region.mark.cached();
+        region.mark = mark;
+        if queued {
+            return Ok(());
+        }
+        let stamp = self.cache_clock;
+        self.cache_clock += 1;
+        self.space_mut(handle.space)
+            .enqueue(handle.start_vpn, mark, stamp);
+        while let Some(start_vpn) = self.space_mut(handle.space).pop_over_bound(mark) {
+            self.reclaim(RegionHandle {
+                space: handle.space,
+                start_vpn,
+            });
+        }
+        let cached = self
+            .spaces
+            .iter()
+            .map(|s| s.cached_region_count())
+            .sum::<usize>() as u64;
+        self.stats.cached_regions_peak = self.stats.cached_regions_peak.max(cached);
         Ok(())
+    }
+
+    /// Evicts a region already dequeued from its cache.
+    fn reclaim(&mut self, handle: RegionHandle) {
+        let region = self.unmap_region(handle).expect("cached region exists");
+        self.space_mut(handle.space)
+            .mark_reclaimed(region.start_vpn..region.end_vpn());
+        self.stats.regions_reclaimed += 1;
+    }
+
+    /// Evicts the host-wide oldest cached region; false if no space
+    /// caches any.
+    fn reclaim_oldest(&mut self) -> bool {
+        let oldest = (0..self.spaces.len())
+            .filter_map(|i| Some((self.spaces[i].oldest_stamp()?, i)))
+            .min();
+        let Some((_, i)) = oldest else {
+            return false;
+        };
+        let start_vpn = self.spaces[i].pop_oldest().expect("oldest exists");
+        self.reclaim(RegionHandle {
+            space: SpaceId(i as u32),
+            start_vpn,
+        });
+        true
+    }
+
+    /// Allocates a frame for `owner`, zero-filled if `zeroed`. Every
+    /// frame the VM and its host kernel take comes through here: when
+    /// physical memory is exhausted, cached regions are reclaimed
+    /// host-wide, oldest first, until a frame is free, and the
+    /// allocation is retried once — the region cache is a reuse
+    /// optimization and must never be why an allocation fails.
+    pub fn alloc_frame(&mut self, owner: Option<u64>, zeroed: bool) -> Result<FrameId, VmError> {
+        let alloc = |phys: &mut PhysMem| {
+            if zeroed {
+                phys.alloc_zeroed(owner)
+            } else {
+                phys.alloc(owner)
+            }
+        };
+        match alloc(&mut self.phys) {
+            Err(MemError::OutOfFrames) => {
+                while self.phys.free_frames() == 0 && self.reclaim_oldest() {}
+                Ok(alloc(&mut self.phys)?)
+            }
+            r => Ok(r?),
+        }
     }
 
     /// The region named by `handle`.
@@ -382,7 +493,7 @@ impl Vm {
             .object_mut(owner)
             .take_paged(idx)
             .expect("caller located paged contents");
-        let frame = self.phys.alloc(Some(u64::from(owner.0)))?;
+        let frame = self.alloc_frame(Some(u64::from(owner.0)), false)?;
         self.phys
             .frame_mut(frame)?
             .data_mut()
@@ -402,7 +513,7 @@ impl Vm {
         src_frame: FrameId,
     ) -> Result<FrameId, VmError> {
         let page = self.page_size();
-        let new = self.phys.alloc(Some(u64::from(dst_obj.0)))?;
+        let new = self.alloc_frame(Some(u64::from(dst_obj.0)), false)?;
         self.phys.copy(src_frame, 0, new, 0, page)?;
         if let Some(old) = self.object_mut(dst_obj).set_page(idx, new) {
             // Replacing a top-object page (TCOW): the displaced frame
@@ -567,11 +678,7 @@ impl Vm {
 
         // First touch: zero-fill (skipped as dead work when the
         // faulting write covers the whole page).
-        let frame = if full_write {
-            self.phys.alloc(Some(u64::from(top.0)))?
-        } else {
-            self.phys.alloc_zeroed(Some(u64::from(top.0)))?
-        };
+        let frame = self.alloc_frame(Some(u64::from(top.0)), !full_write)?;
         self.object_mut(top).set_page(idx, frame);
         self.space_mut(space).set_pte(
             vpn,
@@ -955,7 +1062,7 @@ impl Vm {
             };
             if owner == top {
                 if for_input && self.phys.frame(frame)?.out_count() > 0 {
-                    let new = self.phys.alloc(Some(u64::from(top.0)))?;
+                    let new = self.alloc_frame(Some(u64::from(top.0)), false)?;
                     self.phys.copy(frame, 0, new, 0, page_size)?;
                     self.object_mut(top).set_page(idx, new);
                     let _ = self.phys.dealloc(frame);
@@ -972,7 +1079,7 @@ impl Vm {
             }
             // Found below the top object.
             if for_input {
-                let new = self.phys.alloc(Some(u64::from(top.0)))?;
+                let new = self.alloc_frame(Some(u64::from(top.0)), false)?;
                 self.phys.copy(frame, 0, new, 0, page_size)?;
                 self.object_mut(top).set_page(idx, new);
                 return Ok((new, FaultOutcome::CowCopied));
@@ -986,7 +1093,7 @@ impl Vm {
                 },
             ));
         }
-        let frame = self.phys.alloc_zeroed(Some(u64::from(top.0)))?;
+        let frame = self.alloc_frame(Some(u64::from(top.0)), true)?;
         self.object_mut(top).set_page(idx, frame);
         Ok((frame, FaultOutcome::ZeroFilled))
     }
@@ -1322,7 +1429,7 @@ impl Vm {
                         PageLoc::Resident(f) => f,
                         PageLoc::Paged => self.page_in(owner, src_off + i)?,
                     };
-                    let copy = self.phys.alloc(Some(u64::from(new_obj.0)))?;
+                    let copy = self.alloc_frame(Some(u64::from(new_obj.0)), false)?;
                     self.phys.copy(frame, 0, copy, 0, page)?;
                     self.object_mut(new_obj).set_page(i, copy);
                 }
@@ -1777,5 +1884,75 @@ mod tests {
         assert_eq!(v.trim_pools(0), 3, "fault list, descriptor list, table");
         assert_eq!(v.pools(), VmPools::default());
         assert_eq!(v.trim_pools(0), 0);
+    }
+
+    /// A one-page region of `space`, written so it holds a frame.
+    fn touched_region(v: &mut Vm, space: SpaceId) -> RegionHandle {
+        let h = v.alloc_region(space, 1, RegionMark::MovedIn).unwrap();
+        v.write_app(space, h.start_vpn * 4096, b"cached").unwrap();
+        h
+    }
+
+    #[test]
+    fn cache_keeps_at_most_the_spaces_input_demand() {
+        let (mut v, s) = vm();
+        let regions: Vec<_> = (0..3).map(|_| touched_region(&mut v, s)).collect();
+        // No input ever took a region back from this space: it keeps
+        // only its latest.
+        for &h in &regions {
+            v.cache_region(h, RegionMark::MovedOut).unwrap();
+        }
+        assert_eq!(v.space(s).cached_region_count(), 1);
+        assert!(v.region(regions[2]).is_ok());
+        for &h in &regions[..2] {
+            assert!(v.region(h).is_err(), "older regions are reclaimed");
+            assert!(v.space_mut(s).free_reclaimed(h.start_vpn));
+            assert!(!v.space_mut(s).free_reclaimed(h.start_vpn));
+        }
+        // Caching a cached region again queues it once.
+        v.cache_region(regions[2], RegionMark::MovedOut).unwrap();
+        assert_eq!(v.space(s).cached_region_count(), 1);
+        assert_eq!(v.stats().regions_reclaimed, 2);
+        assert_eq!(v.stats().cached_regions_peak, 1);
+
+        // Two inputs held at once raise the bound to two.
+        for _ in 0..2 {
+            assert_eq!(v.space_mut(s).uncache_region(9, RegionMark::MovedOut), None);
+        }
+        let more: Vec<_> = (0..3).map(|_| touched_region(&mut v, s)).collect();
+        for &h in &more {
+            v.space_mut(s).input_region_released();
+            v.cache_region(h, RegionMark::MovedOut).unwrap();
+        }
+        assert_eq!(v.space(s).cached_region_count(), 2);
+        assert!(v.validate().is_empty(), "{:?}", v.validate());
+    }
+
+    #[test]
+    fn out_of_frames_reclaims_the_host_wide_oldest_cached_region_first() {
+        let mut v = Vm::new(PhysMem::new(4096, 4));
+        let (a, b) = (v.create_space(), v.create_space());
+        // Space `a` once held three input regions, so it caches three.
+        for _ in 0..3 {
+            v.space_mut(a).uncache_region(9, RegionMark::MovedOut);
+        }
+        let oldest = touched_region(&mut v, a);
+        let middle = touched_region(&mut v, b);
+        let newest = touched_region(&mut v, a);
+        for h in [oldest, middle, newest] {
+            v.cache_region(h, RegionMark::WeaklyMovedOut).unwrap();
+        }
+        let app = v.alloc_app_buffer(b, 2 * 4096).unwrap();
+        v.write_app(b, app, &[7; 4096]).unwrap();
+        // Physical memory is full: the next fault reclaims `oldest`...
+        v.write_app(b, app + 4096, &[7; 4096]).unwrap();
+        assert!(v.region(oldest).is_err());
+        assert!(v.region(middle).is_ok() && v.region(newest).is_ok());
+        assert_eq!(v.peek(a, oldest.start_vpn * 4096, 1), None);
+        // ...and a kernel allocation the next oldest, across spaces.
+        v.alloc_frame(None, false).unwrap();
+        assert!(v.region(middle).is_err() && v.region(newest).is_ok());
+        assert_eq!(v.stats().regions_reclaimed, 2);
+        assert!(v.validate().is_empty(), "{:?}", v.validate());
     }
 }

@@ -87,6 +87,7 @@ grep -q '"datapath_ns"' "$tmp_bench"
 grep -q '"crc32_60k"' "$tmp_bench"
 grep -q '"checksum16_60k"' "$tmp_bench"
 grep -q '"tcow_write_fault"' "$tmp_bench"
+grep -q '"series_reuse_emulated_move"' "$tmp_bench"
 
 echo "== simulated-latency golden guard (report --json vs committed golden) =="
 # Host-performance work must never move a simulated number: the
