@@ -6,11 +6,11 @@
 //! latency of each primitive operation against datagram length, and
 //! least-squares fitted each, averaging over the semantics and
 //! buffering schemes where the operation appears. We do exactly that:
-//! the simulator's [`genie_machine::CostLedger`] records every charged
-//! operation while the same experiments run, and the fits below are
-//! computed from those samples.
-
-use std::collections::BTreeMap;
+//! the same experiments run with each measured round traced, every
+//! charged operation is one op span of that trace
+//! ([`genie::TraceSet::charges`]), and the fits below are computed
+//! from those spans. The hosts' [`genie_machine::CostLedger`]s only
+//! aggregate the same charges.
 
 use genie::{Semantics, SeriesContext};
 use genie_machine::{LinkSpec, MachineSpec, Op};
@@ -70,26 +70,28 @@ fn instrument_primitive_costs(machine: &MachineSpec, link: &LinkSpec) -> Vec<OpF
         // every size.
         setup.genie = setup.genie.without_thresholds();
         let mut ctx = SeriesContext::new(&setup, &sizes);
-        let mut points: Vec<(u32, f64, f64)> = Vec::new();
+        let mut points: Vec<(Op, f64, f64)> = Vec::new();
         for &b in &sizes {
-            let (_lat, samples) = ctx
-                .measure_latency_recorded(sem, b)
-                .expect("instrumented run");
-            for s in samples {
-                points.push((s.op.id(), s.bytes as f64, s.cost.as_us()));
+            let (_lat, trace) = ctx.measure_charges(sem, b).expect("instrumented run");
+            for (op, e) in trace.charges() {
+                points.push((op, e.bytes as f64, e.dur.as_us()));
             }
         }
         points
     });
-    let mut by_op: BTreeMap<u32, Vec<(f64, f64)>> = BTreeMap::new();
-    for (id, bytes, cost) in per_cell.into_iter().flatten() {
-        by_op.entry(id).or_default().push((bytes, cost));
+    // Group by op (indexed by `Op::id`), keeping cell order within
+    // each op's points.
+    let mut by_op = vec![(Vec::new(), Vec::new()); Op::ALL.len()];
+    for (op, bytes, cost) in per_cell.into_iter().flatten() {
+        let (xs, ys) = &mut by_op[op.id() as usize];
+        xs.push(bytes);
+        ys.push(cost);
     }
     let mut out = Vec::new();
-    for (id, points) in by_op {
-        let op = Op::ALL[id as usize];
-        let xs: Vec<f64> = points.iter().map(|p| p.0).collect();
-        let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
+    for (&op, (xs, ys)) in Op::ALL.iter().zip(by_op) {
+        if xs.is_empty() {
+            continue;
+        }
         let all_same_x = xs.windows(2).all(|w| w[0] == w[1]);
         let fit = if xs.len() < 2 || all_same_x {
             Fit {

@@ -369,15 +369,17 @@ fn main() {
 
     // Flight-recorder overhead: one 8-host star fan-in with the full
     // observation stack on (tracing, switch port series, per-VC
-    // latency, rollups — sampled per GENIE_TRACE_SAMPLE when set,
-    // keep-everything otherwise). Gated against the baseline so the
-    // instrumentation path can't quietly get expensive.
+    // latency, rollups), keeping every flow. Gated against the
+    // baseline so the instrumentation path can't quietly get
+    // expensive.
+    let keep_all = genie::SampleConfig::default();
     results.push(time_named("datapath/trace_overhead", iters(40), || {
         std::hint::black_box(genie::suites::rpc_fanin_observed(
             Semantics::EmulatedCopy,
             7,
             4,
             2048,
+            &keep_all,
         ));
     }));
 

@@ -12,6 +12,11 @@
 //!
 //! `GENIE_TRACE=<path>` is equivalent to `--trace <path>`. With only
 //! `--metrics`/`--trace` and no exhibit names, no exhibits render.
+//! `GENIE_TRACE_SAMPLE=<n>` keeps one traced flow in n and
+//! `GENIE_TRACE_BUDGET=<events>` bounds each tracer's ring, for
+//! `--trace`, `--metrics` and `report fabric --metrics`; the paper
+//! exhibits always trace every charge. This binary is the only reader
+//! of the library's environment knobs.
 //!
 //! Exhibits: table1 fig1 fig2 table2 table3 table4 table5 fig3 fig4
 //! fig5 fig6 fig7 table6 table7 table8 oc12 outboard ablations
@@ -23,7 +28,8 @@
 //! `report fabric --scale` runs the scale tier instead: a 64-host
 //! star pushing `GENIE_SCALE_DATAGRAMS` (default 125 000) datagrams
 //! per semantics — one million total. `report fabric --cq` runs the
-//! CQ saturation sweep.
+//! CQ saturation sweep, under the masked fault plan seeded by
+//! `GENIE_CQ_FAULT_SEED` when that is set.
 //!
 //! Any other argument (an unknown flag or exhibit name) is an error:
 //! `report` names it on stderr and exits 2.
@@ -40,7 +46,9 @@
 
 use std::time::Instant;
 
+use genie::SampleConfig;
 use genie_bench as gen;
+use genie_fault::FaultConfig;
 use genie_machine::MachineSpec;
 use genie_trace::json::{Layout, Writer};
 
@@ -81,14 +89,32 @@ fn simulated_summary() -> Vec<(String, f64)> {
     })
 }
 
+/// Environment variable `name` parsed as a `T`; `None` when it is
+/// unset or does not parse.
+fn env_knob<T: std::str::FromStr>(name: &str) -> Option<T> {
+    std::env::var(name).ok()?.trim().parse().ok()
+}
+
 /// Fault-injection seed for the `--json` fault-stats section:
 /// `GENIE_FAULT_SEED` if set, else a fixed default so the section is
 /// deterministic out of the box.
 fn fault_seed() -> u64 {
-    std::env::var("GENIE_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(42)
+    env_knob("GENIE_FAULT_SEED").unwrap_or(42)
+}
+
+/// The flight recorder's sampling policy: keep one flow in
+/// `GENIE_TRACE_SAMPLE`, bound each ring at `GENIE_TRACE_BUDGET`
+/// events. Unset or unparsable values keep every flow at the default
+/// capacity.
+fn sample_config_from_env() -> SampleConfig {
+    let mut cfg = SampleConfig::default();
+    if let Some(n) = env_knob::<u32>("GENIE_TRACE_SAMPLE") {
+        cfg.rate = n.max(1);
+    }
+    if let Some(n) = env_knob("GENIE_TRACE_BUDGET") {
+        cfg.budget = n;
+    }
+    cfg
 }
 
 /// Runs one seeded faulted exchange set per semantics (early demux,
@@ -324,15 +350,24 @@ fn main() {
     // `report fabric --metrics` is the flight-recorder view: rollup
     // tables instead of the distribution exhibit. Plain `report
     // --metrics` (the canonical two-host inspection) is untouched.
-    let scale_report = want_scale.then(gen::fabric_scale_run);
-    let cq_report = want_cq.then(gen::fabric_cq_run);
+    let sample = sample_config_from_env();
+    let scale_report = want_scale.then(|| {
+        let per = env_knob("GENIE_SCALE_DATAGRAMS")
+            .filter(|&n: &usize| n > 0)
+            .unwrap_or(125_000);
+        gen::fabric_scale_run(per)
+    });
+    let cq_report = want_cq.then(|| {
+        let seed = env_knob("GENIE_CQ_FAULT_SEED");
+        gen::fabric_cq_run(seed.map_or(FaultConfig::NONE, FaultConfig::masked))
+    });
     if want_fabric {
         if let Some(r) = &scale_report {
             println!("{}", gen::fabric_scale_exhibit(r));
         } else if let Some(points) = &cq_report {
             println!("{}", gen::fabric_cq_exhibit(points));
         } else if want_metrics {
-            println!("{}", gen::fabric_metrics_report());
+            println!("{}", gen::fabric_metrics_report(&sample));
         } else {
             println!("{}\n", gen::fabric_exhibit());
         }
@@ -341,10 +376,10 @@ fn main() {
         print_profile(&rendered, total_ms);
     }
     if want_metrics && !want_fabric {
-        print!("{}", gen::inspect::metrics_json());
+        print!("{}", gen::inspect::metrics_json(&sample));
     }
     if let Some(path) = &trace_path {
-        let trace = gen::inspect::trace_json();
+        let trace = gen::inspect::trace_json(&sample);
         std::fs::write(path, &trace).expect("write trace JSON");
         eprintln!("wrote {} ({} bytes of trace JSON)", path, trace.len());
     }
@@ -378,7 +413,7 @@ fn main() {
         if want_fabric {
             // `report --json fabric` appends the fabric fan-in and
             // host-rollup sections `--compare` diffs.
-            let (fabric, host) = gen::fabric_json_sections();
+            let (fabric, host) = gen::fabric_json_sections(&sample);
             flat("fabric", &fabric);
             flat("host_rollup", &host);
             if let Some(r) = &scale_report {

@@ -9,7 +9,8 @@
 //! the answer is a distribution, not a point.
 
 use genie::suites::FabricObservation;
-use genie::{SuitePoint, ALL_SEMANTICS};
+use genie::{SampleConfig, SuitePoint, ALL_SEMANTICS};
+use genie_fault::FaultConfig;
 use genie_trace::metrics::Metric;
 
 fn header(out: &mut String, title: &str) {
@@ -72,20 +73,19 @@ pub fn fabric_exhibit() -> String {
 /// The observed fan-in every flight-recorder view is built from: an
 /// 8-host star (7 clients x 8 pipelined 2 KB requests into one server
 /// port) per semantics, with tracing, switch observation and per-VC
-/// latency capture on. Sampling and ring budget come from
-/// `GENIE_TRACE_SAMPLE` / `GENIE_TRACE_BUDGET`; all numbers are
-/// simulated, so the output is byte-identical at any thread count.
-fn observed_fanin() -> Vec<FabricObservation> {
+/// latency capture on, sampled and bounded per `sample`. All numbers
+/// are simulated, so the output is byte-identical at any thread count.
+fn observed_fanin(sample: &SampleConfig) -> Vec<FabricObservation> {
     genie_runner::map(ALL_SEMANTICS, |&s| {
-        genie::suites::rpc_fanin_observed(s, 7, 8, 2048)
+        genie::suites::rpc_fanin_observed(s, 7, 8, 2048, sample)
     })
 }
 
 /// Renders `report fabric --metrics`: per-semantics per-VC delivery
 /// p50/p99 (from the rollup layer's top-K circuits), the per-port
 /// stall/depth table, and the sampling ledger.
-pub fn fabric_metrics_report() -> String {
-    let obs = observed_fanin();
+pub fn fabric_metrics_report(sample: &SampleConfig) -> String {
+    let obs = observed_fanin(sample);
     let mut out = String::from(
         "# Fabric flight recorder: 8-host star fan-in, per-semantics rollups\n\
          7 clients x 8 pipelined 2 KB requests -> 1 server port. Per-VC\n\
@@ -157,7 +157,7 @@ pub struct ScaleReport {
     pub points: Vec<genie::suites::ScalePoint>,
     /// Cores visible to this process (recorded with the wall clocks).
     pub cores: usize,
-    /// Datagrams per semantics (`GENIE_SCALE_DATAGRAMS`).
+    /// Datagrams per semantics.
     pub per_semantics: usize,
 }
 
@@ -167,11 +167,11 @@ pub struct ScaleReport {
 const SCALE_HOSTS: u16 = 64;
 const SCALE_BYTES: usize = 2048;
 
-/// Runs the scale tier. Sequential over semantics on purpose: each
-/// run owns the machine so `wall_s` measures the event loop, not
-/// scheduler contention between exhibits.
-pub fn fabric_scale_run() -> ScaleReport {
-    let per = genie::suites::scale_datagrams();
+/// Runs the scale tier, `per` datagrams per semantics. Sequential
+/// over semantics on purpose: each run owns the machine so `wall_s`
+/// measures the event loop, not scheduler contention between
+/// exhibits.
+pub fn fabric_scale_run(per: usize) -> ScaleReport {
     let points: Vec<_> = ALL_SEMANTICS
         .iter()
         .map(|&s| genie::suites::fabric_scale(s, SCALE_HOSTS, per, SCALE_BYTES))
@@ -250,8 +250,8 @@ pub type FlatRows = Vec<(String, f64)>;
 /// per-semantics fan-in distribution and the `"host_rollup"`
 /// aggregate-over-hosts rollup (from the canonical `copy` run) —
 /// the two sections `report --compare` diffs.
-pub fn fabric_json_sections() -> (FlatRows, FlatRows) {
-    let obs = observed_fanin();
+pub fn fabric_json_sections(sample: &SampleConfig) -> (FlatRows, FlatRows) {
+    let obs = observed_fanin(sample);
     let mut fabric = Vec::new();
     for o in &obs {
         let label = o.point.semantics.label();
@@ -287,19 +287,15 @@ pub fn fabric_json_sections() -> (FlatRows, FlatRows) {
 
 /// Runs the CQ saturation sweep (`report fabric --cq`): queue depth x
 /// eight semantics on the 8-host star, fixed in-flight window per
-/// client queue pair. Fault-free by default; `GENIE_CQ_FAULT_SEED=<n>`
-/// runs the masked fault plan instead, so the determinism smoke in
-/// `scripts/verify.sh` can byte-compare the faulted table across
-/// thread counts too.
-pub fn fabric_cq_run() -> Vec<genie::CqSaturationPoint> {
-    let mut cfg = genie::CqSuiteConfig::default();
-    if let Some(seed) = std::env::var("GENIE_CQ_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-    {
-        cfg.fault = genie_fault::FaultConfig::masked(seed);
-    }
-    genie::cq_sweep(&cfg)
+/// client queue pair, under the fault plan `fault` (the sweep's
+/// default is fault-free; `report` passes the masked plan when asked,
+/// so the determinism smoke can byte-compare the faulted table across
+/// thread counts too).
+pub fn fabric_cq_run(fault: FaultConfig) -> Vec<genie::CqSaturationPoint> {
+    genie::cq_sweep(&genie::CqSuiteConfig {
+        fault,
+        ..genie::CqSuiteConfig::default()
+    })
 }
 
 /// Renders `report fabric --cq`: the per-semantics saturation table

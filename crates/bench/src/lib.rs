@@ -20,6 +20,7 @@ pub use fabric::{
 use genie::oplists::{self, OpUse, Scale};
 use genie::{
     latency_sweep, measure_ping_pong, throughput_mbps, ExperimentSetup, GenieConfig, Semantics,
+    SeriesContext,
 };
 use genie_analysis::{
     estimate_line, measure_line, measure_primitive_costs, param_ratios, predict_oc12_throughput,
@@ -479,27 +480,28 @@ pub fn ablation_thresholds(machine: MachineSpec) -> String {
 /// exchange charges, per semantics, with their simulated costs — the
 /// Section 8 decomposition made visible.
 pub fn breakdown_waterfall(machine: MachineSpec) -> String {
-    use genie::measure_latency_recorded;
     let mut setup = ExperimentSetup::early_demux(machine);
     setup.genie = setup.genie.without_thresholds();
     let mut out =
         String::from("# Latency breakdown: per-op charges of one 60 KB exchange (early demux)\n");
-    let recorded = genie_runner::map(&Semantics::ALL, |&sem| {
-        measure_latency_recorded(&setup, sem, 61_440).expect("instrumented run")
+    let traced = genie_runner::map(&Semantics::ALL, |&sem| {
+        SeriesContext::new(&setup, &[61_440])
+            .measure_charges(sem, 61_440)
+            .expect("instrumented run")
     });
-    for (sem, (lat, samples)) in Semantics::ALL.iter().zip(recorded) {
+    for (sem, (lat, trace)) in Semantics::ALL.iter().zip(traced) {
         out.push_str(&format!(
             "\n## {} — end-to-end {:.0} us\n",
             sem.label(),
             lat.as_us()
         ));
         let mut rows = Vec::new();
-        for s in &samples {
+        for (op, e) in trace.charges() {
             rows.push(vec![
-                s.op.name().to_string(),
-                format!("{}", s.bytes),
-                format!("{}", s.units),
-                format!("{:.1}", s.cost.as_us()),
+                op.name().to_string(),
+                format!("{}", e.bytes),
+                format!("{}", e.units),
+                format!("{:.1}", e.dur.as_us()),
             ]);
         }
         out.push_str(&render_table(&["op", "bytes", "units", "cost (us)"], &rows));

@@ -20,6 +20,8 @@
 
 use genie_machine::{LinkSpec, MachineSpec, SimTime};
 use genie_net::{InputBuffering, Vc, HEADER_LEN};
+use genie_trace::metrics::MetricsRegistry;
+use genie_trace::{SampleConfig, TraceSet};
 use genie_vm::SpaceId;
 
 use crate::config::GenieConfig;
@@ -218,26 +220,37 @@ impl SeriesContext {
         semantics: Semantics,
         bytes: usize,
     ) -> Result<SimTime, GenieError> {
-        let mut last = SimTime::ZERO;
-        let mut app_bufs: Option<(u64, u64)> = None;
-        for round in 0..2u8 {
-            last = with_payload(bytes, round, |data| {
-                one_exchange_between(
-                    &mut self.w,
-                    semantics,
-                    Vc(1),
-                    HostId::A,
-                    self.tx,
-                    HostId::B,
-                    self.rx,
-                    self.setup.recv_page_off,
-                    data,
-                    &mut app_bufs,
-                )
-            })?;
-        }
+        let mut app_bufs = None;
+        self.exchange(semantics, bytes, 0, &mut app_bufs)?;
+        let latency = self.exchange(semantics, bytes, 1, &mut app_bufs)?;
         self.free_app_bufs(app_bufs);
-        Ok(last)
+        Ok(latency)
+    }
+
+    /// One exchange of `bytes` (payload pattern `seed`) from the
+    /// context's sender to its receiver, reusing `app_bufs` when the
+    /// semantics uses application buffers.
+    fn exchange(
+        &mut self,
+        semantics: Semantics,
+        bytes: usize,
+        seed: u8,
+        app_bufs: &mut Option<(u64, u64)>,
+    ) -> Result<SimTime, GenieError> {
+        with_payload(bytes, seed, |data| {
+            one_exchange_between(
+                &mut self.w,
+                semantics,
+                Vc(1),
+                HostId::A,
+                self.tx,
+                HostId::B,
+                self.rx,
+                self.setup.recv_page_off,
+                data,
+                app_bufs,
+            )
+        })
     }
 
     /// Returns a completed measurement's application buffers to the
@@ -268,85 +281,69 @@ impl SeriesContext {
         &mut self,
         semantics: Semantics,
         bytes: usize,
-    ) -> Result<
-        (
-            SimTime,
-            genie_trace::TraceSet,
-            genie_trace::metrics::MetricsRegistry,
-        ),
-        GenieError,
-    > {
-        let mut app_bufs: Option<(u64, u64)> = None;
-        let (tx, rx, page_off) = (self.tx, self.rx, self.setup.recv_page_off);
-        let exchange = |w: &mut World, seed: u8, bufs: &mut Option<(u64, u64)>| {
-            with_payload(bytes, seed, |data| {
-                one_exchange_between(
-                    w,
-                    semantics,
-                    Vc(1),
-                    HostId::A,
-                    tx,
-                    HostId::B,
-                    rx,
-                    page_off,
-                    data,
-                    bufs,
-                )
-            })
-        };
-        exchange(&mut self.w, 0, &mut app_bufs)?;
-        for h in [HostId::A, HostId::B] {
-            self.w.host_mut(h).ledger.reset();
-        }
-        self.w.enable_tracing(true);
-        let latency = exchange(&mut self.w, 1, &mut app_bufs)?;
-        let trace = self.w.take_trace();
-        let metrics = self.w.metrics();
-        self.w.enable_tracing(false);
-        self.free_app_bufs(app_bufs);
-        Ok((latency, trace, metrics))
+    ) -> Result<(SimTime, TraceSet, MetricsRegistry), GenieError> {
+        self.measure_latency_sampled(semantics, bytes, &SampleConfig::default())
     }
 
-    /// Like [`SeriesContext::measure_latency`], but records the ledger
-    /// samples of the measured round on both hosts (the warm-up round
-    /// is unrecorded, exactly as in the standalone
-    /// [`measure_latency_recorded`]).
-    pub fn measure_latency_recorded(
+    /// [`SeriesContext::measure_latency_traced`] under a flight-recorder
+    /// sampling policy, for trace exports that ask for one.
+    pub fn measure_latency_sampled(
         &mut self,
         semantics: Semantics,
         bytes: usize,
-    ) -> Result<(SimTime, Vec<genie_machine::Sample>), GenieError> {
-        let mut app_bufs: Option<(u64, u64)> = None;
-        let (tx, rx, page_off) = (self.tx, self.rx, self.setup.recv_page_off);
-        let exchange = |w: &mut World, seed: u8, bufs: &mut Option<(u64, u64)>| {
-            with_payload(bytes, seed, |data| {
-                one_exchange_between(
-                    w,
-                    semantics,
-                    Vc(1),
-                    HostId::A,
-                    tx,
-                    HostId::B,
-                    rx,
-                    page_off,
-                    data,
-                    bufs,
-                )
-            })
-        };
-        exchange(&mut self.w, 0, &mut app_bufs)?;
-        self.w.host_mut(HostId::A).ledger.record_samples(true);
-        self.w.host_mut(HostId::B).ledger.record_samples(true);
-        let latency = exchange(&mut self.w, 1, &mut app_bufs)?;
-        let mut samples = self.w.host(HostId::A).ledger.samples().to_vec();
-        samples.extend_from_slice(self.w.host(HostId::B).ledger.samples());
+        sample: &SampleConfig,
+    ) -> Result<(SimTime, TraceSet, MetricsRegistry), GenieError> {
+        self.traced_round(semantics, bytes, sample, World::metrics)
+    }
+
+    /// The measured round's latency and complete trace, without the
+    /// metrics snapshot: [`TraceSet::charges`] then yields every
+    /// operation both hosts charged, in order. Table 6's fits and the
+    /// latency waterfall read it.
+    pub fn measure_charges(
+        &mut self,
+        semantics: Semantics,
+        bytes: usize,
+    ) -> Result<(SimTime, TraceSet), GenieError> {
+        let (latency, trace, ()) =
+            self.traced_round(semantics, bytes, &SampleConfig::default(), |_| ())?;
+        Ok((latency, trace))
+    }
+
+    /// The traced measured round behind every traced measurement: the
+    /// warm-up round runs untraced, both ledgers are reset, the
+    /// measured exchange runs traced under `sample`, and `read`
+    /// observes the world before the round's buffers are freed. Under
+    /// the keep-all config the trace must hold every charge — an
+    /// evicted or sampled-out span would silently truncate a fit — so
+    /// losing one panics.
+    fn traced_round<R>(
+        &mut self,
+        semantics: Semantics,
+        bytes: usize,
+        sample: &SampleConfig,
+        read: impl FnOnce(&World) -> R,
+    ) -> Result<(SimTime, TraceSet, R), GenieError> {
+        let mut app_bufs = None;
+        self.exchange(semantics, bytes, 0, &mut app_bufs)?;
         for h in [HostId::A, HostId::B] {
-            let ledger = &mut self.w.host_mut(h).ledger;
-            ledger.record_samples(false);
-            ledger.clear_samples();
+            self.w.host_mut(h).ledger.reset();
         }
+        self.w.set_sampling(sample);
+        self.w.enable_tracing(true);
+        let latency = self.exchange(semantics, bytes, 1, &mut app_bufs)?;
+        let evicted =
+            self.w.host(HostId::A).tracer.dropped() + self.w.host(HostId::B).tracer.dropped();
+        let trace = self.w.take_trace();
+        assert!(
+            sample.is_active() || evicted + trace.dropped_spans_total() == 0,
+            "traced round lost {evicted} evicted and {} sampled-out spans",
+            trace.dropped_spans_total()
+        );
+        let read = read(&self.w);
+        self.w.enable_tracing(false);
         self.free_app_bufs(app_bufs);
-        Ok((latency, samples))
+        Ok((latency, trace, read))
     }
 }
 
@@ -633,19 +630,6 @@ pub fn measure_stream(
     Ok((goodput, util))
 }
 
-/// Runs the two-round exchange of [`measure_latency`] with ledger
-/// sample recording enabled during the measured round, returning the
-/// latency plus the recorded operation samples of both hosts (the
-/// equivalent of the paper's cycle-counter instrumentation used to
-/// build Table 6).
-pub fn measure_latency_recorded(
-    setup: &ExperimentSetup,
-    semantics: Semantics,
-    bytes: usize,
-) -> Result<(SimTime, Vec<genie_machine::Sample>), GenieError> {
-    SeriesContext::new(setup, &[bytes]).measure_latency_recorded(semantics, bytes)
-}
-
 /// Runs the two-round exchange of [`measure_latency`] with tracing
 /// enabled during the measured round, returning the latency, the
 /// structured trace, and a metrics snapshot — both covering exactly
@@ -654,14 +638,7 @@ pub fn measure_latency_traced(
     setup: &ExperimentSetup,
     semantics: Semantics,
     bytes: usize,
-) -> Result<
-    (
-        SimTime,
-        genie_trace::TraceSet,
-        genie_trace::metrics::MetricsRegistry,
-    ),
-    GenieError,
-> {
+) -> Result<(SimTime, TraceSet, MetricsRegistry), GenieError> {
     SeriesContext::new(setup, &[bytes]).measure_latency_traced(semantics, bytes)
 }
 

@@ -75,9 +75,9 @@ pub use cq::{
 };
 pub use error::GenieError;
 pub use experiment::{
-    latency_sweep, measure_latency, measure_latency_recorded, measure_latency_traced,
-    measure_ping_pong, measure_stream, throughput_mbps, utilization_sweep, ExperimentPoint,
-    ExperimentSetup, LatencyDistribution, SeriesContext,
+    latency_sweep, measure_latency, measure_latency_traced, measure_ping_pong, measure_stream,
+    throughput_mbps, utilization_sweep, ExperimentPoint, ExperimentSetup, LatencyDistribution,
+    SeriesContext,
 };
 pub use genie_trace::chrome::ChromeTrace;
 pub use genie_trace::metrics::{Histogram, Metric, MetricsRegistry};
@@ -89,7 +89,7 @@ pub use output::{OutputRequest, SendCompletion};
 pub use semantics::{Allocation, Integrity, Semantics};
 pub use suites::{
     cluster_reduce, cq_fanin_observed, cq_saturation, cq_sweep, multicast_stream, rpc_fanin,
-    rpc_fanin_observed, rpc_fanin_observed_with, CqDepthPoint, CqObservation, CqSaturationPoint,
-    CqSuiteConfig, FabricObservation, SuitePoint, ALL_SEMANTICS,
+    rpc_fanin_observed, CqDepthPoint, CqObservation, CqSaturationPoint, CqSuiteConfig,
+    FabricObservation, SuitePoint, ALL_SEMANTICS,
 };
 pub use world::{Fabric, HostId, World, WorldConfig};

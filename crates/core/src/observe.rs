@@ -64,13 +64,9 @@ pub struct ObservableState {
 
 impl World {
     /// Enables (or disables) structured tracing on every host and the
-    /// link. Enabling also applies the environment's sampling policy
-    /// (`GENIE_TRACE_SAMPLE` / `GENIE_TRACE_BUDGET`) and, in switched
-    /// worlds, turns on switch port observation.
+    /// link and, in switched worlds, switch port observation. Tracers
+    /// keep every flow until [`World::set_sampling`] says otherwise.
     pub fn enable_tracing(&mut self, on: bool) {
-        if on {
-            self.set_sampling(&SampleConfig::from_env());
-        }
         for h in &mut self.hosts {
             h.tracer.set_enabled(on);
         }
@@ -137,10 +133,6 @@ impl World {
             };
             r.set_gauge(&format!("{prefix}.busy_us"), h.ledger.busy().as_us());
             r.set_gauge(&format!("{prefix}.clock_us"), h.clock.as_us());
-            r.set_counter(
-                &format!("{prefix}.ledger.samples_dropped"),
-                h.ledger.samples_dropped(),
-            );
             for &op in Op::ALL {
                 let s = h.ledger.stats(op);
                 if s.count == 0 {
@@ -150,10 +142,6 @@ impl World {
                 r.set_counter(&format!("{prefix}.ops.{name}.count"), s.count);
                 r.set_counter(&format!("{prefix}.ops.{name}.bytes"), s.bytes);
                 r.set_gauge(&format!("{prefix}.ops.{name}.total_us"), s.total.as_us());
-                let dropped = h.ledger.samples_dropped_for(op);
-                if dropped > 0 {
-                    r.set_counter(&format!("{prefix}.ops.{name}.samples_dropped"), dropped);
-                }
             }
             let a = h.adapter.stats();
             r.set_counter(&format!("{prefix}.adapter.pdus_received"), a.pdus_received);

@@ -186,30 +186,11 @@ pub fn rpc_fanin(semantics: Semantics, clients: u16, requests: usize, bytes: usi
     rpc_fanin_world(semantics, clients, requests, bytes, None).0
 }
 
-/// [`rpc_fanin`] with the flight recorder on: tracing (sampled per
-/// `GENIE_TRACE_SAMPLE` / bounded per `GENIE_TRACE_BUDGET`), switch
-/// port observation and per-VC latency capture. Instrumentation is
-/// observation-only, so the returned [`SuitePoint`] is byte-identical
-/// to the unobserved run's.
+/// [`rpc_fanin`] with the flight recorder on: tracing (sampled and
+/// bounded per `cfg`), switch port observation and per-VC latency
+/// capture. Instrumentation is observation-only, so the returned
+/// [`SuitePoint`] is byte-identical to the unobserved run's.
 pub fn rpc_fanin_observed(
-    semantics: Semantics,
-    clients: u16,
-    requests: usize,
-    bytes: usize,
-) -> FabricObservation {
-    rpc_fanin_observed_with(
-        semantics,
-        clients,
-        requests,
-        bytes,
-        &genie_trace::SampleConfig::from_env(),
-    )
-}
-
-/// [`rpc_fanin_observed`] with an explicit sampling configuration —
-/// the determinism and flight-recorder tests use this so they never
-/// depend on (or race over) process environment.
-pub fn rpc_fanin_observed_with(
     semantics: Semantics,
     clients: u16,
     requests: usize,
@@ -307,17 +288,6 @@ pub struct ScalePoint {
     pub wall_s: f64,
     /// High-water mark of queued events across waves.
     pub peak_resident: usize,
-}
-
-/// Datagram budget for one scale-tier run: `GENIE_SCALE_DATAGRAMS`,
-/// default 125 000 per semantics (the eight-semantics sweep then
-/// totals one million datagrams).
-pub fn scale_datagrams() -> usize {
-    std::env::var("GENIE_SCALE_DATAGRAMS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(125_000)
 }
 
 /// The scale tier: `total` datagrams of `bytes` fanned from the

@@ -3,7 +3,7 @@
 //! dispose bookkeeping, completions, and ledger accounting.
 
 use genie::{
-    measure_latency_recorded, ExperimentSetup, GenieConfig, HostId, InputRequest, OutputRequest,
+    measure_latency_traced, ExperimentSetup, GenieConfig, HostId, InputRequest, OutputRequest,
     Semantics, World, WorldConfig,
 };
 use genie_machine::{MachineSpec, Op};
@@ -100,18 +100,18 @@ fn frames_are_conserved_across_many_exchanges() {
 #[test]
 fn ledger_busy_equals_sum_of_nondevice_charges() {
     let setup = ExperimentSetup::early_demux(MachineSpec::micron_p166());
-    let (_lat, samples) =
-        measure_latency_recorded(&setup, Semantics::EmulatedCopy, 8192).expect("run");
+    let (_lat, trace, _) =
+        measure_latency_traced(&setup, Semantics::EmulatedCopy, 8192).expect("run");
     // Device-kind ops never contribute to CPU busy.
-    let device: Vec<_> = samples
-        .iter()
-        .filter(|s| s.op.kind() == genie_machine::OpKind::Device)
+    let device: Vec<_> = trace
+        .charges()
+        .filter(|(op, _)| op.kind() == genie_machine::OpKind::Device)
         .collect();
     assert!(!device.is_empty(), "device ops should have been charged");
-    let cpu_total: f64 = samples
-        .iter()
-        .filter(|s| s.op.kind() != genie_machine::OpKind::Device)
-        .map(|s| s.cost.as_us())
+    let cpu_total: f64 = trace
+        .charges()
+        .filter(|(op, _)| op.kind() != genie_machine::OpKind::Device)
+        .map(|(_, s)| s.dur.as_us())
         .sum();
     assert!(cpu_total > 0.0);
 }
@@ -232,13 +232,13 @@ fn oplists_cover_every_semantics_without_panic() {
 #[test]
 fn recorded_fixed_ops_have_constant_cost() {
     let setup = ExperimentSetup::early_demux(MachineSpec::micron_p166());
-    let (_l1, s1) = measure_latency_recorded(&setup, Semantics::Copy, 4096).expect("run");
-    let (_l2, s2) = measure_latency_recorded(&setup, Semantics::Copy, 61_440).expect("run");
-    let fixed = |samples: &[genie_machine::Sample], op: Op| {
-        samples
-            .iter()
-            .find(|s| s.op == op)
-            .map(|s| s.cost)
+    let (_l1, s1, _) = measure_latency_traced(&setup, Semantics::Copy, 4096).expect("run");
+    let (_l2, s2, _) = measure_latency_traced(&setup, Semantics::Copy, 61_440).expect("run");
+    let fixed = |trace: &genie::TraceSet, op: Op| {
+        trace
+            .charges()
+            .find(|&(o, _)| o == op)
+            .map(|(_, s)| s.dur)
             .expect("op present")
     };
     // Fixed OS costs do not scale with datagram size...

@@ -21,7 +21,10 @@ pub mod plan;
 pub mod rng;
 pub mod stats;
 
-pub use oracle::{fnv64, Oracle, Violation};
+/// FNV-1a 64-bit hash, used to fingerprint payloads without storing
+/// them.
+pub use genie_mem::fnv64;
+pub use oracle::{Oracle, Violation};
 pub use plan::{CreditStarve, FaultConfig, FaultPlan, Pressure, WireDamage, WireVerdict};
 pub use rng::XorShift64;
 pub use stats::FaultStats;

@@ -42,17 +42,6 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// FNV-1a 64-bit hash, used to fingerprint payloads without storing
-/// them.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The cross-cutting invariant oracle.
 #[derive(Clone, Debug, Default)]
 pub struct Oracle {
@@ -176,13 +165,7 @@ impl Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genie_mem::IoDir;
-
-    #[test]
-    fn fnv64_known_values() {
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv64(b"a"), fnv64(b"b"));
-    }
+    use genie_mem::{fnv64, IoDir};
 
     #[test]
     fn clean_memory_passes() {

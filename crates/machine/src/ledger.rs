@@ -3,26 +3,14 @@
 //! The paper measured primitive-operation latencies by capturing the
 //! CPU on-chip cycle counter at instrumentation points in the Genie
 //! code, then least-squares fitting each operation's latency against
-//! datagram length (Table 6). [`CostLedger`] plays the same role here:
-//! every charged operation is recorded with its byte count and cost so
-//! the analysis crate can regenerate Table 6 by fitting, and CPU busy
-//! time is accumulated for the utilization experiment (Figure 4).
+//! datagram length (Table 6). Here the host's tracer is the recorder:
+//! every charge becomes one op span, and the analysis crate fits
+//! Table 6 from the spans of a traced round. [`CostLedger`] is the
+//! aggregator: it prices each charge, sums per-op statistics, and
+//! accumulates CPU busy time for the utilization experiment (Figure 4).
 
 use crate::cost::{CostModel, Op};
 use crate::time::SimTime;
-
-/// One recorded operation invocation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Sample {
-    /// Which primitive operation ran.
-    pub op: Op,
-    /// Bytes the invocation covered.
-    pub bytes: usize,
-    /// Units (pages or cells) the invocation covered.
-    pub units: usize,
-    /// Its simulated cost.
-    pub cost: SimTime,
-}
 
 /// Aggregate statistics for one operation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -35,7 +23,7 @@ pub struct OpStats {
     pub total: SimTime,
 }
 
-/// Records operation charges for one host.
+/// Sums operation charges for one host.
 ///
 /// The ledger separates *charging* (always accumulates busy time and
 /// per-op stats) from *clock advancement*, which is the caller's
@@ -46,20 +34,8 @@ pub struct OpStats {
 pub struct CostLedger {
     model: CostModel,
     stats: Vec<OpStats>,
-    samples: Vec<Sample>,
-    recording: bool,
     busy: SimTime,
-    sample_cap: usize,
-    /// Samples discarded at the cap, per operation (indexed by
-    /// [`Op::id`]) so `--metrics` can say *which* op's fit data is
-    /// incomplete rather than one anonymous total.
-    samples_dropped: Vec<u64>,
 }
-
-/// Default bound on recorded samples per ledger. Generous enough that
-/// every shipped experiment records its full window, but it keeps a
-/// runaway recording session from growing without limit.
-pub const DEFAULT_SAMPLE_CAP: usize = 1 << 20;
 
 impl CostLedger {
     /// Creates a ledger for the given cost model.
@@ -68,53 +44,13 @@ impl CostLedger {
         CostLedger {
             model,
             stats,
-            samples: Vec::new(),
-            recording: false,
             busy: SimTime::ZERO,
-            sample_cap: DEFAULT_SAMPLE_CAP,
-            samples_dropped: vec![0; Op::ALL.len()],
         }
     }
 
     /// The cost model behind this ledger.
     pub fn model(&self) -> &CostModel {
         &self.model
-    }
-
-    /// Starts recording individual samples (for Table 6 fits).
-    pub fn record_samples(&mut self, on: bool) {
-        self.recording = on;
-    }
-
-    /// Discards recorded samples (keeping statistics and busy time),
-    /// so one ledger can record several measurement windows.
-    pub fn clear_samples(&mut self) {
-        self.samples.clear();
-        self.samples_dropped.fill(0);
-    }
-
-    /// Bounds the number of samples kept while recording. Charges past
-    /// the cap still update statistics and busy time but are not
-    /// retained individually; they are counted in
-    /// [`samples_dropped`](Self::samples_dropped) instead.
-    pub fn set_sample_cap(&mut self, cap: usize) {
-        self.sample_cap = cap;
-    }
-
-    /// The current sample retention bound.
-    pub fn sample_cap(&self) -> usize {
-        self.sample_cap
-    }
-
-    /// Number of samples discarded because the cap was reached,
-    /// across all operations.
-    pub fn samples_dropped(&self) -> u64 {
-        self.samples_dropped.iter().sum()
-    }
-
-    /// Samples discarded at the cap for one operation.
-    pub fn samples_dropped_for(&self, op: Op) -> u64 {
-        self.samples_dropped[op.id() as usize]
     }
 
     /// Charges one invocation of `op` over `bytes` bytes / `units`
@@ -129,18 +65,6 @@ impl CostLedger {
         s.total += cost;
         if op.kind() != crate::cost::OpKind::Device {
             self.busy += cost;
-        }
-        if self.recording {
-            if self.samples.len() < self.sample_cap {
-                self.samples.push(Sample {
-                    op,
-                    bytes,
-                    units,
-                    cost,
-                });
-            } else {
-                self.samples_dropped[op.id() as usize] += 1;
-            }
         }
         cost
     }
@@ -162,23 +86,11 @@ impl CostLedger {
         self.stats[op.id() as usize]
     }
 
-    /// All recorded samples (empty unless recording was enabled).
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// Recorded samples for one operation.
-    pub fn samples_for(&self, op: Op) -> impl Iterator<Item = &Sample> {
-        self.samples.iter().filter(move |s| s.op == op)
-    }
-
-    /// Clears all statistics, samples, and busy time.
+    /// Clears all statistics and busy time.
     pub fn reset(&mut self) {
         for s in &mut self.stats {
             *s = OpStats::default();
         }
-        self.samples.clear();
-        self.samples_dropped.fill(0);
         self.busy = SimTime::ZERO;
     }
 }
@@ -206,60 +118,12 @@ mod tests {
     }
 
     #[test]
-    fn samples_only_recorded_when_enabled() {
-        let mut l = ledger();
-        l.charge(Op::Copyout, 100, 1);
-        assert!(l.samples().is_empty());
-        l.record_samples(true);
-        l.charge(Op::Copyout, 200, 1);
-        assert_eq!(l.samples().len(), 1);
-        assert_eq!(l.samples()[0].bytes, 200);
-        assert_eq!(l.samples_for(Op::Copyout).count(), 1);
-        assert_eq!(l.samples_for(Op::Copyin).count(), 0);
-    }
-
-    #[test]
     fn reset_clears_everything() {
         let mut l = ledger();
-        l.record_samples(true);
         l.charge(Op::Wire, 4096, 1);
         l.reset();
         assert_eq!(l.busy(), SimTime::ZERO);
         assert_eq!(l.stats(Op::Wire).count, 0);
-        assert!(l.samples().is_empty());
-    }
-
-    #[test]
-    fn sample_cap_bounds_retention_but_not_stats() {
-        let mut l = ledger();
-        l.set_sample_cap(2);
-        l.record_samples(true);
-        for _ in 0..5 {
-            l.charge(Op::Copyout, 100, 1);
-        }
-        assert_eq!(l.samples().len(), 2);
-        assert_eq!(l.samples_dropped(), 3);
-        assert_eq!(l.stats(Op::Copyout).count, 5);
-        l.clear_samples();
-        assert_eq!(l.samples_dropped(), 0);
-    }
-
-    #[test]
-    fn samples_dropped_is_attributed_per_op() {
-        let mut l = ledger();
-        l.set_sample_cap(1);
-        l.record_samples(true);
-        l.charge(Op::Copyout, 100, 1); // retained
-        l.charge(Op::Copyout, 100, 1); // dropped
-        l.charge(Op::Copyin, 100, 1); // dropped
-        l.charge(Op::Wire, 4096, 1); // dropped
-        assert_eq!(l.samples_dropped(), 3);
-        assert_eq!(l.samples_dropped_for(Op::Copyout), 1);
-        assert_eq!(l.samples_dropped_for(Op::Copyin), 1);
-        assert_eq!(l.samples_dropped_for(Op::Wire), 1);
-        assert_eq!(l.samples_dropped_for(Op::Reference), 0);
-        l.reset();
-        assert_eq!(l.samples_dropped_for(Op::Copyout), 0);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod spec;
 pub mod time;
 
 pub use cost::{CostModel, Op, OpKind};
-pub use ledger::{CostLedger, OpStats, Sample, DEFAULT_SAMPLE_CAP};
+pub use ledger::{CostLedger, OpStats};
 pub use link::LinkSpec;
 pub use spec::{MachineSpec, OpSkew};
 pub use time::SimTime;

@@ -213,6 +213,7 @@ mod tests {
                     kind: EventKind::Span,
                     bytes: 0,
                     units: 0,
+                    op: None,
                 }],
             )],
             ..TraceSet::default()

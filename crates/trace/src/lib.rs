@@ -61,25 +61,6 @@ impl Default for SampleConfig {
 }
 
 impl SampleConfig {
-    /// Reads `GENIE_TRACE_SAMPLE` (1-in-N flow rate) and
-    /// `GENIE_TRACE_BUDGET` (ring capacity in events). Unset or
-    /// unparsable values fall back to the defaults (no sampling,
-    /// default capacity).
-    pub fn from_env() -> Self {
-        let mut cfg = SampleConfig::default();
-        if let Ok(v) = std::env::var("GENIE_TRACE_SAMPLE") {
-            if let Ok(n) = v.trim().parse::<u32>() {
-                cfg.rate = n.max(1);
-            }
-        }
-        if let Ok(v) = std::env::var("GENIE_TRACE_BUDGET") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                cfg.budget = n;
-            }
-        }
-        cfg
-    }
-
     /// True when this config actually filters or bounds anything
     /// beyond the defaults.
     pub fn is_active(&self) -> bool {
@@ -223,6 +204,9 @@ pub struct TraceEvent {
     pub bytes: u64,
     /// Units (pages or cells) the event covered.
     pub units: u64,
+    /// The charged primitive operation, for op spans only (set by
+    /// [`Tracer::op_span`] and [`Tracer::overlapped_op`]).
+    pub op: Option<Op>,
 }
 
 /// A ring-buffered recorder of [`TraceEvent`]s for one host (or the
@@ -405,6 +389,30 @@ impl Tracer {
             kind: EventKind::Span,
             bytes: bytes as u64,
             units: units as u64,
+            op: None,
+        });
+    }
+
+    /// Records one operation charge: a span that carries its op.
+    #[inline]
+    fn charge(
+        &mut self,
+        track: Track,
+        op: Op,
+        start: SimTime,
+        cost: SimTime,
+        bytes: usize,
+        units: usize,
+    ) {
+        self.push(TraceEvent {
+            track,
+            name: op.name(),
+            start,
+            dur: cost,
+            kind: EventKind::Span,
+            bytes: bytes as u64,
+            units: units as u64,
+            op: Some(op),
         });
     }
 
@@ -412,7 +420,7 @@ impl Tracer {
     /// clock at charge time, on the op's subsystem track.
     #[inline]
     pub fn op_span(&mut self, op: Op, at: SimTime, cost: SimTime, bytes: usize, units: usize) {
-        self.span(track_for(op), op.name(), at, cost, bytes, units);
+        self.charge(track_for(op), op, at, cost, bytes, units);
     }
 
     /// Records an overlapped operation charge on the overlap track,
@@ -430,7 +438,7 @@ impl Tracer {
     ) {
         let start = self.overlap_cursor.max(at);
         self.overlap_cursor = start + cost;
-        self.span(Track::Overlap, op.name(), start, cost, bytes, units);
+        self.charge(Track::Overlap, op, start, cost, bytes, units);
     }
 
     /// Records an instantaneous marker.
@@ -444,6 +452,7 @@ impl Tracer {
             kind: EventKind::Instant,
             bytes: 0,
             units: units as u64,
+            op: None,
         });
     }
 
@@ -458,9 +467,12 @@ impl Tracer {
     }
 
     /// Drains the recorded events, oldest first, and resets the ring
-    /// (the enabled flag is left as is).
+    /// (the enabled flag is left as is). The fresh ring keeps the old
+    /// one's capacity, so a tracer that records one measured round
+    /// after another does not regrow it every round.
     pub fn take(&mut self) -> Vec<TraceEvent> {
-        let mut out = std::mem::take(&mut self.ring);
+        let cap = self.ring.capacity();
+        let mut out = std::mem::replace(&mut self.ring, Vec::with_capacity(cap));
         if self.wrapped {
             out.rotate_left(self.next);
         }
@@ -501,17 +513,14 @@ impl TraceSet {
         self.len() == 0
     }
 
-    /// Sum of span durations for `name` across every owner and track.
-    pub fn total_dur(&self, name: &str) -> SimTime {
-        let mut t = SimTime::ZERO;
-        for (_, events) in &self.owners {
-            for e in events {
-                if e.name == name {
-                    t += e.dur;
-                }
-            }
-        }
-        t
+    /// Every charged operation with its span: host A's charges in
+    /// charge order, then host B's, and so on — the sequence the
+    /// hosts' cost ledgers summed, provided no span was evicted or
+    /// sampled out.
+    pub fn charges(&self) -> impl Iterator<Item = (Op, &TraceEvent)> {
+        self.owners
+            .iter()
+            .flat_map(|(_, events)| events.iter().filter_map(|e| Some((e.op?, e))))
     }
 }
 
@@ -575,24 +584,44 @@ mod tests {
     }
 
     #[test]
-    fn trace_set_sums_durations_by_name() {
+    fn only_op_charges_carry_their_op() {
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 56);
+        let mut t = Tracer::new();
+        t.set_enabled(true);
+        let us = SimTime::from_us(1.0);
+        t.span(Track::Phase, "output.prepare", SimTime::ZERO, us, 0, 0);
+        t.op_span(Op::Copyin, SimTime::ZERO, us, 4096, 1);
+        t.instant(Track::Events, "credit.stall", SimTime::ZERO, 1);
+        t.overlapped_op(Op::CellTx, SimTime::ZERO, us, 48, 1);
+        let ops: Vec<Option<Op>> = t.take().iter().map(|e| e.op).collect();
+        assert_eq!(ops, vec![None, Some(Op::Copyin), None, Some(Op::CellTx)]);
+    }
+
+    #[test]
+    fn charges_yield_each_owners_op_spans_in_order() {
+        let us = SimTime::from_us(1.0);
         let mut a = Tracer::new();
+        let mut b = Tracer::new();
         a.set_enabled(true);
-        a.op_span(Op::Copyout, SimTime::ZERO, SimTime::from_us(5.0), 100, 1);
-        a.op_span(
-            Op::Copyout,
-            SimTime::from_us(5.0),
-            SimTime::from_us(2.0),
-            50,
-            1,
-        );
+        b.set_enabled(true);
+        a.op_span(Op::Copyin, SimTime::ZERO, us, 100, 1);
+        a.span(Track::Phase, "output.prepare", SimTime::ZERO, us, 0, 0);
+        a.overlapped_op(Op::DmaSetup, SimTime::ZERO, us, 0, 0);
+        b.op_span(Op::Copyout, SimTime::ZERO, us, 200, 1);
         let set = TraceSet {
-            owners: vec![("host A".to_string(), a.take())],
+            owners: vec![
+                ("host A".to_string(), a.take()),
+                ("host B".to_string(), b.take()),
+                ("link".to_string(), Vec::new()),
+            ],
             ..TraceSet::default()
         };
-        assert_eq!(set.total_dur("Copyout"), SimTime::from_us(7.0));
-        assert_eq!(set.total_dur("Copyin"), SimTime::ZERO);
-        assert_eq!(set.len(), 2);
+        let got: Vec<(Op, u64)> = set.charges().map(|(op, e)| (op, e.bytes)).collect();
+        assert_eq!(
+            got,
+            vec![(Op::Copyin, 100), (Op::DmaSetup, 0), (Op::Copyout, 200)]
+        );
+        assert_eq!(set.len(), 4);
     }
 
     #[test]
@@ -670,7 +699,7 @@ mod tests {
     }
 
     #[test]
-    fn sample_config_from_env_defaults_are_inert() {
+    fn sample_config_defaults_are_inert() {
         let cfg = SampleConfig::default();
         assert_eq!(cfg.rate, 1);
         assert_eq!(cfg.budget, 0);

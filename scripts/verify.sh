@@ -11,6 +11,21 @@ cargo fmt --check
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== environment reads stay at the edge =="
+# No library result may depend on the process environment: binaries
+# parse the knobs and pass them down. The two standing exceptions are
+# the crash-dump directory (a deployment path) and genie-model's
+# test-harness seed knobs.
+env_reads=$(grep -rn 'std::env::var' crates/*/src | grep -v \
+  -e '^crates/[^/]*/src/bin/' \
+  -e '^crates/core/src/crashdump\.rs:' \
+  -e '^crates/model/src/kernel\.rs:' || true)
+if [ -n "$env_reads" ]; then
+  echo "verify: library code reads the environment (parse it in a binary):" >&2
+  echo "$env_reads" >&2
+  exit 1
+fi
+
 echo "== build (release) =="
 cargo build --release --workspace
 

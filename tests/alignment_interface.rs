@@ -4,7 +4,7 @@
 //! answer differs by input-buffering architecture exactly as the paper
 //! describes.
 
-use genie::{measure_latency_recorded, ExperimentSetup, HostId, Semantics, World, WorldConfig};
+use genie::{measure_latency_traced, ExperimentSetup, HostId, Semantics, World, WorldConfig};
 use genie_machine::{MachineSpec, Op};
 use genie_net::{InputBuffering, Vc, HEADER_LEN};
 
@@ -34,17 +34,17 @@ fn pooled_prefers_the_header_offset() {
 fn swap_vs_copy(page_off: usize) -> (u64, u64) {
     let mut setup = ExperimentSetup::pooled_aligned(MachineSpec::micron_p166());
     setup.recv_page_off = page_off;
-    let (_lat, samples) =
-        measure_latency_recorded(&setup, Semantics::EmulatedCopy, 3 * 4096).expect("run");
-    let swaps = samples
-        .iter()
-        .filter(|s| s.op == Op::Swap)
-        .map(|s| s.units as u64)
+    let (_lat, trace, _) =
+        measure_latency_traced(&setup, Semantics::EmulatedCopy, 3 * 4096).expect("run");
+    let swaps = trace
+        .charges()
+        .filter(|&(op, _)| op == Op::Swap)
+        .map(|(_, s)| s.units)
         .sum();
-    let copies = samples
-        .iter()
-        .filter(|s| s.op == Op::Copyout)
-        .map(|s| s.bytes as u64)
+    let copies = trace
+        .charges()
+        .filter(|&(op, _)| op == Op::Copyout)
+        .map(|(_, s)| s.bytes)
         .sum();
     (swaps, copies)
 }

@@ -18,7 +18,7 @@ fn budget_bounded_fanin_reports_port_and_vc_rollups() {
         budget: BUDGET,
         seed: 7,
     };
-    let o = genie::rpc_fanin_observed_with(Semantics::EmulatedCopy, 7, 8, 2048, &cfg);
+    let o = genie::rpc_fanin_observed(Semantics::EmulatedCopy, 7, 8, 2048, &cfg);
 
     // Memory bound: no tracer ring ever holds more than the budget,
     // and the sampler (not just ring eviction) did real work.

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use genie::oplists::{self, OpUse};
-use genie::{measure_latency_recorded, ExperimentSetup, Semantics};
+use genie::{measure_latency_traced, ExperimentSetup, Semantics};
 use genie_machine::{MachineSpec, Op};
 
 /// Ops that belong to the base latency / housekeeping, not to the
@@ -65,20 +65,20 @@ fn measured_counts(sem: Semantics, scheme: &str, bytes: usize) -> BTreeMap<Op, u
         other => panic!("unknown scheme {other}"),
     };
     setup.genie = setup.genie.without_thresholds();
-    let (_lat, samples) = measure_latency_recorded(&setup, sem, bytes).expect("run");
+    let (_lat, trace, _) = measure_latency_traced(&setup, sem, bytes).expect("run");
     let mut counts = BTreeMap::new();
-    for s in samples {
-        if is_base_op(s.op) {
+    for (op, s) in trace.charges() {
+        if is_base_op(op) {
             continue;
         }
         // Reverse-copyout residue: with the PDU's header offset, the
         // aligned swap path copies a few bytes around the data (fill +
         // short tail). The paper's table lists only "swap pages" for
         // this case; exclude sub-page copy residue from the comparison.
-        if s.op == Op::Copyout && s.bytes < 4096 {
+        if op == Op::Copyout && s.bytes < 4096 {
             continue;
         }
-        *counts.entry(s.op).or_insert(0) += 1;
+        *counts.entry(op).or_insert(0) += 1;
     }
     counts
 }
@@ -106,9 +106,9 @@ fn short_data_conversion_changes_the_mix_to_copy() {
     // charge copy's ops (Copyin + system buffers).
     let m = MachineSpec::micron_p166();
     let setup = ExperimentSetup::early_demux(m); // thresholds on
-    let (_lat, samples) =
-        measure_latency_recorded(&setup, Semantics::EmulatedCopy, 512).expect("run");
-    let ops: Vec<Op> = samples.iter().map(|s| s.op).collect();
+    let (_lat, trace, _) =
+        measure_latency_traced(&setup, Semantics::EmulatedCopy, 512).expect("run");
+    let ops: Vec<Op> = trace.charges().map(|(op, _)| op).collect();
     assert!(ops.contains(&Op::Copyin), "should have converted to copy");
     assert!(
         !ops.contains(&Op::ReadOnly),

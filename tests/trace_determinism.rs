@@ -7,10 +7,11 @@ use genie_machine::MachineSpec;
 
 #[test]
 fn trace_export_is_byte_identical_across_thread_counts() {
+    let keep_all = genie::SampleConfig::default();
     let mut exports = Vec::new();
     for threads in [1, 2, 4] {
         genie_runner::set_threads(threads);
-        exports.push((threads, genie_bench::inspect::trace_json()));
+        exports.push((threads, genie_bench::inspect::trace_json(&keep_all)));
     }
     genie_runner::set_threads(0);
     let (_, base) = &exports[0];
@@ -18,7 +19,7 @@ fn trace_export_is_byte_identical_across_thread_counts() {
         assert_eq!(json, base, "trace differs at {threads} threads");
     }
     // And across repeated runs at the same thread count.
-    assert_eq!(&genie_bench::inspect::trace_json(), base);
+    assert_eq!(&genie_bench::inspect::trace_json(&keep_all), base);
 }
 
 #[test]
@@ -26,7 +27,9 @@ fn metrics_dump_is_byte_identical_across_thread_counts() {
     let mut dumps = Vec::new();
     for threads in [1, 4] {
         genie_runner::set_threads(threads);
-        dumps.push(genie_bench::inspect::metrics_json());
+        dumps.push(genie_bench::inspect::metrics_json(
+            &genie::SampleConfig::default(),
+        ));
     }
     genie_runner::set_threads(0);
     assert_eq!(dumps[0], dumps[1]);
@@ -37,7 +40,7 @@ fn metrics_dump_is_byte_identical_across_thread_counts() {
 /// on, serializing every trace and metrics dump into one string.
 fn fabric_sweep_render(cfg: &genie::SampleConfig) -> String {
     let obs = genie_runner::map(genie::ALL_SEMANTICS, |&s| {
-        genie::rpc_fanin_observed_with(s, 7, 4, 2048, cfg)
+        genie::rpc_fanin_observed(s, 7, 4, 2048, cfg)
     });
     let mut out = String::new();
     for o in obs {
@@ -86,7 +89,7 @@ fn fabric_sampling_off_reconciles_spans_with_ledger() {
         budget: 1 << 20,
         seed: 1,
     };
-    let o = genie::rpc_fanin_observed_with(genie::Semantics::EmulatedCopy, 7, 4, 2048, &cfg);
+    let o = genie::rpc_fanin_observed(genie::Semantics::EmulatedCopy, 7, 4, 2048, &cfg);
     assert_eq!(o.trace.dropped_spans_total(), 0, "rate 1 must keep all");
     let is_op_track = |t: genie::Track| {
         matches!(

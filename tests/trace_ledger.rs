@@ -2,6 +2,8 @@
 //! durations summed from the structured trace equal the cost ledger's
 //! aggregate totals exactly, and the non-device spans account for all
 //! of each host's busy time (100% coverage — the trace loses nothing).
+//! The flight recorder's environment knobs are read by `report` only,
+//! so setting them changes none of this.
 
 use std::collections::BTreeMap;
 
@@ -14,12 +16,19 @@ fn is_op_track(t: Track) -> bool {
     matches!(t, Track::Cpu | Track::Vm | Track::Adapter | Track::Overlap)
 }
 
-fn op_by_name(name: &str) -> Option<Op> {
-    Op::ALL.iter().copied().find(|op| op.name() == name)
+#[test]
+fn trace_spans_reconcile_with_ledger_totals_for_every_semantics() {
+    reconcile_every_semantics();
 }
 
 #[test]
-fn trace_spans_reconcile_with_ledger_totals_for_every_semantics() {
+fn trace_sampling_env_vars_leave_traced_rounds_complete() {
+    std::env::set_var("GENIE_TRACE_SAMPLE", "8");
+    std::env::set_var("GENIE_TRACE_BUDGET", "16");
+    reconcile_every_semantics();
+}
+
+fn reconcile_every_semantics() {
     let setup = ExperimentSetup::early_demux(MachineSpec::micron_p166());
     for &sem in Semantics::ALL.iter() {
         let (_, trace, metrics) =
@@ -40,7 +49,8 @@ fn trace_spans_reconcile_with_ledger_totals_for_every_semantics() {
                 slot.0 += 1;
                 slot.1 += e.bytes;
                 slot.2 += e.dur;
-                let op = op_by_name(e.name).expect("span names a primitive op");
+                let op = e.op.expect("op-track span carries its op");
+                assert_eq!(op.name(), e.name);
                 if op.kind() != OpKind::Device {
                     busy_from_spans += e.dur;
                 }
