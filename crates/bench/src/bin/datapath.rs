@@ -18,8 +18,8 @@
 use std::collections::VecDeque;
 
 use genie::{
-    measure_latency, Allocation, ExperimentSetup, HostId, InputRequest, OutputRequest, Semantics,
-    SeriesContext, World, WorldConfig, ALL_SEMANTICS,
+    measure_latency, ExperimentSetup, HostId, OutputRequest, Semantics, SeriesContext, World,
+    WorldConfig, ALL_SEMANTICS,
 };
 use genie_bench::timing::{time_named, Timing};
 use genie_machine::{MachineSpec, SimTime};
@@ -317,30 +317,18 @@ fn main() {
                 for i in 1..HOSTS {
                     let sem = ALL_SEMANTICS[usize::from(i) % ALL_SEMANTICS.len()];
                     let vc = Vc(VC_BASE + u32::from(i));
-                    let req = match sem.allocation() {
-                        Allocation::Application => {
-                            let (off, _) = w.preferred_alignment(HUB, vc);
-                            let dst = w.alloc_buffer(HUB, hub, BYTES, off).expect("hub buffer");
-                            InputRequest::app(sem, vc, hub, dst, BYTES)
-                        }
-                        Allocation::System => InputRequest::system(sem, vc, hub, BYTES),
-                    };
-                    w.input(HUB, req).expect("input");
+                    let off = w.preferred_alignment(HUB, vc).0;
+                    w.post_receive(HUB, hub, sem, vc, BYTES, off)
+                        .expect("input");
                 }
             }
             for _ in 0..4 {
                 for i in 1..HOSTS {
                     let sem = ALL_SEMANTICS[usize::from(i) % ALL_SEMANTICS.len()];
                     let (host, space) = (HostId(i), spokes[usize::from(i) - 1]);
-                    let src = match sem.allocation() {
-                        Allocation::Application => w.alloc_buffer(host, space, BYTES, 0),
-                        Allocation::System => w
-                            .host_mut(host)
-                            .alloc_io_buffer(space, BYTES)
-                            .map(|(_, va)| va),
-                    }
-                    .expect("source buffer");
-                    w.app_write(host, space, src, data).expect("fill");
+                    let src = w
+                        .alloc_source(host, space, sem, data)
+                        .expect("source buffer");
                     let vc = Vc(VC_BASE + u32::from(i));
                     w.output(host, OutputRequest::new(sem, vc, space, src, BYTES))
                         .expect("output");

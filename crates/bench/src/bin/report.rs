@@ -120,7 +120,7 @@ fn sample_config_from_env() -> SampleConfig {
 /// Runs one seeded faulted exchange set per semantics (early demux,
 /// three datagrams each) and returns the summed fault counters.
 fn faulted_stats(seed: u64) -> Vec<(&'static str, u64)> {
-    use genie::{Allocation, HostId, InputRequest, OutputRequest, Semantics, World, WorldConfig};
+    use genie::{HostId, OutputRequest, Semantics, World, WorldConfig};
     use genie_net::Vc;
 
     const SIZES: [usize; 3] = [1_500, 3_000, 4_000];
@@ -136,40 +136,14 @@ fn faulted_stats(seed: u64) -> Vec<(&'static str, u64)> {
         let tx = w.create_process(HostId::A);
         let rx = w.create_process(HostId::B);
         for &bytes in &SIZES {
-            if sem.allocation() == Allocation::Application {
-                let dst = w
-                    .host_mut(HostId::B)
-                    .alloc_buffer(rx, bytes, 0)
-                    .expect("alloc");
-                w.input(HostId::B, InputRequest::app(sem, Vc(1), rx, dst, bytes))
-                    .expect("input");
-            } else {
-                w.input(HostId::B, InputRequest::system(sem, Vc(1), rx, bytes))
-                    .expect("input");
-            }
+            w.post_receive(HostId::B, rx, sem, Vc(1), bytes, 0)
+                .expect("input");
         }
         for (i, &bytes) in SIZES.iter().enumerate() {
             let data: Vec<u8> = (0..bytes)
                 .map(|b| (b as u64).wrapping_mul(31).wrapping_add(i as u64) as u8)
                 .collect();
-            let src = match sem.allocation() {
-                Allocation::Application => {
-                    let s = w
-                        .host_mut(HostId::A)
-                        .alloc_buffer(tx, bytes, 0)
-                        .expect("alloc");
-                    w.app_write(HostId::A, tx, s, &data).expect("write");
-                    s
-                }
-                Allocation::System => {
-                    let (_r, s) = w
-                        .host_mut(HostId::A)
-                        .alloc_io_buffer(tx, bytes)
-                        .expect("alloc io");
-                    w.app_write(HostId::A, tx, s, &data).expect("write");
-                    s
-                }
-            };
+            let src = w.alloc_source(HostId::A, tx, sem, &data).expect("source");
             w.output(HostId::A, OutputRequest::new(sem, Vc(1), tx, src, bytes))
                 .expect("output");
         }

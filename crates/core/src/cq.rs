@@ -533,11 +533,6 @@ impl QueuePair {
         self.inflight_sends.len()
     }
 
-    /// The adaptive controller's current window.
-    pub fn window_current(&self) -> usize {
-        self.window.current()
-    }
-
     /// The adaptive controller.
     pub fn window(&self) -> &AdaptiveWindow {
         &self.window

@@ -10,7 +10,12 @@
 //! - [`cluster_reduce`]: an N-node reduction — every node ships its
 //!   vector to the root each phase, the root folds;
 //! - [`multicast_stream`]: one sender replicated at switch ingress to
-//!   many subscribers.
+//!   many subscribers;
+//! - [`fabric_scale`]: the scale tier, a star's spokes fanning a fixed
+//!   datagram count into its hub in bounded waves;
+//! - [`cq_saturation`] / [`cq_sweep`]: request/response fan-in through
+//!   `genie::cq` queue pairs, swept over queue depth to find each
+//!   semantics' saturation knee.
 //!
 //! Each suite verifies end-to-end integrity (every delivered byte is
 //! checked against the pattern the sender wrote), verifies the fabric
@@ -30,7 +35,6 @@ use genie_machine::{MachineSpec, SimTime};
 use genie_net::{SwitchConfig, SwitchStats, Vc};
 use genie_vm::SpaceId;
 
-use crate::error::GenieError;
 use crate::experiment::LatencyDistribution;
 use crate::semantics::{Allocation, Semantics};
 use crate::world::{HostId, World, WorldConfig};
@@ -97,47 +101,6 @@ fn pattern(stream_id: u32, k: usize, bytes: usize) -> Vec<u8> {
         })
         .map(|v| v.wrapping_add(1))
         .collect()
-}
-
-/// Allocates a source buffer appropriate for `semantics` and fills it.
-fn alloc_filled(
-    w: &mut World,
-    host: HostId,
-    space: SpaceId,
-    semantics: Semantics,
-    data: &[u8],
-) -> Result<u64, GenieError> {
-    let vaddr = match semantics.allocation() {
-        Allocation::Application => w.alloc_buffer(host, space, data.len(), 0)?,
-        Allocation::System => w.host_mut(host).alloc_io_buffer(space, data.len())?.1,
-    };
-    w.app_write(host, space, vaddr, data)?;
-    Ok(vaddr)
-}
-
-/// Posts an input appropriate for `semantics` and returns its token.
-fn post_input(
-    w: &mut World,
-    host: HostId,
-    space: SpaceId,
-    semantics: Semantics,
-    vc: Vc,
-    bytes: usize,
-) -> Result<u64, GenieError> {
-    match semantics.allocation() {
-        Allocation::Application => {
-            let (off, _gran) = w.preferred_alignment(host, vc);
-            let dst = w.alloc_buffer(host, space, bytes, off)?;
-            w.input(
-                host,
-                crate::input::InputRequest::app(semantics, vc, space, dst, bytes),
-            )
-        }
-        Allocation::System => w.input(
-            host,
-            crate::input::InputRequest::system(semantics, vc, space, bytes),
-        ),
-    }
 }
 
 /// Collects completions, checks each against its expected pattern, and
@@ -235,7 +198,10 @@ fn rpc_fanin_world(
     for i in 1..=clients {
         let vc = Vc(VC_BASE + u32::from(i));
         for k in 0..requests {
-            let tok = post_input(&mut w, HostId(0), server, semantics, vc, bytes).expect("prepost");
+            let off = w.preferred_alignment(HostId(0), vc).0;
+            let tok = w
+                .post_receive(HostId(0), server, semantics, vc, bytes, off)
+                .expect("prepost");
             expected.insert(tok, (HostId(0), server, u32::from(i), k));
         }
     }
@@ -245,7 +211,9 @@ fn rpc_fanin_world(
         for i in 1..=clients {
             let space = procs[usize::from(i) - 1];
             let data = pattern(u32::from(i), k, bytes);
-            let src = alloc_filled(&mut w, HostId(i), space, semantics, &data).expect("src");
+            let src = w
+                .alloc_source(HostId(i), space, semantics, &data)
+                .expect("src");
             w.output(
                 HostId(i),
                 crate::output::OutputRequest::new(
@@ -336,14 +304,19 @@ pub fn fabric_scale(semantics: Semantics, hosts: u16, total: usize, bytes: usize
         let mut expected: HashMap<u64, (u16, usize)> = HashMap::with_capacity(pairs.len());
         for &(i, k) in &pairs {
             let vc = Vc(VC_BASE + u32::from(i));
-            let tok = post_input(&mut w, HostId(0), hub, semantics, vc, bytes).expect("prepost");
+            let off = w.preferred_alignment(HostId(0), vc).0;
+            let tok = w
+                .post_receive(HostId(0), hub, semantics, vc, bytes, off)
+                .expect("prepost");
             expected.insert(tok, (i, k));
         }
         let mut srcs: Vec<(u16, u64)> = Vec::with_capacity(pairs.len());
         for &(i, k) in &pairs {
             let space = procs[usize::from(i) - 1];
             let data = pattern(u32::from(i), k, bytes);
-            let src = alloc_filled(&mut w, HostId(i), space, semantics, &data).expect("src");
+            let src = w
+                .alloc_source(HostId(i), space, semantics, &data)
+                .expect("src");
             w.output(
                 HostId(i),
                 crate::output::OutputRequest::new(
@@ -436,7 +409,10 @@ pub fn cluster_reduce(semantics: Semantics, nodes: u16, elems: usize, phases: us
         let mut from_leaf = HashMap::new();
         for i in 1..nodes {
             let vc = Vc(VC_BASE + u32::from(i));
-            let tok = post_input(&mut w, HostId(0), root, semantics, vc, bytes).expect("prepost");
+            let off = w.preferred_alignment(HostId(0), vc).0;
+            let tok = w
+                .post_receive(HostId(0), root, semantics, vc, bytes, off)
+                .expect("prepost");
             from_leaf.insert(tok, i);
         }
         for i in 1..nodes {
@@ -444,7 +420,9 @@ pub fn cluster_reduce(semantics: Semantics, nodes: u16, elems: usize, phases: us
             let data: Vec<u8> = (0..elems)
                 .flat_map(|e| leaf_val(i, e).to_le_bytes())
                 .collect();
-            let src = alloc_filled(&mut w, HostId(i), space, semantics, &data).expect("src");
+            let src = w
+                .alloc_source(HostId(i), space, semantics, &data)
+                .expect("src");
             w.output(
                 HostId(i),
                 crate::output::OutputRequest::new(
@@ -515,14 +493,18 @@ pub fn multicast_stream(
     for i in 1..=subscribers {
         let space = subs[usize::from(i) - 1];
         for k in 0..frames {
-            let tok =
-                post_input(&mut w, HostId(i), space, semantics, Vc(VC), bytes).expect("prepost");
+            let off = w.preferred_alignment(HostId(i), Vc(VC)).0;
+            let tok = w
+                .post_receive(HostId(i), space, semantics, Vc(VC), bytes, off)
+                .expect("prepost");
             expected.insert(tok, (HostId(i), space, 0u32, k));
         }
     }
     for k in 0..frames {
         let data = pattern(0, k, bytes);
-        let src = alloc_filled(&mut w, HostId(0), server, semantics, &data).expect("src");
+        let src = w
+            .alloc_source(HostId(0), server, semantics, &data)
+            .expect("src");
         w.output(
             HostId(0),
             crate::output::OutputRequest::new(semantics, Vc(VC), server, src, bytes),
@@ -770,7 +752,9 @@ fn cq_fanin_world(
         for i in 1..=clients {
             let space = procs[usize::from(i) - 1];
             let data = pattern(u32::from(i), k, bytes);
-            let src = alloc_filled(&mut w, HostId(i), space, semantics, &data).expect("src");
+            let src = w
+                .alloc_source(HostId(i), space, semantics, &data)
+                .expect("src");
             qps[usize::from(i)]
                 .post(Sqe {
                     user_data: cq_tag(i, k),
@@ -815,8 +799,9 @@ fn cq_fanin_world(
                     recvd += 1;
                     // Echo a response on the reverse route.
                     let data = pattern(cq_rsp_stream(i), k, bytes);
-                    let src =
-                        alloc_filled(&mut w, HostId(0), hub, semantics, &data).expect("rsp src");
+                    let src = w
+                        .alloc_source(HostId(0), hub, semantics, &data)
+                        .expect("rsp src");
                     qps[0]
                         .post(Sqe {
                             user_data: cq_tag(i, k),

@@ -22,8 +22,9 @@ use crate::config::GenieConfig;
 use crate::error::GenieError;
 use crate::faults::Inflight;
 use crate::host::Host;
-use crate::input::{PendingRecv, RecvCompletion};
+use crate::input::{InputRequest, PendingRecv, RecvCompletion};
 use crate::output::{PendingSend, SendCompletion};
+use crate::semantics::{Allocation, Semantics};
 
 /// A host's index in the world (also its switch port number).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -105,15 +106,6 @@ impl Default for WorldConfig {
 }
 
 impl WorldConfig {
-    /// Same machine on both hosts.
-    pub fn homogeneous(machine: MachineSpec) -> Self {
-        WorldConfig {
-            machine_a: machine.clone(),
-            machine_b: machine,
-            ..WorldConfig::default()
-        }
-    }
-
     /// `n` identical hosts behind a switch (one port per host).
     pub fn switched(machine: MachineSpec, n: usize, switch: SwitchConfig) -> Self {
         assert!(n >= 2, "a switched world needs at least two hosts");
@@ -502,6 +494,50 @@ impl World {
         Ok(n)
     }
 
+    /// Allocates the send buffer `semantics` sends from and fills it
+    /// with `data` through [`World::app_write`]: an application buffer
+    /// at page offset 0 for application-allocated semantics, an I/O
+    /// region for system-allocated ones.
+    pub fn alloc_source(
+        &mut self,
+        host: HostId,
+        space: SpaceId,
+        semantics: Semantics,
+        data: &[u8],
+    ) -> Result<u64, GenieError> {
+        let vaddr = match semantics.allocation() {
+            Allocation::Application => self.alloc_buffer(host, space, data.len(), 0)?,
+            Allocation::System => self.host_mut(host).alloc_io_buffer(space, data.len())?.1,
+        };
+        self.app_write(host, space, vaddr, data)?;
+        Ok(vaddr)
+    }
+
+    /// Posts one input of `len` bytes on `vc` the way `semantics`
+    /// receives and returns its token: into a fresh application buffer
+    /// at `page_off` for application-allocated semantics, wherever the
+    /// system chooses (ignoring `page_off`) for system-allocated ones.
+    /// Pass `preferred_alignment(host, vc).0` for the circuit's
+    /// preferred offset.
+    pub fn post_receive(
+        &mut self,
+        host: HostId,
+        space: SpaceId,
+        semantics: Semantics,
+        vc: Vc,
+        len: usize,
+        page_off: usize,
+    ) -> Result<u64, GenieError> {
+        let req = match semantics.allocation() {
+            Allocation::Application => {
+                let dst = self.alloc_buffer(host, space, len, page_off)?;
+                InputRequest::app(semantics, vc, space, dst, len)
+            }
+            Allocation::System => InputRequest::system(semantics, vc, space, len),
+        };
+        self.input(host, req)
+    }
+
     /// Simulates an application read.
     pub fn read_app(
         &mut self,
@@ -876,41 +912,22 @@ mod tests {
 
     #[test]
     fn trim_pools_empties_every_pool() {
-        use crate::{InputRequest, OutputRequest, Semantics};
+        use crate::OutputRequest;
         let mut w = World::new(WorldConfig::default());
         let tx = w.create_process(HostId::A);
         let rx = w.create_process(HostId::B);
         let data = [5u8; 5000];
         let exchange = |w: &mut World, sem: Semantics| {
             let vc = Vc(1);
-            let (src, dst) = match sem.allocation() {
-                crate::Allocation::Application => {
-                    let dst = w.alloc_buffer(HostId::B, rx, data.len(), 0).unwrap();
-                    w.input(HostId::B, InputRequest::app(sem, vc, rx, dst, data.len()))
-                        .unwrap();
-                    (
-                        w.alloc_buffer(HostId::A, tx, data.len(), 0).unwrap(),
-                        Some(dst),
-                    )
-                }
-                crate::Allocation::System => {
-                    w.input(HostId::B, InputRequest::system(sem, vc, rx, data.len()))
-                        .unwrap();
-                    let (_, src) = w
-                        .host_mut(HostId::A)
-                        .alloc_io_buffer(tx, data.len())
-                        .unwrap();
-                    (src, None)
-                }
-            };
-            w.app_write(HostId::A, tx, src, &data).unwrap();
+            w.post_receive(HostId::B, rx, sem, vc, data.len(), 0)
+                .unwrap();
+            let src = w.alloc_source(HostId::A, tx, sem, &data).unwrap();
             w.output(HostId::A, OutputRequest::new(sem, vc, tx, src, data.len()))
                 .unwrap();
             w.run();
             let c = w.take_completed_inputs()[0];
             assert!(w.app_matches(HostId::B, rx, c.vaddr, &data).unwrap());
             w.host_mut(HostId::B).free_buffer(rx, c.vaddr).unwrap();
-            assert!(dst.is_none_or(|dst| dst == c.vaddr));
             // Move output removed its source region; free the rest.
             if sem != Semantics::Move {
                 w.host_mut(HostId::A).free_buffer(tx, src).unwrap();
@@ -941,6 +958,60 @@ mod tests {
         assert_eq!(w.trim_pools(0), 0, "nothing left to release");
         // Trimming only costs reallocation: the next exchange runs.
         exchange(&mut w, Semantics::Copy);
+    }
+
+    #[test]
+    fn buffer_helpers_follow_each_semantics() {
+        use crate::OutputRequest;
+        use genie_vm::RegionMark;
+        let hdr = genie_net::HEADER_LEN;
+        let data: Vec<u8> = (0..5000u32).map(|i| (i * 7) as u8).collect();
+        for sem in Semantics::ALL {
+            // Spelled out rather than read from the taxonomy, so the
+            // test does not share the rule it checks.
+            let app = matches!(
+                sem,
+                Semantics::Copy
+                    | Semantics::EmulatedCopy
+                    | Semantics::Share
+                    | Semantics::EmulatedShare
+            );
+            let mut w = World::new(WorldConfig::default());
+            let tx = w.create_process(HostId::A);
+            let rx = w.create_process(HostId::B);
+            let src = w.alloc_source(HostId::A, tx, sem, &data).unwrap();
+            let vm = &w.host(HostId::A).vm;
+            let mark = vm.region(vm.region_at(tx, src).unwrap()).unwrap().mark;
+            let want = if app {
+                RegionMark::Unmovable
+            } else {
+                RegionMark::MovedIn
+            };
+            assert_eq!(mark, want, "{sem} source region");
+            assert_eq!(src % 4096, 0, "{sem} source page offset");
+            assert!(w.app_matches(HostId::A, tx, src, &data).unwrap(), "{sem}");
+
+            let token = w
+                .post_receive(HostId::B, rx, sem, Vc(1), data.len(), hdr)
+                .unwrap();
+            w.output(
+                HostId::A,
+                OutputRequest::new(sem, Vc(1), tx, src, data.len()),
+            )
+            .unwrap();
+            w.run();
+            let c = w.take_completed_inputs()[0];
+            assert_eq!(c.token, token, "{sem}");
+            assert!(
+                w.app_matches(HostId::B, rx, c.vaddr, &data).unwrap(),
+                "{sem}"
+            );
+            let vm = &w.host(HostId::B).vm;
+            let mark = vm.region(vm.region_at(rx, c.vaddr).unwrap()).unwrap().mark;
+            assert_eq!(mark, want, "{sem} receive region");
+            let want_off = if app { hdr } else { 0 };
+            assert_eq!(c.vaddr % 4096, want_off as u64, "{sem} receive page offset");
+        }
     }
 
     #[test]

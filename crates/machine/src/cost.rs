@@ -191,11 +191,6 @@ impl Op {
     pub fn id(self) -> u32 {
         self as u32
     }
-
-    /// True if this operation updates page-table entries.
-    pub fn touches_ptes(self) -> bool {
-        self.kind() == OpKind::CpuPte
-    }
 }
 
 /// Memoized cost line for one operation on one platform: every cost is

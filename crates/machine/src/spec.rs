@@ -194,11 +194,6 @@ impl MachineSpec {
         self.specint95 * self.cpu_derate
     }
 
-    /// Converts a bandwidth in Mbit/s to bytes per microsecond.
-    pub fn mbps_to_bytes_per_us(mbps: f64) -> f64 {
-        mbps / 8.0
-    }
-
     /// Number of pages spanned by a buffer at `offset` within a page,
     /// of length `len` bytes.
     pub fn pages_spanned(&self, offset: usize, len: usize) -> usize {

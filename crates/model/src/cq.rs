@@ -4,7 +4,7 @@
 //! [`CqScenario::run`] drives the *same* seeded op sequence through
 //! two independent worlds: the real one behind [`genie::QueuePair`]
 //! (bounded rings, in-flight window, FIFO-strict submission) and a
-//! [`ModelQueue`] that issues every staged operation immediately and
+//! `ModelQueue` that issues every staged operation immediately and
 //! collects completions into unbounded FIFOs ordered by completion
 //! time. The queue layer is supposed to be *observably transparent*:
 //! whatever batching, gating, or ring-overflow spill it performs, the
@@ -220,23 +220,10 @@ impl ModelQueue {
                     let k = self.sends_issued;
                     self.sends_issued += 1;
                     let data = payload(seed, k, len);
-                    let vaddr = match self.semantics.allocation() {
-                        Allocation::Application => self
-                            .w
-                            .host_mut(HostId::A)
-                            .alloc_buffer(self.tx, len, 0)
-                            .expect("model source alloc"),
-                        Allocation::System => {
-                            self.w
-                                .host_mut(HostId::A)
-                                .alloc_io_buffer(self.tx, len)
-                                .expect("model source alloc")
-                                .1
-                        }
-                    };
-                    self.w
-                        .app_write(HostId::A, self.tx, vaddr, &data)
-                        .expect("model source write");
+                    let vaddr = self
+                        .w
+                        .alloc_source(HostId::A, self.tx, self.semantics, &data)
+                        .expect("model source alloc");
                     self.send_sources.push((self.tx, vaddr, len));
                     let token = self
                         .w
@@ -390,20 +377,9 @@ fn run_cq_scenario(sc: &CqScenario, bug: CqBug, traced: bool) -> Result<CqRunSta
                 let k = sends_posted;
                 sends_posted += 1;
                 let data = payload(sc.seed, k, len);
-                let vaddr = match sc.semantics.allocation() {
-                    Allocation::Application => w
-                        .host_mut(HostId::A)
-                        .alloc_buffer(tx, len, 0)
-                        .expect("real source alloc"),
-                    Allocation::System => {
-                        w.host_mut(HostId::A)
-                            .alloc_io_buffer(tx, len)
-                            .expect("real source alloc")
-                            .1
-                    }
-                };
-                w.app_write(HostId::A, tx, vaddr, &data)
-                    .expect("real source write");
+                let vaddr = w
+                    .alloc_source(HostId::A, tx, sc.semantics, &data)
+                    .expect("real source alloc");
                 real_sources.push((tx, vaddr, len));
                 qps[0]
                     .post(Sqe {

@@ -116,16 +116,9 @@ pub(crate) fn run_scenario(
             ModelOp::Send { len, scribble } => {
                 let data = payload(sc.seed, send_counter, len);
                 send_counter += 1;
-                let alloc = match sem.allocation() {
-                    Allocation::Application => w.host_mut(HostId::A).alloc_buffer(tx, len, 0),
-                    Allocation::System => w
-                        .host_mut(HostId::A)
-                        .alloc_io_buffer(tx, len)
-                        .map(|(_r, v)| v),
-                };
-                let vaddr = alloc.map_err(|e| format!("source alloc: {e:?}"))?;
-                w.app_write(HostId::A, tx, vaddr, &data)
-                    .map_err(|e| format!("source write: {e:?}"))?;
+                let vaddr = w
+                    .alloc_source(HostId::A, tx, sem, &data)
+                    .map_err(|e| format!("source alloc: {e:?}"))?;
                 let id = m.add_source(data);
                 bind.push(Binding {
                     host: HostId::A,

@@ -270,11 +270,6 @@ impl ModelWorld {
         &self.entities
     }
 
-    /// Sends issued but not yet transmitted.
-    pub fn inflight_count(&self) -> usize {
-        self.inflight.len()
-    }
-
     /// Output thresholds: small emulated-copy and emulated-share
     /// outputs fall back to plain copy (observably *strengthening*
     /// emulated share).

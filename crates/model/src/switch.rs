@@ -28,7 +28,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use genie::{Allocation, HostId, InputRequest, OutputRequest, Semantics, World, WorldConfig};
+use genie::{HostId, OutputRequest, Semantics, World, WorldConfig};
 use genie_fault::XorShift64;
 use genie_machine::MachineSpec;
 use genie_net::{SwitchConfig, Vc};
@@ -322,19 +322,9 @@ fn run_switch_scenario(
                 let data = payload(sc.seed ^ 0x5117c4, pdu_idx, len);
                 pdu_idx += 1;
                 let space = spaces[usize::from(*src)];
-                let vaddr = match sc.semantics.allocation() {
-                    Allocation::Application => w
-                        .alloc_buffer(HostId(*src), space, len, 0)
-                        .expect("src buffer"),
-                    Allocation::System => {
-                        w.host_mut(HostId(*src))
-                            .alloc_io_buffer(space, len)
-                            .expect("src io buffer")
-                            .1
-                    }
-                };
-                w.app_write(HostId(*src), space, vaddr, &data)
-                    .expect("fill");
+                let vaddr = w
+                    .alloc_source(HostId(*src), space, sc.semantics, &data)
+                    .expect("src buffer");
                 w.output(
                     HostId(*src),
                     OutputRequest::new(sc.semantics, Vc(*vc), space, vaddr, len),
@@ -399,16 +389,9 @@ fn barrier_check(
     for (&(host, vc), q) in &want {
         let space = spaces[usize::from(host)];
         for data in q {
-            let req = match sc.semantics.allocation() {
-                Allocation::Application => {
-                    let dst = w
-                        .alloc_buffer(HostId(host), space, data.len(), 0)
-                        .expect("dst buffer");
-                    InputRequest::app(sc.semantics, Vc(vc), space, dst, data.len())
-                }
-                Allocation::System => InputRequest::system(sc.semantics, Vc(vc), space, data.len()),
-            };
-            let tok = w.input(HostId(host), req).expect("input");
+            let tok = w
+                .post_receive(HostId(host), space, sc.semantics, Vc(vc), data.len(), 0)
+                .expect("input");
             tokens.insert(tok, (host, vc));
         }
     }

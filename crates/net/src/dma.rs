@@ -32,12 +32,6 @@ impl DmaModel {
     pub fn transfer_time(&self, bytes: usize) -> SimTime {
         self.setup + SimTime::from_us(bytes as f64 / self.bytes_per_us)
     }
-
-    /// Time by which the *first* bytes reach the other side of the bus
-    /// — the pipeline fill for cut-through transmission.
-    pub fn first_burst(&self) -> SimTime {
-        self.setup
-    }
 }
 
 #[cfg(test)]

@@ -11,6 +11,10 @@ cargo fmt --check
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings) =="
+# A doc link to a renamed or deleted item is a warning; fail on it.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "== environment reads stay at the edge =="
 # No library result may depend on the process environment: binaries
 # parse the knobs and pass them down. The two standing exceptions are

@@ -137,15 +137,10 @@ impl Star {
             for i in 1..HOSTS {
                 let sem = Self::semantics(i);
                 let vc = Vc(VC_BASE + u32::from(i));
-                let req = match sem.allocation() {
-                    Allocation::Application => {
-                        let (off, _) = w.preferred_alignment(HUB, vc);
-                        let dst = w.alloc_buffer(HUB, hub, BYTES, off).expect("hub buffer");
-                        InputRequest::app(sem, vc, hub, dst, BYTES)
-                    }
-                    Allocation::System => InputRequest::system(sem, vc, hub, BYTES),
-                };
-                let token = w.input(HUB, req).expect("input");
+                let off = w.preferred_alignment(HUB, vc).0;
+                let token = w
+                    .post_receive(HUB, hub, sem, vc, BYTES, off)
+                    .expect("input");
                 first_token.get_or_insert(token);
                 expected.push((usize::from(i) * 509 + k * 131 + salt * 17) % (block.len() - BYTES));
             }
@@ -155,16 +150,9 @@ impl Star {
                 let sem = Self::semantics(i);
                 let (host, space) = (HostId(i), spokes[usize::from(i) - 1]);
                 let at = expected[k * usize::from(HOSTS - 1) + usize::from(i) - 1];
-                let src = match sem.allocation() {
-                    Allocation::Application => w.alloc_buffer(host, space, BYTES, 0),
-                    Allocation::System => w
-                        .host_mut(host)
-                        .alloc_io_buffer(space, BYTES)
-                        .map(|(_, va)| va),
-                }
-                .expect("source buffer");
-                w.app_write(host, space, src, &block[at..at + BYTES])
-                    .expect("fill");
+                let src = w
+                    .alloc_source(host, space, sem, &block[at..at + BYTES])
+                    .expect("source buffer");
                 let vc = Vc(VC_BASE + u32::from(i));
                 w.output(host, OutputRequest::new(sem, vc, space, src, BYTES))
                     .expect("output");

@@ -146,19 +146,10 @@ fn conservation_run(seed: u64, cq_depth: usize) -> ConservationRun {
             },
         );
         if recv_ok {
-            let src = match semantics.allocation() {
-                Allocation::Application => {
-                    w.alloc_buffer(HostId::A, tx, len, 0).expect("src alloc")
-                }
-                Allocation::System => {
-                    w.host_mut(HostId::A)
-                        .alloc_io_buffer(tx, len)
-                        .expect("src alloc")
-                        .1
-                }
-            };
-            w.app_write(HostId::A, tx, src, &vec![(k as u8).wrapping_add(1); len])
-                .expect("src write");
+            let data = vec![(k as u8).wrapping_add(1); len];
+            let src = w
+                .alloc_source(HostId::A, tx, semantics, &data)
+                .expect("src alloc");
             post(
                 &mut qps,
                 1,

@@ -66,15 +66,9 @@ fn run_scenario(sem: Semantics, arch: InputBuffering, seed: u64) -> Result<Trace
     // unsolicited-input backlog of each architecture.
     let late_post = seed.is_multiple_of(3);
 
-    let post_input = |w: &mut World, bytes: usize| -> Result<(), genie::GenieError> {
-        if sem.allocation() == genie::Allocation::Application {
-            let off = w.preferred_alignment(HostId::B, vc).0;
-            let dst = w.host_mut(HostId::B).alloc_buffer(rx, bytes, off)?;
-            w.input(HostId::B, InputRequest::app(sem, vc, rx, dst, bytes))?;
-        } else {
-            w.input(HostId::B, InputRequest::system(sem, vc, rx, bytes))?;
-        }
-        Ok(())
+    let post_input = |w: &mut World, bytes: usize| {
+        let off = w.preferred_alignment(HostId::B, vc).0;
+        w.post_receive(HostId::B, rx, sem, vc, bytes, off)
     };
 
     if !late_post {
@@ -87,26 +81,9 @@ fn run_scenario(sem: Semantics, arch: InputBuffering, seed: u64) -> Result<Trace
 
     for (i, &bytes) in sizes.iter().enumerate() {
         let data = payload(seed, i, bytes);
-        let src = match sem.allocation() {
-            genie::Allocation::Application => {
-                let s = w
-                    .host_mut(HostId::A)
-                    .alloc_buffer(tx, bytes, 0)
-                    .map_err(|e| format!("alloc: {e:?}"))?;
-                w.app_write(HostId::A, tx, s, &data)
-                    .map_err(|e| format!("write: {e:?}"))?;
-                s
-            }
-            genie::Allocation::System => {
-                let (_r, s) = w
-                    .host_mut(HostId::A)
-                    .alloc_io_buffer(tx, bytes)
-                    .map_err(|e| format!("alloc io: {e:?}"))?;
-                w.app_write(HostId::A, tx, s, &data)
-                    .map_err(|e| format!("write: {e:?}"))?;
-                s
-            }
-        };
+        let src = w
+            .alloc_source(HostId::A, tx, sem, &data)
+            .map_err(|e| format!("source: {e:?}"))?;
         if let Err(e) = w.output(HostId::A, OutputRequest::new(sem, vc, tx, src, bytes)) {
             return fail(format!("output pdu {i} failed: {e:?}"));
         }
@@ -360,17 +337,8 @@ fn run_switched_scenario(
     for (r, &(_src, vc, dst)) in routes.iter().enumerate() {
         for (k, &bytes) in sizes[r].iter().enumerate() {
             let space = spaces[usize::from(dst)];
-            let req = if sem.allocation() == genie::Allocation::Application {
-                let off = w.preferred_alignment(HostId(dst), Vc(vc)).0;
-                let vaddr = w
-                    .host_mut(HostId(dst))
-                    .alloc_buffer(space, bytes, off)
-                    .map_err(|e| format!("alloc dst: {e:?}"))?;
-                InputRequest::app(sem, Vc(vc), space, vaddr, bytes)
-            } else {
-                InputRequest::system(sem, Vc(vc), space, bytes)
-            };
-            match w.input(HostId(dst), req) {
+            let off = w.preferred_alignment(HostId(dst), Vc(vc)).0;
+            match w.post_receive(HostId(dst), space, sem, Vc(vc), bytes, off) {
                 Ok(tok) => tokens.insert(tok, (r, k)),
                 Err(e) => return fail(format!("prepost route {r} pdu {k}: {e:?}")),
             };
@@ -385,26 +353,9 @@ fn run_switched_scenario(
             let bytes = sizes[r][k];
             let data = payload(salt(r), k, bytes);
             let space = spaces[usize::from(src)];
-            let vaddr = match sem.allocation() {
-                genie::Allocation::Application => {
-                    let s = w
-                        .host_mut(HostId(src))
-                        .alloc_buffer(space, bytes, 0)
-                        .map_err(|e| format!("alloc: {e:?}"))?;
-                    w.app_write(HostId(src), space, s, &data)
-                        .map_err(|e| format!("write: {e:?}"))?;
-                    s
-                }
-                genie::Allocation::System => {
-                    let (_reg, s) = w
-                        .host_mut(HostId(src))
-                        .alloc_io_buffer(space, bytes)
-                        .map_err(|e| format!("alloc io: {e:?}"))?;
-                    w.app_write(HostId(src), space, s, &data)
-                        .map_err(|e| format!("write: {e:?}"))?;
-                    s
-                }
-            };
+            let vaddr = w
+                .alloc_source(HostId(src), space, sem, &data)
+                .map_err(|e| format!("source: {e:?}"))?;
             if let Err(e) = w.output(
                 HostId(src),
                 OutputRequest::new(sem, Vc(vc), space, vaddr, bytes),
@@ -698,26 +649,8 @@ fn inert_plan_injects_nothing_even_with_the_oracle_on() {
         let rx = w.create_process(HostId::B);
         let bytes = 3000;
         let data = payload(9, 0, bytes);
-        if sem.allocation() == genie::Allocation::Application {
-            let dst = w.host_mut(HostId::B).alloc_buffer(rx, bytes, 0).unwrap();
-            w.input(HostId::B, InputRequest::app(sem, Vc(1), rx, dst, bytes))
-                .unwrap();
-        } else {
-            w.input(HostId::B, InputRequest::system(sem, Vc(1), rx, bytes))
-                .unwrap();
-        }
-        let src = match sem.allocation() {
-            genie::Allocation::Application => {
-                let s = w.host_mut(HostId::A).alloc_buffer(tx, bytes, 0).unwrap();
-                w.app_write(HostId::A, tx, s, &data).unwrap();
-                s
-            }
-            genie::Allocation::System => {
-                let (_r, s) = w.host_mut(HostId::A).alloc_io_buffer(tx, bytes).unwrap();
-                w.app_write(HostId::A, tx, s, &data).unwrap();
-                s
-            }
-        };
+        w.post_receive(HostId::B, rx, sem, Vc(1), bytes, 0).unwrap();
+        let src = w.alloc_source(HostId::A, tx, sem, &data).unwrap();
         w.output(HostId::A, OutputRequest::new(sem, Vc(1), tx, src, bytes))
             .unwrap();
         w.run();

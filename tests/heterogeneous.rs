@@ -3,8 +3,7 @@
 //! at sender and receiver, including the Section 8 additivity claim.
 
 use genie::{
-    measure_latency, ExperimentSetup, HostId, InputRequest, OutputRequest, Semantics, World,
-    WorldConfig,
+    measure_latency, ExperimentSetup, HostId, OutputRequest, Semantics, World, WorldConfig,
 };
 use genie_machine::MachineSpec;
 use genie_net::Vc;
@@ -20,32 +19,10 @@ fn mixed_exchange(cfg: WorldConfig, s_out: Semantics, s_in: Semantics, len: usiz
         let mut d = data.clone();
         d[0] = seed;
         world.quiesce();
-        match s_in.allocation() {
-            genie::Allocation::Application => {
-                let dst = world.alloc_buffer(HostId::B, rx, len, 0).expect("dst");
-                world
-                    .input(HostId::B, InputRequest::app(s_in, Vc(1), rx, dst, len))
-                    .expect("prepost");
-            }
-            genie::Allocation::System => {
-                world
-                    .input(HostId::B, InputRequest::system(s_in, Vc(1), rx, len))
-                    .expect("prepost");
-            }
-        }
-        let src = match s_out.allocation() {
-            genie::Allocation::Application => {
-                world.alloc_buffer(HostId::A, tx, len, 0).expect("src")
-            }
-            genie::Allocation::System => {
-                let (_r, s) = world
-                    .host_mut(HostId::A)
-                    .alloc_io_buffer(tx, len)
-                    .expect("io");
-                s
-            }
-        };
-        world.app_write(HostId::A, tx, src, &d).expect("fill");
+        world
+            .post_receive(HostId::B, rx, s_in, Vc(1), len, 0)
+            .expect("prepost");
+        let src = world.alloc_source(HostId::A, tx, s_out, &d).expect("src");
         world
             .output(HostId::A, OutputRequest::new(s_out, Vc(1), tx, src, len))
             .expect("output");

@@ -4,10 +4,7 @@
 //! while staying under its copy bound. Cases come from a deterministic
 //! xorshift PRNG (std-only, no external dependencies).
 
-use genie::{
-    plan_aligned_input, HostId, InputRequest, OutputRequest, PageAction, Semantics, World,
-    WorldConfig,
-};
+use genie::{plan_aligned_input, HostId, OutputRequest, PageAction, Semantics, World, WorldConfig};
 use genie_net::Vc;
 
 /// Deterministic xorshift64* PRNG.
@@ -81,21 +78,9 @@ fn delivery_is_byte_exact() {
         };
         world.app_write(HostId::A, tx, src, &data).expect("fill");
 
-        match semantics.allocation() {
-            genie::Allocation::Application => {
-                let dst = world
-                    .alloc_buffer(HostId::B, rx, len, page_off)
-                    .expect("dst");
-                world
-                    .input(HostId::B, InputRequest::app(semantics, Vc(1), rx, dst, len))
-                    .expect("prepost");
-            }
-            genie::Allocation::System => {
-                world
-                    .input(HostId::B, InputRequest::system(semantics, Vc(1), rx, len))
-                    .expect("prepost");
-            }
-        }
+        world
+            .post_receive(HostId::B, rx, semantics, Vc(1), len, page_off)
+            .expect("prepost");
         world
             .output(
                 HostId::A,
@@ -172,39 +157,15 @@ fn pipelined_datagrams_stay_ordered() {
         let rx = world.create_process(HostId::B);
 
         // Prepost all inputs, then fire all outputs back to back.
-        let mut dsts = Vec::new();
         for _ in 0..count {
-            match semantics.allocation() {
-                genie::Allocation::Application => {
-                    let dst = world.alloc_buffer(HostId::B, rx, len, 0).expect("dst");
-                    world
-                        .input(HostId::B, InputRequest::app(semantics, Vc(1), rx, dst, len))
-                        .expect("prepost");
-                    dsts.push(dst);
-                }
-                genie::Allocation::System => {
-                    world
-                        .input(HostId::B, InputRequest::system(semantics, Vc(1), rx, len))
-                        .expect("prepost");
-                }
-            }
+            world
+                .post_receive(HostId::B, rx, semantics, Vc(1), len, 0)
+                .expect("prepost");
         }
         for i in 0..count {
-            let src = match semantics.allocation() {
-                genie::Allocation::Application => {
-                    world.alloc_buffer(HostId::A, tx, len, 0).expect("src")
-                }
-                genie::Allocation::System => {
-                    let (_r, s) = world
-                        .host_mut(HostId::A)
-                        .alloc_io_buffer(tx, len)
-                        .expect("io");
-                    s
-                }
-            };
-            world
-                .app_write(HostId::A, tx, src, &vec![i as u8 + 1; len])
-                .expect("fill");
+            let src = world
+                .alloc_source(HostId::A, tx, semantics, &vec![i as u8 + 1; len])
+                .expect("src");
             world
                 .output(
                     HostId::A,

@@ -189,18 +189,9 @@ fn mixed_semantics_sender_and_receiver_interoperate() {
         let tx = world.create_process(HostId::A);
         let rx = world.create_process(HostId::B);
         let data = vec![0xc3u8; 12_288];
-        let src = if s_out.allocation() == genie::Allocation::System {
-            let (_r, src) = world
-                .host_mut(HostId::A)
-                .alloc_io_buffer(tx, data.len())
-                .expect("io buffer");
-            src
-        } else {
-            world
-                .alloc_buffer(HostId::A, tx, data.len(), 0)
-                .expect("src")
-        };
-        world.app_write(HostId::A, tx, src, &data).expect("fill");
+        let src = world
+            .alloc_source(HostId::A, tx, s_out, &data)
+            .expect("src");
         let dst = world
             .alloc_buffer(HostId::B, rx, data.len(), 0)
             .expect("dst");

@@ -4,8 +4,8 @@
 //! under a mid-stream cell loss with retransmission.
 
 use genie::{
-    measure_stream, Allocation, ExperimentSetup, HostId, InputRequest, Integrity, OutputRequest,
-    Semantics, World, WorldConfig,
+    measure_stream, Allocation, ExperimentSetup, HostId, Integrity, OutputRequest, Semantics,
+    World, WorldConfig,
 };
 use genie_fault::FaultConfig;
 use genie_machine::MachineSpec;
@@ -30,25 +30,11 @@ fn stream_world(sem: Semantics, bytes: usize, count: usize, fault: FaultConfig) 
     let tx = w.create_process(HostId::A);
     let rx = w.create_process(HostId::B);
     for _ in 0..count {
-        match sem.allocation() {
-            Allocation::Application => {
-                let dst = w.host_mut(HostId::B).alloc_buffer(rx, bytes, 0).unwrap();
-                w.input(HostId::B, InputRequest::app(sem, Vc(1), rx, dst, bytes))
-                    .unwrap();
-            }
-            Allocation::System => {
-                w.input(HostId::B, InputRequest::system(sem, Vc(1), rx, bytes))
-                    .unwrap();
-            }
-        }
+        w.post_receive(HostId::B, rx, sem, Vc(1), bytes, 0).unwrap();
     }
     for i in 0..count {
         let data = pattern(bytes, i as u8);
-        let src = match sem.allocation() {
-            Allocation::Application => w.host_mut(HostId::A).alloc_buffer(tx, bytes, 0).unwrap(),
-            Allocation::System => w.host_mut(HostId::A).alloc_io_buffer(tx, bytes).unwrap().1,
-        };
-        w.app_write(HostId::A, tx, src, &data).unwrap();
+        let src = w.alloc_source(HostId::A, tx, sem, &data).unwrap();
         w.output(HostId::A, OutputRequest::new(sem, Vc(1), tx, src, bytes))
             .unwrap();
         // Strong integrity: the stream may scribble its buffer right

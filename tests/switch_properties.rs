@@ -21,7 +21,7 @@
 //!   quiesce. A blocked port waits for credit-return wakes instead of
 //!   polling, so its stall count is bounded by enqueues plus dispatches.
 
-use genie::{Allocation, HostId, InputRequest, OutputRequest, Semantics, World, WorldConfig};
+use genie::{HostId, InputRequest, OutputRequest, Semantics, World, WorldConfig};
 use genie_fault::XorShift64;
 use genie_machine::MachineSpec;
 use genie_mem::Fnv64;
@@ -117,14 +117,9 @@ fn run_one(seed: u64) -> RunOutcome {
         let (_src, vc, dsts) = &routes[r];
         for &d in dsts {
             let space = spaces[usize::from(d)];
-            let req = match semantics.allocation() {
-                Allocation::Application => {
-                    let dst = w.alloc_buffer(HostId(d), space, len, 0).expect("dst");
-                    InputRequest::app(semantics, Vc(*vc), space, dst, len)
-                }
-                Allocation::System => InputRequest::system(semantics, Vc(*vc), space, len),
-            };
-            let tok = w.input(HostId(d), req).expect("input");
+            let tok = w
+                .post_receive(HostId(d), space, semantics, Vc(*vc), len, 0)
+                .expect("input");
             tokens.insert(tok, (d, *vc));
         }
     }
@@ -139,19 +134,11 @@ fn run_one(seed: u64) -> RunOutcome {
         let tag = *idx;
         *idx += 1;
         let space = spaces[usize::from(*src)];
-        let vaddr = match semantics.allocation() {
-            Allocation::Application => w.alloc_buffer(HostId(*src), space, len, 0).expect("src"),
-            Allocation::System => {
-                w.host_mut(HostId(*src))
-                    .alloc_io_buffer(space, len)
-                    .expect("src io")
-                    .1
-            }
-        };
         let mut data = vec![tag; len.min(1)];
         data.resize(len, tag ^ 0x5a);
-        w.app_write(HostId(*src), space, vaddr, &data)
-            .expect("fill");
+        let vaddr = w
+            .alloc_source(HostId(*src), space, semantics, &data)
+            .expect("src");
         w.output(
             HostId(*src),
             OutputRequest::new(semantics, Vc(*vc), space, vaddr, len),

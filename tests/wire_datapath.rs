@@ -10,7 +10,7 @@
 //! same recovery statistics. Cases are generated by a deterministic
 //! xorshift PRNG so failures reproduce from the case index alone.
 
-use genie::{Allocation, HostId, InputRequest, OutputRequest, Semantics, World, WorldConfig};
+use genie::{HostId, OutputRequest, Semantics, World, WorldConfig};
 use genie_fault::FaultConfig;
 use genie_net::{InputBuffering, Vc};
 
@@ -94,35 +94,14 @@ fn one_exchange(
     let vc = Vc(1);
     let data = pattern(bytes, seed);
 
-    match sem.allocation() {
-        Allocation::Application => {
-            let off = w.preferred_alignment(HostId::B, vc).0;
-            let dst = w
-                .host_mut(HostId::B)
-                .alloc_buffer(rx, bytes, off)
-                .expect("rx buffer");
-            w.input(HostId::B, InputRequest::app(sem, vc, rx, dst, bytes))
-                .expect("input");
-            let src = w
-                .host_mut(HostId::A)
-                .alloc_buffer(tx, bytes, 0)
-                .expect("tx buffer");
-            w.app_write(HostId::A, tx, src, &data).expect("write");
-            w.output(HostId::A, OutputRequest::new(sem, vc, tx, src, bytes))
-                .expect("output");
-        }
-        Allocation::System => {
-            w.input(HostId::B, InputRequest::system(sem, vc, rx, bytes))
-                .expect("input");
-            let (_r, src) = w
-                .host_mut(HostId::A)
-                .alloc_io_buffer(tx, bytes)
-                .expect("io buffer");
-            w.app_write(HostId::A, tx, src, &data).expect("write");
-            w.output(HostId::A, OutputRequest::new(sem, vc, tx, src, bytes))
-                .expect("output");
-        }
-    }
+    let off = w.preferred_alignment(HostId::B, vc).0;
+    w.post_receive(HostId::B, rx, sem, vc, bytes, off)
+        .expect("input");
+    let src = w
+        .alloc_source(HostId::A, tx, sem, &data)
+        .expect("tx buffer");
+    w.output(HostId::A, OutputRequest::new(sem, vc, tx, src, bytes))
+        .expect("output");
     w.run();
 
     let recvs = w.take_completed_inputs();
@@ -227,39 +206,15 @@ fn fault_scenario(
     let sizes: Vec<usize> = (0..PDUS).map(|_| 1 + rng.range(0, 4000)).collect();
 
     for &bytes in &sizes {
-        if sem.allocation() == Allocation::Application {
-            let off = w.preferred_alignment(HostId::B, vc).0;
-            let dst = w
-                .host_mut(HostId::B)
-                .alloc_buffer(rx, bytes, off)
-                .expect("rx buffer");
-            w.input(HostId::B, InputRequest::app(sem, vc, rx, dst, bytes))
-                .expect("input");
-        } else {
-            w.input(HostId::B, InputRequest::system(sem, vc, rx, bytes))
-                .expect("input");
-        }
+        let off = w.preferred_alignment(HostId::B, vc).0;
+        w.post_receive(HostId::B, rx, sem, vc, bytes, off)
+            .expect("input");
     }
     for (i, &bytes) in sizes.iter().enumerate() {
         let data = pattern(bytes, seed.wrapping_add(i as u64));
-        let src = match sem.allocation() {
-            Allocation::Application => {
-                let s = w
-                    .host_mut(HostId::A)
-                    .alloc_buffer(tx, bytes, 0)
-                    .expect("tx buffer");
-                w.app_write(HostId::A, tx, s, &data).expect("write");
-                s
-            }
-            Allocation::System => {
-                let (_r, s) = w
-                    .host_mut(HostId::A)
-                    .alloc_io_buffer(tx, bytes)
-                    .expect("io buffer");
-                w.app_write(HostId::A, tx, s, &data).expect("write");
-                s
-            }
-        };
+        let src = w
+            .alloc_source(HostId::A, tx, sem, &data)
+            .expect("tx buffer");
         w.output(HostId::A, OutputRequest::new(sem, vc, tx, src, bytes))
             .expect("output");
     }
