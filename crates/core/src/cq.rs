@@ -34,22 +34,14 @@
 //! *completion ring* is bounded by `cq_depth`: completions beyond it
 //! spill to an internal overflow list so no tag is ever dropped, and
 //! the spill count is visible via [`QueuePair::ring_overflows`].
-//!
-//! # Adaptive concurrency
-//!
-//! An AIMD in-flight-send limiter (after arsync's io_uring adaptive-
-//! concurrency controller) sits between the staged queue and the wire:
-//! each harvest batch either grows the window by one (clean batch) or
-//! halves it (completion-latency spike over the EWMA baseline, or
-//! frame-pool memory pressure). The controller is a pure function of
-//! its seed and the observed completions, so adaptive runs are as
-//! deterministic as fixed-window ones.
+//! Sends are further gated by a fixed *send window*
+//! ([`CqConfig::window`]): [`QueuePair::submit`] keeps no more sends in
+//! flight than it allows, and stages the rest.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use genie_fault::XorShift64;
 use genie_machine::SimTime;
-use genie_net::{stream_key, Vc};
+use genie_net::Vc;
 use genie_vm::{RegionHandle, SpaceId};
 
 use crate::input::InputRequest;
@@ -175,135 +167,15 @@ pub struct Cqe {
     pub user_data: u64,
 }
 
-/// Adaptive-window (AIMD) parameters.
+/// The in-flight-send window: how many sends a queue pair keeps
+/// issued and uncompleted at once. Always at least one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdaptiveConfig {
-    /// Whether the window adapts at all. When off, the window is
-    /// pinned at `start`.
-    pub adaptive: bool,
-    /// Smallest window the controller will contract to.
-    pub min: usize,
-    /// Initial window (the fixed window when `adaptive` is off). With
-    /// adaptivity on, the seeded controller starts somewhere in
-    /// `[min, start]` so co-located queue pairs desynchronize.
-    pub start: usize,
-    /// Largest window additive increase will grow to.
-    pub max: usize,
-    /// Seed for the controller's private PRNG.
-    pub seed: u64,
-    /// Free-frame fraction (per-mille) below which the host is
-    /// considered under memory pressure.
-    pub pressure_floor_per_mille: u32,
-}
+pub struct AdaptiveConfig(usize);
 
 impl AdaptiveConfig {
-    /// A fixed window of `depth` (no adaptation).
+    /// A window of `depth` sends, clamped to at least one.
     pub fn fixed(depth: usize) -> Self {
-        AdaptiveConfig {
-            adaptive: false,
-            min: depth.max(1),
-            start: depth.max(1),
-            max: depth.max(1),
-            seed: 0,
-            pressure_floor_per_mille: 125,
-        }
-    }
-
-    /// The default adaptive controller: window in `[1, max]`, seeded.
-    pub fn adaptive(max: usize, seed: u64) -> Self {
-        let max = max.max(1);
-        AdaptiveConfig {
-            adaptive: true,
-            min: 1,
-            start: max.div_ceil(2).max(1),
-            max,
-            seed,
-            pressure_floor_per_mille: 125,
-        }
-    }
-}
-
-/// The AIMD in-flight limiter. Additive increase (+1 per clean harvest
-/// batch), multiplicative decrease (halve on a latency spike over the
-/// EWMA baseline or on memory pressure). Both responses are monotone:
-/// over a baseline stream stable enough not to trip the relative
-/// spike detector by itself, adding spikes (or pressure) can never
-/// yield a larger window at any step — the property
-/// `tests/cq_properties.rs` pins. (The stability precondition is
-/// real: the detector compares each sample to the stream's own EWMA,
-/// so an already-wild baseline raises its own bar.)
-#[derive(Clone, Debug)]
-pub struct AdaptiveWindow {
-    cfg: AdaptiveConfig,
-    cur: usize,
-    /// EWMA of observed batch-max completion latency (ns), `alpha =
-    /// 1/8` in integer arithmetic so the trajectory is exactly
-    /// reproducible across platforms.
-    ewma_ns: u64,
-    batches: u64,
-    increases: u64,
-    decreases: u64,
-}
-
-impl AdaptiveWindow {
-    /// Builds a controller. With adaptivity on, the start point is
-    /// drawn from `[min, start]` by the seeded PRNG.
-    pub fn new(cfg: AdaptiveConfig) -> Self {
-        let (min, max) = (cfg.min.max(1), cfg.max.max(1));
-        let start = cfg.start.clamp(min, max);
-        let cur = if cfg.adaptive && start > min {
-            let mut rng = XorShift64::new(cfg.seed);
-            min + rng.below((start - min + 1) as u64) as usize
-        } else {
-            start
-        };
-        AdaptiveWindow {
-            cfg,
-            cur,
-            ewma_ns: 0,
-            batches: 0,
-            increases: 0,
-            decreases: 0,
-        }
-    }
-
-    /// The current in-flight-send limit.
-    pub fn current(&self) -> usize {
-        self.cur
-    }
-
-    /// Feeds one harvest batch's worst completion latency and the
-    /// host's pressure flag into the controller.
-    pub fn observe_batch(&mut self, max_latency_ns: u64, pressure: bool) {
-        if !self.cfg.adaptive {
-            return;
-        }
-        // Spike detection against the pre-update baseline, after a
-        // short warmup so the first batches establish the EWMA.
-        let spike = self.batches >= 4 && max_latency_ns > self.ewma_ns.saturating_mul(2);
-        self.ewma_ns = if self.batches == 0 {
-            max_latency_ns
-        } else {
-            self.ewma_ns - self.ewma_ns / 8 + max_latency_ns / 8
-        };
-        self.batches += 1;
-        if spike || pressure {
-            self.cur = (self.cur / 2).max(self.cfg.min);
-            self.decreases += 1;
-        } else if self.cur < self.cfg.max {
-            self.cur += 1;
-            self.increases += 1;
-        }
-    }
-
-    /// Batches that grew the window.
-    pub fn increases(&self) -> u64 {
-        self.increases
-    }
-
-    /// Batches that contracted the window.
-    pub fn decreases(&self) -> u64 {
-        self.decreases
+        AdaptiveConfig(depth.max(1))
     }
 }
 
@@ -315,7 +187,7 @@ pub struct CqConfig {
     /// Completion-ring bound: completions beyond it spill to the
     /// internal overflow list (never dropped).
     pub cq_depth: usize,
-    /// The in-flight-send limiter.
+    /// The in-flight-send window.
     pub window: AdaptiveConfig,
 }
 
@@ -350,20 +222,17 @@ pub struct QueuePair {
     host: HostId,
     semantics: Semantics,
     cfg: CqConfig,
-    window: AdaptiveWindow,
     staged: VecDeque<Sqe>,
     inflight_sends: HashMap<u64, InflightOp>,
     inflight_recvs: HashMap<u64, InflightOp>,
     ring: VecDeque<Cqe>,
     overflow: VecDeque<Cqe>,
     next_seq: u64,
-    posted: u64,
-    completed: u64,
     sq_rejects: u64,
     ring_overflows: u64,
-    /// Last delivered stream key per VC ([`genie_net::stream_key`]):
-    /// the per-VC in-order delivery invariant, checked at harvest.
-    last_delivery: BTreeMap<u32, u64>,
+    /// Last delivered wire sequence number per VC: the per-VC
+    /// in-order delivery invariant, checked at harvest.
+    last_delivery: BTreeMap<u32, u32>,
 }
 
 impl QueuePair {
@@ -373,15 +242,12 @@ impl QueuePair {
             host,
             semantics,
             cfg,
-            window: AdaptiveWindow::new(cfg.window),
             staged: VecDeque::new(),
             inflight_sends: HashMap::new(),
             inflight_recvs: HashMap::new(),
             ring: VecDeque::new(),
             overflow: VecDeque::new(),
             next_seq: 0,
-            posted: 0,
-            completed: 0,
             sq_rejects: 0,
             ring_overflows: 0,
             last_delivery: BTreeMap::new(),
@@ -406,7 +272,6 @@ impl QueuePair {
             self.sq_rejects += 1;
             return Err(sqe);
         }
-        self.posted += 1;
         self.staged.push_back(sqe);
         Ok(())
     }
@@ -427,7 +292,7 @@ impl QueuePair {
                     vaddr,
                     len,
                 } => {
-                    if self.inflight_sends.len() >= self.window.current() {
+                    if self.inflight_sends.len() >= self.cfg.window.0 {
                         break;
                     }
                     let issued_at = w.host(self.host).clock;
@@ -526,16 +391,11 @@ impl QueuePair {
         self.inflight_sends.len() + self.inflight_recvs.len()
     }
 
-    /// Sends issued and not yet completed — the quantity the adaptive
-    /// window gates. Excludes posted receives, which may legitimately
+    /// Sends issued and not yet completed — the quantity the window
+    /// gates. Excludes posted receives, which may legitimately
     /// outlive every send.
     pub fn in_flight_sends(&self) -> usize {
         self.inflight_sends.len()
-    }
-
-    /// The adaptive controller.
-    pub fn window(&self) -> &AdaptiveWindow {
-        &self.window
     }
 
     /// Entries rejected at [`QueuePair::post`] (the `sq_full` path).
@@ -546,16 +406,6 @@ impl QueuePair {
     /// Completions that spilled past the bounded ring.
     pub fn ring_overflows(&self) -> u64 {
         self.ring_overflows
-    }
-
-    /// Entries accepted by [`QueuePair::post`].
-    pub fn posted(&self) -> u64 {
-        self.posted
-    }
-
-    /// Completions produced so far (queued or already polled).
-    pub fn completed(&self) -> u64 {
-        self.completed
     }
 
     /// Enqueues a completion, spilling past the bounded ring into the
@@ -569,7 +419,6 @@ impl QueuePair {
             user_data,
         };
         self.next_seq += 1;
-        self.completed += 1;
         if self.ring.len() < self.cfg.cq_depth {
             self.ring.push_back(cqe);
         } else {
@@ -582,30 +431,23 @@ impl QueuePair {
     fn complete_immediate(&mut self, user_data: u64, result: CqResult) {
         self.push_cqe(0, result, Landing::None, user_data);
     }
-
-    /// Whether the host is under frame-pool memory pressure.
-    fn under_pressure(&self, w: &World) -> bool {
-        w.host(self.host).vm.phys.free_per_mille() < self.cfg.window.pressure_floor_per_mille
-    }
 }
 
 impl World {
-    /// Records one completion-ring depth / adaptive-window sample for
-    /// `host`. Tracing-gated like the per-VC latency series, so plain
+    /// Records one completion-ring depth sample for `host`.
+    /// Tracing-gated like the per-VC latency series, so plain
     /// measurement runs carry no observability state.
-    pub(crate) fn note_cq_sample(&mut self, host: HostId, depth: u64, window: u64) {
+    pub(crate) fn note_cq_sample(&mut self, host: HostId, depth: u64) {
         if !self.tracing_enabled() {
             return;
         }
         self.cq_depth.entry(host.0).or_default().record(depth);
-        self.cq_window.entry(host.0).or_default().record(window);
     }
 }
 
 /// Routes the world's drained completion streams back to their owning
-/// queue pairs, converts them to [`Cqe`]s, feeds each pair's adaptive
-/// controller, and samples the `cq.depth` / `cq.window` series.
-/// Returns the number of completions routed.
+/// queue pairs, converts them to [`Cqe`]s, and samples the `cq.depth`
+/// series. Returns the number of completions routed.
 ///
 /// Within one harvest, receives complete before sends (matching the
 /// world's separate completion streams); within each stream the
@@ -616,28 +458,25 @@ pub fn harvest(w: &mut World, qps: &mut [QueuePair]) -> usize {
     let recvs = w.take_completed_inputs();
     let sends = w.take_completed_outputs();
     let mut routed = 0;
-    // Batch-worst completion latency per queue pair, for the AIMD
-    // controllers; latest observed completion per queue pair, for the
-    // clock synchronization below.
-    let mut worst: Vec<u64> = vec![0; qps.len()];
+    // Latest observed completion per queue pair, for the clock
+    // synchronization below.
     let mut observed_at: Vec<SimTime> = vec![SimTime::ZERO; qps.len()];
     for c in recvs {
         let (qi, op) = take_inflight(qps, c.host, c.token, |qp| &mut qp.inflight_recvs)
             .unwrap_or_else(|| panic!("recv completion for unknown token {}", c.token));
         let qp = &mut qps[qi];
-        // The per-VC in-order delivery invariant: stream keys on one
-        // circuit must be strictly increasing in completion order.
+        // The per-VC in-order delivery invariant: wire sequence numbers
+        // on one circuit must be strictly increasing in completion order.
         let vc = op.vc;
-        let key = stream_key(vc.0, c.seq);
         if let Some(&last) = qp.last_delivery.get(&vc.0) {
             assert!(
-                key > last,
-                "out-of-order completion on vc {} (seq {} after key {last:#x})",
+                c.seq > last,
+                "out-of-order completion on vc {} (seq {} after seq {last})",
                 vc.0,
                 c.seq
             );
         }
-        qp.last_delivery.insert(vc.0, key);
+        qp.last_delivery.insert(vc.0, c.seq);
         let result = if c.checksum_ok {
             CqResult::Ok
         } else {
@@ -656,7 +495,6 @@ pub fn harvest(w: &mut World, qps: &mut [QueuePair]) -> usize {
             },
             op.user_data,
         );
-        worst[qi] = worst[qi].max(c.latency.0);
         observed_at[qi] = observed_at[qi].max(c.completed_at);
         routed += 1;
     }
@@ -675,7 +513,6 @@ pub fn harvest(w: &mut World, qps: &mut [QueuePair]) -> usize {
             },
             op.user_data,
         );
-        worst[qi] = worst[qi].max(latency.0);
         observed_at[qi] = observed_at[qi].max(c.completed_at);
         routed += 1;
     }
@@ -691,13 +528,8 @@ pub fn harvest(w: &mut World, qps: &mut [QueuePair]) -> usize {
             let h = w.host_mut(qp.host);
             h.clock = h.clock.max(observed_at[qi]);
         }
-        if worst[qi] > 0 {
-            let pressure = qp.under_pressure(w);
-            qp.window.observe_batch(worst[qi], pressure);
-        }
         let depth = qp.completions_queued() as u64;
-        let window = qp.window.current() as u64;
-        w.note_cq_sample(qp.host, depth, window);
+        w.note_cq_sample(qp.host, depth);
     }
     routed
 }
@@ -777,65 +609,7 @@ mod tests {
         let back = qp.post(sqe(3)).unwrap_err();
         assert_eq!(back.user_data, 3);
         assert_eq!(qp.sq_rejects(), 1);
-        assert_eq!(qp.posted(), 2);
-    }
-
-    #[test]
-    fn adaptive_window_grows_on_clean_batches_and_halves_on_spikes() {
-        let mut win = AdaptiveWindow::new(AdaptiveConfig {
-            adaptive: true,
-            min: 1,
-            start: 4,
-            max: 16,
-            seed: 9,
-            pressure_floor_per_mille: 125,
-        });
-        let start = win.current();
-        assert!((1..=4).contains(&start));
-        for _ in 0..8 {
-            win.observe_batch(1_000, false);
-        }
-        let grown = win.current();
-        assert!(grown > start, "clean batches grow the window");
-        win.observe_batch(1_000_000, false);
-        assert_eq!(win.current(), grown / 2, "spike halves");
-        assert!(win.decreases() >= 1);
-        // Pressure contracts even with clean latency.
-        let before = win.current();
-        win.observe_batch(1_000, true);
-        assert_eq!(win.current(), (before / 2).max(1));
-    }
-
-    #[test]
-    fn adaptive_window_is_monotone_in_latency() {
-        // Pointwise domination: a stream with one extra spike can
-        // never end up with a larger window at any step.
-        for seed in 0..32u64 {
-            let cfg = AdaptiveConfig::adaptive(16, seed);
-            let mut clean = AdaptiveWindow::new(cfg);
-            let mut spiky = AdaptiveWindow::new(cfg);
-            let mut rng = XorShift64::new(seed ^ 0xdead);
-            for step in 0..64 {
-                let lat = 10_000 + rng.below(5_000);
-                clean.observe_batch(lat, false);
-                let s = if step == 20 { lat * 10 } else { lat };
-                spiky.observe_batch(s, false);
-                assert!(
-                    spiky.current() <= clean.current(),
-                    "seed {seed} step {step}: spiky window above clean"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fixed_window_never_moves() {
-        let mut win = AdaptiveWindow::new(AdaptiveConfig::fixed(3));
-        for _ in 0..16 {
-            win.observe_batch(1_000_000_000, true);
-        }
-        assert_eq!(win.current(), 3);
-        assert_eq!(win.decreases(), 0);
+        assert_eq!(qp.staged_len(), 2);
     }
 
     #[test]
@@ -1057,28 +831,31 @@ mod tests {
 
     #[test]
     fn window_gates_in_flight_sends() {
-        let mut w = two_host_world();
-        let tx = w.create_process(HostId::A);
-        let bytes = 256usize;
-        let mut qp = QueuePair::new(HostId::A, Semantics::Copy, CqConfig::fixed(2));
-        for k in 0..5 {
-            let src = w.alloc_buffer(HostId::A, tx, bytes, 0).unwrap();
-            w.app_write(HostId::A, tx, src, &vec![k + 1; bytes])
+        // A window of 0 clamps to one send in flight.
+        for (depth, window) in [(2, 2), (0, 1)] {
+            let mut w = two_host_world();
+            let tx = w.create_process(HostId::A);
+            let bytes = 256usize;
+            let mut qp = QueuePair::new(HostId::A, Semantics::Copy, CqConfig::fixed(depth));
+            for k in 0..5 {
+                let src = w.alloc_buffer(HostId::A, tx, bytes, 0).unwrap();
+                w.app_write(HostId::A, tx, src, &vec![k + 1; bytes])
+                    .unwrap();
+                qp.post(Sqe {
+                    user_data: k as u64,
+                    op: SqeOp::Send {
+                        vc: Vc(1),
+                        space: tx,
+                        vaddr: src,
+                        len: bytes,
+                    },
+                })
                 .unwrap();
-            qp.post(Sqe {
-                user_data: k as u64,
-                op: SqeOp::Send {
-                    vc: Vc(1),
-                    space: tx,
-                    vaddr: src,
-                    len: bytes,
-                },
-            })
-            .unwrap();
+            }
+            let issued = qp.submit(&mut w);
+            assert_eq!(issued, window, "fixed({depth}) gates the rest");
+            assert_eq!(qp.staged_len(), 5 - window);
+            assert_eq!(qp.in_flight(), window);
         }
-        let issued = qp.submit(&mut w);
-        assert_eq!(issued, 2, "fixed window of 2 gates the rest");
-        assert_eq!(qp.staged_len(), 3);
-        assert_eq!(qp.in_flight(), 2);
     }
 }

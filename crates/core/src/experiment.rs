@@ -101,8 +101,8 @@ impl ExperimentSetup {
             genie: self.genie,
             // Ample headroom over the 15-page maximum datagram. The
             // budget costs nothing up front (frames are built as they
-            // are first allocated), but it is the limit `free_per_mille`
-            // divides by and the point a leak runs out of frames.
+            // are first allocated), but it is the point a leak runs out
+            // of frames.
             frames_per_host: 768,
             ..WorldConfig::default()
         }

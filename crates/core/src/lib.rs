@@ -70,8 +70,7 @@ pub mod world;
 pub use align::{plan_aligned_input, AlignedPlan, PageAction, PagePlan};
 pub use config::{ChecksumMode, GenieConfig};
 pub use cq::{
-    harvest, wait_n, AdaptiveConfig, AdaptiveWindow, CqConfig, CqResult, Cqe, Landing, QueuePair,
-    Sqe, SqeOp,
+    harvest, wait_n, AdaptiveConfig, CqConfig, CqResult, Cqe, Landing, QueuePair, Sqe, SqeOp,
 };
 pub use error::GenieError;
 pub use experiment::{
@@ -84,7 +83,6 @@ pub use genie_trace::metrics::{Histogram, Metric, MetricsRegistry};
 pub use genie_trace::{SampleConfig, TraceEvent, TraceSet, Tracer, Track};
 pub use host::Host;
 pub use input::{InputRequest, RecvCompletion};
-pub use observe::{ObservableState, RegionObservation};
 pub use output::{OutputRequest, SendCompletion};
 pub use semantics::{Allocation, Integrity, Semantics};
 pub use suites::{

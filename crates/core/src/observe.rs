@@ -26,42 +26,6 @@ const WIRE_SAMPLE_OWNER: u32 = u32::MAX;
 /// fan-in suite surface first.
 pub const TOP_K_VCS: usize = 16;
 
-/// One region of one address space, as an application could observe
-/// it: geometry, move-state mark, and a digest of the bytes every page
-/// would yield if touched (or markers for zero-fill / denied pages).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RegionObservation {
-    /// Owning address space.
-    pub space: SpaceId,
-    /// First virtual page number.
-    pub start_vpn: u64,
-    /// Length in pages.
-    pub npages: u64,
-    /// The region's move-state mark.
-    pub mark: RegionMark,
-    /// FNV-1a digest of the region's observable page contents.
-    pub digest: u64,
-}
-
-/// The externally observable memory state of one host: every region of
-/// every process, with content digests, plus one combined digest.
-///
-/// Extraction is *cheap* and *side-effect free*: frame bytes are
-/// hashed in place via [`genie_vm::Vm::peek_page`] — nothing is
-/// cloned, faulted in, or allocated per page, and the world's pooled
-/// payload buffers are never touched. That keeps the PR-4 zero-copy
-/// fast path untouched (the datapath never calls this) and makes the
-/// digest safe to take after every step of a differential run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ObservableState {
-    /// Which host this snapshot describes.
-    pub host: HostId,
-    /// Per-region observations, ordered by (space, start_vpn).
-    pub regions: Vec<RegionObservation>,
-    /// Digest of the whole host state (all regions, in order).
-    pub digest: u64,
-}
-
 impl World {
     /// Enables (or disables) structured tracing on every host and the
     /// link and, in switched worlds, switch port observation. Tracers
@@ -290,14 +254,10 @@ impl World {
             r.rollup("vc.", "rollup.vc");
         }
         // Completion-queue series (recorded by `cq::harvest` while
-        // tracing): ring occupancy and adaptive-window size per host,
-        // rolled up across hosts.
+        // tracing): ring occupancy per host, rolled up across hosts.
         if !self.cq_depth.is_empty() {
             for (host, h) in &self.cq_depth {
                 r.set_histogram(&format!("cq_{host}.depth"), h.clone());
-            }
-            for (host, h) in &self.cq_window {
-                r.set_histogram(&format!("cq_{host}.window"), h.clone());
             }
             r.rollup("cq_", "rollup.cq");
         }
@@ -324,52 +284,17 @@ impl World {
         self.host(host).vm.peek(space, vaddr, len)
     }
 
-    /// Extracts the observable memory state of `host`: one entry per
-    /// region of every process, each with a content digest, plus a
-    /// combined digest. See [`ObservableState`] for the cost contract.
-    pub fn observable_state(&self, host: HostId) -> ObservableState {
-        let h = self.host(host);
-        let mut regions = Vec::new();
-        let mut all = Fnv64::new();
-        for si in 0..h.vm.space_count() {
-            let space = SpaceId(si);
-            for r in h.vm.space(space).regions() {
-                let mut f = Fnv64::new();
-                for vpn in r.start_vpn..r.end_vpn() {
-                    match h.vm.peek_page(space, vpn) {
-                        PagePeek::Bytes(b) => {
-                            f.write_u8(1);
-                            f.write(b);
-                        }
-                        PagePeek::Zeros => f.write_u8(2),
-                        PagePeek::Denied => f.write_u8(3),
-                    }
-                }
-                let obs = RegionObservation {
-                    space,
-                    start_vpn: r.start_vpn,
-                    npages: r.npages,
-                    mark: r.mark,
-                    digest: f.finish(),
-                };
-                all.write_u64(u64::from(obs.space.0));
-                all.write_u64(obs.start_vpn);
-                all.write_u64(obs.npages);
-                all.write_u8(mark_tag(obs.mark));
-                all.write_u64(obs.digest);
-                regions.push(obs);
-            }
-        }
-        ObservableState {
-            host,
-            regions,
-            digest: all.finish(),
-        }
-    }
-
-    /// The combined observable-state digest of `host` — equivalent to
-    /// `observable_state(host).digest` but without building the
-    /// per-region vector.
+    /// A digest of the externally observable memory state of `host`:
+    /// every region of every process — its geometry, move-state mark
+    /// and the bytes each page would yield if touched (or markers for
+    /// zero-fill and denied pages) — in (space, start_vpn) order.
+    ///
+    /// Taking it is *cheap* and *side-effect free*: frame bytes are
+    /// hashed in place via [`genie_vm::Vm::peek_page`] — nothing is
+    /// cloned, faulted in, or allocated per page, and the world's
+    /// pooled payload buffers are never touched. The datapath never
+    /// calls it, and it is safe to take after every step of a
+    /// differential run.
     pub fn observable_digest(&self, host: HostId) -> u64 {
         let h = self.host(host);
         let mut all = Fnv64::new();
@@ -464,17 +389,6 @@ mod tests {
         assert_eq!(peeked, data);
         // Probing must not move any observable state.
         assert_eq!(w.observable_digest(HostId::A), before);
-    }
-
-    #[test]
-    fn observable_state_digest_matches_streaming_digest() {
-        let mut w = World::new(WorldConfig::default());
-        let space = w.create_process(HostId::A);
-        let vaddr = w.alloc_buffer(HostId::A, space, 5_000, 64).unwrap();
-        w.app_write(HostId::A, space, vaddr, b"observable").unwrap();
-        let st = w.observable_state(HostId::A);
-        assert_eq!(st.digest, w.observable_digest(HostId::A));
-        assert!(!st.regions.is_empty());
     }
 
     #[test]

@@ -265,9 +265,6 @@ pub struct World {
     /// while tracing — the raw material for the `cq_*.depth` series
     /// and `rollup.cq` aggregates.
     pub(crate) cq_depth: std::collections::BTreeMap<u16, genie_trace::metrics::Histogram>,
-    /// Adaptive in-flight-window size per host, sampled alongside
-    /// `cq_depth`.
-    pub(crate) cq_window: std::collections::BTreeMap<u16, genie_trace::metrics::Histogram>,
     /// Whether a crash dump was already written for this world (one
     /// dump per run: the first violation is the interesting one).
     pub(crate) crash_dumped: bool,
@@ -338,7 +335,6 @@ impl World {
             wire_tracer: genie_trace::Tracer::new(),
             vc_latency: std::collections::BTreeMap::new(),
             cq_depth: std::collections::BTreeMap::new(),
-            cq_window: std::collections::BTreeMap::new(),
             crash_dumped: false,
             peak_resident: 0,
         }

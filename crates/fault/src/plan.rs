@@ -107,9 +107,10 @@ impl FaultConfig {
     /// delay and late transmit-complete interrupts) are enabled, at
     /// high rates and with a generous budget. Nothing is damaged and
     /// nothing degrades, so all traffic completes with clean payloads —
-    /// only the completion *times* jitter. The CQ adaptive-window
-    /// property tests use this profile to provoke latency spikes whose
-    /// only legal response is a window contraction.
+    /// only the completion *times* jitter. The CQ property tests use
+    /// this profile to check that the queue layer still conserves
+    /// every tag and reports clean checksums when completions arrive
+    /// late.
     pub fn delay_only(seed: u64) -> Self {
         FaultConfig {
             seed,

@@ -113,18 +113,6 @@ impl PhysMem {
         self.peak_in_use
     }
 
-    /// Fraction of frames still on the free list, in per-mille (0..=1000).
-    ///
-    /// Integer units keep the value exactly reproducible across platforms;
-    /// callers that throttle on memory pressure (the CQ adaptive window)
-    /// compare against a per-mille threshold instead of a float.
-    pub fn free_per_mille(&self) -> u32 {
-        if self.total == 0 {
-            return 0;
-        }
-        (self.free_frames() * 1000 / self.total) as u32
-    }
-
     /// Allocates a frame (contents undefined — whatever the previous
     /// owner left there, exactly the hazard the paper's zeroing and
     /// deferred deallocation guard against). Returned frames come back
@@ -478,7 +466,7 @@ mod tests {
     fn table_grows_only_as_ids_are_handed_out() {
         let mut m = mem();
         assert_eq!((m.total_frames(), m.touched_frames()), (32, 0));
-        assert_eq!((m.free_frames(), m.free_per_mille()), (32, 1000));
+        assert_eq!(m.free_frames(), 32);
         assert!(matches!(m.frame(FrameId(0)), Err(MemError::BadFrame(_))));
         let ids: Vec<_> = (0..3).map(|_| m.alloc(None).unwrap()).collect();
         assert_eq!(ids, [FrameId(0), FrameId(1), FrameId(2)]);
@@ -490,7 +478,6 @@ mod tests {
         assert_eq!(m.alloc(None).unwrap(), FrameId(3));
         assert_eq!(m.touched_frames(), 4);
         assert_eq!(m.free_frames(), 28);
-        assert_eq!(m.free_per_mille(), 875);
         assert_eq!(m.peak_in_use(), 4);
     }
 

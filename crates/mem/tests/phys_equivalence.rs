@@ -72,13 +72,6 @@ impl EagerMem {
         }
     }
 
-    fn free_per_mille(&self) -> u32 {
-        if self.frames.is_empty() {
-            return 0;
-        }
-        (self.free.len() * 1000 / self.frames.len()) as u32
-    }
-
     fn alloc(&mut self, owner: Option<u64>) -> Result<FrameId, MemError> {
         let id = self.free.pop().ok_or(MemError::OutOfFrames)?;
         let f = &mut self.frames[id.0 as usize];
@@ -158,7 +151,6 @@ fn assert_agree(case: u64, step: usize, lazy: &PhysMem, eager: &EagerMem, seen: 
     let at = format!("case {case} step {step}");
     assert_eq!(lazy.total_frames(), eager.frames.len(), "{at}");
     assert_eq!(lazy.free_frames(), eager.free.len(), "{at}");
-    assert_eq!(lazy.free_per_mille(), eager.free_per_mille(), "{at}");
     assert_eq!(lazy.peak_in_use(), eager.peak, "{at}");
     assert_eq!(lazy.deferred_free_count(), eager.deferred, "{at}");
     assert_eq!(lazy.alloc_count(), eager.allocs, "{at}");

@@ -39,5 +39,5 @@ pub use adapter::{Adapter, AdapterStats, InputBuffering, PostedRx, RxCompletion,
 pub use credit::CreditState;
 pub use dma::DmaModel;
 pub use event::EventQueue;
-pub use proto::{checksum16, stream_key, stream_key_parts, DatagramHeader, HEADER_LEN};
+pub use proto::{checksum16, DatagramHeader, HEADER_LEN};
 pub use switch::{Route, Switch, SwitchConfig, SwitchStats, SwitchedPdu};

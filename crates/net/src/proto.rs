@@ -63,20 +63,6 @@ impl DatagramHeader {
     }
 }
 
-/// Packs a (VC, wire sequence) pair into a single ordered completion
-/// routing key: keys for the same VC compare in wire-sequence order,
-/// and keys for different VCs never collide. Completion-queue
-/// front-ends use this to track per-VC delivery order without keeping
-/// a separate map per stream.
-pub fn stream_key(vc: u32, seq: u32) -> u64 {
-    (u64::from(vc) << 32) | u64::from(seq)
-}
-
-/// Splits a [`stream_key`] back into its (VC, wire sequence) pair.
-pub fn stream_key_parts(key: u64) -> (u32, u32) {
-    ((key >> 32) as u32, key as u32)
-}
-
 /// 16-bit one's-complement checksum (Internet checksum) over `data`.
 pub fn checksum16(data: &[u8]) -> u16 {
     let mut sum = 0u32;

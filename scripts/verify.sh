@@ -5,6 +5,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every temporary file and directory below lives under one scratch
+# directory, removed on exit.
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+
 echo "== rustfmt =="
 cargo fmt --check
 
@@ -53,60 +58,51 @@ echo "== perfbench correctness smoke (four workloads, 2 s each) =="
 ./scripts/perfbench_smoke.sh
 
 echo "== report determinism (serial vs 4 threads) =="
-tmp_serial=$(mktemp) && tmp_par=$(mktemp)
-tmp_metrics=$(mktemp) && tmp_trace=$(mktemp)
-trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace"' EXIT
-./target/release/report all --threads 1 >"$tmp_serial" 2>/dev/null
-./target/release/report all --threads 4 >"$tmp_par" 2>/dev/null
-cmp "$tmp_serial" "$tmp_par"
-cmp "$tmp_serial" report_output.txt
+./target/release/report all --threads 1 >"$scratch/serial" 2>/dev/null
+./target/release/report all --threads 4 >"$scratch/par" 2>/dev/null
+cmp "$scratch/serial" "$scratch/par"
+cmp "$scratch/serial" report_output.txt
 
 echo "== cq saturation determinism (threads x faults) =="
 # The CQ sweep reports simulated numbers only, so the rendered table
 # must be byte-identical however many sweep threads run it, with the
 # masked fault plan off and on.
-tmp_cq=$(mktemp) && tmp_cq2=$(mktemp)
-trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2"' EXIT
-./target/release/report fabric --cq --threads 1 >"$tmp_cq" 2>/dev/null
-./target/release/report fabric --cq --threads 4 >"$tmp_cq2" 2>/dev/null
-cmp "$tmp_cq" "$tmp_cq2"
-GENIE_CQ_FAULT_SEED=7 ./target/release/report fabric --cq --threads 1 >"$tmp_cq" 2>/dev/null
-GENIE_CQ_FAULT_SEED=7 ./target/release/report fabric --cq --threads 4 >"$tmp_cq2" 2>/dev/null
-cmp "$tmp_cq" "$tmp_cq2"
+./target/release/report fabric --cq --threads 1 >"$scratch/cq" 2>/dev/null
+./target/release/report fabric --cq --threads 4 >"$scratch/cq2" 2>/dev/null
+cmp "$scratch/cq" "$scratch/cq2"
+GENIE_CQ_FAULT_SEED=7 ./target/release/report fabric --cq --threads 1 >"$scratch/cq" 2>/dev/null
+GENIE_CQ_FAULT_SEED=7 ./target/release/report fabric --cq --threads 4 >"$scratch/cq2" 2>/dev/null
+cmp "$scratch/cq" "$scratch/cq2"
 
 echo "== fabric golden (report fabric, --cq, faulted --cq, 20k --scale) =="
 # Every fabric exhibit is simulated output, so the four runs together
 # must match the committed golden byte for byte.
-tmp_fabric=$(mktemp)
-trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_fabric"' EXIT
 {
   ./target/release/report fabric --threads 1
   ./target/release/report fabric --cq --threads 1
   GENIE_CQ_FAULT_SEED=7 ./target/release/report fabric --cq --threads 1
   GENIE_SCALE_DATAGRAMS=20000 ./target/release/report fabric --scale
-} >"$tmp_fabric" 2>/dev/null
-cmp "$tmp_fabric" scripts/golden_fabric.txt || {
+} >"$scratch/fabric" 2>/dev/null
+cmp "$scratch/fabric" scripts/golden_fabric.txt || {
   echo "verify: fabric output drifted from scripts/golden_fabric.txt" >&2
   exit 1
 }
 
 echo "== metrics and trace smoke =="
-./target/release/report --metrics >"$tmp_metrics" 2>/dev/null
-grep -q '"host_a.busy_us"' "$tmp_metrics"
-grep -q '"emulated copy"' "$tmp_metrics"
-./target/release/report --trace "$tmp_trace" >/dev/null 2>&1
-grep -q '"ph":"X"' "$tmp_trace"
-grep -q '"process_name"' "$tmp_trace"
+./target/release/report --metrics >"$scratch/metrics" 2>/dev/null
+grep -q '"host_a.busy_us"' "$scratch/metrics"
+grep -q '"emulated copy"' "$scratch/metrics"
+./target/release/report --trace "$scratch/trace" >/dev/null 2>&1
+grep -q '"ph":"X"' "$scratch/trace"
+grep -q '"process_name"' "$scratch/trace"
 
 echo "== datapath microbench smoke =="
-tmp_bench=$(mktemp)
-trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_fabric" "$tmp_bench"' EXIT
-./target/release/datapath --quick --out "$tmp_bench" >/dev/null
-grep -q '"datapath_ns"' "$tmp_bench"
-grep -q '"crc32_60k"' "$tmp_bench"
-grep -q '"checksum16_60k"' "$tmp_bench"
-grep -q '"tcow_write_fault"' "$tmp_bench"
-grep -q '"series_reuse_emulated_move"' "$tmp_bench"
+./target/release/datapath --quick --out "$scratch/bench" >/dev/null
+grep -q '"datapath_ns"' "$scratch/bench"
+grep -q '"crc32_60k"' "$scratch/bench"
+grep -q '"checksum16_60k"' "$scratch/bench"
+grep -q '"tcow_write_fault"' "$scratch/bench"
+grep -q '"series_reuse_emulated_move"' "$scratch/bench"
 
 echo "== simulated-latency golden guard (report --json vs committed golden) =="
 # Host-performance work must never move a simulated number: the
@@ -114,13 +110,13 @@ echo "== simulated-latency golden guard (report --json vs committed golden) =="
 # match the committed golden exactly (wall-clock fields are excluded —
 # they vary by machine, which is why BENCH_report.json itself is not
 # committed).
-tmp_json_dir=$(mktemp -d)
-trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_fabric" "$tmp_bench"; rm -rf "$tmp_json_dir"' EXIT
-(cd "$tmp_json_dir" && "$OLDPWD/target/release/report" --json all --threads 1 >/dev/null 2>&1)
+json_dir="$scratch/json"
+mkdir "$json_dir"
+(cd "$json_dir" && "$OLDPWD/target/release/report" --json all --threads 1 >/dev/null 2>&1)
 for section in fault_stats simulated_latency_60kb_us; do
-  sed -n "/\"$section\"/,/}/p" "$tmp_json_dir/BENCH_report.json" >"$tmp_json_dir/got"
-  sed -n "/\"$section\"/,/}/p" scripts/golden_simulated.json >"$tmp_json_dir/want"
-  cmp "$tmp_json_dir/got" "$tmp_json_dir/want" || {
+  sed -n "/\"$section\"/,/}/p" "$json_dir/BENCH_report.json" >"$json_dir/got"
+  sed -n "/\"$section\"/,/}/p" scripts/golden_simulated.json >"$json_dir/want"
+  cmp "$json_dir/got" "$json_dir/want" || {
     echo "verify: $section drifted from scripts/golden_simulated.json" >&2
     exit 1
   }
@@ -130,8 +126,8 @@ echo "== report --compare smoke (cq snapshot against itself, non-JSON input) =="
 # One `report --json fabric --cq` snapshot, reused by the perf gate
 # below. Compared against itself, every cq_saturation row must show a
 # zero delta; a file that is not JSON must make --compare exit 2.
-cmp_dir=$(mktemp -d)
-trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_fabric" "$tmp_bench"; rm -rf "$tmp_json_dir" "$cmp_dir"' EXIT
+cmp_dir="$scratch/cmp"
+mkdir "$cmp_dir"
 (cd "$cmp_dir" && "$OLDPWD/target/release/report" --json fabric --cq --threads 1 >/dev/null 2>&1)
 ./target/release/report --compare "$cmp_dir/BENCH_report.json" "$cmp_dir/BENCH_report.json" >"$cmp_dir/cmp.txt"
 grep -Eq '^  copy\.knee_depth +[0-9.]+ +[0-9.]+ +\+0\.000 ' "$cmp_dir/cmp.txt" || {
@@ -156,8 +152,8 @@ echo "== perf regression gate (fresh minimums vs BENCH_baseline.json) =="
 if [ "${GENIE_BENCH_TOL:-25}" = "skip" ]; then
   echo "perf gate skipped (GENIE_BENCH_TOL=skip)"
 else
-  perf_dir=$(mktemp -d)
-  trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_fabric" "$tmp_bench"; rm -rf "$tmp_json_dir" "$cmp_dir" "$perf_dir"' EXIT
+  perf_dir="$scratch/perf"
+  mkdir "$perf_dir"
   for i in 1 2 3; do
     (cd "$perf_dir" && "$OLDPWD/target/release/report" --json all --threads 1 >/dev/null 2>&1)
     cp "$perf_dir/BENCH_report.json" "$perf_dir/run$i.json"
@@ -182,8 +178,8 @@ echo "== sampled-tracing overhead smoke (budgeted flight recorder vs untraced) =
 # GENIE_TRACE_OVERHEAD_TOL percent (default 50) of best-of-two
 # untraced runs. Wall time, so the minimum of two runs absorbs load
 # spikes the same way the perf gate does.
-smoke_dir=$(mktemp -d)
-trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_fabric" "$tmp_bench"; rm -rf "$tmp_json_dir" "$cmp_dir" "$smoke_dir"' EXIT
+smoke_dir="$scratch/smoke"
+mkdir "$smoke_dir"
 run_ms() { # run_ms OUT_FILE CMD... -> wall ms on stdout
   local out=$1 t0 t1
   shift
