@@ -376,11 +376,12 @@ fn main() {
     }
 
     // Rewrite the report at `out_path` with a fresh `datapath_ns`
-    // section in place of any older one, or start a new document if
-    // there is no file or it does not hold a JSON object. Each
-    // benchmark reports its mean and its min: the min is what the
-    // perf-regression gate compares, because on a shared machine the
-    // mean absorbs unrelated load spikes while the min tracks the code.
+    // section and revision stamp in place of any older ones, or start
+    // a new document if there is no file or it does not hold a JSON
+    // object. Each benchmark reports its mean and its min: the min is
+    // what the perf-regression gate compares, because on a shared
+    // machine the mean absorbs unrelated load spikes while the min
+    // tracks the code.
     let existing = std::fs::read_to_string(&out_path).ok();
     let members = match existing.as_deref().map(json::parse) {
         Some(Ok(Json::Obj(members))) => members,
@@ -388,7 +389,11 @@ fn main() {
     };
     let mut w = Writer::new(2);
     w.object(Layout::Pretty);
-    for (k, v) in members.iter().filter(|(k, _)| k != "datapath_ns") {
+    w.key("revision").str(&genie_bench::revision::revision());
+    for (k, v) in members
+        .iter()
+        .filter(|(k, _)| k != "datapath_ns" && k != "revision")
+    {
         w.key(k).value(v, Layout::Pretty);
     }
     w.key("datapath_ns").object(Layout::Pretty);

@@ -361,6 +361,7 @@ fn main() {
     if json {
         let mut w = Writer::new(2);
         w.object(Layout::Pretty);
+        w.key("revision").str(&gen::revision::revision());
         w.key("threads").num(genie_runner::configured_threads());
         w.key("total_wall_ms").num(format_args!("{total_ms:.3}"));
         w.key("exhibits").array(Layout::Pretty);

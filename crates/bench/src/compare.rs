@@ -14,6 +14,8 @@ use genie_trace::json::{self, Json, JsonError};
 /// The comparable slice of one `report --json` snapshot.
 #[derive(Debug, Default, PartialEq)]
 pub struct ReportSummary {
+    /// Source revision the snapshot was produced from, if stamped.
+    pub revision: Option<String>,
     /// Wall clock of the whole report run, if recorded.
     pub total_wall_ms: Option<f64>,
     /// Per-exhibit wall clock, in file order.
@@ -46,6 +48,7 @@ pub fn parse_summary(text: &str) -> Result<ReportSummary, JsonError> {
     let mut out = ReportSummary::default();
     for (key, v) in members {
         match (key.as_str(), v) {
+            ("revision", v) => out.revision = v.as_str().map(str::to_string),
             ("total_wall_ms", v) => out.total_wall_ms = v.as_f64(),
             ("exhibits", Json::Arr(items)) => {
                 out.exhibits = items
@@ -133,6 +136,8 @@ pub fn render_comparison(
     b: &ReportSummary,
 ) -> String {
     let mut out = format!("# Report comparison: A = {a_name}, B = {b_name}\n");
+    let rev = |s: &ReportSummary| s.revision.clone().unwrap_or_else(|| "unstamped".into());
+    out.push_str(&format!("# Revisions: A = {}, B = {}\n", rev(a), rev(b)));
     let b_only = b.sections.iter().filter(|(k, _)| a.section(k).is_none());
     for (key, _) in a.sections.iter().chain(b_only) {
         let (av, bv) = (a.section(key), b.section(key));
@@ -166,6 +171,7 @@ mod tests {
     use super::*;
 
     const SAMPLE_A: &str = r#"{
+  "revision": "69b7e96c",
   "threads": 1,
   "total_wall_ms": 90.000,
   "exhibits": [
@@ -200,6 +206,7 @@ mod tests {
     #[test]
     fn parses_the_report_json_shape() {
         let s = parse_summary(SAMPLE_A).unwrap();
+        assert_eq!(s.revision.as_deref(), Some("69b7e96c"));
         assert_eq!(s.total_wall_ms, Some(90.0));
         assert_eq!(
             s.exhibits,
@@ -222,6 +229,11 @@ mod tests {
         let a = parse_summary(SAMPLE_A).unwrap();
         let b = parse_summary(SAMPLE_B).unwrap();
         let text = render_comparison("old.json", &a, "new.json", &b);
+        // Both snapshots' revisions head the comparison; B has none.
+        assert!(
+            text.contains("# Revisions: A = 69b7e96c, B = unstamped"),
+            "{text}"
+        );
         // Identical simulated latency: zero delta.
         assert!(text.contains("copy"), "{text}");
         let copy_line = text.lines().find(|l| l.trim().starts_with("copy")).unwrap();

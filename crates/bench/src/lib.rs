@@ -9,6 +9,7 @@
 pub mod compare;
 pub mod fabric;
 pub mod inspect;
+pub mod revision;
 pub mod timing;
 
 pub use fabric::{

@@ -68,6 +68,8 @@ fn report_json_all_parses() {
     let sims = members(doc.get("simulated_latency_60kb_us").expect("simulated"));
     assert_eq!(sims.len(), 8);
     assert!(doc.get("fault_stats").and_then(|f| f.get("seed")).is_some());
+    let rev = doc.get("revision").and_then(Json::as_str);
+    assert!(rev.is_some_and(|r| !r.is_empty()), "no revision stamp");
 }
 
 #[test]
@@ -151,6 +153,8 @@ fn datapath_replaces_an_older_section_and_keeps_the_report() {
         .filter(|(k, _)| k == "datapath_ns")
         .collect();
     assert_eq!(sections.len(), 1, "datapath_ns must appear once");
+    let stamps = merged_members.iter().filter(|(k, _)| k == "revision");
+    assert_eq!(stamps.count(), 1, "revision must appear once");
     let dp = &sections[0].1;
     assert!(dp.get("retired_bench").is_none(), "stale section survived");
     let crc = dp.get("crc32_60k").expect("crc32_60k timed");

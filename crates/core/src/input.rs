@@ -785,7 +785,7 @@ impl World {
                     host.charge_latency(Op::ZeroFill, tail, 1);
                     let last = *frames.last().expect("at least one frame");
                     let start = data_len - (npages as usize - 1) * page;
-                    host.vm.phys.frame_mut(last).expect("frame").data_mut()[start..].fill(0);
+                    host.vm.phys.zero_range(last, start..page).expect("frame");
                 }
                 host.charge_latency(Op::RegionFill, data_len, npages as usize);
                 host.vm
@@ -989,11 +989,16 @@ impl World {
                 if zero_bytes > 0 {
                     host.charge_latency(Op::ZeroFill, zero_bytes, overlay_pages);
                     let first = frames[0];
-                    host.vm.phys.frame_mut(first).expect("frame").data_mut()[..HEADER_LEN].fill(0);
+                    host.vm
+                        .phys
+                        .zero_range(first, 0..HEADER_LEN)
+                        .expect("frame");
                     let last = *frames.last().expect("frame");
                     let valid_in_last = total - (overlay_pages - 1) * page;
-                    host.vm.phys.frame_mut(last).expect("frame").data_mut()[valid_in_last..]
-                        .fill(0);
+                    host.vm
+                        .phys
+                        .zero_range(last, valid_in_last..page)
+                        .expect("frame");
                 }
                 host.charge_latency(Op::RegionFillOverlayRefill, data_len, overlay_pages);
                 host.vm

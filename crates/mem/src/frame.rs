@@ -1,6 +1,17 @@
 //! Physical page frames with I/O reference counts.
+//!
+//! A frame's bytes live in page storage attached on its first write;
+//! until then, and again after it is zeroed, it reads as one shared
+//! static zero page. Storage carries a dirty extent (the byte range
+//! that may be nonzero), so zeroing is O(1): the frame hands its
+//! storage back unscrubbed, and the next first write clears only the
+//! part of the old extent it does not overwrite. No stale byte is ever
+//! visible: a backed frame's storage is exactly its contents.
 
 use core::fmt;
+use core::ops::Range;
+
+use crate::pool::Page;
 
 /// Largest supported page size: the length of [`ZERO_PAGE`].
 pub(crate) const MAX_PAGE_SIZE: usize = 64 * 1024;
@@ -43,16 +54,13 @@ pub enum FrameState {
 /// One physical page frame: real bytes plus I/O reference counts.
 #[derive(Clone, Debug)]
 pub struct Frame {
-    /// Page storage, or empty until the first write: an unbacked frame
-    /// reads as [`ZERO_PAGE`].
-    data: Box<[u8]>,
+    /// Page storage and its dirty extent, or no storage: an unbacked
+    /// frame reads as [`ZERO_PAGE`]. Storage bytes outside the extent
+    /// are zero, so a backed frame's bytes are its contents.
+    page: Page,
     /// log2 of the page size, so an unbacked frame knows how much of
     /// the zero page it reads as and how much storage to attach.
     page_shift: u8,
-    /// True once anything may have written the page since it was last
-    /// known to be all-zero. Clean pages skip the scrub on recycling
-    /// and on `alloc_zeroed`.
-    dirty: bool,
     in_count: u16,
     out_count: u16,
     state: FrameState,
@@ -62,29 +70,14 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Creates a free frame of `page_size` bytes (zeroed; storage may
-    /// be recycled from a previously dropped `PhysMem`).
-    pub fn new(page_size: usize) -> Self {
-        Frame {
-            data: crate::pool::take_zeroed(page_size),
-            page_shift: page_size.trailing_zeros() as u8,
-            dirty: false,
-            in_count: 0,
-            out_count: 0,
-            state: FrameState::Free,
-            owner: None,
-        }
-    }
-
     /// Creates a free frame of `page_size` bytes with no page storage.
     /// `PhysMem` appends one of these the first time it hands out an
-    /// id; storage is attached by the first [`Frame::data_mut`], so a
-    /// frame that is allocated but never written costs no page.
+    /// id; storage is attached by the first write, so a frame that is
+    /// allocated but never written costs no page.
     pub(crate) fn unbacked(page_size: usize) -> Self {
         Frame {
-            data: Box::default(),
+            page: Page::default(),
             page_shift: page_size.trailing_zeros() as u8,
-            dirty: false,
             in_count: 0,
             out_count: 0,
             state: FrameState::Free,
@@ -92,46 +85,47 @@ impl Frame {
         }
     }
 
-    /// True if the frame holds page storage (has been written).
+    fn page_size(&self) -> usize {
+        1 << self.page_shift
+    }
+
+    /// True if the frame holds page storage (has been written since it
+    /// was last zeroed).
     pub(crate) fn is_backed(&self) -> bool {
-        !self.data.is_empty()
+        self.page.is_backed()
     }
 
-    /// Detaches the page storage (leaving an empty slice behind) and
-    /// reports whether it may hold nonzero bytes, so the recycling
-    /// pool knows whether a scrub is needed.
-    pub(crate) fn take_storage(&mut self) -> (Box<[u8]>, bool) {
-        let dirty = self.dirty;
-        self.dirty = false;
-        (core::mem::take(&mut self.data), dirty)
-    }
-
-    /// Zero-fills the page, skipping the write when it is already
-    /// known to be all-zero (always the case for an unbacked frame).
-    pub(crate) fn zero(&mut self) {
-        if self.dirty {
-            self.data.fill(0);
-            self.dirty = false;
-        }
+    /// Detaches the page storage with its dirty extent, leaving the
+    /// frame unbacked. This is how a frame is zeroed in O(1): it reads
+    /// as the zero page from then on, and the detached storage is
+    /// reused, unscrubbed, by a later first write.
+    pub(crate) fn take_storage(&mut self) -> Page {
+        core::mem::take(&mut self.page)
     }
 
     /// Frame contents (the shared zero page until the first write).
     pub fn data(&self) -> &[u8] {
-        if self.data.is_empty() {
-            &ZERO_PAGE[..1 << self.page_shift]
+        if self.page.is_backed() {
+            self.page.bytes()
         } else {
-            &self.data
+            &ZERO_PAGE[..self.page_size()]
         }
     }
 
-    /// Mutable frame contents (conservatively marks the page dirty).
-    /// The first call attaches a zeroed page from the recycling pool.
-    pub fn data_mut(&mut self) -> &mut [u8] {
-        if self.data.is_empty() {
-            self.data = crate::pool::take_zeroed(1 << self.page_shift);
+    /// The page bytes, for a write that overwrites all of `range`. An
+    /// unbacked frame attaches a pooled page and zeroes only the bytes
+    /// of its old extent outside `range`.
+    pub(crate) fn write_window(&mut self, range: Range<usize>) -> &mut [u8] {
+        if !self.page.is_backed() {
+            self.page = crate::pool::take_for_write(self.page_size(), range.clone());
         }
-        self.dirty = true;
-        &mut self.data
+        self.page.write_window(range)
+    }
+
+    /// Zeroes `range`. Bytes already known to be zero (all of them on
+    /// an unbacked frame) cost nothing.
+    pub(crate) fn clear(&mut self, range: Range<usize>) {
+        self.page.clear(range);
     }
 
     /// Pending input references.
@@ -194,7 +188,7 @@ mod tests {
 
     #[test]
     fn new_frame_is_free_and_zeroed() {
-        let f = Frame::new(4096);
+        let f = Frame::unbacked(4096);
         assert_eq!(f.state(), FrameState::Free);
         assert_eq!(f.data().len(), 4096);
         assert!(f.data().iter().all(|&b| b == 0));
@@ -203,7 +197,7 @@ mod tests {
 
     #[test]
     fn counts_track_directions_independently() {
-        let mut f = Frame::new(4096);
+        let mut f = Frame::unbacked(4096);
         f.bump(IoDir::Input).unwrap();
         f.bump(IoDir::Input).unwrap();
         f.bump(IoDir::Output).unwrap();
@@ -216,23 +210,33 @@ mod tests {
 
     #[test]
     fn drop_below_zero_is_an_error() {
-        let mut f = Frame::new(4096);
+        let mut f = Frame::unbacked(4096);
         assert!(f.drop_ref(IoDir::Output).is_err());
     }
 
     #[test]
-    fn dirty_tracks_writes_and_zeroing() {
-        let mut f = Frame::new(4096);
-        f.data_mut()[0] = 0xEE;
-        f.zero();
+    fn zeroing_detaches_storage_and_no_stale_byte_shows() {
+        let mut f = Frame::unbacked(4096);
+        f.write_window(10..20)[10..20].fill(0xEE);
+        // Zeroing hands the storage back unscrubbed, extent and all,
+        // and the frame reads as the zero page.
+        let page = f.take_storage();
+        assert_eq!(page.dirty(), 10..20);
+        assert!(page.bytes()[10..20].iter().all(|&b| b == 0xEE));
+        assert!(!f.is_backed());
         assert!(f.data().iter().all(|&b| b == 0));
-        let (page, dirty) = f.take_storage();
-        assert!(!dirty, "zeroed frame must hand back clean storage");
-        assert!(page.iter().all(|&b| b == 0));
-
-        let mut f = Frame::new(4096);
-        f.data_mut()[7] = 1;
-        let (_, dirty) = f.take_storage();
-        assert!(dirty, "written frame must hand back dirty storage");
+        // The next first write reuses that page; what it does not
+        // overwrite reads zero.
+        crate::pool::recycle(page);
+        let pooled = crate::pool::pooled_pages();
+        f.write_window(15..17)[15..17].fill(1);
+        assert_eq!(crate::pool::pooled_pages(), pooled - 1, "page reused");
+        let mut want = [0u8; 4096];
+        want[15..17].fill(1);
+        assert_eq!(f.data(), &want[..]);
+        // Clearing a range shrinks what a later reuse has to fill.
+        f.write_window(4000..4096)[4000..].fill(3);
+        f.clear(0..4000);
+        assert_eq!(f.take_storage().dirty(), 4000..4096);
     }
 }

@@ -1,5 +1,7 @@
 //! The physical memory array and frame allocator.
 
+use core::ops::Range;
+
 use crate::error::MemError;
 use crate::frame::{Frame, FrameId, FrameState, IoDir, MAX_PAGE_SIZE};
 
@@ -15,6 +17,12 @@ use crate::frame::{Frame, FrameId, FrameState, IoDir, MAX_PAGE_SIZE};
 /// nonzero input or output reference count is never placed on the free
 /// list; it becomes a [`FrameState::Zombie`] and is freed by the final
 /// [`PhysMem::unref_io`].
+///
+/// Zeroing a frame hands its page storage, unscrubbed, to the
+/// thread-local pool, and the next first write to any frame on this
+/// thread takes the most recently returned page back (LIFO, so the
+/// storage stays cache-hot), clearing only the part of its dirty extent
+/// that the write does not cover.
 #[derive(Clone, Debug)]
 pub struct PhysMem {
     page_size: usize,
@@ -32,11 +40,14 @@ impl Drop for PhysMem {
     /// Returns the page storage of every written frame to the
     /// thread-local recycling pool, so the next `PhysMem` on this
     /// thread (the next experiment cell's world) reuses it instead of
-    /// re-allocating.
+    /// re-allocating. Each page's dirty extent is cleared on the way,
+    /// so the next world's first writes find clean pages: left for
+    /// them, those clears would land in its measured steps.
     fn drop(&mut self) {
         for f in &mut self.frames {
-            let (page, dirty) = f.take_storage();
-            crate::pool::recycle(page, dirty);
+            let mut page = f.take_storage();
+            page.clear_all();
+            crate::pool::recycle(page);
         }
     }
 }
@@ -137,11 +148,11 @@ impl PhysMem {
         Ok(id)
     }
 
-    /// Allocates a frame and zero-fills it (a no-op write when the
-    /// frame was never dirtied, including one with no storage yet).
+    /// Allocates a frame that reads as all-zero. O(1): a frame with
+    /// storage hands it back to the pool unscrubbed.
     pub fn alloc_zeroed(&mut self, owner: Option<u64>) -> Result<FrameId, MemError> {
         let id = self.alloc(owner)?;
-        self.frames[id.0 as usize].zero();
+        crate::pool::recycle(self.frames[id.0 as usize].take_storage());
         Ok(id)
     }
 
@@ -223,8 +234,18 @@ impl PhysMem {
 
     /// Writes `bytes` at `offset` within frame `id`.
     pub fn write(&mut self, id: FrameId, offset: usize, bytes: &[u8]) -> Result<(), MemError> {
+        let range = offset..offset + bytes.len();
         let f = self.frame_mut(id)?;
-        f.data_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
+        f.write_window(range.clone())[range].copy_from_slice(bytes);
+        Ok(())
+    }
+
+    /// Zeroes bytes `range` of frame `id` (zero-completing a page).
+    /// Bytes already known to be zero cost nothing, so clearing a
+    /// frame that was never written, or only elsewhere, fills nothing.
+    pub fn zero_range(&mut self, id: FrameId, range: Range<usize>) -> Result<(), MemError> {
+        assert!(range.end <= self.page_size, "range beyond the page");
+        self.frame_mut(id)?.clear(range);
         Ok(())
     }
 
@@ -239,8 +260,12 @@ impl PhysMem {
         len: usize,
     ) -> Result<(), MemError> {
         if src == dst {
+            // Within an unbacked frame the copy moves zeros onto zeros.
             let f = self.frame_mut(src)?;
-            f.data_mut().copy_within(src_off..src_off + len, dst_off);
+            if f.is_backed() {
+                f.write_window(dst_off..dst_off + len)
+                    .copy_within(src_off..src_off + len, dst_off);
+            }
             return Ok(());
         }
         let (a, b) = (src.0 as usize, dst.0 as usize);
@@ -258,7 +283,8 @@ impl PhysMem {
         // `sf` is shared and `df` unique; with a == b handled above the
         // ranges cannot alias.
         let src_slice = &sf.data()[src_off..src_off + len];
-        df.data_mut()[dst_off..dst_off + len].copy_from_slice(src_slice);
+        let range = dst_off..dst_off + len;
+        df.write_window(range.clone())[range].copy_from_slice(src_slice);
         Ok(())
     }
 }
@@ -411,20 +437,41 @@ mod tests {
     #[test]
     fn storage_recycled_across_phys_mems_is_scrubbed() {
         // Page storage recycled through the thread-local pool must not
-        // leak a previous world's data into a new one.
-        {
-            let mut m = PhysMem::new(4096, 4);
-            let a = m.alloc(None).unwrap();
-            m.write(a, 0, b"previous world secret").unwrap();
-        } // dropped: storage goes to the pool
-        let mut m2 = PhysMem::new(4096, 4);
-        for _ in 0..4 {
-            let id = m2.alloc(None).unwrap();
-            let f = m2.frame(id).unwrap();
-            assert!(
-                f.data().iter().all(|&b| b == 0),
-                "recycled frame {id:?} not zeroed"
-            );
+        // leak a previous world's data into a new one, wherever either
+        // world wrote.
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        for _ in 0..20 {
+            {
+                let mut m = PhysMem::new(4096, 8);
+                for _ in 0..8 {
+                    let a = m.alloc(None).unwrap();
+                    let off = next(4096);
+                    let len = next(4096 - off) + 1;
+                    m.write(a, off, &vec![0xA5; len]).unwrap();
+                }
+                // Zeroed frames leave their storage stale, unscrubbed.
+                m.dealloc(FrameId(3)).unwrap();
+                m.alloc_zeroed(None).unwrap();
+            } // dropped: storage goes to the pool
+            let mut m2 = PhysMem::new(4096, 8);
+            for _ in 0..8 {
+                let id = m2.alloc(None).unwrap();
+                let off = next(4096);
+                let len = next(4096 - off + 1);
+                m2.write(id, off, &vec![7; len]).unwrap();
+                let f = m2.frame(id).unwrap();
+                let stale = f.data().iter().enumerate().find(|&(i, &b)| {
+                    let want = if (off..off + len).contains(&i) { 7 } else { 0 };
+                    b != want
+                });
+                assert_eq!(stale, None, "recycled frame {id:?} shows a stale byte");
+            }
         }
     }
 
@@ -482,21 +529,36 @@ mod tests {
     }
 
     #[test]
-    fn drop_recycles_only_written_pages_as_zero_pages() {
+    fn zeroing_pools_pages_unscrubbed_and_drop_clears_extents() {
         const PAGE: usize = 2048;
         crate::pool::trim(0);
-        {
-            let mut m = PhysMem::new(PAGE, 16);
-            let ids: Vec<_> = (0..8).map(|_| m.alloc(None).unwrap()).collect();
-            for &id in &ids[..3] {
-                m.write(id, 100, b"dirty").unwrap();
-            }
-            assert_eq!(m.backed_frames(), 3);
+        let mut m = PhysMem::new(PAGE, 16);
+        let ids: Vec<_> = (0..8).map(|_| m.alloc(None).unwrap()).collect();
+        for &id in &ids[..4] {
+            m.write(id, 100, b"dirty").unwrap();
         }
-        assert_eq!(crate::pool::pooled_pages(), 3);
-        for _ in 0..3 {
-            let page = crate::pool::take_zeroed(PAGE);
-            assert!(page.iter().all(|&b| b == 0), "pooled page not scrubbed");
+        // Zeroing detaches the storage in O(1): the frame reads zero
+        // and its page waits in the pool, still dirty.
+        m.dealloc(ids[3]).unwrap();
+        assert_eq!(m.alloc_zeroed(None).unwrap(), ids[3]);
+        assert!(m.read(ids[3], 0, PAGE).unwrap().iter().all(|&b| b == 0));
+        assert_eq!((m.backed_frames(), crate::pool::pooled_pages()), (3, 1));
+        // The next first write takes it back; no stale byte shows.
+        m.write(ids[5], 102, b"x").unwrap();
+        assert_eq!(crate::pool::pooled_pages(), 0);
+        let mut want = [0u8; PAGE];
+        want[102] = b'x';
+        assert_eq!(m.read(ids[5], 0, PAGE).unwrap(), &want[..]);
+        // Dropping clears each page's extent on the way to the pool.
+        drop(m);
+        assert_eq!(crate::pool::pooled_pages(), 4);
+        for _ in 0..4 {
+            let page = crate::pool::take_for_write(PAGE, 0..PAGE);
+            assert_eq!(page.dirty(), 0..0, "dropped page kept its extent");
+            assert!(
+                page.bytes().iter().all(|&b| b == 0),
+                "dropped page not clean"
+            );
         }
         assert_eq!(crate::pool::pooled_pages(), 0);
     }

@@ -6,6 +6,14 @@
 //! real page per frame and a free stack prefilled `(0..n).rev()`.
 //! Seeded random operation sequences must produce the same ids, errors,
 //! counters and page bytes from both.
+//!
+//! The lazy side also zeroes in O(1) and reuses page storage without a
+//! scrub, clearing only the dirty extent a new write does not cover.
+//! So the sequences mix writes, copies and range zeroing of random
+//! extents with zeroed allocations of just-written frames, and each case drops and
+//! rebuilds both allocators partway, so storage recycled stale from
+//! the dropped `PhysMem` meets every write shape. A stale byte would
+//! show as a page-bytes mismatch.
 
 use genie_mem::{FrameId, FrameState, IoDir, MemError, PhysMem};
 
@@ -144,6 +152,18 @@ impl EagerMem {
     fn write(&mut self, id: FrameId, offset: usize, bytes: &[u8]) {
         self.frames[id.0 as usize].page[offset..offset + bytes.len()].copy_from_slice(bytes);
     }
+
+    fn copy(&mut self, src: FrameId, src_off: usize, dst: FrameId, dst_off: usize, len: usize) {
+        let bytes = self.frames[src.0 as usize].page[src_off..src_off + len].to_vec();
+        self.write(dst, dst_off, &bytes);
+    }
+}
+
+/// Random bytes over a random extent of a page: `(offset, bytes)`.
+fn random_write(rng: &mut Rng) -> (usize, Vec<u8>) {
+    let off = rng.range(0, PAGE);
+    let len = rng.range(0, PAGE - off + 1);
+    (off, (0..len).map(|_| rng.next_u64() as u8).collect())
 }
 
 /// Compares every observable of the two allocators.
@@ -191,9 +211,20 @@ fn run_case(case: u64) -> (u64, u64) {
     // Bias the mix per case so some runs drain the allocator and others
     // churn a few frames.
     let alloc_weight = rng.range(2, 8);
-    let mut refused = 0;
+    let rebuild_at = rng.range(50, 250);
+    let (mut refused, mut deferred) = (0, 0);
     for step in 0..300 {
-        let op = rng.range(0, alloc_weight + 8);
+        if step == rebuild_at {
+            // Drop both mid-case: the lazy side's storage goes to the
+            // pool with its extents, and the new `PhysMem` draws it
+            // back stale.
+            deferred += eager.deferred;
+            drop(lazy);
+            lazy = PhysMem::new(PAGE, n);
+            eager = EagerMem::new(n);
+            seen.clear();
+        }
+        let op = rng.range(0, alloc_weight + 11);
         let pick = |rng: &mut Rng| (!seen.is_empty()).then(|| seen[rng.range(0, seen.len())]);
         let dir = if rng.next_u64() & 1 == 0 {
             IoDir::Input
@@ -203,6 +234,15 @@ fn run_case(case: u64) -> (u64, u64) {
         let owner = Some(rng.range(0, 4) as u64).filter(|&o| o > 0);
         if op < alloc_weight {
             let zeroed = op % 2 == 1;
+            if zeroed && op == 1 {
+                // Dirty a random extent of the frame the zeroed
+                // allocation will pop, so it zeroes a written page.
+                if let Some(&top) = eager.free.last().filter(|id| seen.contains(id)) {
+                    let (off, bytes) = random_write(&mut rng);
+                    eager.write(top, off, &bytes);
+                    lazy.write(top, off, &bytes).expect("handed-out frame");
+                }
+            }
             let (l, e) = if zeroed {
                 (lazy.alloc_zeroed(owner), eager.alloc_zeroed(owner))
             } else {
@@ -220,12 +260,31 @@ fn run_case(case: u64) -> (u64, u64) {
                 2 => (lazy.ref_io(id, dir), eager.ref_io(id, dir)),
                 3 => (lazy.unref_io(id, dir), eager.unref_io(id, dir)),
                 4 => (lazy.adopt(id, owner), eager.adopt(id, owner)),
+                k @ (5 | 6) => {
+                    // Copies within one frame, or between two (which
+                    // may still pick the same one), free ones included.
+                    let dst = if k == 5 {
+                        id
+                    } else {
+                        pick(&mut rng).expect("seen")
+                    };
+                    let len = rng.range(0, PAGE + 1);
+                    let (src_off, dst_off) =
+                        (rng.range(0, PAGE - len + 1), rng.range(0, PAGE - len + 1));
+                    eager.copy(id, src_off, dst, dst_off, len);
+                    (lazy.copy(id, src_off, dst, dst_off, len), Ok(()))
+                }
+                7 => {
+                    // Zero-complete a random range of any frame.
+                    let end = rng.range(0, PAGE + 1);
+                    let start = rng.range(0, end + 1);
+                    eager.write(id, start, &vec![0; end - start]);
+                    (lazy.zero_range(id, start..end), Ok(()))
+                }
                 _ => {
                     // Writes go to any handed-out frame, free ones too:
                     // the bytes a later plain `alloc` leaks must match.
-                    let off = rng.range(0, PAGE);
-                    let len = rng.range(0, PAGE - off + 1);
-                    let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    let (off, bytes) = random_write(&mut rng);
                     eager.write(id, off, &bytes);
                     (lazy.write(id, off, &bytes), Ok(()))
                 }
@@ -234,7 +293,7 @@ fn run_case(case: u64) -> (u64, u64) {
         }
         assert_agree(case, step, &lazy, &eager, &seen);
     }
-    (refused, eager.deferred)
+    (refused, deferred + eager.deferred)
 }
 
 #[test]

@@ -494,10 +494,7 @@ impl Vm {
             .take_paged(idx)
             .expect("caller located paged contents");
         let frame = self.alloc_frame(Some(u64::from(owner.0)), false)?;
-        self.phys
-            .frame_mut(frame)?
-            .data_mut()
-            .copy_from_slice(&data);
+        self.phys.write(frame, 0, &data)?;
         self.object_mut(owner).set_page(idx, frame);
         Ok(frame)
     }
