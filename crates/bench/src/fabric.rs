@@ -159,6 +159,9 @@ pub struct ScaleReport {
     pub cores: usize,
     /// Datagrams per semantics.
     pub per_semantics: usize,
+    /// The process's peak resident memory after the sweep, in MiB
+    /// (`None` where the OS does not report it).
+    pub peak_rss_mb: Option<f64>,
 }
 
 /// Scale-tier hosts and payload: a 64-host star of 2 KB datagrams,
@@ -180,6 +183,7 @@ pub fn fabric_scale_run(per: usize) -> ScaleReport {
         points,
         cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         per_semantics: per,
+        peak_rss_mb: crate::timing::peak_rss_mb(),
     }
 }
 
@@ -216,7 +220,8 @@ pub fn fabric_scale_exhibit(report: &ScaleReport) -> String {
 
 /// Flat `"scale"` section for `report --json fabric --scale`: the
 /// per-semantics simulated distribution plus the host-side wall
-/// clocks and core count — the numbers `scripts/perf_gate.py` gates.
+/// clocks, core count and peak RSS — `scripts/perf_gate.py` gates the
+/// wall clocks.
 pub fn fabric_scale_json_section(report: &ScaleReport) -> FlatRows {
     let mut rows: FlatRows = vec![
         ("cores".into(), report.cores as f64),
@@ -240,6 +245,9 @@ pub fn fabric_scale_json_section(report: &ScaleReport) -> FlatRows {
         wall_total += p.wall_s;
     }
     rows.push(("wall_total_s".into(), wall_total));
+    if let Some(mb) = report.peak_rss_mb {
+        rows.push(("peak_rss_mb".into(), mb));
+    }
     rows
 }
 

@@ -35,6 +35,15 @@ impl Timing {
     }
 }
 
+/// Peak resident memory of this process so far, in MiB: `VmHWM` from
+/// `/proc/self/status`, or `None` where that file does not exist.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 /// Runs `f` once to warm up, then `iters` timed iterations.
 pub fn time_named<F: FnMut()>(name: &str, iters: u32, mut f: F) -> Timing {
     f(); // warm-up: touch caches, fault in lazily-built state

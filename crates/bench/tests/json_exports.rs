@@ -86,6 +86,36 @@ fn report_json_fabric_cq_parses() {
 }
 
 #[test]
+fn report_json_fabric_scale_records_peak_rss() {
+    let dir = scratch("scale");
+    let out = Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(["--json", "fabric", "--scale"])
+        .current_dir(&dir)
+        .env_remove("GENIE_TRACE")
+        .env("GENIE_SCALE_DATAGRAMS", "200")
+        .output()
+        .expect("run report");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = parse_file(&dir.join("BENCH_report.json"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let scale = doc.get("scale").expect("scale section");
+    assert_eq!(
+        scale.get("datagrams_total").and_then(Json::as_f64),
+        Some(1600.0)
+    );
+    let rss = scale.get("peak_rss_mb").and_then(Json::as_f64);
+    if std::path::Path::new("/proc/self/status").exists() {
+        assert!(rss.is_some_and(|mb| mb > 0.0), "peak_rss_mb: {rss:?}");
+    } else {
+        assert_eq!(rss, None);
+    }
+}
+
+#[test]
 fn report_metrics_and_trace_parse() {
     let dir = scratch("inspect");
     let metrics = run(env!("CARGO_BIN_EXE_report"), &dir, &["--metrics"]);

@@ -63,3 +63,85 @@ impl fmt::Display for GenieError {
 }
 
 impl std::error::Error for GenieError {}
+
+/// Why [`crate::WorldConfig::validate`] rejected a configuration.
+/// Every message starts with the field at fault.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `fabric`: the switch has fewer than two ports, so the switched
+    /// world would have fewer than two hosts.
+    TooFewHosts {
+        /// The switch's port count.
+        ports: u16,
+    },
+    /// `extra_machines`: the passthrough fabric wires exactly two
+    /// hosts.
+    PassthroughHosts {
+        /// Hosts the configuration builds.
+        hosts: usize,
+    },
+    /// `fabric`: the switch needs one port per host.
+    PortCount {
+        /// The switch's port count.
+        ports: u16,
+        /// Hosts the configuration builds.
+        hosts: usize,
+    },
+    /// `fabric`: a route names a port the switch does not have.
+    NoSuchPort {
+        /// The route's source port.
+        src: u16,
+        /// The route's VC.
+        vc: u32,
+        /// The missing port.
+        port: u16,
+        /// The switch's port count.
+        ports: u16,
+    },
+    /// `fabric`: two routes share one (source port, VC).
+    DuplicateRoute {
+        /// The source port.
+        src: u16,
+        /// The VC.
+        vc: u32,
+    },
+    /// `fault`: the retransmit machinery assumes one destination per
+    /// in-flight PDU, so multicast routes need a fault-free world.
+    MulticastWithFaults,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ConfigError::TooFewHosts { ports } => write!(
+                f,
+                "fabric: a switched world needs at least two hosts (switch has {ports} ports)"
+            ),
+            ConfigError::PassthroughHosts { hosts } => write!(
+                f,
+                "extra_machines: the passthrough fabric wires exactly two hosts, not {hosts}"
+            ),
+            ConfigError::PortCount { ports, hosts } => write!(
+                f,
+                "fabric: switch must have one port per host ({ports} ports, {hosts} hosts)"
+            ),
+            ConfigError::NoSuchPort {
+                src,
+                vc,
+                port,
+                ports,
+            } => write!(
+                f,
+                "fabric: route ({src}, {vc}) names port {port} of {ports}"
+            ),
+            ConfigError::DuplicateRoute { src, vc } => {
+                write!(f, "fabric: duplicate route for (src {src}, vc {vc})")
+            }
+            ConfigError::MulticastWithFaults => {
+                write!(f, "fault: multicast routes require a fault-free world")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}

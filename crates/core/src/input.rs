@@ -1178,10 +1178,7 @@ impl World {
             .expect("replacement region");
         let obj = host.vm.region(new).expect("new region").object;
         for f in frames.clone() {
-            host.vm
-                .phys
-                .adopt(f, Some(u64::from(obj.0)))
-                .expect("adopt");
+            host.vm.phys.adopt(f, Some(obj.0)).expect("adopt");
         }
         host.vm.fill_region(new, frames).expect("fill");
         host.vm.map_region(new).expect("map");

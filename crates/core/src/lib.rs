@@ -72,7 +72,7 @@ pub use config::{ChecksumMode, GenieConfig};
 pub use cq::{
     harvest, wait_n, AdaptiveConfig, CqConfig, CqResult, Cqe, Landing, QueuePair, Sqe, SqeOp,
 };
-pub use error::GenieError;
+pub use error::{ConfigError, GenieError};
 pub use experiment::{
     latency_sweep, measure_latency, measure_latency_traced, measure_ping_pong, measure_stream,
     throughput_mbps, utilization_sweep, ExperimentPoint, ExperimentSetup, LatencyDistribution,

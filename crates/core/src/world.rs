@@ -19,7 +19,7 @@ use genie_net::{DmaModel, EventQueue, InputBuffering, Switch, SwitchConfig, Vc, 
 use genie_vm::SpaceId;
 
 use crate::config::GenieConfig;
-use crate::error::GenieError;
+use crate::error::{ConfigError, GenieError};
 use crate::faults::Inflight;
 use crate::host::Host;
 use crate::input::{InputRequest, PendingRecv, RecvCompletion};
@@ -106,17 +106,15 @@ impl Default for WorldConfig {
 }
 
 impl WorldConfig {
-    /// `n` identical hosts behind a switch (one port per host).
+    /// `n` identical hosts behind a switch with one port per host.
+    /// [`WorldConfig::validate`] checks the switch against the hosts;
+    /// an `n` below two builds two hosts, which a switch of fewer than
+    /// two ports then fails.
     pub fn switched(machine: MachineSpec, n: usize, switch: SwitchConfig) -> Self {
-        assert!(n >= 2, "a switched world needs at least two hosts");
-        assert_eq!(
-            switch.ports as usize, n,
-            "switch must have one port per host"
-        );
         WorldConfig {
             machine_a: machine.clone(),
             machine_b: machine.clone(),
-            extra_machines: vec![machine; n - 2],
+            extra_machines: vec![machine; n.saturating_sub(2)],
             fabric: Fabric::Switched(switch),
             ..WorldConfig::default()
         }
@@ -125,6 +123,47 @@ impl WorldConfig {
     /// Number of hosts this configuration builds.
     pub fn n_hosts(&self) -> usize {
         2 + self.extra_machines.len()
+    }
+
+    /// Checks that [`World::new`] can build this configuration: the
+    /// fabric must fit the hosts, every route must name existing ports
+    /// and be the only one for its (source port, VC), and multicast
+    /// routes need a fault-free world.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let hosts = self.n_hosts();
+        let sc = match &self.fabric {
+            Fabric::Passthrough if hosts != 2 => {
+                return Err(ConfigError::PassthroughHosts { hosts })
+            }
+            Fabric::Passthrough => return Ok(()),
+            Fabric::Switched(sc) => sc,
+        };
+        let ports = sc.ports;
+        if ports < 2 {
+            return Err(ConfigError::TooFewHosts { ports });
+        }
+        if usize::from(ports) != hosts {
+            return Err(ConfigError::PortCount { ports, hosts });
+        }
+        let mut seen = std::collections::HashSet::new();
+        for r in &sc.routes {
+            let (src, vc) = (r.src, r.vc);
+            if let Some(&port) = std::iter::once(&src).chain(&r.dsts).find(|&&p| p >= ports) {
+                return Err(ConfigError::NoSuchPort {
+                    src,
+                    vc,
+                    port,
+                    ports,
+                });
+            }
+            if !seen.insert((src, vc)) {
+                return Err(ConfigError::DuplicateRoute { src, vc });
+            }
+        }
+        if sc.has_multicast() && self.fault.active() {
+            return Err(ConfigError::MulticastWithFaults);
+        }
+        Ok(())
     }
 }
 
@@ -274,7 +313,14 @@ pub struct World {
 
 impl World {
     /// Builds a world from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// If [`WorldConfig::validate`] rejects the configuration.
     pub fn new(cfg: WorldConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid world config: {e}");
+        }
         let mk = |m: MachineSpec| {
             Host::new(
                 m,
@@ -292,23 +338,8 @@ impl World {
             hosts.push(mk(m.clone()));
         }
         let switch = match &cfg.fabric {
-            Fabric::Passthrough => {
-                assert_eq!(n, 2, "the passthrough fabric wires exactly two hosts");
-                None
-            }
-            Fabric::Switched(sc) => {
-                assert_eq!(
-                    sc.ports as usize, n,
-                    "switch must have one port per host ({n} hosts)"
-                );
-                // The retransmit machinery assumes one destination per
-                // in-flight PDU; fan-out suites run fault-free.
-                assert!(
-                    !(sc.has_multicast() && cfg.fault.active()),
-                    "multicast routes require a fault-free world"
-                );
-                Some(Switch::new(sc))
-            }
+            Fabric::Passthrough => None,
+            Fabric::Switched(sc) => Some(Switch::new(sc)),
         };
         World {
             hosts,
@@ -878,6 +909,77 @@ mod tests {
         let mut cfg = WorldConfig::switched(MachineSpec::micron_p166(), 3, sw);
         cfg.fault = genie_fault::FaultConfig::swarm(1);
         let _ = World::new(cfg);
+    }
+
+    fn star(n: u16) -> genie_net::SwitchConfig {
+        genie_net::SwitchConfig::star(n, 0, 1, 256)
+    }
+
+    fn switched(n: usize, sw: genie_net::SwitchConfig) -> WorldConfig {
+        WorldConfig::switched(MachineSpec::micron_p166(), n, sw)
+    }
+
+    #[test]
+    fn validate_accepts_the_stock_fabrics() {
+        assert_eq!(WorldConfig::default().validate(), Ok(()));
+        assert_eq!(switched(8, star(8)).validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_a_switch_with_fewer_than_two_ports() {
+        let err = switched(1, star(1)).validate().unwrap_err();
+        assert_eq!(err, ConfigError::TooFewHosts { ports: 1 });
+        assert!(err.to_string().starts_with("fabric: "), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_passthrough_with_extra_hosts() {
+        let cfg = WorldConfig {
+            extra_machines: vec![MachineSpec::micron_p166()],
+            ..WorldConfig::default()
+        };
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(err, ConfigError::PassthroughHosts { hosts: 3 });
+        assert!(err.to_string().starts_with("extra_machines: "), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_port_count_that_differs_from_the_hosts() {
+        let err = switched(4, star(3)).validate().unwrap_err();
+        assert_eq!(err, ConfigError::PortCount { ports: 3, hosts: 4 });
+        assert!(err.to_string().contains("one port per host"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_route_to_a_missing_port() {
+        let sw = star(3).route(1, 900, &[0, 5]);
+        let err = switched(3, sw).validate().unwrap_err();
+        let want = ConfigError::NoSuchPort {
+            src: 1,
+            vc: 900,
+            port: 5,
+            ports: 3,
+        };
+        assert_eq!(err, want);
+        assert!(err.to_string().contains("names port 5 of 3"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_duplicate_route() {
+        let sw = star(3).route(1, 2, &[0]);
+        let err = switched(3, sw).validate().unwrap_err();
+        assert_eq!(err, ConfigError::DuplicateRoute { src: 1, vc: 2 });
+        assert!(err.to_string().contains("duplicate route"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_multicast_under_a_fault_plan() {
+        let mut cfg = switched(3, star(3).route(0, 900, &[1, 2]));
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.fault = genie_fault::FaultConfig::swarm(1);
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(err, ConfigError::MulticastWithFaults);
+        assert!(err.to_string().starts_with("fault: "), "{err}");
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl Oracle {
             let Ok(f) = vm.phys.frame(id) else { continue };
             if f.in_count() > 0 && f.state() == FrameState::Allocated {
                 if let Some(owner) = f.owner() {
-                    let oid = ObjectId(owner as u32);
+                    let oid = ObjectId(owner);
                     if !vm.object_live(oid) {
                         self.flag(format!(
                             "{site}: input-referenced frame {i} owned by dead {oid:?} \
@@ -222,6 +222,33 @@ mod tests {
         let mut o2 = Oracle::new();
         o2.on_delivery(1, 1, 0, fnv64(b"whatever"));
         assert!(o2.ok());
+    }
+
+    #[test]
+    fn a_dead_owner_is_flagged_even_after_its_slot_is_reused() {
+        let mut vm = Vm::new(PhysMem::new(4096, 32));
+        let s = vm.create_space();
+        let old_va = vm.alloc_app_buffer(s, 4096).unwrap();
+        let old = vm.region_at(s, old_va).unwrap();
+        let dead = vm.region(old).unwrap().object;
+        vm.remove_region(old).unwrap();
+        // The next object takes the dead one's slot.
+        let new_va = vm.alloc_app_buffer(s, 4096).unwrap();
+        let live = vm.region(vm.region_at(s, new_va).unwrap()).unwrap().object;
+        assert_eq!(genie_mem::key_slot(live.0), genie_mem::key_slot(dead.0));
+        assert!(!vm.object_live(dead));
+        // A DMA target still tagged with the dead owner.
+        let f = vm.alloc_frame(Some(dead.0), false).unwrap();
+        vm.phys.ref_io(f, IoDir::Input).unwrap();
+        let mut o = Oracle::new();
+        o.check_vm("test", &vm);
+        assert_eq!(o.violations().len(), 1, "{:?}", o.violations());
+        assert!(o.violations()[0].what.contains("owned by dead"));
+        // Retagged to the live object, the frame passes.
+        vm.phys.frame_mut(f).unwrap().set_owner(Some(live.0));
+        let mut o = Oracle::new();
+        o.check_vm("test", &vm);
+        assert!(o.ok(), "{:?}", o.violations());
     }
 
     #[test]

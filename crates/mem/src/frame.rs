@@ -64,8 +64,8 @@ pub struct Frame {
     in_count: u16,
     out_count: u16,
     state: FrameState,
-    /// Opaque owner tag set by the VM layer (memory object id); `None`
-    /// for kernel pool pages.
+    /// Opaque owner tag set by the VM layer (the owning memory
+    /// object's generational key); `None` for kernel pool pages.
     owner: Option<u64>,
 }
 

@@ -81,6 +81,12 @@ impl<T> SlotMap<T> {
         self.len == 0
     }
 
+    /// Number of slots, live or free: the most values ever live at
+    /// once.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Inserts a value, reusing a freed slot if one is available, and
     /// returns its generational key.
     pub fn insert(&mut self, value: T) -> SlotKey {

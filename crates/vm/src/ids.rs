@@ -2,15 +2,18 @@
 
 use core::fmt;
 
-use genie_mem::FrameId;
+use genie_mem::{key_gen, key_slot, FrameId, SlotKey};
 
-/// Identifier of a memory object.
+/// Identifier of a memory object: its generational key in the VM's
+/// object arena. A released object's slot is reused, but under a new
+/// generation, so a stale id resolves to nothing rather than to the
+/// slot's next object. Frames record the full key as their owner tag.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ObjectId(pub u32);
+pub struct ObjectId(pub SlotKey);
 
 impl fmt::Debug for ObjectId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "obj{}", self.0)
+        write!(f, "obj{}.{}", key_slot(self.0), key_gen(self.0))
     }
 }
 
@@ -46,7 +49,10 @@ mod tests {
 
     #[test]
     fn debug_formats_are_compact() {
-        assert_eq!(format!("{:?}", ObjectId(3)), "obj3");
+        assert_eq!(
+            format!("{:?}", ObjectId(genie_mem::slot_key(2, 3))),
+            "obj3.2"
+        );
         assert_eq!(format!("{:?}", SpaceId(1)), "as1");
     }
 }

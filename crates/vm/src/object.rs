@@ -21,7 +21,6 @@ use crate::ids::ObjectId;
 /// lookup, ascending-index iteration.
 #[derive(Clone, Debug)]
 pub struct MemoryObject {
-    id: ObjectId,
     /// Resident pages.
     pages: DenseMap<FrameId>,
     /// Paged-out page contents (the simulated backing store).
@@ -35,17 +34,11 @@ pub struct MemoryObject {
 }
 
 impl MemoryObject {
-    /// Creates an empty object.
-    pub fn new(id: ObjectId) -> Self {
-        Self::with_page_table(id, DenseMap::new())
-    }
-
     /// Creates an empty object whose resident-page table reuses the
     /// storage of `pages`, an emptied table of a destroyed object.
-    pub(crate) fn with_page_table(id: ObjectId, pages: DenseMap<FrameId>) -> Self {
+    pub(crate) fn with_page_table(pages: DenseMap<FrameId>) -> Self {
         debug_assert!(pages.is_empty(), "recycled page table not emptied");
         MemoryObject {
-            id,
             pages,
             paged: DenseMap::new(),
             shadow: None,
@@ -58,11 +51,6 @@ impl MemoryObject {
     /// filled) so its storage can serve a later object.
     pub(crate) fn into_page_table(self) -> DenseMap<FrameId> {
         self.pages
-    }
-
-    /// This object's id.
-    pub fn id(&self) -> ObjectId {
-        self.id
     }
 
     /// Resident frame for object page `idx`, if present.
@@ -156,7 +144,7 @@ mod tests {
 
     #[test]
     fn page_install_replace_remove() {
-        let mut o = MemoryObject::new(ObjectId(1));
+        let mut o = MemoryObject::with_page_table(DenseMap::new());
         assert_eq!(o.page(0), None);
         assert_eq!(o.set_page(0, FrameId(5)), None);
         assert_eq!(o.page(0), Some(FrameId(5)));
@@ -167,7 +155,7 @@ mod tests {
 
     #[test]
     fn input_ref_accounting() {
-        let mut o = MemoryObject::new(ObjectId(1));
+        let mut o = MemoryObject::with_page_table(DenseMap::new());
         o.add_input_ref();
         o.add_input_ref();
         assert_eq!(o.input_refs(), 2);
@@ -177,7 +165,7 @@ mod tests {
 
     #[test]
     fn paged_contents_round_trip() {
-        let mut o = MemoryObject::new(ObjectId(1));
+        let mut o = MemoryObject::with_page_table(DenseMap::new());
         o.set_paged(3, vec![9u8; 16].into_boxed_slice());
         assert_eq!(o.paged(3).unwrap(), &[9u8; 16][..]);
         assert_eq!(o.take_paged(3).unwrap().len(), 16);

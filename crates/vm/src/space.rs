@@ -539,7 +539,7 @@ mod tests {
                         let reg = Region::new(
                             1 + (r >> 8) % SPAN,
                             (r >> 24) % 7,
-                            ObjectId(step),
+                            ObjectId(u64::from(step)),
                             RegionMark::Unmovable,
                         );
                         assert_eq!(s.insert_region(reg.clone()), reference.insert(reg), "{ctx}");
@@ -553,7 +553,7 @@ mod tests {
                         let reg = Region::new(
                             start,
                             1 + (r >> 24) % 3,
-                            ObjectId(step),
+                            ObjectId(u64::from(step)),
                             RegionMark::Unmovable,
                         );
                         assert_eq!(s.insert_region(reg.clone()), reference.insert(reg), "{ctx}");

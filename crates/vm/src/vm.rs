@@ -1,7 +1,7 @@
 //! The VM subsystem: fault handling, page referencing, page swapping,
 //! wiring, COW, and the region operations behind move emulation.
 
-use genie_mem::{DenseMap, FrameId, IoDir, MemError, PhysMem};
+use genie_mem::{DenseMap, FrameId, IoDir, MemError, PhysMem, SlotMap};
 
 use crate::error::VmError;
 use crate::fault::{Access, FaultOutcome};
@@ -104,7 +104,11 @@ pub struct VmPools {
 pub struct Vm {
     /// Physical memory (public: the device/adapter layer DMAs into it).
     pub phys: PhysMem,
-    objects: Vec<Option<MemoryObject>>,
+    /// Memory objects in a generational arena: a destroyed object's
+    /// slot serves the next one, so the table is sized by the most
+    /// objects ever live at once, and a stale [`ObjectId`] resolves to
+    /// nothing.
+    objects: SlotMap<MemoryObject>,
     spaces: Vec<AddressSpace>,
     stats: VmStats,
     /// Faults taken by the latest fault-taking access or page
@@ -130,7 +134,7 @@ impl Vm {
     pub fn new(phys: PhysMem) -> Self {
         Vm {
             phys,
-            objects: Vec::new(),
+            objects: SlotMap::new(),
             spaces: Vec::new(),
             stats: VmStats::default(),
             faults: Vec::new(),
@@ -222,47 +226,43 @@ impl Vm {
 
     /// Creates a new, empty memory object.
     pub fn create_object(&mut self) -> ObjectId {
-        let id = ObjectId(self.objects.len() as u32);
         let pages = self.spare_page_tables.pop().unwrap_or_default();
-        self.objects
-            .push(Some(MemoryObject::with_page_table(id, pages)));
-        id
+        ObjectId(self.objects.insert(MemoryObject::with_page_table(pages)))
     }
 
     /// Shared access to an object (panics on a dangling id — internal
     /// invariant).
     pub fn object(&self, id: ObjectId) -> &MemoryObject {
-        self.objects[id.0 as usize]
-            .as_ref()
-            .expect("dangling object id")
+        self.objects.get(id.0).expect("dangling object id")
     }
 
     /// Mutable access to an object.
     pub fn object_mut(&mut self, id: ObjectId) -> &mut MemoryObject {
-        self.objects[id.0 as usize]
-            .as_mut()
-            .expect("dangling object id")
+        self.objects.get_mut(id.0).expect("dangling object id")
     }
 
-    fn object_opt_mut(&mut self, id: ObjectId) -> Option<&mut MemoryObject> {
-        self.objects.get_mut(id.0 as usize).and_then(|o| o.as_mut())
-    }
-
-    /// True if the object still exists.
+    /// True if the object still exists (false for a stale id whose
+    /// slot now holds another object).
     pub fn object_live(&self, id: ObjectId) -> bool {
-        self.objects.get(id.0 as usize).is_some_and(|o| o.is_some())
+        self.objects.get(id.0).is_some()
+    }
+
+    /// Slots in the object arena, live or free: the most objects ever
+    /// live at once.
+    pub fn object_slots(&self) -> usize {
+        self.objects.slot_count()
     }
 
     /// Drops one reference to an object; destroys it (deallocating its
     /// frames with I/O-deferred semantics) when the count reaches zero.
     pub fn release_object(&mut self, id: ObjectId) {
-        let Some(obj) = self.object_opt_mut(id) else {
+        let Some(obj) = self.objects.get_mut(id.0) else {
             return;
         };
         if obj.drop_external_ref() > 0 {
             return;
         }
-        let obj = self.objects[id.0 as usize].take().expect("checked above");
+        let obj = self.objects.remove(id.0).expect("checked above");
         for (_, frame) in obj.pages() {
             // Deallocation is I/O-deferred inside PhysMem.
             let _ = self.phys.dealloc(frame);
@@ -493,7 +493,7 @@ impl Vm {
             .object_mut(owner)
             .take_paged(idx)
             .expect("caller located paged contents");
-        let frame = self.alloc_frame(Some(u64::from(owner.0)), false)?;
+        let frame = self.alloc_frame(Some(owner.0), false)?;
         self.phys.write(frame, 0, &data)?;
         self.object_mut(owner).set_page(idx, frame);
         Ok(frame)
@@ -510,7 +510,7 @@ impl Vm {
         src_frame: FrameId,
     ) -> Result<FrameId, VmError> {
         let page = self.page_size();
-        let new = self.alloc_frame(Some(u64::from(dst_obj.0)), false)?;
+        let new = self.alloc_frame(Some(dst_obj.0), false)?;
         self.phys.copy(src_frame, 0, new, 0, page)?;
         if let Some(old) = self.object_mut(dst_obj).set_page(idx, new) {
             // Replacing a top-object page (TCOW): the displaced frame
@@ -675,7 +675,7 @@ impl Vm {
 
         // First touch: zero-fill (skipped as dead work when the
         // faulting write covers the whole page).
-        let frame = self.alloc_frame(Some(u64::from(top.0)), !full_write)?;
+        let frame = self.alloc_frame(Some(top.0), !full_write)?;
         self.object_mut(top).set_page(idx, frame);
         self.space_mut(space).set_pte(
             vpn,
@@ -1059,7 +1059,7 @@ impl Vm {
             };
             if owner == top {
                 if for_input && self.phys.frame(frame)?.out_count() > 0 {
-                    let new = self.alloc_frame(Some(u64::from(top.0)), false)?;
+                    let new = self.alloc_frame(Some(top.0), false)?;
                     self.phys.copy(frame, 0, new, 0, page_size)?;
                     self.object_mut(top).set_page(idx, new);
                     let _ = self.phys.dealloc(frame);
@@ -1076,7 +1076,7 @@ impl Vm {
             }
             // Found below the top object.
             if for_input {
-                let new = self.alloc_frame(Some(u64::from(top.0)), false)?;
+                let new = self.alloc_frame(Some(top.0), false)?;
                 self.phys.copy(frame, 0, new, 0, page_size)?;
                 self.object_mut(top).set_page(idx, new);
                 return Ok((new, FaultOutcome::CowCopied));
@@ -1090,7 +1090,7 @@ impl Vm {
                 },
             ));
         }
-        let frame = self.alloc_frame(Some(u64::from(top.0)), true)?;
+        let frame = self.alloc_frame(Some(top.0), true)?;
         self.object_mut(top).set_page(idx, frame);
         Ok((frame, FaultOutcome::ZeroFilled))
     }
@@ -1188,7 +1188,7 @@ impl Vm {
                     // The object may have died mid-I/O (region removed
                     // by the application); that is fine — the frame
                     // counts already protected the pages.
-                    if let Some(obj) = self.object_opt_mut(oid) {
+                    if let Some(obj) = self.objects.get_mut(oid.0) {
                         obj.drop_input_ref();
                     }
                 }
@@ -1312,9 +1312,7 @@ impl Vm {
         let top = region.object;
         let idx = region.object_page(vpn);
         let writable = region.writable;
-        self.phys
-            .frame_mut(new_frame)?
-            .set_owner(Some(u64::from(top.0)));
+        self.phys.frame_mut(new_frame)?.set_owner(Some(top.0));
         let old = self.object_mut(top).set_page(idx, new_frame);
         self.space_mut(space).set_pte(
             vpn,
@@ -1346,7 +1344,7 @@ impl Vm {
         let (object, offset, npages) = (region.object, region.object_offset, region.npages);
         for (i, f) in frames.into_iter().enumerate() {
             debug_assert!((i as u64) < npages, "more frames than region pages");
-            self.phys.frame_mut(f)?.set_owner(Some(u64::from(object.0)));
+            self.phys.frame_mut(f)?.set_owner(Some(object.0));
             if let Some(old) = self.object_mut(object).set_page(offset + i as u64, f) {
                 let _ = self.phys.dealloc(old);
             }
@@ -1426,7 +1424,7 @@ impl Vm {
                         PageLoc::Resident(f) => f,
                         PageLoc::Paged => self.page_in(owner, src_off + i)?,
                     };
-                    let copy = self.alloc_frame(Some(u64::from(new_obj.0)), false)?;
+                    let copy = self.alloc_frame(Some(new_obj.0), false)?;
                     self.phys.copy(frame, 0, copy, 0, page)?;
                     self.object_mut(new_obj).set_page(i, copy);
                 }
@@ -1489,15 +1487,15 @@ impl Vm {
     ///    resolves to for that page.
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        for obj in self.objects.iter().flatten() {
+        for (key, obj) in self.objects.iter() {
+            let id = ObjectId(key);
             for (idx, frame) in obj.pages() {
                 match self.phys.frame(frame) {
-                    Ok(f) if f.state() == genie_mem::FrameState::Free => problems.push(format!(
-                        "{:?} page {idx} maps free frame {frame:?}",
-                        obj.id()
-                    )),
+                    Ok(f) if f.state() == genie_mem::FrameState::Free => {
+                        problems.push(format!("{id:?} page {idx} maps free frame {frame:?}"))
+                    }
                     Ok(_) => {}
-                    Err(e) => problems.push(format!("{:?} page {idx}: {e}", obj.id())),
+                    Err(e) => problems.push(format!("{id:?} page {idx}: {e}")),
                 }
             }
         }
@@ -1881,6 +1879,52 @@ mod tests {
         assert_eq!(v.trim_pools(0), 3, "fault list, descriptor list, table");
         assert_eq!(v.pools(), VmPools::default());
         assert_eq!(v.trim_pools(0), 0);
+    }
+
+    #[test]
+    fn object_arena_is_sized_by_peak_live_objects() {
+        let (mut v, s) = vm();
+        let mut live = std::collections::VecDeque::new();
+        for i in 0..10_000u32 {
+            if live.len() == 4 {
+                let h = live.pop_front().unwrap();
+                v.remove_region(h).unwrap();
+            }
+            let va = v.alloc_app_buffer(s, 4096).unwrap();
+            v.write_app(s, va, &i.to_le_bytes()).unwrap();
+            live.push_back(v.region_at(s, va).unwrap());
+        }
+        assert_eq!(v.object_slots(), 4, "slots of released objects are reused");
+        assert!(v.validate().is_empty(), "{:?}", v.validate());
+    }
+
+    #[test]
+    fn a_stale_object_id_resolves_to_nothing_after_its_slot_is_reused() {
+        let (mut v, s) = vm();
+        let old_va = v.alloc_app_buffer(s, 4096).unwrap();
+        v.write_app(s, old_va, b"old").unwrap();
+        let old = v.region_at(s, old_va).unwrap();
+        let old_id = v.region(old).unwrap().object;
+        // Input pending on the old object when its region is removed.
+        let stale = v.reference_pages(s, old_va, 4096, IoDir::Input).unwrap();
+        assert_eq!(stale.vecs[0].object, Some(old_id));
+        v.remove_region(old).unwrap();
+
+        let new_va = v.alloc_app_buffer(s, 4096).unwrap();
+        let new_id = v.region(v.region_at(s, new_va).unwrap()).unwrap().object;
+        assert_eq!(v.object_slots(), 1, "the new object took the old slot");
+        assert_ne!(new_id, old_id);
+        assert!(!v.object_live(old_id) && v.object_live(new_id));
+
+        // The stale descriptor's input reference must not land on the
+        // slot's new object.
+        let fresh = v.reference_pages(s, new_va, 4096, IoDir::Input).unwrap();
+        assert_eq!(v.object(new_id).input_refs(), 1);
+        v.unreference(stale).unwrap();
+        assert_eq!(v.object(new_id).input_refs(), 1);
+        v.unreference(fresh).unwrap();
+        assert_eq!(v.object(new_id).input_refs(), 0);
+        assert!(v.validate().is_empty(), "{:?}", v.validate());
     }
 
     /// A one-page region of `space`, written so it holds a frame.

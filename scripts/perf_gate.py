@@ -14,7 +14,12 @@ Minimums are compared rather than means because on a shared machine the
 mean absorbs unrelated load spikes while the min tracks the code.
 
 Always prints the full delta table. Exits 1 when any fresh minimum
-exceeds its baseline by more than --tol percent. Improvements never
+exceeds its baseline by more than --tol percent. The table also shows
+box drift: crc32_60k's fresh/baseline ratio (a primitive whose code
+has not changed since the baseline was taken, so its ratio measures
+the machine, not the code) and a drift-adjusted delta column that
+divides it out. Both are informational; the gate compares raw
+minimums. Improvements never
 fail the gate; after intentional perf work rerun with --write-baseline
 to record the new minimums (the note and pr5_reference are preserved).
 """
@@ -22,6 +27,10 @@ to record the new minimums (the note and pr5_reference are preserved).
 import argparse
 import json
 import sys
+
+# The box-drift probe: a pure CRC over 60 KB whose code the simulator's
+# changes do not touch, so its fresh/baseline ratio is the machine's.
+DRIFT_PROBE = "crc32_60k"
 
 
 def load(path):
@@ -60,7 +69,14 @@ def main():
     fails = []
     print(f"perf gate: tolerance {args.tol:.0f}% "
           "(GENIE_BENCH_TOL adjusts it; GENIE_BENCH_TOL=skip skips the gate)")
-    print(f"  {'benchmark':<28} {'baseline':>12} {'fresh':>12} {'delta':>8}")
+    drift = None
+    drift_base = base["datapath_ns"].get(DRIFT_PROBE)
+    drift_fresh = fresh_ns.get(DRIFT_PROBE, {}).get("min")
+    if drift_base and drift_fresh:
+        drift = drift_fresh / drift_base
+        print(f"  box drift: {DRIFT_PROBE} fresh/baseline {drift:.3f} "
+              "(informational; 'adj' divides it out, the gate does not)")
+    print(f"  {'benchmark':<28} {'baseline':>12} {'fresh':>12} {'delta':>8} {'adj':>8}")
     for name, base_min in base["datapath_ns"].items():
         entry = fresh_ns.get(name)
         if entry is None:
@@ -69,11 +85,13 @@ def main():
             continue
         fmin = entry["min"]
         delta = (fmin - base_min) / base_min * 100.0
+        adj = (f"{(fmin / drift - base_min) / base_min * 100.0:>+7.1f}%"
+               if drift else f"{'-':>8}")
         regressed = delta > args.tol
         if regressed:
             fails.append(f"{name}: min {fmin:.0f} ns vs baseline {base_min:.0f} ns "
                          f"(+{delta:.1f}% > {args.tol:.0f}%)")
-        print(f"  {name:<28} {base_min:>10.0f}ns {fmin:>10.0f}ns {delta:>+7.1f}%"
+        print(f"  {name:<28} {base_min:>10.0f}ns {fmin:>10.0f}ns {delta:>+7.1f}% {adj}"
               f"{'  REGRESSION' if regressed else ''}")
 
     base_wall = base.get("total_wall_ms")
