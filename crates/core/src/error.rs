@@ -25,10 +25,15 @@ pub enum GenieError {
     TooLong(usize),
     /// Zero-length I/O is rejected.
     Empty,
-    /// The sender stalled out of credits and retries were exhausted.
-    CreditStall,
-    /// Header checksum mismatch detected on input.
-    ChecksumMismatch,
+    /// The datagram's PDU needs more cells than a credit allotment on
+    /// its path (the sender's per-VC credit limit, or a switch port's
+    /// credit) can ever grant, so it could never be transmitted.
+    ExceedsCredit {
+        /// Cells the PDU occupies.
+        cells: u32,
+        /// The smallest allotment the PDU must cross.
+        allotment: u32,
+    },
 }
 
 impl From<VmError> for GenieError {
@@ -56,8 +61,10 @@ impl fmt::Display for GenieError {
             }
             GenieError::TooLong(n) => write!(f, "datagram of {n} bytes exceeds AAL5 maximum"),
             GenieError::Empty => write!(f, "zero-length I/O"),
-            GenieError::CreditStall => write!(f, "sender exhausted credits"),
-            GenieError::ChecksumMismatch => write!(f, "checksum mismatch"),
+            GenieError::ExceedsCredit { cells, allotment } => write!(
+                f,
+                "PDU of {cells} cells exceeds a credit allotment of {allotment} on its path"
+            ),
         }
     }
 }

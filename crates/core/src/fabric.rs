@@ -265,6 +265,7 @@ impl World {
         while let Some(head) = sw.front(port) {
             let (vc, cells) = (head.vc, head.cells);
             let credit = sw.port_credit();
+            // `World::output` rejects such PDUs up front.
             assert!(
                 cells as u32 <= credit,
                 "PDU of {cells} cells can never clear port {port}'s credit \

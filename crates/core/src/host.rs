@@ -193,19 +193,6 @@ impl Host {
         }
     }
 
-    /// Releases recycled storage beyond `keep` spare allocations per
-    /// pool, here and in the VM; returns how many allocations were
-    /// released.
-    pub(crate) fn trim_pools(&mut self, keep: usize) -> usize {
-        let mut freed = self.vm.trim_pools(keep);
-        if self.spare_frame_lists.len() > keep {
-            freed += self.spare_frame_lists.len() - keep;
-            self.spare_frame_lists.truncate(keep);
-            self.spare_frame_lists.shrink_to_fit();
-        }
-        freed
-    }
-
     /// Returns overlay frames to the adapter pool and replenishes it
     /// from the free list up to its target size (frames lost to page
     /// swaps are replaced, as an I/O module pool would).
@@ -302,7 +289,7 @@ mod tests {
         let mut frames = Vec::new();
         let c = h
             .adapter
-            .receive(&mut h.vm.phys, genie_net::Vc(0), &payload, &mut frames)
+            .receive(&mut h.vm.phys, &payload, &mut frames)
             .unwrap();
         assert_eq!(frames.len(), 2);
         assert!(matches!(c, genie_net::RxCompletion::Overlay { .. }));

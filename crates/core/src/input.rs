@@ -507,7 +507,7 @@ impl World {
         let mut frames = host.take_frame_list();
         match host
             .adapter
-            .receive(&mut host.vm.phys, Vc(0), payload, &mut frames)
+            .receive(&mut host.vm.phys, payload, &mut frames)
             .expect("pooled receive")
         {
             RxCompletion::Overlay { .. } => Some(PlacedPayload::Overlay(frames)),
@@ -515,7 +515,6 @@ impl World {
                 host.recycle_frame_list(frames);
                 None
             }
-            RxCompletion::Direct { .. } => unreachable!("pooled adapter"),
         }
     }
 

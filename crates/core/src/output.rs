@@ -90,6 +90,17 @@ impl World {
         if req.len + HEADER_LEN > AAL5_MAX_PAYLOAD {
             return Err(GenieError::TooLong(req.len));
         }
+        // A PDU larger than an allotment it must cross would stall the
+        // sender (or strand a switch port) forever.
+        let cells = cells_for_payload(req.len + HEADER_LEN) as u32;
+        let limit = self.host(from).adapter.credit_limit();
+        let allotment = self
+            .switch
+            .as_ref()
+            .map_or(limit, |sw| limit.min(sw.port_credit()));
+        if cells > allotment {
+            return Err(GenieError::ExceedsCredit { cells, allotment });
+        }
         let invoked_at = self.host(from).clock;
         let effective = self.effective_output_semantics(req.semantics, req.len);
         let seq = self.next_seq(req.vc);

@@ -425,7 +425,6 @@ impl World {
     /// never holds more than the most PDUs (plus retransmit copies)
     /// ever in flight at once: one or two for a latency ping-pong, a
     /// whole wave for a fan-in, whose next wave then reuses them all.
-    /// [`World::trim_pools`] gives the high-water mark back.
     pub(crate) fn recycle_payload(&mut self, buf: Vec<u8>) {
         if buf.capacity() > 0 {
             self.spare_payloads.push(buf);
@@ -746,36 +745,6 @@ impl World {
         self.peak_resident
     }
 
-    /// Releases process-level scratch memory accumulated by large
-    /// runs: payload buffers beyond `keep`, the cell and route scratch
-    /// vectors, every host's recycled frame lists beyond `keep`, its
-    /// VM's pools (see [`genie_vm::Vm::trim_pools`]), and this
-    /// thread's recycled page storage beyond `keep` pages per size
-    /// class. Simulated state (host overlay pools, frames, queues) is
-    /// untouched — trimming only changes the process's resident
-    /// footprint, never a simulated number. Returns how many
-    /// allocations were released.
-    pub fn trim_pools(&mut self, keep: usize) -> usize {
-        let mut freed = 0;
-        if self.spare_payloads.len() > keep {
-            freed += self.spare_payloads.len() - keep;
-            self.spare_payloads.truncate(keep);
-            self.spare_payloads.shrink_to_fit();
-        }
-        if self.scratch_cells.capacity() > 0 {
-            freed += 1;
-            self.scratch_cells = Vec::new();
-        }
-        if self.scratch_dsts.capacity() > 0 {
-            freed += 1;
-            self.scratch_dsts = Vec::new();
-        }
-        for h in &mut self.hosts {
-            freed += h.trim_pools(keep);
-        }
-        freed + genie_mem::trim_page_storage(keep)
-    }
-
     /// Drains completed input operations. The next batch starts with
     /// room for as many as this one, so a steady wave allocates its
     /// completion list once instead of growing it.
@@ -1009,7 +978,7 @@ mod tests {
     }
 
     #[test]
-    fn trim_pools_empties_every_pool() {
+    fn every_semantics_feeds_the_spare_pools() {
         use crate::OutputRequest;
         let mut w = World::new(WorldConfig::default());
         let tx = w.create_process(HostId::A);
@@ -1034,27 +1003,12 @@ mod tests {
         for sem in Semantics::ALL {
             exchange(&mut w, sem);
         }
-        // Every pool the datapath recycles through holds something.
+        // The world's and every host's recycled lists hold something,
+        // and the next exchange runs from them.
         assert!(!w.spare_payloads.is_empty());
         for id in [HostId::A, HostId::B] {
-            let h = w.host(id);
-            assert!(!h.spare_frame_lists.is_empty(), "{id:?} frame lists");
-            let p = h.vm.pools();
-            assert!(p.fault_list_capacity > 0, "{id:?} {p:?}");
-            assert!(p.descriptor_lists > 0, "{id:?} {p:?}");
-            assert!(p.page_tables > 0, "{id:?} {p:?}");
+            assert!(!w.host(id).spare_frame_lists.is_empty(), "{id:?}");
         }
-        assert!(w.trim_pools(0) > 0);
-        assert!(w.spare_payloads.is_empty());
-        assert_eq!(w.scratch_cells.capacity(), 0);
-        assert_eq!(w.scratch_dsts.capacity(), 0);
-        for id in [HostId::A, HostId::B] {
-            let h = w.host(id);
-            assert!(h.spare_frame_lists.is_empty(), "{id:?} frame lists");
-            assert_eq!(h.vm.pools(), genie_vm::VmPools::default(), "{id:?}");
-        }
-        assert_eq!(w.trim_pools(0), 0, "nothing left to release");
-        // Trimming only costs reallocation: the next exchange runs.
         exchange(&mut w, Semantics::Copy);
     }
 

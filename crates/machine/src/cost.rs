@@ -316,13 +316,6 @@ impl CostModel {
         };
         SimTime::from_us(us)
     }
-
-    /// Cost of `op` over a byte range, deriving the page count from the
-    /// range's page span on this platform.
-    pub fn cost_range(&self, op: Op, page_offset: usize, bytes: usize) -> SimTime {
-        let pages = self.machine.pages_spanned(page_offset, bytes);
-        self.cost(op, bytes, pages)
-    }
 }
 
 #[cfg(test)]
@@ -463,15 +456,6 @@ mod tests {
             base.cost(Op::DeviceFixedSend, 0, 0),
             gateway.cost(Op::DeviceFixedSend, 0, 0)
         );
-    }
-
-    #[test]
-    fn cost_range_counts_spanned_pages() {
-        let m = p166();
-        // 2 bytes straddling a page boundary touch 2 pages.
-        let straddle = m.cost_range(Op::Reference, 4095, 2);
-        let within = m.cost_range(Op::Reference, 0, 2);
-        assert!(straddle > within);
     }
 
     #[test]

@@ -69,13 +69,6 @@ impl CostLedger {
         cost
     }
 
-    /// Charges `op` over a byte range, deriving the page count from the
-    /// range's page offset.
-    pub fn charge_range(&mut self, op: Op, page_offset: usize, bytes: usize) -> SimTime {
-        let pages = self.model.machine().pages_spanned(page_offset, bytes);
-        self.charge(op, bytes, pages)
-    }
-
     /// Total CPU busy time charged so far.
     pub fn busy(&self) -> SimTime {
         self.busy
@@ -124,13 +117,5 @@ mod tests {
         l.reset();
         assert_eq!(l.busy(), SimTime::ZERO);
         assert_eq!(l.stats(Op::Wire).count, 0);
-    }
-
-    #[test]
-    fn charge_range_spans_pages() {
-        let mut l = ledger();
-        let straddling = l.charge_range(Op::Reference, 4000, 200);
-        let aligned = l.charge_range(Op::Reference, 0, 200);
-        assert!(straddling > aligned);
     }
 }

@@ -101,11 +101,6 @@ impl SimTime {
             rhs
         }
     }
-
-    /// True if this is the zero time.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl Add for SimTime {

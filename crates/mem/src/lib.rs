@@ -27,5 +27,4 @@ pub use error::MemError;
 pub use frame::{Frame, FrameId, FrameState, IoDir};
 pub use hash::{fnv64, Fnv64};
 pub use phys::PhysMem;
-pub use pool::{pooled_pages as pooled_page_storage, trim as trim_page_storage};
 pub use slot::{key_gen, key_slot, slot_key, DenseMap, SlotKey, SlotMap};

@@ -183,17 +183,18 @@ pub(crate) fn recycle(page: Page) {
 }
 
 /// Pages currently pooled on this thread, across all size classes.
-pub fn pooled_pages() -> usize {
+#[cfg(test)]
+pub(crate) fn pooled_pages() -> usize {
     POOL.with(|p| p.borrow().iter().map(|c| c.pages.len()).sum())
 }
 
 /// Trims this thread's pool to at most `keep` pages per size class,
 /// returning the excess storage to the allocator (and shrinking the
 /// stash vectors themselves). Returns the number of pages released.
-/// Long-lived processes call this between large runs so the high-water
-/// mark of one world does not stay resident for the rest of the
-/// process's life.
-pub fn trim(keep: usize) -> usize {
+/// Tests start from a known pool with it; the pool itself is bounded
+/// by its per-size cap.
+#[cfg(test)]
+pub(crate) fn trim(keep: usize) -> usize {
     POOL.with(|p| {
         let mut pool = p.borrow_mut();
         let mut freed = 0;

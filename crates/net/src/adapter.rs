@@ -1,9 +1,12 @@
 //! The Credit Net host interface, with the paper's three input
 //! buffering architectures (Section 6.2).
 //!
-//! - **Early demultiplexed**: the adapter keeps separate posted input
-//!   buffer lists per VC and DMAs incoming data directly into a buffer
-//!   from the appropriate list (scatter/gather of host frames).
+//! - **Early demultiplexed**: incoming data is DMAed straight into the
+//!   buffer the pending input posted on its VC (scatter/gather of host
+//!   frames). The per-VC posted lists are the world's pending inputs,
+//!   which scatter through [`Adapter::dma_scatter`]; a PDU that arrives
+//!   with no input pending falls back to the overlay pool, counted in
+//!   [`AdapterStats::pooled_fallbacks`].
 //! - **Pooled in-host**: the adapter allocates input buffers from a
 //!   pool of fixed-size overlay pages in host memory, without regard
 //!   to the request or connection.
@@ -32,7 +35,8 @@ pub struct Vc(pub u32);
 /// Section 6.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InputBuffering {
-    /// Early demultiplexed: per-VC posted buffer lists.
+    /// Early demultiplexed: data lands in the buffer of the input
+    /// pending on its VC.
     EarlyDemux,
     /// Pooled in-host overlay pages.
     Pooled,
@@ -40,30 +44,11 @@ pub enum InputBuffering {
     Outboard,
 }
 
-/// A posted receive buffer: where the adapter should DMA the next PDU
-/// on a VC, plus a token correlating the completion with the pending
-/// Genie input operation.
-#[derive(Clone, Debug)]
-pub struct PostedRx {
-    /// Destination scatter list in host memory.
-    pub vecs: Vec<IoVec>,
-    /// Caller-chosen correlation token.
-    pub token: u64,
-}
-
 /// How a received PDU was buffered.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RxCompletion {
-    /// Early demux: the payload was DMAed straight into the posted
-    /// buffers.
-    Direct {
-        /// Token of the posted receive that matched.
-        token: u64,
-        /// Bytes delivered.
-        len: usize,
-    },
-    /// Pooled: the payload sits in overlay frames, appended in order
-    /// to the caller's frame list. Every frame is full but the last.
+    /// The payload sits in overlay frames, appended in order to the
+    /// caller's frame list. Every frame is full but the last.
     Overlay {
         /// Total bytes delivered.
         len: usize,
@@ -77,8 +62,6 @@ pub enum RxCompletion {
 pub struct AdapterStats {
     /// PDUs delivered by the adapter, any architecture.
     pub pdus_received: u64,
-    /// Early-demux PDUs that hit a posted buffer.
-    pub posted_hits: u64,
     /// Early-demux PDUs that found nothing posted and fell back to the
     /// overlay pool.
     pub pooled_fallbacks: u64,
@@ -86,8 +69,6 @@ pub struct AdapterStats {
     pub pool_takes: u64,
     /// PDUs dropped because the pool could not cover them.
     pub pool_exhausted_drops: u64,
-    /// PDUs truncated by a too-small posted buffer.
-    pub truncated_drops: u64,
     /// PDUs stored in outboard adapter memory.
     pub outboard_stores: u64,
 }
@@ -96,9 +77,6 @@ pub struct AdapterStats {
 #[derive(Debug)]
 pub struct Adapter {
     mode: InputBuffering,
-    /// Posted receives, flat-indexed by VC number (the experiments use
-    /// single-digit VCs, so the table stays tiny).
-    posted: DenseMap<VecDeque<PostedRx>>,
     pool: VecDeque<FrameId>,
     /// Outboard adapter memory: each slot holds a stored wire PDU
     /// (contiguous payload plus cell metadata), not loose bytes.
@@ -116,7 +94,6 @@ impl Adapter {
     pub fn new(mode: InputBuffering, credit_limit: u32) -> Self {
         Adapter {
             mode,
-            posted: DenseMap::new(),
             pool: VecDeque::new(),
             outboard: Vec::new(),
             credits: DenseMap::new(),
@@ -150,6 +127,12 @@ impl Adapter {
             .get_or_insert_with(u64::from(vc.0), || CreditState::new(limit))
     }
 
+    /// The per-VC credit limit in cells: no PDU larger than this can
+    /// ever be sent.
+    pub fn credit_limit(&self) -> u32 {
+        self.credit_limit
+    }
+
     /// Attempts to reserve transmit credits for `cells` cells on `vc`.
     pub fn try_send_credits(&mut self, vc: Vc, cells: u32) -> bool {
         self.credits_mut(vc).try_consume(cells)
@@ -158,26 +141,6 @@ impl Adapter {
     /// Returns credits to `vc` (receiver drained buffers).
     pub fn return_credits(&mut self, vc: Vc, cells: u32) {
         self.credits_mut(vc).replenish(cells);
-    }
-
-    // ----- posted receives (early demultiplexing) ------------------------------
-
-    /// Posts a receive buffer on `vc`.
-    pub fn post_rx(&mut self, vc: Vc, rx: PostedRx) {
-        self.posted
-            .get_or_insert_with(u64::from(vc.0), VecDeque::new)
-            .push_back(rx);
-    }
-
-    /// Number of receives posted on `vc`.
-    pub fn posted_count(&self, vc: Vc) -> usize {
-        self.posted.get(u64::from(vc.0)).map_or(0, VecDeque::len)
-    }
-
-    /// Withdraws the oldest posted receive on `vc` (e.g. when an input
-    /// operation is cancelled).
-    pub fn unpost_rx(&mut self, vc: Vc) -> Option<PostedRx> {
-        self.posted.get_mut(u64::from(vc.0))?.pop_front()
     }
 
     // ----- overlay pool (pooled in-host buffering) -------------------------------
@@ -237,11 +200,10 @@ impl Adapter {
         Ok(src)
     }
 
-    /// Delivers a received PDU into host memory according to the
-    /// input-buffering architecture. Early demultiplexing falls back to
-    /// the pool when nothing is posted on the VC (paper Section 6.2.2);
-    /// pooled delivery appends the overlay frames it filled to
-    /// `overlay`.
+    /// Delivers a received PDU into overlay frames from the pool,
+    /// appending the frames it filled to `overlay`. An early-demux
+    /// adapter gets here only when no input is pending on the PDU's VC,
+    /// and counts the fallback (paper Section 6.2.2).
     ///
     /// # Panics
     ///
@@ -250,43 +212,17 @@ impl Adapter {
     pub fn receive(
         &mut self,
         phys: &mut PhysMem,
-        vc: Vc,
         payload: &[u8],
         overlay: &mut Vec<FrameId>,
     ) -> Result<RxCompletion, MemError> {
         self.stats.pdus_received += 1;
         match self.mode {
-            InputBuffering::EarlyDemux => {
-                if let Some(rx) = self.unpost_rx(vc) {
-                    self.stats.posted_hits += 1;
-                    let len = Self::dma_scatter(phys, &rx.vecs, payload)?;
-                    if len < payload.len() {
-                        // Posted buffer too small: the tail is lost.
-                        self.drops += 1;
-                        self.stats.truncated_drops += 1;
-                    }
-                    Ok(RxCompletion::Direct {
-                        token: rx.token,
-                        len,
-                    })
-                } else {
-                    self.stats.pooled_fallbacks += 1;
-                    self.receive_pooled(phys, payload, overlay)
-                }
-            }
-            InputBuffering::Pooled => self.receive_pooled(phys, payload, overlay),
+            InputBuffering::EarlyDemux => self.stats.pooled_fallbacks += 1,
+            InputBuffering::Pooled => {}
             InputBuffering::Outboard => {
                 unreachable!("an outboard adapter keeps the wire image: use store_outboard")
             }
         }
-    }
-
-    fn receive_pooled(
-        &mut self,
-        phys: &mut PhysMem,
-        payload: &[u8],
-        frames: &mut Vec<FrameId>,
-    ) -> Result<RxCompletion, MemError> {
         let page = phys.page_size();
         let need = payload.len().div_ceil(page).max(1);
         if self.pool.len() < need {
@@ -301,7 +237,7 @@ impl Adapter {
             let n = (payload.len() - src).min(page);
             phys.write(f, 0, &payload[src..src + n])?;
             src += n;
-            frames.push(f);
+            overlay.push(f);
         }
         Ok(RxCompletion::Overlay { len: payload.len() })
     }
@@ -385,31 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn early_demux_hits_posted_buffer() {
-        let mut p = phys();
-        let mut a = Adapter::new(InputBuffering::EarlyDemux, 256);
-        let dst = vec_for(&mut p, 5000);
-        a.post_rx(
-            Vc(1),
-            PostedRx {
-                vecs: dst.clone(),
-                token: 77,
-            },
-        );
-        let payload = vec![0x5au8; 5000];
-        let c = a.receive(&mut p, Vc(1), &payload, &mut Vec::new()).unwrap();
-        assert_eq!(
-            c,
-            RxCompletion::Direct {
-                token: 77,
-                len: 5000
-            }
-        );
-        assert_eq!(Adapter::dma_gather(&p, &dst).unwrap(), payload);
-        assert_eq!(a.posted_count(Vc(1)), 0);
-    }
-
-    #[test]
     fn early_demux_falls_back_to_pool_when_unposted() {
         let mut p = phys();
         let mut a = Adapter::new(InputBuffering::EarlyDemux, 256);
@@ -417,7 +328,7 @@ mod tests {
         a.fill_pool(pool);
         let payload = vec![0x11u8; 6000];
         let mut frames = Vec::new();
-        match a.receive(&mut p, Vc(2), &payload, &mut frames).unwrap() {
+        match a.receive(&mut p, &payload, &mut frames).unwrap() {
             RxCompletion::Overlay { len } => {
                 assert_eq!(len, 6000);
                 assert_eq!(frames.len(), 2);
@@ -436,14 +347,12 @@ mod tests {
         let f = p.alloc(None).unwrap();
         a.fill_pool([f]);
         let mut frames = Vec::new();
-        let c = a
-            .receive(&mut p, Vc(0), &vec![1u8; 8000], &mut frames)
-            .unwrap();
+        let c = a.receive(&mut p, &vec![1u8; 8000], &mut frames).unwrap();
         assert_eq!(c, RxCompletion::Dropped);
         assert_eq!(a.drops(), 1);
         assert!(frames.is_empty());
         // The single-frame PDU still goes through.
-        let c = a.receive(&mut p, Vc(0), &[2u8; 100], &mut frames).unwrap();
+        let c = a.receive(&mut p, &[2u8; 100], &mut frames).unwrap();
         assert!(matches!(c, RxCompletion::Overlay { len: 100 }));
         assert_eq!(frames, [f]);
     }
@@ -510,42 +419,19 @@ mod tests {
     fn stats_track_receive_outcomes() {
         let mut p = phys();
         let mut a = Adapter::new(InputBuffering::EarlyDemux, 256);
-        let dst = vec_for(&mut p, 5000);
-        a.post_rx(
-            Vc(1),
-            PostedRx {
-                vecs: dst,
-                token: 1,
-            },
-        );
+        a.fill_pool([p.alloc(None).unwrap()]);
         let mut frames = Vec::new();
-        a.receive(&mut p, Vc(1), &[7u8; 5000], &mut frames).unwrap();
-        // Nothing posted on Vc(2) and no pool: fallback drops.
-        a.receive(&mut p, Vc(2), &[7u8; 100], &mut frames).unwrap();
+        a.receive(&mut p, &[7u8; 100], &mut frames).unwrap();
+        // The pool is empty now: the next fallback drops.
+        a.receive(&mut p, &[7u8; 100], &mut frames).unwrap();
         let s = a.stats();
         assert_eq!(s.pdus_received, 2);
-        assert_eq!(s.posted_hits, 1);
-        assert_eq!(s.pooled_fallbacks, 1);
+        assert_eq!(s.pooled_fallbacks, 2);
+        assert_eq!(s.pool_takes, 1);
         assert_eq!(s.pool_exhausted_drops, 1);
-        assert_eq!(s.truncated_drops, 0);
-    }
-
-    #[test]
-    fn truncated_posted_buffer_counts_a_drop() {
-        let mut p = phys();
-        let mut a = Adapter::new(InputBuffering::EarlyDemux, 256);
-        let dst = vec_for(&mut p, 100);
-        a.post_rx(
-            Vc(1),
-            PostedRx {
-                vecs: dst,
-                token: 1,
-            },
-        );
-        let c = a
-            .receive(&mut p, Vc(1), &[9u8; 200], &mut Vec::new())
-            .unwrap();
-        assert_eq!(c, RxCompletion::Direct { token: 1, len: 100 });
-        assert_eq!(a.drops(), 1);
+        // A pooled adapter has no fallback to count.
+        let mut b = Adapter::new(InputBuffering::Pooled, 256);
+        b.receive(&mut p, &[7u8; 100], &mut frames).unwrap();
+        assert_eq!(b.stats().pooled_fallbacks, 0);
     }
 }

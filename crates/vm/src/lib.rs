@@ -44,4 +44,4 @@ pub use ids::{IoVec, ObjectId, SpaceId};
 pub use object::MemoryObject;
 pub use region::{Region, RegionMark};
 pub use space::{AddressSpace, Pte, RegionHandle};
-pub use vm::{IoDescriptor, PagePeek, Vm, VmPools, VmStats};
+pub use vm::{IoDescriptor, PagePeek, Vm, VmStats};

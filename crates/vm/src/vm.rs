@@ -86,19 +86,6 @@ pub struct VmStats {
     pub cached_regions_peak: u64,
 }
 
-/// Host-side storage a [`Vm`] keeps for reuse instead of returning it
-/// to the allocator. Purely observational, like [`VmStats`]: it shows
-/// what [`Vm::trim_pools`] would release.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VmPools {
-    /// Capacity of the fault-list scratch, in outcomes.
-    pub fault_list_capacity: usize,
-    /// Spare scatter/gather lists of released I/O descriptors.
-    pub descriptor_lists: usize,
-    /// Spare resident-page tables of destroyed memory objects.
-    pub page_tables: usize,
-}
-
 /// The simulated VM subsystem of one host.
 #[derive(Clone, Debug)]
 pub struct Vm {
@@ -152,38 +139,6 @@ impl Vm {
     /// policy layer reads it right after the call to charge each fault.
     pub fn last_faults(&self) -> &[FaultOutcome] {
         &self.faults
-    }
-
-    /// The recycled storage this VM holds.
-    pub fn pools(&self) -> VmPools {
-        VmPools {
-            fault_list_capacity: self.faults.capacity(),
-            descriptor_lists: self.spare_vecs.len(),
-            page_tables: self.spare_page_tables.len(),
-        }
-    }
-
-    /// Releases recycled storage beyond `keep` spare allocations per
-    /// pool (the fault-list scratch counts as one allocation). Returns
-    /// how many allocations were released. Simulated state is never
-    /// touched, only the process's footprint.
-    pub fn trim_pools(&mut self, keep: usize) -> usize {
-        let mut freed = 0;
-        if keep == 0 && self.faults.capacity() > 0 {
-            self.faults = Vec::new();
-            freed += 1;
-        }
-        if self.spare_vecs.len() > keep {
-            freed += self.spare_vecs.len() - keep;
-            self.spare_vecs.truncate(keep);
-            self.spare_vecs.shrink_to_fit();
-        }
-        if self.spare_page_tables.len() > keep {
-            freed += self.spare_page_tables.len() - keep;
-            self.spare_page_tables.truncate(keep);
-            self.spare_page_tables.shrink_to_fit();
-        }
-        freed
     }
 
     /// An empty scatter/gather list, recycled when one is spare.
@@ -1835,50 +1790,28 @@ mod tests {
         let va = v.alloc_app_buffer(s, 2 * 4096).unwrap();
         v.write_app(s, va, &[7; 2 * 4096]).unwrap();
         let desc = v.reference_pages(s, va, 2 * 4096, IoDir::Output).unwrap();
-        assert_eq!(v.pools().descriptor_lists, 0);
+        assert_eq!(v.spare_vecs.len(), 0);
         v.unreference(desc).unwrap();
-        assert_eq!(v.pools().descriptor_lists, 1);
+        assert_eq!(v.spare_vecs.len(), 1);
         // The next reference reuses the list.
         let desc = v.reference_pages(s, va, 4096, IoDir::Output).unwrap();
-        assert_eq!(v.pools().descriptor_lists, 0);
+        assert_eq!(v.spare_vecs.len(), 0);
         assert!(desc.vecs.capacity() >= 2, "recycled list keeps its storage");
         v.unreference(desc).unwrap();
 
         let h = v.region_at(s, va).unwrap();
         v.remove_region(h).unwrap();
-        assert_eq!(v.pools().page_tables, 1);
+        assert_eq!(v.spare_page_tables.len(), 1);
         let fresh = v.alloc_app_buffer(s, 4096).unwrap();
-        assert_eq!(v.pools().page_tables, 0, "object creation reuses the table");
+        assert_eq!(
+            v.spare_page_tables.len(),
+            0,
+            "object creation reuses the table"
+        );
         // The recycled table starts empty: the new buffer zero-fills.
         assert_eq!(v.read_app(s, fresh, 4).unwrap(), [0; 4]);
         assert_eq!(v.last_faults(), [FaultOutcome::ZeroFilled]);
         assert!(v.validate().is_empty(), "{:?}", v.validate());
-    }
-
-    #[test]
-    fn trim_pools_releases_every_pool() {
-        let (mut v, s) = vm();
-        for _ in 0..3 {
-            let va = v.alloc_app_buffer(s, 4096).unwrap();
-            v.write_app(s, va, b"x").unwrap();
-            let desc = v.reference_pages(s, va, 4096, IoDir::Output).unwrap();
-            v.unreference(desc).unwrap();
-        }
-        for va in [4096, 3 * 4096, 5 * 4096] {
-            let h = v.region_at(s, va).unwrap();
-            v.remove_region(h).unwrap();
-        }
-        let full = v.pools();
-        assert!(full.fault_list_capacity > 0, "{full:?}");
-        assert_eq!(
-            (full.descriptor_lists, full.page_tables),
-            (1, 3),
-            "{full:?}"
-        );
-        assert_eq!(v.trim_pools(1), 2, "two spare page tables beyond one");
-        assert_eq!(v.trim_pools(0), 3, "fault list, descriptor list, table");
-        assert_eq!(v.pools(), VmPools::default());
-        assert_eq!(v.trim_pools(0), 0);
     }
 
     #[test]

@@ -88,13 +88,24 @@ cmp "$scratch/fabric" scripts/golden_fabric.txt || {
   exit 1
 }
 
-echo "== metrics and trace smoke =="
+echo "== metrics and trace golden (report --metrics, report --trace) =="
+# Both exports hold simulated numbers only, so a refactor that moves an
+# op charge, a counter or a span shows up as a byte difference.
+# Regenerate the goldens only for an intended change, and say why.
 ./target/release/report --metrics >"$scratch/metrics" 2>/dev/null
 grep -q '"host_a.busy_us"' "$scratch/metrics"
 grep -q '"emulated copy"' "$scratch/metrics"
+cmp "$scratch/metrics" scripts/golden_metrics.json || {
+  echo "verify: report --metrics drifted from scripts/golden_metrics.json" >&2
+  exit 1
+}
 ./target/release/report --trace "$scratch/trace" >/dev/null 2>&1
 grep -q '"ph":"X"' "$scratch/trace"
 grep -q '"process_name"' "$scratch/trace"
+cmp "$scratch/trace" scripts/golden_trace.json || {
+  echo "verify: report --trace drifted from scripts/golden_trace.json" >&2
+  exit 1
+}
 
 echo "== datapath microbench smoke =="
 ./target/release/datapath --quick --out "$scratch/bench" >/dev/null

@@ -3,7 +3,9 @@
 //! and maximum-size datagrams.
 
 use genie::{GenieError, HostId, InputRequest, OutputRequest, Semantics, World, WorldConfig};
-use genie_net::{InputBuffering, Vc, HEADER_LEN};
+use genie_machine::link::cells_for_payload;
+use genie_machine::MachineSpec;
+use genie_net::{InputBuffering, SwitchConfig, Vc, HEADER_LEN};
 
 #[test]
 fn unsolicited_datagram_is_backlogged_then_delivered() {
@@ -46,6 +48,52 @@ fn unsolicited_datagram_is_backlogged_then_delivered() {
         .read_app(HostId::B, rx, done[0].vaddr, done[0].len)
         .expect("read");
     assert_eq!(got, data);
+}
+
+#[test]
+fn early_demux_output_before_input_falls_back_to_the_pool_once() {
+    // Early demux DMAs into the buffer of the pending input; with none
+    // pending the PDU goes through the overlay pool instead, and the
+    // adapter counts that fallback exactly once.
+    let mut world = World::new(WorldConfig::default());
+    assert_eq!(
+        world.host(HostId::B).adapter.mode(),
+        InputBuffering::EarlyDemux
+    );
+    let tx = world.create_process(HostId::A);
+    let rx = world.create_process(HostId::B);
+    let data: Vec<u8> = (0..6000u32).map(|i| (i * 13) as u8).collect();
+    let src = world
+        .alloc_source(HostId::A, tx, Semantics::Copy, &data)
+        .expect("src");
+    world
+        .output(
+            HostId::A,
+            OutputRequest::new(Semantics::Copy, Vc(1), tx, src, data.len()),
+        )
+        .expect("output");
+    world.run();
+    assert!(world.take_completed_inputs().is_empty(), "no input yet");
+    let stats = world.host(HostId::B).adapter.stats();
+    assert_eq!(stats.pooled_fallbacks, 1);
+    // Header plus 6000 bytes span two overlay pages.
+    assert_eq!(stats.pool_takes, 2);
+    assert_eq!(
+        world.metrics().counter("host_b.adapter.pooled_fallbacks"),
+        1
+    );
+
+    let token = world
+        .post_receive(HostId::B, rx, Semantics::Copy, Vc(1), data.len(), 0)
+        .expect("late input");
+    let done = world.take_completed_inputs();
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].token, token);
+    assert!(world
+        .app_matches(HostId::B, rx, done[0].vaddr, &data)
+        .expect("read"));
+    // Completing from the backlog takes nothing from the pool again.
+    assert_eq!(world.host(HostId::B).adapter.stats().pooled_fallbacks, 1);
 }
 
 #[test]
@@ -181,6 +229,77 @@ fn credit_exhaustion_stalls_then_recovers() {
     for (i, c) in done.iter().enumerate() {
         assert_eq!(c.seq as usize, i);
     }
+}
+
+/// Sends `len` bytes from `from` to `to` on `vc` with copy semantics
+/// and returns the output's result; on success, runs the world and
+/// checks the bytes arrived.
+fn copy_send(
+    world: &mut World,
+    from: HostId,
+    to: HostId,
+    vc: Vc,
+    len: usize,
+) -> Result<(), GenieError> {
+    let tx = world.create_process(from);
+    let rx = world.create_process(to);
+    let data = vec![0x5au8; len];
+    let src = world
+        .alloc_source(from, tx, Semantics::Copy, &data)
+        .expect("src");
+    world.output(from, OutputRequest::new(Semantics::Copy, vc, tx, src, len))?;
+    world
+        .post_receive(to, rx, Semantics::Copy, vc, len, 0)
+        .expect("input");
+    world.run();
+    let done = world.take_completed_inputs();
+    assert_eq!(done.len(), 1);
+    assert!(world
+        .app_matches(to, rx, done[0].vaddr, &data)
+        .expect("read"));
+    Ok(())
+}
+
+#[test]
+fn a_pdu_larger_than_the_vc_credit_limit_is_rejected() {
+    // Without the check the sender re-polls for credit forever and
+    // `run` never returns.
+    let mut world = World::new(WorldConfig {
+        credit_limit: 8,
+        ..WorldConfig::default()
+    });
+    let cells = cells_for_payload(1000 + HEADER_LEN) as u32;
+    assert!(cells > 8);
+    let err = copy_send(&mut world, HostId::A, HostId::B, Vc(1), 1000).unwrap_err();
+    assert_eq!(
+        err,
+        GenieError::ExceedsCredit {
+            cells,
+            allotment: 8
+        }
+    );
+    world.run();
+    // A PDU within the limit still goes through.
+    copy_send(&mut world, HostId::A, HostId::B, Vc(1), 200).expect("fits");
+}
+
+#[test]
+fn a_pdu_larger_than_a_switch_port_credit_is_rejected() {
+    // Without the check the PDU would strand the hub's egress port.
+    let sw = SwitchConfig::star(3, 0, 1, 16);
+    let mut world = World::new(WorldConfig::switched(MachineSpec::micron_p166(), 3, sw));
+    let cells = cells_for_payload(2000 + HEADER_LEN) as u32;
+    assert!(cells > 16);
+    let err = copy_send(&mut world, HostId(1), HostId(0), Vc(2), 2000).unwrap_err();
+    assert_eq!(
+        err,
+        GenieError::ExceedsCredit {
+            cells,
+            allotment: 16
+        }
+    );
+    world.run();
+    copy_send(&mut world, HostId(1), HostId(0), Vc(2), 500).expect("fits");
 }
 
 #[test]
