@@ -31,9 +31,9 @@
 //! bounded by `sq_depth`: [`QueuePair::post`] rejects beyond it,
 //! handing the entry back (the `sq_full` path — exactly one reject or
 //! one completion per posted entry, never both, never neither). The
-//! *completion ring* is bounded by `cq_depth`: completions beyond it
-//! spill to an internal overflow list so no tag is ever dropped, and
-//! the spill count is visible via [`QueuePair::ring_overflows`].
+//! *completion ring* is bounded by `cq_depth`: a completion that finds
+//! the ring full still queues (no tag is ever dropped), in order behind
+//! the rest, and counts as a spill in [`QueuePair::ring_overflows`].
 //! Sends are further gated by a fixed *send window*
 //! ([`CqConfig::window`]): [`QueuePair::submit`] keeps no more sends in
 //! flight than it allows, and stages the rest.
@@ -184,8 +184,8 @@ impl AdaptiveConfig {
 pub struct CqConfig {
     /// Submission-queue bound: [`QueuePair::post`] rejects beyond it.
     pub sq_depth: usize,
-    /// Completion-ring bound: completions beyond it spill to the
-    /// internal overflow list (never dropped).
+    /// Completion-ring bound: completions beyond it still queue (never
+    /// dropped) but count in [`QueuePair::ring_overflows`].
     pub cq_depth: usize,
     /// The in-flight-send window.
     pub window: AdaptiveConfig,
@@ -225,8 +225,9 @@ pub struct QueuePair {
     staged: VecDeque<Sqe>,
     inflight_sends: HashMap<u64, InflightOp>,
     inflight_recvs: HashMap<u64, InflightOp>,
-    ring: VecDeque<Cqe>,
-    overflow: VecDeque<Cqe>,
+    /// Queued completions, oldest first: the bounded ring and, past
+    /// `cq_depth`, its spill, as one FIFO.
+    completions: VecDeque<Cqe>,
     next_seq: u64,
     sq_rejects: u64,
     ring_overflows: u64,
@@ -245,8 +246,7 @@ impl QueuePair {
             staged: VecDeque::new(),
             inflight_sends: HashMap::new(),
             inflight_recvs: HashMap::new(),
-            ring: VecDeque::new(),
-            overflow: VecDeque::new(),
+            completions: VecDeque::new(),
             next_seq: 0,
             sq_rejects: 0,
             ring_overflows: 0,
@@ -364,21 +364,14 @@ impl QueuePair {
         issued
     }
 
-    /// Pops the next completion off the ring, refilling it from the
-    /// overflow list.
+    /// Pops the oldest queued completion.
     pub fn poll(&mut self) -> Option<Cqe> {
-        let c = self.ring.pop_front();
-        if c.is_some() {
-            if let Some(spilled) = self.overflow.pop_front() {
-                self.ring.push_back(spilled);
-            }
-        }
-        c
+        self.completions.pop_front()
     }
 
-    /// Completions currently queued (ring plus overflow).
+    /// Completions currently queued (ring plus spill).
     pub fn completions_queued(&self) -> usize {
-        self.ring.len() + self.overflow.len()
+        self.completions.len()
     }
 
     /// Entries staged but not yet issued.
@@ -408,8 +401,8 @@ impl QueuePair {
         self.ring_overflows
     }
 
-    /// Enqueues a completion, spilling past the bounded ring into the
-    /// overflow list (tags are never dropped).
+    /// Enqueues a completion, counting a spill if the bounded ring is
+    /// already full (tags are never dropped).
     fn push_cqe(&mut self, len: usize, result: CqResult, landing: Landing, user_data: u64) {
         let cqe = Cqe {
             seq: self.next_seq,
@@ -419,12 +412,10 @@ impl QueuePair {
             user_data,
         };
         self.next_seq += 1;
-        if self.ring.len() < self.cfg.cq_depth {
-            self.ring.push_back(cqe);
-        } else {
+        if self.completions.len() >= self.cfg.cq_depth {
             self.ring_overflows += 1;
-            self.overflow.push_back(cqe);
         }
+        self.completions.push_back(cqe);
     }
 
     /// Completion for an operation that finished inside `submit`.

@@ -1,10 +1,10 @@
 //! One simulated host: machine, VM, adapter, ledger and CPU clock.
 
 use genie_machine::{CostLedger, CostModel, MachineSpec, Op, SimTime};
-use genie_mem::{FrameId, PhysMem};
+use genie_mem::{FrameId, IoDir, PhysMem};
 use genie_net::{Adapter, InputBuffering};
 use genie_trace::Tracer;
-use genie_vm::{RegionHandle, RegionMark, SpaceId, Vm};
+use genie_vm::{IoDescriptor, RegionHandle, RegionMark, SpaceId, Vm};
 
 use crate::error::GenieError;
 
@@ -94,6 +94,53 @@ impl Host {
             self.tracer.overlapped_op(op, self.clock, c, bytes, units);
         }
         c
+    }
+
+    /// Pages the `len` bytes at `vaddr` span.
+    pub(crate) fn pages_at(&self, vaddr: u64, len: usize) -> usize {
+        let page_off = (vaddr % self.page_size() as u64) as usize;
+        self.machine().pages_spanned(page_off, len)
+    }
+
+    /// The "reference (and wire)" step of Tables 2 and 3: charges
+    /// `Reference` and references the application pages; with `wire`,
+    /// also charges `Wire` and wires their region, which it returns.
+    pub(crate) fn reference_app(
+        &mut self,
+        space: SpaceId,
+        vaddr: u64,
+        len: usize,
+        dir: IoDir,
+        wire: bool,
+    ) -> Result<(IoDescriptor, Option<RegionHandle>), GenieError> {
+        let pages = self.pages_at(vaddr, len);
+        self.charge_latency(Op::Reference, len, pages);
+        let desc = self.vm.reference_pages(space, vaddr, len, dir)?;
+        if !wire {
+            return Ok((desc, None));
+        }
+        let region = self.vm.region_at(space, vaddr)?;
+        self.charge_latency(Op::Wire, len, pages);
+        self.vm.wire_region(region)?;
+        Ok((desc, Some(region)))
+    }
+
+    /// The "(unwire,) unreference" step of Tables 2–4, the inverse of
+    /// [`Host::reference_app`]: charges `Unwire` and unwires the region
+    /// if one is `wired`, then charges `Unreference` and releases `desc`.
+    pub(crate) fn release_app(
+        &mut self,
+        desc: IoDescriptor,
+        wired: Option<RegionHandle>,
+        len: usize,
+        pages: usize,
+    ) {
+        if let Some(region) = wired {
+            self.charge_latency(Op::Unwire, len, pages);
+            let _ = self.vm.unwire_region(region);
+        }
+        self.charge_latency(Op::Unreference, len, pages);
+        self.vm.unreference(desc).expect("unreference");
     }
 
     /// Creates a simulated process (an address space).
@@ -287,12 +334,12 @@ mod tests {
         // returned (as page swaps do), then replenish.
         let payload = vec![1u8; 8000];
         let mut frames = Vec::new();
-        let c = h
+        let delivered = h
             .adapter
             .receive(&mut h.vm.phys, &payload, &mut frames)
             .unwrap();
+        assert!(delivered);
         assert_eq!(frames.len(), 2);
-        assert!(matches!(c, genie_net::RxCompletion::Overlay { .. }));
         assert_eq!(h.adapter.pool_len(), 14);
         h.return_overlay([]);
         assert_eq!(h.adapter.pool_len(), 16);

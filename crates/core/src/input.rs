@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 use genie_machine::{Op, SimTime};
 use genie_mem::{FrameId, IoDir, PhysMem};
-use genie_net::{checksum16, Adapter, DatagramHeader, RxCompletion, Vc, WirePdu, HEADER_LEN};
+use genie_net::{checksum16, Adapter, DatagramHeader, Vc, WirePdu, HEADER_LEN};
 use genie_vm::{Access, IoDescriptor, RegionHandle, RegionMark, SpaceId};
 
 use crate::align::{plan_aligned_input, plan_totals, AlignedPlan, PageAction};
@@ -190,20 +190,10 @@ impl World {
             }
             Semantics::Share | Semantics::EmulatedShare => {
                 let (vaddr, len) = req.buffer.expect("checked by caller");
-                let pages = host
-                    .machine()
-                    .pages_spanned((vaddr % page as u64) as usize, len);
-                host.charge_latency(Op::Reference, len, pages);
-                let desc = host
-                    .vm
-                    .reference_pages(req.space, vaddr, len, IoDir::Input)?;
-                if req.semantics == Semantics::Share {
-                    let region = host.vm.region_at(req.space, vaddr)?;
-                    host.charge_latency(Op::Wire, len, pages);
-                    host.vm.wire_region(region)?;
-                    return Ok(mk(Some(region), Some(desc), req.buffer));
-                }
-                Ok(mk(None, Some(desc), req.buffer))
+                let wire = req.semantics == Semantics::Share;
+                let (desc, region) =
+                    host.reference_app(req.space, vaddr, len, IoDir::Input, wire)?;
+                Ok(mk(region, Some(desc), req.buffer))
             }
             Semantics::EmulatedMove | Semantics::WeakMove | Semantics::EmulatedWeakMove => {
                 let len = req.len_hint.max(1);
@@ -218,17 +208,12 @@ impl World {
                 };
                 let host = self.host_mut(to);
                 let npages = (span as u64).div_ceil(page as u64);
-                let want_mark = if req.semantics == Semantics::EmulatedMove {
-                    RegionMark::MovedOut
-                } else {
-                    RegionMark::WeaklyMovedOut
-                };
                 // Region caching: dequeue a cached region, else
                 // allocate a fresh one.
                 let region = match host
                     .vm
                     .space_mut(req.space)
-                    .uncache_region(npages, want_mark)
+                    .uncache_region(npages, req.semantics.cached_mark())
                 {
                     Some(start_vpn) => RegionHandle {
                         space: req.space,
@@ -505,16 +490,15 @@ impl World {
         host.charge_latency(Op::OverlayAllocate, 0, 0);
         host.charge_latency(Op::Overlay, 0, 0);
         let mut frames = host.take_frame_list();
-        match host
+        let delivered = host
             .adapter
             .receive(&mut host.vm.phys, payload, &mut frames)
-            .expect("pooled receive")
-        {
-            RxCompletion::Overlay { .. } => Some(PlacedPayload::Overlay(frames)),
-            RxCompletion::Dropped => {
-                host.recycle_frame_list(frames);
-                None
-            }
+            .expect("pooled receive");
+        if delivered {
+            Some(PlacedPayload::Overlay(frames))
+        } else {
+            host.recycle_frame_list(frames);
+            None
         }
     }
 
@@ -602,7 +586,7 @@ impl World {
         let data_len = header.len as usize;
         let dispose_start = self.host(to).clock;
         let (vaddr, region) = match placed {
-            PlacedPayload::Direct => self.dispose_direct(to, &mut p, data_len),
+            PlacedPayload::Direct => self.dispose_direct(to, &mut p),
             PlacedPayload::SysFrames(frames) => self.dispose_sys_frames(to, &p, frames, data_len),
             PlacedPayload::Aligned(frames) => self.dispose_aligned(to, &p, frames, data_len),
             PlacedPayload::Overlay(frames) => self.dispose_overlay(to, &mut p, frames, data_len),
@@ -677,65 +661,36 @@ impl World {
     }
 
     /// Dispose for early-demultiplexed data already in place.
-    fn dispose_direct(
-        &mut self,
-        to: HostId,
-        p: &mut PendingRecv,
-        _data_len: usize,
-    ) -> (u64, Option<RegionHandle>) {
+    fn dispose_direct(&mut self, to: HostId, p: &mut PendingRecv) -> (u64, Option<RegionHandle>) {
         let page = self.host(to).page_size();
         let desc = p.desc.take().expect("descriptor");
         let host = self.host_mut(to);
         match p.semantics {
             Semantics::Share | Semantics::EmulatedShare => {
                 let (vaddr, len) = p.app.expect("app buffer");
-                let pages = host
-                    .machine()
-                    .pages_spanned((vaddr % page as u64) as usize, len);
-                if p.semantics == Semantics::Share {
-                    host.charge_latency(Op::Unwire, len, pages);
-                    let region = p.region.expect("wired region");
-                    let _ = host.vm.unwire_region(region);
-                }
-                host.charge_latency(Op::Unreference, len, pages);
-                host.vm.unreference(desc).expect("unreference");
+                let pages = host.pages_at(vaddr, len);
+                host.release_app(desc, p.region, len, pages);
                 (vaddr, None)
             }
-            Semantics::EmulatedMove => {
+            Semantics::EmulatedMove | Semantics::WeakMove | Semantics::EmulatedWeakMove => {
                 let region = p.region.expect("prepared region");
-                let npages = host.vm.region(region).map(|r| r.npages).unwrap_or(0);
-                let len = desc.len();
-                host.charge_latency(Op::RegionCheckUnrefReinstateMarkIn, len, npages as usize);
-                let region = self.ensure_region_intact(to, region, &desc, npages);
-                let host = self.host_mut(to);
-                host.vm.unreference(desc).expect("unreference");
-                host.vm.reinstate_region(region).expect("reinstate");
-                host.vm
-                    .mark_region(region, RegionMark::MovedIn)
-                    .expect("mark");
-                (region.start_vpn * page as u64, Some(region))
-            }
-            Semantics::WeakMove | Semantics::EmulatedWeakMove => {
-                let region = p.region.expect("prepared region");
-                let npages = host.vm.region(region).map(|r| r.npages).unwrap_or(0);
-                let len = desc.len();
-                if p.semantics == Semantics::WeakMove {
-                    host.charge_latency(Op::RegionCheck, 0, 0);
-                    host.charge_latency(Op::Unwire, len, npages as usize);
-                    host.charge_latency(Op::Unreference, len, npages as usize);
-                    host.charge_latency(Op::RegionMarkIn, 0, 0);
-                } else {
-                    host.charge_latency(Op::RegionCheckUnrefMarkIn, len, npages as usize);
+                let npages = host.vm.region(region).map_or(0, |r| r.npages);
+                let (len, pages) = (desc.len(), npages as usize);
+                match p.semantics {
+                    Semantics::EmulatedMove => {
+                        host.charge_latency(Op::RegionCheckUnrefReinstateMarkIn, len, pages);
+                    }
+                    Semantics::WeakMove => {
+                        host.charge_latency(Op::RegionCheck, 0, 0);
+                        host.charge_latency(Op::Unwire, len, pages);
+                        host.charge_latency(Op::Unreference, len, pages);
+                        host.charge_latency(Op::RegionMarkIn, 0, 0);
+                    }
+                    _ => {
+                        host.charge_latency(Op::RegionCheckUnrefMarkIn, len, pages);
+                    }
                 }
-                let region = self.ensure_region_intact(to, region, &desc, npages);
-                let host = self.host_mut(to);
-                if p.semantics == Semantics::WeakMove {
-                    let _ = host.vm.unwire_region(region);
-                }
-                host.vm.unreference(desc).expect("unreference");
-                host.vm
-                    .mark_region(region, RegionMark::MovedIn)
-                    .expect("mark");
+                let region = self.move_into_cached(to, p.semantics, region, desc, npages, &[]);
                 (region.start_vpn * page as u64, Some(region))
             }
             other => unreachable!("direct placement for {other:?}"),
@@ -755,9 +710,7 @@ impl World {
         match p.semantics {
             Semantics::Copy => {
                 let (vaddr, _len) = p.app.expect("app buffer");
-                let pages = host
-                    .machine()
-                    .pages_spanned((vaddr % page as u64) as usize, data_len);
+                let pages = host.pages_at(vaddr, data_len);
                 host.charge_latency(Op::Copyout, data_len, pages);
                 let srcs = frames
                     .iter()
@@ -773,32 +726,19 @@ impl World {
             Semantics::Move => {
                 // Create region; zero-complete system pages; fill; map;
                 // mark moved in.
-                let npages = frames.len() as u64;
+                let npages = frames.len();
                 host.charge_latency(Op::RegionCreate, 0, 0);
-                let region = host
-                    .vm
-                    .alloc_region(p.space, npages, RegionMark::MovingIn)
-                    .expect("region");
-                let tail = npages as usize * page - data_len;
+                let tail = npages * page - data_len;
                 if tail > 0 {
                     host.charge_latency(Op::ZeroFill, tail, 1);
-                    let last = *frames.last().expect("at least one frame");
-                    let start = data_len - (npages as usize - 1) * page;
-                    host.vm.phys.zero_range(last, start..page).expect("frame");
                 }
-                host.charge_latency(Op::RegionFill, data_len, npages as usize);
-                host.vm
-                    .fill_region(region, frames.iter().copied())
-                    .expect("fill");
+                host.charge_latency(Op::RegionFill, data_len, npages);
+                host.charge_latency(Op::RegionMap, data_len, npages);
+                host.charge_latency(Op::RegionMarkIn, 0, 0);
+                let region = self.move_into_fresh(to, p.space, &frames, 0, data_len);
                 // The frames are the region's pages now; only the list
                 // is left over.
-                host.recycle_frame_list(frames);
-                host.charge_latency(Op::RegionMap, data_len, npages as usize);
-                host.vm.map_region(region).expect("map");
-                host.charge_latency(Op::RegionMarkIn, 0, 0);
-                host.vm
-                    .mark_region(region, RegionMark::MovedIn)
-                    .expect("mark");
+                self.host_mut(to).recycle_frame_list(frames);
                 (region.start_vpn * page as u64, Some(region))
             }
             other => unreachable!("sys-frame placement for {other:?}"),
@@ -922,37 +862,22 @@ impl World {
         let overlay_pages = frames.len();
 
         let result = match p.semantics {
-            Semantics::Copy => {
+            Semantics::Copy
+            | Semantics::EmulatedCopy
+            | Semantics::Share
+            | Semantics::EmulatedShare => {
                 let (vaddr, _len) = p.app.expect("app buffer");
                 let host = self.host_mut(to);
-                let pages = host
-                    .machine()
-                    .pages_spanned((vaddr % page as u64) as usize, data_len);
-                host.charge_latency(Op::Copyout, data_len, pages);
-                self.overlay_copyout(to, &frames, p.space, vaddr, data_len);
-                self.host_mut(to).return_overlay(frames.iter().copied());
-                (vaddr, None)
-            }
-            Semantics::EmulatedCopy | Semantics::Share | Semantics::EmulatedShare => {
-                let (vaddr, _len) = p.app.expect("app buffer");
-                let host = self.host_mut(to);
-                let pages = host
-                    .machine()
-                    .pages_spanned((vaddr % page as u64) as usize, data_len);
+                let pages = host.pages_at(vaddr, data_len);
                 // Share-family first releases its prepared descriptor.
-                if p.semantics == Semantics::Share {
-                    host.charge_latency(Op::Unwire, data_len, pages);
-                    let _ = host.vm.unwire_region(p.region.expect("region"));
-                }
-                if p.semantics != Semantics::EmulatedCopy {
-                    host.charge_latency(Op::Unreference, data_len, pages);
-                    host.vm
-                        .unreference(p.desc.take().expect("descriptor"))
-                        .expect("unreference");
+                if let Some(desc) = p.desc.take() {
+                    host.release_app(desc, p.region, data_len, pages);
                 }
                 // Aligned if the app buffer sits at the PDU data offset
-                // within its page (application input alignment).
-                let aligned = (vaddr % page as u64) as usize == HEADER_LEN % page;
+                // within its page (application input alignment); copy
+                // always copies out.
+                let aligned = p.semantics != Semantics::Copy
+                    && (vaddr % page as u64) as usize == HEADER_LEN % page;
                 if aligned {
                     let threshold = self.cfg.reverse_copyout_threshold_for(page);
                     let plan = plan_aligned_input(page, HEADER_LEN, data_len, threshold);
@@ -975,43 +900,20 @@ impl World {
                 (vaddr, None)
             }
             Semantics::Move => {
+                // Create region; zero-complete the header prefix and
+                // the tail, which are not application data and must not
+                // leak; fill; map; mark moved in.
                 let host = self.host_mut(to);
                 host.charge_latency(Op::RegionCreate, 0, 0);
-                let npages = overlay_pages as u64;
-                let region = host
-                    .vm
-                    .alloc_region(p.space, npages, RegionMark::MovingIn)
-                    .expect("region");
-                // Zero-complete: the header prefix and the tail are not
-                // application data and must not leak.
-                let zero_bytes = npages as usize * page - data_len;
-                if zero_bytes > 0 {
-                    host.charge_latency(Op::ZeroFill, zero_bytes, overlay_pages);
-                    let first = frames[0];
-                    host.vm
-                        .phys
-                        .zero_range(first, 0..HEADER_LEN)
-                        .expect("frame");
-                    let last = *frames.last().expect("frame");
-                    let valid_in_last = total - (overlay_pages - 1) * page;
-                    host.vm
-                        .phys
-                        .zero_range(last, valid_in_last..page)
-                        .expect("frame");
-                }
+                let zero_bytes = overlay_pages * page - data_len;
+                host.charge_latency(Op::ZeroFill, zero_bytes, overlay_pages);
                 host.charge_latency(Op::RegionFillOverlayRefill, data_len, overlay_pages);
-                host.vm
-                    .fill_region(region, frames.iter().copied())
-                    .expect("fill");
                 host.charge_latency(Op::RegionMap, data_len, overlay_pages);
-                host.vm.map_region(region).expect("map");
                 host.charge_latency(Op::RegionMarkIn, 0, 0);
-                host.vm
-                    .mark_region(region, RegionMark::MovedIn)
-                    .expect("mark");
+                let region = self.move_into_fresh(to, p.space, &frames, HEADER_LEN, data_len);
                 // The overlay frames became region pages: refill the
                 // pool with fresh frames.
-                host.return_overlay([]);
+                self.host_mut(to).return_overlay([]);
                 (
                     region.start_vpn * page as u64 + HEADER_LEN as u64,
                     Some(region),
@@ -1021,34 +923,19 @@ impl World {
                 let region = p.region.expect("prepared region");
                 let desc = p.desc.take().expect("descriptor");
                 let host = self.host_mut(to);
-                let npages = host.vm.region(region).map(|r| r.npages).unwrap_or(0);
+                let npages = host.vm.region(region).map_or(0, |r| r.npages);
+                let usable = overlay_pages.min(npages as usize);
                 host.charge_latency(Op::RegionCheck, 0, 0);
                 if p.semantics == Semantics::WeakMove {
                     host.charge_latency(Op::Unwire, data_len, npages as usize);
                 }
                 host.charge_latency(Op::Unreference, data_len, npages as usize);
-                let region = self.ensure_region_intact(to, region, &desc, npages);
-                let host = self.host_mut(to);
-                if p.semantics == Semantics::WeakMove {
-                    let _ = host.vm.unwire_region(region);
-                }
-                host.vm.unreference(desc).expect("unreference");
                 // Swap overlay pages into the region.
-                let usable = overlay_pages.min(npages as usize);
                 host.charge_latency(Op::Swap, total.min(usable * page), usable);
-                for (i, &f) in frames.iter().take(usable).enumerate() {
-                    host.vm
-                        .swap_page(region.space, region.start_vpn + i as u64, f)
-                        .expect("swap overlay into region");
-                }
-                if p.semantics == Semantics::EmulatedMove {
-                    host.vm.reinstate_region(region).expect("reinstate");
-                }
                 host.charge_latency(Op::RegionMarkIn, 0, 0);
-                host.vm
-                    .mark_region(region, RegionMark::MovedIn)
-                    .expect("mark");
-                host.return_overlay(frames.iter().skip(usable).copied());
+                let (swapped, rest) = frames.split_at(usable);
+                let region = self.move_into_cached(to, p.semantics, region, desc, npages, swapped);
+                self.host_mut(to).return_overlay(rest.iter().copied());
                 (
                     region.start_vpn * page as u64 + HEADER_LEN as u64,
                     Some(region),
@@ -1086,20 +973,14 @@ impl World {
             // Section 6.2.3: reference the application pages, DMA from
             // the outboard buffer straight into them, unreference.
             let (vaddr, _len) = p.app.expect("app buffer");
-            let page = self.host(to).page_size();
             let host = self.host_mut(to);
-            let pages = host
-                .machine()
-                .pages_spanned((vaddr % page as u64) as usize, data_len);
-            host.charge_latency(Op::Reference, data_len, pages);
-            let desc = host
-                .vm
-                .reference_pages(p.space, vaddr, data_len, IoDir::Input)
+            let (desc, _) = host
+                .reference_app(p.space, vaddr, data_len, IoDir::Input, false)
                 .expect("reference app buffer");
             host.clock += dma_time;
             Adapter::dma_scatter(&mut host.vm.phys, &desc.vecs, data).expect("outboard dma");
-            host.charge_latency(Op::Unreference, data_len, pages);
-            host.vm.unreference(desc).expect("unreference");
+            let pages = host.pages_at(vaddr, data_len);
+            host.release_app(desc, None, data_len, pages);
             (vaddr, None)
         } else {
             // All other semantics: run the early-demux placement
@@ -1110,7 +991,7 @@ impl World {
                 .place_early(to, &*p, data)
                 .expect("early placement from outboard")
             {
-                PlacedPayload::Direct => self.dispose_direct(to, p, data_len),
+                PlacedPayload::Direct => self.dispose_direct(to, p),
                 PlacedPayload::SysFrames(frames) => {
                     self.dispose_sys_frames(to, p, frames, data_len)
                 }
@@ -1135,23 +1016,88 @@ impl World {
     ) -> Result<(), GenieError> {
         let h = self.host_mut(host);
         match semantics {
-            Semantics::Move => {
-                h.vm.remove_region(region)?;
-                Ok(())
-            }
-            Semantics::EmulatedMove => {
-                h.vm.invalidate_region(region)?;
+            Semantics::Move => h.vm.remove_region(region)?,
+            Semantics::EmulatedMove | Semantics::WeakMove | Semantics::EmulatedWeakMove => {
+                if semantics == Semantics::EmulatedMove {
+                    h.vm.invalidate_region(region)?;
+                }
                 h.vm.space_mut(region.space).input_region_released();
-                h.vm.cache_region(region, RegionMark::MovedOut)?;
-                Ok(())
+                h.vm.cache_region(region, semantics.cached_mark())?;
             }
-            Semantics::WeakMove | Semantics::EmulatedWeakMove => {
-                h.vm.space_mut(region.space).input_region_released();
-                h.vm.cache_region(region, RegionMark::WeaklyMovedOut)?;
-                Ok(())
-            }
-            other => Err(GenieError::BufferMismatch(other)),
+            other => return Err(GenieError::BufferMismatch(other)),
         }
+        Ok(())
+    }
+
+    /// The fresh-region move-in of Tables 3 and 4: a new region takes
+    /// `frames`, whose data starts `head` bytes into the first, and the
+    /// bytes around the data are zeroed so no stale contents leak; the
+    /// region is filled, mapped and marked moved in. VM actions only:
+    /// the caller charges the row.
+    fn move_into_fresh(
+        &mut self,
+        to: HostId,
+        space: SpaceId,
+        frames: &[FrameId],
+        head: usize,
+        data_len: usize,
+    ) -> RegionHandle {
+        let host = self.host_mut(to);
+        let page = host.page_size();
+        let npages = frames.len();
+        let region = host
+            .vm
+            .alloc_region(space, npages as u64, RegionMark::MovingIn)
+            .expect("region");
+        let (first, last) = (frames[0], frames[npages - 1]);
+        host.vm.phys.zero_range(first, 0..head).expect("frame");
+        let data_end = head + data_len - (npages - 1) * page;
+        host.vm
+            .phys
+            .zero_range(last, data_end..page)
+            .expect("frame");
+        host.vm
+            .fill_region(region, frames.iter().copied())
+            .expect("fill");
+        host.vm.map_region(region).expect("map");
+        host.vm
+            .mark_region(region, RegionMark::MovedIn)
+            .expect("mark");
+        region
+    }
+
+    /// The cached-region move-in of Tables 3 and 4: confirms the
+    /// prepared region survived, unwires it (weak move), releases the
+    /// input descriptor, swaps `overlay` frames in as its first pages,
+    /// reinstates it (emulated move) and marks it moved in. VM actions
+    /// only: the caller charges the row.
+    fn move_into_cached(
+        &mut self,
+        to: HostId,
+        semantics: Semantics,
+        region: RegionHandle,
+        desc: IoDescriptor,
+        npages: u64,
+        overlay: &[FrameId],
+    ) -> RegionHandle {
+        let region = self.ensure_region_intact(to, region, &desc, npages);
+        let host = self.host_mut(to);
+        if semantics == Semantics::WeakMove {
+            let _ = host.vm.unwire_region(region);
+        }
+        host.vm.unreference(desc).expect("unreference");
+        for (i, &f) in overlay.iter().enumerate() {
+            host.vm
+                .swap_page(region.space, region.start_vpn + i as u64, f)
+                .expect("swap overlay into region");
+        }
+        if semantics == Semantics::EmulatedMove {
+            host.vm.reinstate_region(region).expect("reinstate");
+        }
+        host.vm
+            .mark_region(region, RegionMark::MovedIn)
+            .expect("mark");
+        region
     }
 
     /// Confirms a cached region survived the input; if the application

@@ -122,7 +122,6 @@ impl World {
                 &format!("{prefix}.adapter.outboard_stores"),
                 a.outboard_stores,
             );
-            r.set_counter(&format!("{prefix}.adapter.drops"), h.adapter.drops());
             let v = h.vm.stats();
             r.set_counter(&format!("{prefix}.vm.faults_handled"), v.faults_handled);
             r.set_counter(&format!("{prefix}.vm.tcow_copies"), v.tcow_copies);

@@ -225,10 +225,9 @@ impl World {
         req: &OutputRequest,
         effective: Semantics,
     ) -> Result<(IoDescriptor, Vec<FrameId>, Option<RegionHandle>), GenieError> {
-        let page = self.host(from).page_size();
-        let page_off = (req.vaddr % page as u64) as usize;
-        let pages = self.host(from).machine().pages_spanned(page_off, req.len);
         let host = self.host_mut(from);
+        let page = host.page_size();
+        let pages = host.pages_at(req.vaddr, req.len);
         match effective {
             Semantics::Copy => {
                 // Allocate system buffer; copyin output data.
@@ -247,30 +246,17 @@ impl World {
             }
             Semantics::EmulatedCopy => {
                 // Reference application pages; read-only them (TCOW).
-                host.charge_latency(Op::Reference, req.len, pages);
-                let desc = host
-                    .vm
-                    .reference_pages(req.space, req.vaddr, req.len, IoDir::Output)?;
+                let (desc, _) =
+                    host.reference_app(req.space, req.vaddr, req.len, IoDir::Output, false)?;
                 host.charge_latency(Op::ReadOnly, req.len, pages);
                 host.vm.write_protect(req.space, req.vaddr, req.len);
                 Ok((desc, Vec::new(), None))
             }
-            Semantics::Share => {
-                host.charge_latency(Op::Reference, req.len, pages);
-                let desc = host
-                    .vm
-                    .reference_pages(req.space, req.vaddr, req.len, IoDir::Output)?;
-                let region = host.vm.region_at(req.space, req.vaddr)?;
-                host.charge_latency(Op::Wire, req.len, pages);
-                host.vm.wire_region(region)?;
-                Ok((desc, Vec::new(), Some(region)))
-            }
-            Semantics::EmulatedShare => {
-                host.charge_latency(Op::Reference, req.len, pages);
-                let desc = host
-                    .vm
-                    .reference_pages(req.space, req.vaddr, req.len, IoDir::Output)?;
-                Ok((desc, Vec::new(), None))
+            Semantics::Share | Semantics::EmulatedShare => {
+                let wire = effective == Semantics::Share;
+                let (desc, region) =
+                    host.reference_app(req.space, req.vaddr, req.len, IoDir::Output, wire)?;
+                Ok((desc, Vec::new(), region))
             }
             Semantics::Move
             | Semantics::EmulatedMove
@@ -465,46 +451,23 @@ impl World {
                 host.vm.unreference(send.desc).expect("unreference");
                 host.free_kernel_frames(send.sys_frames);
             }
-            Semantics::EmulatedCopy | Semantics::EmulatedShare => {
-                host.charge_latency(Op::Unreference, send.len, pages);
-                host.vm.unreference(send.desc).expect("unreference");
-            }
-            Semantics::Share => {
-                host.charge_latency(Op::Unwire, send.len, pages);
-                let region = send.region.expect("share region");
-                let _ = host.vm.unwire_region(region);
-                host.charge_latency(Op::Unreference, send.len, pages);
-                host.vm.unreference(send.desc).expect("unreference");
+            // Share's region is wired; the emulated ones keep none.
+            Semantics::EmulatedCopy | Semantics::Share | Semantics::EmulatedShare => {
+                host.release_app(send.desc, send.region, send.len, pages);
             }
             Semantics::Move => {
                 let region = send.region.expect("move region");
-                host.charge_latency(Op::Unwire, send.len, pages);
-                let _ = host.vm.unwire_region(region);
-                host.charge_latency(Op::Unreference, send.len, pages);
-                host.vm.unreference(send.desc).expect("unreference");
+                host.release_app(send.desc, Some(region), send.len, pages);
                 host.charge_latency(Op::RegionRemove, 0, 0);
                 host.vm.remove_region(region).expect("remove region");
             }
-            Semantics::EmulatedMove => {
+            Semantics::EmulatedMove | Semantics::WeakMove | Semantics::EmulatedWeakMove => {
                 let region = send.region.expect("region");
-                host.charge_latency(Op::Unreference, send.len, pages);
-                host.vm.unreference(send.desc).expect("unreference");
+                let wired = (send.effective == Semantics::WeakMove).then_some(region);
+                host.release_app(send.desc, wired, send.len, pages);
                 host.charge_latency(Op::RegionMarkOut, 0, 0);
                 host.vm
-                    .cache_region(region, RegionMark::MovedOut)
-                    .expect("cache");
-            }
-            Semantics::WeakMove | Semantics::EmulatedWeakMove => {
-                let region = send.region.expect("region");
-                if send.effective == Semantics::WeakMove {
-                    host.charge_latency(Op::Unwire, send.len, pages);
-                    let _ = host.vm.unwire_region(region);
-                }
-                host.charge_latency(Op::Unreference, send.len, pages);
-                host.vm.unreference(send.desc).expect("unreference");
-                host.charge_latency(Op::RegionMarkOut, 0, 0);
-                host.vm
-                    .cache_region(region, RegionMark::WeaklyMovedOut)
+                    .cache_region(region, send.effective.cached_mark())
                     .expect("cache");
             }
         }

@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use genie_vm::RegionMark;
+
 /// Buffer allocation scheme (paper Section 2.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Allocation {
@@ -123,6 +125,21 @@ impl Semantics {
             Semantics::Move => Semantics::EmulatedMove,
             Semantics::WeakMove => Semantics::EmulatedWeakMove,
             other => other,
+        }
+    }
+
+    /// The mark a region cache keeps this semantics' regions under
+    /// (emulated move and the weak moves): emulated move's regions left
+    /// invalidated, the weak moves' still mapped.
+    pub(crate) fn cached_mark(self) -> RegionMark {
+        debug_assert!(matches!(
+            self,
+            Semantics::EmulatedMove | Semantics::WeakMove | Semantics::EmulatedWeakMove
+        ));
+        if self == Semantics::EmulatedMove {
+            RegionMark::MovedOut
+        } else {
+            RegionMark::WeaklyMovedOut
         }
     }
 

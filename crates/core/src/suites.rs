@@ -50,18 +50,9 @@ pub struct SuitePoint {
     pub switch: SwitchStats,
 }
 
-/// The eight semantics, in the taxonomy's display order (the order
-/// every suite sweeps).
-pub const ALL_SEMANTICS: &[Semantics] = &[
-    Semantics::Copy,
-    Semantics::EmulatedCopy,
-    Semantics::Share,
-    Semantics::EmulatedShare,
-    Semantics::Move,
-    Semantics::EmulatedMove,
-    Semantics::WeakMove,
-    Semantics::EmulatedWeakMove,
-];
+/// The eight semantics in [`Semantics::ALL`] order, the order every
+/// suite sweeps.
+pub const ALL_SEMANTICS: &[Semantics] = &Semantics::ALL;
 
 /// Runs `f` once per semantics, spreading the independent worlds across
 /// genie-runner workers (each world is one isolated host group, so the

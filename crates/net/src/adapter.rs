@@ -44,19 +44,6 @@ pub enum InputBuffering {
     Outboard,
 }
 
-/// How a received PDU was buffered.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RxCompletion {
-    /// The payload sits in overlay frames, appended in order to the
-    /// caller's frame list. Every frame is full but the last.
-    Overlay {
-        /// Total bytes delivered.
-        len: usize,
-    },
-    /// No buffer was available; the PDU was dropped.
-    Dropped,
-}
-
 /// Receive-path counters, by buffering outcome.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdapterStats {
@@ -84,7 +71,6 @@ pub struct Adapter {
     /// Per-VC credit state, flat-indexed by VC number.
     credits: DenseMap<CreditState>,
     credit_limit: u32,
-    drops: u64,
     stats: AdapterStats,
 }
 
@@ -98,7 +84,6 @@ impl Adapter {
             outboard: Vec::new(),
             credits: DenseMap::new(),
             credit_limit,
-            drops: 0,
             stats: AdapterStats::default(),
         }
     }
@@ -106,11 +91,6 @@ impl Adapter {
     /// The receive architecture.
     pub fn mode(&self) -> InputBuffering {
         self.mode
-    }
-
-    /// PDUs dropped for lack of buffering.
-    pub fn drops(&self) -> u64 {
-        self.drops
     }
 
     /// Receive-path counters.
@@ -201,9 +181,12 @@ impl Adapter {
     }
 
     /// Delivers a received PDU into overlay frames from the pool,
-    /// appending the frames it filled to `overlay`. An early-demux
-    /// adapter gets here only when no input is pending on the PDU's VC,
-    /// and counts the fallback (paper Section 6.2.2).
+    /// appending the frames it filled to `overlay` (every frame full but
+    /// the last), and returns true; returns false, counting
+    /// [`AdapterStats::pool_exhausted_drops`], if the pool could not
+    /// cover the PDU and it was dropped. An early-demux adapter gets
+    /// here only when no input is pending on the PDU's VC, and counts
+    /// the fallback (paper Section 6.2.2).
     ///
     /// # Panics
     ///
@@ -214,7 +197,7 @@ impl Adapter {
         phys: &mut PhysMem,
         payload: &[u8],
         overlay: &mut Vec<FrameId>,
-    ) -> Result<RxCompletion, MemError> {
+    ) -> Result<bool, MemError> {
         self.stats.pdus_received += 1;
         match self.mode {
             InputBuffering::EarlyDemux => self.stats.pooled_fallbacks += 1,
@@ -226,9 +209,8 @@ impl Adapter {
         let page = phys.page_size();
         let need = payload.len().div_ceil(page).max(1);
         if self.pool.len() < need {
-            self.drops += 1;
             self.stats.pool_exhausted_drops += 1;
-            return Ok(RxCompletion::Dropped);
+            return Ok(false);
         }
         self.stats.pool_takes += need as u64;
         let mut src = 0usize;
@@ -239,7 +221,7 @@ impl Adapter {
             src += n;
             overlay.push(f);
         }
-        Ok(RxCompletion::Overlay { len: payload.len() })
+        Ok(true)
     }
 
     // ----- outboard memory -----------------------------------------------------
@@ -328,15 +310,10 @@ mod tests {
         a.fill_pool(pool);
         let payload = vec![0x11u8; 6000];
         let mut frames = Vec::new();
-        match a.receive(&mut p, &payload, &mut frames).unwrap() {
-            RxCompletion::Overlay { len } => {
-                assert_eq!(len, 6000);
-                assert_eq!(frames.len(), 2);
-                assert_eq!(p.read(frames[0], 0, 4096).unwrap(), &payload[..4096]);
-                assert_eq!(p.read(frames[1], 0, 6000 - 4096).unwrap(), &payload[4096..]);
-            }
-            other => panic!("expected overlay, got {other:?}"),
-        }
+        assert!(a.receive(&mut p, &payload, &mut frames).unwrap());
+        assert_eq!(frames.len(), 2);
+        assert_eq!(p.read(frames[0], 0, 4096).unwrap(), &payload[..4096]);
+        assert_eq!(p.read(frames[1], 0, 6000 - 4096).unwrap(), &payload[4096..]);
         assert_eq!(a.pool_len(), 2);
     }
 
@@ -347,13 +324,11 @@ mod tests {
         let f = p.alloc(None).unwrap();
         a.fill_pool([f]);
         let mut frames = Vec::new();
-        let c = a.receive(&mut p, &vec![1u8; 8000], &mut frames).unwrap();
-        assert_eq!(c, RxCompletion::Dropped);
-        assert_eq!(a.drops(), 1);
+        assert!(!a.receive(&mut p, &vec![1u8; 8000], &mut frames).unwrap());
+        assert_eq!(a.stats().pool_exhausted_drops, 1);
         assert!(frames.is_empty());
         // The single-frame PDU still goes through.
-        let c = a.receive(&mut p, &[2u8; 100], &mut frames).unwrap();
-        assert!(matches!(c, RxCompletion::Overlay { len: 100 }));
+        assert!(a.receive(&mut p, &[2u8; 100], &mut frames).unwrap());
         assert_eq!(frames, [f]);
     }
 

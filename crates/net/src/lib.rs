@@ -35,7 +35,7 @@ pub mod proto;
 pub mod switch;
 
 pub use aal5::{reassemble, reassemble_into, segment, segment_into, Aal5Trailer, Cell, WirePdu};
-pub use adapter::{Adapter, AdapterStats, InputBuffering, RxCompletion, Vc};
+pub use adapter::{Adapter, AdapterStats, InputBuffering, Vc};
 pub use credit::CreditState;
 pub use dma::DmaModel;
 pub use event::EventQueue;

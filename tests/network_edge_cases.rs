@@ -167,7 +167,10 @@ fn pool_exhaustion_drops_and_input_survives_for_the_next_pdu() {
         .expect("output");
     world.run();
     assert!(world.take_completed_inputs().is_empty(), "PDU must drop");
-    assert_eq!(world.host(HostId::B).adapter.drops(), 1);
+    assert_eq!(
+        world.host(HostId::B).adapter.stats().pool_exhausted_drops,
+        1
+    );
     // A small PDU still gets through to the SAME pending input.
     let src2 = world.alloc_buffer(HostId::A, tx, 4000, 0).expect("src2");
     world
