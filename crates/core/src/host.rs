@@ -96,6 +96,23 @@ impl Host {
         c
     }
 
+    /// Charges the faults of the host's latest application access
+    /// ([`Vm::last_faults`]): one `Fault` each, plus a one-page
+    /// `PageCopy` for each resolved by a TCOW or COW copy. Returns how
+    /// many faults it charged.
+    pub(crate) fn charge_faults(&mut self) -> usize {
+        let page = self.page_size();
+        let n = self.vm.last_faults().len();
+        for i in 0..n {
+            let copied = self.vm.last_faults()[i].copied();
+            self.charge_latency(Op::Fault, 0, 0);
+            if copied {
+                self.charge_latency(Op::PageCopy, page, 1);
+            }
+        }
+        n
+    }
+
     /// Pages the `len` bytes at `vaddr` span.
     pub(crate) fn pages_at(&self, vaddr: u64, len: usize) -> usize {
         let page_off = (vaddr % self.page_size() as u64) as usize;

@@ -611,11 +611,13 @@ impl World {
 
         // Oracle: the delivered bytes and sequence number, checked
         // against the sender's promise and the gapless-ordering rule.
+        // It reads through `peek`, which faults nothing in: a checked
+        // run must take, and charge, the same faults as an unchecked one.
         if self.fault.oracle.is_some() {
             let got = self
-                .host_mut(to)
+                .host(to)
                 .vm
-                .read_app(p.space, vaddr, data_len)
+                .peek(p.space, vaddr, data_len)
                 .expect("delivered data readable");
             let fp = genie_fault::fnv64(&got);
             if let Some(o) = self.fault.oracle.as_mut() {
@@ -793,51 +795,42 @@ impl World {
         for pl in plan.clone() {
             let vpn = first_vpn + pl.page as u64;
             let sys_frame = sys_frames[pl.page];
-            match pl.action {
-                PageAction::CopyOut => {
-                    let dst = vpn * page as u64 + pl.data_start as u64;
+            if pl.action == PageAction::CopyOut {
+                let dst = vpn * page as u64 + pl.data_start as u64;
+                host.vm
+                    .copy_iovecs_into_app(space, dst, [(sys_frame, pl.data_start, pl.data_len)])
+                    .expect("copy out");
+                continue;
+            }
+            // Both swaps need the app page in its object (to donate the
+            // bytes around the data, and for the swap to displace). Not
+            // the page walk, which would TCOW-copy a read-only page first.
+            if host.vm.space(space).pte(vpn).is_none() {
+                host.vm
+                    .handle_fault(space, vpn, Access::Write)
+                    .expect("app page");
+            }
+            if let PageAction::FillAndSwap {
+                fill_prefix,
+                fill_suffix,
+            } = pl.action
+            {
+                let app_frame = host.vm.space(space).pte(vpn).expect("mapped").frame;
+                if fill_prefix > 0 {
                     host.vm
-                        .copy_iovecs_into_app(space, dst, [(sys_frame, pl.data_start, pl.data_len)])
-                        .expect("copy out");
+                        .phys
+                        .copy(app_frame, 0, sys_frame, 0, fill_prefix)
+                        .expect("fill prefix");
                 }
-                PageAction::FillAndSwap {
-                    fill_prefix,
-                    fill_suffix,
-                } => {
-                    // Fault the app page in (it must exist to donate
-                    // its surrounding bytes), then fill + swap.
-                    if host.vm.space(space).pte(vpn).is_none() {
-                        host.vm
-                            .handle_fault(space, vpn, Access::Write)
-                            .expect("app page");
-                    }
-                    let app_frame = host.vm.space(space).pte(vpn).expect("mapped").frame;
-                    if fill_prefix > 0 {
-                        host.vm
-                            .phys
-                            .copy(app_frame, 0, sys_frame, 0, fill_prefix)
-                            .expect("fill prefix");
-                    }
-                    if fill_suffix > 0 {
-                        let at = pl.data_start + pl.data_len;
-                        host.vm
-                            .phys
-                            .copy(app_frame, at, sys_frame, at, fill_suffix)
-                            .expect("fill suffix");
-                    }
-                    host.vm.swap_page(space, vpn, sys_frame).expect("swap");
-                }
-                PageAction::SwapWhole => {
-                    // Ensure the page exists in the object so swap has
-                    // something to displace.
-                    if host.vm.space(space).pte(vpn).is_none() {
-                        host.vm
-                            .handle_fault(space, vpn, Access::Write)
-                            .expect("app page");
-                    }
-                    host.vm.swap_page(space, vpn, sys_frame).expect("swap");
+                if fill_suffix > 0 {
+                    let at = pl.data_start + pl.data_len;
+                    host.vm
+                        .phys
+                        .copy(app_frame, at, sys_frame, at, fill_suffix)
+                        .expect("fill suffix");
                 }
             }
+            host.vm.swap_page(space, vpn, sys_frame).expect("swap");
         }
         let pages = plan.clone().count();
         let (copied_bytes, swapped_pages, swapped_bytes) = plan_totals(plan);

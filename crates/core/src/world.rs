@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 
-use genie_machine::{LinkSpec, MachineSpec, Op, SimTime};
+use genie_machine::{LinkSpec, MachineSpec, SimTime};
 use genie_mem::{DenseMap, SlotMap};
 use genie_net::{DmaModel, EventQueue, InputBuffering, Switch, SwitchConfig, Vc, WirePdu};
 use genie_vm::SpaceId;
@@ -506,18 +506,9 @@ impl World {
         vaddr: u64,
         data: &[u8],
     ) -> Result<usize, GenieError> {
-        let page = self.host(host).page_size();
         let h = self.host_mut(host);
         h.vm.write_app(space, vaddr, data)?;
-        let n = h.vm.last_faults().len();
-        for i in 0..n {
-            let copied = h.vm.last_faults()[i].copied();
-            h.charge_latency(Op::Fault, 0, 0);
-            if copied {
-                h.charge_latency(Op::PageCopy, page, 1);
-            }
-        }
-        Ok(n)
+        Ok(h.charge_faults())
     }
 
     /// Allocates the send buffer `semantics` sends from and fills it
@@ -574,9 +565,7 @@ impl World {
     ) -> Result<Vec<u8>, GenieError> {
         let h = self.host_mut(host);
         let data = h.vm.read_app(space, vaddr, len)?;
-        for _ in 0..h.vm.last_faults().len() {
-            h.charge_latency(Op::Fault, 0, 0);
-        }
+        h.charge_faults();
         Ok(data)
     }
 
@@ -593,9 +582,7 @@ impl World {
     ) -> Result<bool, GenieError> {
         let h = self.host_mut(host);
         let ok = h.vm.app_matches(space, vaddr, expected)?;
-        for _ in 0..h.vm.last_faults().len() {
-            h.charge_latency(Op::Fault, 0, 0);
-        }
+        h.charge_faults();
         Ok(ok)
     }
 

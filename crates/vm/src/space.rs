@@ -5,6 +5,7 @@ use std::collections::VecDeque;
 use genie_mem::{DenseMap, FrameId};
 
 use crate::error::VmError;
+use crate::fault::Access;
 use crate::ids::SpaceId;
 use crate::region::{Region, RegionMark};
 
@@ -17,6 +18,16 @@ pub struct Pte {
     pub read: bool,
     /// Write permission.
     pub write: bool,
+}
+
+impl Pte {
+    /// True if the entry permits `access` without a fault.
+    pub(crate) fn allows(self, access: Access) -> bool {
+        match access {
+            Access::Read => self.read,
+            Access::Write => self.write,
+        }
+    }
 }
 
 /// Handle naming a region inside a particular address space.

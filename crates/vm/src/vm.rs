@@ -135,8 +135,11 @@ impl Vm {
     /// [`Vm::write_app`], [`Vm::app_matches`], `copy_*` or
     /// `reference_*` call, in the order they were taken (a call that
     /// failed part-way leaves those taken before the failure). The list
-    /// is scratch storage that the next such call overwrites, so the
-    /// policy layer reads it right after the call to charge each fault.
+    /// is scratch storage that the next such call overwrites. The
+    /// policy layer reads it right after an application read, write or
+    /// compare to charge each fault; it does not read it after page
+    /// referencing, whose faults go uncharged (see
+    /// [`Vm::reference_pages`]).
     pub fn last_faults(&self) -> &[FaultOutcome] {
         &self.faults
     }
@@ -553,11 +556,7 @@ impl Vm {
         let idx = region.object_page(vpn);
 
         if let Some(pte) = self.space(space).pte(vpn) {
-            let enough = match access {
-                Access::Read => pte.read,
-                Access::Write => pte.write,
-            };
-            if enough {
+            if pte.allows(access) {
                 return Ok(FaultOutcome::NoFault);
             }
             if access == Access::Write && pte.read {
@@ -645,67 +644,84 @@ impl Vm {
 
     // ----- application memory access -------------------------------------------
 
-    /// Simulates the application reading `len` bytes at `vaddr`,
-    /// faulting pages in as hardware would.
-    pub fn read_app(&mut self, space: SpaceId, vaddr: u64, len: usize) -> Result<Vec<u8>, VmError> {
-        let mut out = Vec::with_capacity(len);
+    /// Walks the application range `[vaddr, vaddr + len)` page by page
+    /// as the MMU would: where a page's PTE does not allow `access`, the
+    /// page is faulted in first and the outcome appended to
+    /// [`Vm::last_faults`]. `store` says the caller writes every byte it
+    /// is handed, so a fault on a page the range covers whole may skip
+    /// the zero-fill. `f` gets the mapped frame, the offset within the
+    /// page, the chunk length and the chunk's offset within the range,
+    /// and returns whether to go on. Returns false if `f` stopped the
+    /// walk.
+    fn walk_app<F>(
+        &mut self,
+        space: SpaceId,
+        vaddr: u64,
+        len: usize,
+        access: Access,
+        store: bool,
+        mut f: F,
+    ) -> Result<bool, VmError>
+    where
+        F: FnMut(&mut Self, FrameId, usize, usize, usize) -> Result<bool, VmError>,
+    {
         self.faults.clear();
-        let page = self.page_size() as u64;
-        let mut addr = vaddr;
-        let end = vaddr + len as u64;
-        while addr < end {
-            let vpn = addr / page;
-            let off = (addr % page) as usize;
-            let chunk = ((page - addr % page) as usize).min((end - addr) as usize);
-            let needs_fault = match self.space(space).pte(vpn) {
-                Some(p) => !p.read,
-                None => true,
-            };
-            if needs_fault {
-                let f = self.handle_fault(space, vpn, Access::Read)?;
-                self.faults.push(f);
+        let page = self.page_size();
+        let mut pos = 0;
+        while pos < len {
+            let addr = vaddr + pos as u64;
+            let vpn = addr / page as u64;
+            let off = (addr % page as u64) as usize;
+            let chunk = (page - off).min(len - pos);
+            if !self.space(space).pte(vpn).is_some_and(|p| p.allows(access)) {
+                let out = self.handle_fault_opts(space, vpn, access, store && chunk == page)?;
+                self.faults.push(out);
             }
             let frame = self
                 .space(space)
                 .pte(vpn)
                 .expect("mapped after fault")
                 .frame;
-            out.extend_from_slice(self.phys.read(frame, off, chunk)?);
-            addr += chunk as u64;
+            if !f(self, frame, off, chunk, pos)? {
+                return Ok(false);
+            }
+            pos += chunk;
         }
+        Ok(true)
+    }
+
+    /// Simulates the application reading `len` bytes at `vaddr`,
+    /// faulting pages in as hardware would.
+    pub fn read_app(&mut self, space: SpaceId, vaddr: u64, len: usize) -> Result<Vec<u8>, VmError> {
+        let mut out = Vec::with_capacity(len);
+        self.walk_app(
+            space,
+            vaddr,
+            len,
+            Access::Read,
+            false,
+            |vm, frame, off, n, _| {
+                out.extend_from_slice(vm.phys.read(frame, off, n)?);
+                Ok(true)
+            },
+        )?;
         Ok(out)
     }
 
     /// Simulates the application writing `data` at `vaddr`, faulting
     /// pages (and resolving TCOW/COW) as hardware would.
     pub fn write_app(&mut self, space: SpaceId, vaddr: u64, data: &[u8]) -> Result<(), VmError> {
-        self.faults.clear();
-        let page = self.page_size() as u64;
-        let mut addr = vaddr;
-        let end = vaddr + data.len() as u64;
-        let mut src = 0usize;
-        while addr < end {
-            let vpn = addr / page;
-            let off = (addr % page) as usize;
-            let chunk = ((page - addr % page) as usize).min((end - addr) as usize);
-            let needs_fault = match self.space(space).pte(vpn) {
-                Some(p) => !p.write,
-                None => true,
-            };
-            if needs_fault {
-                let full = off == 0 && chunk == page as usize;
-                let f = self.handle_fault_opts(space, vpn, Access::Write, full)?;
-                self.faults.push(f);
-            }
-            let frame = self
-                .space(space)
-                .pte(vpn)
-                .expect("mapped after fault")
-                .frame;
-            self.phys.write(frame, off, &data[src..src + chunk])?;
-            addr += chunk as u64;
-            src += chunk;
-        }
+        self.walk_app(
+            space,
+            vaddr,
+            data.len(),
+            Access::Write,
+            true,
+            |vm, frame, off, n, pos| {
+                vm.phys.write(frame, off, &data[pos..pos + n])?;
+                Ok(true)
+            },
+        )?;
         Ok(())
     }
 
@@ -723,39 +739,26 @@ impl Vm {
         len: usize,
         frames: &[FrameId],
     ) -> Result<(), VmError> {
-        self.faults.clear();
         let page = self.page_size();
-        let mut addr = vaddr;
-        let end = vaddr + len as u64;
-        let mut pos = 0usize; // byte offset into the destination buffer
-        while addr < end {
-            let vpn = addr / page as u64;
-            let off = (addr % page as u64) as usize;
-            let mut chunk = (page - off).min((end - addr) as usize);
-            let needs_fault = match self.space(space).pte(vpn) {
-                Some(p) => !p.read,
-                None => true,
-            };
-            if needs_fault {
-                let f = self.handle_fault(space, vpn, Access::Read)?;
-                self.faults.push(f);
-            }
-            let frame = self
-                .space(space)
-                .pte(vpn)
-                .expect("mapped after fault")
-                .frame;
-            addr += chunk as u64;
-            let mut src_off = off;
-            while chunk > 0 {
-                let n = chunk.min(page - pos % page);
-                self.phys
-                    .copy(frame, src_off, frames[pos / page], pos % page, n)?;
-                pos += n;
-                src_off += n;
-                chunk -= n;
-            }
-        }
+        self.walk_app(
+            space,
+            vaddr,
+            len,
+            Access::Read,
+            false,
+            |vm, frame, off, n, pos| {
+                // `pos` is also the byte offset into the destination buffer.
+                let (mut src, mut dst, end) = (off, pos, pos + n);
+                while dst < end {
+                    let k = (end - dst).min(page - dst % page);
+                    vm.phys
+                        .copy(frame, src, frames[dst / page], dst % page, k)?;
+                    src += k;
+                    dst += k;
+                }
+                Ok(true)
+            },
+        )?;
         Ok(())
     }
 
@@ -777,46 +780,28 @@ impl Vm {
     {
         let mut it = srcs.into_iter();
         let len: usize = it.clone().map(|(_, _, n)| n).sum();
-        self.faults.clear();
-        let page = self.page_size();
-        let mut addr = vaddr;
-        let end = vaddr + len as u64;
         let (mut sf, mut soff, mut srem) = (FrameId(0), 0usize, 0usize);
-        while addr < end {
-            let vpn = addr / page as u64;
-            let off = (addr % page as u64) as usize;
-            let mut chunk = (page - off).min((end - addr) as usize);
-            let needs_fault = match self.space(space).pte(vpn) {
-                Some(p) => !p.write,
-                None => true,
-            };
-            if needs_fault {
-                let full = off == 0 && chunk == page;
-                let f = self.handle_fault_opts(space, vpn, Access::Write, full)?;
-                self.faults.push(f);
-            }
-            let frame = self
-                .space(space)
-                .pte(vpn)
-                .expect("mapped after fault")
-                .frame;
-            addr += chunk as u64;
-            let mut doff = off;
-            while chunk > 0 {
-                if srem == 0 {
-                    let (f, o, n) = it.next().expect("source iovecs cover the write");
-                    sf = f;
-                    soff = o;
-                    srem = n;
+        self.walk_app(
+            space,
+            vaddr,
+            len,
+            Access::Write,
+            true,
+            |vm, frame, off, n, _| {
+                let (mut dst, end) = (off, off + n);
+                while dst < end {
+                    if srem == 0 {
+                        (sf, soff, srem) = it.next().expect("source iovecs cover the write");
+                    }
+                    let k = (end - dst).min(srem);
+                    vm.phys.copy(sf, soff, frame, dst, k)?;
+                    soff += k;
+                    srem -= k;
+                    dst += k;
                 }
-                let n = chunk.min(srem);
-                self.phys.copy(sf, soff, frame, doff, n)?;
-                soff += n;
-                srem -= n;
-                doff += n;
-                chunk -= n;
-            }
-        }
+                Ok(true)
+            },
+        )?;
         Ok(())
     }
 
@@ -830,35 +815,14 @@ impl Vm {
         vaddr: u64,
         expected: &[u8],
     ) -> Result<bool, VmError> {
-        self.faults.clear();
-        let page = self.page_size() as u64;
-        let mut addr = vaddr;
-        let end = vaddr + expected.len() as u64;
-        let mut pos = 0usize;
-        while addr < end {
-            let vpn = addr / page;
-            let off = (addr % page) as usize;
-            let chunk = ((page - addr % page) as usize).min((end - addr) as usize);
-            let needs_fault = match self.space(space).pte(vpn) {
-                Some(p) => !p.read,
-                None => true,
-            };
-            if needs_fault {
-                let f = self.handle_fault(space, vpn, Access::Read)?;
-                self.faults.push(f);
-            }
-            let frame = self
-                .space(space)
-                .pte(vpn)
-                .expect("mapped after fault")
-                .frame;
-            if self.phys.read(frame, off, chunk)? != &expected[pos..pos + chunk] {
-                return Ok(false);
-            }
-            addr += chunk as u64;
-            pos += chunk;
-        }
-        Ok(true)
+        self.walk_app(
+            space,
+            vaddr,
+            expected.len(),
+            Access::Read,
+            false,
+            |vm, frame, off, n, pos| Ok(vm.phys.read(frame, off, n)? == &expected[pos..pos + n]),
+        )
     }
 
     // ----- side-effect-free observation ------------------------------------------
@@ -938,9 +902,11 @@ impl Vm {
     /// read for output), verifies access rights, and bumps per-frame —
     /// and, for input, per-object — reference counts.
     ///
-    /// The faults taken are left in [`Vm::last_faults`] (so the policy
-    /// layer can charge for COW copies forced by input referencing,
-    /// paper Section 3.3).
+    /// The faults taken are left in [`Vm::last_faults`], but no caller
+    /// charges them: the policy layer charges referencing per page
+    /// (`Op::Reference`), whatever it faulted in, so a zero-fill or a
+    /// COW copy forced by input referencing (paper Section 3.3) costs
+    /// no simulated time of its own.
     pub fn reference_pages(
         &mut self,
         space: SpaceId,
@@ -948,50 +914,36 @@ impl Vm {
         len: usize,
         dir: IoDir,
     ) -> Result<IoDescriptor, VmError> {
-        let mut vecs = self.take_vecs();
-        self.faults.clear();
+        let access = match dir {
+            IoDir::Input => Access::Write,
+            IoDir::Output => Access::Read,
+        };
         let page = self.page_size() as u64;
-        let mut addr = vaddr;
-        let end = vaddr + len as u64;
-        while addr < end {
-            let vpn = addr / page;
-            let off = (addr % page) as usize;
-            let chunk = ((page - addr % page) as usize).min((end - addr) as usize);
-            let access = match dir {
-                IoDir::Input => Access::Write,
-                IoDir::Output => Access::Read,
-            };
-            let needs_fault = match self.space(space).pte(vpn) {
-                Some(p) => match access {
-                    Access::Read => !p.read,
-                    Access::Write => !p.write,
-                },
-                None => true,
-            };
-            if needs_fault {
-                let f = self.handle_fault(space, vpn, access)?;
-                self.faults.push(f);
-            }
-            let frame = self
-                .space(space)
-                .pte(vpn)
-                .expect("mapped after fault")
-                .frame;
-            let object = self.space(space).region_covering(vpn).map(|r| r.object);
-            self.phys.ref_io(frame, dir)?;
-            if dir == IoDir::Input {
-                if let Some(oid) = object {
-                    self.object_mut(oid).add_input_ref();
+        let mut vecs = self.take_vecs();
+        self.walk_app(
+            space,
+            vaddr,
+            len,
+            access,
+            false,
+            |vm, frame, offset, n, pos| {
+                let vpn = (vaddr + pos as u64) / page;
+                let object = vm.space(space).region_covering(vpn).map(|r| r.object);
+                vm.phys.ref_io(frame, dir)?;
+                if dir == IoDir::Input {
+                    if let Some(oid) = object {
+                        vm.object_mut(oid).add_input_ref();
+                    }
                 }
-            }
-            vecs.push(IoVec {
-                frame,
-                offset: off,
-                len: chunk,
-                object,
-            });
-            addr += chunk as u64;
-        }
+                vecs.push(IoVec {
+                    frame,
+                    offset,
+                    len: n,
+                    object,
+                });
+                Ok(true)
+            },
+        )?;
         Ok(IoDescriptor { vecs, dir })
     }
 

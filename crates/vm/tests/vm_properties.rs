@@ -4,7 +4,7 @@
 //! come from a deterministic xorshift PRNG (std-only, no external
 //! dependencies) so failures are reproducible.
 
-use genie_mem::{IoDir, PhysMem};
+use genie_mem::{FrameId, IoDir, PhysMem};
 use genie_vm::pageout::PageoutPolicy;
 use genie_vm::{IoDescriptor, RegionMark, SpaceId, Vm};
 
@@ -155,8 +155,39 @@ fn run_case(case: usize, ops: Vec<VmOp>) {
                 let b = &bufs[buf];
                 let off = off.min(b.len - 1);
                 let len = len.min(b.len - off);
-                let got = vm.read_app(space, b.vaddr + off as u64, len).expect("read");
+                let va = b.vaddr + off as u64;
+                // Every way of reading the range sees the same bytes:
+                // the side-effect-free peek before the read, then the
+                // in-place compare and the fused copy into kernel
+                // frames after it.
+                let peeked = vm.peek(space, va, len).expect("peek");
+                let got = vm.read_app(space, va, len).expect("read");
+                assert_eq!(peeked, got, "case {case}: peek vs read_app");
                 assert_eq!(&got[..], &b.contents[off..off + len], "case {case}");
+                assert!(
+                    vm.app_matches(space, va, &got).expect("match"),
+                    "case {case}: app_matches on the bytes just read"
+                );
+                let mut wrong = got.clone();
+                wrong[len - 1] ^= 0xff;
+                assert!(
+                    !vm.app_matches(space, va, &wrong).expect("mismatch"),
+                    "case {case}: app_matches missed a flipped last byte"
+                );
+                let frames: Vec<FrameId> = (0..len.div_ceil(4096))
+                    .map(|_| vm.alloc_frame(None, true).expect("kernel frame"))
+                    .collect();
+                vm.copy_app_into_frames(space, va, len, &frames)
+                    .expect("copy into frames");
+                let mut copied = Vec::with_capacity(len);
+                for (i, &f) in frames.iter().enumerate() {
+                    let n = (len - i * 4096).min(4096);
+                    copied.extend_from_slice(vm.phys.read(f, 0, n).expect("frame"));
+                }
+                assert_eq!(copied, got, "case {case}: copy_app_into_frames");
+                for f in frames {
+                    vm.phys.dealloc(f).expect("free kernel frame");
+                }
             }
             VmOp::RefOutput { buf } => {
                 let b = &bufs[buf];
