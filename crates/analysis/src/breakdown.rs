@@ -5,11 +5,11 @@
 //! operations at the sender and the ready/dispose-time operations at
 //! the receiver that land on the critical path. [`estimate_line`]
 //! composes those costs from the Table 6 cost model — producing the
-//! "E" rows of Table 7 — while [`measure_line`] fits actual simulated
+//! "E" rows of Table 7 — while [`actual_line`] fits actual simulated
 //! latencies — the "A" rows.
 
 use genie::oplists::{self, OpUse, Scale};
-use genie::{latency_sweep, ExperimentSetup, Semantics};
+use genie::{ExperimentPoint, ExperimentSetup, Semantics};
 use genie_machine::{CostModel, LinkSpec, MachineSpec, Op};
 use genie_net::{DmaModel, HEADER_LEN};
 
@@ -29,24 +29,6 @@ pub enum BufferingScheme {
 }
 
 impl BufferingScheme {
-    /// All schemes, figure order.
-    pub const ALL: [BufferingScheme; 4] = [
-        BufferingScheme::EarlyDemux,
-        BufferingScheme::PooledAligned,
-        BufferingScheme::PooledUnaligned,
-        BufferingScheme::Outboard,
-    ];
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            BufferingScheme::EarlyDemux => "early demultiplexing",
-            BufferingScheme::PooledAligned => "appl.-aligned pooled",
-            BufferingScheme::PooledUnaligned => "unaligned pooled",
-            BufferingScheme::Outboard => "outboard",
-        }
-    }
-
     /// The experiment setup measuring this scheme.
     pub fn setup(self, machine: MachineSpec, link: LinkSpec) -> ExperimentSetup {
         let mut s = match self {
@@ -58,17 +40,6 @@ impl BufferingScheme {
         s.link = link;
         s
     }
-}
-
-/// A latency line: semantics, scheme and the (µs vs bytes) fit.
-#[derive(Clone, Copy, Debug)]
-pub struct LatencyLine {
-    /// Data-passing semantics.
-    pub semantics: Semantics,
-    /// Input-buffering scheme.
-    pub scheme: BufferingScheme,
-    /// The fitted line.
-    pub fit: Fit,
 }
 
 /// Sums an op list's costs at buffer length `bytes` over `pages`
@@ -183,52 +154,44 @@ pub fn fit_sizes(page_size: usize) -> Vec<usize> {
     (1..=pages.max(2)).map(|i| i * page_size).collect()
 }
 
-/// The estimated ("E") latency line for one semantics and scheme.
+/// The estimated ("E") latency line (µs against bytes) for one
+/// semantics and scheme.
 pub fn estimate_line(
     model: &CostModel,
     link: &LinkSpec,
     semantics: Semantics,
     scheme: BufferingScheme,
-) -> LatencyLine {
+) -> Fit {
     let sizes = fit_sizes(model.page_size());
     let xs: Vec<f64> = sizes.iter().map(|&b| b as f64).collect();
     let ys: Vec<f64> = sizes
         .iter()
         .map(|&b| estimate_latency_us(model, link, semantics, scheme, b))
         .collect();
-    LatencyLine {
-        semantics,
-        scheme,
-        fit: linfit(&xs, &ys),
-    }
+    linfit(&xs, &ys)
 }
 
-/// The actual ("A") latency line, measured by running the simulator.
-pub fn measure_line(
-    machine: MachineSpec,
-    link: LinkSpec,
-    semantics: Semantics,
-    scheme: BufferingScheme,
-) -> LatencyLine {
-    let page = machine.page_size;
-    let setup = scheme.setup(machine, link);
-    let sizes = fit_sizes(page);
-    let points = latency_sweep(&setup, semantics, &sizes);
+/// The actual ("A") latency line: the fit (µs against bytes) through a
+/// latency sweep over [`fit_sizes`] (`genie::latency_sweep`).
+pub fn actual_line(points: &[ExperimentPoint]) -> Fit {
     let xs: Vec<f64> = points.iter().map(|p| p.bytes as f64).collect();
     let ys: Vec<f64> = points.iter().map(|p| p.latency.as_us()).collect();
-    LatencyLine {
-        semantics,
-        scheme,
-        fit: linfit(&xs, &ys),
-    }
+    linfit(&xs, &ys)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genie::latency_sweep;
 
     fn p166_model() -> CostModel {
         CostModel::new(MachineSpec::micron_p166())
+    }
+
+    /// The actual ("A") line of `semantics` under `scheme` on the P166.
+    fn measure_line(semantics: Semantics, scheme: BufferingScheme) -> Fit {
+        let setup = scheme.setup(MachineSpec::micron_p166(), LinkSpec::oc3());
+        actual_line(&latency_sweep(&setup, semantics, &fit_sizes(4096)))
     }
 
     /// Paper Table 7 "E" rows, early demultiplexing.
@@ -249,17 +212,17 @@ mod tests {
         let link = LinkSpec::oc3();
         for (sem, slope, fixed) in TABLE7_E_EARLY {
             let line = estimate_line(&model, &link, sem, BufferingScheme::EarlyDemux);
-            let slope_err = (line.fit.slope - slope).abs() / slope;
-            let fixed_err = (line.fit.intercept - fixed).abs() / fixed;
+            let slope_err = (line.slope - slope).abs() / slope;
+            let fixed_err = (line.intercept - fixed).abs() / fixed;
             assert!(
                 slope_err < 0.03,
                 "{sem}: slope {} vs paper {slope}",
-                line.fit.slope
+                line.slope
             );
             assert!(
                 fixed_err < 0.06,
                 "{sem}: fixed {} vs paper {fixed}",
-                line.fit.intercept
+                line.intercept
             );
         }
     }
@@ -298,16 +261,16 @@ mod tests {
         for (sem, scheme, slope, fixed) in cases {
             let line = estimate_line(&model, &link, sem, scheme);
             assert!(
-                (line.fit.slope - slope).abs() / slope < 0.03,
+                (line.slope - slope).abs() / slope < 0.03,
                 "{sem}/{:?}: slope {}",
                 scheme,
-                line.fit.slope
+                line.slope
             );
             assert!(
-                (line.fit.intercept - fixed).abs() / fixed < 0.08,
+                (line.intercept - fixed).abs() / fixed < 0.08,
                 "{sem}/{:?}: fixed {}",
                 scheme,
-                line.fit.intercept
+                line.intercept
             );
         }
     }
@@ -326,19 +289,14 @@ mod tests {
             Semantics::Move,
             BufferingScheme::PooledAligned,
         );
-        let a = measure_line(
-            MachineSpec::micron_p166(),
-            LinkSpec::oc3(),
-            Semantics::Move,
-            BufferingScheme::PooledAligned,
-        );
+        let a = measure_line(Semantics::Move, BufferingScheme::PooledAligned);
         assert!(
-            (e.fit.intercept - a.fit.intercept).abs() < 20.0,
+            (e.intercept - a.intercept).abs() < 20.0,
             "E fixed {} vs A fixed {}",
-            e.fit.intercept,
-            a.fit.intercept
+            e.intercept,
+            a.intercept
         );
-        assert!((e.fit.slope - a.fit.slope).abs() / a.fit.slope < 0.03);
+        assert!((e.slope - a.slope).abs() / a.slope < 0.03);
     }
 
     #[test]
@@ -349,23 +307,18 @@ mod tests {
         let link = LinkSpec::oc3();
         for sem in [Semantics::Copy, Semantics::EmulatedCopy, Semantics::Move] {
             let e = estimate_line(&model, &link, sem, BufferingScheme::EarlyDemux);
-            let a = measure_line(
-                MachineSpec::micron_p166(),
-                LinkSpec::oc3(),
-                sem,
-                BufferingScheme::EarlyDemux,
-            );
+            let a = measure_line(sem, BufferingScheme::EarlyDemux);
             assert!(
-                (e.fit.slope - a.fit.slope).abs() / e.fit.slope < 0.05,
+                (e.slope - a.slope).abs() / e.slope < 0.05,
                 "{sem}: E slope {} vs A slope {}",
-                e.fit.slope,
-                a.fit.slope
+                e.slope,
+                a.slope
             );
             assert!(
-                (e.fit.intercept - a.fit.intercept).abs() / e.fit.intercept < 0.12,
+                (e.intercept - a.intercept).abs() / e.intercept < 0.12,
                 "{sem}: E fixed {} vs A fixed {}",
-                e.fit.intercept,
-                a.fit.intercept
+                e.intercept,
+                a.intercept
             );
         }
     }

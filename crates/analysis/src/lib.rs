@@ -6,7 +6,7 @@
 //!   operation latencies vs. datagram length (Tables 6 and 7).
 //! - [`breakdown`]: composes primitive-operation costs along the
 //!   critical path into *estimated* end-to-end latencies — the "E"
-//!   rows of Table 7 — and measures *actual* latencies from the
+//!   rows of Table 7 — and fits *actual* latencies from the
 //!   simulator — the "A" rows.
 //! - [`table6`]: regenerates Table 6 by instrumented measurement.
 //! - [`scaling`]: the Section 8 scaling model — parameter
@@ -21,7 +21,7 @@ pub mod render;
 pub mod scaling;
 pub mod table6;
 
-pub use breakdown::{estimate_line, measure_line, BufferingScheme, LatencyLine};
+pub use breakdown::{actual_line, estimate_line, BufferingScheme};
 pub use fit::{linfit, Fit};
 pub use render::{render_series, render_table};
 pub use scaling::{param_ratios, predict_oc12_throughput, ParamClass, RatioSummary};

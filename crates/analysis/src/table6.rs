@@ -29,60 +29,63 @@ pub struct OpFit {
     pub samples: usize,
 }
 
-/// Runs the Figure 3/6/7 experiments with instrumentation on and fits
-/// each primitive operation's recorded cost against its byte count.
+/// One instrumented cell's charges: `(op, bytes, cost in µs)` for
+/// every operation its measured rounds charged, in charge order.
+pub type OpSamples = Vec<(Op, f64, f64)>;
+
+/// The buffering schemes whose instrumented runs the fits average over:
+/// those of Figures 3, 6 and 7.
+pub const FIT_SCHEMES: [BufferingScheme; 3] = [
+    BufferingScheme::EarlyDemux,
+    BufferingScheme::PooledAligned,
+    BufferingScheme::PooledUnaligned,
+];
+
+/// The (scheme, semantics) cells behind one platform's fits, in the
+/// order [`fit_primitive_costs`] expects their samples.
+pub fn fit_cells() -> Vec<(BufferingScheme, Semantics)> {
+    FIT_SCHEMES
+        .iter()
+        .flat_map(|&sch| Semantics::ALL.iter().map(move |&sem| (sch, sem)))
+        .collect()
+}
+
+/// Runs one (scheme, semantics) sweep over [`fit_sizes`] with every
+/// measured round traced, and returns each charged operation's sample.
+/// Copy-conversion is disabled so the pure op mix is observed at every
+/// size.
+pub fn instrument_cell(
+    machine: &MachineSpec,
+    link: &LinkSpec,
+    scheme: BufferingScheme,
+    semantics: Semantics,
+) -> OpSamples {
+    let sizes = fit_sizes(machine.page_size);
+    let mut setup = scheme.setup(machine.clone(), link.clone());
+    setup.genie = setup.genie.without_thresholds();
+    let mut ctx = SeriesContext::new(&setup, &sizes);
+    let mut samples = Vec::new();
+    for &b in &sizes {
+        let (_lat, trace) = ctx.measure_charges(semantics, b).expect("instrumented run");
+        samples.extend(
+            trace
+                .charges()
+                .map(|(op, e)| (op, e.bytes as f64, e.dur.as_us())),
+        );
+    }
+    samples
+}
+
+/// Fits each primitive operation's recorded cost against its byte
+/// count, over the samples of every [`fit_cells`] cell in that order.
 ///
 /// Operations that are only ever invoked with a fixed (zero-byte)
 /// footprint get a zero-slope fit through their mean cost.
-pub fn measure_primitive_costs(machine: MachineSpec, link: LinkSpec) -> Vec<OpFit> {
-    // The instrumented sweeps are deterministic in (machine, link), and
-    // Tables 6 and 8 both need the baseline machine's fits — memoize so
-    // a full report run instruments each configuration once.
-    static CACHE: std::sync::Mutex<Vec<(String, Vec<OpFit>)>> = std::sync::Mutex::new(Vec::new());
-    let key = format!("{machine:?}|{link:?}");
-    if let Some((_, fits)) = CACHE.lock().unwrap().iter().find(|(k, _)| *k == key) {
-        return fits.clone();
-    }
-    let fits = instrument_primitive_costs(&machine, &link);
-    CACHE.lock().unwrap().push((key, fits.clone()));
-    fits
-}
-
-/// The uncached instrumented sweep behind [`measure_primitive_costs`].
-fn instrument_primitive_costs(machine: &MachineSpec, link: &LinkSpec) -> Vec<OpFit> {
-    let sizes = fit_sizes(machine.page_size);
-    // Each (scheme, semantics) pair is an independent instrumented
-    // sweep; fan them out to the worker pool and merge the samples in
-    // cell order, which keeps the fits identical to the serial nested
-    // loops at any thread count.
-    let schemes = [
-        BufferingScheme::EarlyDemux,
-        BufferingScheme::PooledAligned,
-        BufferingScheme::PooledUnaligned,
-    ];
-    let cells: Vec<(BufferingScheme, Semantics)> = schemes
-        .iter()
-        .flat_map(|&sch| Semantics::ALL.iter().map(move |&sem| (sch, sem)))
-        .collect();
-    let per_cell = genie_runner::map(&cells, |&(scheme, sem)| {
-        let mut setup = scheme.setup(machine.clone(), link.clone());
-        // Disable copy-conversion so the pure op mix is observed at
-        // every size.
-        setup.genie = setup.genie.without_thresholds();
-        let mut ctx = SeriesContext::new(&setup, &sizes);
-        let mut points: Vec<(Op, f64, f64)> = Vec::new();
-        for &b in &sizes {
-            let (_lat, trace) = ctx.measure_charges(sem, b).expect("instrumented run");
-            for (op, e) in trace.charges() {
-                points.push((op, e.bytes as f64, e.dur.as_us()));
-            }
-        }
-        points
-    });
+pub fn fit_primitive_costs(cells: impl IntoIterator<Item = OpSamples>) -> Vec<OpFit> {
     // Group by op (indexed by `Op::id`), keeping cell order within
     // each op's points.
     let mut by_op = vec![(Vec::new(), Vec::new()); Op::ALL.len()];
-    for (op, bytes, cost) in per_cell.into_iter().flatten() {
+    for (op, bytes, cost) in cells.into_iter().flatten() {
         let (xs, ys) = &mut by_op[op.id() as usize];
         xs.push(bytes);
         ys.push(cost);
@@ -109,6 +112,14 @@ fn instrument_primitive_costs(machine: &MachineSpec, link: &LinkSpec) -> Vec<OpF
         });
     }
     out
+}
+
+/// Runs the Figure 3/6/7 experiments with instrumentation on, one
+/// [`instrument_cell`] per pool cell, and fits the samples.
+pub fn measure_primitive_costs(machine: MachineSpec, link: LinkSpec) -> Vec<OpFit> {
+    fit_primitive_costs(genie_runner::map(&fit_cells(), |&(scheme, sem)| {
+        instrument_cell(&machine, &link, scheme, sem)
+    }))
 }
 
 #[cfg(test)]

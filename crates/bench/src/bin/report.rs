@@ -34,59 +34,41 @@
 //! Any other argument (an unknown flag or exhibit name) is an error:
 //! `report` names it on stderr and exits 2.
 //!
-//! Selected exhibits are computed in parallel on the genie-runner
+//! `report` first measures one plan: every latency sweep and
+//! instrumented fit that the selected exhibits share, each run once as
+//! pool cells (`genie_bench::plan`). Each exhibit then renders from
+//! it. The plan's cells and the exhibits run on the genie-runner
 //! worker pool (thread count from `--threads`, else the machine's
-//! parallelism) and printed in their canonical order, so the output is
+//! parallelism) and print in their canonical order, so the output is
 //! byte-identical to a serial run.
 //!
-//! Each exhibit's host wall clock is timed once, around its render;
-//! `--profile` prints those times and `--json` records them as
-//! `exhibits[].wall_ms`. Host timing of the datapath primitives lives
-//! in the `datapath` binary.
+//! `--profile` prints one row per plan input (`plan:grid ...`,
+//! `plan:fits ...`: the wall clock of its cells and fit), then one per
+//! exhibit (timed once around its render), and `--json` records the
+//! same rows as `exhibits[].wall_ms`. Host timing of the datapath
+//! primitives lives in the `datapath` binary.
 
 use std::time::Instant;
 
 use genie::SampleConfig;
-use genie_bench as gen;
+use genie_analysis::BufferingScheme;
+use genie_bench::{self as gen, Input, Sizes};
 use genie_fault::FaultConfig;
-use genie_machine::MachineSpec;
 use genie_trace::json::{Layout, Writer};
 
-fn figure2_walkthrough() -> String {
-    use genie::{plan_aligned_input, PageAction};
-    let mut out = String::from(
-        "# Figure 2: input alignment — worked example\n\
-         buffer at page offset 16 (unstripped header), 3 pages of data,\n\
-         reverse-copyout threshold 2178:\n",
-    );
-    for p in plan_aligned_input(4096, 16, 3 * 4096, 2178) {
-        let action = match p.action {
-            PageAction::CopyOut => "copy out".to_string(),
-            PageAction::SwapWhole => "swap pages".to_string(),
-            PageAction::FillAndSwap {
-                fill_prefix,
-                fill_suffix,
-            } => format!("complete ({fill_prefix}+{fill_suffix} B from app page), then swap"),
-        };
-        out.push_str(&format!(
-            "  page {}: data [{}, {}) -> {}\n",
-            p.page,
-            p.data_start,
-            p.data_start + p.data_len,
-            action
-        ));
-    }
-    out
-}
-
 /// The 60 KB early-demux latencies per semantics: the headline
-/// simulated numbers recorded alongside the wall-clock timings.
-fn simulated_summary() -> Vec<(String, f64)> {
-    let setup = genie::ExperimentSetup::early_demux(MachineSpec::micron_p166());
-    genie_runner::map(&genie::Semantics::ALL, |&sem| {
-        let lat = genie::measure_latency(&setup, sem, 61_440).expect("measure");
-        (sem.label().to_string(), lat.as_us())
-    })
+/// simulated numbers recorded alongside the wall-clock timings, read
+/// from the plan's early-demux Figure 3 grid.
+fn simulated_summary(m: &gen::Measured) -> Vec<(String, f64)> {
+    let grid = m.grid(BufferingScheme::EarlyDemux, Sizes::Figure);
+    genie::Semantics::ALL
+        .iter()
+        .zip(grid)
+        .map(|(sem, pts)| {
+            let p = pts.iter().find(|p| p.bytes == 61_440).expect("60 KB point");
+            (sem.label().to_string(), p.latency.as_us())
+        })
+        .collect()
 }
 
 /// Environment variable `name` parsed as a `T`; `None` when it is
@@ -160,21 +142,41 @@ fn faulted_stats(seed: u64) -> Vec<(&'static str, u64)> {
     sums
 }
 
-/// Prints the `--profile` table: one row per rendered exhibit, then
-/// the summed exhibit time beside the wall clock of the whole render.
-fn print_profile(rendered: &[(&str, String, f64)], total_ms: f64) {
+/// Prints the `--profile` table: one row per plan input, then one per
+/// rendered exhibit, then the summed time beside the wall clock of the
+/// whole measure-and-render.
+fn print_profile(rows: &[(String, f64)], exhibits: usize, total_ms: f64) {
     println!("# Profile: per-exhibit wall clock");
-    println!("  {:<12} {:>10}", "exhibit", "wall_ms");
-    for (name, _, ms) in rendered {
-        println!("  {name:<12} {ms:>10.3}");
+    println!("  {:<32} {:>10}", "exhibit", "wall_ms");
+    for (name, ms) in rows {
+        println!("  {name:<32} {ms:>10.3}");
     }
-    let summed: f64 = rendered.iter().map(|(_, _, ms)| ms).sum();
+    let summed: f64 = rows.iter().map(|(_, ms)| ms).sum();
     println!(
-        "  {} exhibits, {summed:.3} ms summed, {total_ms:.3} ms wall, {} worker threads",
-        rendered.len(),
+        "  {exhibits} exhibits, {} plan inputs, {summed:.3} ms summed, {total_ms:.3} ms wall, {} worker threads",
+        rows.len() - exhibits,
         genie_runner::configured_threads()
     );
     println!();
+}
+
+/// Removes the first `flag` from `args`; true if there was one.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let i = args.iter().position(|a| a == flag);
+    i.map(|i| args.remove(i)).is_some()
+}
+
+/// Removes `flag` and the value after it from `args` and returns the
+/// value; names the missing `what` and exits 2 when no value follows.
+fn take_value(args: &mut Vec<String>, flag: &str, what: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == flag)?;
+    if i + 1 >= args.len() {
+        eprintln!("{flag} requires {what}");
+        std::process::exit(2);
+    }
+    let value = args.remove(i + 1);
+    args.remove(i);
+    Some(value)
 }
 
 fn main() {
@@ -199,59 +201,25 @@ fn main() {
         print!("{}", gen::compare::render_comparison(&pa, &a, &pb, &b));
         return;
     }
-    let mut json = false;
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        args.remove(i);
-        json = true;
-    }
-    let mut want_metrics = false;
-    if let Some(i) = args.iter().position(|a| a == "--metrics") {
-        args.remove(i);
-        want_metrics = true;
-    }
-    let mut profile = false;
-    if let Some(i) = args.iter().position(|a| a == "--profile") {
-        args.remove(i);
-        profile = true;
-    }
-    let mut trace_path: Option<String> =
-        std::env::var("GENIE_TRACE").ok().filter(|p| !p.is_empty());
-    if let Some(i) = args.iter().position(|a| a == "--trace") {
-        if i + 1 >= args.len() {
-            eprintln!("--trace requires an output path");
-            std::process::exit(2);
-        }
-        trace_path = Some(args[i + 1].clone());
-        args.drain(i..=i + 1);
-    }
-    let mut want_scale = false;
-    if let Some(i) = args.iter().position(|a| a == "--scale") {
-        args.remove(i);
-        want_scale = true;
-    }
-    let mut want_cq = false;
-    if let Some(i) = args.iter().position(|a| a == "--cq") {
-        args.remove(i);
-        want_cq = true;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        if i + 1 >= args.len() {
-            eprintln!("--threads requires a count");
-            std::process::exit(2);
-        }
-        let n: usize = args[i + 1].parse().unwrap_or_else(|_| {
-            eprintln!("--threads: invalid count {:?}", args[i + 1]);
+    let json = take_flag(&mut args, "--json");
+    let want_metrics = take_flag(&mut args, "--metrics");
+    let profile = take_flag(&mut args, "--profile");
+    let trace_path = take_value(&mut args, "--trace", "an output path")
+        .or_else(|| std::env::var("GENIE_TRACE").ok().filter(|p| !p.is_empty()));
+    let want_scale = take_flag(&mut args, "--scale");
+    let want_cq = take_flag(&mut args, "--cq");
+    if let Some(n) = take_value(&mut args, "--threads", "a count") {
+        let n: usize = n.parse().unwrap_or_else(|_| {
+            eprintln!("--threads: invalid count {n:?}");
             std::process::exit(2);
         });
         genie_runner::set_threads(n);
-        args.drain(i..=i + 1);
     }
     // `fabric` is an explicit exhibit: `report fabric` only. It is
     // never part of `all` or a bare `report`, so the paper exhibits'
     // golden output stays byte-identical.
     let mut want_fabric = false;
-    while let Some(i) = args.iter().position(|a| a == "fabric") {
-        args.remove(i);
+    while take_flag(&mut args, "fabric") {
         want_fabric = true;
     }
     // `--scale` implies `fabric`: it selects the scale tier (the
@@ -264,63 +232,46 @@ fn main() {
     // no exhibits render. Same for a pure `report fabric`.
     let inspect_only = args.is_empty() && (want_metrics || trace_path.is_some() || want_fabric);
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name || a == "all");
-    let m = MachineSpec::micron_p166;
 
-    type Exhibit = (&'static str, Box<dyn Fn() -> String + Sync>);
-    let exhibits: Vec<Exhibit> = vec![
-        ("table1", Box::new(gen::table1)),
-        ("fig1", Box::new(gen::figure1)),
-        ("fig2", Box::new(figure2_walkthrough)),
-        ("table2", Box::new(gen::table2)),
-        ("table3", Box::new(gen::table3)),
-        ("table4", Box::new(gen::table4)),
-        ("table5", Box::new(gen::table5)),
-        ("fig3", Box::new(move || gen::figure3(m()))),
-        ("fig4", Box::new(move || gen::figure4(m()))),
-        ("fig5", Box::new(move || gen::figure5(m()))),
-        ("fig6", Box::new(move || gen::figure6(m()))),
-        ("fig7", Box::new(move || gen::figure7(m()))),
-        ("table6", Box::new(move || gen::table6(m()))),
-        ("table7", Box::new(move || gen::table7(m()))),
-        ("table8", Box::new(gen::table8)),
-        ("oc12", Box::new(gen::oc12)),
-        ("outboard", Box::new(move || gen::outboard(m()))),
-        ("ablations", Box::new(move || gen::ablation_thresholds(m()))),
-        ("waterfall", Box::new(move || gen::breakdown_waterfall(m()))),
-    ];
+    let exhibits = gen::exhibits();
 
     // Every flag was consumed above; what is left must name exhibits.
     if let Some(bad) = args
         .iter()
-        .find(|a| *a != "all" && !exhibits.iter().any(|(n, _)| n == a))
+        .find(|a| *a != "all" && !exhibits.iter().any(|e| e.name == a.as_str()))
     {
         eprintln!(
             "unknown argument {bad:?}; exhibits: {}",
             exhibits
                 .iter()
-                .map(|(n, _)| *n)
+                .map(|e| e.name)
                 .collect::<Vec<_>>()
                 .join(" ")
         );
         std::process::exit(2);
     }
-    let selected: Vec<&Exhibit> = if inspect_only {
+    let selected: Vec<&gen::Exhibit> = if inspect_only {
         Vec::new()
     } else {
-        exhibits.iter().filter(|(name, _)| want(name)).collect()
+        exhibits.iter().filter(|e| want(e.name)).collect()
     };
 
-    // Compute in parallel, print in canonical order.
+    // Measure the plan, render in parallel, print in canonical order.
+    // `--json`'s simulated summary reads the early-demux Figure 3 grid.
+    let grid = json.then_some(Input::Grid(BufferingScheme::EarlyDemux, Sizes::Figure));
     let t0 = Instant::now();
-    let rendered = genie_runner::map(&selected, |(name, f)| {
-        let t = Instant::now();
-        let text = f();
-        (*name, text, t.elapsed().as_secs_f64() * 1e3)
-    });
+    let (measured, rendered) = gen::render(&selected, grid.as_slice());
     let total_ms = t0.elapsed().as_secs_f64() * 1e3;
     for (_name, text, _ms) in &rendered {
         println!("{text}\n");
     }
+    // One wall-clock row per plan input, then one per exhibit.
+    let rows: Vec<(String, f64)> = measured
+        .rows
+        .iter()
+        .cloned()
+        .chain(rendered.iter().map(|(name, _, ms)| (name.to_string(), *ms)))
+        .collect();
     // `report fabric --metrics` is the flight-recorder view: rollup
     // tables instead of the distribution exhibit. Plain `report
     // --metrics` (the canonical two-host inspection) is untouched.
@@ -347,7 +298,7 @@ fn main() {
         }
     }
     if profile {
-        print_profile(&rendered, total_ms);
+        print_profile(&rows, rendered.len(), total_ms);
     }
     if want_metrics && !want_fabric {
         print!("{}", gen::inspect::metrics_json(&sample));
@@ -365,7 +316,7 @@ fn main() {
         w.key("threads").num(genie_runner::configured_threads());
         w.key("total_wall_ms").num(format_args!("{total_ms:.3}"));
         w.key("exhibits").array(Layout::Pretty);
-        for (name, _text, ms) in &rendered {
+        for (name, ms) in &rows {
             w.object(Layout::Line).key("name").str(name);
             w.key("wall_ms").num(format_args!("{ms:.3}")).end();
         }
@@ -384,7 +335,7 @@ fn main() {
             }
             w.end();
         };
-        flat("simulated_latency_60kb_us", &simulated_summary());
+        flat("simulated_latency_60kb_us", &simulated_summary(&measured));
         if want_fabric {
             // `report --json fabric` appends the fabric fan-in and
             // host-rollup sections `--compare` diffs.

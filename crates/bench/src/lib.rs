@@ -4,11 +4,14 @@
 //! Every generator returns plain text formatted like the paper's
 //! corresponding exhibit, produced by actually running the simulator
 //! (figures, Tables 6–8) or by querying the implementation's own
-//! structures (the taxonomy, the op tables, the machine specs).
+//! structures (the taxonomy, the op tables, the machine specs). The
+//! sweeps and fits several exhibits share come from one measurement
+//! [`plan`]; [`render`] measures it, then renders from it.
 
 pub mod compare;
 pub mod fabric;
 pub mod inspect;
+pub mod plan;
 pub mod revision;
 pub mod timing;
 
@@ -17,46 +20,92 @@ pub use fabric::{
     fabric_metrics_report, fabric_scale_exhibit, fabric_scale_json_section, fabric_scale_run,
     ScaleReport,
 };
+pub use plan::{Input, Measured, Sizes};
+
+use std::time::Instant;
 
 use genie::oplists::{self, OpUse, Scale};
 use genie::{
     latency_sweep, measure_ping_pong, throughput_mbps, ExperimentSetup, GenieConfig, Semantics,
     SeriesContext,
 };
+use genie_analysis::table6::FIT_SCHEMES;
 use genie_analysis::{
-    estimate_line, measure_line, measure_primitive_costs, param_ratios, predict_oc12_throughput,
-    render_series, render_table, BufferingScheme,
+    actual_line, estimate_line, param_ratios, predict_oc12_throughput, render_series, render_table,
+    BufferingScheme,
 };
 use genie_machine::{LinkSpec, MachineSpec};
 
-/// The eight figure-3 datagram sizes (page multiples up to 60 KB).
-pub fn figure_sizes() -> Vec<usize> {
-    (1..=15).map(|i| i * 4096).collect()
+/// One exhibit of the report.
+pub struct Exhibit {
+    /// The name `report` selects it by.
+    pub name: &'static str,
+    /// The plan inputs it renders from (none for an exhibit that
+    /// shares no measurement and does its own work).
+    pub needs: Vec<Input>,
+    /// Renders the exhibit's text from a plan that measured `needs`.
+    pub render: fn(&Measured) -> String,
 }
 
-/// The short-datagram sizes of Figure 5.
-pub fn short_sizes() -> Vec<usize> {
+/// Every exhibit, in canonical order.
+pub fn exhibits() -> Vec<Exhibit> {
+    use BufferingScheme::{EarlyDemux, Outboard, PooledAligned, PooledUnaligned};
+    let ex = |name, needs, render| Exhibit {
+        name,
+        needs,
+        render,
+    };
+    let grid = |scheme| vec![Input::Grid(scheme, Sizes::Figure)];
     vec![
-        64, 256, 512, 1024, 1536, 2048, 2560, 3072, 3584, 4096, 6144, 8192,
+        ex("table1", vec![], |_| table1()),
+        ex("fig1", vec![], |_| figure1()),
+        ex("fig2", vec![], |_| figure2()),
+        ex("table2", vec![], |_| table2()),
+        ex("table3", vec![], |_| table3()),
+        ex("table4", vec![], |_| table4()),
+        ex("table5", vec![], |_| table5()),
+        ex("fig3", grid(EarlyDemux), figure3),
+        ex("fig4", vec![], |_| figure4()),
+        ex("fig5", vec![Input::Grid(EarlyDemux, Sizes::Short)], figure5),
+        ex("fig6", grid(PooledAligned), figure6),
+        ex("fig7", grid(PooledUnaligned), figure7),
+        ex(
+            "table6",
+            vec![Input::Fits(MachineSpec::micron_p166())],
+            table6,
+        ),
+        ex(
+            "table7",
+            FIT_SCHEMES.iter().flat_map(|&s| grid(s)).collect(),
+            table7,
+        ),
+        ex(
+            "table8",
+            MachineSpec::all().into_iter().map(Input::Fits).collect(),
+            table8,
+        ),
+        ex("oc12", vec![], |_| oc12()),
+        ex("outboard", grid(Outboard), outboard),
+        ex("ablations", vec![], |_| ablation_thresholds()),
+        ex("waterfall", vec![], |_| breakdown_waterfall()),
     ]
 }
 
-fn series_for(
-    setup: &ExperimentSetup,
-    sizes: &[usize],
-    semantics: &[Semantics],
-) -> Vec<(String, Vec<(f64, f64)>)> {
-    // One cell per semantics; each worker's nested latency_sweep runs
-    // inline, reusing a single World across all its sizes.
-    genie_runner::map(semantics, |&s| {
-        let pts = latency_sweep(setup, s, sizes);
-        (
-            s.label().to_string(),
-            pts.iter()
-                .map(|p| (p.bytes as f64, p.latency.as_us()))
-                .collect(),
-        )
-    })
+/// Renders `selected` in two steps: one plan measures every input they
+/// need plus `extra`, then each exhibit renders from it as one pool
+/// cell. Returns the plan and, in `selected` order, each exhibit's
+/// name, text and render wall clock in ms.
+pub fn render(
+    selected: &[&Exhibit],
+    extra: &[Input],
+) -> (Measured, Vec<(&'static str, String, f64)>) {
+    let measured = plan::measure(selected.iter().flat_map(|e| &e.needs).chain(extra));
+    let rendered = genie_runner::map(selected, |e| {
+        let t = Instant::now();
+        let text = (e.render)(&measured);
+        (e.name, text, t.elapsed().as_secs_f64() * 1e3)
+    });
+    (measured, rendered)
 }
 
 /// Table 1: LAN bandwidth history (static data from the paper).
@@ -99,6 +148,34 @@ pub fn figure1() -> String {
     )
 }
 
+/// Figure 2: the input-alignment plan, as a worked example.
+pub fn figure2() -> String {
+    use genie::{plan_aligned_input, PageAction};
+    let mut out = String::from(
+        "# Figure 2: input alignment — worked example\n\
+         buffer at page offset 16 (unstripped header), 3 pages of data,\n\
+         reverse-copyout threshold 2178:\n",
+    );
+    for p in plan_aligned_input(4096, 16, 3 * 4096, 2178) {
+        let action = match p.action {
+            PageAction::CopyOut => "copy out".to_string(),
+            PageAction::SwapWhole => "swap pages".to_string(),
+            PageAction::FillAndSwap {
+                fill_prefix,
+                fill_suffix,
+            } => format!("complete ({fill_prefix}+{fill_suffix} B from app page), then swap"),
+        };
+        out.push_str(&format!(
+            "  page {}: data [{}, {}) -> {}\n",
+            p.page,
+            p.data_start,
+            p.data_start + p.data_len,
+            action
+        ));
+    }
+    out
+}
+
 fn oplist_cell(ops: &[OpUse]) -> String {
     if ops.is_empty() {
         "-".to_string()
@@ -116,67 +193,56 @@ fn oplist_cell(ops: &[OpUse]) -> String {
     }
 }
 
-/// Table 2: output operations per semantics.
-pub fn table2() -> String {
+/// A table of one op list per column for every semantics, as Tables
+/// 2–4 lay them out.
+fn oplist_table(title: &str, headers: &[&str], cols: &[fn(Semantics) -> Vec<OpUse>]) -> String {
     let rows: Vec<Vec<String>> = Semantics::ALL
         .iter()
         .map(|&s| {
-            vec![
-                s.label().to_string(),
-                oplist_cell(&oplists::output_prepare(s)),
-                oplist_cell(&oplists::output_dispose(s)),
-            ]
+            let ops = cols.iter().map(|col| oplist_cell(&col(s)));
+            std::iter::once(s.label().to_string()).chain(ops).collect()
         })
         .collect();
-    format!(
-        "# Table 2: operations for data output\n{}",
-        render_table(&["semantics", "prepare", "dispose"], &rows)
+    format!("# {title}\n{}", render_table(headers, &rows))
+}
+
+/// Table 2: output operations per semantics.
+pub fn table2() -> String {
+    oplist_table(
+        "Table 2: operations for data output",
+        &["semantics", "prepare", "dispose"],
+        &[oplists::output_prepare, oplists::output_dispose],
     )
 }
 
 /// Table 3: input operations with early demultiplexing.
 pub fn table3() -> String {
-    let rows: Vec<Vec<String>> = Semantics::ALL
-        .iter()
-        .map(|&s| {
-            vec![
-                s.label().to_string(),
-                oplist_cell(&oplists::input_prepare_early(s)),
-                oplist_cell(&oplists::input_ready_early(s)),
-                oplist_cell(&oplists::input_dispose_early(s)),
-            ]
-        })
-        .collect();
-    format!(
-        "# Table 3: input operations, early demultiplexing\n{}",
-        render_table(&["semantics", "prepare", "ready", "dispose"], &rows)
+    oplist_table(
+        "Table 3: input operations, early demultiplexing",
+        &["semantics", "prepare", "ready", "dispose"],
+        &[
+            oplists::input_prepare_early,
+            oplists::input_ready_early,
+            oplists::input_dispose_early,
+        ],
     )
 }
 
 /// Table 4: input operations with pooled buffering.
 pub fn table4() -> String {
-    let rows: Vec<Vec<String>> = Semantics::ALL
-        .iter()
-        .map(|&s| {
-            vec![
-                s.label().to_string(),
-                oplist_cell(&oplists::input_ready_pooled(s)),
-                oplist_cell(&oplists::input_dispose_pooled(s, true)),
-                oplist_cell(&oplists::input_dispose_pooled(s, false)),
-            ]
-        })
-        .collect();
-    format!(
-        "# Table 4: input operations, pooled buffering\n{}",
-        render_table(
-            &[
-                "semantics",
-                "ready",
-                "dispose (aligned)",
-                "dispose (unaligned)"
-            ],
-            &rows
-        )
+    oplist_table(
+        "Table 4: input operations, pooled buffering",
+        &[
+            "semantics",
+            "ready",
+            "dispose (aligned)",
+            "dispose (unaligned)",
+        ],
+        &[
+            oplists::input_ready_pooled,
+            |s| oplists::input_dispose_pooled(s, true),
+            |s| oplists::input_dispose_pooled(s, false),
+        ],
     )
 }
 
@@ -208,36 +274,38 @@ pub fn table5() -> String {
     )
 }
 
-/// Figure 3: end-to-end latency with early demultiplexing.
-pub fn figure3(machine: MachineSpec) -> String {
-    let setup = ExperimentSetup::early_demux(machine);
-    let series = series_for(&setup, &figure_sizes(), &Semantics::ALL);
-    let mut out = render_series(
-        "Figure 3: latency (us) vs datagram bytes, early demultiplexing",
-        "bytes",
-        &series,
-    );
-    out.push_str(&throughput_note(&series, 61_440));
+/// A latency figure rendered from a plan grid: one (bytes, µs) series
+/// per semantics, and for page-multiple grids each semantics'
+/// equivalent throughput for a single 60 KB datagram.
+fn latency_figure(m: &Measured, scheme: BufferingScheme, sizes: Sizes, title: &str) -> String {
+    let series: Vec<(String, Vec<(f64, f64)>)> = Semantics::ALL
+        .iter()
+        .zip(m.grid(scheme, sizes))
+        .map(|(s, pts)| {
+            let pts = pts.iter().map(|p| (p.bytes as f64, p.latency.as_us()));
+            (s.label().to_string(), pts.collect())
+        })
+        .collect();
+    let mut out = render_series(title, "bytes", &series);
+    if sizes == Sizes::Figure {
+        out.push_str("\nequivalent throughput for single 61440-byte datagrams:\n");
+        for (label, pts) in &series {
+            let (bytes, us) = pts.iter().find(|p| p.0 == 61_440.0).expect("60 KB point");
+            out.push_str(&format!("  {label:<20} {:>5.0} Mbps\n", bytes * 8.0 / us));
+        }
+    }
     out
 }
 
-fn throughput_note(series: &[(String, Vec<(f64, f64)>)], at: usize) -> String {
-    let mut s = format!("\nequivalent throughput for single {at}-byte datagrams:\n");
-    for (label, pts) in series {
-        if let Some(p) = pts.iter().find(|p| p.0 as usize == at) {
-            s.push_str(&format!(
-                "  {:<20} {:>5.0} Mbps\n",
-                label,
-                at as f64 * 8.0 / p.1
-            ));
-        }
-    }
-    s
+/// Figure 3: end-to-end latency with early demultiplexing.
+pub fn figure3(m: &Measured) -> String {
+    let title = "Figure 3: latency (us) vs datagram bytes, early demultiplexing";
+    latency_figure(m, BufferingScheme::EarlyDemux, Sizes::Figure, title)
 }
 
 /// Figure 4: CPU utilization while running the Figure 3 experiment.
-pub fn figure4(machine: MachineSpec) -> String {
-    let setup = ExperimentSetup::early_demux(machine);
+pub fn figure4() -> String {
+    let setup = ExperimentSetup::early_demux(MachineSpec::micron_p166());
     let sizes: Vec<usize> = [1, 3, 5, 8, 11, 15].iter().map(|i| i * 4096).collect();
     let series: Vec<(String, Vec<(f64, f64)>)> = genie_runner::map(&Semantics::ALL, |&s| {
         let pts: Vec<(f64, f64)> = sizes
@@ -258,45 +326,26 @@ pub fn figure4(machine: MachineSpec) -> String {
 
 /// Figure 5: short-datagram latency with early demultiplexing
 /// (thresholds and reverse copyout in action).
-pub fn figure5(machine: MachineSpec) -> String {
-    let setup = ExperimentSetup::early_demux(machine);
-    let series = series_for(&setup, &short_sizes(), &Semantics::ALL);
-    render_series(
-        "Figure 5: short-datagram latency (us), early demultiplexing",
-        "bytes",
-        &series,
-    )
+pub fn figure5(m: &Measured) -> String {
+    let title = "Figure 5: short-datagram latency (us), early demultiplexing";
+    latency_figure(m, BufferingScheme::EarlyDemux, Sizes::Short, title)
 }
 
 /// Figure 6: latency with application-aligned pooled input buffering.
-pub fn figure6(machine: MachineSpec) -> String {
-    let setup = ExperimentSetup::pooled_aligned(machine);
-    let series = series_for(&setup, &figure_sizes(), &Semantics::ALL);
-    let mut out = render_series(
-        "Figure 6: latency (us) vs bytes, application-aligned pooled input",
-        "bytes",
-        &series,
-    );
-    out.push_str(&throughput_note(&series, 61_440));
-    out
+pub fn figure6(m: &Measured) -> String {
+    let title = "Figure 6: latency (us) vs bytes, application-aligned pooled input";
+    latency_figure(m, BufferingScheme::PooledAligned, Sizes::Figure, title)
 }
 
 /// Figure 7: latency with unaligned pooled input buffering.
-pub fn figure7(machine: MachineSpec) -> String {
-    let setup = ExperimentSetup::pooled_unaligned(machine);
-    let series = series_for(&setup, &figure_sizes(), &Semantics::ALL);
-    let mut out = render_series(
-        "Figure 7: latency (us) vs bytes, unaligned pooled input",
-        "bytes",
-        &series,
-    );
-    out.push_str(&throughput_note(&series, 61_440));
-    out
+pub fn figure7(m: &Measured) -> String {
+    let title = "Figure 7: latency (us) vs bytes, unaligned pooled input";
+    latency_figure(m, BufferingScheme::PooledUnaligned, Sizes::Figure, title)
 }
 
 /// Table 6: primitive-operation costs from instrumented runs.
-pub fn table6(machine: MachineSpec) -> String {
-    let fits = measure_primitive_costs(machine, LinkSpec::oc3());
+pub fn table6(m: &Measured) -> String {
+    let fits = m.fits(&MachineSpec::micron_p166());
     let rows: Vec<Vec<String>> = fits
         .iter()
         .map(|f| {
@@ -313,36 +362,23 @@ pub fn table6(machine: MachineSpec) -> String {
     )
 }
 
-/// Table 7: estimated vs actual end-to-end latency fits.
-pub fn table7(machine: MachineSpec) -> String {
-    let model = genie_machine::CostModel::new(machine.clone());
+/// Table 7: estimated vs actual end-to-end latency fits. The "A" lines
+/// fit the Figure 3/6/7 grids, whose sizes are [`fit_sizes`] on the
+/// P166's 4 KB pages.
+///
+/// [`fit_sizes`]: genie_analysis::breakdown::fit_sizes
+pub fn table7(m: &Measured) -> String {
+    let model = genie_machine::CostModel::new(MachineSpec::micron_p166());
     let link = LinkSpec::oc3();
-    let schemes = [
-        BufferingScheme::EarlyDemux,
-        BufferingScheme::PooledAligned,
-        BufferingScheme::PooledUnaligned,
-    ];
-    // The measured ("A") lines are full latency sweeps: one cell per
-    // (semantics, scheme) pair on the worker pool.
-    let cells: Vec<(Semantics, BufferingScheme)> = Semantics::ALL
-        .iter()
-        .flat_map(|&sem| schemes.iter().map(move |&sch| (sem, sch)))
-        .collect();
-    let fits = genie_runner::map(&cells, |&(sem, scheme)| {
-        let e = estimate_line(&model, &link, sem, scheme);
-        let a = measure_line(machine.clone(), link.clone(), sem, scheme);
-        (
-            format!("{:.4} B + {:.0}", e.fit.slope, e.fit.intercept),
-            format!("{:.4} B + {:.0}", a.fit.slope, a.fit.intercept),
-        )
-    });
     let mut rows = Vec::new();
-    for (i, sem) in Semantics::ALL.iter().enumerate() {
+    for (i, &sem) in Semantics::ALL.iter().enumerate() {
         let mut e_row = vec![sem.label().to_string(), "E".to_string()];
         let mut a_row = vec![String::new(), "A".to_string()];
-        for (e, a) in &fits[i * schemes.len()..(i + 1) * schemes.len()] {
-            e_row.push(e.clone());
-            a_row.push(a.clone());
+        for scheme in FIT_SCHEMES {
+            let e = estimate_line(&model, &link, sem, scheme);
+            let a = actual_line(&m.grid(scheme, Sizes::Figure)[i]);
+            e_row.push(format!("{:.4} B + {:.0}", e.slope, e.intercept));
+            a_row.push(format!("{:.4} B + {:.0}", a.slope, a.intercept));
         }
         rows.push(e_row);
         rows.push(a_row);
@@ -363,17 +399,15 @@ pub fn table7(machine: MachineSpec) -> String {
 }
 
 /// Table 8: cross-platform scaling of data-passing costs.
-pub fn table8() -> String {
+pub fn table8(m: &Measured) -> String {
     let base_machine = MachineSpec::micron_p166();
-    let base = measure_primitive_costs(base_machine.clone(), LinkSpec::oc3());
+    let base = m.fits(&base_machine);
     let mut out =
         String::from("# Table 8: scaling of data passing costs relative to the Micron P166\n");
-    for other_machine in [
-        MachineSpec::gateway_p5_90(),
-        MachineSpec::alphastation_255(),
-    ] {
-        let other = measure_primitive_costs(other_machine.clone(), LinkSpec::oc3());
-        let summaries = param_ratios(&base_machine, &other_machine, &base, &other);
+    // Each other Table 5 platform against the base.
+    for other_machine in &MachineSpec::all()[1..] {
+        let other = m.fits(other_machine);
+        let summaries = param_ratios(&base_machine, other_machine, base, other);
         let rows: Vec<Vec<String>> = summaries
             .iter()
             .map(|s| {
@@ -436,33 +470,21 @@ pub fn oc12() -> String {
 
 /// Section 6.2.3: outboard buffering (simulated; the paper's hardware
 /// could not measure it).
-pub fn outboard(machine: MachineSpec) -> String {
-    let setup = ExperimentSetup::outboard(machine);
-    let series = series_for(&setup, &figure_sizes(), &Semantics::ALL);
-    let mut out = render_series(
-        "Outboard buffering (extension): latency (us) vs bytes",
-        "bytes",
-        &series,
-    );
-    out.push_str(&throughput_note(&series, 61_440));
-    out.push_str(
-        "\nper Section 6.2.3 the store-and-forward stage adds equal latency to all\n\
-         semantics except emulated copy, which lands closest to emulated share.\n",
-    );
-    out
+pub fn outboard(m: &Measured) -> String {
+    let title = "Outboard buffering (extension): latency (us) vs bytes";
+    latency_figure(m, BufferingScheme::Outboard, Sizes::Figure, title)
+        + "\nper Section 6.2.3 the store-and-forward stage adds equal latency to all\n\
+           semantics except emulated copy, which lands closest to emulated share.\n"
 }
 
-/// Ablation: TCOW vs wiring-based share on an overwrite-during-output
-/// workload, and the other design-choice ablations (see the `report`
-/// binary and bench suite).
-pub fn ablation_thresholds(machine: MachineSpec) -> String {
-    let mut with = ExperimentSetup::early_demux(machine.clone());
-    let mut without = ExperimentSetup::early_demux(machine);
+/// Ablation: emulated copy's output threshold (automatic conversion
+/// to copy) on and off.
+pub fn ablation_thresholds() -> String {
+    let with = ExperimentSetup::early_demux(MachineSpec::micron_p166());
+    let mut without = with.clone();
     without.genie = GenieConfig::default().without_thresholds();
-    with.genie = GenieConfig::default();
-    let sizes = [256usize, 512, 1024, 1536, 2048];
     let mut rows = Vec::new();
-    for &b in &sizes {
+    for b in [256, 512, 1024, 1536, 2048] {
         let w = latency_sweep(&with, Semantics::EmulatedCopy, &[b])[0].latency;
         let wo = latency_sweep(&without, Semantics::EmulatedCopy, &[b])[0].latency;
         rows.push(vec![
@@ -480,8 +502,8 @@ pub fn ablation_thresholds(machine: MachineSpec) -> String {
 /// Latency-breakdown waterfall: the operations one 60 KB early-demux
 /// exchange charges, per semantics, with their simulated costs — the
 /// Section 8 decomposition made visible.
-pub fn breakdown_waterfall(machine: MachineSpec) -> String {
-    let mut setup = ExperimentSetup::early_demux(machine);
+pub fn breakdown_waterfall() -> String {
+    let mut setup = ExperimentSetup::early_demux(MachineSpec::micron_p166());
     setup.genie = setup.genie.without_thresholds();
     let mut out =
         String::from("# Latency breakdown: per-op charges of one 60 KB exchange (early demux)\n");

@@ -60,9 +60,15 @@ fn report_json_all_parses() {
     let Some(Json::Arr(exhibits)) = doc.get("exhibits") else {
         panic!("no exhibits array: {doc:?}")
     };
-    assert_eq!(exhibits.len(), 19);
-    for e in exhibits {
-        assert!(e.get("name").and_then(Json::as_str).is_some(), "{e:?}");
+    // Eight plan rows (`plan:grid ...`, `plan:fits ...`), then the 19
+    // exhibits.
+    assert_eq!(exhibits.len(), 8 + 19);
+    for (i, e) in exhibits.iter().enumerate() {
+        let name = e.get("name").and_then(Json::as_str);
+        assert!(
+            name.is_some_and(|n| n.starts_with("plan:") == (i < 8)),
+            "{e:?}"
+        );
         assert!(e.get("wall_ms").and_then(Json::as_f64).is_some(), "{e:?}");
     }
     let sims = members(doc.get("simulated_latency_60kb_us").expect("simulated"));

@@ -109,6 +109,19 @@ fn compare_reads_one_line_documents() {
     let _ = std::fs::remove_file(one);
 }
 
+/// The plan inputs `report all` measures, in the order its exhibits
+/// first need them: the latency grids and the instrumented fit sets.
+const PLAN_ROWS: [&str; 8] = [
+    "plan:grid EarlyDemux/Figure",
+    "plan:grid EarlyDemux/Short",
+    "plan:grid PooledAligned/Figure",
+    "plan:grid PooledUnaligned/Figure",
+    "plan:fits Micron P166",
+    "plan:fits Gateway P5-90",
+    "plan:fits AlphaStation 255/233",
+    "plan:grid Outboard/Figure",
+];
+
 #[test]
 fn profile_prints_one_row_per_exhibit_at_any_thread_count() {
     // The exhibit list, in canonical order, as `report` itself names it.
@@ -132,20 +145,47 @@ fn profile_prints_one_row_per_exhibit_at_any_thread_count() {
         let (summary, rows) = table
             .split_last()
             .unwrap_or_else(|| panic!("threads {threads}: no profile table:\n{stdout}"));
-        let names: Vec<&str> = rows
+        // A row is a name (plan rows hold spaces) and then its wall_ms.
+        let rows: Vec<(String, f64)> = rows
             .iter()
-            .map(|row| row.split_whitespace().next().unwrap_or(""))
+            .map(|row| {
+                let (name, ms) = row
+                    .trim()
+                    .rsplit_once(' ')
+                    .unwrap_or_else(|| panic!("threads {threads}: row {row:?}"));
+                let ms: f64 = ms.parse().expect("wall_ms is a number");
+                assert!(ms >= 0.0, "threads {threads}: row {row:?}");
+                (name.trim().to_string(), ms)
+            })
             .collect();
+        // The plan's rows print first, then one row per exhibit.
+        let (plan, exhibit_rows) = rows.split_at(PLAN_ROWS.len());
+        let plan_names: Vec<&str> = plan.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(plan_names, PLAN_ROWS, "threads {threads}");
+        let names: Vec<&str> = exhibit_rows.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, exhibits, "threads {threads}");
-        for row in rows {
-            let fields: Vec<&str> = row.split_whitespace().collect();
-            assert_eq!(fields.len(), 2, "threads {threads}: row {row:?}");
-            let ms: f64 = fields[1].parse().expect("wall_ms is a number");
-            assert!(ms >= 0.0, "threads {threads}: row {row:?}");
+        for name in &names {
+            assert_eq!(name.split_whitespace().count(), 1, "threads {threads}");
         }
         assert!(
-            summary.trim_start().starts_with("19 exhibits,"),
+            summary
+                .trim_start()
+                .starts_with("19 exhibits, 8 plan inputs,"),
             "threads {threads}: summary {summary:?}"
         );
+        if threads == "1" {
+            // Serially, the rows cover the whole measure-and-render.
+            let wall: f64 = summary
+                .split(" ms wall")
+                .next()
+                .and_then(|s| s.rsplit(' ').next())
+                .and_then(|s| s.parse().ok())
+                .unwrap_or_else(|| panic!("no wall in summary {summary:?}"));
+            let summed: f64 = rows.iter().map(|(_, ms)| ms).sum();
+            assert!(
+                (summed - wall).abs() <= 0.01 * wall,
+                "rows sum to {summed:.3} ms against {wall:.3} ms wall"
+            );
+        }
     }
 }

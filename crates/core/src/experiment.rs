@@ -2,21 +2,21 @@
 //!
 //! [`latency_sweep`] reproduces the latency figures (3, 5, 6, 7):
 //! one-way datagram latency for a (semantics, input-buffering,
-//! alignment) combination over a range of sizes. [`utilization_sweep`]
-//! reproduces Figure 4's CPU utilization using a ping-pong exchange.
+//! alignment) combination over a range of sizes. [`measure_ping_pong`]
+//! measures Figure 4's CPU utilization using a ping-pong exchange.
 //! Every measured exchange also verifies the received bytes equal the
 //! sent bytes, so the performance experiments double as end-to-end
 //! integrity checks.
 //!
 //! Each measured cell drives its own single-threaded `World`
-//! (deterministic by design); the sweeps fan independent cells out to
-//! the `genie-runner` worker pool and collect results by cell index,
-//! so sweep output is byte-identical at any thread count. Within one
-//! worker's share of a sweep, a [`SeriesContext`] reuses one `World`
-//! across sizes instead of rebuilding (and re-zeroing) its physical
-//! memory per point; every exchange starts from a quiesced world with
-//! freshly allocated buffers and a warm-up round, so a reused world
-//! measures exactly what a fresh one does.
+//! (deterministic by design). A latency sweep is one such cell: a
+//! [`SeriesContext`] reuses one `World` across the sweep's sizes
+//! instead of rebuilding (and re-zeroing) its physical memory per
+//! point; every exchange starts from a quiesced world with freshly
+//! allocated buffers and a warm-up round, so a reused world measures
+//! exactly what a fresh one does. Callers fan whole sweeps out to the
+//! `genie-runner` worker pool, which collects results by cell index,
+//! so output is byte-identical at any thread count.
 
 use genie_machine::{LinkSpec, MachineSpec, SimTime};
 use genie_net::{InputBuffering, Vc, HEADER_LEN};
@@ -116,8 +116,6 @@ pub struct ExperimentPoint {
     pub bytes: usize,
     /// One-way end-to-end latency.
     pub latency: SimTime,
-    /// CPU utilization in [0, 1] (zero for pure latency sweeps).
-    pub utilization: f64,
 }
 
 /// Deterministic payload pattern.
@@ -357,78 +355,23 @@ pub fn measure_latency(
     SeriesContext::new(setup, &[bytes]).measure_latency(semantics, bytes)
 }
 
-/// Latency sweep over datagram sizes (Figures 3, 5, 6, 7).
-///
-/// Sizes are split into contiguous chunks, one per worker thread; each
-/// chunk reuses a single [`SeriesContext`]. Results come back in size
-/// order regardless of thread count.
-///
-/// Sweeps are memoized on `(setup, semantics, sizes)`: several
-/// exhibits fit or re-plot the very same deterministic points (the
-/// Figure 3/6/7 sweeps are also Table 7's "A" lines), and a full
-/// report run should simulate each distinct sweep once.
+/// Latency sweep over datagram sizes (Figures 3, 5, 6, 7): one
+/// [`SeriesContext`] measures every size in order, and the points come
+/// back in size order. A sweep is one serial unit of work; a caller
+/// that wants parallelism runs independent sweeps as pool cells.
 pub fn latency_sweep(
     setup: &ExperimentSetup,
     semantics: Semantics,
     sizes: &[usize],
 ) -> Vec<ExperimentPoint> {
-    if sizes.is_empty() {
-        return Vec::new();
-    }
-    static CACHE: std::sync::Mutex<Vec<(String, Vec<ExperimentPoint>)>> =
-        std::sync::Mutex::new(Vec::new());
-    let key = format!("{setup:?}|{semantics:?}|{sizes:?}");
-    if let Some((_, pts)) = CACHE.lock().unwrap().iter().find(|(k, _)| *k == key) {
-        return pts.clone();
-    }
-    let pts = latency_sweep_uncached(setup, semantics, sizes);
-    CACHE.lock().unwrap().push((key, pts.clone()));
-    pts
-}
-
-/// The uncached sweep behind [`latency_sweep`].
-fn latency_sweep_uncached(
-    setup: &ExperimentSetup,
-    semantics: Semantics,
-    sizes: &[usize],
-) -> Vec<ExperimentPoint> {
-    let threads = genie_runner::configured_threads().clamp(1, sizes.len());
-    let chunks: Vec<&[usize]> = sizes.chunks(sizes.len().div_ceil(threads)).collect();
-    genie_runner::map(&chunks, |chunk| {
-        let mut ctx = SeriesContext::new(setup, chunk);
-        chunk
-            .iter()
-            .map(|&bytes| ExperimentPoint {
-                bytes,
-                latency: ctx.measure_latency(semantics, bytes).expect("experiment"),
-                utilization: 0.0,
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// CPU utilization via ping-pong exchange (Figure 4): each host
-/// alternately sends and receives; utilization is host A's busy time
-/// over elapsed time, after a warm-up round. Each size is an
-/// independent cell on the worker pool.
-pub fn utilization_sweep(
-    setup: &ExperimentSetup,
-    semantics: Semantics,
-    sizes: &[usize],
-    rounds: usize,
-) -> Vec<ExperimentPoint> {
-    genie_runner::map(sizes, |&bytes| {
-        let (latency, utilization) =
-            measure_ping_pong(setup, semantics, bytes, rounds).expect("experiment");
-        ExperimentPoint {
+    let mut ctx = SeriesContext::new(setup, sizes);
+    sizes
+        .iter()
+        .map(|&bytes| ExperimentPoint {
             bytes,
-            latency,
-            utilization,
-        }
-    })
+            latency: ctx.measure_latency(semantics, bytes).expect("experiment"),
+        })
+        .collect()
 }
 
 /// Runs `rounds` ping-pong rounds and returns (one-way latency of the
@@ -442,52 +385,37 @@ pub fn measure_ping_pong(
     let mut w = World::new(setup.world_config());
     let pa = w.create_process(HostId::A);
     let pb = w.create_process(HostId::B);
-    let mut bufs_ab: Option<(u64, u64)> = None;
-    let mut bufs_ba: Option<(u64, u64)> = None;
-
-    let mut half_round = |w: &mut World, dir: bool, seed: u8| -> Result<SimTime, GenieError> {
-        if dir {
-            with_payload(bytes, seed, |data| {
-                one_exchange_between(
-                    w,
-                    semantics,
-                    Vc(1),
-                    HostId::A,
-                    pa,
-                    HostId::B,
-                    pb,
-                    setup.recv_page_off,
-                    data,
-                    &mut bufs_ab,
-                )
-            })
-        } else {
-            with_payload(bytes, seed, |data| {
-                one_exchange_between(
-                    w,
-                    semantics,
-                    Vc(2),
-                    HostId::B,
-                    pb,
-                    HostId::A,
-                    pa,
-                    setup.recv_page_off,
-                    data,
-                    &mut bufs_ba,
-                )
-            })
-        }
+    // Direction 0 sends A -> B on VC 1, direction 1 B -> A on VC 2,
+    // each reusing its own application buffer pair.
+    let ends = [(HostId::A, pa), (HostId::B, pb)];
+    let mut bufs: [Option<(u64, u64)>; 2] = [None, None];
+    let mut half_round = |w: &mut World, dir: usize, seed: u8| -> Result<SimTime, GenieError> {
+        let ((from, tx), (to, rx)) = (ends[dir], ends[1 - dir]);
+        with_payload(bytes, seed, |data| {
+            one_exchange_between(
+                w,
+                semantics,
+                Vc(1 + dir as u32),
+                from,
+                tx,
+                to,
+                rx,
+                setup.recv_page_off,
+                data,
+                &mut bufs[dir],
+            )
+        })
     };
 
     // Warm-up round.
-    half_round(&mut w, true, 0)?;
-    half_round(&mut w, false, 1)?;
+    half_round(&mut w, 0, 0)?;
+    half_round(&mut w, 1, 1)?;
     let busy0 = w.host(HostId::A).ledger.busy();
     let t0 = w.now();
     let mut last = SimTime::ZERO;
     for r in 0..rounds {
-        last = half_round(&mut w, true, r as u8)?;
-        half_round(&mut w, false, (r as u8).wrapping_add(128))?;
+        last = half_round(&mut w, 0, r as u8)?;
+        half_round(&mut w, 1, (r as u8).wrapping_add(128))?;
     }
     let busy1 = w.host(HostId::A).ledger.busy();
     let t1 = w.now();
@@ -520,7 +448,7 @@ fn one_exchange_between(
     // Both hosts idle before a measured exchange, as in the paper's
     // isolated runs.
     w.quiesce();
-    match semantics.allocation() {
+    let src = match semantics.allocation() {
         Allocation::Application => {
             if app_bufs.is_none() {
                 let src = w.host_mut(from).alloc_buffer(tx_space, bytes, 0)?;
@@ -531,22 +459,18 @@ fn one_exchange_between(
             }
             let (src, dst) = app_bufs.expect("buffers");
             w.input(to, InputRequest::app(semantics, vc, rx_space, dst, bytes))?;
-            w.app_write(from, tx_space, src, data)?;
-            w.output(
-                from,
-                OutputRequest::new(semantics, vc, tx_space, src, bytes),
-            )?;
+            src
         }
         Allocation::System => {
             w.input(to, InputRequest::system(semantics, vc, rx_space, bytes))?;
-            let (_, src) = w.host_mut(from).alloc_io_buffer(tx_space, bytes)?;
-            w.app_write(from, tx_space, src, data)?;
-            w.output(
-                from,
-                OutputRequest::new(semantics, vc, tx_space, src, bytes),
-            )?;
+            w.host_mut(from).alloc_io_buffer(tx_space, bytes)?.1
         }
-    }
+    };
+    w.app_write(from, tx_space, src, data)?;
+    w.output(
+        from,
+        OutputRequest::new(semantics, vc, tx_space, src, bytes),
+    )?;
     w.run();
     let done = w.take_completed_inputs();
     let _ = w.take_completed_outputs();

@@ -75,8 +75,7 @@ pub use cq::{
 pub use error::{ConfigError, GenieError};
 pub use experiment::{
     latency_sweep, measure_latency, measure_latency_traced, measure_ping_pong, measure_stream,
-    throughput_mbps, utilization_sweep, ExperimentPoint, ExperimentSetup, LatencyDistribution,
-    SeriesContext,
+    throughput_mbps, ExperimentPoint, ExperimentSetup, LatencyDistribution, SeriesContext,
 };
 pub use genie_trace::chrome::ChromeTrace;
 pub use genie_trace::metrics::{Histogram, Metric, MetricsRegistry};
