@@ -8,8 +8,7 @@
 //! (which buffering semantics wins?) to the contended regime, where
 //! the answer is a distribution, not a point.
 
-use genie::suites::FabricObservation;
-use genie::{SampleConfig, SuitePoint, ALL_SEMANTICS};
+use genie::{Observation, SampleConfig, SuitePoint, ALL_SEMANTICS};
 use genie_fault::FaultConfig;
 use genie_trace::metrics::Metric;
 
@@ -36,7 +35,8 @@ fn rows(out: &mut String, points: &[SuitePoint]) {
     }
 }
 
-/// Renders the three fabric suites across all eight semantics.
+/// Renders the three one-shot fabric suites (fan-in, reduce,
+/// multicast) across all eight semantics.
 pub fn fabric_exhibit() -> String {
     let mut out = String::from(
         "# Switched fabric: latency distributions under contention\n\
@@ -49,7 +49,7 @@ pub fn fabric_exhibit() -> String {
         &mut out,
         "RPC fan-in: 192 clients x 4 pipelined 2 KB requests -> 1 server port",
     );
-    let fanin = genie::suites::sweep(ALL_SEMANTICS, |s| genie::rpc_fanin(s, 192, 4, 2048));
+    let fanin = genie_runner::map(ALL_SEMANTICS, |&s| genie::rpc_fanin(s, 192, 4, 2048));
     rows(&mut out, &fanin);
     out.push('\n');
 
@@ -57,7 +57,7 @@ pub fn fabric_exhibit() -> String {
         &mut out,
         "Cluster reduce: 64 nodes, 32 KB vectors, 2 phases",
     );
-    let reduce = genie::suites::sweep(ALL_SEMANTICS, |s| genie::cluster_reduce(s, 64, 4096, 2));
+    let reduce = genie_runner::map(ALL_SEMANTICS, |&s| genie::cluster_reduce(s, 64, 4096, 2));
     rows(&mut out, &reduce);
     out.push('\n');
 
@@ -65,7 +65,7 @@ pub fn fabric_exhibit() -> String {
         &mut out,
         "Multicast stream: 96 subscribers x 16 frames of 8 KB",
     );
-    let mcast = genie::suites::sweep(ALL_SEMANTICS, |s| genie::multicast_stream(s, 96, 16, 8192));
+    let mcast = genie_runner::map(ALL_SEMANTICS, |&s| genie::multicast_stream(s, 96, 16, 8192));
     rows(&mut out, &mcast);
     out
 }
@@ -75,7 +75,7 @@ pub fn fabric_exhibit() -> String {
 /// port) per semantics, with tracing, switch observation and per-VC
 /// latency capture on, sampled and bounded per `sample`. All numbers
 /// are simulated, so the output is byte-identical at any thread count.
-fn observed_fanin(sample: &SampleConfig) -> Vec<FabricObservation> {
+fn observed_fanin(sample: &SampleConfig) -> Vec<Observation<SuitePoint>> {
     genie_runner::map(ALL_SEMANTICS, |&s| {
         genie::suites::rpc_fanin_observed(s, 7, 8, 2048, sample)
     })

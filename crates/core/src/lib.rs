@@ -86,7 +86,7 @@ pub use output::{OutputRequest, SendCompletion};
 pub use semantics::{Allocation, Integrity, Semantics};
 pub use suites::{
     cluster_reduce, cq_fanin_observed, cq_saturation, cq_sweep, multicast_stream, rpc_fanin,
-    rpc_fanin_observed, CqDepthPoint, CqObservation, CqSaturationPoint, CqSuiteConfig,
-    FabricObservation, SuitePoint, ALL_SEMANTICS,
+    rpc_fanin_observed, CqDepthPoint, CqSaturationPoint, CqSuiteConfig, Observation, SuitePoint,
+    ALL_SEMANTICS,
 };
 pub use world::{Fabric, HostId, World, WorldConfig};

@@ -1,42 +1,54 @@
 //! N-host switched-fabric experiment suites.
 //!
-//! The paper's measurements are two-host point experiments; these
+//! The paper's measurements are two-host point experiments; these five
 //! suites put the same eight semantics under *contention* — the regime
-//! production deployments live in — on switched topologies:
+//! production deployments live in — on switched topologies. Where a
+//! suite's latency comes from differs, and each doc says which:
 //!
 //! - [`rpc_fanin`]: many clients fan requests into one server port
 //!   (the switch's output-port FIFO and egress credit loop are the
-//!   bottleneck);
+//!   bottleneck). One open-loop burst by design: every request is
+//!   issued up front, so a latency includes the queue it joined;
 //! - [`cluster_reduce`]: an N-node reduction — every node ships its
-//!   vector to the root each phase, the root folds;
+//!   vector to the root each phase, the root folds. Each phase is one
+//!   open-loop burst, by design, after a `World::quiesce`;
 //! - [`multicast_stream`]: one sender replicated at switch ingress to
-//!   many subscribers;
+//!   many subscribers, every frame issued up front (open-loop);
 //! - [`fabric_scale`]: the scale tier, a star's spokes fanning a fixed
-//!   datagram count into its hub in bounded waves;
+//!   datagram count into its hub in bounded waves. Each wave is issued
+//!   at the spokes' own clocks, so it queues behind the backlog of every
+//!   earlier wave at the hub port;
 //! - [`cq_saturation`] / [`cq_sweep`]: request/response fan-in through
 //!   `genie::cq` queue pairs, swept over queue depth to find each
-//!   semantics' saturation knee.
+//!   semantics' saturation knee. Closed-loop: a client's fixed window
+//!   admits a request only once an earlier one's response came back.
 //!
-//! Each suite verifies end-to-end integrity (every delivered byte is
-//! checked against the pattern the sender wrote), verifies the fabric
-//! quiesced (no PDU stranded in a port FIFO), and reports the latency
+//! All five drive one rig: a star-switched P166 world with one process
+//! per host. Each suite checks the delivered bytes against the pattern
+//! the sender wrote (every byte, or a deterministic subsample where a
+//! full check would dominate), checks the fabric quiesced after every
+//! drain (no PDU stranded in a port FIFO), and reports the latency
 //! *distribution* per semantics — under contention the spread carries
 //! the signal, so results come back as [`LatencyDistribution`]
 //! (p50/p99) plus the switch's own counters.
 //!
 //! Worlds are single-threaded by construction; a sweep over semantics
-//! spreads the independent worlds (disjoint host groups) across
-//! genie-runner workers, so `sweep` output is byte-identical at any
+//! (`genie_runner::map`) spreads the independent worlds (disjoint host
+//! groups) across workers, so its output is byte-identical at any
 //! thread count.
 
 use std::collections::HashMap;
 
 use genie_machine::{MachineSpec, SimTime};
 use genie_net::{SwitchConfig, SwitchStats, Vc};
+use genie_trace::metrics::MetricsRegistry;
+use genie_trace::{SampleConfig, TraceSet};
 use genie_vm::SpaceId;
 
 use crate::experiment::LatencyDistribution;
-use crate::semantics::{Allocation, Semantics};
+use crate::input::RecvCompletion;
+use crate::output::OutputRequest;
+use crate::semantics::Semantics;
 use crate::world::{HostId, World, WorldConfig};
 
 /// One suite run's result for one semantics.
@@ -54,14 +66,20 @@ pub struct SuitePoint {
 /// suite sweeps.
 pub const ALL_SEMANTICS: &[Semantics] = &Semantics::ALL;
 
-/// Runs `f` once per semantics, spreading the independent worlds across
-/// genie-runner workers (each world is one isolated host group, so the
-/// sweep is deterministic at any thread count).
-pub fn sweep<F>(semantics: &[Semantics], f: F) -> Vec<SuitePoint>
-where
-    F: Fn(Semantics) -> SuitePoint + Sync,
-{
-    genie_runner::map(semantics, |&s| f(s))
+/// An observed suite run: the suite's usual result `P` plus everything
+/// the flight recorder captured — the unified metrics registry (with
+/// per-host, per-port and per-VC rollups, and the CQ suite's `cq_*`
+/// series and `rollup.cq` aggregates) and the sampled trace. Only
+/// [`rpc_fanin_observed`] and [`cq_fanin_observed`] pay for this; the
+/// plain suites stay instrumentation-free.
+#[derive(Debug)]
+pub struct Observation<P> {
+    /// The suite result, identical to the unobserved run's.
+    pub point: P,
+    /// Unified metrics at quiesce (rollups included).
+    pub metrics: MetricsRegistry,
+    /// The sampled trace, with its dropped-span ledger.
+    pub trace: TraceSet,
 }
 
 /// Asserts the switch ran dry: every output-port FIFO is empty at
@@ -94,48 +112,156 @@ fn pattern(stream_id: u32, k: usize, bytes: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Collects completions, checks each against its expected pattern, and
-/// returns every latency sample.
-fn check_and_collect(
-    w: &mut World,
-    expected: &HashMap<u64, (HostId, SpaceId, u32, usize)>,
-    bytes: usize,
-) -> Vec<SimTime> {
-    let done = w.take_completed_inputs();
-    assert_eq!(done.len(), expected.len(), "every datagram delivered");
-    let mut latencies = Vec::with_capacity(done.len());
-    for c in &done {
-        let (host, space, stream, k) = expected[&c.token];
-        assert_eq!(c.len, bytes);
-        let want = pattern(stream, k, bytes);
-        let ok = w
-            .app_matches(host, space, c.vaddr, &want)
-            .expect("delivered buffer readable");
-        assert!(ok, "stream {stream} datagram {k} corrupted");
-        latencies.push(c.latency);
-    }
-    latencies
+/// The world every suite drives: a P166 world behind one switch, with
+/// one process per host, indexed by host id (host 0 is the hub, the
+/// reduce root or the multicast sender), posting and sending every
+/// buffer the way one semantics does.
+struct Rig {
+    w: World,
+    semantics: Semantics,
+    spaces: Vec<SpaceId>,
 }
 
-/// An observed suite run: the usual [`SuitePoint`] plus everything
-/// the flight recorder captured — the unified metrics registry (with
-/// per-host, per-port and per-VC rollups) and the sampled trace. Only
-/// [`rpc_fanin_observed`] pays for this; the plain suites stay
-/// instrumentation-free.
-#[derive(Debug)]
-pub struct FabricObservation {
-    /// The suite result, identical to the unobserved run's.
-    pub point: SuitePoint,
-    /// Unified metrics at quiesce (rollups included).
-    pub metrics: genie_trace::metrics::MetricsRegistry,
-    /// The sampled trace, with its dropped-span ledger.
-    pub trace: genie_trace::TraceSet,
+impl Rig {
+    /// One host per port of `sw`. `tweak` adjusts the world config
+    /// before the world is built; `observe` turns the flight recorder
+    /// on.
+    fn new(
+        semantics: Semantics,
+        sw: SwitchConfig,
+        observe: Option<&SampleConfig>,
+        tweak: impl FnOnce(&mut WorldConfig),
+    ) -> Rig {
+        let hosts = sw.ports;
+        let mut wc = WorldConfig::switched(MachineSpec::micron_p166(), usize::from(hosts), sw);
+        tweak(&mut wc);
+        let mut w = World::new(wc);
+        if let Some(cfg) = observe {
+            w.enable_tracing(true);
+            w.set_sampling(cfg);
+        }
+        let spaces = (0..hosts).map(|h| w.create_process(HostId(h))).collect();
+        Rig {
+            w,
+            semantics,
+            spaces,
+        }
+    }
+
+    fn space(&self, host: u16) -> SpaceId {
+        self.spaces[usize::from(host)]
+    }
+
+    /// The page offset `host` prefers for a receive on `vc`.
+    fn offset(&self, host: u16, vc: Vc) -> usize {
+        self.w.preferred_alignment(HostId(host), vc).0
+    }
+
+    /// Preposts a `bytes` receive on `host`'s circuit `vc`; returns its
+    /// token.
+    fn post(&mut self, host: u16, vc: Vc, bytes: usize) -> u64 {
+        let (space, off) = (self.space(host), self.offset(host, vc));
+        self.w
+            .post_receive(HostId(host), space, self.semantics, vc, bytes, off)
+            .expect("prepost")
+    }
+
+    /// The buffer a queue-pair receive of `bytes` on `host`'s circuit
+    /// `vc` posts into, as [`World::post_receive`] would choose it.
+    fn buffer(&mut self, host: u16, vc: Vc, bytes: usize) -> Option<u64> {
+        let (space, off) = (self.space(host), self.offset(host, vc));
+        self.w
+            .receive_buffer(HostId(host), space, self.semantics, bytes, off)
+            .expect("receive buffer")
+    }
+
+    /// A send buffer on `host` holding `data`.
+    fn source(&mut self, host: u16, data: &[u8]) -> u64 {
+        let space = self.space(host);
+        self.w
+            .alloc_source(HostId(host), space, self.semantics, data)
+            .expect("source")
+    }
+
+    /// Sends `data` from `host` on `vc`; returns the source buffer.
+    fn send(&mut self, host: u16, vc: Vc, data: &[u8]) -> u64 {
+        let src = self.source(host, data);
+        let req = OutputRequest::new(self.semantics, vc, self.space(host), src, data.len());
+        self.w.output(HostId(host), req).expect("send");
+        src
+    }
+
+    /// Frees `host`'s buffer at `vaddr`.
+    fn free(&mut self, host: u16, vaddr: u64) {
+        let space = self.space(host);
+        let _ = self.w.host_mut(HostId(host)).free_buffer(space, vaddr);
+    }
+
+    /// Asserts that `host`'s buffer at `vaddr` holds datagram `k` of
+    /// `stream`. The read charges faults like an application read.
+    fn verify(&mut self, host: u16, vaddr: u64, stream: u32, k: usize, bytes: usize) {
+        let want = pattern(stream, k, bytes);
+        let ok = self
+            .w
+            .app_matches(HostId(host), self.space(host), vaddr, &want)
+            .expect("delivered buffer readable");
+        assert!(ok, "stream {stream} datagram {k} corrupted");
+    }
+
+    /// Runs the world until no event is left, takes its completed
+    /// inputs, and asserts there are `expected` of them and that the
+    /// fabric quiesced.
+    fn drain(&mut self, expected: usize) -> Vec<RecvCompletion> {
+        self.w.run();
+        let done = self.w.take_completed_inputs();
+        assert_eq!(done.len(), expected, "every datagram delivered");
+        assert_fabric_quiesced(&self.w);
+        done
+    }
+
+    /// Drains, verifies every delivery against the (host, stream,
+    /// datagram) its token maps to in `expected`, and returns every
+    /// latency sample.
+    fn check_and_collect(
+        &mut self,
+        expected: &HashMap<u64, (u16, u32, usize)>,
+        bytes: usize,
+    ) -> Vec<SimTime> {
+        let done = self.drain(expected.len());
+        let mut latencies = Vec::with_capacity(done.len());
+        for c in &done {
+            let (host, stream, k) = expected[&c.token];
+            assert_eq!(c.len, bytes);
+            self.verify(host, c.vaddr, stream, k, bytes);
+            latencies.push(c.latency);
+        }
+        latencies
+    }
+
+    /// The suite result over `latencies`, with the switch's counters.
+    fn point(&self, latencies: &[SimTime]) -> SuitePoint {
+        SuitePoint {
+            semantics: self.semantics,
+            dist: LatencyDistribution::from_samples(latencies).expect("samples"),
+            switch: self.w.switch_stats().expect("switched"),
+        }
+    }
+
+    /// `point` together with what the flight recorder captured.
+    fn observation<P>(mut self, point: P) -> Observation<P> {
+        Observation {
+            point,
+            metrics: self.w.metrics(),
+            trace: self.w.take_trace(),
+        }
+    }
 }
 
 /// RPC fan-in: `clients` clients each fire `requests` pipelined
 /// requests of `bytes` at one server behind a star switch. All client
 /// VCs converge on the server's switch port, so requests contend in
-/// its output FIFO and egress credit loop.
+/// its output FIFO and egress credit loop. Every request is issued up
+/// front (open-loop), so its latency includes the queue it joined.
 pub fn rpc_fanin(semantics: Semantics, clients: u16, requests: usize, bytes: usize) -> SuitePoint {
     rpc_fanin_world(semantics, clients, requests, bytes, None).0
 }
@@ -149,14 +275,10 @@ pub fn rpc_fanin_observed(
     clients: u16,
     requests: usize,
     bytes: usize,
-    cfg: &genie_trace::SampleConfig,
-) -> FabricObservation {
-    let (point, mut w) = rpc_fanin_world(semantics, clients, requests, bytes, Some(cfg));
-    FabricObservation {
-        point,
-        metrics: w.metrics(),
-        trace: w.take_trace(),
-    }
+    cfg: &SampleConfig,
+) -> Observation<SuitePoint> {
+    let (point, rig) = rpc_fanin_world(semantics, clients, requests, bytes, Some(cfg));
+    rig.observation(point)
 }
 
 fn rpc_fanin_world(
@@ -164,69 +286,35 @@ fn rpc_fanin_world(
     clients: u16,
     requests: usize,
     bytes: usize,
-    observe: Option<&genie_trace::SampleConfig>,
-) -> (SuitePoint, World) {
+    observe: Option<&SampleConfig>,
+) -> (SuitePoint, Rig) {
     const VC_BASE: u32 = 100;
-    let ports = clients + 1;
     // 128 cells of egress credit per (port, VC): a ~44-cell request
     // pipelines at most 2 deep per VC before the credit loop pushes
     // back, so the suite exercises hop-2 flow control, not just
     // fan-in queueing.
-    let sw = SwitchConfig::star(ports, 0, VC_BASE, 128);
-    let mut w = World::new(WorldConfig::switched(
-        MachineSpec::micron_p166(),
-        ports as usize,
-        sw,
-    ));
-    if let Some(cfg) = observe {
-        w.enable_tracing(true);
-        w.set_sampling(cfg);
-    }
-    let server = w.create_process(HostId(0));
-    let procs: Vec<SpaceId> = (1..=clients).map(|i| w.create_process(HostId(i))).collect();
-
+    let sw = SwitchConfig::star(clients + 1, 0, VC_BASE, 128);
+    let mut rig = Rig::new(semantics, sw, observe, |_| {});
     let mut expected = HashMap::new();
     for i in 1..=clients {
         let vc = Vc(VC_BASE + u32::from(i));
         for k in 0..requests {
-            let off = w.preferred_alignment(HostId(0), vc).0;
-            let tok = w
-                .post_receive(HostId(0), server, semantics, vc, bytes, off)
-                .expect("prepost");
-            expected.insert(tok, (HostId(0), server, u32::from(i), k));
+            expected.insert(rig.post(0, vc, bytes), (0, u32::from(i), k));
         }
     }
     // Interleave issue order across clients so requests pile into the
     // server port at overlapping times.
     for k in 0..requests {
         for i in 1..=clients {
-            let space = procs[usize::from(i) - 1];
-            let data = pattern(u32::from(i), k, bytes);
-            let src = w
-                .alloc_source(HostId(i), space, semantics, &data)
-                .expect("src");
-            w.output(
-                HostId(i),
-                crate::output::OutputRequest::new(
-                    semantics,
-                    Vc(VC_BASE + u32::from(i)),
-                    space,
-                    src,
-                    bytes,
-                ),
-            )
-            .expect("request");
+            rig.send(
+                i,
+                Vc(VC_BASE + u32::from(i)),
+                &pattern(u32::from(i), k, bytes),
+            );
         }
     }
-    w.run();
-    let latencies = check_and_collect(&mut w, &expected, bytes);
-    assert_fabric_quiesced(&w);
-    let point = SuitePoint {
-        semantics,
-        dist: LatencyDistribution::from_samples(&latencies).expect("samples"),
-        switch: w.switch_stats().expect("switched"),
-    };
-    (point, w)
+    let latencies = rig.check_and_collect(&expected, bytes);
+    (rig.point(&latencies), rig)
 }
 
 /// One scale-tier run's result: the simulated distribution (byte-
@@ -242,7 +330,8 @@ pub struct ScalePoint {
     pub datagrams: usize,
     /// Simulated completion time of the last delivery, in µs.
     pub sim_us: f64,
-    /// Wall-clock seconds spent inside `World::run` (driver-phase
+    /// Wall-clock seconds spent draining the waves: `World::run` plus
+    /// taking its completions and the quiesce check (driver-phase
     /// setup excluded).
     pub wall_s: f64,
     /// High-water mark of queued events across waves.
@@ -252,7 +341,10 @@ pub struct ScalePoint {
 /// The scale tier: `total` datagrams of `bytes` fanned from the
 /// `hosts - 1` spokes of a star into its hub, issued in bounded waves
 /// (posts, sends, one `run()` to quiesce, free the buffers) so
-/// resident state stays flat no matter how many datagrams flow.
+/// resident state stays flat no matter how many datagrams flow. Each
+/// wave is issued at the spokes' own clocks, which trail the hub's, so
+/// a latency includes the backlog every earlier wave left at the hub
+/// port.
 ///
 /// Integrity is spot-checked on a deterministic subsample (every
 /// 101st datagram — a full check of a million 2 KB payloads would
@@ -267,13 +359,7 @@ pub fn fabric_scale(semantics: Semantics, hosts: u16, total: usize, bytes: usize
     const PER_WAVE: usize = 4;
     assert!(hosts >= 2 && total > 0);
     let sw = SwitchConfig::star(hosts, 0, VC_BASE, 256);
-    let mut w = World::new(WorldConfig::switched(
-        MachineSpec::micron_p166(),
-        usize::from(hosts),
-        sw,
-    ));
-    let hub = w.create_process(HostId(0));
-    let procs: Vec<SpaceId> = (1..hosts).map(|i| w.create_process(HostId(i))).collect();
+    let mut rig = Rig::new(semantics, sw, None, |_| {});
 
     let mut latencies = Vec::with_capacity(total);
     let mut sim_end = SimTime::ZERO;
@@ -294,69 +380,39 @@ pub fn fabric_scale(semantics: Semantics, hosts: u16, total: usize, bytes: usize
         }
         let mut expected: HashMap<u64, (u16, usize)> = HashMap::with_capacity(pairs.len());
         for &(i, k) in &pairs {
-            let vc = Vc(VC_BASE + u32::from(i));
-            let off = w.preferred_alignment(HostId(0), vc).0;
-            let tok = w
-                .post_receive(HostId(0), hub, semantics, vc, bytes, off)
-                .expect("prepost");
-            expected.insert(tok, (i, k));
+            expected.insert(rig.post(0, Vc(VC_BASE + u32::from(i)), bytes), (i, k));
         }
-        let mut srcs: Vec<(u16, u64)> = Vec::with_capacity(pairs.len());
-        for &(i, k) in &pairs {
-            let space = procs[usize::from(i) - 1];
-            let data = pattern(u32::from(i), k, bytes);
-            let src = w
-                .alloc_source(HostId(i), space, semantics, &data)
-                .expect("src");
-            w.output(
-                HostId(i),
-                crate::output::OutputRequest::new(
-                    semantics,
-                    Vc(VC_BASE + u32::from(i)),
-                    space,
-                    src,
-                    bytes,
-                ),
-            )
-            .expect("send");
-            srcs.push((i, src));
-        }
+        let srcs: Vec<(u16, u64)> = pairs
+            .iter()
+            .map(|&(i, k)| {
+                let data = pattern(u32::from(i), k, bytes);
+                (i, rig.send(i, Vc(VC_BASE + u32::from(i)), &data))
+            })
+            .collect();
         let t0 = std::time::Instant::now();
-        w.run();
+        let done = rig.drain(pairs.len());
         wall += t0.elapsed();
 
-        let done = w.take_completed_inputs();
-        assert_eq!(
-            done.len(),
-            pairs.len(),
-            "wave {wave}: every datagram delivered"
-        );
         for c in &done {
             let (i, k) = expected[&c.token];
             assert_eq!(c.len, bytes);
             if (issued + latencies.len()).is_multiple_of(101) {
-                let want = pattern(u32::from(i), k, bytes);
-                let ok = w
-                    .app_matches(HostId(0), hub, c.vaddr, &want)
-                    .expect("delivered buffer readable");
-                assert!(ok, "spoke {i} datagram {k} corrupted");
+                rig.verify(0, c.vaddr, u32::from(i), k, bytes);
             }
             latencies.push(c.latency);
             sim_end = sim_end.max(c.completed_at);
-            let _ = w.host_mut(HostId(0)).free_buffer(hub, c.vaddr);
+            rig.free(0, c.vaddr);
         }
-        let sent = w.take_completed_outputs();
+        let sent = rig.w.take_completed_outputs();
         assert_eq!(sent.len(), pairs.len(), "wave {wave}: every send completed");
         for (i, src) in srcs {
-            let space = procs[usize::from(i) - 1];
-            let _ = w.host_mut(HostId(i)).free_buffer(space, src);
+            rig.free(i, src);
         }
-        assert_fabric_quiesced(&w);
         issued += pairs.len();
         wave += 1;
     }
     assert_eq!(latencies.len(), total);
-    let peak_resident = w.peak_resident_events();
+    let peak_resident = rig.w.peak_resident_events();
     // The documented memory bound of the scale tier: queued events
     // are a function of the *wave* size, never of `total` — a handful
     // of events per live datagram. A leak in the wave drain/free
@@ -380,58 +436,41 @@ pub fn fabric_scale(semantics: Semantics, hosts: u16, total: usize, bytes: usize
 /// `elems` u64 counters to the root each phase; the root folds them
 /// into its accumulator. Returns the distribution over every
 /// per-datagram delivery latency, after checking the reduced sums.
+/// Each phase starts from a quiesced world and issues every leaf's
+/// vector at once (open-loop), so a latency includes the fan-in queue
+/// at the root's port.
 pub fn cluster_reduce(semantics: Semantics, nodes: u16, elems: usize, phases: usize) -> SuitePoint {
     const VC_BASE: u32 = 300;
     let bytes = elems * 8;
-    let sw = SwitchConfig::star(nodes, 0, VC_BASE, 1024);
-    let mut w = World::new(WorldConfig::switched(
-        MachineSpec::micron_p166(),
-        usize::from(nodes),
-        sw,
-    ));
-    let root = w.create_process(HostId(0));
-    let leaves: Vec<SpaceId> = (1..nodes).map(|i| w.create_process(HostId(i))).collect();
+    let mut rig = Rig::new(
+        semantics,
+        SwitchConfig::star(nodes, 0, VC_BASE, 1024),
+        None,
+        |_| {},
+    );
 
     let leaf_val = |i: u16, e: usize| (e as u64).wrapping_mul(u64::from(i)).wrapping_add(7);
     let mut acc = vec![0u64; elems];
     let mut latencies = Vec::new();
     for _phase in 0..phases {
-        w.quiesce();
+        rig.w.quiesce();
         let mut from_leaf = HashMap::new();
         for i in 1..nodes {
-            let vc = Vc(VC_BASE + u32::from(i));
-            let off = w.preferred_alignment(HostId(0), vc).0;
-            let tok = w
-                .post_receive(HostId(0), root, semantics, vc, bytes, off)
-                .expect("prepost");
-            from_leaf.insert(tok, i);
+            from_leaf.insert(rig.post(0, Vc(VC_BASE + u32::from(i)), bytes), i);
         }
         for i in 1..nodes {
-            let space = leaves[usize::from(i) - 1];
             let data: Vec<u8> = (0..elems)
                 .flat_map(|e| leaf_val(i, e).to_le_bytes())
                 .collect();
-            let src = w
-                .alloc_source(HostId(i), space, semantics, &data)
-                .expect("src");
-            w.output(
-                HostId(i),
-                crate::output::OutputRequest::new(
-                    semantics,
-                    Vc(VC_BASE + u32::from(i)),
-                    space,
-                    src,
-                    bytes,
-                ),
-            )
-            .expect("send half");
+            rig.send(i, Vc(VC_BASE + u32::from(i)), &data);
         }
-        w.run();
-        let done = w.take_completed_inputs();
-        assert_eq!(done.len(), usize::from(nodes) - 1, "all halves delivered");
-        for c in &done {
+        for c in &rig.drain(usize::from(nodes) - 1) {
             let i = from_leaf[&c.token];
-            let got = w.read_app(HostId(0), root, c.vaddr, c.len).expect("read");
+            let root = rig.space(0);
+            let got = rig
+                .w
+                .read_app(HostId(0), root, c.vaddr, c.len)
+                .expect("read");
             for (e, chunk) in got.chunks_exact(8).enumerate() {
                 let v = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
                 assert_eq!(v, leaf_val(i, e), "leaf {i} element {e} corrupted");
@@ -448,12 +487,7 @@ pub fn cluster_reduce(semantics: Semantics, nodes: u16, elems: usize, phases: us
             .wrapping_mul(phases as u64);
         assert_eq!(*a, want, "reduction diverged at element {e}");
     }
-    assert_fabric_quiesced(&w);
-    SuitePoint {
-        semantics,
-        dist: LatencyDistribution::from_samples(&latencies).expect("samples"),
-        switch: w.switch_stats().expect("switched"),
-    }
+    rig.point(&latencies)
 }
 
 /// Multicast streaming: one server sends `frames` datagrams of
@@ -467,55 +501,27 @@ pub fn multicast_stream(
     bytes: usize,
 ) -> SuitePoint {
     const VC: u32 = 7;
-    let ports = subscribers + 1;
     let dsts: Vec<u16> = (1..=subscribers).collect();
-    let sw = SwitchConfig::new(ports, 512).route(0, VC, &dsts);
-    let mut w = World::new(WorldConfig::switched(
-        MachineSpec::micron_p166(),
-        usize::from(ports),
-        sw,
-    ));
-    let server = w.create_process(HostId(0));
-    let subs: Vec<SpaceId> = (1..=subscribers)
-        .map(|i| w.create_process(HostId(i)))
-        .collect();
+    let sw = SwitchConfig::new(subscribers + 1, 512).route(0, VC, &dsts);
+    let mut rig = Rig::new(semantics, sw, None, |_| {});
 
     let mut expected = HashMap::new();
     for i in 1..=subscribers {
-        let space = subs[usize::from(i) - 1];
         for k in 0..frames {
-            let off = w.preferred_alignment(HostId(i), Vc(VC)).0;
-            let tok = w
-                .post_receive(HostId(i), space, semantics, Vc(VC), bytes, off)
-                .expect("prepost");
-            expected.insert(tok, (HostId(i), space, 0u32, k));
+            expected.insert(rig.post(i, Vc(VC), bytes), (i, 0u32, k));
         }
     }
     for k in 0..frames {
-        let data = pattern(0, k, bytes);
-        let src = w
-            .alloc_source(HostId(0), server, semantics, &data)
-            .expect("src");
-        w.output(
-            HostId(0),
-            crate::output::OutputRequest::new(semantics, Vc(VC), server, src, bytes),
-        )
-        .expect("send frame");
+        rig.send(0, Vc(VC), &pattern(0, k, bytes));
     }
-    w.run();
-    let latencies = check_and_collect(&mut w, &expected, bytes);
-    assert_fabric_quiesced(&w);
-    let stats = w.switch_stats().expect("switched");
+    let latencies = rig.check_and_collect(&expected, bytes);
+    let point = rig.point(&latencies);
     assert_eq!(
-        stats.pdus_replicated,
+        point.switch.pdus_replicated,
         (u64::from(subscribers) - 1) * frames as u64,
         "every frame replicated to every subscriber"
     );
-    SuitePoint {
-        semantics,
-        dist: LatencyDistribution::from_samples(&latencies).expect("samples"),
-        switch: stats,
-    }
+    point
 }
 
 /// Configuration for the CQ saturation sweep ([`cq_saturation`]).
@@ -599,19 +605,6 @@ impl CqSaturationPoint {
     }
 }
 
-/// An observed CQ fan-in run: the depth point plus the flight
-/// recorder's captures (metrics with `cq_*` series and `rollup.cq`
-/// aggregates, and the sampled trace).
-#[derive(Debug)]
-pub struct CqObservation {
-    /// The run result, identical to the unobserved run's.
-    pub point: CqDepthPoint,
-    /// Unified metrics at quiesce (rollups included).
-    pub metrics: genie_trace::metrics::MetricsRegistry,
-    /// The sampled trace, with its dropped-span ledger.
-    pub trace: genie_trace::TraceSet,
-}
-
 /// Packs a (client, request) pair into a `user_data` tag.
 fn cq_tag(client: u16, k: usize) -> u64 {
     (u64::from(client) << 32) | k as u64
@@ -640,9 +633,9 @@ fn cq_fanin_world(
     semantics: Semantics,
     depth: usize,
     cfg: &CqSuiteConfig,
-    observe: Option<&genie_trace::SampleConfig>,
-) -> (CqDepthPoint, World) {
-    use crate::cq::{self, CqConfig, Landing, Sqe, SqeOp};
+    observe: Option<&SampleConfig>,
+) -> (CqDepthPoint, Rig) {
+    use crate::cq::{self, AdaptiveConfig, CqConfig, CqResult, Landing, QueuePair, Sqe, SqeOp};
 
     const VC_BASE: u32 = 700;
     let (clients, requests, bytes) = (cfg.clients, cfg.requests, cfg.bytes);
@@ -651,86 +644,60 @@ fn cq_fanin_world(
     let req_vc = |i: u16| Vc(VC_BASE + u32::from(i));
     let rsp_vc = |i: u16| Vc(VC_BASE + u32::from(ports) + u32::from(i));
     let sw = SwitchConfig::star(ports, 0, VC_BASE, 128);
-    let mut wc = WorldConfig::switched(MachineSpec::micron_p166(), usize::from(ports), sw);
-    wc.fault = cfg.fault;
-    wc.link.fixed_latency = SimTime::from_us(cfg.link_latency_us);
-    let mut w = World::new(wc);
-    if let Some(sample) = observe {
-        w.enable_tracing(true);
-        w.set_sampling(sample);
-    }
-    let hub = w.create_process(HostId(0));
-    let procs: Vec<SpaceId> = (1..=clients).map(|i| w.create_process(HostId(i))).collect();
+    let mut rig = Rig::new(semantics, sw, observe, |wc| {
+        wc.fault = cfg.fault;
+        wc.link.fixed_latency = SimTime::from_us(cfg.link_latency_us);
+    });
 
     // Queue pair 0 is the hub's; 1..=clients are the clients'. The
     // sweep's knob is the *client* window; the hub answers unthrottled
     // (its window only gates sends, sized for every response at once).
     let total = usize::from(clients) * requests;
     let mut qps = Vec::with_capacity(usize::from(ports));
-    qps.push(crate::cq::QueuePair::new(
+    qps.push(QueuePair::new(
         HostId(0),
         semantics,
         CqConfig {
             sq_depth: 2 * total + 4,
             cq_depth: 64,
-            window: crate::cq::AdaptiveConfig::fixed(total),
+            window: AdaptiveConfig::fixed(total),
         },
     ));
     for i in 1..=clients {
-        qps.push(crate::cq::QueuePair::new(
+        qps.push(QueuePair::new(
             HostId(i),
             semantics,
             CqConfig {
                 sq_depth: 2 * requests + 4,
                 cq_depth: 64,
-                window: crate::cq::AdaptiveConfig::fixed(depth),
+                window: AdaptiveConfig::fixed(depth),
             },
         ));
-    }
-
-    // Allocates a receive buffer appropriate for `semantics` at the
-    // circuit's preferred alignment.
-    fn recv_buffer(
-        w: &mut World,
-        host: HostId,
-        space: SpaceId,
-        semantics: Semantics,
-        vc: Vc,
-        bytes: usize,
-    ) -> Option<u64> {
-        match semantics.allocation() {
-            Allocation::Application => {
-                let (off, _gran) = w.preferred_alignment(host, vc);
-                Some(w.alloc_buffer(host, space, bytes, off).expect("recv buf"))
-            }
-            Allocation::System => None,
-        }
     }
 
     // Hub preposts every request receive, interleaved across clients
     // like the fan-in suite; clients prepost every response receive.
     for k in 0..requests {
         for i in 1..=clients {
-            let buffer = recv_buffer(&mut w, HostId(0), hub, semantics, req_vc(i), bytes);
+            let buffer = rig.buffer(0, req_vc(i), bytes);
             qps[0]
                 .post(Sqe {
                     user_data: cq_tag(i, k),
                     op: SqeOp::PostRecv {
                         vc: req_vc(i),
-                        space: hub,
+                        space: rig.space(0),
                         buffer,
                         len: bytes,
                     },
                 })
                 .expect("hub SQ sized for all preposts");
-            let space = procs[usize::from(i) - 1];
-            let buffer = recv_buffer(&mut w, HostId(i), space, semantics, rsp_vc(i), bytes);
+            let buffer = rig.buffer(i, rsp_vc(i), bytes);
             qps[usize::from(i)]
                 .post(Sqe {
                     user_data: cq_tag(i, k),
                     op: SqeOp::PostRecv {
                         vc: rsp_vc(i),
-                        space,
+                        space: rig.space(i),
                         buffer,
                         len: bytes,
                     },
@@ -741,17 +708,13 @@ fn cq_fanin_world(
     // Clients stage every request up front; the window meters the wire.
     for k in 0..requests {
         for i in 1..=clients {
-            let space = procs[usize::from(i) - 1];
-            let data = pattern(u32::from(i), k, bytes);
-            let src = w
-                .alloc_source(HostId(i), space, semantics, &data)
-                .expect("src");
+            let src = rig.source(i, &pattern(u32::from(i), k, bytes));
             qps[usize::from(i)]
                 .post(Sqe {
                     user_data: cq_tag(i, k),
                     op: SqeOp::Send {
                         vc: req_vc(i),
-                        space,
+                        space: rig.space(i),
                         vaddr: src,
                         len: bytes,
                     },
@@ -768,37 +731,30 @@ fn cq_fanin_world(
     while recvd < total || answered < total || client_sent < total || hub_sent < total {
         let mut progress = 0;
         for qp in qps.iter_mut() {
-            progress += qp.submit(&mut w);
+            progress += qp.submit(&mut rig.w);
         }
-        w.run();
-        progress += cq::harvest(&mut w, &mut qps);
+        rig.w.run();
+        progress += cq::harvest(&mut rig.w, &mut qps);
         while let Some(c) = qps[0].poll() {
-            assert_eq!(c.result, crate::cq::CqResult::Ok);
+            assert_eq!(c.result, CqResult::Ok);
             match c.landing {
                 Landing::Delivered { vaddr, latency, .. } => {
                     assert_eq!(c.len, bytes);
                     let (i, k) = ((c.user_data >> 32) as u16, c.user_data as u32 as usize);
                     // Integrity spot check on a deterministic subsample.
                     if recvd.is_multiple_of(7) {
-                        let want = pattern(u32::from(i), k, bytes);
-                        let ok = w
-                            .app_matches(HostId(0), hub, vaddr, &want)
-                            .expect("delivered buffer readable");
-                        assert!(ok, "client {i} request {k} corrupted");
+                        rig.verify(0, vaddr, u32::from(i), k, bytes);
                     }
                     latencies.push(latency);
                     recvd += 1;
                     // Echo a response on the reverse route.
-                    let data = pattern(cq_rsp_stream(i), k, bytes);
-                    let src = w
-                        .alloc_source(HostId(0), hub, semantics, &data)
-                        .expect("rsp src");
+                    let src = rig.source(0, &pattern(cq_rsp_stream(i), k, bytes));
                     qps[0]
                         .post(Sqe {
                             user_data: cq_tag(i, k),
                             op: SqeOp::Send {
                                 vc: rsp_vc(i),
-                                space: hub,
+                                space: rig.space(0),
                                 vaddr: src,
                                 len: bytes,
                             },
@@ -817,12 +773,7 @@ fn cq_fanin_world(
                         let (i, k) = ((c.user_data >> 32) as u16, c.user_data as u32 as usize);
                         assert_eq!(usize::from(i), qi);
                         if answered.is_multiple_of(13) {
-                            let want = pattern(cq_rsp_stream(i), k, bytes);
-                            let space = procs[qi - 1];
-                            let ok = w
-                                .app_matches(HostId(i), space, vaddr, &want)
-                                .expect("response readable");
-                            assert!(ok, "response to client {i} request {k} corrupted");
+                            rig.verify(i, vaddr, cq_rsp_stream(i), k, bytes);
                         }
                         answered += 1;
                     }
@@ -836,16 +787,18 @@ fn cq_fanin_world(
             "cq rpc stalled at {recvd}/{total} requests, {answered}/{total} responses"
         );
     }
-    assert_fabric_quiesced(&w);
+    // The queue pairs harvested every completion: the closing drain
+    // finds none left, and the fabric quiesced.
+    rig.drain(0);
     assert_eq!(qps[0].sq_rejects(), 0, "hub SQ was sized for the run");
-    let sim_us = w.now().as_us();
+    let sim_us = rig.w.now().as_us();
     let point = CqDepthPoint {
         depth,
         dist: LatencyDistribution::from_samples(&latencies).expect("samples"),
         sim_us,
         mbps: (total * bytes) as f64 * 8.0 / sim_us,
     };
-    (point, w)
+    (point, rig)
 }
 
 /// Sweeps queue depth for one semantics and finds the saturation knee:
@@ -883,14 +836,10 @@ pub fn cq_fanin_observed(
     semantics: Semantics,
     depth: usize,
     cfg: &CqSuiteConfig,
-    sample: &genie_trace::SampleConfig,
-) -> CqObservation {
-    let (point, mut w) = cq_fanin_world(semantics, depth, cfg, Some(sample));
-    CqObservation {
-        point,
-        metrics: w.metrics(),
-        trace: w.take_trace(),
-    }
+    sample: &SampleConfig,
+) -> Observation<CqDepthPoint> {
+    let (point, rig) = cq_fanin_world(semantics, depth, cfg, Some(sample));
+    rig.observation(point)
 }
 
 #[cfg(test)]
@@ -1049,10 +998,38 @@ mod tests {
     }
 
     #[test]
+    fn observing_a_suite_does_not_move_its_point() {
+        let sample = SampleConfig::default();
+        let cfg = CqSuiteConfig::default();
+        genie_runner::map(ALL_SEMANTICS, |&s| {
+            let seen = rpc_fanin_observed(s, 7, 8, 2048, &sample).point;
+            let plain = rpc_fanin(s, 7, 8, 2048);
+            assert_eq!(
+                (seen.semantics, seen.dist, seen.switch),
+                (plain.semantics, plain.dist, plain.switch),
+                "{s:?}: observing rpc_fanin moved its point"
+            );
+            let seen = cq_fanin_observed(s, 4, &cfg, &sample).point;
+            let sweep = cq_saturation(s, &cfg);
+            let plain = sweep
+                .points
+                .iter()
+                .find(|p| p.depth == 4)
+                .expect("the default sweep runs depth 4");
+            let key = |p: &CqDepthPoint| (p.depth, p.dist, p.sim_us.to_bits(), p.mbps.to_bits());
+            assert_eq!(
+                key(&seen),
+                key(plain),
+                "{s:?}: observing the CQ fan-in moved its point"
+            );
+        });
+    }
+
+    #[test]
     fn sweep_is_thread_count_invariant() {
         let run = |threads: usize| {
             genie_runner::set_threads(threads);
-            let out = sweep(&[Semantics::Copy, Semantics::EmulatedCopy], |s| {
+            let out = genie_runner::map(&[Semantics::Copy, Semantics::EmulatedCopy], |&s| {
                 rpc_fanin(s, 3, 2, 1024)
             });
             genie_runner::set_threads(0);

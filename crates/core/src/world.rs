@@ -545,14 +545,29 @@ impl World {
         len: usize,
         page_off: usize,
     ) -> Result<u64, GenieError> {
-        let req = match semantics.allocation() {
-            Allocation::Application => {
-                let dst = self.alloc_buffer(host, space, len, page_off)?;
-                InputRequest::app(semantics, vc, space, dst, len)
-            }
-            Allocation::System => InputRequest::system(semantics, vc, space, len),
+        let req = match self.receive_buffer(host, space, semantics, len, page_off)? {
+            Some(dst) => InputRequest::app(semantics, vc, space, dst, len),
+            None => InputRequest::system(semantics, vc, space, len),
         };
         self.input(host, req)
+    }
+
+    /// The buffer [`World::post_receive`] posts into: a fresh
+    /// application buffer at `page_off` for application-allocated
+    /// semantics, `None` (the system chooses at delivery) for
+    /// system-allocated ones.
+    pub(crate) fn receive_buffer(
+        &mut self,
+        host: HostId,
+        space: SpaceId,
+        semantics: Semantics,
+        len: usize,
+        page_off: usize,
+    ) -> Result<Option<u64>, GenieError> {
+        match semantics.allocation() {
+            Allocation::Application => self.alloc_buffer(host, space, len, page_off).map(Some),
+            Allocation::System => Ok(None),
+        }
     }
 
     /// Simulates an application read.

@@ -19,7 +19,7 @@
 //!
 //! Run with: `cargo run --release --example cluster_reduce`
 
-use genie::{cluster_reduce, suites, ALL_SEMANTICS};
+use genie::{cluster_reduce, ALL_SEMANTICS};
 
 const NODES: u16 = 64;
 const ELEMS: usize = 4 * 1024; // 32 KB of u64s per leaf
@@ -34,7 +34,7 @@ fn main() {
         "{:<18} {:>10} {:>10} {:>10} {:>10}",
         "semantics", "p50_us", "p99_us", "max_us", "max_depth"
     );
-    let points = suites::sweep(ALL_SEMANTICS, |s| cluster_reduce(s, NODES, ELEMS, PHASES));
+    let points = genie_runner::map(ALL_SEMANTICS, |&s| cluster_reduce(s, NODES, ELEMS, PHASES));
     for p in &points {
         println!(
             "{:<18} {:>10.1} {:>10.1} {:>10.1} {:>10}",

@@ -16,7 +16,7 @@
 //!
 //! Run with: `cargo run --release --example multimedia_stream`
 
-use genie::{multicast_stream, suites, ALL_SEMANTICS};
+use genie::{multicast_stream, ALL_SEMANTICS};
 
 const FRAME_BYTES: usize = 2 * 4096; // 8 KB frames
 const FRAMES: usize = 16;
@@ -29,7 +29,7 @@ fn main() {
             "{:<18} {:>10} {:>10} {:>10} {:>12}",
             "semantics", "p50_us", "p99_us", "max_us", "replicated"
         );
-        let points = suites::sweep(ALL_SEMANTICS, |s| {
+        let points = genie_runner::map(ALL_SEMANTICS, |&s| {
             multicast_stream(s, subscribers, FRAMES, FRAME_BYTES)
         });
         for p in &points {

@@ -15,7 +15,7 @@
 //!
 //! Run with: `cargo run --release --example rpc_fanin`
 
-use genie::{rpc_fanin, suites, ALL_SEMANTICS};
+use genie::{rpc_fanin, ALL_SEMANTICS};
 
 const CLIENTS: u16 = 192;
 const REQUESTS: usize = 4;
@@ -27,7 +27,7 @@ fn main() {
         "{:<18} {:>10} {:>10} {:>10} {:>8} {:>10}",
         "semantics", "p50_us", "p99_us", "max_us", "stalls", "max_depth"
     );
-    let points = suites::sweep(ALL_SEMANTICS, |s| rpc_fanin(s, CLIENTS, REQUESTS, BYTES));
+    let points = genie_runner::map(ALL_SEMANTICS, |&s| rpc_fanin(s, CLIENTS, REQUESTS, BYTES));
     for p in &points {
         println!(
             "{:<18} {:>10.1} {:>10.1} {:>10.1} {:>8} {:>10}",

@@ -74,7 +74,7 @@ GENIE_CQ_FAULT_SEED=7 ./target/release/report fabric --cq --threads 1 >"$scratch
 GENIE_CQ_FAULT_SEED=7 ./target/release/report fabric --cq --threads 4 >"$scratch/cq2" 2>/dev/null
 cmp "$scratch/cq" "$scratch/cq2"
 
-echo "== fabric golden (report fabric, --cq, faulted --cq, 20k --scale) =="
+echo "== fabric goldens (report fabric, --cq, faulted --cq, 20k --scale; fabric --metrics) =="
 # Every fabric exhibit is simulated output, so the four runs together
 # must match the committed golden byte for byte.
 {
@@ -85,6 +85,15 @@ echo "== fabric golden (report fabric, --cq, faulted --cq, 20k --scale) =="
 } >"$scratch/fabric" 2>/dev/null
 cmp "$scratch/fabric" scripts/golden_fabric.txt || {
   echo "verify: fabric output drifted from scripts/golden_fabric.txt" >&2
+  exit 1
+}
+# The flight-recorder view of the observed fan-in: per-VC rollups,
+# per-port switch observation and the trace ledger, all simulated. The
+# golden holds the default sampling, so the trace knobs are cleared.
+env -u GENIE_TRACE -u GENIE_TRACE_SAMPLE -u GENIE_TRACE_BUDGET \
+  ./target/release/report fabric --metrics --threads 1 >"$scratch/fabric_metrics" 2>/dev/null
+cmp "$scratch/fabric_metrics" scripts/golden_fabric_metrics.txt || {
+  echo "verify: report fabric --metrics drifted from scripts/golden_fabric_metrics.txt" >&2
   exit 1
 }
 
