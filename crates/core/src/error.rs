@@ -81,7 +81,7 @@ pub enum ConfigError {
         /// The switch's port count.
         ports: u16,
     },
-    /// `extra_machines`: the passthrough fabric wires exactly two
+    /// `machines`: the passthrough fabric wires exactly two
     /// hosts.
     PassthroughHosts {
         /// Hosts the configuration builds.
@@ -126,7 +126,7 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::PassthroughHosts { hosts } => write!(
                 f,
-                "extra_machines: the passthrough fabric wires exactly two hosts, not {hosts}"
+                "machines: the passthrough fabric wires exactly two hosts, not {hosts}"
             ),
             ConfigError::PortCount { ports, hosts } => write!(
                 f,

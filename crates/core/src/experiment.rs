@@ -94,8 +94,7 @@ impl ExperimentSetup {
     /// Builds the world configuration.
     pub fn world_config(&self) -> WorldConfig {
         WorldConfig {
-            machine_a: self.machine.clone(),
-            machine_b: self.machine.clone(),
+            machines: vec![self.machine.clone(); 2],
             link: self.link.clone(),
             rx_buffering: self.rx_buffering,
             genie: self.genie,
@@ -196,7 +195,7 @@ impl SeriesContext {
         let mut cfg = setup.world_config();
         cfg.frames_per_host += sizes
             .iter()
-            .map(|&b| 8 * (b / cfg.machine_a.page_size + 2))
+            .map(|&b| 8 * (b / cfg.machines[0].page_size + 2))
             .max()
             .unwrap_or(0);
         let mut w = World::new(cfg);

@@ -74,6 +74,16 @@ impl Host {
         self.vm.page_size()
     }
 
+    /// Records the phase span `name` from `start` to the host clock,
+    /// covering `bytes`; nothing while tracing is off.
+    pub(crate) fn phase_span(&mut self, name: &'static str, start: SimTime, bytes: usize) {
+        if self.tracer.enabled() {
+            let dur = self.clock.saturating_sub(start);
+            self.tracer
+                .span(genie_trace::Track::Phase, name, start, dur, bytes, 0);
+        }
+    }
+
     /// Charges `op` on the latency-critical path: accumulates in the
     /// ledger and advances the CPU clock.
     pub fn charge_latency(&mut self, op: Op, bytes: usize, units: usize) -> SimTime {

@@ -142,20 +142,8 @@ impl World {
         debug_assert_eq!(pending.token, 0, "token assigned below");
         let mut pending = pending;
         pending.token = token;
-        {
-            let host = self.host_mut(to);
-            if host.tracer.enabled() {
-                let end = host.clock;
-                host.tracer.span(
-                    genie_trace::Track::Phase,
-                    "input.prepare",
-                    prepare_start,
-                    end.saturating_sub(prepare_start),
-                    req.len_hint,
-                    0,
-                );
-            }
-        }
+        self.host_mut(to)
+            .phase_span("input.prepare", prepare_start, req.len_hint);
 
         // Unsolicited data already waiting? Complete right away.
         let vc = u64::from(req.vc.0);
@@ -360,7 +348,8 @@ impl World {
         let delivered = match pending {
             Some(p) => match self.place_for_pending(to, &p, pdu) {
                 Ok(placed) => {
-                    self.trace_ready_span(to, ready_start, total);
+                    self.host_mut(to)
+                        .phase_span("input.ready", ready_start, total);
                     self.dispose_input(to, p, placed, header, sent_at);
                     Ok(())
                 }
@@ -378,7 +367,8 @@ impl World {
                 // Unsolicited: buffer via the pool (or outboard) and
                 // backlog.
                 self.place_unsolicited(to, pdu).map(|placed| {
-                    self.trace_ready_span(to, ready_start, total);
+                    self.host_mut(to)
+                        .phase_span("input.ready", ready_start, total);
                     self.backlog[to.idx()]
                         .get_or_insert_with(u64::from(vc.0), VecDeque::new)
                         .push_back(BackloggedPdu { placed, sent_at });
@@ -387,23 +377,6 @@ impl World {
         };
         self.hosts[to.idx()].tracer.clear_flow();
         delivered
-    }
-
-    /// Records the "input.ready" phase span covering the ready-stage
-    /// buffering work just performed on `to`.
-    fn trace_ready_span(&mut self, to: HostId, start: SimTime, bytes: usize) {
-        let host = self.host_mut(to);
-        if host.tracer.enabled() {
-            let end = host.clock;
-            host.tracer.span(
-                genie_trace::Track::Phase,
-                "input.ready",
-                start,
-                end.saturating_sub(start),
-                bytes,
-                0,
-            );
-        }
     }
 
     /// Ready-stage placement when a matching input is pending.
@@ -625,20 +598,9 @@ impl World {
             }
         }
 
+        self.host_mut(to)
+            .phase_span("input.dispose", dispose_start, data_len);
         let completed_at = self.host(to).clock;
-        {
-            let host = self.host_mut(to);
-            if host.tracer.enabled() {
-                host.tracer.span(
-                    genie_trace::Track::Phase,
-                    "input.dispose",
-                    dispose_start,
-                    completed_at.saturating_sub(dispose_start),
-                    data_len,
-                    0,
-                );
-            }
-        }
         // Per-VC latency rollup (tracing-gated so the untraced fast
         // path never touches the map).
         if self.tracing_enabled() {

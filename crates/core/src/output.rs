@@ -175,21 +175,10 @@ impl World {
             }),
             inflight: None,
         });
-        let t = self.host(from).clock;
-        {
-            let host = self.host_mut(from);
-            if host.tracer.enabled() {
-                host.tracer.span(
-                    genie_trace::Track::Phase,
-                    "output.prepare",
-                    invoked_at,
-                    t.saturating_sub(invoked_at),
-                    req.len,
-                    0,
-                );
-                host.tracer.clear_flow();
-            }
-        }
+        let host = self.host_mut(from);
+        host.phase_span("output.prepare", invoked_at, req.len);
+        host.tracer.clear_flow();
+        let t = host.clock;
         self.txq[from.idx()]
             .get_or_insert_with(u64::from(req.vc.0), Default::default)
             .push_back(token);
@@ -471,21 +460,9 @@ impl World {
                     .expect("cache");
             }
         }
-        {
-            let host = self.host_mut(from);
-            if host.tracer.enabled() {
-                let end = host.clock;
-                host.tracer.span(
-                    genie_trace::Track::Phase,
-                    "output.dispose",
-                    dispose_start,
-                    end.saturating_sub(dispose_start),
-                    send.len,
-                    0,
-                );
-                host.tracer.clear_flow();
-            }
-        }
+        let host = self.host_mut(from);
+        host.phase_span("output.dispose", dispose_start, send.len);
+        host.tracer.clear_flow();
         self.done_sends.push(SendCompletion {
             token,
             host: from,

@@ -63,12 +63,9 @@ pub enum Fabric {
 /// Configuration of a world.
 #[derive(Clone, Debug)]
 pub struct WorldConfig {
-    /// Machine spec of host A.
-    pub machine_a: MachineSpec,
-    /// Machine spec of host B.
-    pub machine_b: MachineSpec,
-    /// Machine specs of hosts 2.. (beyond the paper's two).
-    pub extra_machines: Vec<MachineSpec>,
+    /// Machine spec of each host: host `i` runs `machines[i]` (the
+    /// paper's two are hosts A and B).
+    pub machines: Vec<MachineSpec>,
     /// How the hosts are wired together.
     pub fabric: Fabric,
     /// The link between them.
@@ -89,11 +86,8 @@ pub struct WorldConfig {
 
 impl Default for WorldConfig {
     fn default() -> Self {
-        let m = MachineSpec::micron_p166();
         WorldConfig {
-            machine_a: m.clone(),
-            machine_b: m,
-            extra_machines: Vec::new(),
+            machines: vec![MachineSpec::micron_p166(); 2],
             fabric: Fabric::Passthrough,
             link: LinkSpec::oc3(),
             rx_buffering: InputBuffering::EarlyDemux,
@@ -112,9 +106,7 @@ impl WorldConfig {
     /// two ports then fails.
     pub fn switched(machine: MachineSpec, n: usize, switch: SwitchConfig) -> Self {
         WorldConfig {
-            machine_a: machine.clone(),
-            machine_b: machine.clone(),
-            extra_machines: vec![machine; n.saturating_sub(2)],
+            machines: vec![machine; n.max(2)],
             fabric: Fabric::Switched(switch),
             ..WorldConfig::default()
         }
@@ -122,7 +114,7 @@ impl WorldConfig {
 
     /// Number of hosts this configuration builds.
     pub fn n_hosts(&self) -> usize {
-        2 + self.extra_machines.len()
+        self.machines.len()
     }
 
     /// Checks that [`World::new`] can build this configuration: the
@@ -331,12 +323,7 @@ impl World {
             )
         };
         let n = cfg.n_hosts();
-        let mut hosts = Vec::with_capacity(n);
-        hosts.push(mk(cfg.machine_a.clone()));
-        hosts.push(mk(cfg.machine_b.clone()));
-        for m in &cfg.extra_machines {
-            hosts.push(mk(m.clone()));
-        }
+        let hosts: Vec<Host> = cfg.machines.iter().cloned().map(mk).collect();
         let switch = match &cfg.fabric {
             Fabric::Passthrough => None,
             Fabric::Switched(sc) => Some(Switch::new(sc)),
@@ -868,7 +855,7 @@ mod tests {
     #[should_panic(expected = "exactly two hosts")]
     fn passthrough_rejects_extra_hosts() {
         let _ = World::new(WorldConfig {
-            extra_machines: vec![MachineSpec::micron_p166()],
+            machines: vec![MachineSpec::micron_p166(); 3],
             ..WorldConfig::default()
         });
     }
@@ -906,12 +893,12 @@ mod tests {
     #[test]
     fn validate_rejects_a_passthrough_with_extra_hosts() {
         let cfg = WorldConfig {
-            extra_machines: vec![MachineSpec::micron_p166()],
+            machines: vec![MachineSpec::micron_p166(); 3],
             ..WorldConfig::default()
         };
         let err = cfg.validate().unwrap_err();
         assert_eq!(err, ConfigError::PassthroughHosts { hosts: 3 });
-        assert!(err.to_string().starts_with("extra_machines: "), "{err}");
+        assert!(err.to_string().starts_with("machines: "), "{err}");
     }
 
     #[test]
@@ -1097,8 +1084,7 @@ mod tests {
         // Heterogeneous hosts: the answer must reflect the queried
         // host's page size, not always host A's.
         let w = World::new(WorldConfig {
-            machine_a: MachineSpec::micron_p166(),
-            machine_b: MachineSpec::alphastation_255(),
+            machines: vec![MachineSpec::micron_p166(), MachineSpec::alphastation_255()],
             rx_buffering: InputBuffering::Pooled,
             ..WorldConfig::default()
         });

@@ -1,10 +1,13 @@
 //! Fault kinds and outcomes.
 //!
-//! The fault handler itself lives in [`crate::vm::Vm::handle_fault`];
-//! this module defines the access kinds and the rich outcomes the
-//! handler reports so the policy layer can charge the right simulated
-//! cost for each resolution path (e.g. a TCOW copy vs. a mere
-//! write-reenable, paper Section 5.1).
+//! One page resolver in [`crate::vm`] decides how an object page
+//! resolves (zero-fill, page-in, TCOW or COW copy) for the fault
+//! handler ([`crate::vm::Vm::handle_fault`]), kernel page referencing
+//! ([`crate::vm::Vm::reference_region_pages`]) and wiring. This module
+//! defines the access kinds and the outcomes they report, so the
+//! policy layer can charge the right simulated cost for each resolution
+//! path (e.g. a TCOW copy vs. a mere write-reenable, paper
+//! Section 5.1).
 
 /// Kind of access that faulted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,13 +26,15 @@ pub enum FaultOutcome {
     /// A fresh zero-filled page was mapped (first touch of anonymous
     /// memory).
     ZeroFilled,
-    /// A resident page of the top object was mapped.
+    /// A resident page was mapped as it is: the top object's own, or
+    /// read-only from below it.
     Mapped,
     /// A page was brought back from the backing store (page-in).
     PagedIn,
     /// TCOW, copy path: the page had a nonzero output count; its
     /// contents were copied to a new page which was swapped into the
-    /// memory object and mapped writable (paper Section 5.1).
+    /// memory object (and, on a fault, mapped writable; paper
+    /// Section 5.1).
     TcowCopied,
     /// TCOW, cheap path: output had already completed (zero output
     /// count), so writing was simply re-enabled — no copy.

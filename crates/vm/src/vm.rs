@@ -413,17 +413,6 @@ impl Vm {
 
     // ----- fault handling (incl. TCOW and conventional COW) --------------------
 
-    /// Looks up the frame backing object page `idx`, walking the shadow
-    /// chain; returns the owning object and frame. Only considers
-    /// resident pages — use [`Vm::locate_page`] where paged-out content
-    /// must shadow lower levels correctly.
-    fn lookup_page(&self, top: ObjectId, idx: u64) -> Option<(ObjectId, FrameId)> {
-        match self.locate_page(top, idx) {
-            Some((oid, PageLoc::Resident(f))) => Some((oid, f)),
-            _ => None,
-        }
-    }
-
     /// Locates object page `idx` along the shadow chain, checking each
     /// level for a resident frame *or paged-out contents* before
     /// descending: a paged-out page at one level shadows anything
@@ -444,47 +433,74 @@ impl Vm {
         None
     }
 
-    /// Brings a paged-out page back into a fresh frame owned by
-    /// `owner`.
-    fn page_in(&mut self, owner: ObjectId, idx: u64) -> Result<FrameId, VmError> {
-        let data = self
-            .object_mut(owner)
-            .take_paged(idx)
-            .expect("caller located paged contents");
-        let frame = self.alloc_frame(Some(owner.0), false)?;
-        self.phys.write(frame, 0, &data)?;
-        self.object_mut(owner).set_page(idx, frame);
-        Ok(frame)
+    /// Finds object page `idx` along `top`'s shadow chain and makes it
+    /// resident at the level that owns it: a paged-out page is brought
+    /// back into a fresh frame of its owner. Returns the owner, the
+    /// frame and [`FaultOutcome::PagedIn`] or, for a page that was
+    /// resident, [`FaultOutcome::Mapped`]; `None` for a page no level
+    /// holds.
+    fn fetch_page(
+        &mut self,
+        top: ObjectId,
+        idx: u64,
+    ) -> Result<Option<(ObjectId, FrameId, FaultOutcome)>, VmError> {
+        Ok(match self.locate_page(top, idx) {
+            None => None,
+            Some((owner, PageLoc::Resident(f))) => Some((owner, f, FaultOutcome::Mapped)),
+            Some((owner, PageLoc::Paged)) => {
+                let data = self
+                    .object_mut(owner)
+                    .take_paged(idx)
+                    .expect("located paged contents");
+                let frame = self.alloc_frame(Some(owner.0), false)?;
+                self.phys.write(frame, 0, &data)?;
+                self.object_mut(owner).set_page(idx, frame);
+                Some((owner, frame, FaultOutcome::PagedIn))
+            }
+        })
     }
 
-    /// Copies the page at `src_frame` into a fresh frame owned by
-    /// `dst_obj` at page `idx`, and maps it at `vpn` with full access.
-    fn copy_page_up(
+    /// Resolves object page `idx` of `top` for an access, the one
+    /// decision behind the fault path, kernel page referencing and
+    /// wiring. The page is located along the shadow chain and paged in
+    /// if needed; a page no level holds is zero-filled into `top` (the
+    /// frame cleared only if `zero`: a caller about to overwrite the
+    /// whole page skips the memset). For a `write` the page is then
+    /// copied up into `top`: TCOW when it is `top`'s own and output
+    /// still references it (Section 5.1), COW when it was found below
+    /// `top`. A displaced frame keeps serving pending output and is
+    /// freed by its last unreference (I/O-deferred deallocation).
+    ///
+    /// Touches no PTE and counts nothing; a page resolved in place
+    /// reports [`FaultOutcome::Mapped`].
+    fn resolve_page(
         &mut self,
-        space: SpaceId,
-        vpn: u64,
-        dst_obj: ObjectId,
+        top: ObjectId,
         idx: u64,
-        src_frame: FrameId,
-    ) -> Result<FrameId, VmError> {
-        let page = self.page_size();
-        let new = self.alloc_frame(Some(dst_obj.0), false)?;
-        self.phys.copy(src_frame, 0, new, 0, page)?;
-        if let Some(old) = self.object_mut(dst_obj).set_page(idx, new) {
-            // Replacing a top-object page (TCOW): the displaced frame
-            // keeps serving pending output and is freed by the last
-            // unreference (I/O-deferred deallocation).
+        write: bool,
+        zero: bool,
+    ) -> Result<(FrameId, FaultOutcome), VmError> {
+        let Some((owner, frame, found)) = self.fetch_page(top, idx)? else {
+            let frame = self.alloc_frame(Some(top.0), zero)?;
+            self.object_mut(top).set_page(idx, frame);
+            return Ok((frame, FaultOutcome::ZeroFilled));
+        };
+        if !write {
+            return Ok((frame, found));
+        }
+        let copy = if owner != top {
+            FaultOutcome::CowCopied
+        } else if self.phys.frame(frame)?.out_count() > 0 {
+            FaultOutcome::TcowCopied
+        } else {
+            return Ok((frame, found));
+        };
+        let new = self.alloc_frame(Some(top.0), false)?;
+        self.phys.copy(frame, 0, new, 0, self.page_size())?;
+        if let Some(old) = self.object_mut(top).set_page(idx, new) {
             let _ = self.phys.dealloc(old);
         }
-        self.space_mut(space).set_pte(
-            vpn,
-            Pte {
-                frame: new,
-                read: true,
-                write: true,
-            },
-        );
-        Ok(new)
+        Ok((new, copy))
     }
 
     /// Handles a fault at virtual page `vpn` in `space`.
@@ -536,110 +552,48 @@ impl Vm {
         access: Access,
         full_write: bool,
     ) -> Result<FaultOutcome, VmError> {
-        let page_size = self.page_size() as u64;
-        let vaddr = vpn * page_size;
+        let vaddr = vpn * self.page_size() as u64;
         let Some(region) = self.space(space).region_covering(vpn) else {
             return Err(VmError::UnrecoverableFault { vaddr, mark: None });
         };
-        let mark = region.mark;
-        if !mark.recoverable() {
+        if !region.mark.recoverable() {
             return Err(VmError::UnrecoverableFault {
                 vaddr,
-                mark: Some(mark),
+                mark: Some(region.mark),
             });
         }
-        let writable_region = region.writable;
-        if access == Access::Write && !writable_region {
+        let write = access == Access::Write;
+        if write && !region.writable {
             return Err(VmError::ProtectionViolation(vaddr));
         }
-        let top = region.object;
-        let idx = region.object_page(vpn);
-
-        if let Some(pte) = self.space(space).pte(vpn) {
-            if pte.allows(access) {
-                return Ok(FaultOutcome::NoFault);
-            }
-            if access == Access::Write && pte.read {
-                // Write fault on a readable mapping.
-                if self.object(top).page(idx) == Some(pte.frame) {
-                    // Page in the top object: TCOW (Section 5.1).
-                    let out = self.phys.frame(pte.frame)?.out_count();
-                    if out > 0 {
-                        self.copy_page_up(space, vpn, top, idx, pte.frame)?;
-                        return Ok(FaultOutcome::TcowCopied);
-                    }
-                    self.space_mut(space).set_prot(vpn, true, true);
-                    return Ok(FaultOutcome::WriteEnabled);
-                }
-                // Page below the top object: conventional COW.
-                self.copy_page_up(space, vpn, top, idx, pte.frame)?;
-                return Ok(FaultOutcome::CowCopied);
-            }
-            // A no-access PTE (e.g. left by a previous invalidation in
-            // a now-recoverable region): fall through to the mapping
-            // path below, which rebuilds permissions from the object.
+        let (top, idx, writable) = (region.object, region.object_page(vpn), region.writable);
+        let pte = self.space(space).pte(vpn);
+        if pte.is_some_and(|p| p.allows(access)) {
+            return Ok(FaultOutcome::NoFault);
         }
-
-        // No (usable) PTE: fault the page in. Each chain level is
-        // checked for resident-or-paged content before descending.
-        if let Some((owner, loc)) = self.locate_page(top, idx) {
-            let (frame, paged_in) = match loc {
-                PageLoc::Resident(f) => (f, false),
-                PageLoc::Paged => (self.page_in(owner, idx)?, true),
-            };
-            if owner == top {
-                let out = self.phys.frame(frame)?.out_count();
-                if access == Access::Write && out > 0 {
-                    self.copy_page_up(space, vpn, top, idx, frame)?;
-                    return Ok(FaultOutcome::TcowCopied);
-                }
-                self.space_mut(space).set_pte(
-                    vpn,
-                    Pte {
-                        frame,
-                        read: true,
-                        write: writable_region && out == 0,
-                    },
-                );
-                return Ok(if paged_in {
-                    FaultOutcome::PagedIn
-                } else {
-                    FaultOutcome::Mapped
-                });
-            }
-            // Found below the top: map read-only or copy up.
-            if access == Access::Write {
-                self.copy_page_up(space, vpn, top, idx, frame)?;
-                return Ok(FaultOutcome::CowCopied);
-            }
-            self.space_mut(space).set_pte(
-                vpn,
-                Pte {
-                    frame,
-                    read: true,
-                    write: false,
-                },
-            );
-            return Ok(if paged_in {
-                FaultOutcome::PagedIn
-            } else {
-                FaultOutcome::Mapped
-            });
-        }
-
-        // First touch: zero-fill (skipped as dead work when the
-        // faulting write covers the whole page).
-        let frame = self.alloc_frame(Some(top.0), !full_write)?;
-        self.object_mut(top).set_page(idx, frame);
+        // A no-access PTE (e.g. left by an invalidation in a now
+        // recoverable region) is rebuilt from the object like a missing
+        // one.
+        let (frame, out) = self.resolve_page(top, idx, write, !full_write)?;
+        // After a write the resolver leaves `top`'s own page with no
+        // output references, copying it up if need be.
+        let private = write
+            || (self.object(top).page(idx) == Some(frame)
+                && self.phys.frame(frame)?.out_count() == 0);
         self.space_mut(space).set_pte(
             vpn,
             Pte {
                 frame,
                 read: true,
-                write: writable_region,
+                write: writable && private,
             },
         );
-        Ok(FaultOutcome::ZeroFilled)
+        // A write on a readable mapping of a page no output references
+        // any more: the cheap TCOW path, writing simply re-enabled.
+        Ok(match out {
+            FaultOutcome::Mapped if pte.is_some_and(|p| p.read) => FaultOutcome::WriteEnabled,
+            out => out,
+        })
     }
 
     // ----- application memory access -------------------------------------------
@@ -947,61 +901,6 @@ impl Vm {
         Ok(IoDescriptor { vecs, dir })
     }
 
-    /// Ensures object page `idx` of `top` is resident and safe for the
-    /// given I/O direction, operating at the object level (kernel
-    /// privilege — no user PTE or region-mark checks). Input requires a
-    /// private, writable page: shadow-resident pages are copied up and
-    /// pages with pending output are displaced TCOW-style.
-    fn ensure_object_page(
-        &mut self,
-        top: ObjectId,
-        idx: u64,
-        for_input: bool,
-    ) -> Result<(FrameId, FaultOutcome), VmError> {
-        let page_size = self.page_size();
-        if let Some((owner, loc)) = self.locate_page(top, idx) {
-            let (frame, paged_in) = match loc {
-                PageLoc::Resident(f) => (f, false),
-                PageLoc::Paged => (self.page_in(owner, idx)?, true),
-            };
-            if owner == top {
-                if for_input && self.phys.frame(frame)?.out_count() > 0 {
-                    let new = self.alloc_frame(Some(top.0), false)?;
-                    self.phys.copy(frame, 0, new, 0, page_size)?;
-                    self.object_mut(top).set_page(idx, new);
-                    let _ = self.phys.dealloc(frame);
-                    return Ok((new, FaultOutcome::TcowCopied));
-                }
-                return Ok((
-                    frame,
-                    if paged_in {
-                        FaultOutcome::PagedIn
-                    } else {
-                        FaultOutcome::NoFault
-                    },
-                ));
-            }
-            // Found below the top object.
-            if for_input {
-                let new = self.alloc_frame(Some(top.0), false)?;
-                self.phys.copy(frame, 0, new, 0, page_size)?;
-                self.object_mut(top).set_page(idx, new);
-                return Ok((new, FaultOutcome::CowCopied));
-            }
-            return Ok((
-                frame,
-                if paged_in {
-                    FaultOutcome::PagedIn
-                } else {
-                    FaultOutcome::NoFault
-                },
-            ));
-        }
-        let frame = self.alloc_frame(Some(top.0), true)?;
-        self.object_mut(top).set_page(idx, frame);
-        Ok((frame, FaultOutcome::ZeroFilled))
-    }
-
     /// References the pages backing `[offset, offset+len)` of a
     /// region, at the object level (kernel privilege). Used for
     /// system-allocated buffers whose user mappings may be hidden or
@@ -1038,8 +937,8 @@ impl Vm {
             let off_in_page = pos % page;
             let chunk = (page - off_in_page).min(end - pos);
             let (frame, outcome) =
-                self.ensure_object_page(top, obj_off + i, dir == IoDir::Input)?;
-            if outcome.faulted() {
+                self.resolve_page(top, obj_off + i, dir == IoDir::Input, true)?;
+            if outcome != FaultOutcome::Mapped {
                 self.faults.push(outcome);
             }
             if let Some(p) = self.space(handle.space).pte(start_vpn + i) {
@@ -1169,7 +1068,7 @@ impl Vm {
         for i in 0..npages {
             let vpn = start + i;
             let had_pte = self.space(handle.space).pte(vpn).is_some();
-            let (frame, outcome) = self.ensure_object_page(top, obj_off + i, false)?;
+            let (frame, outcome) = self.resolve_page(top, obj_off + i, false, true)?;
             if !had_pte {
                 self.space_mut(handle.space).set_pte(
                     vpn,
@@ -1180,7 +1079,7 @@ impl Vm {
                     },
                 );
             }
-            if !had_pte || outcome.faulted() {
+            if !had_pte || outcome != FaultOutcome::Mapped {
                 faulted += 1;
             }
         }
@@ -1324,13 +1223,9 @@ impl Vm {
             let new_obj = self.region(new_handle)?.object;
             let page = self.page_size();
             for i in 0..npages {
-                // Paged-out pages must be copied too (page them in at
-                // their owning level first).
-                if let Some((owner, loc)) = self.locate_page(src_obj, src_off + i) {
-                    let frame = match loc {
-                        PageLoc::Resident(f) => f,
-                        PageLoc::Paged => self.page_in(owner, src_off + i)?,
-                    };
+                // Paged-out pages must be copied too (paged in at their
+                // owning level first).
+                if let Some((_, frame, _)) = self.fetch_page(src_obj, src_off + i)? {
                     let copy = self.alloc_frame(Some(new_obj.0), false)?;
                     self.phys.copy(frame, 0, copy, 0, page)?;
                     self.object_mut(new_obj).set_page(i, copy);
@@ -1427,20 +1322,17 @@ impl Vm {
                         Err(e) => problems.push(format!("vpn {vpn}: {e}")),
                     }
                     let idx = region.object_page(vpn);
-                    if let Some((_, resolved)) = self.lookup_page(region.object, idx) {
-                        if resolved != pte.frame {
-                            problems.push(format!(
-                                "vpn {vpn} in {:?}: PTE maps {:?} but object chain resolves {:?}",
-                                space.id(),
-                                pte.frame,
-                                resolved
-                            ));
-                        }
-                    } else {
-                        problems.push(format!(
+                    match self.locate_page(region.object, idx) {
+                        Some((_, PageLoc::Resident(f))) if f == pte.frame => {}
+                        Some((_, PageLoc::Resident(f))) => problems.push(format!(
+                            "vpn {vpn} in {:?}: PTE maps {:?} but object chain resolves {f:?}",
+                            space.id(),
+                            pte.frame
+                        )),
+                        _ => problems.push(format!(
                             "vpn {vpn} in {:?}: PTE present but no object page",
                             space.id()
-                        ));
+                        )),
                     }
                 }
             }
@@ -1880,5 +1772,295 @@ mod tests {
         assert!(v.region(middle).is_err() && v.region(newest).is_ok());
         assert_eq!(v.stats().regions_reclaimed, 2);
         assert!(v.validate().is_empty(), "{:?}", v.validate());
+    }
+
+    // ----- the resolution matrix ----------------------------------------------------
+
+    /// Where the one page of a [`staged`] region lives.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Loc {
+        Untouched,
+        Top,
+        PagedTop,
+        Below,
+        PagedBelow,
+    }
+
+    /// The PTE a [`staged`] region's page starts with.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum StartPte {
+        NoPte,
+        Readable,
+        NoAccess,
+    }
+
+    const LOCS: [Loc; 5] = [
+        Loc::Untouched,
+        Loc::Top,
+        Loc::PagedTop,
+        Loc::Below,
+        Loc::PagedBelow,
+    ];
+    const PTES: [StartPte; 3] = [StartPte::NoPte, StartPte::Readable, StartPte::NoAccess];
+
+    /// The frame the region's object chain resolves its first page to.
+    fn resident_frame(v: &Vm, h: RegionHandle) -> Option<FrameId> {
+        match v.locate_page(v.region(h).unwrap().object, 0) {
+            Some((_, PageLoc::Resident(f))) => Some(f),
+            _ => None,
+        }
+    }
+
+    /// A one-page unmovable region whose page sits at `loc`, with one
+    /// pending output reference on its frame if `out` (taken before any
+    /// pageout or clone), and starting PTE `pte`; `None` for a state no
+    /// sequence of VM calls reaches (an output reference or a PTE needs
+    /// a resident page).
+    fn staged(loc: Loc, out: bool, pte: StartPte) -> Option<(Vm, RegionHandle)> {
+        let paged = matches!(loc, Loc::PagedTop | Loc::PagedBelow);
+        if (loc == Loc::Untouched && out)
+            || ((loc == Loc::Untouched || paged) && pte != StartPte::NoPte)
+        {
+            return None;
+        }
+        let (mut v, s) = vm();
+        let h = v.alloc_region(s, 1, RegionMark::Unmovable).unwrap();
+        let va = h.start_vpn * 4096;
+        if loc != Loc::Untouched {
+            v.write_app(s, va, b"staged").unwrap();
+        }
+        if out {
+            v.reference_pages(s, va, 4096, IoDir::Output).unwrap();
+        }
+        if paged {
+            let stats = v
+                .pageout_scan(1, crate::pageout::PageoutPolicy::InputDisabled)
+                .unwrap();
+            assert_eq!(stats.paged_out, 1);
+        }
+        if matches!(loc, Loc::Below | Loc::PagedBelow) {
+            let other = v.create_space();
+            v.clone_region_cow(h, other).unwrap();
+        }
+        match pte {
+            StartPte::NoPte => {
+                v.space_mut(s).clear_pte(h.start_vpn);
+            }
+            StartPte::Readable | StartPte::NoAccess => {
+                let frame = resident_frame(&v, h).unwrap();
+                let read = pte == StartPte::Readable;
+                v.space_mut(s).set_pte(
+                    h.start_vpn,
+                    Pte {
+                        frame,
+                        read,
+                        write: false,
+                    },
+                );
+            }
+        }
+        Some((v, h))
+    }
+
+    /// Runs `call` on every reachable [`staged`] state and renders one
+    /// row per state: the call's result, whether the resolved frame
+    /// changed, the PTE left behind and the `VmStats` counters that
+    /// moved.
+    fn matrix_rows(name: &str, call: impl Fn(&mut Vm, RegionHandle) -> String) -> Vec<String> {
+        let mut rows = Vec::new();
+        for loc in LOCS {
+            for out in [false, true] {
+                for pte in PTES {
+                    let Some((mut v, h)) = staged(loc, out, pte) else {
+                        continue;
+                    };
+                    let (frame, before) = (resident_frame(&v, h), v.stats());
+                    let result = call(&mut v, h);
+                    let after = v.stats();
+                    let moved: Vec<String> = [
+                        ("faults", before.faults_handled, after.faults_handled),
+                        ("tcow", before.tcow_copies, after.tcow_copies),
+                        ("cow", before.cow_copies, after.cow_copies),
+                        ("zero", before.zero_fills, after.zero_fills),
+                        ("pagein", before.pages_paged_in, after.pages_paged_in),
+                        ("wires", before.region_wires, after.region_wires),
+                    ]
+                    .into_iter()
+                    .filter(|&(_, a, b)| a != b)
+                    .map(|(n, a, b)| format!("{n}+{}", b - a))
+                    .collect();
+                    let pte_after = match v.space(h.space).pte(h.start_vpn) {
+                        None => "none".to_string(),
+                        Some(p) => format!(
+                            "{}{}",
+                            if p.read { 'r' } else { '-' },
+                            if p.write { 'w' } else { '-' }
+                        ),
+                    };
+                    let same = if resident_frame(&v, h) == frame {
+                        "same"
+                    } else {
+                        "new"
+                    };
+                    assert!(v.validate().is_empty(), "{:?}", v.validate());
+                    rows.push(format!(
+                        "{loc:?} out={} {pte:?} {name} -> {result} frame={same} pte={pte_after} stats=[{}]",
+                        u8::from(out),
+                        moved.join(" ")
+                    ));
+                }
+            }
+        }
+        rows
+    }
+
+    /// Compares rendered rows with the pinned table, row by row.
+    fn assert_rows(got: Vec<String>, want: &[&str]) {
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g, w);
+        }
+        assert_eq!(got.len(), want.len(), "{got:#?}");
+    }
+
+    /// `handle_fault`, one call: the outcome of every page location x
+    /// output reference x access x starting PTE. The call records no
+    /// `last_faults` of its own.
+    fn fault_rows(access: Access) -> Vec<String> {
+        matrix_rows(&format!("{access:?}"), |v, h| {
+            let earlier = v.last_faults().to_vec();
+            let out = v.handle_fault(h.space, h.start_vpn, access).unwrap();
+            assert_eq!(v.last_faults(), earlier);
+            format!("{out:?}")
+        })
+    }
+
+    #[test]
+    fn handle_fault_resolution_matrix() {
+        assert_rows(
+            fault_rows(Access::Read),
+            &[
+                "Untouched out=0 NoPte Read -> ZeroFilled frame=new pte=rw stats=[faults+1 zero+1]",
+                "Top out=0 NoPte Read -> Mapped frame=same pte=rw stats=[faults+1]",
+                "Top out=0 Readable Read -> NoFault frame=same pte=r- stats=[faults+1]",
+                "Top out=0 NoAccess Read -> Mapped frame=same pte=rw stats=[faults+1]",
+                "Top out=1 NoPte Read -> Mapped frame=same pte=r- stats=[faults+1]",
+                "Top out=1 Readable Read -> NoFault frame=same pte=r- stats=[faults+1]",
+                "Top out=1 NoAccess Read -> Mapped frame=same pte=r- stats=[faults+1]",
+                "PagedTop out=0 NoPte Read -> PagedIn frame=new pte=rw stats=[faults+1 pagein+1]",
+                "PagedTop out=1 NoPte Read -> PagedIn frame=new pte=rw stats=[faults+1 pagein+1]",
+                "Below out=0 NoPte Read -> Mapped frame=same pte=r- stats=[faults+1]",
+                "Below out=0 Readable Read -> NoFault frame=same pte=r- stats=[faults+1]",
+                "Below out=0 NoAccess Read -> Mapped frame=same pte=r- stats=[faults+1]",
+                "Below out=1 NoPte Read -> Mapped frame=same pte=r- stats=[faults+1]",
+                "Below out=1 Readable Read -> NoFault frame=same pte=r- stats=[faults+1]",
+                "Below out=1 NoAccess Read -> Mapped frame=same pte=r- stats=[faults+1]",
+                "PagedBelow out=0 NoPte Read -> PagedIn frame=new pte=r- stats=[faults+1 pagein+1]",
+                "PagedBelow out=1 NoPte Read -> PagedIn frame=new pte=r- stats=[faults+1 pagein+1]",
+            ],
+        );
+        assert_rows(
+            fault_rows(Access::Write),
+            &[
+                "Untouched out=0 NoPte Write -> ZeroFilled frame=new pte=rw stats=[faults+1 zero+1]",
+                "Top out=0 NoPte Write -> Mapped frame=same pte=rw stats=[faults+1]",
+                "Top out=0 Readable Write -> WriteEnabled frame=same pte=rw stats=[faults+1]",
+                "Top out=0 NoAccess Write -> Mapped frame=same pte=rw stats=[faults+1]",
+                "Top out=1 NoPte Write -> TcowCopied frame=new pte=rw stats=[faults+1 tcow+1]",
+                "Top out=1 Readable Write -> TcowCopied frame=new pte=rw stats=[faults+1 tcow+1]",
+                "Top out=1 NoAccess Write -> TcowCopied frame=new pte=rw stats=[faults+1 tcow+1]",
+                "PagedTop out=0 NoPte Write -> PagedIn frame=new pte=rw stats=[faults+1 pagein+1]",
+                "PagedTop out=1 NoPte Write -> PagedIn frame=new pte=rw stats=[faults+1 pagein+1]",
+                "Below out=0 NoPte Write -> CowCopied frame=new pte=rw stats=[faults+1 cow+1]",
+                "Below out=0 Readable Write -> CowCopied frame=new pte=rw stats=[faults+1 cow+1]",
+                "Below out=0 NoAccess Write -> CowCopied frame=new pte=rw stats=[faults+1 cow+1]",
+                "Below out=1 NoPte Write -> CowCopied frame=new pte=rw stats=[faults+1 cow+1]",
+                "Below out=1 Readable Write -> CowCopied frame=new pte=rw stats=[faults+1 cow+1]",
+                "Below out=1 NoAccess Write -> CowCopied frame=new pte=rw stats=[faults+1 cow+1]",
+                "PagedBelow out=0 NoPte Write -> CowCopied frame=new pte=rw stats=[faults+1 cow+1]",
+                "PagedBelow out=1 NoPte Write -> CowCopied frame=new pte=rw stats=[faults+1 cow+1]",
+            ],
+        );
+    }
+
+    #[test]
+    fn kernel_path_resolution_matrix() {
+        let refs = |dir: IoDir| {
+            matrix_rows(&format!("ref_{dir:?}"), |v, h| {
+                v.reference_region_pages(h, 0, 4096, dir).unwrap();
+                format!("{:?}", v.last_faults())
+            })
+        };
+        assert_rows(
+            refs(IoDir::Input),
+            &[
+                "Untouched out=0 NoPte ref_Input -> [ZeroFilled] frame=new pte=none stats=[]",
+                "Top out=0 NoPte ref_Input -> [] frame=same pte=none stats=[]",
+                "Top out=0 Readable ref_Input -> [] frame=same pte=r- stats=[]",
+                "Top out=0 NoAccess ref_Input -> [] frame=same pte=-- stats=[]",
+                "Top out=1 NoPte ref_Input -> [TcowCopied] frame=new pte=none stats=[]",
+                "Top out=1 Readable ref_Input -> [TcowCopied] frame=new pte=r- stats=[]",
+                "Top out=1 NoAccess ref_Input -> [TcowCopied] frame=new pte=-- stats=[]",
+                "PagedTop out=0 NoPte ref_Input -> [PagedIn] frame=new pte=none stats=[]",
+                "PagedTop out=1 NoPte ref_Input -> [PagedIn] frame=new pte=none stats=[]",
+                "Below out=0 NoPte ref_Input -> [CowCopied] frame=new pte=none stats=[]",
+                "Below out=0 Readable ref_Input -> [CowCopied] frame=new pte=r- stats=[]",
+                "Below out=0 NoAccess ref_Input -> [CowCopied] frame=new pte=-- stats=[]",
+                "Below out=1 NoPte ref_Input -> [CowCopied] frame=new pte=none stats=[]",
+                "Below out=1 Readable ref_Input -> [CowCopied] frame=new pte=r- stats=[]",
+                "Below out=1 NoAccess ref_Input -> [CowCopied] frame=new pte=-- stats=[]",
+                "PagedBelow out=0 NoPte ref_Input -> [CowCopied] frame=new pte=none stats=[]",
+                "PagedBelow out=1 NoPte ref_Input -> [CowCopied] frame=new pte=none stats=[]",
+            ],
+        );
+        assert_rows(
+            refs(IoDir::Output),
+            &[
+                "Untouched out=0 NoPte ref_Output -> [ZeroFilled] frame=new pte=none stats=[]",
+                "Top out=0 NoPte ref_Output -> [] frame=same pte=none stats=[]",
+                "Top out=0 Readable ref_Output -> [] frame=same pte=r- stats=[]",
+                "Top out=0 NoAccess ref_Output -> [] frame=same pte=-- stats=[]",
+                "Top out=1 NoPte ref_Output -> [] frame=same pte=none stats=[]",
+                "Top out=1 Readable ref_Output -> [] frame=same pte=r- stats=[]",
+                "Top out=1 NoAccess ref_Output -> [] frame=same pte=-- stats=[]",
+                "PagedTop out=0 NoPte ref_Output -> [PagedIn] frame=new pte=none stats=[]",
+                "PagedTop out=1 NoPte ref_Output -> [PagedIn] frame=new pte=none stats=[]",
+                "Below out=0 NoPte ref_Output -> [] frame=same pte=none stats=[]",
+                "Below out=0 Readable ref_Output -> [] frame=same pte=r- stats=[]",
+                "Below out=0 NoAccess ref_Output -> [] frame=same pte=-- stats=[]",
+                "Below out=1 NoPte ref_Output -> [] frame=same pte=none stats=[]",
+                "Below out=1 Readable ref_Output -> [] frame=same pte=r- stats=[]",
+                "Below out=1 NoAccess ref_Output -> [] frame=same pte=-- stats=[]",
+                "PagedBelow out=0 NoPte ref_Output -> [PagedIn] frame=new pte=none stats=[]",
+                "PagedBelow out=1 NoPte ref_Output -> [PagedIn] frame=new pte=none stats=[]",
+            ],
+        );
+        let rows = matrix_rows("wire", |v, h| {
+            let earlier = v.last_faults().to_vec();
+            let n = v.wire_region(h).unwrap();
+            assert_eq!(v.last_faults(), earlier);
+            n.to_string()
+        });
+        assert_rows(
+            rows,
+            &[
+                "Untouched out=0 NoPte wire -> 1 frame=new pte=rw stats=[wires+1]",
+                "Top out=0 NoPte wire -> 1 frame=same pte=rw stats=[wires+1]",
+                "Top out=0 Readable wire -> 0 frame=same pte=r- stats=[wires+1]",
+                "Top out=0 NoAccess wire -> 0 frame=same pte=-- stats=[wires+1]",
+                "Top out=1 NoPte wire -> 1 frame=same pte=rw stats=[wires+1]",
+                "Top out=1 Readable wire -> 0 frame=same pte=r- stats=[wires+1]",
+                "Top out=1 NoAccess wire -> 0 frame=same pte=-- stats=[wires+1]",
+                "PagedTop out=0 NoPte wire -> 1 frame=new pte=rw stats=[wires+1]",
+                "PagedTop out=1 NoPte wire -> 1 frame=new pte=rw stats=[wires+1]",
+                "Below out=0 NoPte wire -> 1 frame=same pte=rw stats=[wires+1]",
+                "Below out=0 Readable wire -> 0 frame=same pte=r- stats=[wires+1]",
+                "Below out=0 NoAccess wire -> 0 frame=same pte=-- stats=[wires+1]",
+                "Below out=1 NoPte wire -> 1 frame=same pte=rw stats=[wires+1]",
+                "Below out=1 Readable wire -> 0 frame=same pte=r- stats=[wires+1]",
+                "Below out=1 NoAccess wire -> 0 frame=same pte=-- stats=[wires+1]",
+                "PagedBelow out=0 NoPte wire -> 1 frame=new pte=rw stats=[wires+1]",
+                "PagedBelow out=1 NoPte wire -> 1 frame=new pte=rw stats=[wires+1]",
+            ],
+        );
     }
 }

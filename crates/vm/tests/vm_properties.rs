@@ -1,12 +1,14 @@
 //! Randomized tests for the VM substrate: random operation sequences
 //! must preserve structural invariants (checked by `Vm::validate`),
-//! data written by the application, and frame accounting. Sequences
+//! data written by the application, and frame accounting. One sequence
+//! family stays on the user path (the page walk); a second mixes in the
+//! kernel path (`reference_region_pages` and wiring). Sequences
 //! come from a deterministic xorshift PRNG (std-only, no external
 //! dependencies) so failures are reproducible.
 
 use genie_mem::{FrameId, IoDir, PhysMem};
 use genie_vm::pageout::PageoutPolicy;
-use genie_vm::{IoDescriptor, RegionMark, SpaceId, Vm};
+use genie_vm::{IoDescriptor, RegionHandle, RegionMark, SpaceId, Vm, VmError};
 
 /// Deterministic xorshift64* PRNG.
 struct Rng(u64);
@@ -61,6 +63,21 @@ enum VmOp {
     CloneCow {
         buf: usize,
     },
+    /// Kernel-privilege referencing of part of a buffer's region; an
+    /// input is filled with `byte` at once, as a device would.
+    RefRegion {
+        buf: usize,
+        off: usize,
+        len: usize,
+        input: bool,
+        byte: u8,
+    },
+    Wire {
+        buf: usize,
+    },
+    Unwire {
+        buf: usize,
+    },
 }
 
 fn arb_op(rng: &mut Rng) -> VmOp {
@@ -95,11 +112,33 @@ fn arb_op(rng: &mut Rng) -> VmOp {
     }
 }
 
+/// [`arb_op`] or, one time in three, a kernel-path operation.
+fn arb_kernel_op(rng: &mut Rng) -> VmOp {
+    match rng.range(0, 12) {
+        0 | 1 => VmOp::RefRegion {
+            buf: rng.range(0, 3),
+            off: rng.range(0, 8192),
+            len: rng.range(1, 8192),
+            input: rng.range(0, 2) == 0,
+            byte: rng.next_u64() as u8,
+        },
+        2 => VmOp::Wire {
+            buf: rng.range(0, 3),
+        },
+        3 => VmOp::Unwire {
+            buf: rng.range(0, 3),
+        },
+        _ => arb_op(rng),
+    }
+}
+
 /// Shadow model of one application buffer.
 struct BufModel {
     vaddr: u64,
     len: usize,
     contents: Vec<u8>,
+    /// Wires outstanding on the buffer's region.
+    wires: usize,
 }
 
 /// Arbitrary interleavings of writes, reads, I/O referencing, pageout,
@@ -111,6 +150,20 @@ fn random_op_sequences_preserve_invariants() {
     for case in 0..64 {
         let steps = rng.range(1, 60);
         let ops: Vec<VmOp> = (0..steps).map(|_| arb_op(&mut rng)).collect();
+        run_case(case, ops);
+    }
+}
+
+/// The kernel path mixed into the user-path operations: referencing a
+/// region at object level (input and output) and wiring it resolve
+/// pages without the walk, and must keep the same invariants, data and
+/// frame accounting.
+#[test]
+fn random_kernel_path_sequences_preserve_invariants() {
+    let mut rng = Rng::new(33);
+    for case in 0..64 {
+        let steps = rng.range(1, 60);
+        let ops: Vec<VmOp> = (0..steps).map(|_| arb_kernel_op(&mut rng)).collect();
         run_case(case, ops);
     }
 }
@@ -130,10 +183,13 @@ fn run_case(case: usize, ops: Vec<VmOp>) {
                 vaddr,
                 len,
                 contents,
+                wires: 0,
             }
         })
         .collect();
     let mut pending: Vec<IoDescriptor> = Vec::new();
+    let mut clones: Vec<RegionHandle> = Vec::new();
+    let region = |vm: &Vm, b: &BufModel| vm.region_at(space, b.vaddr).expect("region");
 
     for op in ops {
         match op {
@@ -221,11 +277,56 @@ fn run_case(case: usize, ops: Vec<VmOp>) {
                 let b = &bufs[buf];
                 let h = vm.region_at(space, b.vaddr).expect("region");
                 let (clone, _physical) = vm.clone_region_cow(h, clone_space).expect("clone");
+                clones.push(clone);
                 // The clone must read identical contents.
                 let got = vm
                     .read_app(clone_space, clone.start_vpn * 4096, b.len)
                     .expect("clone read");
                 assert_eq!(&got[..], &b.contents[..], "case {case}");
+            }
+            VmOp::RefRegion {
+                buf,
+                off,
+                len,
+                input,
+                byte,
+            } => {
+                let b = &mut bufs[buf];
+                let off = off.min(b.len - 1);
+                let len = len.min(b.len - off);
+                let dir = if input { IoDir::Input } else { IoDir::Output };
+                let d = vm
+                    .reference_region_pages(region(&vm, b), off, len, dir)
+                    .expect("reference region");
+                // The descriptor covers the buffer's current bytes.
+                let mut seen = Vec::with_capacity(len);
+                for v in &d.vecs {
+                    seen.extend_from_slice(vm.phys.read(v.frame, v.offset, v.len).expect("frame"));
+                }
+                assert_eq!(&seen[..], &b.contents[off..off + len], "case {case}");
+                if input {
+                    for v in &d.vecs {
+                        vm.phys
+                            .write(v.frame, v.offset, &vec![byte; v.len])
+                            .expect("dma");
+                    }
+                    b.contents[off..off + len].fill(byte);
+                }
+                pending.push(d);
+            }
+            VmOp::Wire { buf } => {
+                let h = region(&vm, &bufs[buf]);
+                vm.wire_region(h).expect("wire");
+                bufs[buf].wires += 1;
+            }
+            VmOp::Unwire { buf } => {
+                let h = region(&vm, &bufs[buf]);
+                if bufs[buf].wires == 0 {
+                    assert_eq!(vm.unwire_region(h), Err(VmError::WireUnderflow));
+                } else {
+                    vm.unwire_region(h).expect("unwire");
+                    bufs[buf].wires -= 1;
+                }
             }
         }
         let problems = vm.validate();
@@ -247,6 +348,23 @@ fn run_case(case: usize, ops: Vec<VmOp>) {
     assert!(
         problems.is_empty(),
         "case {case}: final invariants violated: {problems:?}"
+    );
+
+    // Every frame comes back once the regions are gone.
+    for b in &bufs {
+        let h = region(&vm, b);
+        for _ in 0..b.wires {
+            vm.unwire_region(h).expect("unwire");
+        }
+        vm.remove_region(h).expect("remove");
+    }
+    for h in clones {
+        vm.remove_region(h).expect("remove clone");
+    }
+    assert_eq!(
+        vm.phys.free_frames(),
+        vm.phys.total_frames(),
+        "case {case}: frames leaked"
     );
 }
 

@@ -232,4 +232,7 @@ if [ "$overhead" -gt "${GENIE_TRACE_OVERHEAD_TOL:-50}" ]; then
   exit 1
 fi
 
+echo "== net line count (scripts/loc.sh) =="
+./scripts/loc.sh
+
 echo "verify: all checks passed"

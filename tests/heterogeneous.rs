@@ -43,8 +43,7 @@ fn mixed_exchange(cfg: WorldConfig, s_out: Semantics, s_in: Semantics, len: usiz
 fn pc_to_alpha_and_back_deliver_byte_exact_data() {
     // 4 KB pages on one side, 8 KB on the other.
     let cfg = WorldConfig {
-        machine_a: MachineSpec::micron_p166(),
-        machine_b: MachineSpec::alphastation_255(),
+        machines: vec![MachineSpec::micron_p166(), MachineSpec::alphastation_255()],
         ..WorldConfig::default()
     };
     for sem in Semantics::ALL {
@@ -82,7 +81,7 @@ fn faster_receiver_helps_receiver_bound_semantics_most() {
     // Copy semantics is receiver-bound (copyout); compare a slow
     // receiver against a fast one with the same sender.
     let slow = WorldConfig {
-        machine_b: MachineSpec::gateway_p5_90(),
+        machines: vec![MachineSpec::micron_p166(), MachineSpec::gateway_p5_90()],
         ..WorldConfig::default()
     };
     let fast = WorldConfig::default();
