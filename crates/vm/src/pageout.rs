@@ -49,23 +49,21 @@ impl Vm {
         policy: PageoutPolicy,
     ) -> Result<PageoutStats, VmError> {
         let mut stats = PageoutStats::default();
-        // Collect candidates first: (space index, vpn, frame, object, idx).
-        let mut candidates: Vec<(u32, u64, FrameId)> = Vec::new();
-        let nspaces = self.space_count();
-        for si in 0..nspaces {
-            let space = self.space(crate::ids::SpaceId(si));
-            for (vpn, pte) in space.ptes() {
-                let Some(region) = space.region_covering(vpn) else {
-                    continue;
-                };
+        // Collect (space, vpn, frame, object, page) candidates first.
+        let mut candidates = Vec::new();
+        for si in 0..self.space_count() {
+            for (region, mapped) in self.space(crate::ids::SpaceId(si)).mappings() {
                 if region.is_wired() {
-                    stats.skipped_wired += 1;
+                    stats.skipped_wired += mapped.count();
                     continue;
                 }
-                candidates.push((si, vpn, pte.frame));
+                candidates
+                    .extend(mapped.map(|(vpn, p)| {
+                        (si, vpn, p.frame, region.object, region.object_page(vpn))
+                    }));
             }
         }
-        for (si, vpn, frame) in candidates {
+        for (si, vpn, frame, object, idx) in candidates {
             if stats.paged_out >= max_pages {
                 break;
             }
@@ -82,11 +80,6 @@ impl Vm {
                 stats.skipped_input_referenced += 1;
                 continue;
             }
-            let Some(region) = self.space(space_id).region_covering(vpn) else {
-                continue;
-            };
-            let object = region.object;
-            let idx = region.object_page(vpn);
             // Only page out pages resident in the region's top object;
             // shadow-resident pages may be shared more widely.
             if self.object(object).page(idx) != Some(frame) {
@@ -106,25 +99,9 @@ impl Vm {
 
     /// Removes every PTE (in every space) that maps `frame`.
     fn clear_mappings_of(&mut self, frame: FrameId) {
-        let nspaces = self.space_count();
-        for si in 0..nspaces {
-            let space_id = crate::ids::SpaceId(si);
-            let vpns: Vec<u64> = self
-                .space(space_id)
-                .ptes()
-                .filter(|(_, p)| p.frame == frame)
-                .map(|(v, _)| v)
-                .collect();
-            for vpn in vpns {
-                self.space_mut(space_id).clear_pte(vpn);
-            }
+        for si in 0..self.space_count() {
+            self.space_mut(crate::ids::SpaceId(si)).unmap_frame(frame);
         }
-    }
-
-    /// Number of address spaces created so far.
-    pub fn space_count(&self) -> u32 {
-        // Spaces are never destroyed in the simulation.
-        self.spaces_len() as u32
     }
 }
 

@@ -1,8 +1,10 @@
 //! Address spaces: region maps, page tables, and region caches.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::ops::Range;
 
-use genie_mem::{DenseMap, FrameId};
+use genie_mem::FrameId;
 
 use crate::error::VmError;
 use crate::fault::Access;
@@ -62,24 +64,39 @@ fn cache_slot(mark: RegionMark) -> Option<usize> {
     }
 }
 
+/// One arena slot: a region and its page table.
+#[derive(Clone, Debug)]
+struct Slot {
+    region: Region,
+    /// `ptes[i]` maps page `region.start_vpn + i`; a vacated slot has none but keeps the capacity.
+    ptes: Vec<Option<Pte>>,
+}
+
+impl Slot {
+    /// The PTE entry of `vpn`, if this slot's region covers it.
+    #[inline]
+    fn entry(&self, vpn: u64) -> Option<&Option<Pte>> {
+        self.ptes
+            .get(vpn.wrapping_sub(self.region.start_vpn) as usize)
+    }
+}
+
 /// One simulated address space.
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
     id: SpaceId,
-    /// Live regions in a compact arena: removing a region vacates its
-    /// slot and the next insert reuses it.
-    regions: Vec<Option<Region>>,
+    /// Region arena: the next insert reuses a removed region's slot, so
+    /// it holds no more slots than the most regions ever live at once.
+    regions: Vec<Slot>,
     /// Vacant `regions` slots.
-    free_slots: Vec<u32>,
-    /// Region table: for every vpn, the arena slot + 1 of the region
-    /// covering it, 0 where no region does. Grows to the highest
-    /// region end vpn (4 bytes per reserved vpn), so every region
-    /// lookup is one or two array loads.
-    by_vpn: Vec<u32>,
-    /// Page-table entries, flat-indexed by virtual page number. Vpns
-    /// are handed out by a bump allocator from 1, so the table is
-    /// dense over the space's lifetime.
-    ptes: DenseMap<Pte>,
+    free_slots: Vec<usize>,
+    /// Live regions as `(start vpn, arena slot)` in ascending order: bump
+    /// allocation appends at the back, and frees, mostly oldest first,
+    /// remove near the front without moving the rest.
+    index: VecDeque<(u64, usize)>,
+    /// Mach-style lookup hints, one per vpn bucket (twice as many as slots): the (slot,
+    /// position) of the region last found or inserted there. Each use checks its hint.
+    hints: Vec<Cell<(usize, usize)>>,
     /// Region cache, one queue per cached mark (see [`cache_slot`]),
     /// oldest first.
     cache: [VecDeque<Cached>; 2],
@@ -90,10 +107,11 @@ pub struct AddressSpace {
     /// High-water mark of `inputs_out`: the space's own input demand,
     /// which sizes its region cache.
     inputs_hwm: u64,
-    /// Pages of regions the region cache reclaimed that the
-    /// application has not freed yet, one bit per vpn.
-    reclaimed: Vec<u64>,
-    /// Bump pointer for fresh region placement.
+    /// Vpn ranges of regions the region cache reclaimed that the
+    /// application has not freed yet.
+    reclaimed: Vec<Range<u64>>,
+    /// Bump pointer for fresh region placement. It never hands out a
+    /// vpn twice, so a handle to a removed region stays stale.
     next_vpn: u64,
 }
 
@@ -105,8 +123,8 @@ impl AddressSpace {
             id,
             regions: Vec::new(),
             free_slots: Vec::new(),
-            by_vpn: Vec::new(),
-            ptes: DenseMap::new(),
+            index: VecDeque::new(),
+            hints: vec![Cell::default()],
             cache: [VecDeque::new(), VecDeque::new()],
             inputs_out: 0,
             inputs_hwm: 0,
@@ -130,117 +148,161 @@ impl AddressSpace {
 
     /// Inserts a region. Fails if it overlaps an existing region.
     pub fn insert_region(&mut self, region: Region) -> Result<(), VmError> {
-        let start = region.start_vpn;
-        let end = region.end_vpn();
-        if end <= start {
+        let (start, end) = (region.start_vpn, region.end_vpn());
+        let pos = self.rank(start);
+        let after_prev = pos == 0 || self.regions[self.index[pos - 1].1].region.end_vpn() <= start;
+        let before_next = self.index.get(pos).is_none_or(|&(s, _)| end <= s);
+        if end <= start || !(after_prev && before_next) {
             return Err(VmError::BadRange);
         }
-        let pages = start as usize..usize::try_from(end).expect("vpn overflows usize");
-        // Pages past the table's end are unmapped.
-        let known = self
-            .by_vpn
-            .get(pages.start..pages.end.min(self.by_vpn.len()));
-        if known.is_some_and(|entries| entries.iter().any(|&e| e != 0)) {
-            return Err(VmError::BadRange);
+        let npages = usize::try_from(region.npages).expect("region length overflows usize");
+        let slot = self.free_slots.pop().unwrap_or(self.regions.len());
+        if slot == self.regions.len() {
+            let (region, ptes) = (region.clone(), Vec::new());
+            self.regions.push(Slot { region, ptes });
+            let buckets = (2 * self.regions.len()).next_power_of_two();
+            self.hints.resize(buckets, Cell::default());
         }
-        let slot = match self.free_slots.pop() {
-            Some(slot) => {
-                self.regions[slot as usize] = Some(region);
-                slot
-            }
-            None => {
-                self.regions.push(Some(region));
-                u32::try_from(self.regions.len() - 1).expect("region arena overflow")
-            }
-        };
-        if self.by_vpn.len() < pages.end {
-            self.by_vpn.resize(pages.end, 0);
-        }
-        self.by_vpn[pages].fill(slot + 1);
+        self.regions[slot].ptes.resize(npages, None);
+        self.regions[slot].region = region;
+        self.index.insert(pos, (start, slot));
+        self.hint(start).set((slot, pos));
         self.next_vpn = self.next_vpn.max(end + 1);
         Ok(())
     }
 
-    /// Arena slot of the region covering `vpn`.
+    /// The hint of `vpn`'s bucket.
+    fn hint(&self, vpn: u64) -> &Cell<(usize, usize)> {
+        &self.hints[vpn as usize & (self.hints.len() - 1)]
+    }
+
+    /// Live regions starting at or below `vpn`; tries the hint, its successor and both ends first.
+    #[inline(never)]
+    fn rank(&self, vpn: u64) -> usize {
+        let start = |pos: usize| self.index.get(pos).map(|&(s, _)| s);
+        let (_, hint) = self.hint(vpn).get();
+        [hint, hint + 1, self.index.len().wrapping_sub(1), 0]
+            .into_iter()
+            .find(|&pos| {
+                start(pos).is_some_and(|s| s <= vpn) && start(pos + 1).is_none_or(|s| vpn < s)
+            })
+            .map_or_else(
+                || self.index.partition_point(|&(s, _)| s <= vpn),
+                |pos| pos + 1,
+            )
+    }
+
+    /// Arena slot of the region covering `vpn`, which becomes the hint.
     #[inline]
     fn slot_covering(&self, vpn: u64) -> Option<usize> {
-        let entry = *self.by_vpn.get(vpn as usize)?;
-        entry.checked_sub(1).map(|slot| slot as usize)
+        let (hint, _) = self.hint(vpn).get();
+        if self.regions.get(hint).and_then(|e| e.entry(vpn)).is_some() {
+            return Some(hint);
+        }
+        let pos = self.rank(vpn).checked_sub(1)?;
+        let slot = self.index[pos].1;
+        self.regions[slot].entry(vpn)?;
+        self.hint(vpn).set((slot, pos));
+        Some(slot)
     }
 
-    /// Arena slot of the region starting exactly at `start_vpn`.
-    #[inline]
-    fn slot_starting(&self, start_vpn: u64) -> Option<usize> {
-        let slot = self.slot_covering(start_vpn)?;
-        let r = self.regions[slot].as_ref()?;
-        (r.start_vpn == start_vpn).then_some(slot)
-    }
-
-    /// Removes and returns the region starting at `start_vpn`.
+    /// Removes and returns the region starting at `start_vpn`, PTEs and all.
     pub fn remove_region(&mut self, start_vpn: u64) -> Option<Region> {
-        let slot = self.slot_starting(start_vpn)?;
-        let region = self.regions[slot].take()?;
-        self.by_vpn[region.start_vpn as usize..region.end_vpn() as usize].fill(0);
-        self.free_slots.push(slot as u32);
-        Some(region)
+        let pos = self.rank(start_vpn).checked_sub(1);
+        let pos = pos.filter(|&pos| self.index[pos].0 == start_vpn)?;
+        let (_, slot) = self.index.remove(pos)?;
+        self.free_slots.push(slot);
+        self.regions[slot].ptes.clear();
+        Some(self.regions[slot].region.clone())
     }
 
     /// The region starting exactly at `start_vpn`.
     pub fn region(&self, start_vpn: u64) -> Option<&Region> {
-        self.regions[self.slot_starting(start_vpn)?].as_ref()
+        self.region_covering(start_vpn)
+            .filter(|r| r.start_vpn == start_vpn)
     }
 
     /// Mutable access to the region starting exactly at `start_vpn`.
     pub fn region_mut(&mut self, start_vpn: u64) -> Option<&mut Region> {
-        let slot = self.slot_starting(start_vpn)?;
-        self.regions[slot].as_mut()
+        let slot = self.slot_covering(start_vpn)?;
+        Some(&mut self.regions[slot].region).filter(|r| r.start_vpn == start_vpn)
     }
 
     /// The region covering virtual page `vpn`, if any.
     pub fn region_covering(&self, vpn: u64) -> Option<&Region> {
-        self.regions[self.slot_covering(vpn)?].as_ref()
-    }
-
-    /// Mutable access to the region covering `vpn`.
-    pub fn region_covering_mut(&mut self, vpn: u64) -> Option<&mut Region> {
-        let slot = self.slot_covering(vpn)?;
-        self.regions[slot].as_mut()
+        Some(&self.regions[self.slot_covering(vpn)?].region)
     }
 
     /// Iterates over all regions in ascending start-vpn order.
     pub fn regions(&self) -> impl Iterator<Item = &Region> {
-        self.by_vpn.iter().enumerate().filter_map(|(vpn, &entry)| {
-            let r = self.regions[entry.checked_sub(1)? as usize].as_ref()?;
-            (r.start_vpn == vpn as u64).then_some(r)
+        self.mappings().map(|(region, _)| region)
+    }
+
+    /// Iterates over all regions in ascending start-vpn order, each with its (vpn, pte)s.
+    pub(crate) fn mappings(
+        &self,
+    ) -> impl Iterator<Item = (&Region, impl Iterator<Item = (u64, Pte)> + '_)> {
+        self.index.iter().map(|&(start, slot)| {
+            let Slot { region, ptes } = &self.regions[slot];
+            let mapped = (start..)
+                .zip(ptes)
+                .filter_map(|(vpn, p)| Some((vpn, (*p)?)));
+            (region, mapped)
         })
+    }
+
+    /// The region covering `vpn` and its PTE for `vpn`, in one lookup.
+    pub(crate) fn mapping(&self, vpn: u64) -> Option<(&Region, Option<Pte>)> {
+        let Slot { region, ptes } = &self.regions[self.slot_covering(vpn)?];
+        Some((region, ptes[(vpn - region.start_vpn) as usize]))
+    }
+
+    /// The PTE entry of `vpn`, if a region covers it.
+    fn pte_slot(&mut self, vpn: u64) -> Option<&mut Option<Pte>> {
+        let slot = self.slot_covering(vpn)?;
+        let Slot { region, ptes } = &mut self.regions[slot];
+        ptes.get_mut((vpn - region.start_vpn) as usize)
+    }
+
+    /// Mutable access to the PTE for `vpn`, if mapped.
+    pub(crate) fn pte_mut(&mut self, vpn: u64) -> Option<&mut Pte> {
+        self.pte_slot(vpn)?.as_mut()
     }
 
     /// The PTE for `vpn`, if mapped.
     pub fn pte(&self, vpn: u64) -> Option<Pte> {
-        self.ptes.get(vpn).copied()
+        *self.regions[self.slot_covering(vpn)?].entry(vpn)?
     }
 
-    /// Installs a PTE.
+    /// Installs a PTE. Panics if no region covers `vpn`: a page table
+    /// maps only pages of its space's regions.
     pub fn set_pte(&mut self, vpn: u64, pte: Pte) {
-        self.ptes.insert(vpn, pte);
+        *self.pte_slot(vpn).expect("PTE outside every region") = Some(pte);
     }
 
     /// Removes the PTE for `vpn`, returning it.
     pub fn clear_pte(&mut self, vpn: u64) -> Option<Pte> {
-        self.ptes.remove(vpn)
+        self.pte_slot(vpn)?.take()
+    }
+
+    /// Clears every PTE that maps `frame`.
+    pub(crate) fn unmap_frame(&mut self, frame: FrameId) {
+        for p in self.regions.iter_mut().flat_map(|e| &mut e.ptes) {
+            p.take_if(|p| p.frame == frame);
+        }
     }
 
     /// Updates permissions of an existing PTE; no-op if unmapped.
     pub fn set_prot(&mut self, vpn: u64, read: bool, write: bool) {
-        if let Some(p) = self.ptes.get_mut(vpn) {
+        if let Some(p) = self.pte_mut(vpn) {
             p.read = read;
             p.write = write;
         }
     }
 
-    /// Iterates over all PTEs (vpn, pte).
+    /// Iterates over all PTEs (vpn, pte) in ascending vpn order.
     pub fn ptes(&self) -> impl Iterator<Item = (u64, Pte)> + '_ {
-        self.ptes.iter().map(|(v, &p)| (v, p))
+        self.mappings().flat_map(|(_, mapped)| mapped)
     }
 
     /// Enqueues a region on the appropriate cache queue for its mark,
@@ -332,40 +394,18 @@ impl AddressSpace {
 
     /// Records the pages `vpns` of a region the cache reclaimed: the
     /// range is unmapped, but the application may still free it.
-    pub(crate) fn mark_reclaimed(&mut self, vpns: std::ops::Range<u64>) {
-        let words = vpns.end.div_ceil(64) as usize;
-        if self.reclaimed.len() < words {
-            self.reclaimed.resize(words, 0);
-        }
-        for vpn in vpns {
-            self.reclaimed[(vpn / 64) as usize] |= 1 << (vpn % 64);
-        }
-    }
-
-    fn is_reclaimed(&self, vpn: u64) -> bool {
-        self.reclaimed
-            .get((vpn / 64) as usize)
-            .is_some_and(|w| w & (1 << (vpn % 64)) != 0)
+    pub(crate) fn mark_reclaimed(&mut self, vpns: Range<u64>) {
+        self.reclaimed.push(vpns);
     }
 
     /// Frees a reclaimed range given any vpn inside it: the application
     /// freeing a buffer the region cache already took back. Returns
     /// false if `vpn` is not in a reclaimed range.
     pub fn free_reclaimed(&mut self, vpn: u64) -> bool {
-        if !self.is_reclaimed(vpn) {
+        let Some(i) = self.reclaimed.iter().position(|r| r.contains(&vpn)) else {
             return false;
-        }
-        // Guard gaps separate reserved regions, so the contiguous run
-        // of reclaimed pages around `vpn` is exactly its region.
-        let mut first = vpn;
-        while first > 0 && self.is_reclaimed(first - 1) {
-            first -= 1;
-        }
-        let mut v = first;
-        while self.is_reclaimed(v) {
-            self.reclaimed[(v / 64) as usize] &= !(1 << (v % 64));
-            v += 1;
-        }
+        };
+        self.reclaimed.swap_remove(i);
         true
     }
 }
@@ -422,6 +462,7 @@ mod tests {
     #[test]
     fn pte_lifecycle() {
         let mut s = space();
+        s.insert_region(region(4, 2)).unwrap();
         assert!(s.pte(5).is_none());
         s.set_pte(
             5,
@@ -436,6 +477,18 @@ mod tests {
         assert!(p.read && !p.write);
         assert!(s.clear_pte(5).is_some());
         assert!(s.pte(5).is_none());
+        // A removed region takes its PTEs with it.
+        s.set_pte(
+            4,
+            Pte {
+                frame: FrameId(2),
+                read: true,
+                write: false,
+            },
+        );
+        assert!(s.remove_region(4).is_some());
+        assert!(s.pte(4).is_none());
+        assert_eq!(s.ptes().count(), 0);
     }
 
     #[test]
@@ -581,12 +634,13 @@ mod tests {
                         let want = reference.0.remove(&vpn);
                         assert_eq!(got.as_ref().map(key), want.as_ref().map(key), "{ctx}");
                     }
-                    // Mutate through both mutable accessors.
+                    // Mutate by start vpn, and by a vpn inside the region.
                     _ if !live.is_empty() => {
                         let start = pick(r >> 8);
                         let inner = start + (r >> 32) % reference.0[&start].npages;
                         s.region_mut(start).expect("live").wire_count += 1;
-                        s.region_covering_mut(inner).expect("live").wire_count += 2;
+                        let covering = s.region_covering(inner).expect("live").start_vpn;
+                        s.region_mut(covering).expect("live").wire_count += 2;
                         reference.0.get_mut(&start).expect("live").wire_count += 3;
                     }
                     _ => {}
@@ -612,5 +666,81 @@ mod tests {
             }
             assert!(peak_live > 20, "seed {seed}: too few live regions to test");
         }
+    }
+
+    /// A space is sized by its live regions, not by every vpn it ever
+    /// reserved: 100,000 alloc/fault/free cycles with at most four
+    /// regions live (every eighth one cached, which reclaims the region
+    /// cached before it; the application then frees that one) leave
+    /// the index, the arena, the hints, the page tables and the
+    /// reclaimed list at a few entries. A removed region's handle stays stale after a
+    /// thousand more regions have reused its slot.
+    #[test]
+    fn space_storage_is_bounded_by_live_regions() {
+        use crate::{Access, Vm};
+        use genie_mem::PhysMem;
+
+        let mut vm = Vm::new(PhysMem::new(4096, 64));
+        let s = vm.create_space();
+        let bounded = |vm: &Vm, step: u64| {
+            let space = vm.space(s);
+            let pte_capacity: usize = space.regions.iter().map(|e| e.ptes.capacity()).sum();
+            assert!(
+                space.index.len() <= 4,
+                "step {step}: index {}",
+                space.index.len()
+            );
+            assert!(
+                space.hints.len() <= 8,
+                "step {step}: hints {}",
+                space.hints.len()
+            );
+            assert!(
+                space.regions.len() <= 4,
+                "step {step}: arena {}",
+                space.regions.len()
+            );
+            assert!(
+                pte_capacity <= 32,
+                "step {step}: PTE capacity {pte_capacity}"
+            );
+            assert!(
+                space.reclaimed.is_empty(),
+                "step {step}: reclaimed {:?}",
+                space.reclaimed
+            );
+        };
+        let mut live = VecDeque::new();
+        let mut cached: Option<RegionHandle> = None;
+        for i in 0..100_000u64 {
+            if live.len() == 2 {
+                vm.remove_region(live.pop_front().unwrap()).unwrap();
+            }
+            let h = vm
+                .alloc_region(s, 1 + i % 3, RegionMark::Unmovable)
+                .unwrap();
+            vm.handle_fault(s, h.start_vpn + i % 3, Access::Write)
+                .unwrap();
+            if i % 8 == 0 {
+                vm.cache_region(h, RegionMark::MovedOut).unwrap();
+                if let Some(prev) = cached.replace(h) {
+                    assert!(vm.space_mut(s).free_reclaimed(prev.start_vpn));
+                    assert!(!vm.space_mut(s).free_reclaimed(prev.start_vpn));
+                }
+            } else {
+                live.push_back(h);
+            }
+            bounded(&vm, i);
+        }
+        let stale = live.pop_front().unwrap();
+        vm.remove_region(stale).unwrap();
+        for _ in 0..1_000 {
+            let h = vm.alloc_region(s, 1, RegionMark::Unmovable).unwrap();
+            vm.remove_region(h).unwrap();
+        }
+        bounded(&vm, 100_000);
+        let gone = Some(VmError::NoRegion(stale.start_vpn));
+        assert_eq!(vm.region(stale).err(), gone);
+        assert_eq!(vm.remove_region(stale).err(), gone);
     }
 }

@@ -161,8 +161,9 @@ impl Vm {
 
     // ----- spaces and objects -------------------------------------------------
 
-    pub(crate) fn spaces_len(&self) -> usize {
-        self.spaces.len()
+    /// Number of address spaces created so far (none is ever destroyed).
+    pub fn space_count(&self) -> u32 {
+        self.spaces.len() as u32
     }
 
     /// Creates a new (empty) address space.
@@ -273,16 +274,13 @@ impl Vm {
         Ok(())
     }
 
-    /// Removes a region from its space, clears its PTEs and releases
+    /// Removes a region, with its PTEs, from its space and releases
     /// its object; returns the removed region.
     fn unmap_region(&mut self, handle: RegionHandle) -> Result<Region, VmError> {
-        let space = self.space_mut(handle.space);
-        let region = space
+        let region = self
+            .space_mut(handle.space)
             .remove_region(handle.start_vpn)
             .ok_or(VmError::NoRegion(handle.start_vpn))?;
-        for vpn in region.start_vpn..region.end_vpn() {
-            space.clear_pte(vpn);
-        }
         self.release_object(region.object);
         Ok(region)
     }
@@ -553,7 +551,7 @@ impl Vm {
         full_write: bool,
     ) -> Result<FaultOutcome, VmError> {
         let vaddr = vpn * self.page_size() as u64;
-        let Some(region) = self.space(space).region_covering(vpn) else {
+        let Some((region, pte)) = self.space(space).mapping(vpn) else {
             return Err(VmError::UnrecoverableFault { vaddr, mark: None });
         };
         if !region.mark.recoverable() {
@@ -567,7 +565,6 @@ impl Vm {
             return Err(VmError::ProtectionViolation(vaddr));
         }
         let (top, idx, writable) = (region.object, region.object_page(vpn), region.writable);
-        let pte = self.space(space).pte(vpn);
         if pte.is_some_and(|p| p.allows(access)) {
             return Ok(FaultOutcome::NoFault);
         }
@@ -577,9 +574,7 @@ impl Vm {
         let (frame, out) = self.resolve_page(top, idx, write, !full_write)?;
         // After a write the resolver leaves `top`'s own page with no
         // output references, copying it up if need be.
-        let private = write
-            || (self.object(top).page(idx) == Some(frame)
-                && self.phys.frame(frame)?.out_count() == 0);
+        let private = write || self.private_page(top, idx, frame)?;
         self.space_mut(space).set_pte(
             vpn,
             Pte {
@@ -594,6 +589,11 @@ impl Vm {
             FaultOutcome::Mapped if pte.is_some_and(|p| p.read) => FaultOutcome::WriteEnabled,
             out => out,
         })
+    }
+
+    /// True if a PTE may map `frame` writable: `top`'s own page, unread by output.
+    fn private_page(&self, top: ObjectId, idx: u64, frame: FrameId) -> Result<bool, VmError> {
+        Ok(self.object(top).page(idx) == Some(frame) && self.phys.frame(frame)?.out_count() == 0)
     }
 
     // ----- application memory access -------------------------------------------
@@ -627,15 +627,13 @@ impl Vm {
             let vpn = addr / page as u64;
             let off = (addr % page as u64) as usize;
             let chunk = (page - off).min(len - pos);
-            if !self.space(space).pte(vpn).is_some_and(|p| p.allows(access)) {
+            let mut pte = self.space(space).pte(vpn).filter(|p| p.allows(access));
+            if pte.is_none() {
                 let out = self.handle_fault_opts(space, vpn, access, store && chunk == page)?;
                 self.faults.push(out);
+                pte = self.space(space).pte(vpn);
             }
-            let frame = self
-                .space(space)
-                .pte(vpn)
-                .expect("mapped after fault")
-                .frame;
+            let frame = pte.expect("mapped after fault").frame;
             if !f(self, frame, off, chunk, pos)? {
                 return Ok(false);
             }
@@ -798,17 +796,15 @@ impl Vm {
     /// cannot perturb the state it is checking.
     pub fn peek_page(&self, space: SpaceId, vpn: u64) -> PagePeek<'_> {
         let page = self.page_size();
-        let Some(region) = self.space(space).region_covering(vpn) else {
+        let Some((region, pte)) = self.space(space).mapping(vpn) else {
             return PagePeek::Denied;
         };
-        if let Some(pte) = self.space(space).pte(vpn) {
-            if pte.read {
-                return PagePeek::Bytes(
-                    self.phys
-                        .read(pte.frame, 0, page)
-                        .expect("mapped frame exists"),
-                );
-            }
+        if let Some(pte) = pte.filter(|p| p.read) {
+            return PagePeek::Bytes(
+                self.phys
+                    .read(pte.frame, 0, page)
+                    .expect("mapped frame exists"),
+            );
         }
         // No usable mapping: a real access would fault, and recovery is
         // only attempted in unmovable or moved-in regions.
@@ -941,11 +937,8 @@ impl Vm {
             if outcome != FaultOutcome::Mapped {
                 self.faults.push(outcome);
             }
-            if let Some(p) = self.space(handle.space).pte(start_vpn + i) {
-                if p.frame != frame {
-                    self.space_mut(handle.space)
-                        .set_pte(start_vpn + i, Pte { frame, ..p });
-                }
+            if let Some(p) = self.space_mut(handle.space).pte_mut(start_vpn + i) {
+                p.frame = frame;
             }
             self.phys.ref_io(frame, dir)?;
             if dir == IoDir::Input {
@@ -1014,8 +1007,8 @@ impl Vm {
         let first = vaddr / page;
         let last = (vaddr + len as u64).div_ceil(page);
         for vpn in first..last {
-            if let Some(p) = self.space(space).pte(vpn) {
-                self.space_mut(space).set_prot(vpn, p.read, false);
+            if let Some(p) = self.space_mut(space).pte_mut(vpn) {
+                p.write = false;
             }
         }
     }
@@ -1027,9 +1020,7 @@ impl Vm {
         let region = self.region(handle)?;
         let (start, end) = (region.start_vpn, region.end_vpn());
         for vpn in start..end {
-            if self.space(handle.space).pte(vpn).is_some() {
-                self.space_mut(handle.space).set_prot(vpn, false, false);
-            }
+            self.space_mut(handle.space).set_prot(vpn, false, false);
         }
         self.stats.region_invalidations += 1;
         Ok(())
@@ -1041,9 +1032,7 @@ impl Vm {
         let region = self.region(handle)?;
         let (start, end, writable) = (region.start_vpn, region.end_vpn(), region.writable);
         for vpn in start..end {
-            if self.space(handle.space).pte(vpn).is_some() {
-                self.space_mut(handle.space).set_prot(vpn, true, writable);
-            }
+            self.space_mut(handle.space).set_prot(vpn, true, writable);
         }
         self.stats.region_reinstates += 1;
         Ok(())
@@ -1053,8 +1042,9 @@ impl Vm {
 
     /// Wires a region: ensures every page is resident (kernel
     /// privilege — works on regions in transit too), installs missing
-    /// PTEs, and pins the region against pageout. Returns the number
-    /// of pages that had to be made resident or mapped.
+    /// PTEs (writable only where the fault path would make them so), and
+    /// pins the region against pageout. Returns the number of pages
+    /// that had to be made resident or mapped.
     pub fn wire_region(&mut self, handle: RegionHandle) -> Result<u64, VmError> {
         let region = self.region(handle)?;
         let (start, npages, top, obj_off, writable) = (
@@ -1070,12 +1060,13 @@ impl Vm {
             let had_pte = self.space(handle.space).pte(vpn).is_some();
             let (frame, outcome) = self.resolve_page(top, obj_off + i, false, true)?;
             if !had_pte {
+                let write = writable && self.private_page(top, obj_off + i, frame)?;
                 self.space_mut(handle.space).set_pte(
                     vpn,
                     Pte {
                         frame,
                         read: true,
-                        write: writable,
+                        write,
                     },
                 );
             }
@@ -1253,8 +1244,8 @@ impl Vm {
 
         // Demote source write permissions so writes fault and copy up.
         for vpn in start_vpn..start_vpn + npages {
-            if let Some(p) = self.space(src.space).pte(vpn) {
-                self.space_mut(src.space).set_prot(vpn, p.read, false);
+            if let Some(p) = self.space_mut(src.space).pte_mut(vpn) {
+                p.write = false;
             }
         }
         Ok((
@@ -1302,7 +1293,7 @@ impl Vm {
             }
         }
         for space in &self.spaces {
-            for region in space.regions() {
+            for (region, mapped) in space.mappings() {
                 if !self.object_live(region.object) {
                     problems.push(format!(
                         "region at vpn {} references dead {:?}",
@@ -1310,10 +1301,7 @@ impl Vm {
                     ));
                     continue;
                 }
-                for vpn in region.start_vpn..region.end_vpn() {
-                    let Some(pte) = space.pte(vpn) else {
-                        continue;
-                    };
+                for (vpn, pte) in mapped {
                     match self.phys.frame(pte.frame) {
                         Ok(f) if f.state() == genie_mem::FrameState::Free => {
                             problems.push(format!("vpn {vpn} in {:?} maps free frame", space.id()))
@@ -2047,19 +2035,19 @@ mod tests {
                 "Top out=0 NoPte wire -> 1 frame=same pte=rw stats=[wires+1]",
                 "Top out=0 Readable wire -> 0 frame=same pte=r- stats=[wires+1]",
                 "Top out=0 NoAccess wire -> 0 frame=same pte=-- stats=[wires+1]",
-                "Top out=1 NoPte wire -> 1 frame=same pte=rw stats=[wires+1]",
+                "Top out=1 NoPte wire -> 1 frame=same pte=r- stats=[wires+1]",
                 "Top out=1 Readable wire -> 0 frame=same pte=r- stats=[wires+1]",
                 "Top out=1 NoAccess wire -> 0 frame=same pte=-- stats=[wires+1]",
                 "PagedTop out=0 NoPte wire -> 1 frame=new pte=rw stats=[wires+1]",
                 "PagedTop out=1 NoPte wire -> 1 frame=new pte=rw stats=[wires+1]",
-                "Below out=0 NoPte wire -> 1 frame=same pte=rw stats=[wires+1]",
+                "Below out=0 NoPte wire -> 1 frame=same pte=r- stats=[wires+1]",
                 "Below out=0 Readable wire -> 0 frame=same pte=r- stats=[wires+1]",
                 "Below out=0 NoAccess wire -> 0 frame=same pte=-- stats=[wires+1]",
-                "Below out=1 NoPte wire -> 1 frame=same pte=rw stats=[wires+1]",
+                "Below out=1 NoPte wire -> 1 frame=same pte=r- stats=[wires+1]",
                 "Below out=1 Readable wire -> 0 frame=same pte=r- stats=[wires+1]",
                 "Below out=1 NoAccess wire -> 0 frame=same pte=-- stats=[wires+1]",
-                "PagedBelow out=0 NoPte wire -> 1 frame=new pte=rw stats=[wires+1]",
-                "PagedBelow out=1 NoPte wire -> 1 frame=new pte=rw stats=[wires+1]",
+                "PagedBelow out=0 NoPte wire -> 1 frame=new pte=r- stats=[wires+1]",
+                "PagedBelow out=1 NoPte wire -> 1 frame=new pte=r- stats=[wires+1]",
             ],
         );
     }

@@ -188,7 +188,8 @@ fn run_case(case: usize, ops: Vec<VmOp>) {
         })
         .collect();
     let mut pending: Vec<IoDescriptor> = Vec::new();
-    let mut clones: Vec<RegionHandle> = Vec::new();
+    // Each COW clone with the contents it was made with.
+    let mut clones: Vec<(RegionHandle, Vec<u8>)> = Vec::new();
     let region = |vm: &Vm, b: &BufModel| vm.region_at(space, b.vaddr).expect("region");
 
     for op in ops {
@@ -277,7 +278,7 @@ fn run_case(case: usize, ops: Vec<VmOp>) {
                 let b = &bufs[buf];
                 let h = vm.region_at(space, b.vaddr).expect("region");
                 let (clone, _physical) = vm.clone_region_cow(h, clone_space).expect("clone");
-                clones.push(clone);
+                clones.push((clone, b.contents.clone()));
                 // The clone must read identical contents.
                 let got = vm
                     .read_app(clone_space, clone.start_vpn * 4096, b.len)
@@ -344,6 +345,13 @@ fn run_case(case: usize, ops: Vec<VmOp>) {
         let got = vm.read_app(space, b.vaddr, b.len).expect("final read");
         assert_eq!(&got[..], &b.contents[..], "case {case}");
     }
+    // No later write to a source, wired or not, reaches its clones.
+    for (clone, contents) in &clones {
+        let got = vm
+            .read_app(clone_space, clone.start_vpn * 4096, contents.len())
+            .expect("final clone read");
+        assert_eq!(&got[..], &contents[..], "case {case}: clone contents");
+    }
     let problems = vm.validate();
     assert!(
         problems.is_empty(),
@@ -358,7 +366,7 @@ fn run_case(case: usize, ops: Vec<VmOp>) {
         }
         vm.remove_region(h).expect("remove");
     }
-    for h in clones {
+    for (h, _) in clones {
         vm.remove_region(h).expect("remove clone");
     }
     assert_eq!(

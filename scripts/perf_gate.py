@@ -4,6 +4,7 @@
 Usage:
   perf_gate.py --baseline BENCH_baseline.json --fresh FRESH.json...
                [--reports RUN.json ...] [--tol PCT] [--write-baseline]
+  perf_gate.py --ab PARENT_DATAPATH CHANGE_DATAPATH [--pairs N]
 
 Each FRESH.json is a BENCH_report.json whose datapath_ns section holds
 {"mean": .., "min": ..} per benchmark; when several are given the
@@ -22,11 +23,25 @@ divides it out. Both are informational; the gate compares raw
 minimums. Improvements never
 fail the gate; after intentional perf work rerun with --write-baseline
 to record the new minimums (the note and pr5_reference are preserved).
+
+--ab compares two `datapath` binaries instead, informationally: it runs
+N pairs of fresh processes (default 10), the parent first in odd pairs
+and the change first in even ones, so box drift falls on both sides
+alike. Per primitive it prints the median over pairs of the
+change/parent ratio of run minimums, how many pairs the change won, and
+the parent's own spread: the distance between the quartiles of its
+minimums, relative to their median. A median ratio beyond that spread
+reads "improved" or "regressed"; anything inside it is "within noise".
+It never fails and never touches the baseline.
 """
 
 import argparse
 import json
+import os
+import statistics
+import subprocess
 import sys
+import tempfile
 
 # The box-drift probe: a pure CRC over 60 KB whose code the simulator's
 # changes do not touch, so its fresh/baseline ratio is the machine's.
@@ -38,10 +53,44 @@ def load(path):
         return json.load(f)
 
 
+def datapath_mins(binary, out):
+    """Runs one fresh `datapath` process; returns its minimum per primitive."""
+    subprocess.run([binary, "--out", out], check=True, stdout=subprocess.DEVNULL)
+    return {name: e["min"] for name, e in load(out)["datapath_ns"].items()}
+
+
+def ab(parent, change, pairs):
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for pair in range(1, pairs + 1):
+            order = ["parent", "change"] if pair % 2 else ["change", "parent"]
+            for side in order:
+                binary = parent if side == "parent" else change
+                out = os.path.join(tmp, f"{side}{pair}.json")
+                runs[side].append(datapath_mins(binary, out))
+    print(f"perf gate --ab: {pairs} interleaved pairs, parent {parent}, change {change}")
+    print(f"  {'benchmark':<28} {'parent med':>12} {'change/parent':>14} "
+          f"{'wins':>6} {'parent IQR':>11}  verdict")
+    for name in runs["parent"][0]:
+        base = [r[name] for r in runs["parent"]]
+        ratios = [c[name] / p[name] for p, c in zip(runs["parent"], runs["change"])]
+        wins = sum(r < 1 for r in ratios)
+        ratio = statistics.median(ratios)
+        q1, _, q3 = statistics.quantiles(base, n=4)
+        spread = (q3 - q1) / statistics.median(base)
+        verdict = ("regressed" if ratio > 1 + spread
+                   else "improved" if ratio < 1 - spread else "within noise")
+        print(f"  {name:<28} {statistics.median(base) / 1e3:>10.1f}us {ratio:>14.3f} "
+              f"{wins:>3}/{pairs:<2} {spread:>10.1%}  {verdict}")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--baseline", required=True)
-    ap.add_argument("--fresh", nargs="+", required=True)
+    ap.add_argument("--ab", nargs=2, metavar=("PARENT_DATAPATH", "CHANGE_DATAPATH"))
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--baseline")
+    ap.add_argument("--fresh", nargs="+")
     ap.add_argument("--reports", nargs="*", default=[])
     # CQ snapshots are listed separately from --reports because their
     # total_wall_ms covers only the cq sweep and must not shrink the
@@ -50,6 +99,12 @@ def main():
     ap.add_argument("--tol", type=float, default=25.0)
     ap.add_argument("--write-baseline", action="store_true")
     args = ap.parse_args()
+    if args.ab:
+        if args.pairs < 2:
+            ap.error("--pairs needs at least 2 pairs for quartiles")
+        return ab(*args.ab, args.pairs)
+    if not (args.baseline and args.fresh):
+        ap.error("--baseline and --fresh are required without --ab")
 
     base = load(args.baseline)
     fresh_ns = {}

@@ -201,12 +201,10 @@ fn warm_star_waves_allocate_at_most_one_block_per_datagram() {
     assert_eq!(delivered, 252 * WAVES);
     let per_datagram = allocs as f64 / delivered as f64;
     // The per-datagram buffers (payload, fault, descriptor and frame
-    // lists, object page tables) all come from pools, and memory
-    // objects reuse the slots of released ones, so what remains is per
-    // wave, not per datagram: the two completion lists handed to the
-    // caller, and the doubling of each process's region map and page
-    // table as fresh virtual pages are handed out (all 63 spokes double
-    // in the same waves, at wave 1, 2, 4, 8 and 16).
+    // lists, object and region page tables) all come from pools, and
+    // memory objects and regions reuse the slots of released ones, so
+    // what remains is per wave, not per datagram: the two completion
+    // lists handed to the caller.
     assert!(
         per_datagram <= 1.0,
         "warm star waves: {allocs} allocations for {delivered} datagrams \
@@ -221,11 +219,11 @@ fn warm_star_waves_allocate_at_most_one_block_per_datagram() {
 
 /// Measured waves after the warm-up wave.
 const WAVES: usize = 16;
-/// Allocations of those waves: 2 completion lists x 16 waves, plus
-/// 128 per doubling wave (2 tables x 63 spokes, and the hub's) x 5.
-/// The object table no longer doubles: a host's object arena stays at
-/// the most objects it ever held at once, reached in the warm-up wave.
-const PINNED_STAR_ALLOCS: u64 = 672;
+/// Allocations of those waves: 2 completion lists x 16 waves. No
+/// table grows: a host's object arena and each space's region arena
+/// and index stay at the most objects and regions they ever held at
+/// once, reached in the warm-up wave.
+const PINNED_STAR_ALLOCS: u64 = 32;
 
 /// One two-host exchange per call, buffers reused the way the
 /// measurement drivers reuse them.
@@ -334,9 +332,8 @@ fn warm_two_host_exchange_allocates_only_its_completion_lists() {
                     pair.exchange(round);
                 }
             });
-            // Two completion lists per exchange, handed to the caller,
-            // plus the amortized doubling of the growing tables.
-            if allocs > 2 * EXCHANGES as u64 + GROWTH {
+            // Two completion lists per exchange, handed to the caller.
+            if allocs > 2 * EXCHANGES as u64 {
                 failures.push(format!("{name}/{sem}: {allocs} allocations"));
             }
         }
@@ -345,16 +342,10 @@ fn warm_two_host_exchange_allocates_only_its_completion_lists() {
         failures.is_empty(),
         "warm exchanges allocated beyond their completion lists \
          ({EXCHANGES} exchanges, want <= {}):\n{}",
-        2 * EXCHANGES as u64 + GROWTH,
+        2 * EXCHANGES as u64,
         failures.join("\n")
     );
 }
 
 const WARM_EXCHANGES: usize = 80;
 const EXCHANGES: usize = 64;
-/// System-allocated semantics map a fresh source region (and, for
-/// move input, a fresh destination region) per exchange, so the
-/// region map and page table of each side grow; over these 64
-/// exchanges each doubles once. (Memory objects reuse freed slots, so
-/// the object table does not grow.)
-const GROWTH: u64 = 4;
