@@ -1,4 +1,5 @@
-//! The fabric: every wire hop, next-hop event and credit return.
+//! The fabric: every launch, wire hop, next-hop event and credit
+//! return.
 //!
 //! Without a switch the world wires two hosts back to back (the
 //! paper's configuration) and every PDU crosses one hop, from the
@@ -6,11 +7,12 @@
 //! in between, so every PDU crosses two hops, each with its own credit
 //! loop (hop-by-hop flow control, after Kosak et al.):
 //!
-//! 1. **Host → switch.** `try_transmit_one` spends the sender
-//!    adapter's per-VC credits and `uplink_hop` puts the PDU on the
-//!    uplink wire; [`Event::SwitchIngress`] fires at the end of it.
-//!    The ingress handler buffers the PDU in the routed output port(s)
-//!    and returns the hop-1 credits to the sender.
+//! 1. **Host → switch.** A first send (`try_transmit_one`) or a
+//!    retransmission (`on_retransmit`) spends the sender adapter's
+//!    per-VC credits and hands the wire image to `launch`, which puts
+//!    it on the uplink wire; [`Event::SwitchIngress`] fires at the end
+//!    of it. The ingress handler buffers the PDU in the routed output
+//!    port(s) and returns the hop-1 credits to the sender.
 //! 2. **Switch → host.** [`Event::PortDrain`] dispatches the head of
 //!    an output port's FIFO when the egress link is free and the
 //!    `(port, VC)` credit ledger covers the PDU's cells; the final
@@ -19,7 +21,11 @@
 //!    blocks its whole port, which preserves per-VC FIFO order across
 //!    the hop.
 //!
-//! Both worlds share the helpers below; DESIGN.md §9 describes them.
+//! From launch to delivery a PDU travels as one [`InflightPdu`] record
+//! (VC, token, sent-at, sequence number, cells, wire bytes and the
+//! wire image, `None` once damaged): the next-hop events, the switch's
+//! output FIFO and the receiver's reorder hold all carry it. Both
+//! worlds share the helpers below; DESIGN.md §9 describes them.
 //!
 //! Contention is visible in two places: fan-in queueing in the
 //! output-port FIFOs (depth counters) and credit stalls on the egress
@@ -27,20 +33,21 @@
 
 use std::collections::VecDeque;
 
+use genie_machine::link::cells_for_payload;
 use genie_machine::{LinkSpec, Op, SimTime};
-use genie_net::{SwitchedPdu, Vc, WirePdu};
+use genie_net::{InflightPdu, SwitchedPdu, Vc, WirePdu};
 use genie_trace::Track;
 
 use crate::world::{Event, HostId, World};
 
-/// Retry interval of a credit-stalled uplink send or retransmission
-/// (50 µs). Both host-side paths still poll. A credit return wakes
-/// only the front of the VC's transmit queue (`wake_txq`), never a
-/// pending `Retransmit`, so a stalled retransmission has no other
-/// wake; the transmit queue keeps the same poll beside its wake, and
-/// each retry that still finds the VC dry counts as one more stall.
-/// Switch egress never polls: ingress kicks and credit returns are its
-/// only wakes.
+/// Retry interval of a credit-stalled first send or retransmission
+/// (50 µs). Both spend the sender's VC credits before `launch`, and
+/// both still poll while the VC is dry. A credit return wakes only the
+/// front of the VC's transmit queue (`wake_txq`), never a pending
+/// `Retransmit`, so a stalled retransmission has no other wake; the
+/// transmit queue keeps the same poll beside its wake, and each retry
+/// that still finds the VC dry counts as one more stall. Switch egress
+/// never polls: ingress kicks and credit returns are its only wakes.
 pub(crate) const UPLINK_STALL_RETRY: SimTime = SimTime::from_ps(50_000_000);
 
 /// One wire hop's timing. The PDU starts serializing at `ready` or
@@ -105,41 +112,64 @@ impl World {
         (start, arrival)
     }
 
-    /// The event that ends an uplink hop: ingress at the switch, or
-    /// arrival at the peer when there is no switch. `pdu` is `None` for
-    /// a PDU the wire damaged.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn uplink_event(
-        &self,
-        from: HostId,
-        vc: Vc,
-        pdu: Option<WirePdu>,
-        cells: usize,
-        total: usize,
-        sent_at: SimTime,
-        token: u64,
-        seq: u32,
-    ) -> Event {
-        match self.switch {
-            Some(_) => Event::SwitchIngress {
-                from,
-                vc,
-                pdu,
-                cells,
-                total,
-                sent_at,
-                token,
-                seq,
-            },
+    /// Launches output `token`'s wire image `payload` onto its
+    /// sender's uplink at `ready`: the uplink hop, the fault plan's
+    /// wire verdict (extra delay, cell damage), the forced cell-codec
+    /// round trip, and the event that ends the hop — ingress at the
+    /// switch, or arrival at the peer when there is no switch. First
+    /// sends and retransmissions both leave the host here. Returns
+    /// when the PDU started serializing.
+    pub(crate) fn launch(&mut self, token: u64, ready: SimTime, payload: Vec<u8>) -> SimTime {
+        let slot = self.ops.get(token).expect("launched output is live");
+        let (from, vc, seq, sent_at) = (slot.from, slot.vc, slot.seq, slot.invoked_at);
+        let total = payload.len();
+        let cells = cells_for_payload(total);
+        let (wire_start, mut arrival) = self.uplink_hop(from, vc, seq, ready, total, cells);
+
+        // The wire image: one contiguous pooled buffer plus cell
+        // metadata. Real cells exist only on the slow path (fault
+        // damage, forced cell codec).
+        let mut wire = WirePdu::new(vc.0, payload);
+        debug_assert_eq!(wire.n_cells(), cells, "cell metadata disagrees with charge");
+        let mut intact = true;
+        if self.fault.plan.active() {
+            let verdict = self.fault.plan.wire(cells);
+            if let Some(extra) = verdict.extra_delay {
+                self.fault.stats.pdus_delayed += 1;
+                arrival += extra;
+            }
+            if let Some(damage) = verdict.damage {
+                intact = self.apply_wire_damage(vc, wire.payload(), damage);
+            }
+        }
+        let wire = if intact {
+            if self.force_cells {
+                wire = self.roundtrip_through_cells(wire);
+            }
+            Some(wire)
+        } else {
+            self.fault.stats.pdus_damaged += 1;
+            self.recycle_pdu(wire);
+            None
+        };
+        let pdu = InflightPdu {
+            vc: vc.0,
+            token,
+            sent_at,
+            seq,
+            cells: cells as u32,
+            bytes: total as u32,
+            wire,
+        };
+        let ev = match self.switch {
+            Some(_) => Event::SwitchIngress { from, pdu },
             None => Event::Arrive {
                 to: from.peer(),
-                vc,
                 pdu,
-                cells,
-                sent_at,
-                token,
             },
-        }
+        };
+        self.events.push(arrival, ev);
+        wire_start
     }
 
     /// Wakes the front of `host`'s transmit queue on `vc` at `at`, if a
@@ -180,25 +210,12 @@ impl World {
 
     /// A PDU (or damaged-PDU marker) reached the switch: return hop-1
     /// credits to the sender, route, and buffer at the output port(s).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_switch_ingress(
-        &mut self,
-        time: SimTime,
-        from: HostId,
-        vc: Vc,
-        mut pdu: Option<WirePdu>,
-        cells: usize,
-        total: usize,
-        sent_at: SimTime,
-        token: u64,
-        seq: u32,
-    ) {
+    pub(crate) fn on_switch_ingress(&mut self, time: SimTime, from: HostId, mut pdu: InflightPdu) {
         // The switch has buffered the cells, so the uplink credits go
         // back to the sender; the credit-return message crosses the
         // wire back before it can wake a stalled transmit queue.
-        self.hosts[from.idx()]
-            .adapter
-            .return_credits(vc, cells as u32);
+        let vc = Vc(pdu.vc);
+        self.hosts[from.idx()].adapter.return_credits(vc, pdu.cells);
         self.wake_txq(from, vc, time + self.link.fixed_latency);
 
         let sw = self
@@ -218,10 +235,10 @@ impl World {
         // Fan-out replicates the wire image at ingress (into pooled
         // buffers); the original moves into the last copy.
         for (i, &dst) in dsts.iter().enumerate() {
-            let payload = if i + 1 == dsts.len() {
-                pdu.take()
+            let wire = if i + 1 == dsts.len() {
+                pdu.wire.take()
             } else {
-                pdu.as_ref().map(|p| {
+                pdu.wire.as_ref().map(|p| {
                     let mut copy = self.take_payload_buf();
                     copy.extend_from_slice(p.payload());
                     WirePdu::new(vc.0, copy)
@@ -231,13 +248,7 @@ impl World {
             let depth = sw.enqueue(
                 dst,
                 SwitchedPdu {
-                    vc: vc.0,
-                    payload,
-                    cells,
-                    total,
-                    sent_at,
-                    token,
-                    seq,
+                    pdu: InflightPdu { wire, ..pdu },
                     ingress_at: time,
                 },
                 time,
@@ -263,27 +274,28 @@ impl World {
             .as_mut()
             .expect("port drain event in a switched world");
         while let Some(head) = sw.front(port) {
-            let (vc, cells) = (head.vc, head.cells);
+            let (vc, cells) = (head.pdu.vc, head.pdu.cells);
             let credit = sw.port_credit();
             // `World::output` rejects such PDUs up front.
             assert!(
-                cells as u32 <= credit,
+                cells <= credit,
                 "PDU of {cells} cells can never clear port {port}'s credit \
                  allotment of {credit} — the port would be stranded"
             );
-            if !sw.try_consume_credits(port, vc, cells as u32, time) {
+            if !sw.try_consume_credits(port, vc, cells, time) {
                 // Head-of-line stall (which keeps per-VC order intact
                 // across the hop). The head fits the allotment, so a
                 // dispatched PDU holds some of its VC's credits; that
                 // PDU's arrival returns them and wakes this port.
                 return;
             }
-            let pdu = sw.pop(port, time).expect("head just inspected");
+            let SwitchedPdu { pdu, ingress_at } = sw.pop(port, time).expect("head just inspected");
             let to = HostId(port);
+            let (bytes, cells) = (pdu.bytes as usize, cells as usize);
             let dev_rx = self.hosts[to.idx()].charge_overlapped(Op::DeviceFixedRecv, 0, 0);
             let mut busy = sw.busy_until(port);
             let (wire_start, wire_done, arrival) =
-                wire_hop(&self.link, &mut busy, time, pdu.total, dev_rx);
+                wire_hop(&self.link, &mut busy, time, bytes, dev_rx);
             sw.set_busy_until(port, busy);
 
             let tracer = &mut self.hosts[to.idx()].tracer;
@@ -295,9 +307,9 @@ impl World {
                 tracer.span(
                     Track::Events,
                     "switch.residency",
-                    pdu.ingress_at,
-                    wire_start.saturating_sub(pdu.ingress_at),
-                    pdu.total,
+                    ingress_at,
+                    wire_start.saturating_sub(ingress_at),
+                    bytes,
                     cells,
                 );
                 tracer.span(
@@ -305,22 +317,12 @@ impl World {
                     "wire switch\u{2192}host",
                     wire_start,
                     wire_done.saturating_sub(wire_start),
-                    pdu.total,
+                    bytes,
                     cells,
                 );
                 tracer.clear_flow();
             }
-            self.events.push(
-                arrival,
-                Event::Arrive {
-                    to,
-                    vc: Vc(vc),
-                    pdu: pdu.payload,
-                    cells,
-                    sent_at: pdu.sent_at,
-                    token: pdu.token,
-                },
-            );
+            self.events.push(arrival, Event::Arrive { to, pdu });
         }
     }
 }

@@ -12,9 +12,13 @@
 //! - **AAL5 CRC drop detection**: a damaged PDU is segmented into real
 //!   cells, the damage applied, and reassembly attempted; reassembly
 //!   failure discards the PDU at the receiving adapter.
-//! - **Per-VC retransmission**: the sending adapter keeps the wire
-//!   image of each unacknowledged PDU and retransmits with exponential
-//!   backoff when the receiver reports damage or buffer exhaustion.
+//! - **Per-VC retransmission**: the sending adapter keeps a copy of
+//!   the wire image of each unacknowledged PDU in the output's slot
+//!   and retransmits with exponential backoff when the receiver
+//!   reports damage or buffer exhaustion. A retransmission spends
+//!   credits like a first send and leaves through the same launch
+//!   (`World::launch`), so it draws its own wire verdict; it stays
+//!   outside flow attribution, so trace sampling never drops it.
 //! - **In-order delivery**: the receiver holds out-of-order PDUs per
 //!   VC and releases them gaplessly by sequence number, so recovery is
 //!   invisible above the datapath.
@@ -24,10 +28,10 @@
 //! repository honors; fault-free worlds have no such restriction.
 
 use genie_fault::{FaultConfig, FaultPlan, FaultStats, Oracle, WireDamage};
-use genie_machine::link::CELL_PAYLOAD;
+use genie_machine::link::{cells_for_payload, CELL_PAYLOAD};
 use genie_machine::{Op, SimTime};
 use genie_mem::{DenseMap, FrameId};
-use genie_net::{aal5, Vc, WirePdu};
+use genie_net::{aal5, InflightPdu, Vc};
 use genie_vm::pageout::PageoutPolicy;
 
 use crate::world::{Event, HostId, World};
@@ -46,17 +50,14 @@ const HOARD_MARGIN: usize = 64;
 /// from the sender), bounding receiver-side reorder memory at scale.
 const DEFAULT_HOLD_CAP: usize = 64;
 
-/// A PDU the sending adapter holds for possible retransmission: its
-/// wire image (header + payload as gathered at first transmission),
-/// matching an adapter-resident retransmit buffer — the host-side
-/// frames may be disposed or reused long before recovery finishes.
+/// The wire image (header + payload as gathered at first
+/// transmission) the sending adapter holds for possible
+/// retransmission, matching an adapter-resident retransmit buffer —
+/// the host-side frames may be disposed or reused long before recovery
+/// finishes. The output's identity lives in its `OpSlot`.
 #[derive(Debug)]
-pub(crate) struct Inflight {
-    pub from: HostId,
-    pub vc: Vc,
+pub(crate) struct RetransmitCopy {
     pub bytes: Vec<u8>,
-    pub cells: usize,
-    pub sent_at: SimTime,
     pub attempts: u32,
 }
 
@@ -64,9 +65,7 @@ pub(crate) struct Inflight {
 /// predecessors in sequence order, or waiting for buffering to free up.
 #[derive(Debug)]
 pub(crate) struct HeldPdu {
-    pub token: u64,
-    pub pdu: WirePdu,
-    pub sent_at: SimTime,
+    pub pdu: InflightPdu,
     pub tries: u32,
 }
 
@@ -75,26 +74,31 @@ pub(crate) struct HeldPdu {
 /// probe/insert/remove on a handful of entries (bounded by the fault
 /// plan's reorder window), where a sorted vector beats a tree map.
 #[derive(Debug, Default)]
-pub(crate) struct HoldQueue(Vec<(u32, HeldPdu)>);
+pub(crate) struct HoldQueue(Vec<HeldPdu>);
 
 impl HoldQueue {
-    /// Whether a PDU with sequence number `seq` is held.
-    pub fn contains(&self, seq: u32) -> bool {
-        self.0.binary_search_by_key(&seq, |e| e.0).is_ok()
+    fn find(&self, seq: u32) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&seq, |h| h.pdu.seq)
     }
 
-    /// Inserts a held PDU (caller guarantees `seq` is not present).
-    pub fn insert(&mut self, seq: u32, pdu: HeldPdu) {
-        match self.0.binary_search_by_key(&seq, |e| e.0) {
-            Ok(_) => unreachable!("duplicate held sequence {seq}"),
-            Err(i) => self.0.insert(i, (seq, pdu)),
+    /// Whether a PDU with sequence number `seq` is held.
+    pub fn contains(&self, seq: u32) -> bool {
+        self.find(seq).is_ok()
+    }
+
+    /// Inserts a held PDU (caller guarantees its sequence number is
+    /// not present).
+    pub fn insert(&mut self, held: HeldPdu) {
+        match self.find(held.pdu.seq) {
+            Ok(_) => unreachable!("duplicate held sequence {}", held.pdu.seq),
+            Err(i) => self.0.insert(i, held),
         }
     }
 
     /// Removes and returns the PDU with sequence number `seq`.
     pub fn remove(&mut self, seq: u32) -> Option<HeldPdu> {
-        let i = self.0.binary_search_by_key(&seq, |e| e.0).ok()?;
-        Some(self.0.remove(i).1)
+        let i = self.find(seq).ok()?;
+        Some(self.0.remove(i))
     }
 
     /// Number of held PDUs.
@@ -110,7 +114,7 @@ pub(crate) struct FaultState {
     pub stats: FaultStats,
     pub oracle: Option<Oracle>,
     /// Receiver-side hold queues, `[host index][VC]` (sender-side
-    /// retransmit buffers live in the world's output-op arena).
+    /// retransmit copies live in the world's output-op arena).
     pub rx_held: Vec<DenseMap<HoldQueue>>,
     /// Next sequence number each `[host index][VC]` will release.
     pub rx_next_seq: Vec<DenseMap<u32>>,
@@ -290,40 +294,36 @@ impl World {
     /// Schedules a retransmission of `token` with exponential backoff,
     /// abandoning the PDU after the attempt cap.
     pub(crate) fn schedule_retransmit(&mut self, time: SimTime, token: u64) {
-        let Some(inf) = self.inflight_mut(token) else {
+        let Some(copy) = self.copy_mut(token) else {
             return; // already delivered or abandoned
         };
-        inf.attempts += 1;
-        if inf.attempts > MAX_RETRANSMIT_ATTEMPTS {
+        copy.attempts += 1;
+        if copy.attempts > MAX_RETRANSMIT_ATTEMPTS {
             self.fault.stats.retransmits_abandoned += 1;
-            if let Some(inf) = self.clear_inflight(token) {
-                self.recycle_payload(inf.bytes);
-            }
+            self.drop_copy(token);
             return;
         }
-        let at = time + backoff(inf.attempts);
+        let at = time + backoff(copy.attempts);
         self.events.push(at, Event::Retransmit { token });
     }
 
     /// Retransmit event: resend the stored wire image on its VC. The
-    /// retransmission itself goes through the fault plan, so repeated
-    /// damage keeps recovering until the plan's budget runs dry.
+    /// launch draws a fresh wire verdict from the fault plan, so
+    /// repeated damage keeps recovering until the plan's budget runs
+    /// dry.
     pub(crate) fn on_retransmit(&mut self, time: SimTime, token: u64) {
-        // Take the inflight entry out of its slot for the duration so
-        // its wire image can be borrowed without cloning; it is put
-        // back before returning.
-        let Some(inf) = self.borrow_inflight(token) else {
+        let Some(slot) = self.ops.get(token) else {
             return; // delivered in the meantime
         };
-        let (from, vc, cells, sent_at) = (inf.from, inf.vc, inf.cells, inf.sent_at);
-        let total = inf.bytes.len();
-        // Flow identity travels in the stored wire image's header.
-        let seq = genie_net::DatagramHeader::decode(&inf.bytes).map_or(0, |h| h.seq);
+        let Some(copy) = &slot.copy else {
+            return;
+        };
+        let (from, vc, total) = (slot.from, slot.vc, copy.bytes.len());
+        let cells = cells_for_payload(total);
         if !self.hosts[from.idx()]
             .adapter
             .try_send_credits(vc, cells as u32)
         {
-            self.restore_inflight(token, inf);
             self.events.push(
                 time + crate::fabric::UPLINK_STALL_RETRY,
                 Event::Retransmit { token },
@@ -338,45 +338,17 @@ impl World {
             }
         }
         self.hosts[from.idx()].charge_overlapped(Op::CellTx, total, cells);
-        let (_, mut arrival) = self.uplink_hop(from, vc, seq, time, total, cells);
-
-        let verdict = self.fault.plan.wire(cells);
-        if let Some(extra) = verdict.extra_delay {
-            self.fault.stats.pdus_delayed += 1;
-            arrival += extra;
-        }
-        let intact = match verdict.damage {
-            Some(damage) => self.apply_wire_damage(vc, &inf.bytes, damage),
-            None => true,
-        };
-        let pdu = if intact {
-            let mut payload = self.take_payload_buf();
-            payload.extend_from_slice(&inf.bytes);
-            let mut pdu = WirePdu::new(vc.0, payload);
-            if self.force_cells {
-                pdu = self.roundtrip_through_cells(pdu);
-            }
-            Some(pdu)
-        } else {
-            self.fault.stats.pdus_damaged += 1;
-            None
-        };
-        let ev = self.uplink_event(from, vc, pdu, cells, total, sent_at, token, seq);
-        self.events.push(arrival, ev);
-        self.restore_inflight(token, inf);
+        let mut payload = self.take_payload_buf();
+        let copy = self.ops.get(token).and_then(|s| s.copy.as_ref());
+        payload.extend_from_slice(&copy.expect("checked above").bytes);
+        self.launch(token, time, payload);
     }
 
     /// A damaged PDU reached the receiving adapter: AAL5 reassembly
     /// failed, so the PDU is discarded after its cells drained the
     /// buffer (credits still return), and the sender retransmits.
-    pub(crate) fn on_arrive_damaged(
-        &mut self,
-        time: SimTime,
-        to: HostId,
-        vc: Vc,
-        token: u64,
-        cells: usize,
-    ) {
+    pub(crate) fn on_arrive_damaged(&mut self, time: SimTime, to: HostId, pdu: InflightPdu) {
+        let cells = pdu.cells as usize;
         self.fault.stats.crc_drops += 1;
         {
             let host = self.host_mut(to);
@@ -389,8 +361,8 @@ impl World {
         }
         // The damaged cells still drained the receiver's buffers, so
         // the last hop's credits return and wake as in `on_arrive`.
-        self.return_hop_credits(time, to, vc, cells);
-        self.schedule_retransmit(time, token);
+        self.return_hop_credits(time, to, Vc(pdu.vc), cells);
+        self.schedule_retransmit(time, pdu.token);
     }
 
     /// Releases every frame a pressure episode hoarded on `host`.
@@ -464,22 +436,16 @@ impl World {
     pub(crate) fn drain_in_order(&mut self, time: SimTime, to: HostId, vc: Vc) {
         loop {
             let next = self.fault.next_seq(to.idx(), vc);
-            let Some(HeldPdu {
-                token,
-                pdu,
-                sent_at,
-                tries,
-            }) = self.fault.rx_held[to.idx()]
+            let Some(HeldPdu { mut pdu, tries }) = self.fault.rx_held[to.idx()]
                 .get_mut(u64::from(vc.0))
                 .and_then(|q| q.remove(next))
             else {
                 return;
             };
-            let Err(pdu) = self.deliver_pdu(to, vc, pdu, sent_at) else {
+            let wire = pdu.wire.take().expect("held PDUs are intact");
+            let Err(wire) = self.deliver_pdu(to, vc, wire, pdu.sent_at) else {
                 self.fault.rx_next_seq[to.idx()].insert(u64::from(vc.0), next + 1);
-                if let Some(inf) = self.clear_inflight(token) {
-                    self.recycle_payload(inf.bytes);
-                }
+                self.drop_copy(pdu.token);
                 continue;
             };
             // Out of buffering: the sequence window stays put so later
@@ -487,16 +453,12 @@ impl World {
             self.fault.stats.buffer_drops += 1;
             let tries = tries + 1;
             if tries > MAX_REDELIVER_TRIES {
-                self.recycle_pdu(pdu);
-                self.schedule_retransmit(time, token);
+                self.recycle_pdu(wire);
+                self.schedule_retransmit(time, pdu.token);
             } else {
-                let held = HeldPdu {
-                    token,
-                    pdu,
-                    sent_at,
-                    tries,
-                };
-                self.fault.hold_queue_mut(to.idx(), vc).insert(next, held);
+                pdu.wire = Some(wire);
+                let held = HeldPdu { pdu, tries };
+                self.fault.hold_queue_mut(to.idx(), vc).insert(held);
                 self.events
                     .push(time + SimTime::from_us(100.0), Event::Redeliver { to, vc });
             }

@@ -235,36 +235,28 @@ impl World {
     /// delivery — direct in a fault-free world, gated by per-VC
     /// sequence order when a fault plan is active (so retransmissions
     /// slot back in order).
-    pub(crate) fn on_arrive(
-        &mut self,
-        time: SimTime,
-        to: HostId,
-        vc: Vc,
-        pdu: genie_net::WirePdu,
-        sent_at: SimTime,
-        token: u64,
-    ) {
-        let total = pdu.len();
-        let cells = pdu.n_cells();
+    pub(crate) fn on_arrive(&mut self, time: SimTime, to: HostId, mut pdu: genie_net::InflightPdu) {
+        let vc = Vc(pdu.vc);
+        let cells = pdu.cells as usize;
         {
             let host = self.host_mut(to);
             host.clock = host.clock.max(time);
             host.charge_latency(Op::OsFixedRecv, 0, 0);
-            host.charge_overlapped(Op::CellRx, total, cells);
+            host.charge_overlapped(Op::CellRx, pdu.bytes as usize, cells);
         }
         self.return_hop_credits(time, to, vc, cells);
 
         if !self.fault.plan.active() {
-            if let Err(pdu) = self.deliver_pdu(to, vc, pdu, sent_at) {
-                self.recycle_pdu(pdu);
+            let wire = pdu.wire.take().expect("intact arrival");
+            if let Err(wire) = self.deliver_pdu(to, vc, wire, pdu.sent_at) {
+                self.recycle_pdu(wire);
             }
             return;
         }
 
         // Faulted world: hold the PDU until every lower sequence number
         // on this VC has been delivered, discarding stale arrivals.
-        let header = DatagramHeader::decode(pdu.payload()).expect("header fits");
-        let seq = header.seq;
+        let seq = pdu.seq;
         let next = self.fault.next_seq(to.idx(), vc);
         let already_held = self
             .fault
@@ -272,10 +264,8 @@ impl World {
             .is_some_and(|q| q.contains(seq));
         if seq < next || already_held {
             self.fault.stats.duplicates_discarded += 1;
-            if let Some(inf) = self.clear_inflight(token) {
-                self.recycle_payload(inf.bytes);
-            }
-            self.recycle_pdu(pdu);
+            self.drop_copy(pdu.token);
+            self.recycle_pdu(pdu.wire.expect("intact arrival"));
             return;
         }
         if seq > next {
@@ -289,8 +279,8 @@ impl World {
                 .is_some_and(|q| q.len() >= self.fault.hold_cap);
             if full {
                 self.fault.stats.hold_spills += 1;
-                self.recycle_pdu(pdu);
-                self.schedule_retransmit(time, token);
+                self.recycle_pdu(pdu.wire.expect("intact arrival"));
+                self.schedule_retransmit(time, pdu.token);
                 return;
             }
             self.fault.stats.held_for_reorder += 1;
@@ -307,15 +297,7 @@ impl World {
         // One table reach: the queue handle the PDU is inserted into
         // also reports the resulting depth (no second lookup).
         let q = self.fault.hold_queue_mut(to.idx(), vc);
-        q.insert(
-            seq,
-            crate::faults::HeldPdu {
-                token,
-                pdu,
-                sent_at,
-                tries: 0,
-            },
-        );
+        q.insert(crate::faults::HeldPdu { pdu, tries: 0 });
         let depth = q.len();
         self.fault.hold_depth.record(depth as u64);
         self.drain_in_order(time, to, vc);

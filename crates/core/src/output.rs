@@ -64,11 +64,10 @@ pub struct SendCompletion {
     pub credit_stalls: u32,
 }
 
-/// An output in flight.
+/// An output awaiting its dispose stage (its identity lives in the
+/// enclosing `OpSlot`).
 #[derive(Debug)]
 pub(crate) struct PendingSend {
-    pub from: HostId,
-    pub vc: Vc,
     pub requested: Semantics,
     pub effective: Semantics,
     pub desc: IoDescriptor,
@@ -76,7 +75,6 @@ pub(crate) struct PendingSend {
     pub region: Option<RegionHandle>,
     pub header: DatagramHeader,
     pub len: usize,
-    pub invoked_at: SimTime,
     pub stalls: u32,
 }
 
@@ -119,23 +117,32 @@ impl World {
         // Optional checksumming (Section 9 ablation). With copy
         // semantics the checksum can be integrated in the copy, which
         // was already charged by `prepare_output`; every other path
-        // needs a separate read pass.
-        let checksum = match self.cfg.checksum {
-            ChecksumMode::None => 0,
-            ChecksumMode::Integrated | ChecksumMode::Separate => {
-                let integrated_in_copy =
-                    self.cfg.checksum == ChecksumMode::Integrated && effective == Semantics::Copy;
-                if !integrated_in_copy {
-                    self.host_mut(from)
-                        .charge_latency(Op::ChecksumRead, req.len, 0);
-                }
-                let mut bytes = self.take_payload_buf();
-                Adapter::dma_gather_into(&self.host(from).vm.phys, &desc.vecs, &mut bytes)?;
-                let sum = checksum16(&bytes);
-                self.recycle_payload(bytes);
-                sum
+        // needs a separate read pass. The oracle fingerprints the same
+        // bytes: strong-integrity semantics promise that delivery will
+        // carry them as of this invocation (read from the referenced
+        // frames, i.e. post-copy / post-protect). One gather serves
+        // both.
+        let checksumming = self.cfg.checksum != ChecksumMode::None;
+        let promising =
+            self.fault.oracle.is_some() && req.semantics.integrity() == crate::Integrity::Strong;
+        if checksumming
+            && !(self.cfg.checksum == ChecksumMode::Integrated && effective == Semantics::Copy)
+        {
+            self.host_mut(from)
+                .charge_latency(Op::ChecksumRead, req.len, 0);
+        }
+        let mut checksum = 0;
+        if checksumming || promising {
+            let mut bytes = self.take_payload_buf();
+            Adapter::dma_gather_into(&self.host(from).vm.phys, &desc.vecs, &mut bytes)?;
+            if checksumming {
+                checksum = checksum16(&bytes);
             }
-        };
+            if let Some(o) = self.fault.oracle.as_mut().filter(|_| promising) {
+                o.record_promised(req.vc.0, seq, genie_fault::fnv64(&bytes));
+            }
+            self.recycle_payload(bytes);
+        }
 
         let header = DatagramHeader {
             src_port: req.vc.0 as u16,
@@ -143,26 +150,15 @@ impl World {
             seq,
             len: req.len as u32,
             checksum,
-            flags: u16::from(self.cfg.checksum != ChecksumMode::None),
+            flags: u16::from(checksumming),
         };
 
-        // Oracle: strong-integrity semantics promise that delivery will
-        // carry the bytes as of this invocation; fingerprint them now
-        // (from the referenced frames, i.e. post-copy / post-protect).
-        if self.fault.oracle.is_some() && req.semantics.integrity() == crate::Integrity::Strong {
-            let mut bytes = self.take_payload_buf();
-            Adapter::dma_gather_into(&self.host(from).vm.phys, &desc.vecs, &mut bytes)?;
-            let fp = genie_fault::fnv64(&bytes);
-            self.recycle_payload(bytes);
-            if let Some(o) = self.fault.oracle.as_mut() {
-                o.record_promised(req.vc.0, seq, fp);
-            }
-        }
-
         let token = self.ops.insert(crate::world::OpSlot {
+            from,
+            vc: req.vc,
+            seq,
+            invoked_at,
             send: Some(PendingSend {
-                from,
-                vc: req.vc,
                 requested: req.semantics,
                 effective,
                 desc,
@@ -170,10 +166,9 @@ impl World {
                 region,
                 header,
                 len: req.len,
-                invoked_at,
                 stalls: 0,
             }),
-            inflight: None,
+            copy: None,
         });
         let host = self.host_mut(from);
         host.phase_span("output.prepare", invoked_at, req.len);
@@ -286,13 +281,13 @@ impl World {
     /// order. Each drained PDU is gathered by DMA (reading whatever
     /// the frames hold *now* — in-place semantics race application
     /// writes exactly as real DMA does), spends credits, and is
-    /// scheduled for arrival; a credit-stalled PDU blocks the head of
-    /// its VC's line so delivery order is preserved.
+    /// launched; a credit-stalled PDU blocks the head of its VC's line
+    /// so delivery order is preserved.
     pub(crate) fn on_transmit(&mut self, time: SimTime, token: u64) {
-        let Some(send) = self.send(token) else {
+        let Some(slot) = self.ops.get(token).filter(|s| s.send.is_some()) else {
             return; // already transmitted by an earlier drain
         };
-        let (host, vc) = (send.from.idx(), u64::from(send.vc.0));
+        let (host, vc) = (slot.from.idx(), u64::from(slot.vc.0));
         while let Some(&front) = self.txq[host].get(vc).and_then(|q| q.front()) {
             if !self.try_transmit_one(time, front) {
                 break;
@@ -307,11 +302,9 @@ impl World {
     /// Attempts to put one pending PDU on the wire; returns false on a
     /// credit stall (a retry is scheduled).
     fn try_transmit_one(&mut self, time: SimTime, token: u64) -> bool {
-        let send = self.send(token).expect("pending send");
-        let from = send.from;
-        let vc = send.vc;
-        let seq = send.header.seq;
-        let sent_at = send.invoked_at;
+        let slot = self.ops.get(token).expect("pending send");
+        let (from, vc, seq) = (slot.from, slot.vc, slot.seq);
+        let send = slot.send.as_ref().expect("pending send");
         let total = send.len + HEADER_LEN;
         let cells = cells_for_payload(total);
         if self.hosts[from.idx()].tracer.enabled() {
@@ -356,63 +349,25 @@ impl World {
 
         let dma_setup = self.hosts[from.idx()].charge_overlapped(Op::DmaSetup, 0, 0);
         let dev_tx = self.hosts[from.idx()].charge_overlapped(Op::DeviceFixedSend, 0, 0);
-        // The wire serializes transmissions in each direction:
-        // pipelined datagrams queue behind the previous PDU's cells.
-        let ready = time + dma_setup + dev_tx;
-        let (wire_start, mut arrival) = self.uplink_hop(from, vc, seq, ready, total, cells);
-        let mut txdone = wire_start.max(time) + self.dma.transfer_time(total);
 
-        // The wire image: one contiguous pooled buffer plus cell
-        // metadata. Real cells exist only on the slow path (fault
-        // damage, forced cell codec).
-        let mut pdu = genie_net::WirePdu::new(vc.0, payload);
-        debug_assert_eq!(pdu.n_cells(), cells, "cell metadata disagrees with charge");
-        if self.force_cells {
-            pdu = self.roundtrip_through_cells(pdu);
-        }
-
-        let mut intact = true;
         if self.fault.plan.active() {
             // The adapter keeps the wire image for retransmission until
             // the peer delivers this PDU in order.
-            if !self.has_inflight(token) {
-                let mut bytes = self.take_payload_buf();
-                bytes.extend_from_slice(pdu.payload());
-                self.set_inflight(
-                    token,
-                    crate::faults::Inflight {
-                        from,
-                        vc,
-                        bytes,
-                        cells,
-                        sent_at,
-                        attempts: 0,
-                    },
-                );
-            }
-            let verdict = self.fault.plan.wire(cells);
-            if let Some(extra) = verdict.extra_delay {
-                self.fault.stats.pdus_delayed += 1;
-                arrival += extra;
-            }
+            let mut bytes = self.take_payload_buf();
+            bytes.extend_from_slice(&payload);
+            let slot = self.ops.get_mut(token).expect("pending send");
+            debug_assert!(slot.copy.is_none(), "a PDU is sent first only once");
+            slot.copy = Some(crate::faults::RetransmitCopy { bytes, attempts: 0 });
+        }
+
+        let wire_start = self.launch(token, time + dma_setup + dev_tx, payload);
+        let mut txdone = wire_start.max(time) + self.dma.transfer_time(total);
+        if self.fault.plan.active() {
             if let Some(d) = self.fault.plan.completion_delay() {
                 self.fault.stats.completion_delays += 1;
                 txdone += d;
             }
-            if let Some(damage) = verdict.damage {
-                intact = self.apply_wire_damage(vc, pdu.payload(), damage);
-            }
         }
-        let pdu = if intact {
-            Some(pdu)
-        } else {
-            self.fault.stats.pdus_damaged += 1;
-            self.recycle_pdu(pdu);
-            None
-        };
-
-        let ev = self.uplink_event(from, vc, pdu, cells, total, sent_at, token, seq);
-        self.events.push(arrival, ev);
         self.events.push(txdone, Event::TxDone { token });
         self.hosts[from.idx()].tracer.clear_flow();
         true
@@ -420,8 +375,9 @@ impl World {
 
     /// Transmit-DMA-complete event: Table 2 dispose-stage operations.
     pub(crate) fn on_tx_done(&mut self, time: SimTime, token: u64) {
+        let slot = self.ops.get(token).expect("pending send");
+        let (from, vc, seq) = (slot.from, slot.vc, slot.seq);
         let send = self.take_send(token).expect("pending send");
-        let from = send.from;
         let page = self.host(from).page_size();
         let page_off = send.desc.vecs.first().map_or(0, |v| v.offset % page);
         let pages = self.host(from).machine().pages_spanned(page_off, send.len);
@@ -432,7 +388,7 @@ impl World {
         host.clock = host.clock.max(time);
         let dispose_start = host.clock;
         if host.tracer.enabled() {
-            host.tracer.set_flow(send.vc.0, send.header.seq);
+            host.tracer.set_flow(vc.0, seq);
         }
         match send.effective {
             Semantics::Copy => {

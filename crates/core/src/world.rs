@@ -15,12 +15,14 @@ use std::collections::VecDeque;
 
 use genie_machine::{LinkSpec, MachineSpec, SimTime};
 use genie_mem::{DenseMap, SlotMap};
-use genie_net::{DmaModel, EventQueue, InputBuffering, Switch, SwitchConfig, Vc, WirePdu};
+use genie_net::{
+    DmaModel, EventQueue, InflightPdu, InputBuffering, Switch, SwitchConfig, Vc, WirePdu,
+};
 use genie_vm::SpaceId;
 
 use crate::config::GenieConfig;
 use crate::error::{ConfigError, GenieError};
-use crate::faults::Inflight;
+use crate::faults::RetransmitCopy;
 use crate::host::Host;
 use crate::input::{InputRequest, PendingRecv, RecvCompletion};
 use crate::output::{PendingSend, SendCompletion};
@@ -169,19 +171,10 @@ pub(crate) enum Event {
     /// A PDU reached the receiving adapter. An intact PDU travels the
     /// wire as one contiguous [`WirePdu`] — cell count and AAL5
     /// trailer are metadata; 48-byte cells are never materialized on
-    /// this fast path.
-    Arrive {
-        to: HostId,
-        vc: Vc,
-        /// The intact wire image, or `None` for a damaged PDU (AAL5
-        /// reassembly fails at the adapter; only raised by an active
-        /// fault plan).
-        pdu: Option<WirePdu>,
-        cells: usize,
-        sent_at: SimTime,
-        token: u64,
-    },
-    /// Resend a PDU from the sender's retransmit buffer.
+    /// this fast path. A damaged one (`wire: None`, only raised by an
+    /// active fault plan) fails AAL5 reassembly at the adapter.
+    Arrive { to: HostId, pdu: InflightPdu },
+    /// Resend a PDU from the sender's retransmit copy.
     Retransmit { token: u64 },
     /// End of a credit-starvation episode: give the cells back.
     RestoreCredits { host: HostId, vc: Vc, cells: u32 },
@@ -191,18 +184,7 @@ pub(crate) enum Event {
     Redeliver { to: HostId, vc: Vc },
     /// A PDU (or damaged-PDU marker) reached the switch on its ingress
     /// hop; only raised by switched fabrics.
-    SwitchIngress {
-        from: HostId,
-        vc: Vc,
-        /// The intact wire image, or `None` for a damaged marker.
-        pdu: Option<WirePdu>,
-        cells: usize,
-        total: usize,
-        sent_at: SimTime,
-        token: u64,
-        /// Per-VC sequence number (flow identity for sampling).
-        seq: u32,
-    },
+    SwitchIngress { from: HostId, pdu: InflightPdu },
     /// Dispatch the head of a switch output port's FIFO (port index ==
     /// destination host index); only raised by switched fabrics.
     PortDrain { port: u16 },
@@ -217,17 +199,22 @@ pub(crate) struct BackloggedPdu {
     pub sent_at: SimTime,
 }
 
-/// One output operation's arena slot: the pending send (alive until
-/// the dispose stage) and, under an active fault plan, the adapter's
-/// retransmit buffer (alive until in-order delivery at the peer). The
-/// output token is the slot's generational key; the slot is freed only
-/// once both halves are gone, so a late event naming the token (a
-/// backed-off retransmit timer, a stale transmit wakeup) resolves to
-/// nothing instead of aliasing a reused slot.
+/// One output operation's arena slot: the output's identity, the
+/// pending send (alive until the dispose stage) and, under an active
+/// fault plan, the adapter's retransmit copy (alive until in-order
+/// delivery at the peer). The output token is the slot's generational
+/// key; the slot is freed only once both halves are gone, so a late
+/// event naming the token (a backed-off retransmit timer, a stale
+/// transmit wakeup) resolves to nothing instead of aliasing a reused
+/// slot.
 #[derive(Debug)]
 pub(crate) struct OpSlot {
+    pub from: HostId,
+    pub vc: Vc,
+    pub seq: u32,
+    pub invoked_at: SimTime,
     pub send: Option<PendingSend>,
-    pub inflight: Option<Inflight>,
+    pub copy: Option<RetransmitCopy>,
 }
 
 /// Per-host, per-VC queue tables, outer-indexed by host and
@@ -617,56 +604,35 @@ impl World {
     }
 
     /// Removes the pending send at dispose time, freeing the slot
-    /// unless a retransmit buffer is still holding it open.
+    /// unless a retransmit copy is still holding it open.
     pub(crate) fn take_send(&mut self, token: u64) -> Option<PendingSend> {
         let slot = self.ops.get_mut(token)?;
         let send = slot.send.take();
-        if slot.inflight.is_none() {
+        if slot.copy.is_none() {
             self.ops.remove(token);
         }
         send
     }
 
-    /// Whether an output token has a retransmit buffer attached.
-    pub(crate) fn has_inflight(&self, token: u64) -> bool {
-        self.ops.get(token).is_some_and(|s| s.inflight.is_some())
+    /// Mutable access to the retransmit copy for an output token.
+    pub(crate) fn copy_mut(&mut self, token: u64) -> Option<&mut RetransmitCopy> {
+        self.ops.get_mut(token)?.copy.as_mut()
     }
 
-    /// Mutable access to the retransmit buffer for an output token.
-    pub(crate) fn inflight_mut(&mut self, token: u64) -> Option<&mut Inflight> {
-        self.ops.get_mut(token)?.inflight.as_mut()
-    }
-
-    /// Attaches a retransmit buffer to a live output token.
-    pub(crate) fn set_inflight(&mut self, token: u64, inf: Inflight) {
-        let slot = self.ops.get_mut(token).expect("live output token");
-        debug_assert!(slot.inflight.is_none());
-        slot.inflight = Some(inf);
-    }
-
-    /// Takes the retransmit buffer out *keeping the slot alive*; the
-    /// caller must put it back with [`World::restore_inflight`]. Used
-    /// where the buffer's bytes are borrowed across `&mut self` calls.
-    pub(crate) fn borrow_inflight(&mut self, token: u64) -> Option<Inflight> {
-        self.ops.get_mut(token)?.inflight.take()
-    }
-
-    /// Puts back a buffer taken with [`World::borrow_inflight`].
-    pub(crate) fn restore_inflight(&mut self, token: u64, inf: Inflight) {
-        let slot = self.ops.get_mut(token).expect("borrowed slot stays live");
-        slot.inflight = Some(inf);
-    }
-
-    /// Drops the retransmit buffer for good (delivery or abandonment),
-    /// freeing the slot if the send half is already disposed. Returns
-    /// the buffer so the caller can recycle its storage.
-    pub(crate) fn clear_inflight(&mut self, token: u64) -> Option<Inflight> {
-        let slot = self.ops.get_mut(token)?;
-        let inf = slot.inflight.take();
-        if inf.is_some() && slot.send.is_none() {
+    /// Drops the retransmit copy for good (delivery or abandonment),
+    /// recycling its bytes and freeing the slot if the send half is
+    /// already disposed.
+    pub(crate) fn drop_copy(&mut self, token: u64) {
+        let Some(slot) = self.ops.get_mut(token) else {
+            return;
+        };
+        let Some(copy) = slot.copy.take() else {
+            return;
+        };
+        if slot.send.is_none() {
             self.ops.remove(token);
         }
-        inf
+        self.recycle_payload(copy.bytes);
     }
 
     /// Dispatches one popped event to its handler.
@@ -674,16 +640,9 @@ impl World {
         match ev {
             Event::Transmit { token } => self.on_transmit(time, token),
             Event::TxDone { token } => self.on_tx_done(time, token),
-            Event::Arrive {
-                to,
-                vc,
-                pdu,
-                cells,
-                sent_at,
-                token,
-            } => match pdu {
-                Some(pdu) => self.on_arrive(time, to, vc, pdu, sent_at, token),
-                None => self.on_arrive_damaged(time, to, vc, token, cells),
+            Event::Arrive { to, pdu } => match pdu.wire {
+                Some(_) => self.on_arrive(time, to, pdu),
+                None => self.on_arrive_damaged(time, to, pdu),
             },
             Event::Retransmit { token } => self.on_retransmit(time, token),
             Event::RestoreCredits { host, vc, cells } => {
@@ -691,16 +650,7 @@ impl World {
             }
             Event::ReleaseHoard { host } => self.on_release_hoard(host),
             Event::Redeliver { to, vc } => self.drain_in_order(time, to, vc),
-            Event::SwitchIngress {
-                from,
-                vc,
-                pdu,
-                cells,
-                total,
-                sent_at,
-                token,
-                seq,
-            } => self.on_switch_ingress(time, from, vc, pdu, cells, total, sent_at, token, seq),
+            Event::SwitchIngress { from, pdu } => self.on_switch_ingress(time, from, pdu),
             Event::PortDrain { port } => self.on_port_drain(time, port),
         }
     }
@@ -726,6 +676,13 @@ impl World {
                 "run quiesced with PDUs stranded in a switch output FIFO"
             );
         }
+        // Every output was disposed and every retransmit copy dropped
+        // (delivered in order or abandoned): a live slot is a leak.
+        debug_assert!(
+            self.ops.is_empty(),
+            "run quiesced with {} live output slots",
+            self.ops.len()
+        );
     }
 
     /// High-water mark of queued events (the one being handled

@@ -7,6 +7,7 @@
 //! header).
 
 use genie_machine::link::{cells_for_payload, AAL5_MAX_PAYLOAD, AAL5_TRAILER, CELL_PAYLOAD};
+use genie_machine::SimTime;
 use std::cell::OnceCell;
 
 /// One ATM cell as the simulation carries it: VC id, 48-byte payload,
@@ -323,6 +324,29 @@ impl PartialEq for WirePdu {
 }
 
 impl Eq for WirePdu {}
+
+/// One PDU between the sender's uplink and its delivery: the identity
+/// every hop, the switch's output FIFO and the receiver's reorder hold
+/// carry, plus the wire image itself.
+#[derive(Debug)]
+pub struct InflightPdu {
+    /// Virtual circuit.
+    pub vc: u32,
+    /// Originating output token.
+    pub token: u64,
+    /// Output invocation time at the original sender.
+    pub sent_at: SimTime,
+    /// End-to-end per-VC sequence number (flow identity for trace
+    /// sampling and per-hop span correlation).
+    pub seq: u32,
+    /// Cells on the wire.
+    pub cells: u32,
+    /// Wire bytes (header + payload).
+    pub bytes: u32,
+    /// The intact wire image, or `None` for a PDU the wire damaged
+    /// (AAL5 reassembly fails at the destination adapter).
+    pub wire: Option<WirePdu>,
+}
 
 #[cfg(test)]
 mod tests {

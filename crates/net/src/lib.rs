@@ -34,7 +34,9 @@ pub mod event;
 pub mod proto;
 pub mod switch;
 
-pub use aal5::{reassemble, reassemble_into, segment, segment_into, Aal5Trailer, Cell, WirePdu};
+pub use aal5::{
+    reassemble, reassemble_into, segment, segment_into, Aal5Trailer, Cell, InflightPdu, WirePdu,
+};
 pub use adapter::{Adapter, AdapterStats, InputBuffering, Vc};
 pub use credit::CreditState;
 pub use dma::DmaModel;

@@ -26,7 +26,7 @@ use std::collections::{HashMap, VecDeque};
 use genie_machine::SimTime;
 use genie_trace::metrics::Histogram;
 
-use crate::aal5::WirePdu;
+use crate::aal5::InflightPdu;
 use crate::credit::CreditState;
 
 /// One routing-table entry: traffic from `src` on `vc` goes to every
@@ -106,27 +106,12 @@ impl SwitchConfig {
     }
 }
 
-/// A PDU queued at an output port: the wire image (or a damaged-PDU
-/// marker carrying only cell metadata), plus the correlation state the
-/// final arrival event needs.
+/// A PDU queued at an output port (a damaged one is a marker carrying
+/// only its identity and cell metadata).
 #[derive(Debug)]
 pub struct SwitchedPdu {
-    /// Virtual circuit.
-    pub vc: u32,
-    /// The intact wire image, or `None` for a damaged-PDU marker
-    /// (AAL5 reassembly will fail at the destination adapter).
-    pub payload: Option<WirePdu>,
-    /// Cells on the wire.
-    pub cells: usize,
-    /// Wire bytes (header + payload).
-    pub total: usize,
-    /// Output invocation time at the original sender.
-    pub sent_at: SimTime,
-    /// Originating output token.
-    pub token: u64,
-    /// End-to-end per-VC sequence number (flow identity for trace
-    /// sampling and per-hop span correlation).
-    pub seq: u32,
+    /// The PDU and its end-to-end identity.
+    pub pdu: InflightPdu,
     /// When the PDU entered this switch's output FIFO — start of its
     /// switch-residency span.
     pub ingress_at: SimTime,
@@ -444,13 +429,15 @@ mod tests {
 
     fn pdu(vc: u32, token: u64) -> SwitchedPdu {
         SwitchedPdu {
-            vc,
-            payload: None,
-            cells: 2,
-            total: 96,
-            sent_at: SimTime::ZERO,
-            token,
-            seq: token as u32,
+            pdu: InflightPdu {
+                vc,
+                token,
+                sent_at: SimTime::ZERO,
+                seq: token as u32,
+                cells: 2,
+                bytes: 96,
+                wire: None,
+            },
             ingress_at: SimTime::ZERO,
         }
     }
@@ -479,8 +466,8 @@ mod tests {
         sw.enqueue(1, pdu(1, 10), SimTime::ZERO);
         sw.enqueue(1, pdu(1, 11), SimTime::ZERO);
         assert_eq!(sw.queue_len(1), 2);
-        assert_eq!(sw.pop(1, SimTime::ZERO).unwrap().token, 10);
-        assert_eq!(sw.pop(1, SimTime::ZERO).unwrap().token, 11);
+        assert_eq!(sw.pop(1, SimTime::ZERO).unwrap().pdu.token, 10);
+        assert_eq!(sw.pop(1, SimTime::ZERO).unwrap().pdu.token, 11);
         assert_eq!(sw.port_max_depth(1), 2);
         assert_eq!(sw.port_dispatched(1), 2);
     }

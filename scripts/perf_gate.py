@@ -5,6 +5,8 @@ Usage:
   perf_gate.py --baseline BENCH_baseline.json --fresh FRESH.json...
                [--reports RUN.json ...] [--tol PCT] [--write-baseline]
   perf_gate.py --ab PARENT_DATAPATH CHANGE_DATAPATH [--pairs N]
+  perf_gate.py --ab-bench PARENT_ROOT CHANGE_ROOT [--workloads W ...]
+               [--pairs N] [--seconds S]
 
 Each FRESH.json is a BENCH_report.json whose datapath_ns section holds
 {"mean": .., "min": ..} per benchmark; when several are given the
@@ -33,6 +35,21 @@ the parent's own spread: the distance between the quartiles of its
 minimums, relative to their median. A median ratio beyond that spread
 reads "improved" or "regressed"; anything inside it is "within noise".
 It never fails and never touches the baseline.
+
+--ab-bench compares two checkouts on the end-to-end benchmark that
+BENCHMARK.json declares (read from this script's checkout, never
+written). Per pair and workload it runs `python3 ROOT/perfbench/run.py
+--workload W --seed k --seconds S --trace 0` fresh in each checkout,
+the parent first in odd pairs, with the GENIE_* knobs and
+CARGO_TARGET_DIR cleared (each checkout builds into its own
+.bench_build). Each run's last stdout line is its JSON result; a run
+that is not correct or has failed > 0 is flagged. Per (workload,
+metric) it prints the parent's median and quartiles, the change's
+median, change/parent, the pairs the change won, and a verdict against
+the metric's BENCHMARK.json bound: "within bound", "worse than bound",
+or "unresolved" when the parent's own quartile spread exceeds the
+bound. S defaults to run_seconds. Exits 1 on a flagged run or a
+"worse than bound" verdict.
 """
 
 import argparse
@@ -85,9 +102,77 @@ def ab(parent, change, pairs):
     return 0
 
 
+def bench_run(root, workload, seed, seconds):
+    """One fresh perfbench run in checkout `root`; returns its JSON result."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("GENIE_") and k != "CARGO_TARGET_DIR"}
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    lines = out.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return {"correct": False, "failed": -1, "metrics": {}}
+
+
+def ab_bench(parent, change, workloads, pairs, seconds, bench):
+    roots = {"parent": parent, "change": change}
+    runs = {(w, side): [] for w in workloads for side in roots}
+    flagged = []
+    for pair in range(1, pairs + 1):
+        order = ["parent", "change"] if pair % 2 else ["change", "parent"]
+        for w in workloads:
+            for side in order:
+                r = bench_run(roots[side], w, pair, seconds)
+                if not r.get("correct") or r.get("failed", 0) != 0:
+                    flagged.append(f"{side} {w} seed {pair}: correct={r.get('correct')} "
+                                   f"failed={r.get('failed')}")
+                runs[(w, side)].append({k: m["value"] for k, m in r.get("metrics", {}).items()})
+                print(f"  pair {pair}/{pairs} {w} {side} done", file=sys.stderr, flush=True)
+    worse = 0
+    print(f"perf gate --ab-bench: {pairs} interleaved pairs of {seconds:g} s runs, "
+          f"parent {parent}, change {change}")
+    print(f"  {'workload':<12} {'metric':<12} {'parent med':>11} {'q1':>10} {'q3':>10} "
+          f"{'change med':>11} {'ratio':>6} {'wins':>6} {'bound':>6}  verdict")
+    for w in workloads:
+        for m in bench["end_to_end"]:
+            name, bound, higher = m["name"], m["bound"], m["better"] == "higher"
+            pairs_ok = [(p[name], c[name]) for p, c in
+                        zip(runs[(w, "parent")], runs[(w, "change")])
+                        if name in p and name in c]
+            if len(pairs_ok) < 2:
+                print(f"  {w:<12} {name:<12} {'absent':>11}")
+                continue
+            base = [p for p, _ in pairs_ok]
+            new = [c for _, c in pairs_ok]
+            med, new_med = statistics.median(base), statistics.median(new)
+            q1, _, q3 = statistics.quantiles(base, n=4)
+            ratio = new_med / med if med else float("nan")
+            wins = sum((c > p) if higher else (c < p) for p, c in pairs_ok)
+            spread = (q3 - q1) / med if med else float("inf")
+            loss = (1 - ratio) if higher else (ratio - 1)
+            if spread > bound:
+                verdict = "unresolved"
+            elif loss > bound:
+                verdict = "worse than bound"
+                worse += 1
+            else:
+                verdict = "within bound"
+            print(f"  {w:<12} {name:<12} {med:>11.4g} {q1:>10.4g} {q3:>10.4g} {new_med:>11.4g} "
+                  f"{ratio:>6.3f} {wins:>3}/{len(pairs_ok):<2} {bound:>6.0%}  {verdict}")
+    for f in flagged:
+        print(f"  FLAGGED RUN: {f}")
+    return 1 if flagged or worse else 0
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--ab", nargs=2, metavar=("PARENT_DATAPATH", "CHANGE_DATAPATH"))
+    ap.add_argument("--ab-bench", nargs=2, metavar=("PARENT_ROOT", "CHANGE_ROOT"))
+    ap.add_argument("--workloads", nargs="+")
+    ap.add_argument("--seconds", type=float)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--baseline")
     ap.add_argument("--fresh", nargs="+")
@@ -99,10 +184,21 @@ def main():
     ap.add_argument("--tol", type=float, default=25.0)
     ap.add_argument("--write-baseline", action="store_true")
     args = ap.parse_args()
+    if (args.ab or args.ab_bench) and args.pairs < 2:
+        ap.error("--pairs needs at least 2 pairs for quartiles")
     if args.ab:
-        if args.pairs < 2:
-            ap.error("--pairs needs at least 2 pairs for quartiles")
         return ab(*args.ab, args.pairs)
+    if args.ab_bench:
+        bench = load(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                                  "BENCHMARK.json"))
+        known = [w["name"] for w in bench["workloads"]]
+        workloads = args.workloads or known
+        unknown = [w for w in workloads if w not in known]
+        if unknown:
+            ap.error(f"unknown workload(s) {', '.join(unknown)}; BENCHMARK.json has "
+                     f"{', '.join(known)}")
+        seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+        return ab_bench(*args.ab_bench, workloads, args.pairs, seconds, bench)
     if not (args.baseline and args.fresh):
         ap.error("--baseline and --fresh are required without --ab")
 

@@ -9,9 +9,12 @@
 //! `GENIE_FAULT_SWARM_SEEDS=<n>` overrides the seed count (default
 //! 200) — `scripts/verify.sh` uses a 20-seed smoke pass.
 
-use genie::{HostId, InputRequest, OutputRequest, Semantics, World, WorldConfig};
+use genie::{
+    HostId, InputRequest, OutputRequest, RecvCompletion, SampleConfig, Semantics, SendCompletion,
+    World, WorldConfig,
+};
 use genie_fault::{FaultConfig, FaultStats, XorShift64};
-use genie_machine::MachineSpec;
+use genie_machine::{MachineSpec, SimTime};
 use genie_net::{InputBuffering, SwitchConfig, SwitchStats, Vc};
 
 const ARCHITECTURES: [InputBuffering; 3] = [
@@ -28,17 +31,113 @@ fn payload(seed: u64, pdu: usize, len: usize) -> Vec<u8> {
     (0..len).map(|_| rng.next_u64() as u8).collect()
 }
 
+/// An FNV-64 over a run's observable record, fed one word at a time.
+#[derive(Default)]
+struct Digest(Vec<u8>);
+
+impl Digest {
+    fn word(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn time(&mut self, t: SimTime) {
+        self.word(t.as_ps());
+    }
+
+    fn text(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        self.0.extend_from_slice(s.as_bytes());
+    }
+
+    fn finish(&self) -> u64 {
+        genie_fault::fnv64(&self.0)
+    }
+
+    /// The digest of a sequence of words (e.g. several runs' digests).
+    fn of(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut d = Digest::default();
+        words.into_iter().for_each(|v| d.word(v));
+        d.finish()
+    }
+}
+
+/// The digest of everything a finished run exposes: every input and
+/// output completion, the fault counters, the switch counters, every
+/// host's final clock and, when the run was traced, every trace event
+/// plus the sampled-out ledger. Any moved charge, span, random draw or
+/// event order shows up here.
+fn run_digest(w: &mut World, recvs: &[RecvCompletion], sends: &[SendCompletion]) -> u64 {
+    let mut d = Digest::default();
+    for c in recvs {
+        d.word(c.token);
+        d.word(u64::from(c.seq));
+        d.word(c.len as u64);
+        d.time(c.latency);
+        d.time(c.completed_at);
+    }
+    for c in sends {
+        d.word(c.token);
+        d.word(c.len as u64);
+        d.word(u64::from(c.credit_stalls));
+        d.time(c.completed_at);
+    }
+    for (name, v) in w.fault_stats().fields() {
+        d.text(name);
+        d.word(v);
+    }
+    if let Some(s) = w.switch_stats() {
+        for v in [
+            s.pdus_ingress,
+            s.pdus_replicated,
+            s.pdus_dispatched,
+            s.credit_stalls,
+            s.max_port_depth,
+        ] {
+            d.word(v);
+        }
+    }
+    for h in 0..w.n_hosts() {
+        d.time(w.host(HostId(h as u16)).clock);
+    }
+    if w.tracing_enabled() {
+        let trace = w.take_trace();
+        for (owner, events) in &trace.owners {
+            d.text(owner);
+            for e in events {
+                d.text(e.track.name());
+                d.text(e.name);
+                d.time(e.start);
+                d.time(e.dur);
+                d.word(e.bytes);
+                d.word(e.units);
+            }
+        }
+        for (owner, dropped) in &trace.dropped_spans {
+            d.text(owner);
+            d.word(*dropped);
+        }
+    }
+    d.finish()
+}
+
 /// Everything deterministic about one finished scenario, for the
-/// replay-determinism test.
+/// replay-determinism and pinned-digest tests.
 #[derive(Debug, PartialEq, Eq)]
 struct Trace {
     stats: FaultStats,
     deliveries: Vec<(u32, usize, u64)>, // (seq, len, payload fingerprint)
+    digest: u64,
 }
 
 /// Runs one faulted scenario and checks delivery plus every oracle
-/// invariant. Err carries a message embedding the reproducer seed.
-fn run_scenario(sem: Semantics, arch: InputBuffering, seed: u64) -> Result<Trace, String> {
+/// invariant; with `sampling`, the run is traced under that policy.
+/// Err carries a message embedding the reproducer seed.
+fn run_scenario(
+    sem: Semantics,
+    arch: InputBuffering,
+    seed: u64,
+    sampling: Option<SampleConfig>,
+) -> Result<Trace, String> {
     let fault = FaultConfig::swarm(seed);
     let fail = |what: String| {
         Err(format!(
@@ -56,6 +155,10 @@ fn run_scenario(sem: Semantics, arch: InputBuffering, seed: u64) -> Result<Trace
     };
     let mut w = World::new(cfg);
     w.enable_oracle();
+    if let Some(sampling) = sampling {
+        w.enable_tracing(true);
+        w.set_sampling(&sampling);
+    }
     let tx = w.create_process(HostId::A);
     let rx = w.create_process(HostId::B);
     let vc = Vc(1);
@@ -154,6 +257,7 @@ fn run_scenario(sem: Semantics, arch: InputBuffering, seed: u64) -> Result<Trace
     Ok(Trace {
         stats: w.fault_stats(),
         deliveries,
+        digest: run_digest(&mut w, &done, &sends),
     })
 }
 
@@ -179,7 +283,7 @@ fn swarm_every_semantics_architecture_and_seed() {
         let mut injected = 0u64;
         for sem in Semantics::ALL {
             for arch in ARCHITECTURES {
-                match run_scenario(sem, arch, seed) {
+                match run_scenario(sem, arch, seed, None) {
                     Ok(trace) => injected += trace.stats.injected(),
                     Err(e) => errs.push(e),
                 }
@@ -212,8 +316,8 @@ fn any_seed_replays_to_an_identical_trace() {
     for seed in [1, 7, 42] {
         for sem in [Semantics::EmulatedCopy, Semantics::WeakMove] {
             for arch in ARCHITECTURES {
-                let a = run_scenario(sem, arch, seed).expect("scenario");
-                let b = run_scenario(sem, arch, seed).expect("scenario");
+                let a = run_scenario(sem, arch, seed, None).expect("scenario");
+                let b = run_scenario(sem, arch, seed, None).expect("scenario");
                 assert_eq!(a, b, "sem={sem} arch={arch:?} seed={seed}");
             }
         }
@@ -279,6 +383,7 @@ struct SwitchedTrace {
     stats: FaultStats,
     switch: SwitchStats,
     deliveries: Vec<(u32, u32, usize, u64)>, // (vc, seq, len, fingerprint)
+    digest: u64,
 }
 
 /// Runs one faulted scenario on a switched topology: every sender
@@ -471,6 +576,7 @@ fn run_switched_scenario(
         stats: w.fault_stats(),
         switch: stats,
         deliveries,
+        digest: run_digest(&mut w, &done, &sends),
     })
 }
 
@@ -663,4 +769,104 @@ fn inert_plan_injects_nothing_even_with_the_oracle_on() {
         assert!(oracle.ok(), "{sem}: {:?}", oracle.violations());
         assert!(oracle.checks_run() > 0, "{sem}");
     }
+}
+
+/// Digests of a fixed faulted grid, pinned: 16 swarm seeds × 8
+/// semantics × 3 input architectures on two hosts, the same seeds over
+/// the switched star and chain (architecture rotating with the seed),
+/// and one traced run per architecture under 1-in-3 flow sampling
+/// (its sampling seed drops a retransmitted flow on every
+/// architecture, so attributing retransmissions to flows shows).
+/// Each entry folds its runs' digests (see `run_digest`), so a change
+/// that moves any completion, counter, host clock, trace event or
+/// sampling decision — a reordered fault-plan draw, a retransmission
+/// that starts attributing its spans to a flow — fails here even when
+/// every datagram still arrives intact.
+#[test]
+fn faulted_runs_keep_their_pinned_digests() {
+    const TWO_HOST: [u64; 16] = [
+        0x917c_b6b4_2aeb_c93b,
+        0x0611_368d_8238_12f2,
+        0x1840_7487_c18d_c69a,
+        0x38d8_9f22_c568_07a0,
+        0x6d82_d6a1_67f7_73bf,
+        0xf938_2b1d_37fc_256f,
+        0xab49_3c23_2709_76c4,
+        0xff5c_8500_f313_2760,
+        0x618e_fde6_2457_52d5,
+        0xa29e_7423_5a1e_b557,
+        0xef41_935a_0dcc_0812,
+        0x5daa_2d2e_9677_e46f,
+        0xe7a9_4889_bd9f_aea1,
+        0x545e_9983_f997_f11b,
+        0x41fa_baa0_1fc0_5579,
+        0x65ef_379f_9892_0c80,
+    ];
+    const SWITCHED: [u64; 16] = [
+        0xe275_a9b5_8474_fc17,
+        0xbabb_b649_c39f_a2c8,
+        0x49f7_dd40_ba11_a29a,
+        0xec83_a113_25b4_5daf,
+        0xf9ea_a6cb_eb7c_21c5,
+        0x1674_dee1_2a85_fee3,
+        0xf267_977f_d3c1_08ed,
+        0xbb07_e330_ba75_3121,
+        0xb0ac_eab0_8ac5_ebc8,
+        0xcaea_9b5f_0344_4e59,
+        0xbdf5_a4f9_8d4a_33e1,
+        0x109e_2ea6_0b9c_ae1f,
+        0x2736_cc47_8a9c_a43e,
+        0xf59c_9f35_735c_ef7e,
+        0x8f3e_377a_b16a_2d25,
+        0x3bce_d103_f85b_a80c,
+    ];
+    const TRACED: [u64; 3] = [
+        0x7e3a_9127_6ef9_9fdb,
+        0xd14a_2646_cab4_5155,
+        0x314c_9795_cf2f_e66a,
+    ];
+    /// Retransmits, delays and damages PDUs on every architecture.
+    const TRACED_SEED: u64 = 22;
+
+    let seeds: Vec<u64> = (0..16).collect();
+    let two_host: Vec<u64> = genie_runner::map(&seeds, |&seed| {
+        Digest::of(Semantics::ALL.into_iter().flat_map(|sem| {
+            ARCHITECTURES.map(|arch| {
+                run_scenario(sem, arch, seed, None)
+                    .unwrap_or_else(|e| panic!("{e}"))
+                    .digest
+            })
+        }))
+    });
+    let switched: Vec<u64> = genie_runner::map(&seeds, |&seed| {
+        let arch = ARCHITECTURES[(seed % 3) as usize];
+        Digest::of(Topology::ALL.into_iter().flat_map(|topo| {
+            Semantics::ALL.map(|sem| {
+                run_switched_scenario(topo, sem, arch, seed)
+                    .unwrap_or_else(|e| panic!("{e}"))
+                    .digest
+            })
+        }))
+    });
+    let sampling = SampleConfig {
+        rate: 3,
+        budget: 0,
+        seed: 1,
+    };
+    let traced: Vec<u64> = ARCHITECTURES
+        .iter()
+        .map(|&arch| {
+            let t = run_scenario(Semantics::EmulatedCopy, arch, TRACED_SEED, Some(sampling))
+                .unwrap_or_else(|e| panic!("{e}"));
+            assert!(
+                t.stats.retransmits > 0,
+                "{arch:?}: no retransmission traced"
+            );
+            t.digest
+        })
+        .collect();
+
+    assert_eq!(two_host, TWO_HOST, "two-host digests moved (per seed)");
+    assert_eq!(switched, SWITCHED, "switched digests moved (per seed)");
+    assert_eq!(traced, TRACED, "traced digests moved (per architecture)");
 }
