@@ -33,7 +33,6 @@
 
 use std::collections::VecDeque;
 
-use genie_machine::link::cells_for_payload;
 use genie_machine::{LinkSpec, Op, SimTime};
 use genie_net::{InflightPdu, SwitchedPdu, Vc, WirePdu};
 use genie_trace::Track;
@@ -112,25 +111,22 @@ impl World {
         (start, arrival)
     }
 
-    /// Launches output `token`'s wire image `payload` onto its
-    /// sender's uplink at `ready`: the uplink hop, the fault plan's
-    /// wire verdict (extra delay, cell damage), the forced cell-codec
-    /// round trip, and the event that ends the hop — ingress at the
-    /// switch, or arrival at the peer when there is no switch. First
-    /// sends and retransmissions both leave the host here. Returns
-    /// when the PDU started serializing.
-    pub(crate) fn launch(&mut self, token: u64, ready: SimTime, payload: Vec<u8>) -> SimTime {
+    /// Launches output `token`'s wire image onto its sender's uplink at
+    /// `ready`: the uplink hop, the fault plan's wire verdict (extra
+    /// delay, cell damage), the forced cell-codec round trip, and the
+    /// event that ends the hop — ingress at the switch, or arrival at
+    /// the peer when there is no switch. First sends and
+    /// retransmissions both leave the host here. Returns when the PDU
+    /// started serializing.
+    pub(crate) fn launch(&mut self, token: u64, ready: SimTime, mut wire: WirePdu) -> SimTime {
         let slot = self.ops.get(token).expect("launched output is live");
         let (from, vc, seq, sent_at) = (slot.from, slot.vc, slot.seq, slot.invoked_at);
-        let total = payload.len();
-        let cells = cells_for_payload(total);
+        let total = wire.len();
+        let cells = wire.n_cells();
         let (wire_start, mut arrival) = self.uplink_hop(from, vc, seq, ready, total, cells);
 
-        // The wire image: one contiguous pooled buffer plus cell
-        // metadata. Real cells exist only on the slow path (fault
-        // damage, forced cell codec).
-        let mut wire = WirePdu::new(vc.0, payload);
-        debug_assert_eq!(wire.n_cells(), cells, "cell metadata disagrees with charge");
+        // Real cells exist only on the slow path (fault damage, forced
+        // cell codec).
         let mut intact = true;
         if self.fault.plan.active() {
             let verdict = self.fault.plan.wire(cells);
@@ -139,7 +135,7 @@ impl World {
                 arrival += extra;
             }
             if let Some(damage) = verdict.damage {
-                intact = self.apply_wire_damage(vc, wire.payload(), damage);
+                intact = self.apply_wire_damage(&wire, damage);
             }
         }
         let wire = if intact {
@@ -232,17 +228,13 @@ impl World {
             vc.0
         );
         sw.note_ingress(dsts.len() - 1);
-        // Fan-out replicates the wire image at ingress (into pooled
-        // buffers); the original moves into the last copy.
+        // Fan-out replicates the wire image at ingress (page shares in
+        // pooled segment lists); the original moves into the last copy.
         for (i, &dst) in dsts.iter().enumerate() {
             let wire = if i + 1 == dsts.len() {
                 pdu.wire.take()
             } else {
-                pdu.wire.as_ref().map(|p| {
-                    let mut copy = self.take_payload_buf();
-                    copy.extend_from_slice(p.payload());
-                    WirePdu::new(vc.0, copy)
-                })
+                pdu.wire.as_ref().map(|p| p.replicate(self.take_seg_list()))
             };
             let sw = self.switch.as_mut().expect("switched world");
             let depth = sw.enqueue(

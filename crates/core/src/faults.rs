@@ -28,10 +28,10 @@
 //! repository honors; fault-free worlds have no such restriction.
 
 use genie_fault::{FaultConfig, FaultPlan, FaultStats, Oracle, WireDamage};
-use genie_machine::link::{cells_for_payload, CELL_PAYLOAD};
+use genie_machine::link::CELL_PAYLOAD;
 use genie_machine::{Op, SimTime};
 use genie_mem::{DenseMap, FrameId};
-use genie_net::{aal5, InflightPdu, Vc};
+use genie_net::{aal5, InflightPdu, Vc, WirePdu};
 use genie_vm::pageout::PageoutPolicy;
 
 use crate::world::{Event, HostId, World};
@@ -54,10 +54,11 @@ const DEFAULT_HOLD_CAP: usize = 64;
 /// transmission) the sending adapter holds for possible
 /// retransmission, matching an adapter-resident retransmit buffer —
 /// the host-side frames may be disposed or reused long before recovery
-/// finishes. The output's identity lives in its `OpSlot`.
+/// finishes (the image shares their pages, so a later write copies the
+/// page first). The output's identity lives in its `OpSlot`.
 #[derive(Debug)]
 pub(crate) struct RetransmitCopy {
-    pub bytes: Vec<u8>,
+    pub pdu: WirePdu,
     pub attempts: u32,
 }
 
@@ -221,11 +222,11 @@ impl World {
     ///
     /// This is the one place the fast path materializes real cells:
     /// damage is defined on cells, so the PDU is segmented into the
-    /// world's scratch cell buffer, damaged, and reassembled into a
-    /// pooled buffer — the only per-PDU allocations are warm-up.
-    pub(crate) fn apply_wire_damage(&mut self, vc: Vc, bytes: &[u8], damage: WireDamage) -> bool {
+    /// world's scratch cell buffer, damaged, and reassembled into its
+    /// scratch bytes — the only per-PDU allocations are warm-up.
+    pub(crate) fn apply_wire_damage(&mut self, pdu: &WirePdu, damage: WireDamage) -> bool {
         let mut cells = std::mem::take(&mut self.scratch_cells);
-        aal5::segment_into(vc.0, bytes, &mut cells);
+        pdu.materialize_into(&mut cells);
         match damage {
             WireDamage::DropCell(i) => {
                 if i < cells.len() {
@@ -243,12 +244,12 @@ impl World {
                 }
             }
         }
-        let mut pdu = self.take_payload_buf();
-        let intact = match aal5::reassemble_into(&cells, &mut pdu) {
-            Ok(()) => pdu == bytes,
+        let mut bytes = std::mem::take(&mut self.scratch_bytes);
+        let intact = match aal5::reassemble_into(&cells, &mut bytes) {
+            Ok(()) => pdu.matches(&bytes),
             Err(_) => false,
         };
-        self.recycle_payload(pdu);
+        self.scratch_bytes = bytes;
         cells.clear();
         self.scratch_cells = cells;
         intact
@@ -318,8 +319,7 @@ impl World {
         let Some(copy) = &slot.copy else {
             return;
         };
-        let (from, vc, total) = (slot.from, slot.vc, copy.bytes.len());
-        let cells = cells_for_payload(total);
+        let (from, vc, total, cells) = (slot.from, slot.vc, copy.pdu.len(), copy.pdu.n_cells());
         if !self.hosts[from.idx()]
             .adapter
             .try_send_credits(vc, cells as u32)
@@ -338,10 +338,10 @@ impl World {
             }
         }
         self.hosts[from.idx()].charge_overlapped(Op::CellTx, total, cells);
-        let mut payload = self.take_payload_buf();
+        let segs = self.take_seg_list();
         let copy = self.ops.get(token).and_then(|s| s.copy.as_ref());
-        payload.extend_from_slice(&copy.expect("checked above").bytes);
-        self.launch(token, time, payload);
+        let pdu = copy.expect("checked above").pdu.replicate(segs);
+        self.launch(token, time, pdu);
     }
 
     /// A damaged PDU reached the receiving adapter: AAL5 reassembly

@@ -359,11 +359,11 @@ mod tests {
         assert_eq!(h.adapter.pool_len(), 16);
         // Lose 2 pool frames to a pooled receive whose frames are never
         // returned (as page swaps do), then replenish.
-        let payload = vec![1u8; 8000];
+        let pdu = genie_net::WirePdu::from_bytes(0, &[1u8; 8000], Vec::new());
         let mut frames = Vec::new();
         let delivered = h
             .adapter
-            .receive(&mut h.vm.phys, &payload, &mut frames)
+            .receive(&mut h.vm.phys, &pdu, &mut frames)
             .unwrap();
         assert!(delivered);
         assert_eq!(frames.len(), 2);

@@ -315,7 +315,7 @@ impl World {
         pdu: WirePdu,
         sent_at: SimTime,
     ) -> Result<(), WirePdu> {
-        let header = DatagramHeader::decode(pdu.payload()).expect("header fits");
+        let header = DatagramHeader::decode(pdu.header()).expect("header fits");
         let total = pdu.len();
         // Flow identity for the sampling layer: the whole ready +
         // dispose pipeline of this PDU is kept or sampled as one unit.
@@ -372,16 +372,16 @@ impl World {
     ) -> Result<PlacedPayload, WirePdu> {
         use genie_net::InputBuffering as Ib;
         let placed = match self.rx_mode {
-            Ib::EarlyDemux => self.place_early(to, p, &pdu.payload()[HEADER_LEN..]),
-            Ib::Pooled => self.place_pooled(to, pdu.payload()),
+            Ib::EarlyDemux => self.place_early(to, p, &pdu),
+            Ib::Pooled => self.place_pooled(to, &pdu),
             Ib::Outboard => return Ok(self.place_outboard(to, pdu)),
         };
         self.settle_pdu(placed, pdu)
     }
 
     /// Finishes a host-memory placement: the PDU's bytes now live in
-    /// host frames, so its storage is recycled; a dropped PDU is handed
-    /// back instead.
+    /// host frames, so its segment list is recycled; a dropped PDU is
+    /// handed back instead.
     fn settle_pdu(
         &mut self,
         placed: Option<PlacedPayload>,
@@ -402,10 +402,11 @@ impl World {
     }
 
     /// Early-demultiplexed placement: data goes straight where it
-    /// belongs (`data` excludes the header, which the demultiplexing
+    /// belongs (the data past the header, which the demultiplexing
     /// adapter consumed).
-    fn place_early(&mut self, to: HostId, p: &PendingRecv, data: &[u8]) -> Option<PlacedPayload> {
+    fn place_early(&mut self, to: HostId, p: &PendingRecv, pdu: &WirePdu) -> Option<PlacedPayload> {
         let page = self.host(to).page_size();
+        let data_len = pdu.len() - HEADER_LEN;
         let host = self.host_mut(to);
         match p.semantics {
             Semantics::Share
@@ -414,14 +415,15 @@ impl World {
             | Semantics::WeakMove
             | Semantics::EmulatedWeakMove => {
                 let desc = p.desc.as_ref().expect("prepared descriptor");
-                Adapter::dma_scatter(&mut host.vm.phys, &desc.vecs, data).expect("scatter");
+                let dsts = desc.vecs.iter().map(|v| (v.frame, v.offset, v.len));
+                Adapter::dma_scatter(&mut host.vm.phys, dsts, pdu, HEADER_LEN).expect("scatter");
                 Some(PlacedPayload::Direct)
             }
             Semantics::Copy | Semantics::Move => {
                 host.charge_latency(Op::SysBufAllocate, 0, 0);
-                let npages = data.len().div_ceil(page).max(1);
+                let npages = data_len.div_ceil(page).max(1);
                 let frames = host.alloc_kernel_frames(npages).ok()?;
-                scatter_from(&mut host.vm.phys, &frames, 0, data);
+                scatter_from(&mut host.vm.phys, &frames, 0, pdu);
                 Some(PlacedPayload::SysFrames(frames))
             }
             Semantics::EmulatedCopy => {
@@ -430,9 +432,9 @@ impl World {
                 let (vaddr, _len) = p.app.expect("app buffer");
                 let off = (vaddr % page as u64) as usize;
                 host.charge_latency(Op::AlignedBufAllocate, 0, 0);
-                let npages = host.machine().pages_spanned(off, data.len().max(1));
+                let npages = host.machine().pages_spanned(off, data_len.max(1));
                 let frames = host.alloc_kernel_frames(npages).ok()?;
-                scatter_from(&mut host.vm.phys, &frames, off, data);
+                scatter_from(&mut host.vm.phys, &frames, off, pdu);
                 Some(PlacedPayload::Aligned(frames))
             }
         }
@@ -440,14 +442,14 @@ impl World {
 
     /// Pooled placement: the raw PDU (header included) lands in
     /// overlay pages.
-    fn place_pooled(&mut self, to: HostId, payload: &[u8]) -> Option<PlacedPayload> {
+    fn place_pooled(&mut self, to: HostId, pdu: &WirePdu) -> Option<PlacedPayload> {
         let host = self.host_mut(to);
         host.charge_latency(Op::OverlayAllocate, 0, 0);
         host.charge_latency(Op::Overlay, 0, 0);
         let mut frames = host.take_frame_list();
         let delivered = host
             .adapter
-            .receive(&mut host.vm.phys, payload, &mut frames)
+            .receive(&mut host.vm.phys, pdu, &mut frames)
             .expect("pooled receive");
         if delivered {
             Some(PlacedPayload::Overlay(frames))
@@ -463,7 +465,7 @@ impl World {
         use genie_net::InputBuffering as Ib;
         match self.rx_mode {
             Ib::EarlyDemux | Ib::Pooled => {
-                let placed = self.place_pooled(to, pdu.payload());
+                let placed = self.place_pooled(to, &pdu);
                 self.settle_pdu(placed, pdu)
             }
             Ib::Outboard => Ok(self.place_outboard(to, pdu)),
@@ -485,9 +487,8 @@ impl World {
                 );
             }
             PlacedPayload::Outboard(buf) => {
-                header_bytes.copy_from_slice(
-                    &self.host(to).adapter.outboard_data(*buf).expect("buf")[..HEADER_LEN],
-                );
+                header_bytes
+                    .copy_from_slice(self.host(to).adapter.outboard_header(*buf).expect("buf"));
             }
             _ => unreachable!("backlog holds overlay or outboard payloads"),
         }
@@ -886,8 +887,8 @@ impl World {
     }
 
     /// Dispose for outboard placements (Section 6.2.3): the stored wire
-    /// image leaves the adapter and its storage is recycled once the
-    /// data is in host memory.
+    /// image leaves the adapter and its segment list is recycled once
+    /// the data is in host memory.
     fn dispose_outboard(
         &mut self,
         to: HostId,
@@ -901,7 +902,6 @@ impl World {
             .adapter
             .outboard_free(buf)
             .expect("outboard buffer");
-        let data = &pdu.payload()[HEADER_LEN..total];
         // Store-and-forward: the host-side DMA happens now, adding its
         // full transfer time to the critical path.
         let dma_time = self.dma.transfer_time(total);
@@ -915,7 +915,8 @@ impl World {
                 .reference_app(p.space, vaddr, data_len, IoDir::Input, false)
                 .expect("reference app buffer");
             host.clock += dma_time;
-            Adapter::dma_scatter(&mut host.vm.phys, &desc.vecs, data).expect("outboard dma");
+            let dsts = desc.vecs.iter().map(|v| (v.frame, v.offset, v.len));
+            Adapter::dma_scatter(&mut host.vm.phys, dsts, &pdu, HEADER_LEN).expect("outboard dma");
             let pages = host.pages_at(vaddr, data_len);
             host.release_app(desc, None, data_len, pages);
             (vaddr, None)
@@ -925,7 +926,7 @@ impl World {
             // DMA.
             self.host_mut(to).clock += dma_time;
             match self
-                .place_early(to, &*p, data)
+                .place_early(to, &*p, &pdu)
                 .expect("early placement from outboard")
             {
                 PlacedPayload::Direct => self.dispose_direct(to, p),
@@ -1075,20 +1076,17 @@ fn swapped_pages(plan: AlignedPlan) -> impl Iterator<Item = bool> {
         .chain(std::iter::repeat(false))
 }
 
-/// Receive-side DMA of `data` into consecutive kernel frames, starting
-/// `off` bytes into the first (the layout of system and aligned
-/// buffers).
-fn scatter_from(phys: &mut PhysMem, frames: &[FrameId], off: usize, data: &[u8]) {
+/// Receive-side DMA of `pdu`'s data (past the header) into consecutive
+/// kernel frames, starting `off` bytes into the first (the layout of
+/// system and aligned buffers).
+fn scatter_from(phys: &mut PhysMem, frames: &[FrameId], off: usize, pdu: &WirePdu) {
     let page = phys.page_size();
-    let mut start = off;
-    let mut rest = data;
-    for &f in frames {
-        if rest.is_empty() {
-            break;
+    let dsts = frames.iter().enumerate().map(|(i, &f)| {
+        if i == 0 {
+            (f, off, page - off)
+        } else {
+            (f, 0, page)
         }
-        let n = rest.len().min(page - start);
-        phys.write(f, start, &rest[..n]).expect("scatter");
-        rest = &rest[n..];
-        start = 0;
-    }
+    });
+    Adapter::dma_scatter(phys, dsts, pdu, HEADER_LEN).expect("scatter");
 }

@@ -8,7 +8,7 @@
 use genie_machine::link::{cells_for_payload, AAL5_MAX_PAYLOAD};
 use genie_machine::{Op, SimTime};
 use genie_mem::{FrameId, IoDir};
-use genie_net::{checksum16, Adapter, DatagramHeader, Vc, HEADER_LEN};
+use genie_net::{checksum16, Adapter, DatagramHeader, Vc, WirePdu, HEADER_LEN};
 use genie_vm::{IoDescriptor, RegionHandle, RegionMark, SpaceId};
 
 use crate::config::ChecksumMode;
@@ -133,15 +133,19 @@ impl World {
         }
         let mut checksum = 0;
         if checksumming || promising {
-            let mut bytes = self.take_payload_buf();
-            Adapter::dma_gather_into(&self.host(from).vm.phys, &desc.vecs, &mut bytes)?;
+            let mut bytes = std::mem::take(&mut self.scratch_bytes);
+            bytes.clear();
+            let phys = &self.host(from).vm.phys;
+            for v in &desc.vecs {
+                bytes.extend_from_slice(phys.read(v.frame, v.offset, v.len)?);
+            }
             if checksumming {
                 checksum = checksum16(&bytes);
             }
             if let Some(o) = self.fault.oracle.as_mut().filter(|_| promising) {
                 o.record_promised(req.vc.0, seq, genie_fault::fnv64(&bytes));
             }
-            self.recycle_payload(bytes);
+            self.scratch_bytes = bytes;
         }
 
         let header = DatagramHeader {
@@ -278,9 +282,9 @@ impl World {
     }
 
     /// Transmit event: drain this PDU's per-VC transmit queue in FIFO
-    /// order. Each drained PDU is gathered by DMA (reading whatever
-    /// the frames hold *now* — in-place semantics race application
-    /// writes exactly as real DMA does), spends credits, and is
+    /// order. Each drained PDU is gathered by DMA (page shares of
+    /// whatever the frames hold *now* — in-place semantics race
+    /// application writes exactly as real DMA does), spends credits, and is
     /// launched; a credit-stalled PDU blocks the head of its VC's line
     /// so delivery order is preserved.
     pub(crate) fn on_transmit(&mut self, time: SimTime, token: u64) {
@@ -332,16 +336,15 @@ impl World {
             return false;
         }
 
-        let mut payload = self.take_payload_buf();
-        payload.reserve(total);
-        let send = self.send(token).expect("pending send");
-        payload.extend_from_slice(&send.header.encode());
-        Adapter::dma_gather_into(
-            &self.hosts[from.idx()].vm.phys,
-            &send.desc.vecs,
-            &mut payload,
-        )
-        .expect("gather referenced frames");
+        // Transmit DMA: the wire image shares the referenced frames'
+        // pages as they are now; a later write copies the page first.
+        let mut segs = self.take_seg_list();
+        let send = self.ops.get(token).and_then(|s| s.send.as_ref());
+        let send = send.expect("pending send");
+        let phys = &mut self.hosts[from.idx()].vm.phys;
+        Adapter::dma_gather_into(phys, &send.desc.vecs, &mut segs)
+            .expect("gather referenced frames");
+        let wire = WirePdu::from_parts(vc.0, send.header.encode(), segs);
 
         // Per-cell driver housekeeping: CPU busy, overlapped with the
         // transmission (contributes to Figure 4, not to latency).
@@ -353,14 +356,13 @@ impl World {
         if self.fault.plan.active() {
             // The adapter keeps the wire image for retransmission until
             // the peer delivers this PDU in order.
-            let mut bytes = self.take_payload_buf();
-            bytes.extend_from_slice(&payload);
+            let pdu = wire.replicate(self.take_seg_list());
             let slot = self.ops.get_mut(token).expect("pending send");
             debug_assert!(slot.copy.is_none(), "a PDU is sent first only once");
-            slot.copy = Some(crate::faults::RetransmitCopy { bytes, attempts: 0 });
+            slot.copy = Some(crate::faults::RetransmitCopy { pdu, attempts: 0 });
         }
 
-        let wire_start = self.launch(token, time + dma_setup + dev_tx, payload);
+        let wire_start = self.launch(token, time + dma_setup + dev_tx, wire);
         let mut txdone = wire_start.max(time) + self.dma.transfer_time(total);
         if self.fault.plan.active() {
             if let Some(d) = self.fault.plan.completion_delay() {

@@ -14,7 +14,7 @@
 use std::collections::VecDeque;
 
 use genie_machine::{LinkSpec, MachineSpec, SimTime};
-use genie_mem::{DenseMap, SlotMap};
+use genie_mem::{DenseMap, PageSlice, SlotMap};
 use genie_net::{
     DmaModel, EventQueue, InflightPdu, InputBuffering, Switch, SwitchConfig, Vc, WirePdu,
 };
@@ -169,7 +169,7 @@ pub(crate) enum Event {
     /// Transmit-side DMA finished: run the sender's dispose stage.
     TxDone { token: u64 },
     /// A PDU reached the receiving adapter. An intact PDU travels the
-    /// wire as one contiguous [`WirePdu`] — cell count and AAL5
+    /// wire as one [`WirePdu`] of page shares — cell count and AAL5
     /// trailer are metadata; 48-byte cells are never materialized on
     /// this fast path. A damaged one (`wire: None`, only raised by an
     /// active fault plan) fails AAL5 reassembly at the adapter.
@@ -254,13 +254,16 @@ pub struct World {
     /// Per-(sender, VC) transmit FIFO: a credit-stalled PDU blocks the
     /// head of its VC's line so delivery order is preserved.
     pub(crate) txq: VcQueues<u64>,
-    /// Recycled PDU payload buffers: transmit gathers into one of
-    /// these, arrival returns it, so steady-state traffic allocates no
-    /// per-datagram payload Vec.
-    pub(crate) spare_payloads: Vec<Vec<u8>>,
+    /// Recycled wire-image segment lists: transmit gathers page shares
+    /// into one of these, delivery returns it, so steady-state traffic
+    /// allocates no per-datagram list.
+    pub(crate) spare_segs: Vec<Vec<PageSlice>>,
     /// Scratch cell storage for the slow path (fault damage and the
     /// forced cell path), reused across PDUs.
     pub(crate) scratch_cells: Vec<genie_net::Cell>,
+    /// Scratch bytes for the slow paths that need a PDU or a buffer
+    /// contiguous (cell reassembly, the checksum and oracle gather).
+    pub(crate) scratch_bytes: Vec<u8>,
     /// Scratch copy of the route a switch-ingress PDU fans out to,
     /// reused across PDUs.
     pub(crate) scratch_dsts: Vec<u16>,
@@ -332,8 +335,9 @@ impl World {
             seq: DenseMap::new(),
             link_busy_until: vec![SimTime::ZERO; n],
             txq: (0..n).map(|_| DenseMap::new()).collect(),
-            spare_payloads: Vec::new(),
+            spare_segs: Vec::new(),
             scratch_cells: Vec::new(),
+            scratch_bytes: Vec::new(),
             scratch_dsts: Vec::new(),
             force_cells: false,
             fault: crate::faults::FaultState::new(cfg.fault, n),
@@ -386,32 +390,28 @@ impl World {
         HostId(dsts[0])
     }
 
-    /// Takes a cleared payload buffer from the spare pool (or
-    /// allocates one).
-    pub(crate) fn take_payload_buf(&mut self) -> Vec<u8> {
-        let mut buf = self.spare_payloads.pop().unwrap_or_default();
-        buf.clear();
-        buf
+    /// Takes a cleared segment list from the spare pool (or allocates
+    /// one).
+    pub(crate) fn take_seg_list(&mut self) -> Vec<PageSlice> {
+        self.spare_segs.pop().unwrap_or_default()
     }
 
-    /// Returns a payload buffer to the spare pool. Every buffer in
-    /// circulation came from [`World::take_payload_buf`], so the pool
-    /// never holds more than the most PDUs (plus retransmit copies)
-    /// ever in flight at once: one or two for a latency ping-pong, a
-    /// whole wave for a fan-in, whose next wave then reuses them all.
-    pub(crate) fn recycle_payload(&mut self, buf: Vec<u8>) {
-        if buf.capacity() > 0 {
-            self.spare_payloads.push(buf);
+    /// Returns a consumed wire PDU's segment list to the spare pool,
+    /// dropping its page shares. Every list in circulation came from
+    /// [`World::take_seg_list`], so the pool never holds more than the
+    /// most PDUs (plus retransmit copies) ever in flight at once: one
+    /// or two for a latency ping-pong, a whole wave for a fan-in, whose
+    /// next wave then reuses them all.
+    pub(crate) fn recycle_pdu(&mut self, pdu: WirePdu) {
+        let mut segs = pdu.into_segments();
+        if segs.capacity() > 0 {
+            segs.clear();
+            self.spare_segs.push(segs);
         }
     }
 
-    /// Returns a consumed wire PDU's payload storage to the spare pool.
-    pub(crate) fn recycle_pdu(&mut self, pdu: WirePdu) {
-        self.recycle_payload(pdu.into_payload());
-    }
-
     /// Forces every transmission through the materialized cell codec
-    /// (the slow path) instead of the contiguous fast path. Charges are
+    /// (the slow path) instead of the cell-free fast path. Charges are
     /// unaffected, so simulated behavior must be identical; equivalence
     /// tests use this to check the fast path against the cell codec.
     pub fn set_force_cell_path(&mut self, on: bool) {
@@ -419,17 +419,18 @@ impl World {
     }
 
     /// Slow-path round trip: segments `pdu` into real cells and
-    /// reassembles them into a pooled buffer, returning the rebuilt
-    /// PDU. Byte shuffling only — no simulated charges.
+    /// reassembles them, returning the PDU rebuilt from the reassembled
+    /// bytes. Byte shuffling only — no simulated charges.
     pub(crate) fn roundtrip_through_cells(&mut self, pdu: WirePdu) -> WirePdu {
         let mut cells = std::mem::take(&mut self.scratch_cells);
+        let mut bytes = std::mem::take(&mut self.scratch_bytes);
         pdu.materialize_into(&mut cells);
-        let mut bytes = self.take_payload_buf();
         genie_net::reassemble_into(&cells, &mut bytes).expect("materialized cells must reassemble");
+        debug_assert!(pdu.matches(&bytes), "cell codec round trip changed the PDU");
+        let rebuilt = WirePdu::from_bytes(pdu.vc(), &bytes, self.take_seg_list());
         cells.clear();
         self.scratch_cells = cells;
-        let rebuilt = WirePdu::new(pdu.vc(), bytes);
-        debug_assert_eq!(rebuilt, pdu, "cell codec round trip changed the PDU");
+        self.scratch_bytes = bytes;
         self.recycle_pdu(pdu);
         rebuilt
     }
@@ -592,12 +593,6 @@ impl World {
         t
     }
 
-    /// The pending send for an output token, if it has not yet been
-    /// disposed (stale tokens resolve to `None`).
-    pub(crate) fn send(&self, token: u64) -> Option<&PendingSend> {
-        self.ops.get(token)?.send.as_ref()
-    }
-
     /// Mutable access to the pending send for an output token.
     pub(crate) fn send_mut(&mut self, token: u64) -> Option<&mut PendingSend> {
         self.ops.get_mut(token)?.send.as_mut()
@@ -620,8 +615,8 @@ impl World {
     }
 
     /// Drops the retransmit copy for good (delivery or abandonment),
-    /// recycling its bytes and freeing the slot if the send half is
-    /// already disposed.
+    /// recycling its segment list and freeing the slot if the send half
+    /// is already disposed.
     pub(crate) fn drop_copy(&mut self, token: u64) {
         let Some(slot) = self.ops.get_mut(token) else {
             return;
@@ -632,7 +627,7 @@ impl World {
         if slot.send.is_none() {
             self.ops.remove(token);
         }
-        self.recycle_payload(copy.bytes);
+        self.recycle_pdu(copy.pdu);
     }
 
     /// Dispatches one popped event to its handler.
@@ -951,7 +946,7 @@ mod tests {
         }
         // The world's and every host's recycled lists hold something,
         // and the next exchange runs from them.
-        assert!(!w.spare_payloads.is_empty());
+        assert!(!w.spare_segs.is_empty());
         for id in [HostId::A, HostId::B] {
             assert!(!w.host(id).spare_frame_lists.is_empty(), "{id:?}");
         }

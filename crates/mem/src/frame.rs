@@ -7,6 +7,10 @@
 //! storage back unscrubbed, and the next first write clears only the
 //! part of the old extent it does not overwrite. No stale byte is ever
 //! visible: a backed frame's storage is exactly its contents.
+//!
+//! Storage may be shared with wire images and with other frames (see
+//! the pool module): a frame's writes, clears and zeroing unshare it
+//! first, so what another holder reads never changes under it.
 
 use core::fmt;
 use core::ops::Range;
@@ -18,7 +22,7 @@ pub(crate) const MAX_PAGE_SIZE: usize = 64 * 1024;
 
 /// What a frame with no page storage reads as. One shared page of
 /// zeros stands in for every never-written frame of every world.
-static ZERO_PAGE: [u8; MAX_PAGE_SIZE] = [0; MAX_PAGE_SIZE];
+pub(crate) static ZERO_PAGE: [u8; MAX_PAGE_SIZE] = [0; MAX_PAGE_SIZE];
 
 /// Index of a physical page frame.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -98,9 +102,20 @@ impl Frame {
     /// Detaches the page storage with its dirty extent, leaving the
     /// frame unbacked. This is how a frame is zeroed in O(1): it reads
     /// as the zero page from then on, and the detached storage is
-    /// reused, unscrubbed, by a later first write.
+    /// reused, unscrubbed, by a later first write (once no other holder
+    /// shares it).
     pub(crate) fn take_storage(&mut self) -> Page {
         core::mem::take(&mut self.page)
+    }
+
+    /// A share of the page storage (none for an unbacked frame).
+    pub(crate) fn share(&self) -> Page {
+        self.page.clone()
+    }
+
+    /// Takes over `page` as this frame's storage, dropping the old.
+    pub(crate) fn adopt_storage(&mut self, page: Page) {
+        self.page = page;
     }
 
     /// Frame contents (the shared zero page until the first write).
@@ -112,20 +127,26 @@ impl Frame {
         }
     }
 
-    /// The page bytes, for a write that overwrites all of `range`. An
-    /// unbacked frame attaches a pooled page and zeroes only the bytes
-    /// of its old extent outside `range`.
-    pub(crate) fn write_window(&mut self, range: Range<usize>) -> &mut [u8] {
-        if !self.page.is_backed() {
-            self.page = crate::pool::take_for_write(self.page_size(), range.clone());
-        }
-        self.page.write_window(range)
+    /// The page bytes, for a write that overwrites all of `range`, and
+    /// whether a shared page had to be copied first. An unbacked frame
+    /// attaches a pooled page and zeroes only the bytes of its old
+    /// extent outside `range`.
+    pub(crate) fn write_window(&mut self, range: Range<usize>) -> (&mut [u8], bool) {
+        self.page.write_window(self.page_size(), range)
     }
 
-    /// Zeroes `range`. Bytes already known to be zero (all of them on
-    /// an unbacked frame) cost nothing.
-    pub(crate) fn clear(&mut self, range: Range<usize>) {
-        self.page.clear(range);
+    /// Makes shared storage this frame's own, contents and all (for a
+    /// copy within the frame, whose source is the page itself); returns
+    /// whether that copied.
+    pub(crate) fn own_storage(&mut self) -> bool {
+        self.page.own()
+    }
+
+    /// Zeroes `range`, returning whether a shared page had to be copied
+    /// first. Bytes already known to be zero (all of them on an
+    /// unbacked frame) cost nothing.
+    pub(crate) fn clear(&mut self, range: Range<usize>) -> bool {
+        self.page.clear(range)
     }
 
     /// Pending input references.
@@ -217,7 +238,7 @@ mod tests {
     #[test]
     fn zeroing_detaches_storage_and_no_stale_byte_shows() {
         let mut f = Frame::unbacked(4096);
-        f.write_window(10..20)[10..20].fill(0xEE);
+        f.write_window(10..20).0[10..20].fill(0xEE);
         // Zeroing hands the storage back unscrubbed, extent and all,
         // and the frame reads as the zero page.
         let page = f.take_storage();
@@ -227,15 +248,15 @@ mod tests {
         assert!(f.data().iter().all(|&b| b == 0));
         // The next first write reuses that page; what it does not
         // overwrite reads zero.
-        crate::pool::recycle(page);
+        drop(page);
         let pooled = crate::pool::pooled_pages();
-        f.write_window(15..17)[15..17].fill(1);
+        f.write_window(15..17).0[15..17].fill(1);
         assert_eq!(crate::pool::pooled_pages(), pooled - 1, "page reused");
         let mut want = [0u8; 4096];
         want[15..17].fill(1);
         assert_eq!(f.data(), &want[..]);
         // Clearing a range shrinks what a later reuse has to fill.
-        f.write_window(4000..4096)[4000..].fill(3);
+        f.write_window(4000..4096).0[4000..].fill(3);
         f.clear(0..4000);
         assert_eq!(f.take_storage().dirty(), 4000..4096);
     }

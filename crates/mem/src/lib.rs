@@ -26,5 +26,6 @@ pub mod slot;
 pub use error::MemError;
 pub use frame::{Frame, FrameId, FrameState, IoDir};
 pub use hash::{fnv64, Fnv64};
-pub use phys::PhysMem;
+pub use phys::{CopyCounts, PhysMem};
+pub use pool::PageSlice;
 pub use slot::{key_gen, key_slot, slot_key, DenseMap, SlotKey, SlotMap};

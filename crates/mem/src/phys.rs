@@ -4,6 +4,27 @@ use core::ops::Range;
 
 use crate::error::MemError;
 use crate::frame::{Frame, FrameId, FrameState, IoDir, MAX_PAGE_SIZE};
+use crate::pool::PageSlice;
+
+/// Host-side byte work on page storage since a [`PhysMem`] was made.
+/// These count what the simulator itself does to move bytes, not
+/// simulated work (the cost model charges that): a change that brings
+/// back a copy the wire images avoid shows here as a count difference.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CopyCounts {
+    /// Bytes copied into frames: writes, frame-to-frame copies and wire
+    /// image bytes scattered into frames.
+    pub bytes_copied: u64,
+    /// Page shares taken for wire images (of written frames; an
+    /// unwritten one is a zero slice).
+    pub shares_taken: u64,
+    /// Whole pages a frame took over from a wire image instead of
+    /// copying them.
+    pub shares_adopted: u64,
+    /// Shared pages copied before a partial write or clear
+    /// (copy-on-write).
+    pub cow_copies: u64,
+}
 
 /// Simulated physical memory: a frame table plus a LIFO free list.
 ///
@@ -23,6 +44,11 @@ use crate::frame::{Frame, FrameId, FrameState, IoDir, MAX_PAGE_SIZE};
 /// thread takes the most recently returned page back (LIFO, so the
 /// storage stays cache-hot), clearing only the part of its dirty extent
 /// that the write does not cover.
+///
+/// Page storage is shared copy-on-write with the wire images that take
+/// [`PageSlice`]s of it ([`PhysMem::share`]) and with the frames that
+/// take such a slice over ([`PhysMem::share_into`]); cloning a
+/// `PhysMem` shares every page the same way.
 #[derive(Clone, Debug)]
 pub struct PhysMem {
     page_size: usize,
@@ -34,6 +60,7 @@ pub struct PhysMem {
     allocs: u64,
     deallocs: u64,
     peak_in_use: usize,
+    copies: CopyCounts,
 }
 
 impl Drop for PhysMem {
@@ -42,12 +69,14 @@ impl Drop for PhysMem {
     /// thread (the next experiment cell's world) reuses it instead of
     /// re-allocating. Each page's dirty extent is cleared on the way,
     /// so the next world's first writes find clean pages: left for
-    /// them, those clears would land in its measured steps.
+    /// them, those clears would land in its measured steps. A page
+    /// another holder still shares is left to it untouched.
     fn drop(&mut self) {
         for f in &mut self.frames {
             let mut page = f.take_storage();
-            page.clear_all();
-            crate::pool::recycle(page);
+            if !page.is_shared() {
+                page.clear_all();
+            }
         }
     }
 }
@@ -73,6 +102,7 @@ impl PhysMem {
             allocs: 0,
             deallocs: 0,
             peak_in_use: 0,
+            copies: CopyCounts::default(),
         }
     }
 
@@ -124,6 +154,11 @@ impl PhysMem {
         self.peak_in_use
     }
 
+    /// Host-side copies and page shares so far.
+    pub fn copy_counts(&self) -> CopyCounts {
+        self.copies
+    }
+
     /// Allocates a frame (contents undefined — whatever the previous
     /// owner left there, exactly the hazard the paper's zeroing and
     /// deferred deallocation guard against). Returned frames come back
@@ -152,7 +187,7 @@ impl PhysMem {
     /// storage hands it back to the pool unscrubbed.
     pub fn alloc_zeroed(&mut self, owner: Option<u64>) -> Result<FrameId, MemError> {
         let id = self.alloc(owner)?;
-        crate::pool::recycle(self.frames[id.0 as usize].take_storage());
+        drop(self.frames[id.0 as usize].take_storage());
         Ok(id)
     }
 
@@ -235,9 +270,41 @@ impl PhysMem {
     /// Writes `bytes` at `offset` within frame `id`.
     pub fn write(&mut self, id: FrameId, offset: usize, bytes: &[u8]) -> Result<(), MemError> {
         let range = offset..offset + bytes.len();
-        let f = self.frame_mut(id)?;
-        f.write_window(range.clone())[range].copy_from_slice(bytes);
+        let f = self
+            .frames
+            .get_mut(id.0 as usize)
+            .ok_or(MemError::BadFrame(id))?;
+        let (window, copied) = f.write_window(range.clone());
+        window[range].copy_from_slice(bytes);
+        self.copies.cow_copies += u64::from(copied);
+        self.copies.bytes_copied += bytes.len() as u64;
         Ok(())
+    }
+
+    /// A slice of frame `id`'s bytes `offset..offset + len` that shares
+    /// its storage: the frame's later writes leave the slice as it was,
+    /// and taking it copies nothing (transmit DMA for wire images).
+    #[inline]
+    pub fn share(&mut self, id: FrameId, offset: usize, len: usize) -> Result<PageSlice, MemError> {
+        assert!(offset + len <= self.page_size, "slice beyond the page");
+        let page = self.frame(id)?.share();
+        self.copies.shares_taken += u64::from(page.is_backed());
+        Ok(PageSlice::new(page, offset, len))
+    }
+
+    /// Makes frame `id` take over `slice`'s storage in place of its own
+    /// if the slice is one whole page of this memory's page size;
+    /// returns whether it did (else nothing changes). The frame then
+    /// reads as the slice, and copying it is deferred to a partial
+    /// write over the shared page by either holder.
+    pub fn share_into(&mut self, id: FrameId, slice: &PageSlice) -> Result<bool, MemError> {
+        if !slice.is_whole_page(self.page_size) {
+            return Ok(false);
+        }
+        let f = self.frame_mut(id)?;
+        f.adopt_storage(slice.page.clone());
+        self.copies.shares_adopted += u64::from(slice.page.is_backed());
+        Ok(true)
     }
 
     /// Zeroes bytes `range` of frame `id` (zero-completing a page).
@@ -245,7 +312,8 @@ impl PhysMem {
     /// frame that was never written, or only elsewhere, fills nothing.
     pub fn zero_range(&mut self, id: FrameId, range: Range<usize>) -> Result<(), MemError> {
         assert!(range.end <= self.page_size, "range beyond the page");
-        self.frame_mut(id)?.clear(range);
+        let copied = self.frame_mut(id)?.clear(range);
+        self.copies.cow_copies += u64::from(copied);
         Ok(())
     }
 
@@ -263,8 +331,11 @@ impl PhysMem {
             // Within an unbacked frame the copy moves zeros onto zeros.
             let f = self.frame_mut(src)?;
             if f.is_backed() {
-                f.write_window(dst_off..dst_off + len)
-                    .copy_within(src_off..src_off + len, dst_off);
+                let copied = f.own_storage();
+                let (window, _) = f.write_window(dst_off..dst_off + len);
+                window.copy_within(src_off..src_off + len, dst_off);
+                self.copies.cow_copies += u64::from(copied);
+                self.copies.bytes_copied += len as u64;
             }
             return Ok(());
         }
@@ -284,7 +355,10 @@ impl PhysMem {
         // ranges cannot alias.
         let src_slice = &sf.data()[src_off..src_off + len];
         let range = dst_off..dst_off + len;
-        df.write_window(range.clone())[range].copy_from_slice(src_slice);
+        let (window, copied) = df.write_window(range.clone());
+        window[range].copy_from_slice(src_slice);
+        self.copies.cow_copies += u64::from(copied);
+        self.copies.bytes_copied += len as u64;
         Ok(())
     }
 }
@@ -292,6 +366,7 @@ impl PhysMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::PageSlice;
 
     fn mem() -> PhysMem {
         PhysMem::new(4096, 32)
@@ -552,8 +627,10 @@ mod tests {
         // Dropping clears each page's extent on the way to the pool.
         drop(m);
         assert_eq!(crate::pool::pooled_pages(), 4);
-        for _ in 0..4 {
-            let page = crate::pool::take_for_write(PAGE, 0..PAGE);
+        let pages: Vec<_> = (0..4)
+            .map(|_| crate::pool::take_for_write(PAGE, 0..PAGE))
+            .collect();
+        for page in &pages {
             assert_eq!(page.dirty(), 0..0, "dropped page kept its extent");
             assert!(
                 page.bytes().iter().all(|&b| b == 0),
@@ -561,5 +638,124 @@ mod tests {
             );
         }
         assert_eq!(crate::pool::pooled_pages(), 0);
+    }
+
+    /// Shared page storage against a plain byte model. Seeded random
+    /// sequences over a handful of frames mix partial and whole-page
+    /// writes, clears, frame-to-frame copies, zeroed reallocation,
+    /// shares taken into a mock wire image, whole-page shares taken over
+    /// by another frame, dropped shares, and a cloned `PhysMem` that is
+    /// written and dropped on its own. After every step each frame of
+    /// both memories and each held share reads exactly as its model;
+    /// at the end every page is back in the pool.
+    #[test]
+    fn shared_storage_matches_a_byte_model() {
+        const PAGE: usize = 1024;
+        const FRAMES: usize = 6;
+        crate::pool::trim(0);
+        for seed in 1..=24u64 {
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = move |n: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % n as u64) as usize
+            };
+            let mut m = PhysMem::new(PAGE, FRAMES);
+            let ids: Vec<FrameId> = (0..FRAMES).map(|_| m.alloc(None).unwrap()).collect();
+            let mut model = vec![vec![0u8; PAGE]; FRAMES];
+            // The mock wire image: each share with the bytes it was
+            // taken with.
+            let mut wire: Vec<(PageSlice, Vec<u8>)> = Vec::new();
+            let mut clone: Option<(PhysMem, Vec<Vec<u8>>)> = None;
+            for step in 0..300u32 {
+                let f = next(FRAMES);
+                let off = next(PAGE);
+                let len = 1 + next(PAGE - off);
+                let fill: Vec<u8> = (0..len).map(|i| (step as usize + i) as u8 | 1).collect();
+                match next(10) {
+                    0 | 1 => {
+                        m.write(ids[f], off, &fill).unwrap();
+                        model[f][off..off + len].copy_from_slice(&fill);
+                    }
+                    2 => {
+                        let page: Vec<u8> = (0..PAGE).map(|i| (i as u32 ^ step) as u8).collect();
+                        m.write(ids[f], 0, &page).unwrap();
+                        model[f] = page;
+                    }
+                    3 => {
+                        m.zero_range(ids[f], off..off + len).unwrap();
+                        model[f][off..off + len].fill(0);
+                    }
+                    4 => {
+                        m.dealloc(ids[f]).unwrap();
+                        assert_eq!(m.alloc_zeroed(None).unwrap(), ids[f]);
+                        model[f].fill(0);
+                    }
+                    5 => {
+                        let (off, len) = if next(2) == 0 { (0, PAGE) } else { (off, len) };
+                        let share = m.share(ids[f], off, len).unwrap();
+                        wire.push((share, model[f][off..off + len].to_vec()));
+                    }
+                    6 => {
+                        let whole: Vec<usize> = (0..wire.len())
+                            .filter(|&i| wire[i].0.len() == PAGE)
+                            .collect();
+                        if let Some(&i) = whole.get(next(whole.len().max(1))) {
+                            assert!(m.share_into(ids[f], &wire[i].0).unwrap());
+                            model[f].copy_from_slice(&wire[i].1);
+                        }
+                    }
+                    7 => {
+                        if !wire.is_empty() {
+                            wire.swap_remove(next(wire.len()));
+                        }
+                    }
+                    8 => {
+                        let (g, at) = (next(FRAMES), next(PAGE - len + 1));
+                        m.copy(ids[f], off, ids[g], at, len).unwrap();
+                        let src = model[f][off..off + len].to_vec();
+                        model[g][at..at + len].copy_from_slice(&src);
+                    }
+                    _ => match clone.take() {
+                        None => clone = Some((m.clone(), model.clone())),
+                        Some(c) if next(3) == 0 => drop(c),
+                        Some((mut c, mut cmodel)) => {
+                            c.write(ids[f], off, &fill).unwrap();
+                            cmodel[f][off..off + len].copy_from_slice(&fill);
+                            clone = Some((c, cmodel));
+                        }
+                    },
+                }
+                // The first byte at which `got` departs from `want`.
+                let diff = |got: &[u8], want: &[u8]| (0..PAGE).find(|&i| got.get(i) != want.get(i));
+                let ctx = format!("seed {seed} step {step}");
+                for (i, &id) in ids.iter().enumerate() {
+                    let got = m.read(id, 0, PAGE).unwrap();
+                    assert_eq!(diff(got, &model[i]), None, "{ctx}: frame {i}");
+                }
+                for (share, bytes) in &wire {
+                    assert_eq!(diff(share.bytes(), bytes), None, "{ctx}: a share changed");
+                }
+                if let Some((c, cmodel)) = &clone {
+                    for (i, &id) in ids.iter().enumerate() {
+                        let got = c.read(id, 0, PAGE).unwrap();
+                        assert_eq!(diff(got, &cmodel[i]), None, "{ctx}: clone frame {i}");
+                    }
+                }
+            }
+            let counts = m.copy_counts();
+            assert!(
+                counts.shares_adopted > 0 && counts.cow_copies > 0,
+                "seed {seed}: {counts:?}"
+            );
+            drop((wire, clone, m));
+            assert_eq!(
+                crate::pool::outstanding_pages(),
+                0,
+                "seed {seed}: a page leaked"
+            );
+            assert!(crate::pool::pooled_pages() > 0);
+        }
     }
 }

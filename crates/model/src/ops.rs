@@ -38,7 +38,7 @@ pub enum ModelOp {
     /// only while no sends are in flight.
     Pageout { host: u8 },
     /// Toggle the forced cell-level wire path (must be observably
-    /// identical to the contiguous fast path).
+    /// identical to the cell-free fast path).
     TogglePath,
 }
 

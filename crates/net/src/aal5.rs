@@ -8,7 +8,9 @@
 
 use genie_machine::link::{cells_for_payload, AAL5_MAX_PAYLOAD, AAL5_TRAILER, CELL_PAYLOAD};
 use genie_machine::SimTime;
-use std::cell::OnceCell;
+use genie_mem::PageSlice;
+
+use crate::proto::HEADER_LEN;
 
 /// One ATM cell as the simulation carries it: VC id, 48-byte payload,
 /// and the end-of-PDU flag.
@@ -116,30 +118,47 @@ pub fn segment(vc: u32, payload: &[u8]) -> Vec<Cell> {
 ///
 /// Panics if `payload` exceeds [`AAL5_MAX_PAYLOAD`].
 pub fn segment_into(vc: u32, payload: &[u8], cells: &mut Vec<Cell>) {
-    assert!(payload.len() <= AAL5_MAX_PAYLOAD, "PDU too long for AAL5");
+    segment_chunks_into(vc, payload.len(), [payload], cells);
+}
+
+/// Segments the PDU whose `len` payload bytes are the concatenation of
+/// `chunks` into `cells` (cleared first), so a PDU held in pieces needs
+/// no contiguous copy of itself.
+fn segment_chunks_into<'a>(
+    vc: u32,
+    len: usize,
+    chunks: impl IntoIterator<Item = &'a [u8]>,
+    cells: &mut Vec<Cell>,
+) {
+    assert!(len <= AAL5_MAX_PAYLOAD, "PDU too long for AAL5");
+    let n_cells = (len + AAL5_TRAILER).div_ceil(CELL_PAYLOAD);
     cells.clear();
-    let total = (payload.len() + AAL5_TRAILER).div_ceil(CELL_PAYLOAD) * CELL_PAYLOAD;
-    let n_cells = total / CELL_PAYLOAD;
-    cells.reserve(n_cells);
     // Build the padded PDU (payload | zero padding | trailer) straight
     // into the cell array: trailer bytes land in the last cell.
-    for i in 0..n_cells {
-        let start = i * CELL_PAYLOAD;
-        let mut buf = [0u8; CELL_PAYLOAD];
-        if start < payload.len() {
-            let n = CELL_PAYLOAD.min(payload.len() - start);
-            buf[..n].copy_from_slice(&payload[start..start + n]);
-        }
-        cells.push(Cell {
+    cells.resize(
+        n_cells,
+        Cell {
             vc,
-            payload: buf,
-            last: i + 1 == n_cells,
-        });
+            payload: [0u8; CELL_PAYLOAD],
+            last: false,
+        },
+    );
+    cells[n_cells - 1].last = true;
+    let mut at = 0;
+    for mut chunk in chunks {
+        while !chunk.is_empty() {
+            let (i, o) = (at / CELL_PAYLOAD, at % CELL_PAYLOAD);
+            let n = chunk.len().min(CELL_PAYLOAD - o);
+            cells[i].payload[o..o + n].copy_from_slice(&chunk[..n]);
+            chunk = &chunk[n..];
+            at += n;
+        }
     }
+    debug_assert_eq!(at, len, "chunks disagree with the PDU length");
     // Trailer: ... | length (2 bytes) | CRC-32 (4 bytes), preceded by
     // 2 bytes of UU/CPI which we leave zero.
     let tail = &mut cells[n_cells - 1].payload;
-    tail[CELL_PAYLOAD - 6..CELL_PAYLOAD - 4].copy_from_slice(&(payload.len() as u16).to_be_bytes());
+    tail[CELL_PAYLOAD - 6..CELL_PAYLOAD - 4].copy_from_slice(&(len as u16).to_be_bytes());
     // CRC covers everything up to the CRC field itself; feed it
     // incrementally per cell to avoid materializing the flat PDU.
     let mut crc = 0xffff_ffffu32;
@@ -210,48 +229,92 @@ pub struct Aal5Trailer {
     pub crc: u32,
 }
 
-/// A PDU as it travels host-to-host on the fault-free fast path: one
-/// contiguous wire image plus the cell metadata the cost model needs.
+/// A PDU as it travels host-to-host: the datagram header bytes plus
+/// [`PageSlice`] segments of the sender's page storage, and the cell
+/// metadata the cost model needs.
+///
+/// Transmit DMA takes the segments as shares of the frames it reads
+/// (`Adapter::dma_gather_into`), so sending copies no payload byte: the
+/// sender's later writes copy the page first, and the image keeps the
+/// bytes its frames held at transmit. Replicating a PDU (a retransmit
+/// copy, switch fan-out) clones the shares. Receive DMA copies out of
+/// the segments, or has a whole destination page take a whole-page
+/// segment over.
 ///
 /// The cell codec ([`segment_into`] / [`reassemble_into`]) remains the
 /// slow path and the ground truth: a `WirePdu` materializes real
 /// [`Cell`]s only when something needs to touch individual cells (the
 /// fault plan damaging a specific cell, or a test checking
-/// equivalence). The trailer is computed lazily because the fault-free
-/// path never looks at it — transferring a PDU costs zero CRC passes
-/// unless a cell-level consumer asks for one.
+/// equivalence). The trailer is computed on demand because the
+/// fault-free path never looks at it — transferring a PDU costs zero
+/// CRC passes unless a cell-level consumer asks for one.
 #[derive(Clone, Debug)]
 pub struct WirePdu {
+    segs: Vec<PageSlice>,
+    /// The first `min(len, HEADER_LEN)` bytes: the datagram header.
+    head: [u8; HEADER_LEN],
     vc: u32,
-    payload: Vec<u8>,
-    n_cells: usize,
-    trailer: OnceCell<Aal5Trailer>,
+    len: u32,
 }
 
+/// Page size of the storage [`WirePdu::from_bytes`] copies bytes into.
+const BYTES_PAGE: usize = 4096;
+
 impl WirePdu {
-    /// Wraps an owned payload as a wire PDU on circuit `vc`.
+    /// A wire PDU on circuit `vc`: the datagram `header`, then the
+    /// payload `segs` (shares of the sender's pages).
     ///
     /// # Panics
     ///
-    /// Panics if `payload` exceeds [`AAL5_MAX_PAYLOAD`].
-    pub fn new(vc: u32, payload: Vec<u8>) -> WirePdu {
-        assert!(payload.len() <= AAL5_MAX_PAYLOAD, "PDU too long for AAL5");
-        let n_cells = cells_for_payload(payload.len());
+    /// If the PDU exceeds [`AAL5_MAX_PAYLOAD`].
+    pub fn from_parts(vc: u32, header: [u8; HEADER_LEN], segs: Vec<PageSlice>) -> WirePdu {
+        let len = HEADER_LEN + segs.iter().map(PageSlice::len).sum::<usize>();
+        assert!(len <= AAL5_MAX_PAYLOAD, "PDU too long for AAL5");
         WirePdu {
+            segs,
+            head: header,
             vc,
-            payload,
-            n_cells,
-            trailer: OnceCell::new(),
+            len: len as u32,
         }
     }
 
-    /// Reassembles a PDU from materialized cells (the slow path's
-    /// inverse), verifying framing, length and CRC.
-    pub fn from_cells(cells: &[Cell]) -> Result<WirePdu, Aal5Error> {
-        let mut payload = Vec::new();
-        reassemble_into(cells, &mut payload)?;
-        let vc = cells[0].vc;
-        Ok(WirePdu::new(vc, payload))
+    /// A wire PDU on circuit `vc` holding a copy of `bytes` (the header
+    /// bytes inline, the rest in pooled pages), built in `segs`, which
+    /// is cleared first: how reassembled cells become a PDU again.
+    ///
+    /// # Panics
+    ///
+    /// If `bytes` exceeds [`AAL5_MAX_PAYLOAD`].
+    pub fn from_bytes(vc: u32, bytes: &[u8], mut segs: Vec<PageSlice>) -> WirePdu {
+        assert!(bytes.len() <= AAL5_MAX_PAYLOAD, "PDU too long for AAL5");
+        let split = bytes.len().min(HEADER_LEN);
+        let mut head = [0u8; HEADER_LEN];
+        head[..split].copy_from_slice(&bytes[..split]);
+        segs.clear();
+        segs.extend(
+            bytes[split..]
+                .chunks(BYTES_PAGE)
+                .map(|c| PageSlice::copy_of(BYTES_PAGE, c)),
+        );
+        WirePdu {
+            segs,
+            head,
+            vc,
+            len: bytes.len() as u32,
+        }
+    }
+
+    /// A copy of this PDU built in `segs` (cleared first): the payload
+    /// pages are shared, not copied.
+    pub fn replicate(&self, mut segs: Vec<PageSlice>) -> WirePdu {
+        segs.clear();
+        segs.extend_from_slice(&self.segs);
+        WirePdu {
+            segs,
+            head: self.head,
+            vc: self.vc,
+            len: self.len,
+        }
     }
 
     /// Virtual circuit this PDU travels on.
@@ -259,67 +322,90 @@ impl WirePdu {
         self.vc
     }
 
-    /// The contiguous wire image (header + data as the sender gathered
-    /// it; padding and trailer are implicit).
-    pub fn payload(&self) -> &[u8] {
-        &self.payload
+    /// The header bytes: the PDU's first `min(len, HEADER_LEN)` bytes.
+    pub fn header(&self) -> &[u8] {
+        &self.head[..self.len().min(HEADER_LEN)]
     }
 
-    /// Payload length in bytes.
+    /// The payload segments that follow the header.
+    pub(crate) fn segments(&self) -> &[PageSlice] {
+        &self.segs
+    }
+
+    /// The PDU's bytes in order, as the header and then each segment
+    /// (padding and trailer are implicit).
+    fn chunks(&self) -> impl Iterator<Item = &[u8]> {
+        core::iter::once(self.header()).chain(self.segs.iter().map(PageSlice::bytes))
+    }
+
+    /// True if the PDU's bytes are exactly `bytes`.
+    pub fn matches(&self, bytes: &[u8]) -> bool {
+        let mut rest = bytes;
+        self.len() == bytes.len()
+            && self.chunks().all(|c| {
+                let (head, tail) = rest.split_at(c.len());
+                rest = tail;
+                head == c
+            })
+    }
+
+    /// Payload length in bytes (header included).
     pub fn len(&self) -> usize {
-        self.payload.len()
+        self.len as usize
     }
 
     /// True when the payload is empty (a lone trailer cell).
     pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
+        self.len == 0
     }
 
     /// Number of 48-byte cells this PDU occupies on the wire; always
     /// equal to [`cells_for_payload`], which the cost model charges.
     pub fn n_cells(&self) -> usize {
-        self.n_cells
+        cells_for_payload(self.len())
     }
 
-    /// The AAL5 trailer, computed on first use and cached.
+    /// The AAL5 trailer the segmenter would write.
     pub fn trailer(&self) -> Aal5Trailer {
-        *self.trailer.get_or_init(|| {
-            // CRC covers payload | zero padding | 2 zero UU/CPI bytes |
-            // 2 length bytes. Padding never exceeds one cell, so one
-            // zero block covers padding and UU/CPI together.
-            const ZEROS: [u8; CELL_PAYLOAD + 2] = [0; CELL_PAYLOAD + 2];
-            let len = self.payload.len();
-            let zeros = self.n_cells * CELL_PAYLOAD - len - AAL5_TRAILER + 2;
-            let mut crc = crc32_update(0xffff_ffff, &self.payload);
-            crc = crc32_update(crc, &ZEROS[..zeros]);
-            crc = crc32_update(crc, &(len as u16).to_be_bytes());
-            Aal5Trailer {
-                len: len as u16,
-                crc: !crc,
-            }
-        })
+        // CRC covers payload | zero padding | 2 zero UU/CPI bytes |
+        // 2 length bytes. Padding never exceeds one cell, so one zero
+        // block covers padding and UU/CPI together.
+        const ZEROS: [u8; CELL_PAYLOAD + 2] = [0; CELL_PAYLOAD + 2];
+        let len = self.len();
+        let zeros = self.n_cells() * CELL_PAYLOAD - len - AAL5_TRAILER + 2;
+        let mut crc = self.chunks().fold(0xffff_ffff, crc32_update);
+        crc = crc32_update(crc, &ZEROS[..zeros]);
+        crc = crc32_update(crc, &(len as u16).to_be_bytes());
+        Aal5Trailer {
+            len: len as u16,
+            crc: !crc,
+        }
     }
 
     /// Materializes the PDU into real cells via the segmenter (the
     /// slow path; bit-identical to segmenting the payload directly).
     pub fn materialize_into(&self, cells: &mut Vec<Cell>) {
-        segment_into(self.vc, &self.payload, cells);
+        segment_chunks_into(self.vc, self.len(), self.chunks(), cells);
     }
 
     /// Like [`WirePdu::materialize_into`] with a fresh vector.
     pub fn materialize(&self) -> Vec<Cell> {
-        segment(self.vc, &self.payload)
+        let mut cells = Vec::new();
+        self.materialize_into(&mut cells);
+        cells
     }
 
-    /// Unwraps the payload buffer so the caller can recycle it.
-    pub fn into_payload(self) -> Vec<u8> {
-        self.payload
+    /// Unwraps the segment list (shares and all) so the caller can
+    /// recycle it.
+    pub fn into_segments(self) -> Vec<PageSlice> {
+        self.segs
     }
 }
 
 impl PartialEq for WirePdu {
     fn eq(&self, other: &WirePdu) -> bool {
-        self.vc == other.vc && self.payload == other.payload
+        let bytes: Vec<u8> = self.chunks().flatten().copied().collect();
+        self.vc == other.vc && other.matches(&bytes)
     }
 }
 
@@ -470,7 +556,7 @@ mod tests {
     fn wire_pdu_trailer_matches_segmenter() {
         for len in [0usize, 1, 39, 40, 41, 48, 100, 4096, 61_440] {
             let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            let pdu = WirePdu::new(3, payload.clone());
+            let pdu = WirePdu::from_bytes(3, &payload, Vec::new());
             let cells = segment(3, &payload);
             assert_eq!(pdu.n_cells(), cells.len(), "len {len}");
             let tail = &cells.last().unwrap().payload;
@@ -486,19 +572,36 @@ mod tests {
     #[test]
     fn wire_pdu_materialize_round_trip() {
         let payload: Vec<u8> = (0..10_000).map(|i| (i * 13 % 255) as u8).collect();
-        let pdu = WirePdu::new(5, payload.clone());
+        let pdu = WirePdu::from_bytes(5, &payload, Vec::new());
         let mut cells = Vec::new();
         pdu.materialize_into(&mut cells);
         assert_eq!(cells, segment(5, &payload));
-        let back = WirePdu::from_cells(&cells).expect("reassembly");
+        let back = WirePdu::from_bytes(5, &reassemble(&cells).expect("reassembly"), Vec::new());
         assert_eq!(back, pdu);
-        assert_eq!(back.vc(), 5);
-        assert_eq!(back.into_payload(), payload);
+        assert!(back.matches(&payload));
+        assert!(!back.matches(&payload[1..]));
+        assert_eq!(back.header(), &payload[..HEADER_LEN]);
+    }
+
+    #[test]
+    fn replicas_share_pages_and_segment_alike() {
+        let payload: Vec<u8> = (0..9_000).map(|i| (i * 7 % 253) as u8).collect();
+        let pdu = WirePdu::from_bytes(2, &payload, Vec::new());
+        let copy = pdu.replicate(Vec::new());
+        assert_eq!(copy, pdu);
+        for (a, b) in pdu.segments().iter().zip(copy.segments()) {
+            assert_eq!(a.bytes().as_ptr(), b.bytes().as_ptr(), "shared, not copied");
+        }
+        assert_eq!(copy.materialize(), segment(2, &payload));
+        // A short PDU is all header.
+        let short = WirePdu::from_bytes(2, b"abc", Vec::new());
+        assert_eq!((short.header(), short.segments().len()), (&b"abc"[..], 0));
+        assert_eq!(short.materialize(), segment(2, b"abc"));
     }
 
     #[test]
     #[should_panic(expected = "PDU too long")]
     fn oversized_wire_pdu_panics() {
-        let _ = WirePdu::new(0, vec![0u8; AAL5_MAX_PAYLOAD + 1]);
+        let _ = WirePdu::from_bytes(0, &vec![0u8; AAL5_MAX_PAYLOAD + 1], Vec::new());
     }
 }

@@ -15,13 +15,17 @@
 //!   (a store-and-forward architecture). The arriving wire image is
 //!   kept as is, so storing it copies nothing.
 //!
-//! The transmit side gathers real bytes from host frames by simulated
-//! DMA — which, like real DMA, is **not** subject to page-table
+//! The transmit side gathers host frames by simulated DMA into a wire
+//! image of page shares ([`WirePdu`]): the bytes the frames hold at
+//! transmit, with no copy made unless the sender writes a shared page
+//! later. Like real DMA this is **not** subject to page-table
 //! protections; only the page-referencing discipline keeps it safe.
+//! The receive side copies the image's bytes into host frames, except
+//! that a whole destination page takes a whole-page segment over.
 
 use std::collections::VecDeque;
 
-use genie_mem::{DenseMap, FrameId, MemError, PhysMem};
+use genie_mem::{DenseMap, FrameId, MemError, PageSlice, PhysMem};
 use genie_vm::IoVec;
 
 use crate::aal5::WirePdu;
@@ -66,7 +70,7 @@ pub struct Adapter {
     mode: InputBuffering,
     pool: VecDeque<FrameId>,
     /// Outboard adapter memory: each slot holds a stored wire PDU
-    /// (contiguous payload plus cell metadata), not loose bytes.
+    /// (header, page shares and cell metadata), not loose bytes.
     outboard: Vec<Option<WirePdu>>,
     /// Per-VC credit state, flat-indexed by VC number.
     credits: DenseMap<CreditState>,
@@ -137,47 +141,74 @@ impl Adapter {
 
     // ----- datapath ---------------------------------------------------------------
 
-    /// Transmit-side DMA: gathers the descriptor's bytes from host
-    /// frames. Like real DMA this ignores page-table protections; the
-    /// page-referencing discipline is what keeps it safe.
-    pub fn dma_gather(phys: &PhysMem, vecs: &[IoVec]) -> Result<Vec<u8>, MemError> {
-        let mut out = Vec::with_capacity(vecs.iter().map(|v| v.len).sum());
-        Self::dma_gather_into(phys, vecs, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`Adapter::dma_gather`], but appends into a caller-provided
-    /// buffer so hot paths can reuse one allocation per connection
-    /// instead of allocating per datagram.
+    /// Transmit-side DMA: appends a share of each descriptor entry's
+    /// bytes to `out`, so the wire image holds the frames' bytes as of
+    /// now without copying them. Like real DMA this ignores page-table
+    /// protections; the page-referencing discipline is what keeps it
+    /// safe.
     pub fn dma_gather_into(
-        phys: &PhysMem,
+        phys: &mut PhysMem,
         vecs: &[IoVec],
-        out: &mut Vec<u8>,
+        out: &mut Vec<PageSlice>,
     ) -> Result<(), MemError> {
-        out.reserve(vecs.iter().map(|v| v.len).sum());
+        out.reserve(vecs.len());
         for v in vecs {
-            out.extend_from_slice(phys.read(v.frame, v.offset, v.len)?);
+            out.push(phys.share(v.frame, v.offset, v.len)?);
         }
         Ok(())
     }
 
-    /// Receive-side DMA: scatters `bytes` into host frames per the
-    /// destination list; returns the number of bytes stored.
+    /// Receive-side DMA: stores `pdu`'s bytes from byte `from` on into
+    /// the destination list of `(frame, offset, len)` ranges, in order,
+    /// and returns the number of bytes stored. A segment that is one
+    /// whole page and meets a whole destination page is taken over
+    /// instead of copied ([`PhysMem::share_into`]).
     pub fn dma_scatter(
         phys: &mut PhysMem,
-        vecs: &[IoVec],
-        bytes: &[u8],
+        dsts: impl IntoIterator<Item = (FrameId, usize, usize)>,
+        pdu: &WirePdu,
+        from: usize,
     ) -> Result<usize, MemError> {
-        let mut src = 0usize;
-        for v in vecs {
-            if src >= bytes.len() {
-                break;
+        let page = phys.page_size();
+        // The source, piece by piece: the header, then each segment. A
+        // piece's slice is kept only while none of it is consumed.
+        let mut pieces = core::iter::once((pdu.header(), None))
+            .chain(pdu.segments().iter().map(|s| (s.bytes(), Some(s))));
+        let mut cur: (&[u8], Option<&PageSlice>) = (&[], None);
+        let mut skip = from;
+        let mut stored = 0;
+        for (frame, offset, len) in dsts {
+            let (mut at, end) = (offset, offset + len);
+            while at < end {
+                while cur.0.is_empty() {
+                    let Some(next) = pieces.next() else {
+                        return Ok(stored);
+                    };
+                    cur = next;
+                    let n = skip.min(cur.0.len());
+                    if n > 0 {
+                        cur = (&cur.0[n..], None);
+                        skip -= n;
+                    }
+                }
+                if (at, end) == (0, page) {
+                    if let Some(slice) = cur.1.filter(|_| cur.0.len() == page) {
+                        if phys.share_into(frame, slice)? {
+                            cur = (&[], None);
+                            at = end;
+                            stored += page;
+                            continue;
+                        }
+                    }
+                }
+                let n = (end - at).min(cur.0.len());
+                phys.write(frame, at, &cur.0[..n])?;
+                cur = (&cur.0[n..], None);
+                at += n;
+                stored += n;
             }
-            let n = v.len.min(bytes.len() - src);
-            phys.write(v.frame, v.offset, &bytes[src..src + n])?;
-            src += n;
         }
-        Ok(src)
+        Ok(stored)
     }
 
     /// Delivers a received PDU into overlay frames from the pool,
@@ -195,7 +226,7 @@ impl Adapter {
     pub fn receive(
         &mut self,
         phys: &mut PhysMem,
-        payload: &[u8],
+        pdu: &WirePdu,
         overlay: &mut Vec<FrameId>,
     ) -> Result<bool, MemError> {
         self.stats.pdus_received += 1;
@@ -207,20 +238,16 @@ impl Adapter {
             }
         }
         let page = phys.page_size();
-        let need = payload.len().div_ceil(page).max(1);
+        let need = pdu.len().div_ceil(page).max(1);
         if self.pool.len() < need {
             self.stats.pool_exhausted_drops += 1;
             return Ok(false);
         }
         self.stats.pool_takes += need as u64;
-        let mut src = 0usize;
-        for _ in 0..need {
-            let f = self.pool.pop_front().expect("pool size checked");
-            let n = (payload.len() - src).min(page);
-            phys.write(f, 0, &payload[src..src + n])?;
-            src += n;
-            overlay.push(f);
-        }
+        let first = overlay.len();
+        overlay.extend(self.pool.drain(..need));
+        let dsts = overlay[first..].iter().map(|&f| (f, 0, page));
+        Self::dma_scatter(phys, dsts, pdu, 0)?;
         Ok(true)
     }
 
@@ -244,30 +271,21 @@ impl Adapter {
         }
     }
 
-    /// Reads an outboard buffer's payload bytes.
-    pub fn outboard_data(&self, buf: usize) -> Option<&[u8]> {
-        Some(self.outboard.get(buf)?.as_ref()?.payload())
-    }
-
-    /// The stored wire PDU in an outboard buffer.
-    pub fn outboard_pdu(&self, buf: usize) -> Option<&WirePdu> {
-        self.outboard.get(buf)?.as_ref()
+    /// The header bytes of the PDU in an outboard buffer.
+    pub fn outboard_header(&self, buf: usize) -> Option<&[u8]> {
+        Some(self.outboard.get(buf)?.as_ref()?.header())
     }
 
     /// Frees an outboard buffer, handing its PDU to the caller.
     pub fn outboard_free(&mut self, buf: usize) -> Option<WirePdu> {
         self.outboard.get_mut(buf)?.take()
     }
-
-    /// Outboard buffers currently held.
-    pub fn outboard_in_use(&self) -> usize {
-        self.outboard.iter().filter(|b| b.is_some()).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::HEADER_LEN;
 
     fn phys() -> PhysMem {
         PhysMem::new(4096, 64)
@@ -291,15 +309,66 @@ mod tests {
         vecs
     }
 
+    /// `payload`'s bytes as a wire PDU: a header's worth inline, the
+    /// rest gathered from frames written with them.
+    fn gathered(p: &mut PhysMem, payload: &[u8]) -> (WirePdu, Vec<IoVec>) {
+        let src = vec_for(p, payload.len() - HEADER_LEN);
+        let dsts = src.iter().map(|v| (v.frame, v.offset, v.len));
+        let bytes = WirePdu::from_bytes(0, payload, Vec::new());
+        Adapter::dma_scatter(p, dsts, &bytes, HEADER_LEN).unwrap();
+        let mut segs = Vec::new();
+        Adapter::dma_gather_into(p, &src, &mut segs).unwrap();
+        let header = payload[..HEADER_LEN].try_into().unwrap();
+        (WirePdu::from_parts(0, header, segs), src)
+    }
+
     #[test]
-    fn gather_scatter_round_trip() {
+    fn gather_shares_and_scatter_copies_or_adopts() {
         let mut p = phys();
         let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
-        let dst = vec_for(&mut p, payload.len());
-        let n = Adapter::dma_scatter(&mut p, &dst, &payload).unwrap();
-        assert_eq!(n, payload.len());
-        let got = Adapter::dma_gather(&p, &dst).unwrap();
-        assert_eq!(got, payload);
+        let (pdu, src) = gathered(&mut p, &payload);
+        assert!(pdu.matches(&payload));
+        let counts = p.copy_counts();
+        assert_eq!(counts.shares_taken, 3, "one share per source page");
+        // The sender's later write leaves the image as gathered.
+        p.write(src[0].frame, 0, b"late").unwrap();
+        assert!(pdu.matches(&payload));
+        assert_eq!(p.copy_counts().cow_copies, 1);
+        // Scattering past the header into whole pages adopts the two
+        // whole-page segments and copies the partial tail.
+        let dst = vec_for(&mut p, payload.len() - HEADER_LEN);
+        let before = p.copy_counts();
+        let dsts = dst.iter().map(|v| (v.frame, v.offset, v.len));
+        let n = Adapter::dma_scatter(&mut p, dsts, &pdu, HEADER_LEN).unwrap();
+        assert_eq!(n, payload.len() - HEADER_LEN);
+        let after = p.copy_counts();
+        assert_eq!(after.shares_adopted - before.shares_adopted, 2);
+        assert_eq!(
+            after.bytes_copied - before.bytes_copied,
+            10_000 - 16 - 2 * 4096
+        );
+        let mut got = Vec::new();
+        for v in &dst {
+            got.extend_from_slice(p.read(v.frame, v.offset, v.len).unwrap());
+        }
+        assert_eq!(got, payload[HEADER_LEN..]);
+    }
+
+    #[test]
+    fn scatter_stops_at_either_end() {
+        let mut p = phys();
+        let pdu = WirePdu::from_bytes(0, &[5u8; 100], Vec::new());
+        let f = p.alloc(None).unwrap();
+        // Destination shorter than the PDU.
+        let n = Adapter::dma_scatter(&mut p, [(f, 10, 30)], &pdu, 0).unwrap();
+        assert_eq!(n, 30);
+        // PDU shorter than the destination.
+        let n = Adapter::dma_scatter(&mut p, [(f, 0, 4096)], &pdu, 90).unwrap();
+        assert_eq!(n, 10);
+        assert_eq!(
+            p.read(f, 0, 12).unwrap(),
+            &[5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5]
+        );
     }
 
     #[test]
@@ -310,7 +379,13 @@ mod tests {
         a.fill_pool(pool);
         let payload = vec![0x11u8; 6000];
         let mut frames = Vec::new();
-        assert!(a.receive(&mut p, &payload, &mut frames).unwrap());
+        assert!(a
+            .receive(
+                &mut p,
+                &WirePdu::from_bytes(0, &payload, Vec::new()),
+                &mut frames
+            )
+            .unwrap());
         assert_eq!(frames.len(), 2);
         assert_eq!(p.read(frames[0], 0, 4096).unwrap(), &payload[..4096]);
         assert_eq!(p.read(frames[1], 0, 6000 - 4096).unwrap(), &payload[4096..]);
@@ -324,42 +399,36 @@ mod tests {
         let f = p.alloc(None).unwrap();
         a.fill_pool([f]);
         let mut frames = Vec::new();
-        assert!(!a.receive(&mut p, &vec![1u8; 8000], &mut frames).unwrap());
+        let big = WirePdu::from_bytes(0, &[1u8; 8000], Vec::new());
+        assert!(!a.receive(&mut p, &big, &mut frames).unwrap());
         assert_eq!(a.stats().pool_exhausted_drops, 1);
         assert!(frames.is_empty());
         // The single-frame PDU still goes through.
-        assert!(a.receive(&mut p, &[2u8; 100], &mut frames).unwrap());
+        let small = WirePdu::from_bytes(0, &[2u8; 100], Vec::new());
+        assert!(a.receive(&mut p, &small, &mut frames).unwrap());
         assert_eq!(frames, [f]);
-    }
-
-    #[test]
-    fn outboard_stores_and_frees() {
-        let mut a = Adapter::new(InputBuffering::Outboard, 256);
-        let buf = a.store_outboard(WirePdu::new(0, b"outboard payload".to_vec()));
-        assert_eq!(a.outboard_data(buf).unwrap(), b"outboard payload");
-        assert_eq!(a.outboard_in_use(), 1);
-        let pdu = a.outboard_free(buf).unwrap();
-        assert_eq!(pdu.payload(), b"outboard payload");
-        assert_eq!(pdu.n_cells(), 1);
-        assert_eq!(a.outboard_in_use(), 0);
-        // Slot is reused.
-        assert_eq!(a.store_outboard(WirePdu::new(0, b"again".to_vec())), buf);
-        let s = a.stats();
-        assert_eq!((s.pdus_received, s.outboard_stores), (2, 2));
     }
 
     #[test]
     fn outboard_takes_over_the_wire_image() {
         let mut a = Adapter::new(InputBuffering::Outboard, 256);
-        let pdu = WirePdu::new(4, b"second payload".to_vec());
-        let at = pdu.payload().as_ptr();
+        let pdu = WirePdu::from_bytes(4, b"outboard payload, second page", Vec::new());
+        let at = pdu.segments()[0].bytes().as_ptr();
         let buf = a.store_outboard(pdu);
+        assert_eq!(a.outboard_header(buf).unwrap(), b"outboard payload");
         // The stored PDU is the arriving one: same storage, same vc
         // and cell metadata, no copy.
-        let stored = a.outboard_pdu(buf).unwrap();
-        assert_eq!(stored.payload().as_ptr(), at);
-        assert_eq!(stored.vc(), 4);
-        assert_eq!(a.outboard_free(buf).unwrap().payload().as_ptr(), at);
+        let stored = a.outboard_free(buf).unwrap();
+        assert_eq!(stored.segments()[0].bytes().as_ptr(), at);
+        assert_eq!((stored.vc(), stored.n_cells()), (4, 1));
+        assert_eq!(a.outboard_free(buf), None);
+        // The slot is reused.
+        assert_eq!(
+            a.store_outboard(WirePdu::from_bytes(0, b"again", Vec::new())),
+            buf
+        );
+        let s = a.stats();
+        assert_eq!((s.pdus_received, s.outboard_stores), (2, 2));
     }
 
     #[test]
@@ -387,7 +456,9 @@ mod tests {
             object: None,
         }];
         // No page table involved at all at this layer.
-        assert_eq!(Adapter::dma_gather(&p, &vecs).unwrap(), b"protected?");
+        let mut segs = Vec::new();
+        Adapter::dma_gather_into(&mut p, &vecs, &mut segs).unwrap();
+        assert_eq!(segs[0].bytes(), b"protected?");
     }
 
     #[test]
@@ -396,9 +467,10 @@ mod tests {
         let mut a = Adapter::new(InputBuffering::EarlyDemux, 256);
         a.fill_pool([p.alloc(None).unwrap()]);
         let mut frames = Vec::new();
-        a.receive(&mut p, &[7u8; 100], &mut frames).unwrap();
+        let pdu = WirePdu::from_bytes(0, &[7u8; 100], Vec::new());
+        a.receive(&mut p, &pdu, &mut frames).unwrap();
         // The pool is empty now: the next fallback drops.
-        a.receive(&mut p, &[7u8; 100], &mut frames).unwrap();
+        a.receive(&mut p, &pdu, &mut frames).unwrap();
         let s = a.stats();
         assert_eq!(s.pdus_received, 2);
         assert_eq!(s.pooled_fallbacks, 2);
@@ -406,7 +478,7 @@ mod tests {
         assert_eq!(s.pool_exhausted_drops, 1);
         // A pooled adapter has no fallback to count.
         let mut b = Adapter::new(InputBuffering::Pooled, 256);
-        b.receive(&mut p, &[7u8; 100], &mut frames).unwrap();
+        b.receive(&mut p, &pdu, &mut frames).unwrap();
         assert_eq!(b.stats().pooled_fallbacks, 0);
     }
 }

@@ -94,9 +94,19 @@ pub struct AddressSpace {
     /// allocation appends at the back, and frees, mostly oldest first,
     /// remove near the front without moving the rest.
     index: VecDeque<(u64, usize)>,
-    /// Mach-style lookup hints, one per vpn bucket (twice as many as slots): the (slot,
-    /// position) of the region last found or inserted there. Each use checks its hint.
-    hints: Vec<Cell<(usize, usize)>>,
+    /// Each arena slot's `index` position plus `base` (wrapping); stale
+    /// for a vacant slot.
+    positions: Vec<usize>,
+    /// Offset of `positions` from the index positions. An insert or
+    /// removal shifts the shorter side of the index, so only that side's
+    /// slots renumber (the other side's positions move with `base`).
+    base: usize,
+    /// Mach-style lookup hints, one per vpn bucket (twice as many as slots): the
+    /// arena slot of the region last found or inserted there. Each use checks its hint.
+    hints: Vec<Cell<usize>>,
+    /// Binary searches of the index (hint and end-point checks all missed).
+    #[cfg(test)]
+    searches: Cell<u64>,
     /// Region cache, one queue per cached mark (see [`cache_slot`]),
     /// oldest first.
     cache: [VecDeque<Cached>; 2],
@@ -124,7 +134,11 @@ impl AddressSpace {
             regions: Vec::new(),
             free_slots: Vec::new(),
             index: VecDeque::new(),
+            positions: Vec::new(),
+            base: 0,
             hints: vec![Cell::default()],
+            #[cfg(test)]
+            searches: Cell::new(0),
             cache: [VecDeque::new(), VecDeque::new()],
             inputs_out: 0,
             inputs_hwm: 0,
@@ -160,57 +174,107 @@ impl AddressSpace {
         if slot == self.regions.len() {
             let (region, ptes) = (region.clone(), Vec::new());
             self.regions.push(Slot { region, ptes });
+            self.positions.push(0);
             let buckets = (2 * self.regions.len()).next_power_of_two();
             self.hints.resize(buckets, Cell::default());
         }
         self.regions[slot].ptes.resize(npages, None);
         self.regions[slot].region = region;
-        self.index.insert(pos, (start, slot));
-        self.hint(start).set((slot, pos));
+        self.index_insert(pos, start, slot);
+        self.hint(start).set(slot);
         self.next_vpn = self.next_vpn.max(end + 1);
         Ok(())
     }
 
+    /// Inserts `(start, slot)` at index position `pos`. Only the shorter
+    /// side of `pos` renumbers; `base` carries the other side.
+    fn index_insert(&mut self, pos: usize, start: u64, slot: usize) {
+        let len = self.index.len();
+        self.index.insert(pos, (start, slot));
+        if pos < len - pos {
+            self.base = self.base.wrapping_sub(1);
+            self.renumber(0..pos, usize::MAX);
+        } else {
+            self.renumber(pos + 1..len + 1, 1);
+        }
+        self.positions[slot] = pos.wrapping_add(self.base);
+    }
+
+    /// Removes the entry at index position `pos`. Only the shorter side
+    /// of `pos` renumbers; `base` carries the other side.
+    fn index_remove(&mut self, pos: usize) {
+        self.index.remove(pos);
+        let len = self.index.len();
+        if pos < len - pos {
+            self.base = self.base.wrapping_add(1);
+            self.renumber(0..pos, 1);
+        } else {
+            self.renumber(pos..len, usize::MAX);
+        }
+    }
+
+    /// Adds `by` (wrapping) to the positions of the slots at index positions `range`.
+    fn renumber(&mut self, range: Range<usize>, by: usize) {
+        for &(_, slot) in self.index.range(range) {
+            self.positions[slot] = self.positions[slot].wrapping_add(by);
+        }
+    }
+
     /// The hint of `vpn`'s bucket.
-    fn hint(&self, vpn: u64) -> &Cell<(usize, usize)> {
+    fn hint(&self, vpn: u64) -> &Cell<usize> {
         &self.hints[vpn as usize & (self.hints.len() - 1)]
     }
 
-    /// Live regions starting at or below `vpn`; tries the hint, its successor and both ends first.
+    /// Live regions starting at or below `vpn`; tries the hint's position, its
+    /// successor and both ends first.
     #[inline(never)]
     fn rank(&self, vpn: u64) -> usize {
         let start = |pos: usize| self.index.get(pos).map(|&(s, _)| s);
-        let (_, hint) = self.hint(vpn).get();
-        [hint, hint + 1, self.index.len().wrapping_sub(1), 0]
-            .into_iter()
-            .find(|&pos| {
-                start(pos).is_some_and(|s| s <= vpn) && start(pos + 1).is_none_or(|s| vpn < s)
-            })
-            .map_or_else(
-                || self.index.partition_point(|&(s, _)| s <= vpn),
-                |pos| pos + 1,
-            )
+        let hint = self.positions.get(self.hint(vpn).get());
+        let hint = hint.map_or(usize::MAX, |p| p.wrapping_sub(self.base));
+        [
+            hint,
+            hint.wrapping_add(1),
+            self.index.len().wrapping_sub(1),
+            0,
+        ]
+        .into_iter()
+        .find(|&pos| start(pos).is_some_and(|s| s <= vpn) && start(pos + 1).is_none_or(|s| vpn < s))
+        .map_or_else(
+            || {
+                #[cfg(test)]
+                self.searches.set(self.searches.get() + 1);
+                self.index.partition_point(|&(s, _)| s <= vpn)
+            },
+            |pos| pos + 1,
+        )
     }
 
     /// Arena slot of the region covering `vpn`, which becomes the hint.
     #[inline]
     fn slot_covering(&self, vpn: u64) -> Option<usize> {
-        let (hint, _) = self.hint(vpn).get();
+        let hint = self.hint(vpn).get();
         if self.regions.get(hint).and_then(|e| e.entry(vpn)).is_some() {
             return Some(hint);
         }
         let pos = self.rank(vpn).checked_sub(1)?;
         let slot = self.index[pos].1;
         self.regions[slot].entry(vpn)?;
-        self.hint(vpn).set((slot, pos));
+        self.hint(vpn).set(slot);
         Some(slot)
     }
 
     /// Removes and returns the region starting at `start_vpn`, PTEs and all.
+    /// Its slot comes from the hint (checked by its start vpn) and gives its
+    /// index position, so a removal searches only when the hint misses.
     pub fn remove_region(&mut self, start_vpn: u64) -> Option<Region> {
-        let pos = self.rank(start_vpn).checked_sub(1);
-        let pos = pos.filter(|&pos| self.index[pos].0 == start_vpn)?;
-        let (_, slot) = self.index.remove(pos)?;
+        let slot = self.slot_covering(start_vpn)?;
+        if self.regions[slot].region.start_vpn != start_vpn {
+            return None;
+        }
+        let pos = self.positions[slot].wrapping_sub(self.base);
+        debug_assert_eq!(self.index[pos], (start_vpn, slot), "stale index position");
+        self.index_remove(pos);
         self.free_slots.push(slot);
         self.regions[slot].ptes.clear();
         Some(self.regions[slot].region.clone())
@@ -742,5 +806,47 @@ mod tests {
         let gone = Some(VmError::NoRegion(stale.start_vpn));
         assert_eq!(vm.region(stale).err(), gone);
         assert_eq!(vm.remove_region(stale).err(), gone);
+    }
+
+    /// Removals find their index position through the hinted slot, not
+    /// by binary search, under the churn of a completion-queue server:
+    /// about 64 buffers live, each allocated at the back and touched page
+    /// by page, and freed mostly among the oldest few but one in four
+    /// anywhere.
+    #[test]
+    fn removals_find_their_position_without_searching() {
+        let mut s = space();
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut live: Vec<u64> = Vec::new();
+        let (mut removals, mut searches) = (0u64, 0u64);
+        for step in 0..20_000u64 {
+            let npages = 1 + step % 3;
+            let start = s.reserve(npages);
+            let reg = Region::new(start, npages, ObjectId(step), RegionMark::Unmovable);
+            s.insert_region(reg).unwrap();
+            for vpn in start..start + npages {
+                assert_eq!(s.region_covering(vpn).map(|r| r.start_vpn), Some(start));
+            }
+            live.push(start);
+            if live.len() > 64 {
+                let r = xorshift64(&mut rng);
+                let i = if r.is_multiple_of(4) {
+                    (r >> 8) as usize % live.len()
+                } else {
+                    (r >> 8) as usize % 4
+                };
+                let gone = live.remove(i);
+                let before = s.searches.get();
+                assert_eq!(s.remove_region(gone).map(|r| r.start_vpn), Some(gone));
+                searches += s.searches.get() - before;
+                removals += 1;
+            }
+        }
+        let per_removal = searches as f64 / removals as f64;
+        assert!(
+            per_removal <= 0.2,
+            "{searches} searches in {removals} removals ({per_removal:.3} per removal)"
+        );
+        assert!(s.regions().map(|r| r.start_vpn).eq(live.iter().copied()));
     }
 }

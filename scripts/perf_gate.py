@@ -49,12 +49,18 @@ median, change/parent, the pairs the change won, and a verdict against
 the metric's BENCHMARK.json bound: "within bound", "worse than bound",
 or "unresolved" when the parent's own quartile spread exceeds the
 bound. S defaults to run_seconds. Exits 1 on a flagged run or a
-"worse than bound" verdict.
+"worse than bound" verdict. Beside it, informationally, a bootstrap 95%
+interval on the change/parent ratio of medians (resampling the pairs
+with replacement, seeded, so a rerun on the same numbers prints the
+same interval) and a change verdict worded as criterion words it:
+"improved" or "regressed" when the whole interval lies on one side of
+1, else "change within noise threshold".
 """
 
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -63,6 +69,8 @@ import tempfile
 # The box-drift probe: a pure CRC over 60 KB whose code the simulator's
 # changes do not touch, so its fresh/baseline ratio is the machine's.
 DRIFT_PROBE = "crc32_60k"
+# Bootstrap resamples behind --ab-bench's interval on the median ratio.
+BOOTSTRAP_RESAMPLES = 2000
 
 
 def load(path):
@@ -117,6 +125,30 @@ def bench_run(root, workload, seed, seconds):
         return {"correct": False, "failed": -1, "metrics": {}}
 
 
+def median_ratio_interval(pairs_ok):
+    """Bootstrap 95% interval of median(change) / median(parent) over
+    (parent, change) pairs, resampled with replacement from a fixed seed."""
+    rng = random.Random(0)
+    n = len(pairs_ok)
+    ratios = []
+    for _ in range(BOOTSTRAP_RESAMPLES):
+        sample = [pairs_ok[rng.randrange(n)] for _ in range(n)]
+        base = statistics.median(p for p, _ in sample)
+        if base:
+            ratios.append(statistics.median(c for _, c in sample) / base)
+    if not ratios:
+        return float("nan"), float("nan")
+    ratios.sort()
+    return ratios[int(0.025 * len(ratios))], ratios[int(0.975 * len(ratios)) - 1]
+
+
+def change_verdict(lo, hi, higher):
+    """Criterion's wording for an interval on the change/parent ratio."""
+    if lo > 1 or hi < 1:
+        return "improved" if (lo > 1) == higher else "regressed"
+    return "change within noise threshold"
+
+
 def ab_bench(parent, change, workloads, pairs, seconds, bench):
     roots = {"parent": parent, "change": change}
     runs = {(w, side): [] for w in workloads for side in roots}
@@ -135,7 +167,8 @@ def ab_bench(parent, change, workloads, pairs, seconds, bench):
     print(f"perf gate --ab-bench: {pairs} interleaved pairs of {seconds:g} s runs, "
           f"parent {parent}, change {change}")
     print(f"  {'workload':<12} {'metric':<12} {'parent med':>11} {'q1':>10} {'q3':>10} "
-          f"{'change med':>11} {'ratio':>6} {'wins':>6} {'bound':>6}  verdict")
+          f"{'change med':>11} {'ratio':>6} {'ratio 95% ci':>15} {'wins':>6} {'bound':>6}  "
+          f"verdict; change")
     for w in workloads:
         for m in bench["end_to_end"]:
             name, bound, higher = m["name"], m["bound"], m["better"] == "higher"
@@ -160,8 +193,11 @@ def ab_bench(parent, change, workloads, pairs, seconds, bench):
                 worse += 1
             else:
                 verdict = "within bound"
+            lo, hi = median_ratio_interval(pairs_ok)
+            ci = f"[{lo:.3f}, {hi:.3f}]"
             print(f"  {w:<12} {name:<12} {med:>11.4g} {q1:>10.4g} {q3:>10.4g} {new_med:>11.4g} "
-                  f"{ratio:>6.3f} {wins:>3}/{len(pairs_ok):<2} {bound:>6.0%}  {verdict}")
+                  f"{ratio:>6.3f} {ci:>15} {wins:>3}/{len(pairs_ok):<2} {bound:>6.0%}  "
+                  f"{verdict}; {change_verdict(lo, hi, higher)}")
     for f in flagged:
         print(f"  FLAGGED RUN: {f}")
     return 1 if flagged or worse else 0
