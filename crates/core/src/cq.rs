@@ -15,9 +15,12 @@
 //!
 //! The queue layer is a pure driver-phase shim: `submit` invokes
 //! `World::output` / `World::input` in staged FIFO order, exactly the
-//! calls a synchronous application would make, and [`harvest`] routes
-//! the world's completion streams back to their owning queue pairs by
-//! token. Each operation's simulated charges, events and bytes are
+//! calls a synchronous application would make, each request carrying
+//! its entry's `user_data`. The world echoes that tag in the operation's
+//! completion, as an io_uring CQE does, so the queue layer keeps no
+//! per-operation table: [`harvest`] routes each completion to its
+//! host's queue pair and builds the [`Cqe`] from the completion alone.
+//! Each operation's simulated charges, events and bytes are
 //! identical to the synchronous path's; the only simulated effect the
 //! queue layer adds is causal — [`harvest`] advances the host clock to
 //! the completions the application just observed, since work issued
@@ -38,9 +41,10 @@
 //! ([`CqConfig::window`]): [`QueuePair::submit`] keeps no more sends in
 //! flight than it allows, and stages the rest.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use genie_machine::SimTime;
+use genie_mem::DenseMap;
 use genie_net::Vc;
 use genie_vm::{RegionHandle, SpaceId};
 
@@ -203,19 +207,6 @@ impl CqConfig {
     }
 }
 
-/// Bookkeeping for one issued wire operation. Completions identify
-/// themselves only by token, so the queue layer remembers each
-/// operation's tag, circuit, and issue time here.
-#[derive(Clone, Copy, Debug)]
-struct InflightOp {
-    user_data: u64,
-    /// The circuit the operation was issued on.
-    vc: Vc,
-    /// Sender clock at issue (sends; receives use the completion's own
-    /// end-to-end latency).
-    issued_at: SimTime,
-}
-
 /// A per-host submission/completion queue pair bound to one semantics.
 #[derive(Debug)]
 pub struct QueuePair {
@@ -223,8 +214,10 @@ pub struct QueuePair {
     semantics: Semantics,
     cfg: CqConfig,
     staged: VecDeque<Sqe>,
-    inflight_sends: HashMap<u64, InflightOp>,
-    inflight_recvs: HashMap<u64, InflightOp>,
+    /// Sends issued and not yet completed: what the window gates.
+    sends_in_flight: usize,
+    /// Receives posted and not yet completed.
+    recvs_in_flight: usize,
     /// Queued completions, oldest first: the bounded ring and, past
     /// `cq_depth`, its spill, as one FIFO.
     completions: VecDeque<Cqe>,
@@ -233,7 +226,10 @@ pub struct QueuePair {
     ring_overflows: u64,
     /// Last delivered wire sequence number per VC: the per-VC
     /// in-order delivery invariant, checked at harvest.
-    last_delivery: BTreeMap<u32, u32>,
+    last_delivery: DenseMap<u32>,
+    /// The latest completion the running [`harvest`] routed here
+    /// ([`SimTime::ZERO`] between harvests): the host clock's mark.
+    observed_at: SimTime,
 }
 
 impl QueuePair {
@@ -244,13 +240,14 @@ impl QueuePair {
             semantics,
             cfg,
             staged: VecDeque::new(),
-            inflight_sends: HashMap::new(),
-            inflight_recvs: HashMap::new(),
+            sends_in_flight: 0,
+            recvs_in_flight: 0,
             completions: VecDeque::new(),
             next_seq: 0,
             sq_rejects: 0,
             ring_overflows: 0,
-            last_delivery: BTreeMap::new(),
+            last_delivery: DenseMap::new(),
+            observed_at: SimTime::ZERO,
         }
     }
 
@@ -292,22 +289,15 @@ impl QueuePair {
                     vaddr,
                     len,
                 } => {
-                    if self.inflight_sends.len() >= self.cfg.window.0 {
+                    if self.sends_in_flight >= self.cfg.window.0 {
                         break;
                     }
-                    let issued_at = w.host(self.host).clock;
-                    let req = OutputRequest::new(self.semantics, vc, space, vaddr, len);
+                    let req = OutputRequest {
+                        user_data: sqe.user_data,
+                        ..OutputRequest::new(self.semantics, vc, space, vaddr, len)
+                    };
                     match w.output(self.host, req) {
-                        Ok(token) => {
-                            self.inflight_sends.insert(
-                                token,
-                                InflightOp {
-                                    user_data: sqe.user_data,
-                                    vc,
-                                    issued_at,
-                                },
-                            );
-                        }
+                        Ok(_) => self.sends_in_flight += 1,
                         Err(_) => self.complete_immediate(sqe.user_data, CqResult::Error),
                     }
                 }
@@ -323,17 +313,12 @@ impl QueuePair {
                         }
                         _ => InputRequest::system(self.semantics, vc, space, len),
                     };
+                    let req = InputRequest {
+                        user_data: sqe.user_data,
+                        ..req
+                    };
                     match w.input(self.host, req) {
-                        Ok(token) => {
-                            self.inflight_recvs.insert(
-                                token,
-                                InflightOp {
-                                    user_data: sqe.user_data,
-                                    vc,
-                                    issued_at: SimTime::ZERO,
-                                },
-                            );
-                        }
+                        Ok(_) => self.recvs_in_flight += 1,
                         Err(_) => self.complete_immediate(sqe.user_data, CqResult::Error),
                     }
                 }
@@ -381,14 +366,14 @@ impl QueuePair {
 
     /// Wire operations issued and not yet completed.
     pub fn in_flight(&self) -> usize {
-        self.inflight_sends.len() + self.inflight_recvs.len()
+        self.sends_in_flight + self.recvs_in_flight
     }
 
     /// Sends issued and not yet completed — the quantity the window
     /// gates. Excludes posted receives, which may legitimately
     /// outlive every send.
     pub fn in_flight_sends(&self) -> usize {
-        self.inflight_sends.len()
+        self.sends_in_flight
     }
 
     /// Entries rejected at [`QueuePair::post`] (the `sq_full` path).
@@ -436,30 +421,43 @@ impl World {
     }
 }
 
-/// Routes the world's drained completion streams back to their owning
-/// queue pairs, converts them to [`Cqe`]s, and samples the `cq.depth`
-/// series. Returns the number of completions routed.
+/// Routes the world's completions to their hosts' queue pairs,
+/// converts them to [`Cqe`]s, and samples the `cq.depth` series.
+/// Returns the number of completions routed.
 ///
 /// Within one harvest, receives complete before sends (matching the
 /// world's separate completion streams); within each stream the
-/// world's deterministic completion order is preserved. Every token
-/// must belong to one of `qps` — mixing queue pairs with raw
-/// synchronous calls on the same world is not supported.
+/// world's deterministic completion order is preserved. Each completion
+/// echoes its request's `user_data`, so a completion belongs to the one
+/// queue pair on its host: `qps` must hold at most one pair per host,
+/// and every completion's host must have one. Two pairs on one host,
+/// or a completion on a host without a pair (a raw synchronous call
+/// mixed with queue pairs on the same world), panic.
 pub fn harvest(w: &mut World, qps: &mut [QueuePair]) -> usize {
-    let recvs = w.take_completed_inputs();
-    let sends = w.take_completed_outputs();
+    let mut pair_of = std::mem::take(&mut w.cq_pairs);
+    pair_of.clear();
+    pair_of.resize(w.n_hosts(), usize::MAX);
+    for (qi, qp) in qps.iter().enumerate() {
+        let slot = &mut pair_of[qp.host.idx()];
+        assert!(*slot == usize::MAX, "two queue pairs on host {}", qp.host.0);
+        *slot = qi;
+    }
+    let pair = |host: HostId| match pair_of[host.idx()] {
+        usize::MAX => panic!("completion on host {} without a queue pair", host.0),
+        qi => qi,
+    };
     let mut routed = 0;
-    // Latest observed completion per queue pair, for the clock
-    // synchronization below.
-    let mut observed_at: Vec<SimTime> = vec![SimTime::ZERO; qps.len()];
-    for c in recvs {
-        let (qi, op) = take_inflight(qps, c.host, c.token, |qp| &mut qp.inflight_recvs)
-            .unwrap_or_else(|| panic!("recv completion for unknown token {}", c.token));
-        let qp = &mut qps[qi];
+    let mut recvs = std::mem::take(&mut w.done_recvs);
+    for c in recvs.drain(..) {
+        let qp = &mut qps[pair(c.host)];
+        qp.recvs_in_flight = qp
+            .recvs_in_flight
+            .checked_sub(1)
+            .unwrap_or_else(|| panic!("recv completion on host {} with none in flight", c.host.0));
         // The per-VC in-order delivery invariant: wire sequence numbers
         // on one circuit must be strictly increasing in completion order.
-        let vc = op.vc;
-        if let Some(&last) = qp.last_delivery.get(&vc.0) {
+        let vc = c.vc;
+        if let Some(&last) = qp.last_delivery.get(u64::from(vc.0)) {
             assert!(
                 c.seq > last,
                 "out-of-order completion on vc {} (seq {} after seq {last})",
@@ -467,7 +465,7 @@ pub fn harvest(w: &mut World, qps: &mut [QueuePair]) -> usize {
                 c.seq
             );
         }
-        qp.last_delivery.insert(vc.0, c.seq);
+        qp.last_delivery.insert(u64::from(vc.0), c.seq);
         let result = if c.checksum_ok {
             CqResult::Ok
         } else {
@@ -484,30 +482,35 @@ pub fn harvest(w: &mut World, qps: &mut [QueuePair]) -> usize {
                 wire_seq: c.seq,
                 latency: c.latency,
             },
-            op.user_data,
+            c.user_data,
         );
-        observed_at[qi] = observed_at[qi].max(c.completed_at);
+        qp.observed_at = qp.observed_at.max(c.completed_at);
         routed += 1;
     }
-    for c in sends {
-        let (qi, op) = take_inflight(qps, c.host, c.token, |qp| &mut qp.inflight_sends)
-            .unwrap_or_else(|| panic!("send completion for unknown token {}", c.token));
-        let qp = &mut qps[qi];
-        let latency = c.completed_at.saturating_sub(op.issued_at);
+    w.done_recvs = recvs;
+    let mut sends = std::mem::take(&mut w.done_sends);
+    for c in sends.drain(..) {
+        let qp = &mut qps[pair(c.host)];
+        qp.sends_in_flight = qp
+            .sends_in_flight
+            .checked_sub(1)
+            .unwrap_or_else(|| panic!("send completion on host {} with none in flight", c.host.0));
         qp.push_cqe(
             c.len,
             CqResult::Ok,
             Landing::Sent {
                 effective: c.effective,
                 credit_stalls: c.credit_stalls,
-                latency,
+                latency: c.completed_at.saturating_sub(c.invoked_at),
             },
-            op.user_data,
+            c.user_data,
         );
-        observed_at[qi] = observed_at[qi].max(c.completed_at);
+        qp.observed_at = qp.observed_at.max(c.completed_at);
         routed += 1;
     }
-    for (qi, qp) in qps.iter_mut().enumerate() {
+    w.done_sends = sends;
+    w.cq_pairs = pair_of;
+    for qp in qps.iter_mut() {
         // The application observes a completion no earlier than it
         // exists: advance the host clock to the latest completion this
         // harvest delivered, so work issued afterwards (the next
@@ -515,31 +518,15 @@ pub fn harvest(w: &mut World, qps: &mut [QueuePair]) -> usize {
         // window a real throughput limiter — a too-shallow window
         // leaves the host idle between batches, which is exactly the
         // saturation curve the depth sweep measures.
-        if observed_at[qi] > SimTime::ZERO {
+        let observed = std::mem::replace(&mut qp.observed_at, SimTime::ZERO);
+        if observed > SimTime::ZERO {
             let h = w.host_mut(qp.host);
-            h.clock = h.clock.max(observed_at[qi]);
+            h.clock = h.clock.max(observed);
         }
         let depth = qp.completions_queued() as u64;
         w.note_cq_sample(qp.host, depth);
     }
     routed
-}
-
-/// Removes `token` from the in-flight table `table` selects on the
-/// queue pair that issued it, returning that pair's index and the
-/// operation. A completion always lands on the host its operation was
-/// issued from, so only pairs on `host` are probed: one hash lookup
-/// when each host has one queue pair.
-fn take_inflight(
-    qps: &mut [QueuePair],
-    host: HostId,
-    token: u64,
-    table: fn(&mut QueuePair) -> &mut HashMap<u64, InflightOp>,
-) -> Option<(usize, InflightOp)> {
-    qps.iter_mut()
-        .enumerate()
-        .filter(|(_, qp)| qp.host == host)
-        .find_map(|(qi, qp)| table(qp).remove(&token).map(|op| (qi, op)))
 }
 
 /// Drives the world until queue pair `which` has `n` completions (or
@@ -818,6 +805,15 @@ mod tests {
         let rel = wait_n(&mut w, &mut qps, 0, 1);
         assert_eq!(rel[0].user_data, 4);
         assert_eq!(rel[0].result, CqResult::Ok);
+    }
+
+    #[test]
+    #[should_panic(expected = "two queue pairs on host 0")]
+    fn harvest_refuses_two_pairs_on_one_host() {
+        let mut w = two_host_world();
+        let mut qps = [HostId::A, HostId::B, HostId::A]
+            .map(|h| QueuePair::new(h, Semantics::Copy, CqConfig::fixed(1)));
+        harvest(&mut w, &mut qps);
     }
 
     #[test]

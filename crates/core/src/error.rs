@@ -34,6 +34,9 @@ pub enum GenieError {
         /// The smallest allotment the PDU must cross.
         allotment: u32,
     },
+    /// The VC number does not fit the datagram header's 16-bit port
+    /// fields (and would size every per-VC table past it).
+    VcOutOfRange(u32),
 }
 
 impl From<VmError> for GenieError {
@@ -65,6 +68,9 @@ impl fmt::Display for GenieError {
                 f,
                 "PDU of {cells} cells exceeds a credit allotment of {allotment} on its path"
             ),
+            GenieError::VcOutOfRange(vc) => {
+                write!(f, "vc {vc} exceeds the 16-bit datagram header")
+            }
         }
     }
 }
@@ -112,6 +118,14 @@ pub enum ConfigError {
         /// The VC.
         vc: u32,
     },
+    /// `fabric`: a route's VC does not fit the datagram header's
+    /// 16-bit port fields.
+    VcOutOfRange {
+        /// The route's source port.
+        src: u16,
+        /// The VC.
+        vc: u32,
+    },
     /// `fault`: the retransmit machinery assumes one destination per
     /// in-flight PDU, so multicast routes need a fault-free world.
     MulticastWithFaults,
@@ -144,6 +158,10 @@ impl fmt::Display for ConfigError {
             ConfigError::DuplicateRoute { src, vc } => {
                 write!(f, "fabric: duplicate route for (src {src}, vc {vc})")
             }
+            ConfigError::VcOutOfRange { src, vc } => write!(
+                f,
+                "fabric: route (src {src}, vc {vc}) exceeds the 16-bit datagram header"
+            ),
             ConfigError::MulticastWithFaults => {
                 write!(f, "fault: multicast routes require a fault-free world")
             }

@@ -35,11 +35,13 @@ pub struct InputRequest {
     pub buffer: Option<(u64, usize)>,
     /// Expected maximum payload (sizes system-allocated buffers).
     pub len_hint: usize,
+    /// Correlation tag, echoed verbatim in the [`RecvCompletion`].
+    pub user_data: u64,
 }
 
 impl InputRequest {
     /// An application-allocated input: the application names its
-    /// buffer (the Unix-style API).
+    /// buffer (the Unix-style API). `user_data` is 0.
     pub fn app(semantics: Semantics, vc: Vc, space: SpaceId, vaddr: u64, len: usize) -> Self {
         InputRequest {
             semantics,
@@ -47,11 +49,12 @@ impl InputRequest {
             space,
             buffer: Some((vaddr, len)),
             len_hint: len,
+            user_data: 0,
         }
     }
 
     /// A system-allocated input: the system will return the location
-    /// of the data (the V-style API).
+    /// of the data (the V-style API). `user_data` is 0.
     pub fn system(semantics: Semantics, vc: Vc, space: SpaceId, len_hint: usize) -> Self {
         InputRequest {
             semantics,
@@ -59,6 +62,7 @@ impl InputRequest {
             space,
             buffer: None,
             len_hint,
+            user_data: 0,
         }
     }
 }
@@ -90,12 +94,18 @@ pub struct RecvCompletion {
     pub checksum_ok: bool,
     /// The region holding the data, for system-allocated semantics.
     pub region: Option<RegionHandle>,
+    /// The request's `user_data`.
+    pub user_data: u64,
+    /// The circuit the input was posted on.
+    pub vc: Vc,
 }
 
 /// A preposted input operation.
 #[derive(Debug)]
 pub(crate) struct PendingRecv {
     pub token: u64,
+    pub user_data: u64,
+    pub vc: Vc,
     pub semantics: Semantics,
     pub space: SpaceId,
     pub app: Option<(u64, usize)>,
@@ -136,6 +146,7 @@ impl World {
         {
             return Err(GenieError::BufferMismatch(req.semantics));
         }
+        crate::output::check_vc(req.vc)?;
         let token = self.take_token();
         let prepare_start = self.host(to).clock;
         let pending = self.prepare_input(to, &req)?;
@@ -165,6 +176,8 @@ impl World {
         let host = self.host_mut(to);
         let mk = |region, desc, app| PendingRecv {
             token: 0,
+            user_data: req.user_data,
+            vc: req.vc,
             semantics: req.semantics,
             space: req.space,
             app,
@@ -604,6 +617,8 @@ impl World {
             seq: header.seq,
             checksum_ok,
             region,
+            user_data: p.user_data,
+            vc: p.vc,
         });
     }
 

@@ -30,10 +30,12 @@ pub struct OutputRequest {
     pub vaddr: u64,
     /// Buffer length in bytes.
     pub len: usize,
+    /// Correlation tag, echoed verbatim in the [`SendCompletion`].
+    pub user_data: u64,
 }
 
 impl OutputRequest {
-    /// Convenience constructor.
+    /// Convenience constructor (`user_data` 0).
     pub fn new(semantics: Semantics, vc: Vc, space: SpaceId, vaddr: u64, len: usize) -> Self {
         OutputRequest {
             semantics,
@@ -41,6 +43,7 @@ impl OutputRequest {
             space,
             vaddr,
             len,
+            user_data: 0,
         }
     }
 }
@@ -62,6 +65,10 @@ pub struct SendCompletion {
     pub len: usize,
     /// Times the transmission stalled waiting for credits.
     pub credit_stalls: u32,
+    /// The request's `user_data`.
+    pub user_data: u64,
+    /// The sender's clock when the application invoked the output.
+    pub invoked_at: SimTime,
 }
 
 /// An output awaiting its dispose stage (its identity lives in the
@@ -78,6 +85,15 @@ pub(crate) struct PendingSend {
     pub stalls: u32,
 }
 
+/// Refuses a VC number the datagram header cannot carry: its ports are
+/// 16 bits wide, and every per-VC table grows to the largest VC used.
+pub(crate) fn check_vc(vc: Vc) -> Result<(), GenieError> {
+    if vc.0 > u32::from(u16::MAX) {
+        return Err(GenieError::VcOutOfRange(vc.0));
+    }
+    Ok(())
+}
+
 impl World {
     /// Invokes output with the requested semantics (Table 2 prepare
     /// stage), schedules transmission, and returns a token.
@@ -85,6 +101,7 @@ impl World {
         if req.len == 0 {
             return Err(GenieError::Empty);
         }
+        check_vc(req.vc)?;
         if req.len + HEADER_LEN > AAL5_MAX_PAYLOAD {
             return Err(GenieError::TooLong(req.len));
         }
@@ -162,6 +179,7 @@ impl World {
             vc: req.vc,
             seq,
             invoked_at,
+            user_data: req.user_data,
             send: Some(PendingSend {
                 requested: req.semantics,
                 effective,
@@ -379,6 +397,7 @@ impl World {
     pub(crate) fn on_tx_done(&mut self, time: SimTime, token: u64) {
         let slot = self.ops.get(token).expect("pending send");
         let (from, vc, seq) = (slot.from, slot.vc, slot.seq);
+        let (user_data, invoked_at) = (slot.user_data, slot.invoked_at);
         let send = self.take_send(token).expect("pending send");
         let page = self.host(from).page_size();
         let page_off = send.desc.vecs.first().map_or(0, |v| v.offset % page);
@@ -429,6 +448,8 @@ impl World {
             completed_at: self.host(from).clock,
             len: send.len,
             credit_stalls: send.stalls,
+            user_data,
+            invoked_at,
         });
     }
 }

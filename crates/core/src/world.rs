@@ -120,9 +120,10 @@ impl WorldConfig {
     }
 
     /// Checks that [`World::new`] can build this configuration: the
-    /// fabric must fit the hosts, every route must name existing ports
-    /// and be the only one for its (source port, VC), and multicast
-    /// routes need a fault-free world.
+    /// fabric must fit the hosts, every route must name existing ports,
+    /// carry a VC that fits the 16-bit datagram header and be the only
+    /// one for its (source port, VC), and multicast routes need a
+    /// fault-free world.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let hosts = self.n_hosts();
         let sc = match &self.fabric {
@@ -149,6 +150,9 @@ impl WorldConfig {
                     port,
                     ports,
                 });
+            }
+            if vc > u32::from(u16::MAX) {
+                return Err(ConfigError::VcOutOfRange { src, vc });
             }
             if !seen.insert((src, vc)) {
                 return Err(ConfigError::DuplicateRoute { src, vc });
@@ -213,13 +217,14 @@ pub(crate) struct OpSlot {
     pub vc: Vc,
     pub seq: u32,
     pub invoked_at: SimTime,
+    /// The request's correlation tag, echoed in its completion.
+    pub user_data: u64,
     pub send: Option<PendingSend>,
     pub copy: Option<RetransmitCopy>,
 }
 
 /// Per-host, per-VC queue tables, outer-indexed by host and
-/// flat-indexed by VC number (the experiments use small VC numbers, so
-/// the tables stay compact).
+/// flat-indexed by VC number (each table spans only the VCs it holds).
 pub(crate) type VcQueues<T> = Vec<DenseMap<VecDeque<T>>>;
 
 /// The simulation world.
@@ -286,6 +291,9 @@ pub struct World {
     /// while tracing — the raw material for the `cq_*.depth` series
     /// and `rollup.cq` aggregates.
     pub(crate) cq_depth: std::collections::BTreeMap<u16, genie_trace::metrics::Histogram>,
+    /// `cq::harvest`'s host → queue-pair index table, rebuilt by every
+    /// harvest and kept here only so its storage is reused.
+    pub(crate) cq_pairs: Vec<usize>,
     /// Whether a crash dump was already written for this world (one
     /// dump per run: the first violation is the interesting one).
     pub(crate) crash_dumped: bool,
@@ -344,6 +352,7 @@ impl World {
             wire_tracer: genie_trace::Tracer::new(),
             vc_latency: std::collections::BTreeMap::new(),
             cq_depth: std::collections::BTreeMap::new(),
+            cq_pairs: Vec::new(),
             crash_dumped: false,
             peak_resident: 0,
         }
@@ -880,6 +889,46 @@ mod tests {
         let err = switched(3, sw).validate().unwrap_err();
         assert_eq!(err, ConfigError::DuplicateRoute { src: 1, vc: 2 });
         assert!(err.to_string().contains("duplicate route"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_route_vc_past_16_bits() {
+        let sw = star(3).route(1, 1 << 16, &[0]);
+        let err = switched(3, sw).validate().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::VcOutOfRange {
+                src: 1,
+                vc: 1 << 16
+            }
+        );
+        assert!(err.to_string().starts_with("fabric: "), "{err}");
+    }
+
+    #[test]
+    fn output_and_input_refuse_a_vc_past_16_bits_before_any_vc_table() {
+        let mut w = World::new(WorldConfig::default());
+        let tx = w.create_process(HostId::A);
+        let rx = w.create_process(HostId::B);
+        let src = w.alloc_buffer(HostId::A, tx, 64, 0).unwrap();
+        let dst = w.alloc_buffer(HostId::B, rx, 64, 0).unwrap();
+        let vc = Vc(1 << 16);
+        let out = crate::OutputRequest::new(Semantics::Copy, vc, tx, src, 64);
+        assert_eq!(
+            w.output(HostId::A, out),
+            Err(GenieError::VcOutOfRange(1 << 16))
+        );
+        let inp = InputRequest::app(Semantics::Copy, vc, rx, dst, 64);
+        assert_eq!(
+            w.input(HostId::B, inp),
+            Err(GenieError::VcOutOfRange(1 << 16))
+        );
+        assert!(w.seq.is_empty() && w.txq.iter().all(DenseMap::is_empty));
+        assert!(w.recvs.iter().all(DenseMap::is_empty));
+        assert_eq!((w.next_token, w.ops.len()), (1, 0));
+        assert!(GenieError::VcOutOfRange(1 << 16)
+            .to_string()
+            .contains("16-bit"));
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!   timer for an op that already completed and whose slot was reused)
 //!   fails to resolve instead of aliasing the new occupant.
 //! - [`DenseMap`]: a `Vec<Option<T>>` keyed by a small non-negative
-//!   index (virtual page number, object page index, VC number).
-//!   Lookup is one bounds check and one array load; iteration is in
-//!   ascending key order, matching the `BTreeMap` it replaces.
+//!   index (object page index, VC number), offset by its lowest key.
+//!   Lookup is one subtraction, one bounds check and one array load;
+//!   iteration is in ascending key order, matching the `BTreeMap` it
+//!   replaces.
 //!
 //! Neither container ever hands out interior pointers; keys are plain
 //! integers, so the structures stay `Clone` and deterministic.
@@ -151,12 +152,16 @@ impl<T> SlotMap<T> {
 
 /// A map from small non-negative integer keys to values, stored flat.
 ///
-/// Grows to the largest key ever inserted; `remove` leaves a hole that
-/// later inserts refill. Iteration order is ascending key order, the
-/// same contract as the `BTreeMap` this replaces.
+/// Spans the keys from the lowest to the highest inserted since the map
+/// was last empty, so keys that start far from 0 (VC numbers past a
+/// base) cost no table below them; `remove` leaves a hole that later
+/// inserts refill. Iteration order is ascending key order, the same
+/// contract as the `BTreeMap` this replaces.
 #[derive(Clone, Debug)]
 pub struct DenseMap<T> {
+    /// `entries[i]` holds key `base + i`.
     entries: Vec<Option<T>>,
+    base: u64,
     len: usize,
 }
 
@@ -171,6 +176,7 @@ impl<T> DenseMap<T> {
     pub fn new() -> Self {
         DenseMap {
             entries: Vec::new(),
+            base: 0,
             len: 0,
         }
     }
@@ -185,25 +191,49 @@ impl<T> DenseMap<T> {
         self.len == 0
     }
 
+    /// The `entries` index of `key`; a key below `base` wraps past
+    /// every index, so it finds nothing.
+    #[inline]
+    fn index(&self, key: u64) -> usize {
+        key.wrapping_sub(self.base) as usize
+    }
+
     /// The value at `key`, if occupied.
     #[inline]
     pub fn get(&self, key: u64) -> Option<&T> {
-        self.entries.get(key as usize)?.as_ref()
+        self.entries.get(self.index(key))?.as_ref()
     }
 
     /// Mutable access to the value at `key`.
     #[inline]
     pub fn get_mut(&mut self, key: u64) -> Option<&mut T> {
-        self.entries.get_mut(key as usize)?.as_mut()
+        let idx = self.index(key);
+        self.entries.get_mut(idx)?.as_mut()
+    }
+
+    /// Grows the table to span `key` (re-basing an empty map at it) and
+    /// returns its index.
+    fn span(&mut self, key: u64) -> usize {
+        if self.len == 0 {
+            self.entries.clear();
+            self.base = key;
+        } else if key < self.base {
+            let below = usize::try_from(self.base - key).expect("dense map key overflow");
+            let holes = std::iter::repeat_with(|| None).take(below);
+            self.entries.splice(0..0, holes);
+            self.base = key;
+        }
+        let idx = usize::try_from(key - self.base).expect("dense map key overflow");
+        if idx >= self.entries.len() {
+            self.entries.resize_with(idx + 1, || None);
+        }
+        idx
     }
 
     /// Inserts `value` at `key`, growing the table as needed, and
     /// returns the previous occupant.
     pub fn insert(&mut self, key: u64, value: T) -> Option<T> {
-        let idx = usize::try_from(key).expect("dense map key overflow");
-        if idx >= self.entries.len() {
-            self.entries.resize_with(idx + 1, || None);
-        }
+        let idx = self.span(key);
         let prev = self.entries[idx].replace(value);
         if prev.is_none() {
             self.len += 1;
@@ -214,10 +244,7 @@ impl<T> DenseMap<T> {
     /// Mutable access to the value at `key`, inserting
     /// `default()` first if the key is vacant.
     pub fn get_or_insert_with(&mut self, key: u64, default: impl FnOnce() -> T) -> &mut T {
-        let idx = usize::try_from(key).expect("dense map key overflow");
-        if idx >= self.entries.len() {
-            self.entries.resize_with(idx + 1, || None);
-        }
+        let idx = self.span(key);
         let e = &mut self.entries[idx];
         if e.is_none() {
             *e = Some(default());
@@ -228,7 +255,8 @@ impl<T> DenseMap<T> {
 
     /// Removes and returns the value at `key`.
     pub fn remove(&mut self, key: u64) -> Option<T> {
-        let v = self.entries.get_mut(key as usize)?.take();
+        let idx = self.index(key);
+        let v = self.entries.get_mut(idx)?.take();
         if v.is_some() {
             self.len -= 1;
         }
@@ -248,7 +276,7 @@ impl<T> DenseMap<T> {
         self.entries
             .iter()
             .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|v| (i as u64, v)))
+            .filter_map(|(i, e)| e.as_ref().map(|v| (self.base + i as u64, v)))
     }
 }
 
@@ -310,6 +338,33 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.get(3), None);
         assert_eq!(m.iter().count(), 0);
+    }
+
+    /// Keys far from 0 cost no table below them; a key below the lowest
+    /// one grows the table downwards, and an emptied map re-bases.
+    #[test]
+    fn dense_map_spans_only_its_keys() {
+        let mut m = DenseMap::new();
+        m.insert(700, 'b');
+        m.insert(703, 'd');
+        assert_eq!(m.entries.len(), 4);
+        m.insert(698, 'a');
+        assert_eq!(m.entries.len(), 6);
+        assert_eq!(
+            (m.get(697), m.get(698), m.get(700)),
+            (None, Some(&'a'), Some(&'b'))
+        );
+        assert_eq!(m.get(0), None);
+        *m.get_mut(703).unwrap() = 'e';
+        let all: Vec<(u64, char)> = m.iter().map(|(k, &v)| (k, v)).collect();
+        assert_eq!(all, vec![(698, 'a'), (700, 'b'), (703, 'e')]);
+        for k in [698, 700, 703] {
+            assert!(m.remove(k).is_some());
+        }
+        assert_eq!(m.remove(5), None);
+        m.get_or_insert_with(5, || 'f');
+        assert_eq!(m.entries.len(), 1);
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![(5, &'f')]);
     }
 
     #[test]

@@ -19,11 +19,15 @@
 //! Routes are keyed by `(source port, VC)`. By convention each VC has
 //! exactly one sender: sequence numbers are per VC end to end, so two
 //! sources sharing a VC would interleave one sequence space across
-//! distinct circuits.
+//! distinct circuits. The route table and each port's credit table are
+//! indexed by VC number (flat [`DenseMap`]s, as the world's per-VC
+//! queues are), so the per-PDU lookups hash nothing; the world refuses
+//! VCs above 16 bits, which bounds them.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use genie_machine::SimTime;
+use genie_mem::DenseMap;
 use genie_trace::metrics::Histogram;
 
 use crate::aal5::InflightPdu;
@@ -184,8 +188,8 @@ struct Port {
     queue: VecDeque<SwitchedPdu>,
     /// When the egress link finishes its current transmission.
     busy_until: SimTime,
-    /// Per-VC egress credit toward the attached host.
-    credits: HashMap<u32, CreditState>,
+    /// Per-VC egress credit toward the attached host, indexed by VC.
+    credits: DenseMap<CreditState>,
     /// PDUs dispatched onto the egress link.
     dispatched: u64,
     /// Drains that found the head VC out of credit. A blocked port
@@ -216,7 +220,9 @@ pub struct SwitchStats {
 /// The switch: routing table, output-port FIFOs, egress credit.
 #[derive(Debug)]
 pub struct Switch {
-    routes: HashMap<(u16, u32), Vec<u16>>,
+    /// Indexed by VC: each of the VC's senders with its egress ports
+    /// (one sender by convention).
+    routes: DenseMap<Vec<(u16, Vec<u16>)>>,
     ports: Vec<Port>,
     port_credit: u32,
     pdus_ingress: u64,
@@ -228,7 +234,7 @@ pub struct Switch {
 impl Switch {
     /// Builds a switch from its configuration.
     pub fn new(cfg: &SwitchConfig) -> Self {
-        let mut routes = HashMap::new();
+        let mut routes: DenseMap<Vec<(u16, Vec<u16>)>> = DenseMap::new();
         for r in &cfg.routes {
             for &d in &r.dsts {
                 assert!(
@@ -239,13 +245,14 @@ impl Switch {
                     cfg.ports
                 );
             }
-            let prev = routes.insert((r.src, r.vc), r.dsts.clone());
+            let senders = routes.get_or_insert_with(u64::from(r.vc), Vec::new);
             assert!(
-                prev.is_none(),
+                senders.iter().all(|&(src, _)| src != r.src),
                 "duplicate route for (src {}, vc {})",
                 r.src,
                 r.vc
             );
+            senders.push((r.src, r.dsts.clone()));
         }
         Switch {
             routes,
@@ -282,7 +289,14 @@ impl Switch {
     /// The egress ports for traffic from `src` on `vc` (empty when the
     /// routing table has no entry — the PDU is dropped at ingress).
     pub fn route(&self, src: u16, vc: u32) -> &[u16] {
-        self.routes.get(&(src, vc)).map_or(&[], Vec::as_slice)
+        let senders = self
+            .routes
+            .get(u64::from(vc))
+            .map_or(&[][..], Vec::as_slice);
+        senders
+            .iter()
+            .find(|(s, _)| *s == src)
+            .map_or(&[], |(_, dsts)| dsts.as_slice())
     }
 
     /// Records an ingress PDU (`replicas` extra multicast copies).
@@ -350,8 +364,7 @@ impl Switch {
         let p = &mut self.ports[port as usize];
         let credits = p
             .credits
-            .entry(vc)
-            .or_insert_with(|| CreditState::new(limit));
+            .get_or_insert_with(u64::from(vc), || CreditState::new(limit));
         let ok = credits.try_consume(cells);
         if observe {
             if ok {
@@ -373,8 +386,7 @@ impl Switch {
         let limit = self.port_credit;
         self.ports[port as usize]
             .credits
-            .entry(vc)
-            .or_insert_with(|| CreditState::new(limit))
+            .get_or_insert_with(u64::from(vc), || CreditState::new(limit))
             .replenish(cells);
     }
 
@@ -383,7 +395,7 @@ impl Switch {
     pub fn credits_available(&self, port: u16, vc: u32) -> u32 {
         self.ports[port as usize]
             .credits
-            .get(&vc)
+            .get(u64::from(vc))
             .map_or(self.port_credit, CreditState::available)
     }
 

@@ -64,6 +64,10 @@ fn cache_slot(mark: RegionMark) -> Option<usize> {
     }
 }
 
+/// The arena slot of a vacant `index` entry: a removed region's entry,
+/// left in place with its start vpn so that removal moves nothing.
+const VACANT: usize = usize::MAX;
+
 /// One arena slot: a region and its page table.
 #[derive(Clone, Debug)]
 struct Slot {
@@ -90,16 +94,21 @@ pub struct AddressSpace {
     regions: Vec<Slot>,
     /// Vacant `regions` slots.
     free_slots: Vec<usize>,
-    /// Live regions as `(start vpn, arena slot)` in ascending order: bump
-    /// allocation appends at the back, and frees, mostly oldest first,
-    /// remove near the front without moving the rest.
+    /// Regions as `(start vpn, arena slot)` in ascending start order:
+    /// bump allocation appends at the back. A removal leaves its entry
+    /// behind as a vacancy (slot [`VACANT`], start vpn kept), so a lookup
+    /// that lands on it finds nothing; no live region spans a vacancy's
+    /// start. Vacancies at either end are popped, and the interior ones
+    /// are compacted away once they outnumber the live entries.
     index: VecDeque<(u64, usize)>,
+    /// Vacant `index` entries.
+    vacancies: usize,
     /// Each arena slot's `index` position plus `base` (wrapping); stale
     /// for a vacant slot.
     positions: Vec<usize>,
-    /// Offset of `positions` from the index positions. An insert or
-    /// removal shifts the shorter side of the index, so only that side's
-    /// slots renumber (the other side's positions move with `base`).
+    /// Offset of `positions` from the index positions: a front pop, and
+    /// an insert that shifts the front side of the index, move it
+    /// instead of renumbering the slots behind.
     base: usize,
     /// Mach-style lookup hints, one per vpn bucket (twice as many as slots): the
     /// arena slot of the region last found or inserted there. Each use checks its hint.
@@ -134,6 +143,7 @@ impl AddressSpace {
             regions: Vec::new(),
             free_slots: Vec::new(),
             index: VecDeque::new(),
+            vacancies: 0,
             positions: Vec::new(),
             base: 0,
             hints: vec![Cell::default()],
@@ -164,8 +174,18 @@ impl AddressSpace {
     pub fn insert_region(&mut self, region: Region) -> Result<(), VmError> {
         let (start, end) = (region.start_vpn, region.end_vpn());
         let pos = self.rank(start);
-        let after_prev = pos == 0 || self.regions[self.index[pos - 1].1].region.end_vpn() <= start;
-        let before_next = self.index.get(pos).is_none_or(|&(s, _)| end <= s);
+        // A vacancy before `pos` ends every live region before it (no
+        // live region spans a vacancy's start): `get(VACANT)` is `None`.
+        let prev = pos
+            .checked_sub(1)
+            .and_then(|p| self.regions.get(self.index[p].1));
+        let after_prev = prev.is_none_or(|e| e.region.end_vpn() <= start);
+        // Vacancies that start inside the new region are stepped over.
+        let inside = self.index.range(pos..);
+        let inside = inside
+            .take_while(|&&(s, slot)| slot == VACANT && s < end)
+            .count();
+        let before_next = self.index.get(pos + inside).is_none_or(|&(s, _)| end <= s);
         if end <= start || !(after_prev && before_next) {
             return Err(VmError::BadRange);
         }
@@ -180,6 +200,11 @@ impl AddressSpace {
         }
         self.regions[slot].ptes.resize(npages, None);
         self.regions[slot].region = region;
+        // The stepped-over vacancies now start at the region's end: still
+        // in order, and no longer inside a live region.
+        for e in self.index.range_mut(pos..pos + inside) {
+            e.0 = end;
+        }
         self.index_insert(pos, start, slot);
         self.hint(start).set(slot);
         self.next_vpn = self.next_vpn.max(end + 1);
@@ -200,23 +225,49 @@ impl AddressSpace {
         self.positions[slot] = pos.wrapping_add(self.base);
     }
 
-    /// Removes the entry at index position `pos`. Only the shorter side
-    /// of `pos` renumbers; `base` carries the other side.
-    fn index_remove(&mut self, pos: usize) {
-        self.index.remove(pos);
-        let len = self.index.len();
-        if pos < len - pos {
+    /// Vacates the entry at index position `pos`, pops the vacancies at
+    /// either end, and compacts the index once its vacancies outnumber
+    /// its live entries.
+    fn index_vacate(&mut self, pos: usize) {
+        self.index[pos].1 = VACANT;
+        self.vacancies += 1;
+        while self.index.back().is_some_and(|e| e.1 == VACANT) {
+            self.index.pop_back();
+            self.vacancies -= 1;
+        }
+        while self.index.front().is_some_and(|e| e.1 == VACANT) {
+            self.index.pop_front();
+            self.vacancies -= 1;
             self.base = self.base.wrapping_add(1);
-            self.renumber(0..pos, 1);
-        } else {
-            self.renumber(pos..len, usize::MAX);
+        }
+        if 2 * self.vacancies > self.index.len() {
+            self.compact();
         }
     }
 
-    /// Adds `by` (wrapping) to the positions of the slots at index positions `range`.
+    /// Drops every vacancy in one sequential pass, renumbering the live
+    /// entries from position 0.
+    fn compact(&mut self) {
+        let mut live = 0;
+        for pos in 0..self.index.len() {
+            let entry = self.index[pos];
+            if entry.1 != VACANT {
+                self.index[live] = entry;
+                self.positions[entry.1] = live;
+                live += 1;
+            }
+        }
+        self.index.truncate(live);
+        self.vacancies = 0;
+        self.base = 0;
+    }
+
+    /// Adds `by` (wrapping) to the positions of the live slots at index positions `range`.
     fn renumber(&mut self, range: Range<usize>, by: usize) {
         for &(_, slot) in self.index.range(range) {
-            self.positions[slot] = self.positions[slot].wrapping_add(by);
+            if slot != VACANT {
+                self.positions[slot] = self.positions[slot].wrapping_add(by);
+            }
         }
     }
 
@@ -259,14 +310,15 @@ impl AddressSpace {
         }
         let pos = self.rank(vpn).checked_sub(1)?;
         let slot = self.index[pos].1;
-        self.regions[slot].entry(vpn)?;
+        self.regions.get(slot)?.entry(vpn)?;
         self.hint(vpn).set(slot);
         Some(slot)
     }
 
     /// Removes and returns the region starting at `start_vpn`, PTEs and all.
     /// Its slot comes from the hint (checked by its start vpn) and gives its
-    /// index position, so a removal searches only when the hint misses.
+    /// index position, so a removal searches only when the hint misses; the
+    /// entry there becomes a vacancy, so nothing else moves.
     pub fn remove_region(&mut self, start_vpn: u64) -> Option<Region> {
         let slot = self.slot_covering(start_vpn)?;
         if self.regions[slot].region.start_vpn != start_vpn {
@@ -274,7 +326,7 @@ impl AddressSpace {
         }
         let pos = self.positions[slot].wrapping_sub(self.base);
         debug_assert_eq!(self.index[pos], (start_vpn, slot), "stale index position");
-        self.index_remove(pos);
+        self.index_vacate(pos);
         self.free_slots.push(slot);
         self.regions[slot].ptes.clear();
         Some(self.regions[slot].region.clone())
@@ -306,7 +358,8 @@ impl AddressSpace {
     pub(crate) fn mappings(
         &self,
     ) -> impl Iterator<Item = (&Region, impl Iterator<Item = (u64, Pte)> + '_)> {
-        self.index.iter().map(|&(start, slot)| {
+        let live = self.index.iter().filter(|&&(_, slot)| slot != VACANT);
+        live.map(|&(start, slot)| {
             let Slot { region, ptes } = &self.regions[slot];
             let mapped = (start..)
                 .zip(ptes)
@@ -736,7 +789,8 @@ mod tests {
     /// reserved: 100,000 alloc/fault/free cycles with at most four
     /// regions live (every eighth one cached, which reclaims the region
     /// cached before it; the application then frees that one) leave
-    /// the index, the arena, the hints, the page tables and the
+    /// the index (live entries and no more vacancies than those), the
+    /// arena, the hints, the page tables and the
     /// reclaimed list at a few entries. A removed region's handle stays stale after a
     /// thousand more regions have reused its slot.
     #[test]
@@ -749,10 +803,13 @@ mod tests {
         let bounded = |vm: &Vm, step: u64| {
             let space = vm.space(s);
             let pte_capacity: usize = space.regions.iter().map(|e| e.ptes.capacity()).sum();
+            // Removals leave vacancies, at most one per live entry.
+            let live = space.index.len() - space.vacancies;
             assert!(
-                space.index.len() <= 4,
-                "step {step}: index {}",
-                space.index.len()
+                live <= 4 && space.index.len() <= 2 * live,
+                "step {step}: index {} with {} vacancies",
+                space.index.len(),
+                space.vacancies
             );
             assert!(
                 space.hints.len() <= 8,

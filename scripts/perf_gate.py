@@ -54,7 +54,10 @@ interval on the change/parent ratio of medians (resampling the pairs
 with replacement, seeded, so a rerun on the same numbers prints the
 same interval) and a change verdict worded as criterion words it:
 "improved" or "regressed" when the whole interval lies on one side of
-1, else "change within noise threshold".
+1, else "change within noise threshold". Last comes the rule a claimed
+gain must meet: "gain" when the change won at least 9 in 10 of the
+pairs and its median is better than the parent's by more than the
+distance between the parent's quartiles, else "no gain".
 """
 
 import argparse
@@ -149,6 +152,13 @@ def change_verdict(lo, hi, higher):
     return "change within noise threshold"
 
 
+def gain_verdict(wins, n, med, new_med, q1, q3, higher):
+    """The claim rule: at least 9/10 wins, and a median better than the
+    parent's by more than the parent's interquartile distance."""
+    better = (new_med - med) if higher else (med - new_med)
+    return "gain" if 10 * wins >= 9 * n and better > q3 - q1 else "no gain"
+
+
 def ab_bench(parent, change, workloads, pairs, seconds, bench):
     roots = {"parent": parent, "change": change}
     runs = {(w, side): [] for w in workloads for side in roots}
@@ -168,7 +178,7 @@ def ab_bench(parent, change, workloads, pairs, seconds, bench):
           f"parent {parent}, change {change}")
     print(f"  {'workload':<12} {'metric':<12} {'parent med':>11} {'q1':>10} {'q3':>10} "
           f"{'change med':>11} {'ratio':>6} {'ratio 95% ci':>15} {'wins':>6} {'bound':>6}  "
-          f"verdict; change")
+          f"verdict; change; claim")
     for w in workloads:
         for m in bench["end_to_end"]:
             name, bound, higher = m["name"], m["bound"], m["better"] == "higher"
@@ -197,7 +207,8 @@ def ab_bench(parent, change, workloads, pairs, seconds, bench):
             ci = f"[{lo:.3f}, {hi:.3f}]"
             print(f"  {w:<12} {name:<12} {med:>11.4g} {q1:>10.4g} {q3:>10.4g} {new_med:>11.4g} "
                   f"{ratio:>6.3f} {ci:>15} {wins:>3}/{len(pairs_ok):<2} {bound:>6.0%}  "
-                  f"{verdict}; {change_verdict(lo, hi, higher)}")
+                  f"{verdict}; {change_verdict(lo, hi, higher)}; "
+                  f"{gain_verdict(wins, len(pairs_ok), med, new_med, q1, q3, higher)}")
     for f in flagged:
         print(f"  FLAGGED RUN: {f}")
     return 1 if flagged or worse else 0

@@ -15,8 +15,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use genie::{
-    Allocation, ExperimentSetup, HostId, InputRequest, OutputRequest, Semantics, World,
-    WorldConfig, ALL_SEMANTICS,
+    cq, Allocation, CqConfig, CqResult, ExperimentSetup, HostId, InputRequest, Landing,
+    OutputRequest, QueuePair, Semantics, Sqe, SqeOp, World, WorldConfig, ALL_SEMANTICS,
 };
 use genie_machine::MachineSpec;
 use genie_net::{SwitchConfig, Vc};
@@ -349,3 +349,150 @@ fn warm_two_host_exchange_allocates_only_its_completion_lists() {
 
 const WARM_EXCHANGES: usize = 80;
 const EXCHANGES: usize = 64;
+
+/// One request/response round trip per call through `genie::cq`, one
+/// queue pair per host: host A sends a request on VC 1, host B echoes a
+/// response on VC 2. Buffers are allocated, filled and freed per
+/// message, as a CQ server does.
+struct Echo {
+    w: World,
+    qps: [QueuePair; 2],
+    spaces: [SpaceId; 2],
+    block: Vec<u8>,
+}
+
+impl Echo {
+    fn new(semantics: Semantics) -> Self {
+        let mut w = World::new(WorldConfig::default());
+        let spaces = [w.create_process(HostId::A), w.create_process(HostId::B)];
+        let qp = |host| QueuePair::new(host, semantics, CqConfig::fixed(4));
+        Echo {
+            w,
+            qps: [qp(HostId::A), qp(HostId::B)],
+            spaces,
+            block: block(),
+        }
+    }
+
+    /// Stages a receive on pair `side`'s host, with a fresh buffer for
+    /// application-allocated semantics.
+    fn post_recv(&mut self, side: usize, vc: Vc) {
+        let (host, space) = (self.qps[side].host(), self.spaces[side]);
+        let buffer = match self.qps[side].semantics().allocation() {
+            Allocation::Application => {
+                let off = self.w.preferred_alignment(host, vc).0;
+                Some(self.w.alloc_buffer(host, space, BYTES, off).expect("dst"))
+            }
+            Allocation::System => None,
+        };
+        let op = SqeOp::PostRecv {
+            vc,
+            space,
+            buffer,
+            len: BYTES,
+        };
+        self.qps[side].post(Sqe { user_data: 0, op }).expect("post");
+    }
+
+    /// Stages a send of `block[at..]` from a fresh buffer on pair `side`.
+    fn post_send(&mut self, side: usize, vc: Vc, at: usize) {
+        let (host, space) = (self.qps[side].host(), self.spaces[side]);
+        let w = &mut self.w;
+        let src = match self.qps[side].semantics().allocation() {
+            Allocation::Application => w.alloc_buffer(host, space, BYTES, 0).expect("src"),
+            Allocation::System => {
+                w.host_mut(host)
+                    .alloc_io_buffer(space, BYTES)
+                    .expect("src")
+                    .1
+            }
+        };
+        w.app_write(host, space, src, &self.block[at..at + BYTES])
+            .expect("fill");
+        let op = SqeOp::Send {
+            vc,
+            space,
+            vaddr: src,
+            len: BYTES,
+        };
+        let user_data = src;
+        self.qps[side].post(Sqe { user_data, op }).expect("post");
+    }
+
+    fn round_trip(&mut self, round: usize) {
+        let at = round * 389 % (self.block.len() - BYTES);
+        self.post_recv(1, Vc(1));
+        self.post_recv(0, Vc(2));
+        self.post_send(0, Vc(1), at);
+        let (mut answered, mut sent) = (false, 0);
+        while !(answered && sent == 2) {
+            for qp in &mut self.qps {
+                qp.submit(&mut self.w);
+            }
+            self.w.run();
+            assert!(cq::harvest(&mut self.w, &mut self.qps) > 0, "stalled");
+            for side in 0..2 {
+                let (host, space) = (self.qps[side].host(), self.spaces[side]);
+                let app = self.qps[side].semantics().allocation() == Allocation::Application;
+                while let Some(c) = self.qps[side].poll() {
+                    match c.landing {
+                        Landing::Delivered { vaddr, .. } => {
+                            let data = &self.block[at..at + BYTES];
+                            assert_eq!(c.result, CqResult::Ok);
+                            assert!(self.w.app_matches(host, space, vaddr, data).expect("read"));
+                            self.w
+                                .host_mut(host)
+                                .free_buffer(space, vaddr)
+                                .expect("free");
+                            if side == 1 {
+                                self.post_send(1, Vc(2), at);
+                            } else {
+                                answered = true;
+                            }
+                        }
+                        Landing::Sent { .. } => {
+                            sent += 1;
+                            if app {
+                                self.w
+                                    .host_mut(host)
+                                    .free_buffer(space, c.user_data)
+                                    .expect("free source");
+                            }
+                        }
+                        Landing::None => panic!("refused: {c:?}"),
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn warm_cq_echo_round_trips_are_pinned() {
+    let mut failures = Vec::new();
+    for &sem in ALL_SEMANTICS {
+        let mut echo = Echo::new(sem);
+        for round in 0..WARM_ECHOES {
+            echo.round_trip(round);
+        }
+        let (allocs, ()) = allocations(|| {
+            for round in WARM_ECHOES..WARM_ECHOES + ECHOES {
+                echo.round_trip(round);
+            }
+        });
+        if allocs > PINNED_ECHO_ALLOCS {
+            failures.push(format!("{sem}: {allocs} allocations"));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "warm CQ echoes allocated past their pin ({ECHOES} round trips, \
+         want <= {PINNED_ECHO_ALLOCS}):\n{}",
+        failures.join("\n")
+    );
+}
+
+const WARM_ECHOES: usize = 80;
+const ECHOES: usize = 64;
+/// Allocations of those round trips, per semantics.
+const PINNED_ECHO_ALLOCS: u64 = 0;
