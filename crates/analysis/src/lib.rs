@@ -25,4 +25,4 @@ pub use breakdown::{actual_line, estimate_line, BufferingScheme};
 pub use fit::{linfit, Fit};
 pub use render::{render_series, render_table};
 pub use scaling::{param_ratios, predict_oc12_throughput, ParamClass, RatioSummary};
-pub use table6::{measure_primitive_costs, OpFit};
+pub use table6::OpFit;

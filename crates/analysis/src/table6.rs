@@ -12,8 +12,8 @@
 //! from those spans. The hosts' [`genie_machine::CostLedger`]s only
 //! aggregate the same charges.
 
-use genie::{Semantics, SeriesContext};
-use genie_machine::{LinkSpec, MachineSpec, Op};
+use genie::{Semantics, SeriesContext, TraceSet};
+use genie_machine::{LinkSpec, MachineSpec, Op, SimTime};
 
 use crate::breakdown::{fit_sizes, BufferingScheme};
 use crate::fit::{linfit, Fit};
@@ -29,9 +29,14 @@ pub struct OpFit {
     pub samples: usize,
 }
 
-/// One instrumented cell's charges: `(op, bytes, cost in µs)` for
-/// every operation its measured rounds charged, in charge order.
-pub type OpSamples = Vec<(Op, f64, f64)>;
+/// One instrumented cell's measured rounds.
+pub struct Instrumented {
+    /// `(op, bytes, cost in µs)` for every operation its rounds
+    /// charged, in charge order: what the fits read.
+    pub samples: Vec<(Op, f64, f64)>,
+    /// Its largest round's latency and trace: what the waterfall reads.
+    pub largest: (SimTime, TraceSet),
+}
 
 /// The buffering schemes whose instrumented runs the fits average over:
 /// those of Figures 3, 6 and 7.
@@ -42,7 +47,7 @@ pub const FIT_SCHEMES: [BufferingScheme; 3] = [
 ];
 
 /// The (scheme, semantics) cells behind one platform's fits, in the
-/// order [`fit_primitive_costs`] expects their samples.
+/// order [`fit_primitive_costs`] expects them.
 pub fn fit_cells() -> Vec<(BufferingScheme, Semantics)> {
     FIT_SCHEMES
         .iter()
@@ -51,29 +56,32 @@ pub fn fit_cells() -> Vec<(BufferingScheme, Semantics)> {
 }
 
 /// Runs one (scheme, semantics) sweep over [`fit_sizes`] with every
-/// measured round traced, and returns each charged operation's sample.
-/// Copy-conversion is disabled so the pure op mix is observed at every
-/// size.
+/// measured round traced, and returns each charged operation's sample
+/// and the largest round. Copy-conversion is disabled so the pure op
+/// mix is observed at every size.
 pub fn instrument_cell(
     machine: &MachineSpec,
     link: &LinkSpec,
     scheme: BufferingScheme,
     semantics: Semantics,
-) -> OpSamples {
+) -> Instrumented {
     let sizes = fit_sizes(machine.page_size);
     let mut setup = scheme.setup(machine.clone(), link.clone());
     setup.genie = setup.genie.without_thresholds();
     let mut ctx = SeriesContext::new(&setup, &sizes);
     let mut samples = Vec::new();
+    let mut largest = None;
     for &b in &sizes {
-        let (_lat, trace) = ctx.measure_charges(semantics, b).expect("instrumented run");
+        let (latency, trace) = ctx.measure_charges(semantics, b).expect("instrumented run");
         samples.extend(
             trace
                 .charges()
                 .map(|(op, e)| (op, e.bytes as f64, e.dur.as_us())),
         );
+        largest = Some((latency, trace));
     }
-    samples
+    let largest = largest.expect("fit_sizes is never empty");
+    Instrumented { samples, largest }
 }
 
 /// Fits each primitive operation's recorded cost against its byte
@@ -81,11 +89,11 @@ pub fn instrument_cell(
 ///
 /// Operations that are only ever invoked with a fixed (zero-byte)
 /// footprint get a zero-slope fit through their mean cost.
-pub fn fit_primitive_costs(cells: impl IntoIterator<Item = OpSamples>) -> Vec<OpFit> {
+pub fn fit_primitive_costs<'a>(cells: impl IntoIterator<Item = &'a Instrumented>) -> Vec<OpFit> {
     // Group by op (indexed by `Op::id`), keeping cell order within
     // each op's points.
     let mut by_op = vec![(Vec::new(), Vec::new()); Op::ALL.len()];
-    for (op, bytes, cost) in cells.into_iter().flatten() {
+    for &(op, bytes, cost) in cells.into_iter().flat_map(|c| &c.samples) {
         let (xs, ys) = &mut by_op[op.id() as usize];
         xs.push(bytes);
         ys.push(cost);
@@ -114,21 +122,18 @@ pub fn fit_primitive_costs(cells: impl IntoIterator<Item = OpSamples>) -> Vec<Op
     out
 }
 
-/// Runs the Figure 3/6/7 experiments with instrumentation on, one
-/// [`instrument_cell`] per pool cell, and fits the samples.
-pub fn measure_primitive_costs(machine: MachineSpec, link: LinkSpec) -> Vec<OpFit> {
-    fit_primitive_costs(genie_runner::map(&fit_cells(), |&(scheme, sem)| {
-        instrument_cell(&machine, &link, scheme, sem)
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn table6_recovered_on_p166() {
-        let fits = measure_primitive_costs(MachineSpec::micron_p166(), LinkSpec::oc3());
+        let p166 = MachineSpec::micron_p166();
+        let cells: Vec<Instrumented> = fit_cells()
+            .into_iter()
+            .map(|(scheme, sem)| instrument_cell(&p166, &LinkSpec::oc3(), scheme, sem))
+            .collect();
+        let fits = fit_primitive_costs(&cells);
         let get = |op: Op| {
             fits.iter()
                 .find(|f| f.op == op)

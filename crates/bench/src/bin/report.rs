@@ -34,19 +34,19 @@
 //! Any other argument (an unknown flag or exhibit name) is an error:
 //! `report` names it on stderr and exits 2.
 //!
-//! `report` first measures one plan: every latency sweep and
-//! instrumented fit that the selected exhibits share, each run once as
-//! pool cells (`genie_bench::plan`). Each exhibit then renders from
-//! it. The plan's cells and the exhibits run on the genie-runner
-//! worker pool (thread count from `--threads`, else the machine's
-//! parallelism) and print in their canonical order, so the output is
-//! byte-identical to a serial run.
+//! `report` first measures one plan: every simulation the selected
+//! exhibits read, each sweep, instrumented fit cell and ping-pong run
+//! once as a pool cell (`genie_bench::plan`). Each exhibit then only
+//! renders from it. The plan's cells and the exhibits run on the
+//! genie-runner worker pool (thread count from `--threads`, else the
+//! machine's parallelism) and print in their canonical order, so the
+//! output is byte-identical to a serial run.
 //!
 //! `--profile` prints one row per plan input (`plan:grid ...`,
-//! `plan:fits ...`: the wall clock of its cells and fit), then one per
-//! exhibit (timed once around its render), and `--json` records the
-//! same rows as `exhibits[].wall_ms`. Host timing of the datapath
-//! primitives lives in the `datapath` binary.
+//! `plan:pingpongs ...` and so on: the wall clock of its cells and
+//! fit), then one per exhibit (timed once around its render, which
+//! simulates nothing), and `--json` records the same rows as
+//! `exhibits[].wall_ms`. `datapath` times the datapath primitives.
 
 use std::time::Instant;
 
@@ -60,7 +60,7 @@ use genie_trace::json::{Layout, Writer};
 /// simulated numbers recorded alongside the wall-clock timings, read
 /// from the plan's early-demux Figure 3 grid.
 fn simulated_summary(m: &gen::Measured) -> Vec<(String, f64)> {
-    let grid = m.grid(BufferingScheme::EarlyDemux, Sizes::Figure);
+    let grid = m.sweeps(&Input::Grid(BufferingScheme::EarlyDemux, Sizes::Figure));
     genie::Semantics::ALL
         .iter()
         .zip(grid)

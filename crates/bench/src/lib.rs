@@ -2,11 +2,11 @@
 //! paper, rendered by the `report` binary.
 //!
 //! Every generator returns plain text formatted like the paper's
-//! corresponding exhibit, produced by actually running the simulator
-//! (figures, Tables 6–8) or by querying the implementation's own
-//! structures (the taxonomy, the op tables, the machine specs). The
-//! sweeps and fits several exhibits share come from one measurement
-//! [`plan`]; [`render`] measures it, then renders from it.
+//! corresponding exhibit, rendered from simulator runs (figures,
+//! Tables 6–8, OC-12, ablation, waterfall) or from the implementation's
+//! own structures (the taxonomy, the op tables, the machine specs).
+//! Every simulation they read is a cell of one measurement [`plan`];
+//! [`render`] measures it, then renders from it.
 
 pub mod compare;
 pub mod fabric;
@@ -25,11 +25,8 @@ pub use plan::{Input, Measured, Sizes};
 use std::time::Instant;
 
 use genie::oplists::{self, OpUse, Scale};
-use genie::{
-    latency_sweep, measure_ping_pong, throughput_mbps, ExperimentSetup, GenieConfig, Semantics,
-    SeriesContext,
-};
-use genie_analysis::table6::FIT_SCHEMES;
+use genie::{throughput_mbps, Semantics};
+use genie_analysis::table6::{fit_cells, FIT_SCHEMES};
 use genie_analysis::{
     actual_line, estimate_line, param_ratios, predict_oc12_throughput, render_series, render_table,
     BufferingScheme,
@@ -40,8 +37,8 @@ use genie_machine::{LinkSpec, MachineSpec};
 pub struct Exhibit {
     /// The name `report` selects it by.
     pub name: &'static str,
-    /// The plan inputs it renders from (none for an exhibit that
-    /// shares no measurement and does its own work).
+    /// The plan inputs it renders from (none for an exhibit that only
+    /// reads static data or the implementation's own structures).
     pub needs: Vec<Input>,
     /// Renders the exhibit's text from a plan that measured `needs`.
     pub render: fn(&Measured) -> String,
@@ -56,6 +53,11 @@ pub fn exhibits() -> Vec<Exhibit> {
         render,
     };
     let grid = |scheme| vec![Input::Grid(scheme, Sizes::Figure)];
+    let short = Input::Grid(EarlyDemux, Sizes::Short);
+    let p166 = MachineSpec::micron_p166();
+    let fit_grids = FIT_SCHEMES.iter().flat_map(|&s| grid(s)).collect();
+    let all_fits = MachineSpec::all().into_iter().map(Input::Fits).collect();
+    let ablation = vec![short.clone(), Input::Unthresholded];
     vec![
         ex("table1", vec![], |_| table1()),
         ex("fig1", vec![], |_| figure1()),
@@ -65,29 +67,17 @@ pub fn exhibits() -> Vec<Exhibit> {
         ex("table4", vec![], |_| table4()),
         ex("table5", vec![], |_| table5()),
         ex("fig3", grid(EarlyDemux), figure3),
-        ex("fig4", vec![], |_| figure4()),
-        ex("fig5", vec![Input::Grid(EarlyDemux, Sizes::Short)], figure5),
+        ex("fig4", vec![Input::PingPongs], figure4),
+        ex("fig5", vec![short], figure5),
         ex("fig6", grid(PooledAligned), figure6),
         ex("fig7", grid(PooledUnaligned), figure7),
-        ex(
-            "table6",
-            vec![Input::Fits(MachineSpec::micron_p166())],
-            table6,
-        ),
-        ex(
-            "table7",
-            FIT_SCHEMES.iter().flat_map(|&s| grid(s)).collect(),
-            table7,
-        ),
-        ex(
-            "table8",
-            MachineSpec::all().into_iter().map(Input::Fits).collect(),
-            table8,
-        ),
-        ex("oc12", vec![], |_| oc12()),
+        ex("table6", vec![Input::Fits(p166.clone())], table6),
+        ex("table7", fit_grids, table7),
+        ex("table8", all_fits, table8),
+        ex("oc12", vec![Input::Oc12], oc12),
         ex("outboard", grid(Outboard), outboard),
-        ex("ablations", vec![], |_| ablation_thresholds()),
-        ex("waterfall", vec![], |_| breakdown_waterfall()),
+        ex("ablations", ablation, ablation_thresholds),
+        ex("waterfall", vec![Input::Fits(p166)], breakdown_waterfall),
     ]
 }
 
@@ -280,7 +270,7 @@ pub fn table5() -> String {
 fn latency_figure(m: &Measured, scheme: BufferingScheme, sizes: Sizes, title: &str) -> String {
     let series: Vec<(String, Vec<(f64, f64)>)> = Semantics::ALL
         .iter()
-        .zip(m.grid(scheme, sizes))
+        .zip(m.sweeps(&Input::Grid(scheme, sizes)))
         .map(|(s, pts)| {
             let pts = pts.iter().map(|p| (p.bytes as f64, p.latency.as_us()));
             (s.label().to_string(), pts.collect())
@@ -304,19 +294,15 @@ pub fn figure3(m: &Measured) -> String {
 }
 
 /// Figure 4: CPU utilization while running the Figure 3 experiment.
-pub fn figure4() -> String {
-    let setup = ExperimentSetup::early_demux(MachineSpec::micron_p166());
-    let sizes: Vec<usize> = [1, 3, 5, 8, 11, 15].iter().map(|i| i * 4096).collect();
-    let series: Vec<(String, Vec<(f64, f64)>)> = genie_runner::map(&Semantics::ALL, |&s| {
-        let pts: Vec<(f64, f64)> = sizes
-            .iter()
-            .map(|&b| {
-                let (_lat, util) = measure_ping_pong(&setup, s, b, 4).expect("ping-pong");
-                (b as f64, util * 100.0)
-            })
-            .collect();
-        (s.label().to_string(), pts)
-    });
+pub fn figure4(m: &Measured) -> String {
+    let series: Vec<(String, Vec<(f64, f64)>)> = Semantics::ALL
+        .iter()
+        .zip(m.utilization())
+        .map(|(s, pts)| {
+            let pts = pts.iter().map(|&(b, util)| (b as f64, util * 100.0));
+            (s.label().to_string(), pts.collect())
+        })
+        .collect();
     render_series(
         "Figure 4: CPU utilization (%) vs datagram bytes, early demultiplexing",
         "bytes",
@@ -376,7 +362,7 @@ pub fn table7(m: &Measured) -> String {
         let mut a_row = vec![String::new(), "A".to_string()];
         for scheme in FIT_SCHEMES {
             let e = estimate_line(&model, &link, sem, scheme);
-            let a = actual_line(&m.grid(scheme, Sizes::Figure)[i]);
+            let a = actual_line(m.sweeps(&Input::Grid(scheme, Sizes::Figure))[i]);
             e_row.push(format!("{:.4} B + {:.0}", e.slope, e.intercept));
             a_row.push(format!("{:.4} B + {:.0}", a.slope, a.intercept));
         }
@@ -431,7 +417,7 @@ pub fn table8(m: &Measured) -> String {
 }
 
 /// Section 8's OC-12 extrapolation.
-pub fn oc12() -> String {
+pub fn oc12(m: &Measured) -> String {
     let mut out =
         String::from("# Section 8: predicted 60 KB throughput at OC-12 (622 Mbps), Micron P166\n");
     let paper = [
@@ -455,14 +441,11 @@ pub fn oc12() -> String {
     }
     // And measured through the full simulator.
     out.push_str("\nmeasured through the simulator at OC-12:\n");
-    let mut setup = ExperimentSetup::early_demux(MachineSpec::micron_p166());
-    setup.link = LinkSpec::oc12();
-    for sem in Semantics::ALL {
-        let pts = latency_sweep(&setup, sem, &[61_440]);
+    for (sem, pts) in Semantics::ALL.iter().zip(m.sweeps(&Input::Oc12)) {
         out.push_str(&format!(
             "{:<20} {:>12.0} Mbps\n",
             sem.label(),
-            throughput_mbps(61_440, pts[0].latency)
+            throughput_mbps(pts[0].bytes, pts[0].latency)
         ));
     }
     out
@@ -479,20 +462,26 @@ pub fn outboard(m: &Measured) -> String {
 
 /// Ablation: emulated copy's output threshold (automatic conversion
 /// to copy) on and off.
-pub fn ablation_thresholds() -> String {
-    let with = ExperimentSetup::early_demux(MachineSpec::micron_p166());
-    let mut without = with.clone();
-    without.genie = GenieConfig::default().without_thresholds();
-    let mut rows = Vec::new();
-    for b in [256, 512, 1024, 1536, 2048] {
-        let w = latency_sweep(&with, Semantics::EmulatedCopy, &[b])[0].latency;
-        let wo = latency_sweep(&without, Semantics::EmulatedCopy, &[b])[0].latency;
-        rows.push(vec![
-            format!("{b}"),
-            format!("{:.0}", w.as_us()),
-            format!("{:.0}", wo.as_us()),
-        ]);
-    }
+pub fn ablation_thresholds(m: &Measured) -> String {
+    let short = m.sweeps(&Input::Grid(BufferingScheme::EarlyDemux, Sizes::Short));
+    let ec = Semantics::ALL
+        .iter()
+        .position(|&s| s == Semantics::EmulatedCopy);
+    let with = short[ec.expect("every semantics is in ALL")];
+    let rows: Vec<Vec<String>> = m.sweeps(&Input::Unthresholded)[0]
+        .iter()
+        .map(|wo| {
+            let w = with
+                .iter()
+                .find(|p| p.bytes == wo.bytes)
+                .expect("a Figure 5 size");
+            vec![
+                format!("{}", wo.bytes),
+                format!("{:.0}", w.latency.as_us()),
+                format!("{:.0}", wo.latency.as_us()),
+            ]
+        })
+        .collect();
     format!(
         "# Ablation: emulated-copy output threshold (auto-conversion to copy)\n{}",
         render_table(&["bytes", "with thresholds (us)", "without (us)"], &rows)
@@ -501,22 +490,21 @@ pub fn ablation_thresholds() -> String {
 
 /// Latency-breakdown waterfall: the operations one 60 KB early-demux
 /// exchange charges, per semantics, with their simulated costs — the
-/// Section 8 decomposition made visible.
-pub fn breakdown_waterfall() -> String {
-    let mut setup = ExperimentSetup::early_demux(MachineSpec::micron_p166());
-    setup.genie = setup.genie.without_thresholds();
+/// Section 8 decomposition made visible. It reads the 60 KB round of
+/// each early-demux cell behind the P166's Table 6 fits (thresholds
+/// off).
+pub fn breakdown_waterfall(m: &Measured) -> String {
     let mut out =
         String::from("# Latency breakdown: per-op charges of one 60 KB exchange (early demux)\n");
-    let traced = genie_runner::map(&Semantics::ALL, |&sem| {
-        SeriesContext::new(&setup, &[61_440])
-            .measure_charges(sem, 61_440)
-            .expect("instrumented run")
-    });
-    for (sem, (lat, trace)) in Semantics::ALL.iter().zip(traced) {
+    let rounds = fit_cells()
+        .into_iter()
+        .zip(m.largest_rounds(&MachineSpec::micron_p166()))
+        .filter(|((scheme, _), _)| *scheme == BufferingScheme::EarlyDemux);
+    for ((_, sem), (latency, trace)) in rounds {
         out.push_str(&format!(
             "\n## {} — end-to-end {:.0} us\n",
             sem.label(),
-            lat.as_us()
+            latency.as_us()
         ));
         let mut rows = Vec::new();
         for (op, e) in trace.charges() {

@@ -3,21 +3,32 @@
 //!
 //! This is the contract the parallel runner is built on: every cell is
 //! a pure function of its index, results are collected in cell order,
-//! and each `World` stays single-threaded. The test renders Figure 3
-//! and Table 7 (whose "A" lines fit the Figure 3, 6 and 7 grids)
-//! through a plan at one thread and through a fresh plan at four, and
-//! compares the rendered text bytes. A plan keeps nothing once it is
-//! dropped, so both passes simulate every sweep.
+//! and each `World` stays single-threaded. The test renders Figure 3,
+//! Figure 4 (one ping-pong per cell), Table 7 (whose "A" lines fit the
+//! Figure 3, 6 and 7 grids), the OC-12 check, the threshold ablation
+//! and the waterfall (the P166 fit cells' 60 KB rounds) through a plan
+//! at one thread and through a fresh plan at four, and compares the
+//! rendered text bytes. A plan keeps nothing once it is dropped, so
+//! both passes simulate every cell.
 //!
 //! Kept as the only test in this binary: it flips the global thread
 //! override, which must not race sweeps run by unrelated tests.
 
 #[test]
 fn figure3_render_is_identical_serial_and_threaded() {
+    const NAMES: [&str; 6] = ["fig3", "fig4", "table7", "oc12", "ablations", "waterfall"];
+    const TITLES: [&str; 6] = [
+        "Figure 3",
+        "Figure 4",
+        "Table 7",
+        "OC-12",
+        "Ablation",
+        "Latency breakdown",
+    ];
     let exhibits = genie_bench::exhibits();
     let selected: Vec<&genie_bench::Exhibit> = exhibits
         .iter()
-        .filter(|e| ["fig3", "table7"].contains(&e.name))
+        .filter(|e| NAMES.contains(&e.name))
         .collect();
     let render = |threads| {
         genie_runner::with_threads(threads, || {
@@ -32,10 +43,10 @@ fn figure3_render_is_identical_serial_and_threaded() {
     let threaded = render(4);
     assert_eq!(
         serial, threaded,
-        "figure 3 / table 7 output differs between 1 and 4 worker threads"
+        "plan-rendered output differs between 1 and 4 worker threads"
     );
-    assert!(
-        serial[0].contains("Figure 3") && serial[1].contains("Table 7"),
-        "sweep produced no figure output"
-    );
+    assert_eq!(serial.len(), NAMES.len());
+    for (text, title) in serial.iter().zip(TITLES) {
+        assert!(text.contains(title), "no {title} output:\n{text}");
+    }
 }

@@ -60,13 +60,13 @@ fn report_json_all_parses() {
     let Some(Json::Arr(exhibits)) = doc.get("exhibits") else {
         panic!("no exhibits array: {doc:?}")
     };
-    // Eight plan rows (`plan:grid ...`, `plan:fits ...`), then the 19
-    // exhibits.
-    assert_eq!(exhibits.len(), 8 + 19);
+    // Eleven plan rows (`plan:grid ...`, `plan:fits ...`,
+    // `plan:pingpongs ...`, ...), then the 19 exhibits.
+    assert_eq!(exhibits.len(), 11 + 19);
     for (i, e) in exhibits.iter().enumerate() {
         let name = e.get("name").and_then(Json::as_str);
         assert!(
-            name.is_some_and(|n| n.starts_with("plan:") == (i < 8)),
+            name.is_some_and(|n| n.starts_with("plan:") == (i < 11)),
             "{e:?}"
         );
         assert!(e.get("wall_ms").and_then(Json::as_f64).is_some(), "{e:?}");

@@ -110,16 +110,21 @@ fn compare_reads_one_line_documents() {
 }
 
 /// The plan inputs `report all` measures, in the order its exhibits
-/// first need them: the latency grids and the instrumented fit sets.
-const PLAN_ROWS: [&str; 8] = [
+/// first need them: the latency grids, Figure 4's ping-pongs, the
+/// instrumented fit sets, the OC-12 exchanges and the ablation's
+/// unthresholded sweep.
+const PLAN_ROWS: [&str; 11] = [
     "plan:grid EarlyDemux/Figure",
+    "plan:pingpongs EarlyDemux",
     "plan:grid EarlyDemux/Short",
     "plan:grid PooledAligned/Figure",
     "plan:grid PooledUnaligned/Figure",
     "plan:fits Micron P166",
     "plan:fits Gateway P5-90",
     "plan:fits AlphaStation 255/233",
+    "plan:oc12 EarlyDemux",
     "plan:grid Outboard/Figure",
+    "plan:unthresholded EmulatedCopy",
 ];
 
 #[test]
@@ -170,7 +175,7 @@ fn profile_prints_one_row_per_exhibit_at_any_thread_count() {
         assert!(
             summary
                 .trim_start()
-                .starts_with("19 exhibits, 8 plan inputs,"),
+                .starts_with("19 exhibits, 11 plan inputs,"),
             "threads {threads}: summary {summary:?}"
         );
         if threads == "1" {

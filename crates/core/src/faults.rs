@@ -177,13 +177,6 @@ fn backoff(attempts: u32) -> SimTime {
 }
 
 impl World {
-    /// Caps each (host, VC) reorder hold queue at `cap` held PDUs;
-    /// arrivals past the cap are spilled (discarded and re-requested
-    /// from the sender), bounding receiver reorder memory.
-    pub fn set_hold_cap(&mut self, cap: usize) {
-        assert!(cap >= 1, "a hold cap below 1 would spill every arrival");
-        self.fault.hold_cap = cap;
-    }
     /// Enables the invariant oracle: structural sweeps after every
     /// event, end-to-end checks per delivery. Independent of whether
     /// faults are configured.
@@ -569,7 +562,7 @@ mod tests {
             ..WorldConfig::default()
         };
         let mut w = World::new(cfg);
-        w.set_hold_cap(CAP);
+        w.fault.hold_cap = CAP;
         let tx = w.create_process(HostId::A);
         let rx = w.create_process(HostId::B);
         for _ in 0..N {

@@ -371,11 +371,6 @@ impl World {
         self.hosts.len()
     }
 
-    /// Whether this world runs a switched fabric.
-    pub fn is_switched(&self) -> bool {
-        self.switch.is_some()
-    }
-
     /// The switch's aggregate counters (`None` in passthrough worlds).
     pub fn switch_stats(&self) -> Option<genie_net::SwitchStats> {
         self.switch.as_ref().map(Switch::stats)
@@ -794,7 +789,7 @@ mod tests {
     fn passthrough_routes_between_the_two_hosts() {
         let w = World::new(WorldConfig::default());
         assert_eq!(w.n_hosts(), 2);
-        assert!(!w.is_switched());
+        assert!(w.switch_stats().is_none());
         assert_eq!(w.route_dst(HostId::A, Vc(1)), HostId::B);
         assert_eq!(w.route_dst(HostId::B, Vc(9)), HostId::A);
     }
@@ -806,7 +801,7 @@ mod tests {
             .route(3, 2, &[0]);
         let w = World::new(WorldConfig::switched(MachineSpec::micron_p166(), 4, sw));
         assert_eq!(w.n_hosts(), 4);
-        assert!(w.is_switched());
+        assert!(w.switch_stats().is_some());
         assert_eq!(w.route_dst(HostId(0), Vc(1)), HostId(3));
         assert_eq!(w.route_dst(HostId(3), Vc(2)), HostId(0));
         assert_eq!(w.switch_stats().unwrap().pdus_ingress, 0);

@@ -54,11 +54,6 @@ impl SimTime {
         SimTime(round_ps(us * 1e6))
     }
 
-    /// Creates a time from whole milliseconds.
-    pub fn from_ms(ms: u64) -> Self {
-        SimTime(ms * 1_000_000_000)
-    }
-
     /// This time as picoseconds.
     pub const fn as_ps(self) -> u64 {
         self.0
@@ -231,7 +226,6 @@ mod tests {
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_us(1.0).as_ps(), 1_000_000);
         assert_eq!(SimTime::from_ns(1.0).as_ps(), 1_000);
-        assert_eq!(SimTime::from_ms(1).as_ps(), 1_000_000_000);
         assert_eq!(SimTime::from_us(2.5).as_us(), 2.5);
     }
 
@@ -277,6 +271,6 @@ mod tests {
     fn display_picks_unit() {
         assert_eq!(format!("{}", SimTime::from_ns(12.0)), "12.000ns");
         assert_eq!(format!("{}", SimTime::from_us(12.0)), "12.000us");
-        assert_eq!(format!("{}", SimTime::from_ms(12)), "12.000ms");
+        assert_eq!(format!("{}", SimTime::from_us(12_000.0)), "12.000ms");
     }
 }

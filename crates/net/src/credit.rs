@@ -13,10 +13,6 @@ pub struct CreditState {
     available: u32,
     /// Credit limit (the receiver's buffer allocation for this VC).
     limit: u32,
-    /// Cells transmitted in total.
-    sent: u64,
-    /// Cells stalled waiting for credit at least once.
-    stalls: u64,
 }
 
 impl CreditState {
@@ -25,8 +21,6 @@ impl CreditState {
         CreditState {
             available: limit,
             limit,
-            sent: 0,
-            stalls: 0,
         }
     }
 
@@ -40,26 +34,13 @@ impl CreditState {
         self.limit
     }
 
-    /// Total cells sent.
-    pub fn sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Number of times the sender found the VC out of credit.
-    pub fn stalls(&self) -> u64 {
-        self.stalls
-    }
-
     /// Attempts to consume credits for `cells` cells; on success the
-    /// cells may be transmitted. On failure nothing is consumed and the
-    /// stall counter is bumped.
+    /// cells may be transmitted. On failure nothing is consumed.
     pub fn try_consume(&mut self, cells: u32) -> bool {
         if cells <= self.available {
             self.available -= cells;
-            self.sent += u64::from(cells);
             true
         } else {
-            self.stalls += 1;
             false
         }
     }
@@ -85,10 +66,8 @@ mod tests {
         assert!(c.try_consume(6));
         assert_eq!(c.available(), 0);
         assert!(!c.try_consume(1));
-        assert_eq!(c.stalls(), 1);
         c.replenish(3);
         assert!(c.try_consume(3));
-        assert_eq!(c.sent(), 13);
     }
 
     #[test]
@@ -106,6 +85,5 @@ mod tests {
         let mut c = CreditState::new(3);
         assert!(!c.try_consume(4));
         assert_eq!(c.available(), 3);
-        assert_eq!(c.sent(), 0);
     }
 }

@@ -74,11 +74,6 @@ impl MemoryObject {
         self.pages.iter().map(|(i, &f)| (i, f))
     }
 
-    /// Number of resident pages.
-    pub fn resident_count(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Paged-out contents of page `idx`, if any.
     pub fn paged(&self, idx: u64) -> Option<&[u8]> {
         self.paged.get(idx).map(|b| &b[..])
@@ -150,7 +145,7 @@ mod tests {
         assert_eq!(o.page(0), Some(FrameId(5)));
         assert_eq!(o.set_page(0, FrameId(6)), Some(FrameId(5)));
         assert_eq!(o.take_page(0), Some(FrameId(6)));
-        assert_eq!(o.resident_count(), 0);
+        assert_eq!(o.pages().count(), 0);
     }
 
     #[test]

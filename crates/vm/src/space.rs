@@ -398,7 +398,8 @@ impl AddressSpace {
     }
 
     /// Removes the PTE for `vpn`, returning it.
-    pub fn clear_pte(&mut self, vpn: u64) -> Option<Pte> {
+    #[cfg(test)]
+    pub(crate) fn clear_pte(&mut self, vpn: u64) -> Option<Pte> {
         self.pte_slot(vpn)?.take()
     }
 

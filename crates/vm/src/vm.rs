@@ -206,12 +206,6 @@ impl Vm {
         self.objects.get(id.0).is_some()
     }
 
-    /// Slots in the object arena, live or free: the most objects ever
-    /// live at once.
-    pub fn object_slots(&self) -> usize {
-        self.objects.slot_count()
-    }
-
     /// Drops one reference to an object; destroys it (deallocating its
     /// frames with I/O-deferred semantics) when the count reaches zero.
     pub fn release_object(&mut self, id: ObjectId) {
@@ -1659,7 +1653,11 @@ mod tests {
             v.write_app(s, va, &i.to_le_bytes()).unwrap();
             live.push_back(v.region_at(s, va).unwrap());
         }
-        assert_eq!(v.object_slots(), 4, "slots of released objects are reused");
+        assert_eq!(
+            v.objects.slot_count(),
+            4,
+            "slots of released objects are reused"
+        );
         assert!(v.validate().is_empty(), "{:?}", v.validate());
     }
 
@@ -1677,7 +1675,11 @@ mod tests {
 
         let new_va = v.alloc_app_buffer(s, 4096).unwrap();
         let new_id = v.region(v.region_at(s, new_va).unwrap()).unwrap().object;
-        assert_eq!(v.object_slots(), 1, "the new object took the old slot");
+        assert_eq!(
+            v.objects.slot_count(),
+            1,
+            "the new object took the old slot"
+        );
         assert_ne!(new_id, old_id);
         assert!(!v.object_live(old_id) && v.object_live(new_id));
 

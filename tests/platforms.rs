@@ -2,7 +2,8 @@
 //! two machines of Table 5 and the OC-12 link.
 
 use genie::{measure_latency, throughput_mbps, ExperimentSetup, Semantics};
-use genie_analysis::{measure_primitive_costs, param_ratios, ParamClass};
+use genie_analysis::{param_ratios, ParamClass};
+use genie_bench::plan::{measure, Input};
 use genie_machine::{LinkSpec, MachineSpec};
 
 #[test]
@@ -36,9 +37,8 @@ fn slower_machine_is_slower() {
 fn gateway_ratios_match_table8_bands() {
     let base_m = MachineSpec::micron_p166();
     let other_m = MachineSpec::gateway_p5_90();
-    let base = measure_primitive_costs(base_m.clone(), LinkSpec::oc3());
-    let other = measure_primitive_costs(other_m.clone(), LinkSpec::oc3());
-    let ratios = param_ratios(&base_m, &other_m, &base, &other);
+    let plan = measure(&[Input::Fits(base_m.clone()), Input::Fits(other_m.clone())]);
+    let ratios = param_ratios(&base_m, &other_m, plan.fits(&base_m), plan.fits(&other_m));
     let get = |class: ParamClass| {
         *ratios
             .iter()
@@ -73,9 +73,8 @@ fn alpha_ratios_show_wide_architectural_variance() {
     // than the Gateway's (0.47..3.77 observed).
     let base_m = MachineSpec::micron_p166();
     let other_m = MachineSpec::alphastation_255();
-    let base = measure_primitive_costs(base_m.clone(), LinkSpec::oc3());
-    let other = measure_primitive_costs(other_m.clone(), LinkSpec::oc3());
-    let ratios = param_ratios(&base_m, &other_m, &base, &other);
+    let plan = measure(&[Input::Fits(base_m.clone()), Input::Fits(other_m.clone())]);
+    let ratios = param_ratios(&base_m, &other_m, plan.fits(&base_m), plan.fits(&other_m));
     let cpu = ratios
         .iter()
         .find(|r| r.class == ParamClass::CpuMult)
