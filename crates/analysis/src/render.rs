@@ -1,5 +1,7 @@
 //! Plain-text rendering of tables and figure series.
 
+use std::fmt::Write;
+
 /// Renders a fixed-width table with a header row.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let ncols = headers.len();
@@ -10,26 +12,27 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         }
     }
     let mut out = String::new();
-    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-        let mut line = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            if i > 0 {
-                line.push_str("  ");
-            }
-            line.push_str(&format!("{:<w$}", c, w = widths[i]));
-        }
-        line.trim_end().to_string()
-    };
-    let head: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    out.push_str(&fmt_row(&head, &widths));
-    out.push('\n');
+    push_row(&mut out, headers.iter().copied(), &widths);
     out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (ncols - 1)));
     out.push('\n');
     for row in rows {
-        out.push_str(&fmt_row(row, &widths));
-        out.push('\n');
+        push_row(&mut out, row.iter().map(String::as_str), &widths);
     }
     out
+}
+
+/// Appends one table row to `out`: each cell padded to its column's
+/// width, two spaces between columns, trailing whitespace trimmed.
+fn push_row<'a>(out: &mut String, cells: impl Iterator<Item = &'a str>, widths: &[usize]) {
+    let start = out.len();
+    for (i, c) in cells.enumerate() {
+        if i > 0 {
+            out.push_str("  ");
+        }
+        let _ = write!(out, "{c:<w$}", w = widths[i]);
+    }
+    out.truncate(start + out[start..].trim_end().len());
+    out.push('\n');
 }
 
 /// Renders figure data as columns: x plus one column per series.

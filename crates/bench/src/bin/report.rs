@@ -10,10 +10,9 @@
 //!   report --profile all      # per-exhibit host wall clock
 //!   report --compare A.json B.json  # diff two --json snapshots
 //!
-//! `GENIE_TRACE=<path>` is equivalent to `--trace <path>`. With only
-//! `--metrics`/`--trace` and no exhibit names, no exhibits render.
-//! `GENIE_TRACE_SAMPLE=<n>` keeps one traced flow in n and
-//! `GENIE_TRACE_BUDGET=<events>` bounds each tracer's ring, for
+//! With only `--metrics`/`--trace` and no exhibit names, no paper
+//! exhibits render. `GENIE_TRACE_SAMPLE=<n>` keeps one traced flow in
+//! n and `GENIE_TRACE_BUDGET=<events>` bounds each tracer's ring, for
 //! `--trace`, `--metrics` and `report fabric --metrics`; the paper
 //! exhibits always trace every charge. This binary is the only reader
 //! of the library's environment knobs.
@@ -25,28 +24,26 @@
 //! `report fabric` renders the N-host switched-fabric distribution
 //! suites. It is explicit-only — never included in `all` or a bare
 //! `report` — so the paper exhibits' golden output is unaffected.
-//! `report fabric --scale` runs the scale tier instead: a 64-host
+//! `report fabric --scale` renders the scale tier instead: a 64-host
 //! star pushing `GENIE_SCALE_DATAGRAMS` (default 125 000) datagrams
-//! per semantics — one million total. `report fabric --cq` runs the
+//! per semantics — one million total. `report fabric --cq` renders the
 //! CQ saturation sweep, under the masked fault plan seeded by
-//! `GENIE_CQ_FAULT_SEED` when that is set.
+//! `GENIE_CQ_FAULT_SEED` when that is set, and `report fabric
+//! --metrics` the flight recorder's rollups of an observed fan-in.
 //!
 //! Any other argument (an unknown flag or exhibit name) is an error:
 //! `report` names it on stderr and exits 2.
 //!
-//! `report` first measures one plan: every simulation the selected
-//! exhibits read, each sweep, instrumented fit cell and ping-pong run
-//! once as a pool cell (`genie_bench::plan`). Each exhibit then only
-//! renders from it. The plan's cells and the exhibits run on the
-//! genie-runner worker pool (thread count from `--threads`, else the
-//! machine's parallelism) and print in their canonical order, so the
-//! output is byte-identical to a serial run.
-//!
-//! `--profile` prints one row per plan input (`plan:grid ...`,
-//! `plan:pingpongs ...` and so on: the wall clock of its cells and
-//! fit), then one per exhibit (timed once around its render, which
-//! simulates nothing), and `--json` records the same rows as
-//! `exhibits[].wall_ms`. `datapath` times the datapath primitives.
+//! `report` only chooses what a command line shows: the exhibits (the
+//! paper's, a fabric view, the `--metrics` and `--trace` exports) and
+//! the inputs `--json`'s sections read. One measurement plan
+//! (`genie_bench::plan`) runs every simulation they need once, on the
+//! worker pool (`--threads`, else the machine's parallelism); each
+//! exhibit only renders from it, in canonical order, so the output is
+//! byte-identical to a serial run. `--profile` prints one row per plan
+//! input (its cells' wall clock), then one per exhibit render; `--json`
+//! records them as `exhibits[].wall_ms` and the whole
+//! measure-and-render as `total_wall_ms`.
 
 use std::time::Instant;
 
@@ -77,13 +74,6 @@ fn env_knob<T: std::str::FromStr>(name: &str) -> Option<T> {
     std::env::var(name).ok()?.trim().parse().ok()
 }
 
-/// Fault-injection seed for the `--json` fault-stats section:
-/// `GENIE_FAULT_SEED` if set, else a fixed default so the section is
-/// deterministic out of the box.
-fn fault_seed() -> u64 {
-    env_knob("GENIE_FAULT_SEED").unwrap_or(42)
-}
-
 /// The flight recorder's sampling policy: keep one flow in
 /// `GENIE_TRACE_SAMPLE`, bound each ring at `GENIE_TRACE_BUDGET`
 /// events. Unset or unparsable values keep every flow at the default
@@ -97,49 +87,6 @@ fn sample_config_from_env() -> SampleConfig {
         cfg.budget = n;
     }
     cfg
-}
-
-/// Runs one seeded faulted exchange set per semantics (early demux,
-/// three datagrams each) and returns the summed fault counters.
-fn faulted_stats(seed: u64) -> Vec<(&'static str, u64)> {
-    use genie::{HostId, OutputRequest, Semantics, World, WorldConfig};
-    use genie_net::Vc;
-
-    const SIZES: [usize; 3] = [1_500, 3_000, 4_000];
-    let mut sums: Vec<(&'static str, u64)> = Vec::new();
-    for sem in Semantics::ALL {
-        let cfg = WorldConfig {
-            frames_per_host: 320,
-            credit_limit: 256,
-            fault: genie_fault::FaultConfig::swarm(seed),
-            ..WorldConfig::default()
-        };
-        let mut w = World::new(cfg);
-        let tx = w.create_process(HostId::A);
-        let rx = w.create_process(HostId::B);
-        for &bytes in &SIZES {
-            w.post_receive(HostId::B, rx, sem, Vc(1), bytes, 0)
-                .expect("input");
-        }
-        for (i, &bytes) in SIZES.iter().enumerate() {
-            let data: Vec<u8> = (0..bytes)
-                .map(|b| (b as u64).wrapping_mul(31).wrapping_add(i as u64) as u8)
-                .collect();
-            let src = w.alloc_source(HostId::A, tx, sem, &data).expect("source");
-            w.output(HostId::A, OutputRequest::new(sem, Vc(1), tx, src, bytes))
-                .expect("output");
-        }
-        w.run();
-        let _ = w.take_completed_inputs();
-        let _ = w.take_completed_outputs();
-        for (name, v) in w.fault_stats().fields() {
-            match sums.iter_mut().find(|(n, _)| *n == name) {
-                Some(slot) => slot.1 += v,
-                None => sums.push((name, v)),
-            }
-        }
-    }
-    sums
 }
 
 /// Prints the `--profile` table: one row per plan input, then one per
@@ -204,8 +151,7 @@ fn main() {
     let json = take_flag(&mut args, "--json");
     let want_metrics = take_flag(&mut args, "--metrics");
     let profile = take_flag(&mut args, "--profile");
-    let trace_path = take_value(&mut args, "--trace", "an output path")
-        .or_else(|| std::env::var("GENIE_TRACE").ok().filter(|p| !p.is_empty()));
+    let trace_path = take_value(&mut args, "--trace", "an output path");
     let want_scale = take_flag(&mut args, "--scale");
     let want_cq = take_flag(&mut args, "--cq");
     if let Some(n) = take_value(&mut args, "--threads", "a count") {
@@ -229,9 +175,11 @@ fn main() {
     want_fabric |= want_scale;
     want_fabric |= want_cq;
     // `--metrics`/`--trace` with no exhibit names means "just inspect":
-    // no exhibits render. Same for a pure `report fabric`.
+    // no paper exhibits render. Same for a pure `report fabric`.
     let inspect_only = args.is_empty() && (want_metrics || trace_path.is_some() || want_fabric);
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name || a == "all");
+    let want = |name: &str| {
+        !inspect_only && (args.is_empty() || args.iter().any(|a| a == name || a == "all"))
+    };
 
     let exhibits = gen::exhibits();
 
@@ -250,19 +198,49 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let selected: Vec<&gen::Exhibit> = if inspect_only {
-        Vec::new()
-    } else {
-        exhibits.iter().filter(|e| want(e.name)).collect()
-    };
+
+    // What the command line selects: the paper exhibits, then one
+    // fabric view, all printed; then the exports `--metrics` prints
+    // and `--trace` writes. `report fabric --metrics` is the flight
+    // recorder's view and replaces plain `--metrics`.
+    let sample = sample_config_from_env();
+    let per = env_knob("GENIE_SCALE_DATAGRAMS")
+        .filter(|&n: &usize| n > 0)
+        .unwrap_or(125_000);
+    let cq_seed = env_knob("GENIE_CQ_FAULT_SEED");
+    let cq_fault = cq_seed.map_or(FaultConfig::NONE, FaultConfig::masked);
+    let fabric = want_fabric.then(|| {
+        let (scale, cq) = (want_scale.then_some(per), want_cq.then_some(cq_fault));
+        gen::fabric::view(scale, cq, want_metrics.then_some(sample))
+    });
+    let metrics = (want_metrics && !want_fabric).then(|| gen::inspect::metrics_view(sample));
+    let trace = trace_path
+        .as_ref()
+        .map(|_| gen::inspect::trace_view(sample));
+    let mut selected: Vec<&gen::Exhibit> = exhibits.iter().filter(|e| want(e.name)).collect();
+    selected.extend(&fabric);
+    let printed = selected.len();
+    selected.extend(metrics.iter().chain(&trace));
+    // `--json`'s sections read the early-demux Figure 3 grid and the
+    // fault counters of seed `GENIE_FAULT_SEED` (42 if unset, so the
+    // section is deterministic out of the box), and with `fabric` the
+    // observed fan-in and the scale tier or CQ sweep the flags name.
+    let seed = env_knob("GENIE_FAULT_SEED").unwrap_or(42);
+    let extra = [
+        Some(Input::Grid(BufferingScheme::EarlyDemux, Sizes::Figure)),
+        Some(Input::FaultStats(seed)),
+        want_fabric.then_some(Input::ObservedFanin(sample)),
+        want_scale.then_some(Input::Scale(per)),
+        want_cq.then_some(Input::Cq(cq_fault)),
+    ];
+    let extra: Vec<Input> = extra.into_iter().flatten().filter(|_| json).collect();
 
     // Measure the plan, render in parallel, print in canonical order.
-    // `--json`'s simulated summary reads the early-demux Figure 3 grid.
-    let grid = json.then_some(Input::Grid(BufferingScheme::EarlyDemux, Sizes::Figure));
     let t0 = Instant::now();
-    let (measured, rendered) = gen::render(&selected, grid.as_slice());
+    let (measured, rendered) = gen::render(&selected, &extra);
     let total_ms = t0.elapsed().as_secs_f64() * 1e3;
-    for (_name, text, _ms) in &rendered {
+    let (shown, exports) = rendered.split_at(printed);
+    for (_name, text, _ms) in shown {
         println!("{text}\n");
     }
     // One wall-clock row per plan input, then one per exhibit.
@@ -272,40 +250,16 @@ fn main() {
         .cloned()
         .chain(rendered.iter().map(|(name, _, ms)| (name.to_string(), *ms)))
         .collect();
-    // `report fabric --metrics` is the flight-recorder view: rollup
-    // tables instead of the distribution exhibit. Plain `report
-    // --metrics` (the canonical two-host inspection) is untouched.
-    let sample = sample_config_from_env();
-    let scale_report = want_scale.then(|| {
-        let per = env_knob("GENIE_SCALE_DATAGRAMS")
-            .filter(|&n: &usize| n > 0)
-            .unwrap_or(125_000);
-        gen::fabric_scale_run(per)
-    });
-    let cq_report = want_cq.then(|| {
-        let seed = env_knob("GENIE_CQ_FAULT_SEED");
-        gen::fabric_cq_run(seed.map_or(FaultConfig::NONE, FaultConfig::masked))
-    });
-    if want_fabric {
-        if let Some(r) = &scale_report {
-            println!("{}", gen::fabric_scale_exhibit(r));
-        } else if let Some(points) = &cq_report {
-            println!("{}", gen::fabric_cq_exhibit(points));
-        } else if want_metrics {
-            println!("{}", gen::fabric_metrics_report(&sample));
-        } else {
-            println!("{}\n", gen::fabric_exhibit());
-        }
-    }
     if profile {
         print_profile(&rows, rendered.len(), total_ms);
     }
-    if want_metrics && !want_fabric {
-        print!("{}", gen::inspect::metrics_json(&sample));
+    let mut exports = exports.iter().map(|(_, text, _)| text);
+    if metrics.is_some() {
+        print!("{}", exports.next().expect("the metrics export"));
     }
     if let Some(path) = &trace_path {
-        let trace = gen::inspect::trace_json(&sample);
-        std::fs::write(path, &trace).expect("write trace JSON");
+        let trace = exports.next().expect("the trace export");
+        std::fs::write(path, trace).expect("write trace JSON");
         eprintln!("wrote {} ({} bytes of trace JSON)", path, trace.len());
     }
 
@@ -321,10 +275,9 @@ fn main() {
             w.key("wall_ms").num(format_args!("{ms:.3}")).end();
         }
         w.end();
-        let seed = fault_seed();
         w.key("fault_stats").object(Layout::Pretty);
         w.key("seed").num(seed);
-        for (name, v) in faulted_stats(seed) {
+        for (name, v) in measured.fault_stats(seed) {
             w.key(name).num(v);
         }
         w.end();
@@ -339,19 +292,20 @@ fn main() {
         if want_fabric {
             // `report --json fabric` appends the fabric fan-in and
             // host-rollup sections `--compare` diffs.
-            let (fabric, host) = gen::fabric_json_sections(&sample);
+            let (fabric, host) = gen::fabric::json_sections(&measured, &sample);
             flat("fabric", &fabric);
             flat("host_rollup", &host);
-            if let Some(r) = &scale_report {
+            if want_scale {
                 // `report --json fabric --scale`: the scale tier's
                 // wall clocks, gated by perf_gate.py.
-                flat("scale", &gen::fabric_scale_json_section(r));
+                flat("scale", &gen::fabric::scale_json_section(&measured, per));
             }
-            if let Some(points) = &cq_report {
+            if want_cq {
                 // `report --json fabric --cq`: knee depth and knee
                 // stats per semantics, reported informationally by
                 // perf_gate.py.
-                flat("cq_saturation", &gen::fabric_cq_json_section(points));
+                let cq = gen::fabric::cq_json_section(&measured, &cq_fault);
+                flat("cq_saturation", &cq);
             }
         }
         w.end();

@@ -28,7 +28,7 @@ pub struct ReportSummary {
 
 impl ReportSummary {
     /// The rows of the section named `name`, if the snapshot has one.
-    pub fn section(&self, name: &str) -> Option<&[(String, f64)]> {
+    fn section(&self, name: &str) -> Option<&[(String, f64)]> {
         self.sections
             .iter()
             .find(|(k, _)| k == name)

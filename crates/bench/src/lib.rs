@@ -1,5 +1,7 @@
 //! Experiment generators: one function per table and figure of the
-//! paper, rendered by the `report` binary.
+//! paper, rendered by the `report` binary, plus the fabric suites'
+//! views ([`fabric`]) and the canonical traced run's exports
+//! ([`inspect`]).
 //!
 //! Every generator returns plain text formatted like the paper's
 //! corresponding exhibit, rendered from simulator runs (figures,
@@ -15,11 +17,6 @@ pub mod plan;
 pub mod revision;
 pub mod timing;
 
-pub use fabric::{
-    fabric_cq_exhibit, fabric_cq_json_section, fabric_cq_run, fabric_exhibit, fabric_json_sections,
-    fabric_metrics_report, fabric_scale_exhibit, fabric_scale_json_section, fabric_scale_run,
-    ScaleReport,
-};
 pub use plan::{Input, Measured, Sizes};
 
 use std::time::Instant;
@@ -35,23 +32,33 @@ use genie_machine::{LinkSpec, MachineSpec};
 
 /// One exhibit of the report.
 pub struct Exhibit {
-    /// The name `report` selects it by.
+    /// The name `report` selects it by, and its `--profile` row.
     pub name: &'static str,
     /// The plan inputs it renders from (none for an exhibit that only
     /// reads static data or the implementation's own structures).
     pub needs: Vec<Input>,
     /// Renders the exhibit's text from a plan that measured `needs`.
-    pub render: fn(&Measured) -> String,
+    pub render: Box<dyn Fn(&Measured) -> String + Send + Sync>,
 }
 
-/// Every exhibit, in canonical order.
+impl Exhibit {
+    pub(crate) fn new(
+        name: &'static str,
+        needs: Vec<Input>,
+        render: impl Fn(&Measured) -> String + Send + Sync + 'static,
+    ) -> Exhibit {
+        let render = Box::new(render);
+        Exhibit {
+            name,
+            needs,
+            render,
+        }
+    }
+}
+
+/// Every paper exhibit, in canonical order.
 pub fn exhibits() -> Vec<Exhibit> {
     use BufferingScheme::{EarlyDemux, Outboard, PooledAligned, PooledUnaligned};
-    let ex = |name, needs, render| Exhibit {
-        name,
-        needs,
-        render,
-    };
     let grid = |scheme| vec![Input::Grid(scheme, Sizes::Figure)];
     let short = Input::Grid(EarlyDemux, Sizes::Short);
     let p166 = MachineSpec::micron_p166();
@@ -59,25 +66,25 @@ pub fn exhibits() -> Vec<Exhibit> {
     let all_fits = MachineSpec::all().into_iter().map(Input::Fits).collect();
     let ablation = vec![short.clone(), Input::Unthresholded];
     vec![
-        ex("table1", vec![], |_| table1()),
-        ex("fig1", vec![], |_| figure1()),
-        ex("fig2", vec![], |_| figure2()),
-        ex("table2", vec![], |_| table2()),
-        ex("table3", vec![], |_| table3()),
-        ex("table4", vec![], |_| table4()),
-        ex("table5", vec![], |_| table5()),
-        ex("fig3", grid(EarlyDemux), figure3),
-        ex("fig4", vec![Input::PingPongs], figure4),
-        ex("fig5", vec![short], figure5),
-        ex("fig6", grid(PooledAligned), figure6),
-        ex("fig7", grid(PooledUnaligned), figure7),
-        ex("table6", vec![Input::Fits(p166.clone())], table6),
-        ex("table7", fit_grids, table7),
-        ex("table8", all_fits, table8),
-        ex("oc12", vec![Input::Oc12], oc12),
-        ex("outboard", grid(Outboard), outboard),
-        ex("ablations", ablation, ablation_thresholds),
-        ex("waterfall", vec![Input::Fits(p166)], breakdown_waterfall),
+        Exhibit::new("table1", vec![], |_| table1()),
+        Exhibit::new("fig1", vec![], |_| figure1()),
+        Exhibit::new("fig2", vec![], |_| figure2()),
+        Exhibit::new("table2", vec![], |_| table2()),
+        Exhibit::new("table3", vec![], |_| table3()),
+        Exhibit::new("table4", vec![], |_| table4()),
+        Exhibit::new("table5", vec![], |_| table5()),
+        Exhibit::new("fig3", grid(EarlyDemux), figure3),
+        Exhibit::new("fig4", vec![Input::PingPongs], figure4),
+        Exhibit::new("fig5", vec![short], figure5),
+        Exhibit::new("fig6", grid(PooledAligned), figure6),
+        Exhibit::new("fig7", grid(PooledUnaligned), figure7),
+        Exhibit::new("table6", vec![Input::Fits(p166.clone())], table6),
+        Exhibit::new("table7", fit_grids, table7),
+        Exhibit::new("table8", all_fits, table8),
+        Exhibit::new("oc12", vec![Input::Oc12], oc12),
+        Exhibit::new("outboard", grid(Outboard), outboard),
+        Exhibit::new("ablations", ablation, ablation_thresholds),
+        Exhibit::new("waterfall", vec![Input::Fits(p166)], breakdown_waterfall),
     ]
 }
 
@@ -99,7 +106,7 @@ pub fn render(
 }
 
 /// Table 1: LAN bandwidth history (static data from the paper).
-pub fn table1() -> String {
+fn table1() -> String {
     let rows = [
         ("Token ring", "1972", "1, 4, or 16"),
         ("Ethernet", "1976", "3 or 10"),
@@ -117,7 +124,7 @@ pub fn table1() -> String {
 }
 
 /// Figure 1: the taxonomy, as implemented.
-pub fn figure1() -> String {
+fn figure1() -> String {
     let rows: Vec<Vec<String>> = Semantics::ALL
         .iter()
         .map(|s| {
@@ -139,7 +146,7 @@ pub fn figure1() -> String {
 }
 
 /// Figure 2: the input-alignment plan, as a worked example.
-pub fn figure2() -> String {
+fn figure2() -> String {
     use genie::{plan_aligned_input, PageAction};
     let mut out = String::from(
         "# Figure 2: input alignment — worked example\n\
@@ -155,31 +162,26 @@ pub fn figure2() -> String {
                 fill_suffix,
             } => format!("complete ({fill_prefix}+{fill_suffix} B from app page), then swap"),
         };
+        let (page, start, end) = (p.page, p.data_start, p.data_start + p.data_len);
         out.push_str(&format!(
-            "  page {}: data [{}, {}) -> {}\n",
-            p.page,
-            p.data_start,
-            p.data_start + p.data_len,
-            action
+            "  page {page}: data [{start}, {end}) -> {action}\n"
         ));
     }
     out
 }
 
+/// One op list as a table cell: the ops' names, `(B)` marking those
+/// that scale with the buffer, or `-` for none.
 fn oplist_cell(ops: &[OpUse]) -> String {
-    if ops.is_empty() {
-        "-".to_string()
+    let name = |u: &OpUse| match u.scale {
+        Scale::Fixed => u.op.name().to_string(),
+        Scale::Buffer => format!("{}(B)", u.op.name()),
+    };
+    let cell = ops.iter().map(name).collect::<Vec<_>>().join(", ");
+    if cell.is_empty() {
+        "-".into()
     } else {
-        ops.iter()
-            .map(|u| {
-                let mark = match u.scale {
-                    Scale::Fixed => "",
-                    Scale::Buffer => "(B)",
-                };
-                format!("{}{}", u.op.name(), mark)
-            })
-            .collect::<Vec<_>>()
-            .join(", ")
+        cell
     }
 }
 
@@ -197,7 +199,7 @@ fn oplist_table(title: &str, headers: &[&str], cols: &[fn(Semantics) -> Vec<OpUs
 }
 
 /// Table 2: output operations per semantics.
-pub fn table2() -> String {
+fn table2() -> String {
     oplist_table(
         "Table 2: operations for data output",
         &["semantics", "prepare", "dispose"],
@@ -206,7 +208,7 @@ pub fn table2() -> String {
 }
 
 /// Table 3: input operations with early demultiplexing.
-pub fn table3() -> String {
+fn table3() -> String {
     oplist_table(
         "Table 3: input operations, early demultiplexing",
         &["semantics", "prepare", "ready", "dispose"],
@@ -219,7 +221,7 @@ pub fn table3() -> String {
 }
 
 /// Table 4: input operations with pooled buffering.
-pub fn table4() -> String {
+fn table4() -> String {
     oplist_table(
         "Table 4: input operations, pooled buffering",
         &[
@@ -237,7 +239,7 @@ pub fn table4() -> String {
 }
 
 /// Table 5: the experimental platforms.
-pub fn table5() -> String {
+fn table5() -> String {
     let rows: Vec<Vec<String>> = MachineSpec::all()
         .iter()
         .map(|m| {
@@ -288,13 +290,13 @@ fn latency_figure(m: &Measured, scheme: BufferingScheme, sizes: Sizes, title: &s
 }
 
 /// Figure 3: end-to-end latency with early demultiplexing.
-pub fn figure3(m: &Measured) -> String {
+fn figure3(m: &Measured) -> String {
     let title = "Figure 3: latency (us) vs datagram bytes, early demultiplexing";
     latency_figure(m, BufferingScheme::EarlyDemux, Sizes::Figure, title)
 }
 
 /// Figure 4: CPU utilization while running the Figure 3 experiment.
-pub fn figure4(m: &Measured) -> String {
+fn figure4(m: &Measured) -> String {
     let series: Vec<(String, Vec<(f64, f64)>)> = Semantics::ALL
         .iter()
         .zip(m.utilization())
@@ -312,25 +314,25 @@ pub fn figure4(m: &Measured) -> String {
 
 /// Figure 5: short-datagram latency with early demultiplexing
 /// (thresholds and reverse copyout in action).
-pub fn figure5(m: &Measured) -> String {
+fn figure5(m: &Measured) -> String {
     let title = "Figure 5: short-datagram latency (us), early demultiplexing";
     latency_figure(m, BufferingScheme::EarlyDemux, Sizes::Short, title)
 }
 
 /// Figure 6: latency with application-aligned pooled input buffering.
-pub fn figure6(m: &Measured) -> String {
+fn figure6(m: &Measured) -> String {
     let title = "Figure 6: latency (us) vs bytes, application-aligned pooled input";
     latency_figure(m, BufferingScheme::PooledAligned, Sizes::Figure, title)
 }
 
 /// Figure 7: latency with unaligned pooled input buffering.
-pub fn figure7(m: &Measured) -> String {
+fn figure7(m: &Measured) -> String {
     let title = "Figure 7: latency (us) vs bytes, unaligned pooled input";
     latency_figure(m, BufferingScheme::PooledUnaligned, Sizes::Figure, title)
 }
 
 /// Table 6: primitive-operation costs from instrumented runs.
-pub fn table6(m: &Measured) -> String {
+fn table6(m: &Measured) -> String {
     let fits = m.fits(&MachineSpec::micron_p166());
     let rows: Vec<Vec<String>> = fits
         .iter()
@@ -353,7 +355,7 @@ pub fn table6(m: &Measured) -> String {
 /// P166's 4 KB pages.
 ///
 /// [`fit_sizes`]: genie_analysis::breakdown::fit_sizes
-pub fn table7(m: &Measured) -> String {
+fn table7(m: &Measured) -> String {
     let model = genie_machine::CostModel::new(MachineSpec::micron_p166());
     let link = LinkSpec::oc3();
     let mut rows = Vec::new();
@@ -385,7 +387,7 @@ pub fn table7(m: &Measured) -> String {
 }
 
 /// Table 8: cross-platform scaling of data-passing costs.
-pub fn table8(m: &Measured) -> String {
+fn table8(m: &Measured) -> String {
     let base_machine = MachineSpec::micron_p166();
     let base = m.fits(&base_machine);
     let mut out =
@@ -417,7 +419,7 @@ pub fn table8(m: &Measured) -> String {
 }
 
 /// Section 8's OC-12 extrapolation.
-pub fn oc12(m: &Measured) -> String {
+fn oc12(m: &Measured) -> String {
     let mut out =
         String::from("# Section 8: predicted 60 KB throughput at OC-12 (622 Mbps), Micron P166\n");
     let paper = [
@@ -432,28 +434,21 @@ pub fn oc12(m: &Measured) -> String {
     ));
     for (sem, want) in paper {
         let got = predict_oc12_throughput(MachineSpec::micron_p166(), sem);
-        out.push_str(&format!(
-            "{:<20} {:>12.0} {:>12.0}\n",
-            sem.label(),
-            got,
-            want
-        ));
+        let label = sem.label();
+        out.push_str(&format!("{label:<20} {got:>12.0} {want:>12.0}\n"));
     }
     // And measured through the full simulator.
     out.push_str("\nmeasured through the simulator at OC-12:\n");
     for (sem, pts) in Semantics::ALL.iter().zip(m.sweeps(&Input::Oc12)) {
-        out.push_str(&format!(
-            "{:<20} {:>12.0} Mbps\n",
-            sem.label(),
-            throughput_mbps(pts[0].bytes, pts[0].latency)
-        ));
+        let (label, mbps) = (sem.label(), throughput_mbps(pts[0].bytes, pts[0].latency));
+        out.push_str(&format!("{label:<20} {mbps:>12.0} Mbps\n"));
     }
     out
 }
 
 /// Section 6.2.3: outboard buffering (simulated; the paper's hardware
 /// could not measure it).
-pub fn outboard(m: &Measured) -> String {
+fn outboard(m: &Measured) -> String {
     let title = "Outboard buffering (extension): latency (us) vs bytes";
     latency_figure(m, BufferingScheme::Outboard, Sizes::Figure, title)
         + "\nper Section 6.2.3 the store-and-forward stage adds equal latency to all\n\
@@ -462,7 +457,7 @@ pub fn outboard(m: &Measured) -> String {
 
 /// Ablation: emulated copy's output threshold (automatic conversion
 /// to copy) on and off.
-pub fn ablation_thresholds(m: &Measured) -> String {
+fn ablation_thresholds(m: &Measured) -> String {
     let short = m.sweeps(&Input::Grid(BufferingScheme::EarlyDemux, Sizes::Short));
     let ec = Semantics::ALL
         .iter()
@@ -493,7 +488,7 @@ pub fn ablation_thresholds(m: &Measured) -> String {
 /// Section 8 decomposition made visible. It reads the 60 KB round of
 /// each early-demux cell behind the P166's Table 6 fits (thresholds
 /// off).
-pub fn breakdown_waterfall(m: &Measured) -> String {
+fn breakdown_waterfall(m: &Measured) -> String {
     let mut out =
         String::from("# Latency breakdown: per-op charges of one 60 KB exchange (early demux)\n");
     let rounds = fit_cells()
@@ -501,11 +496,8 @@ pub fn breakdown_waterfall(m: &Measured) -> String {
         .zip(m.largest_rounds(&MachineSpec::micron_p166()))
         .filter(|((scheme, _), _)| *scheme == BufferingScheme::EarlyDemux);
     for ((_, sem), (latency, trace)) in rounds {
-        out.push_str(&format!(
-            "\n## {} — end-to-end {:.0} us\n",
-            sem.label(),
-            latency.as_us()
-        ));
+        let (label, us) = (sem.label(), latency.as_us());
+        out.push_str(&format!("\n## {label} — end-to-end {us:.0} us\n"));
         let mut rows = Vec::new();
         for (op, e) in trace.charges() {
             rows.push(vec![

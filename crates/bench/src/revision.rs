@@ -25,7 +25,7 @@ pub fn revision() -> String {
 }
 
 /// The commit `HEAD` of the git directory `git` names, or `unknown`.
-pub fn revision_in(git: &Path) -> String {
+fn revision_in(git: &Path) -> String {
     let read = |p: &Path| fs::read_to_string(p).ok();
     let Some(head) = read(&git.join("HEAD")) else {
         return UNKNOWN.into();

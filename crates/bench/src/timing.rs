@@ -37,7 +37,7 @@ impl Timing {
 
 /// Peak resident memory of this process so far, in MiB: `VmHWM` from
 /// `/proc/self/status`, or `None` where that file does not exist.
-pub fn peak_rss_mb() -> Option<f64> {
+pub(crate) fn peak_rss_mb() -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
     let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;

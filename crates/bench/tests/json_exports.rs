@@ -20,7 +20,6 @@ fn run(bin: &str, dir: &PathBuf, args: &[&str]) -> String {
     let out = Command::new(bin)
         .args(args)
         .current_dir(dir)
-        .env_remove("GENIE_TRACE")
         .output()
         .expect("run binary");
     assert!(
@@ -60,13 +59,14 @@ fn report_json_all_parses() {
     let Some(Json::Arr(exhibits)) = doc.get("exhibits") else {
         panic!("no exhibits array: {doc:?}")
     };
-    // Eleven plan rows (`plan:grid ...`, `plan:fits ...`,
-    // `plan:pingpongs ...`, ...), then the 19 exhibits.
-    assert_eq!(exhibits.len(), 11 + 19);
+    // Twelve plan rows (`plan:grid ...`, `plan:fits ...`,
+    // `plan:pingpongs ...`, ..., and the fault stats' `plan:faultstats
+    // seed 42`), then the 19 exhibits.
+    assert_eq!(exhibits.len(), 12 + 19);
     for (i, e) in exhibits.iter().enumerate() {
         let name = e.get("name").and_then(Json::as_str);
         assert!(
-            name.is_some_and(|n| n.starts_with("plan:") == (i < 11)),
+            name.is_some_and(|n| n.starts_with("plan:") == (i < 12)),
             "{e:?}"
         );
         assert!(e.get("wall_ms").and_then(Json::as_f64).is_some(), "{e:?}");
@@ -97,7 +97,6 @@ fn report_json_fabric_scale_records_peak_rss() {
     let out = Command::new(env!("CARGO_BIN_EXE_report"))
         .args(["--json", "fabric", "--scale"])
         .current_dir(&dir)
-        .env_remove("GENIE_TRACE")
         .env("GENIE_SCALE_DATAGRAMS", "200")
         .output()
         .expect("run report");

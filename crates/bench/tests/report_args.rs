@@ -7,7 +7,6 @@ use std::process::{Command, Output};
 fn report(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_report"))
         .args(args)
-        .env_remove("GENIE_TRACE")
         .output()
         .expect("run report")
 }
@@ -127,6 +126,67 @@ const PLAN_ROWS: [&str; 11] = [
     "plan:unthresholded EmulatedCopy",
 ];
 
+/// A `--profile` table: each `(row name, wall ms)` in print order,
+/// the summary line and the wall clock it states.
+struct Profile {
+    rows: Vec<(String, f64)>,
+    summary: String,
+    wall: f64,
+}
+
+/// Runs `report ARGS` and parses the `--profile` table it prints.
+fn profile(args: &[&str]) -> Profile {
+    let out = report(args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {stdout}");
+    let table: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| *l != "# Profile: per-exhibit wall clock")
+        .skip(2) // the title and the column header
+        .take_while(|l| !l.is_empty())
+        .collect();
+    let (summary, rows) = table
+        .split_last()
+        .unwrap_or_else(|| panic!("{args:?}: no profile table:\n{stdout}"));
+    // A row is a name (plan rows hold spaces) and then its wall_ms.
+    let rows = rows
+        .iter()
+        .map(|row| {
+            let (name, ms) = row
+                .trim()
+                .rsplit_once(' ')
+                .unwrap_or_else(|| panic!("{args:?}: row {row:?}"));
+            let ms: f64 = ms.parse().expect("wall_ms is a number");
+            assert!(ms >= 0.0, "{args:?}: row {row:?}");
+            (name.trim().to_string(), ms)
+        })
+        .collect();
+    let wall = summary
+        .split(" ms wall")
+        .next()
+        .and_then(|s| s.rsplit(' ').next())
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("{args:?}: no wall in summary {summary:?}"));
+    let summary = summary.trim().to_string();
+    Profile {
+        rows,
+        summary,
+        wall,
+    }
+}
+
+impl Profile {
+    /// Serially, the rows cover the whole measure-and-render.
+    fn assert_rows_sum_to_wall(&self, what: &str) {
+        let summed: f64 = self.rows.iter().map(|(_, ms)| ms).sum();
+        assert!(
+            (summed - self.wall).abs() <= 0.01 * self.wall,
+            "{what}: rows sum to {summed:.3} ms against {:.3} ms wall",
+            self.wall
+        );
+    }
+}
+
 #[test]
 fn profile_prints_one_row_per_exhibit_at_any_thread_count() {
     // The exhibit list, in canonical order, as `report` itself names it.
@@ -138,33 +198,9 @@ fn profile_prints_one_row_per_exhibit_at_any_thread_count() {
         .unwrap_or_else(|| panic!("no exhibit list: {stderr}"));
     assert_eq!(exhibits.len(), 19, "{exhibits:?}");
     for threads in ["1", "4"] {
-        let out = report(&["--threads", threads, "--profile", "all"]);
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert_eq!(out.status.code(), Some(0), "threads {threads}: {stdout}");
-        let table: Vec<&str> = stdout
-            .lines()
-            .skip_while(|l| *l != "# Profile: per-exhibit wall clock")
-            .skip(2) // the title and the column header
-            .take_while(|l| !l.is_empty())
-            .collect();
-        let (summary, rows) = table
-            .split_last()
-            .unwrap_or_else(|| panic!("threads {threads}: no profile table:\n{stdout}"));
-        // A row is a name (plan rows hold spaces) and then its wall_ms.
-        let rows: Vec<(String, f64)> = rows
-            .iter()
-            .map(|row| {
-                let (name, ms) = row
-                    .trim()
-                    .rsplit_once(' ')
-                    .unwrap_or_else(|| panic!("threads {threads}: row {row:?}"));
-                let ms: f64 = ms.parse().expect("wall_ms is a number");
-                assert!(ms >= 0.0, "threads {threads}: row {row:?}");
-                (name.trim().to_string(), ms)
-            })
-            .collect();
+        let p = profile(&["--threads", threads, "--profile", "all"]);
         // The plan's rows print first, then one row per exhibit.
-        let (plan, exhibit_rows) = rows.split_at(PLAN_ROWS.len());
+        let (plan, exhibit_rows) = p.rows.split_at(PLAN_ROWS.len());
         let plan_names: Vec<&str> = plan.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(plan_names, PLAN_ROWS, "threads {threads}");
         let names: Vec<&str> = exhibit_rows.iter().map(|(n, _)| n.as_str()).collect();
@@ -173,24 +209,44 @@ fn profile_prints_one_row_per_exhibit_at_any_thread_count() {
             assert_eq!(name.split_whitespace().count(), 1, "threads {threads}");
         }
         assert!(
-            summary
-                .trim_start()
-                .starts_with("19 exhibits, 11 plan inputs,"),
-            "threads {threads}: summary {summary:?}"
+            p.summary.starts_with("19 exhibits, 11 plan inputs,"),
+            "threads {threads}: summary {:?}",
+            p.summary
         );
         if threads == "1" {
-            // Serially, the rows cover the whole measure-and-render.
-            let wall: f64 = summary
-                .split(" ms wall")
-                .next()
-                .and_then(|s| s.rsplit(' ').next())
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("no wall in summary {summary:?}"));
-            let summed: f64 = rows.iter().map(|(_, ms)| ms).sum();
-            assert!(
-                (summed - wall).abs() <= 0.01 * wall,
-                "rows sum to {summed:.3} ms against {wall:.3} ms wall"
-            );
+            p.assert_rows_sum_to_wall("all");
         }
     }
+}
+
+#[test]
+fn profile_rows_add_up_for_the_fabric_views_and_the_exports() {
+    let trace = std::env::temp_dir().join(format!(
+        "genie_report_args_{}_profile_trace.json",
+        std::process::id()
+    ));
+    let trace = trace.to_string_lossy().into_owned();
+    for args in [
+        vec!["fabric"],
+        vec!["fabric", "--cq"],
+        vec!["--metrics", "--trace", &trace],
+    ] {
+        let what = args.join(" ");
+        let p = profile(&[&args[..], &["--profile", "--threads", "1"]].concat());
+        let plan: Vec<&str> = p
+            .rows
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .filter(|n| n.starts_with("plan:"))
+            .collect();
+        assert!(!plan.is_empty(), "{what}: no plan row in {:?}", p.rows);
+        // Each input is measured once, so `--metrics --trace` runs its
+        // canonical exchanges once for both exports.
+        for name in &plan {
+            let times = plan.iter().filter(|n| *n == name).count();
+            assert_eq!(times, 1, "{what}: {name} is measured {times} times");
+        }
+        p.assert_rows_sum_to_wall(&what);
+    }
+    let _ = std::fs::remove_file(trace);
 }

@@ -85,7 +85,7 @@ pub use input::{InputRequest, RecvCompletion};
 pub use output::{OutputRequest, SendCompletion};
 pub use semantics::{Allocation, Integrity, Semantics};
 pub use suites::{
-    cluster_reduce, cq_fanin_observed, cq_saturation, cq_sweep, multicast_stream, rpc_fanin,
+    cluster_reduce, cq_fanin_observed, cq_saturation, multicast_stream, rpc_fanin,
     rpc_fanin_observed, CqDepthPoint, CqSaturationPoint, CqSuiteConfig, Observation, SuitePoint,
     ALL_SEMANTICS,
 };

@@ -18,10 +18,10 @@
 //!   datagram count into its hub in bounded waves. Each wave is issued
 //!   at the spokes' own clocks, so it queues behind the backlog of every
 //!   earlier wave at the hub port;
-//! - [`cq_saturation`] / [`cq_sweep`]: request/response fan-in through
-//!   `genie::cq` queue pairs, swept over queue depth to find each
-//!   semantics' saturation knee. Closed-loop: a client's fixed window
-//!   admits a request only once an earlier one's response came back.
+//! - [`cq_saturation`]: request/response fan-in through `genie::cq`
+//!   queue pairs, swept over queue depth to find each semantics'
+//!   saturation knee. Closed-loop: a client's fixed window admits a
+//!   request only once an earlier one's response came back.
 //!
 //! All five drive one rig: a star-switched P166 world with one process
 //! per host. Each suite checks the delivered bytes against the pattern
@@ -32,10 +32,10 @@
 //! the signal, so results come back as [`LatencyDistribution`]
 //! (p50/p99) plus the switch's own counters.
 //!
-//! Worlds are single-threaded by construction; a sweep over semantics
-//! (`genie_runner::map`) spreads the independent worlds (disjoint host
-//! groups) across workers, so its output is byte-identical at any
-//! thread count.
+//! Each call runs one semantics in its own world, and worlds are
+//! single-threaded by construction, so a caller can spread the
+//! semantics across threads (`report`'s measurement plan does) and
+//! get byte-identical output at any thread count.
 
 use std::collections::HashMap;
 
@@ -822,12 +822,6 @@ pub fn cq_saturation(semantics: Semantics, cfg: &CqSuiteConfig) -> CqSaturationP
     }
 }
 
-/// [`cq_saturation`] over every semantics, independent worlds spread
-/// across genie-runner workers (byte-identical at any thread count).
-pub fn cq_sweep(cfg: &CqSuiteConfig) -> Vec<CqSaturationPoint> {
-    genie_runner::map(ALL_SEMANTICS, |&s| cq_saturation(s, cfg))
-}
-
 /// One CQ fan-in run with the flight recorder on: sampled tracing plus
 /// the `cq_*.depth` / `cq_*.window` series and their `rollup.cq`
 /// aggregates. Observation-only: the returned point is byte-identical
@@ -925,9 +919,15 @@ mod tests {
 
     #[test]
     fn cq_saturation_is_thread_invariant_with_and_without_faults() {
-        for fault in [
-            genie_fault::FaultConfig::NONE,
-            genie_fault::FaultConfig::masked(11),
+        use genie_fault::FaultConfig;
+        let (strong, weak) = (
+            [Semantics::Move, Semantics::EmulatedCopy],
+            [Semantics::Copy, Semantics::WeakMove],
+        );
+        for (fault, semantics) in [
+            (FaultConfig::NONE, strong),
+            (FaultConfig::masked(11), strong),
+            (FaultConfig::NONE, weak),
         ] {
             let cfg = CqSuiteConfig {
                 clients: 3,
@@ -939,9 +939,7 @@ mod tests {
             };
             let run = |threads| {
                 genie_runner::with_threads(threads, || {
-                    genie_runner::map(&[Semantics::Move, Semantics::EmulatedCopy], |&s| {
-                        cq_saturation(s, &cfg)
-                    })
+                    genie_runner::map(&semantics, |&s| cq_saturation(s, &cfg))
                 })
             };
             let sig = |ps: &[CqSaturationPoint]| {
@@ -962,39 +960,11 @@ mod tests {
             assert_eq!(
                 sig(&run(1)),
                 sig(&run(4)),
-                "cq saturation results must not depend on thread count (faults: {})",
+                "cq saturation results must not depend on thread count \
+                 ({semantics:?}, faults: {})",
                 fault.active()
             );
         }
-    }
-
-    #[test]
-    fn cq_sweep_is_thread_count_invariant() {
-        let cfg = CqSuiteConfig {
-            clients: 2,
-            requests: 3,
-            bytes: 1024,
-            depths: vec![1, 4],
-            ..CqSuiteConfig::default()
-        };
-        let run = |threads: usize| {
-            genie_runner::set_threads(threads);
-            let out = genie_runner::map(&[Semantics::Copy, Semantics::WeakMove], |&s| {
-                cq_saturation(s, &cfg)
-            });
-            genie_runner::set_threads(0);
-            out.iter()
-                .map(|p| {
-                    (
-                        p.semantics,
-                        p.knee,
-                        p.knee_point().dist.p50,
-                        p.knee_point().dist.p99,
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(1), run(4));
     }
 
     #[test]

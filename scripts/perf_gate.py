@@ -225,8 +225,10 @@ def main():
     ap.add_argument("--fresh", nargs="+")
     ap.add_argument("--reports", nargs="*", default=[])
     # CQ snapshots are listed separately from --reports because their
-    # total_wall_ms covers only the cq sweep and must not shrink the
-    # report-all wall minimum.
+    # total_wall_ms times a different plan: the CQ sweep, the observed
+    # fan-in, the Figure 3 grid and the fault-stats exchanges, not
+    # report all's exhibits, so it must not enter the report-all wall
+    # minimum.
     ap.add_argument("--cq", nargs="*", default=[])
     ap.add_argument("--tol", type=float, default=25.0)
     ap.add_argument("--write-baseline", action="store_true")

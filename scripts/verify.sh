@@ -90,7 +90,7 @@ cmp "$scratch/fabric" scripts/golden_fabric.txt || {
 # The flight-recorder view of the observed fan-in: per-VC rollups,
 # per-port switch observation and the trace ledger, all simulated. The
 # golden holds the default sampling, so the trace knobs are cleared.
-env -u GENIE_TRACE -u GENIE_TRACE_SAMPLE -u GENIE_TRACE_BUDGET \
+env -u GENIE_TRACE_SAMPLE -u GENIE_TRACE_BUDGET \
   ./target/release/report fabric --metrics --threads 1 >"$scratch/fabric_metrics" 2>/dev/null
 cmp "$scratch/fabric_metrics" scripts/golden_fabric_metrics.txt || {
   echo "verify: report fabric --metrics drifted from scripts/golden_fabric_metrics.txt" >&2
@@ -211,10 +211,10 @@ run_ms() { # run_ms OUT_FILE CMD... -> wall ms on stdout
 base_ms=$(run_ms "$smoke_dir/plain1" ./target/release/report all --threads 1)
 m=$(run_ms "$smoke_dir/plain2" ./target/release/report all --threads 1)
 [ "$m" -lt "$base_ms" ] && base_ms=$m
-traced_ms=$(run_ms "$smoke_dir/traced1" env GENIE_TRACE="$smoke_dir/trace1.json" \
-  GENIE_TRACE_SAMPLE=8 GENIE_TRACE_BUDGET=4096 ./target/release/report all --threads 1)
-m=$(run_ms "$smoke_dir/traced2" env GENIE_TRACE="$smoke_dir/trace2.json" \
-  GENIE_TRACE_SAMPLE=8 GENIE_TRACE_BUDGET=4096 ./target/release/report all --threads 1)
+traced_ms=$(run_ms "$smoke_dir/traced1" env GENIE_TRACE_SAMPLE=8 GENIE_TRACE_BUDGET=4096 \
+  ./target/release/report all --threads 1 --trace "$smoke_dir/trace1.json")
+m=$(run_ms "$smoke_dir/traced2" env GENIE_TRACE_SAMPLE=8 GENIE_TRACE_BUDGET=4096 \
+  ./target/release/report all --threads 1 --trace "$smoke_dir/trace2.json")
 [ "$m" -lt "$traced_ms" ] && traced_ms=$m
 cmp "$smoke_dir/plain1" "$smoke_dir/traced1" || {
   echo "verify: sampled tracing perturbed the report output" >&2

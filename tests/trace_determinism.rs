@@ -1,38 +1,44 @@
 //! Trace determinism: the Perfetto export is a pure function of the
 //! experiment — byte-identical across repeated runs and worker-thread
-//! counts — and tracing never perturbs the simulation it observes.
+//! counts, with the measurement plan spreading the traced runs over
+//! the pool — and tracing never perturbs the simulation it observes.
 
 use genie::{ExperimentSetup, Semantics};
+use genie_bench::inspect;
+use genie_bench::plan::{self, Input, Measured};
 use genie_machine::MachineSpec;
+
+/// Measures the canonical traced runs under `sample` in a fresh plan
+/// at `threads` worker threads, and renders one export from them.
+fn inspect_export(
+    threads: usize,
+    sample: &genie::SampleConfig,
+    export: fn(&Measured, &genie::SampleConfig) -> String,
+) -> String {
+    genie_runner::with_threads(threads, || {
+        export(&plan::measure([&Input::Inspect(*sample)]), sample)
+    })
+}
 
 #[test]
 fn trace_export_is_byte_identical_across_thread_counts() {
     let keep_all = genie::SampleConfig::default();
-    let mut exports = Vec::new();
-    for threads in [1, 2, 4] {
-        genie_runner::set_threads(threads);
-        exports.push((threads, genie_bench::inspect::trace_json(&keep_all)));
-    }
-    genie_runner::set_threads(0);
-    let (_, base) = &exports[0];
-    for (threads, json) in &exports[1..] {
+    let base = inspect_export(1, &keep_all, inspect::trace_json);
+    for threads in [2, 4] {
+        let json = inspect_export(threads, &keep_all, inspect::trace_json);
         assert_eq!(json, base, "trace differs at {threads} threads");
     }
     // And across repeated runs at the same thread count.
-    assert_eq!(&genie_bench::inspect::trace_json(&keep_all), base);
+    assert_eq!(inspect_export(1, &keep_all, inspect::trace_json), base);
 }
 
 #[test]
 fn metrics_dump_is_byte_identical_across_thread_counts() {
-    let mut dumps = Vec::new();
-    for threads in [1, 4] {
-        genie_runner::set_threads(threads);
-        dumps.push(genie_bench::inspect::metrics_json(
-            &genie::SampleConfig::default(),
-        ));
-    }
-    genie_runner::set_threads(0);
-    assert_eq!(dumps[0], dumps[1]);
+    let keep_all = genie::SampleConfig::default();
+    assert_eq!(
+        inspect_export(1, &keep_all, inspect::metrics_json),
+        inspect_export(4, &keep_all, inspect::metrics_json)
+    );
 }
 
 /// Renders the eight-semantics 8-host star fan-in sweep (7 clients x
